@@ -22,7 +22,7 @@ from .errors import (
 )
 from .fqcode import DEFAULT_ENUM_CAP
 from .rcode import RCode
-from .ring import gamma_to_u
+from .ring import gamma_to_u, gray
 
 
 def _load(path: str) -> RCode:
@@ -242,7 +242,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
                 oracle.min_distance(comp, budget) == comp.min_dist(budget),
             )
     gray_code = code.gray_image()
-    enumerated = {oracle.gray_word(w) for w in oracle.codewords(code, budget)}
+    enumerated = {gray(w) for w in oracle.codewords(code, budget)}
     spanned = set(oracle.codewords(gray_code, budget))
     check("expansion image matches enumerated expansion", enumerated == spanned)
     for l in range(code.field.e):

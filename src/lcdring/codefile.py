@@ -36,10 +36,18 @@ from .ring import RingElement
 
 FORMAT_VERSION = 1
 
+# Largest field order a code file may declare (the README's desk scale).
+MAX_FIELD_ORDER = 2**20
+
 
 def _require(cond: bool, msg: str) -> None:
     if not cond:
         raise ParseError(msg)
+
+
+def _is_int(v: Any) -> bool:
+    """A JSON integer; ``true``/``false`` parse to bool, an int subclass."""
+    return isinstance(v, int) and not isinstance(v, bool)
 
 
 def _load_field(doc: dict[str, Any]) -> GF:
@@ -49,7 +57,18 @@ def _load_field(doc: dict[str, Any]) -> GF:
     p = spec["p"]
     e = spec.get("e", 1)
     modulus = spec.get("modulus")
-    _require(isinstance(p, int) and isinstance(e, int), "'p' and 'e' must be integers")
+    _require(_is_int(p) and _is_int(e), "'p' and 'e' must be integers")
+    # bound q = p^e before any primality or irreducibility work, one
+    # factor at a time so a huge e is never used as an exponent
+    _require(2 <= p <= MAX_FIELD_ORDER, f"'p' must lie in [2, {MAX_FIELD_ORDER}], got {p}")
+    _require(e >= 1, f"'e' must be a positive integer, got {e}")
+    q = 1
+    for _ in range(e):
+        q *= p
+        _require(q <= MAX_FIELD_ORDER, f"field order {p}^{e} exceeds {MAX_FIELD_ORDER}")
+    if modulus is not None:
+        _require(isinstance(modulus, list) and all(_is_int(c) for c in modulus),
+                 "'modulus' must be a list of integers")
     return GF(p, e, modulus)
 
 
@@ -60,7 +79,7 @@ def _check_int_rows(field: GF, rows: Any, n: int, what: str) -> list[list[int]]:
         _require(isinstance(row, list), f"{what} row {r} is not a list")
         _require(len(row) == n, f"{what} row {r} has width {len(row)}, expected {n}")
         for v in row:
-            _require(isinstance(v, int) and 0 <= v < field.q,
+            _require(_is_int(v) and 0 <= v < field.q,
                      f"{what} row {r} entry {v!r} is not an encoding in [0, {field.q})")
         out.append(list(row))
     return out
@@ -77,7 +96,7 @@ def parse_code(text: str) -> RCode:
     _require(kind == "ring", f"expected a ring-code document, got kind={kind!r}")
     field = _load_field(doc)
     n = doc.get("n")
-    _require(isinstance(n, int) and n >= 1, "'n' must be a positive integer")
+    _require(_is_int(n) and n >= 1, "'n' must be a positive integer")
     basis = doc.get("basis", "gamma")
     _require(basis in ("gamma", "u"), f"unknown basis {basis!r}")
     has_comp = "components" in doc
@@ -105,7 +124,7 @@ def parse_code(text: str) -> RCode:
             _require(isinstance(quad, list) and len(quad) == 4,
                      f"generator row {r} entry {j} must be a 4-list")
             for v in quad:
-                _require(isinstance(v, int) and 0 <= v < field.q,
+                _require(_is_int(v) and 0 <= v < field.q,
                          f"generator row {r} entry {j} holds {v!r}, not an encoding")
             if basis == "u":
                 entries.append(RingElement.from_u(field, quad))

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Sequence
+from operator import getitem
+from typing import Iterator, Sequence
 
 from .errors import (
     BadLError,
@@ -24,6 +25,28 @@ from .gf import GF
 from .linalg import Matrix, det, gram, nullspace_basis, rref
 
 DEFAULT_ENUM_CAP = 1_000_000
+
+
+def _projective_steps(p: int, e: int, k: int) -> Iterator[int]:
+    """F_p-digit indices j * e + t of the projective Gray walk over GF(p^e)^k.
+
+    Starting from the zero message, each yielded index says "add x^t to
+    message digit j".  For each top digit j in turn, one step sets digit j
+    to 1, then the p-ary modular Gray code over the j * e F_p digits below
+    it runs once: step s adds 1 to digit v_p(s).  The s-th state is the
+    start plus the s-th Gray codeword, so from wherever the previous walk
+    left the lower digits every lower choice is met exactly once.  Digits
+    above j stay 0, so each message whose highest nonzero digit is 1 is
+    visited exactly once.
+    """
+    for top in range(k):
+        yield top * e
+        for s in range(1, p ** (top * e)):
+            i = 0
+            while not s % p:
+                s //= p
+                i += 1
+            yield i
 
 
 @dataclass(frozen=True)
@@ -124,38 +147,50 @@ class FqCode:
     # -- metrics ---------------------------------------------------------------
 
     def min_dist(self, cap: int = DEFAULT_ENUM_CAP) -> int:
-        """Exact minimum Hamming weight by message-space enumeration."""
+        """Exact minimum Hamming weight by a projective Gray-order scan.
+
+        Scalar multiples share a weight, so only the (q^k - 1)/(q - 1)
+        messages whose highest nonzero digit is 1 are visited.  Below that
+        digit the message walks its F_p coordinates in p-ary Gray order
+        (``_projective_steps``), so each codeword costs one row update by a
+        precomputed multiple x^t * row.  The cap still counts all q^k
+        messages, so the same inputs are refused as by a full scan.
+        """
         if self.k == 0:
             raise ZeroCodeError("the zero code has no minimum distance")
         if self._dist is not None:
             return self._dist
-        q = self.field.q
-        total = q**self.k
+        f = self.field
+        total = f.q**self.k
         if total > cap:
             raise CapExceededError(f"{total} codewords exceed the cap of {cap}")
-        add, mul = self.field.add, self.field.mul
+        n = self.n
         rows = self.gen.to_rows()
-        scaled = [[[mul(d, v) for v in row] for d in range(q)] for row in rows]
-        best = self.n
-        for msg in range(1, total):
-            word = None
-            m = msg
-            i = 0
-            while m:
-                d = m % q
-                if d:
-                    contrib = scaled[i][d]
-                    if word is None:
-                        word = list(contrib)
-                    else:
-                        word = [add(a, b) for a, b in zip(word, contrib)]
-                m //= q
-                i += 1
-            w = sum(1 for v in word if v)
-            if w < best:
-                best = w
-                if best == 1:
-                    break
+        best = min(n - row.count(0) for row in rows)
+        if best > 1 and self.k > 1:
+            # deltas[j * e + t][i] maps coordinate i through "+ x^t * row j".
+            # Add rows are shared by entry: at most q rows of q entries,
+            # within the cap because k >= 2 here.
+            add_rows: dict[int, list[int]] = {}
+            deltas = []
+            for row in rows:
+                for t in range(f.e):
+                    xt = f.p**t  # the encoding of x^t
+                    delta = []
+                    for v in row:
+                        c = f.mul(xt, v)
+                        if c not in add_rows:
+                            add_rows[c] = [f.add(c, y) for y in range(f.q)]
+                        delta.append(add_rows[c])
+                    deltas.append(delta)
+            word = [0] * n
+            for i in _projective_steps(f.p, f.e, self.k):
+                word = list(map(getitem, deltas[i], word))
+                w = n - word.count(0)
+                if w < best:
+                    best = w
+                    if best == 1:
+                        break
         object.__setattr__(self, "_dist", best)
         return best
 

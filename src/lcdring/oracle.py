@@ -179,10 +179,3 @@ def hull_dim(code: Code, l: int, budget: int = DEFAULT_BUDGET) -> int:
     if rest != 1:
         raise NonIntegralLogError(f"hull count {hits} is not a power of q = {f.q}")
     return h
-
-
-def gray_word(word: Sequence[RingElement]) -> tuple[int, ...]:
-    out: list[int] = []
-    for x in word:
-        out.extend(x.g)
-    return tuple(out)

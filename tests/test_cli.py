@@ -144,6 +144,37 @@ def test_mindist_cap_exit_code(line_path):
     assert main(["mindist", line_path, "--max-enum", "3"]) == 2
 
 
+# a [4, 3] component (5^3 = 125 messages) beside a component holding a
+# weight-1 word; the cap is checked before either is enumerated
+BIG = [[1, 1, 1, 1], [0, 1, 2, 3], [0, 0, 1, 4]]
+WEIGHT_ONE = [[1, 0, 0, 0]]
+
+
+@pytest.mark.parametrize("comps", [[BIG, WEIGHT_ONE, [], []], [WEIGHT_ONE, BIG, [], []]])
+def test_mindist_cap_counts_every_message(comps, tmp_path, capsys):
+    path = tmp_path / "mixed.json"
+    path.write_text(json.dumps({"field": {"p": 5}, "n": 4, "components": comps}))
+    assert main(["mindist", str(path), "--max-enum", "124"]) == 2
+    assert "125 codewords exceed the cap of 124" in capsys.readouterr().err
+    assert main(["mindist", str(path), "--max-enum", "125"]) == 0
+    assert "lee distance: 1" in capsys.readouterr().out
+
+
+def test_json_booleans_rejected(tmp_path, capsys):
+    path = tmp_path / "bool.json"
+    path.write_text('{"field":{"p":5},"n":true,"components":[[[true]],[],[],[]]}')
+    assert main(["mindist", str(path)]) == 1
+    assert "'n' must be a positive integer" in capsys.readouterr().err
+
+
+def test_huge_prime_refused_before_primality_test(tmp_path, capsys):
+    path = tmp_path / "huge.json"
+    doc = dict(LINE_FILE, field={"p": 2**61 - 1})
+    path.write_text(json.dumps(doc))
+    assert main(["analyze", str(path)]) == 1
+    assert "'p' must lie in" in capsys.readouterr().err
+
+
 def test_verify_agrees(line_path, gf9_path, capsys):
     assert main(["verify", line_path]) == 0
     assert "all checks agree" in capsys.readouterr().out

@@ -66,6 +66,48 @@ def test_field_errors_surface():
         parse_code(json.dumps(doc))
 
 
+@pytest.mark.parametrize(
+    "change",
+    [
+        {"field": {"p": True}},
+        {"field": {"p": 5, "e": True}},
+        {"field": {"p": 2, "e": 1, "modulus": [True, True]}},
+        {"field": {"p": 5, "modulus": [0.0, 1]}},
+        {"n": True},
+        {"components": [[[1, True]], [[1, 2]], [[1, 2]], [[1, 2]]]},
+        {"components": None, "generators": [[[1, 0, 0, 0], [False, 0, 0, 0]]]},
+    ],
+)
+def test_booleans_and_non_integers_rejected(change):
+    doc = {k: v for k, v in {**MINIMAL, **change}.items() if v is not None}
+    with pytest.raises(ParseError):
+        parse_code(json.dumps(doc))
+
+
+@pytest.mark.parametrize(
+    "field",
+    [
+        {"p": 2**61 - 1},
+        {"p": 1048583},  # the first prime above 2^20
+        {"p": 2, "e": 21},
+        {"p": 3, "e": 10**18},
+        {"p": 1, "e": 10**18},
+        {"p": 5, "e": 0},
+    ],
+)
+def test_field_order_bounded_before_construction(field):
+    doc = dict(MINIMAL, field=field)
+    with pytest.raises(ParseError):
+        parse_code(json.dumps(doc))
+
+
+@pytest.mark.parametrize("field", [{"p": 1048573}, {"p": 2, "e": 20}])
+def test_largest_fields_accepted(field):
+    doc = dict(MINIMAL, field=field)
+    rc = parse_code(json.dumps(doc))
+    assert rc.field.q <= 2**20 and rc.field.q > 2**19
+
+
 def test_dimension_problems_rejected():
     doc = dict(MINIMAL)
     doc["components"] = [[[1, 2, 3]], [[1, 2]], [[1, 2]], [[1, 2]]]

@@ -3,8 +3,10 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from lcdring import GF, FqCode
+from lcdring import GF, FqCode, oracle
 from lcdring.errors import (
     BadLError,
     CapExceededError,
@@ -12,6 +14,7 @@ from lcdring.errors import (
     ZeroCodeError,
     ZeroScaleError,
 )
+from lcdring.fqcode import _projective_steps
 from lcdring.linalg import gram
 
 from support import random_fqcode
@@ -129,6 +132,98 @@ class TestMinDist:
         with pytest.raises(CapExceededError):
             c.min_dist(cap=100)
         assert c.min_dist() == 2
+
+    def test_cap_counts_all_messages(self):
+        # 5^3 = 125 messages although only 31 projective ones are visited
+        c = code(F5, 4, [[1, 0, 0, 1], [0, 1, 0, 1], [0, 0, 1, 1]])
+        with pytest.raises(CapExceededError):
+            c.min_dist(cap=124)
+        assert c.min_dist(cap=125) == 2
+
+    def test_cached_distance_ignores_later_cap(self):
+        c = code(F5, 4, [[1, 0, 0, 1], [0, 1, 0, 1], [0, 0, 1, 1]])
+        assert c.min_dist() == 2
+        assert c.min_dist(cap=1) == 2
+
+    @pytest.mark.parametrize(
+        "field, rows, d",
+        [
+            (F5, [[1, 1, 0, 1, 0]], 3),  # k = 1 with zero columns
+            (F9, [[1, 0, 0], [0, 1, 0], [0, 0, 1]], 1),  # k = n
+            (F9, [[1, 0, 4, 4, 0], [0, 1, 2, 2, 0]], 2),  # repeated and zero columns
+            (GF(2, 3), [[1, 0, 1, 1, 1, 1], [0, 1, 3, 3, 6, 2]], 4),
+        ],
+    )
+    def test_edge_shapes(self, field, rows, d):
+        c = code(field, len(rows[0]), rows)
+        assert c.min_dist() == d == oracle.min_distance(c)
+
+
+def _replay_messages(field, k):
+    """Messages visited by the projective walk, replayed on digit vectors."""
+    msg = [0] * k
+    seen = []
+    for i in _projective_steps(field.p, field.e, k):
+        j, t = divmod(i, field.e)
+        msg[j] = field.add(msg[j], field.p**t)
+        seen.append(tuple(msg))
+    return seen
+
+
+@pytest.mark.parametrize(
+    "field, k",
+    [(GF(2), 5), (GF(3), 4), (GF(2, 2), 3), (GF(3, 2), 3), (GF(2, 3), 2), (GF(7), 1)],
+)
+def test_gray_walk_visits_each_projective_message_once(field, k):
+    seen = _replay_messages(field, k)
+    assert len(seen) == len(set(seen)) == (field.q**k - 1) // (field.q - 1)
+    for msg in seen:
+        top = max(j for j, d in enumerate(msg) if d)
+        assert msg[top] == 1
+
+
+def test_gray_walk_words_on_a_small_code():
+    """Each projective codeword is met once, and every codeword is a multiple of one."""
+    f = GF(3, 2)
+    c = code(f, 4, [[1, 0, 2, 5], [0, 1, 7, 3]])
+    rows = c.gen.to_rows()
+    words = []
+    for msg in _replay_messages(f, c.k):
+        word = [0] * c.n
+        for d, row in zip(msg, rows):
+            word = [f.add(a, f.mul(d, b)) for a, b in zip(word, row)]
+        words.append(tuple(word))
+    assert len(set(words)) == len(words) == f.q + 1
+    scaled = {tuple(f.mul(a, v) for v in w) for w in words for a in f.units()}
+    assert scaled == {w for w in oracle.codewords(c) if any(w)}
+
+
+DIFF_FIELDS = [GF(2), GF(3), GF(2, 2), GF(5), GF(7), GF(2, 3), GF(3, 2)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_min_dist_matches_oracle(data):
+    f = data.draw(st.sampled_from(DIFF_FIELDS))
+    n = data.draw(st.integers(1, 8))
+    k_max = 1
+    while k_max < n and f.q ** (k_max + 1) <= 4096:
+        k_max += 1
+    k = data.draw(st.integers(1, k_max))
+    entries = st.integers(0, f.q - 1)
+    cols = []
+    for _ in range(n):
+        kind = data.draw(st.sampled_from(["fresh", "fresh", "zero", "repeat"]))
+        if kind == "zero":
+            cols.append([0] * k)
+        elif kind == "repeat" and cols:
+            cols.append(list(data.draw(st.sampled_from(cols))))
+        else:
+            cols.append(data.draw(st.lists(entries, min_size=k, max_size=k)))
+    c = code(f, n, [list(r) for r in zip(*cols)])
+    if c.k == 0:
+        return
+    assert c.min_dist() == oracle.min_distance(c)
 
 
 class TestMds:

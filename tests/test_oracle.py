@@ -5,6 +5,7 @@ import pytest
 from lcdring import GF, FqCode, RCode
 from lcdring import oracle
 from lcdring.errors import CapExceededError, ZeroCodeError
+from lcdring.ring import gray
 
 F5 = GF(5)
 F9 = GF(3, 2, [1, 0, 1])
@@ -123,6 +124,6 @@ class TestGrayConsistency:
         rng = random.Random(53)
         for _ in range(10):
             rc = random_rcode(rng, F5, 2, 1)
-            expanded = {oracle.gray_word(w) for w in oracle.codewords(rc)}
+            expanded = {gray(w) for w in oracle.codewords(rc)}
             image = set(oracle.codewords(rc.gray_image()))
             assert expanded == image
