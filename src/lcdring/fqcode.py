@@ -3,8 +3,9 @@
 A code is stored by its unique reduced row echelon generator matrix, so
 two objects describe the same code exactly when they compare equal.  The
 Galois dual with twist l is computed as the Euclidean kernel of the
-entrywise (p^(e-l))-power of the generator; that single route is used for
-every dual in the package.
+entrywise (p^(e-l))-power of the generator, for every dual in the package.
+Hull predicates never build the dual: they read the k-by-k twisted Gram
+matrix P = G * F^(e-l)(G)^T, since u*G lies in the l-dual iff u*P = 0.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from .errors import (
     ZeroScaleError,
 )
 from .gf import GF
-from .linalg import Matrix, det, gram, nullspace_basis, rref
+from .linalg import Matrix, det, gram, nullspace_basis, rank, rref
 
 DEFAULT_ENUM_CAP = 1_000_000
 
@@ -92,34 +93,31 @@ class FqCode:
     def size(self) -> int:
         return self.field.q**self.k
 
-    def contains(self, word: Sequence[int]) -> bool:
-        if len(word) != self.n:
-            raise MismatchError("word length differs from code length")
-        stacked = self.gen.vstack(Matrix.from_rows(self.field, [list(word)], ncols=self.n))
-        return rref(stacked)[1] == self.k
-
     def __repr__(self) -> str:
         return f"FqCode(n={self.n}, k={self.k}, field={self.field!r})"
 
     # -- duality ---------------------------------------------------------------
 
-    def _check_l(self, l: int) -> int:
+    def _twist(self, l: int) -> int:
+        """Frobenius power m = e - l: the l-pairing with G is the Euclidean one with F^m(G)."""
         if not 0 <= l <= self.field.e - 1:
             raise BadLError(f"l must lie in [0, {self.field.e - 1}], got {l}")
-        return l
+        return self.field.e - l
+
+    def _gram(self, l: int) -> Matrix:
+        """The twisted Gram matrix P = G * F^(e-l)(G)^T behind every hull predicate."""
+        return gram(self.gen, self._twist(l))
 
     def galois_dual(self, l: int = 0) -> "FqCode":
         """All words pairing to zero with the code under sum(t_i * s_i^(p^l))."""
-        l = self._check_l(l)
         f = self.field
-        m = f.e - l
+        m = self._twist(l)
         twisted = self.gen.map_entries(lambda v: f.frobenius(v, m))
         return FqCode(f, self.n, nullspace_basis(twisted))
 
     def hull_dim(self, l: int = 0) -> int:
-        dual = self.galois_dual(l)
-        joint = rref(self.gen.vstack(dual.gen))[1]
-        return self.k + dual.k - joint
+        """dim Hull_l = k - rank(P): the hull is {u*G : u*P = 0}."""
+        return self.k - rank(self._gram(l))
 
     def lcd_status(self, l: int = 0) -> tuple[bool, int]:
         """(flag, determinant) for the twisted Gram criterion.
@@ -127,22 +125,19 @@ class FqCode:
         The zero code has an empty Gram matrix with determinant 1, so it
         counts as complementary-dual by convention.
         """
-        l = self._check_l(l)
-        d = det(gram(self.gen, self.field.e - l))
+        d = det(self._gram(l))
         return (d != 0, d)
 
     def is_lcd(self, l: int = 0) -> bool:
         return self.lcd_status(l)[0]
 
     def is_self_orthogonal(self, l: int = 0) -> bool:
-        """True when the code is contained in its own Galois dual."""
-        dual = self.galois_dual(l)
-        if self.k > dual.k:
-            return False
-        return rref(dual.gen.vstack(self.gen))[1] == dual.k
+        """Contained in its own l-dual exactly when P = 0."""
+        return not any(self._gram(l).entries)
 
     def is_self_dual(self) -> bool:
-        return self == self.galois_dual(0)
+        """Equal to its Euclidean dual exactly when P = 0 for l = 0 and 2k = n."""
+        return 2 * self.k == self.n and self.is_self_orthogonal(0)
 
     # -- metrics ---------------------------------------------------------------
 

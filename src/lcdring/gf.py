@@ -192,14 +192,20 @@ def _smallest_irreducible(p: int, e: int) -> tuple[int, ...]:
     raise BadModulusError(f"no irreducible polynomial of degree {e} over GF({p})")
 
 
+def _require_int(name: str, v: object) -> int:
+    if isinstance(v, bool) or not isinstance(v, int):
+        raise ValueError(f"{name} must be an int, got {v!r}")
+    return v
+
+
 class GF:
     """The finite field GF(p^e); elements are ints in [0, p^e)."""
 
     __slots__ = ("p", "e", "q", "modulus", "_add_t", "_neg_t", "_mul_t", "_inv_t", "_frob_t")
 
     def __init__(self, p: int, e: int = 1, modulus: Iterable[int] | None = None):
-        p = int(p)
-        e = int(e)
+        _require_int("p", p)
+        _require_int("e", e)
         if p < 2 or not _is_prime(p):
             raise NotPrimeError(f"{p} is not prime")
         if e < 1:
@@ -210,7 +216,7 @@ class GF:
         if modulus is None:
             mod = _smallest_irreducible(p, e)
         else:
-            mod = tuple(int(c) for c in modulus)
+            mod = tuple(_require_int("modulus entry", c) for c in modulus)
             if len(mod) != e + 1:
                 raise BadModulusError(f"modulus must have degree {e}, got {len(mod) - 1}")
             if any(not 0 <= c < p for c in mod):
@@ -247,7 +253,7 @@ class GF:
     # -- element encoding ---------------------------------------------------
 
     def check(self, x: int) -> int:
-        if not isinstance(x, int) or not 0 <= x < self.q:
+        if isinstance(x, bool) or not isinstance(x, int) or not 0 <= x < self.q:
             raise ValueError(f"{x!r} is not an element encoding of {self!r}")
         return x
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
-from .errors import MismatchError, NotSquareError, RankDeficientError
+from .errors import ConsistencyError, MismatchError, NotSquareError, RankDeficientError
 from .gf import GF
 
 
@@ -49,7 +49,7 @@ class Matrix:
                 raise MismatchError(f"rows have width {width}, expected {ncols}")
         else:
             width = 0 if ncols is None else ncols
-        flat = tuple(v for r in rows for v in r)
+        flat = tuple(field.check(v) for r in rows for v in r)
         return cls(field, len(rows), width, flat)
 
     @classmethod
@@ -83,13 +83,6 @@ class Matrix:
 
     def map_entries(self, fn: Callable[[int], int]) -> "Matrix":
         return Matrix(self.field, self.nrows, self.ncols, tuple(fn(v) for v in self.entries))
-
-    def vstack(self, other: "Matrix") -> "Matrix":
-        if other.field != self.field or other.ncols != self.ncols:
-            raise MismatchError("stack requires same field and width")
-        return Matrix(
-            self.field, self.nrows + other.nrows, self.ncols, self.entries + other.entries
-        )
 
     def permute_cols(self, perm: Sequence[int]) -> "Matrix":
         """Column j of the result is column perm[j] of self."""
@@ -222,7 +215,8 @@ def nullspace_basis(m: Matrix) -> Matrix:
     basis = Matrix.from_rows(f, rows, ncols=m.ncols)
     canon, nullity, _ = rref(basis)
     # free-column construction is independent, so no rank can be lost
-    assert nullity == len(free)
+    if nullity != len(free):
+        raise ConsistencyError(f"kernel basis of {len(free)} vectors has rank {nullity}")
     return canon
 
 

@@ -5,6 +5,7 @@ import pathlib
 
 import pytest
 
+from lcdring import linalg
 from lcdring.cli import main
 
 SAMPLES = sorted((pathlib.Path(__file__).parent.parent / "sample_codes").glob("*.json"))
@@ -173,6 +174,18 @@ def test_huge_prime_refused_before_primality_test(tmp_path, capsys):
     path.write_text(json.dumps(doc))
     assert main(["analyze", str(path)]) == 1
     assert "'p' must lie in" in capsys.readouterr().err
+
+
+def test_kernel_invariant_failure_exits_3(line_path, monkeypatch, capsys):
+    real = linalg.rref
+
+    def rref_reporting_one_rank_too_many(m):
+        r, rk, pivots = real(m)
+        return r, rk + 1, pivots
+
+    monkeypatch.setattr(linalg, "rref", rref_reporting_one_rank_too_many)
+    assert main(["dual", line_path]) == 3
+    assert "internal consistency failure: kernel basis" in capsys.readouterr().err
 
 
 def test_verify_agrees(line_path, gf9_path, capsys):

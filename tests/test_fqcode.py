@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lcdring import GF, FqCode, oracle
+from lcdring import GF, FqCode, Matrix, RCode, oracle
 from lcdring.errors import (
     BadLError,
     CapExceededError,
@@ -15,7 +15,7 @@ from lcdring.errors import (
     ZeroScaleError,
 )
 from lcdring.fqcode import _projective_steps
-from lcdring.linalg import gram
+from lcdring.linalg import gram, rank
 
 from support import random_fqcode
 
@@ -86,6 +86,28 @@ class TestHullAndLcd:
         assert code(F5, 2, [[1, 2]]).lcd_status(0) == (False, 0)
         assert code(F9, 2, [[1, 4]]).lcd_status(1) == (False, 0)
 
+    @pytest.mark.parametrize(
+        "field, row",
+        [(GF(2, 3), [1, 2]), (GF(2, 3), [1, 2, 5]), (GF(3, 3), [1, 3]), (GF(3, 3), [1, 3, 10])],
+    )
+    def test_lcd_status_twist_direction(self, field, row):
+        # P = G * F^(e-l)(G)^T is 1x1 for one row; P for twist l and for
+        # e - l share rank, so only the determinant pins the direction
+        p, e = field.p, field.e
+        c = code(field, len(row), [row])
+        assert c.gen.to_rows() == [row]
+
+        def pairing(m):
+            acc = 0
+            for g in row:
+                acc = field.add(acc, field.mul(g, field.pow(g, p**m)))
+            return acc
+
+        for l in (1, 2):
+            expected = pairing(e - l)
+            assert expected != pairing(l)
+            assert c.lcd_status(l) == (expected != 0, expected)
+
     def test_zero_code_is_lcd_by_convention(self):
         assert FqCode.zero(F5, 4).is_lcd(0)
 
@@ -105,11 +127,13 @@ class TestSelfOrthogonal:
 
     def test_cross_check_against_gram(self):
         rng = random.Random(23)
-        for _ in range(40):
-            c = random_fqcode(rng, F9, rng.randint(1, 5), rng.randint(0, 3))
-            for l in range(2):
-                gm = gram(c.gen, l)
-                assert c.is_self_orthogonal(l) == all(v == 0 for v in gm.entries)
+        for field in (F9, GF(2, 3)):
+            e = field.e
+            for _ in range(40):
+                c = random_fqcode(rng, field, rng.randint(1, 5), rng.randint(0, 3))
+                for l in range(e):
+                    gm = gram(c.gen, e - l)
+                    assert c.is_self_orthogonal(l) == all(v == 0 for v in gm.entries)
 
     def test_self_dual(self):
         assert code(F5, 2, [[1, 2]]).is_self_dual()
@@ -224,6 +248,81 @@ def test_min_dist_matches_oracle(data):
     if c.k == 0:
         return
     assert c.min_dist() == oracle.min_distance(c)
+
+
+HULL_FIELDS = [GF(2), GF(2, 2), GF(5), GF(2, 3), GF(3, 2), GF(2, 4), GF(3, 3)]
+
+
+def _check_hull_predicates(c):
+    f = c.field
+    for l in range(f.e):
+        dual = c.galois_dual(l)
+        if f.q**c.n <= 4096:
+            assert oracle.is_dual_pair(c, dual, l)
+        # kernel route: dim(C meet dual) = k + dim(dual) - dim(C + dual)
+        stacked = Matrix.from_rows(f, c.gen.to_rows() + dual.gen.to_rows(), ncols=c.n)
+        h = c.hull_dim(l)
+        assert h == c.k + dual.k - rank(stacked) == oracle.hull_dim(c, l)
+        assert c.is_lcd(l) == (h == 0)
+        assert c.is_self_orthogonal(l) == (h == c.k)
+    assert c.is_self_dual() == (c == c.galois_dual(0))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_hull_predicates_match_kernel_route_and_oracle(data):
+    f = data.draw(st.sampled_from(HULL_FIELDS))
+    n = data.draw(st.integers(1, 6))
+    k_max = 0
+    while k_max < n and f.q ** (k_max + 1) <= 1024:
+        k_max += 1
+    k = data.draw(st.integers(0, k_max))
+    entries = st.integers(0, f.q - 1)
+    cols = []
+    for _ in range(n):
+        kind = data.draw(st.sampled_from(["fresh", "fresh", "zero", "repeat"]))
+        if kind == "zero":
+            cols.append([0] * k)
+        elif kind == "repeat" and cols:
+            cols.append(list(data.draw(st.sampled_from(cols))))
+        else:
+            cols.append(data.draw(st.lists(entries, min_size=k, max_size=k)))
+    _check_hull_predicates(code(f, n, [list(r) for r in zip(*cols)]))
+
+
+@pytest.mark.parametrize(
+    "c",
+    [
+        FqCode.zero(GF(2, 3), 3),
+        FqCode.zero(F5, 0),
+        FqCode.full(GF(3, 3), 2),
+        code(GF(2, 2), 4, [[1, 1, 0, 0], [0, 0, 1, 1]]),
+        code(F9, 4, [[1, 0, 1, 1], [0, 1, 1, 2]]),
+        code(GF(2, 4), 3, [[1, 7, 7]]),
+    ],
+    ids=["zero", "length-0", "full", "gf4-repeated-cols-self-dual", "gf9-self-dual", "gf16-repeated-cols-lcd"],
+)
+def test_hull_predicates_edge_shapes(c):
+    _check_hull_predicates(c)
+
+
+def test_hull_predicates_on_mixed_ring_code():
+    f = GF(2, 2)
+    comps = [
+        code(f, 2, [[1, 1]]),  # self-dual for both twists
+        code(f, 2, [[1, 2]]),  # LCD for l = 0, hull 1 for l = 1
+        FqCode.zero(f, 2),
+        FqCode.full(f, 2),
+    ]
+    rc = RCode.from_components(comps)
+    assert [c.hull_dim(1) for c in comps] == [1, 1, 0, 0]
+    assert [c.hull_dim(0) for c in comps] == [1, 0, 0, 0]
+    for l in range(f.e):
+        assert sum(c.hull_dim(l) for c in comps) == oracle.hull_dim(rc, l)
+        assert not rc.is_lcd(l)
+        assert not rc.is_self_orthogonal(l)
+    assert not rc.is_self_dual() and rc != rc.galois_dual(0)
+    assert RCode.from_components([comps[0]] * 4).is_self_dual()
 
 
 class TestMds:

@@ -56,6 +56,22 @@ def test_bad_modulus(modulus):
         GF(3, 2, modulus)
 
 
+@pytest.mark.parametrize(
+    "args",
+    [(5.9,), (5, 1.0), (True,), (5, True), (3, 2, [1, 0, 1.0]), (3, 2, [True, 0, 1])],
+    ids=["float-p", "float-e", "bool-p", "bool-e", "float-modulus", "bool-modulus"],
+)
+def test_non_int_arguments_refused(args):
+    with pytest.raises(ValueError, match="must be an int"):
+        GF(*args)
+
+
+@pytest.mark.parametrize("x", [True, False, 1.0])
+def test_check_refuses_non_elements(f5, x):
+    with pytest.raises(ValueError, match="not an element encoding"):
+        f5.check(x)
+
+
 def test_arithmetic_worked_values(f5, f9):
     w = 3  # the residue class of x in GF(9)
     assert f9.mul(w, w) == 2

@@ -4,8 +4,8 @@ import random
 
 import pytest
 
-from lcdring import GF, Matrix
-from lcdring.errors import NotSquareError, RankDeficientError
+from lcdring import GF, Matrix, linalg
+from lcdring.errors import ConsistencyError, NotSquareError, RankDeficientError
 from lcdring.linalg import det, gram, minor_det, nullspace_basis, rref, standard_form
 
 F5 = GF(5)
@@ -14,6 +14,12 @@ F9 = GF(3, 2, [1, 0, 1])
 
 def m(field, rows, ncols=None):
     return Matrix.from_rows(field, rows, ncols=ncols)
+
+
+@pytest.mark.parametrize("entry", [True, 2.0, 5])
+def test_from_rows_checks_entries(entry):
+    with pytest.raises(ValueError, match="not an element encoding"):
+        m(F5, [[entry, 2]])
 
 
 class TestRref:
@@ -89,6 +95,19 @@ class TestNullspace:
             assert rank + ns.nrows == a.ncols
             prod = a @ ns.transpose()
             assert all(v == 0 for v in prod.entries)
+
+
+    def test_lost_rank_raises_consistency_error(self, monkeypatch):
+        # raised, not asserted, so the check also runs under python -O
+        real = linalg.rref
+
+        def rref_reporting_one_rank_too_many(a):
+            r, rk, pivots = real(a)
+            return r, rk + 1, pivots
+
+        monkeypatch.setattr(linalg, "rref", rref_reporting_one_rank_too_many)
+        with pytest.raises(ConsistencyError, match="kernel basis"):
+            nullspace_basis(m(F5, [[1, 2]]))
 
 
 class TestStandardForm:
