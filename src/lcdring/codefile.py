@@ -30,14 +30,11 @@ from typing import Any
 
 from .errors import ParseError
 from .fqcode import FqCode
-from .gf import GF
+from .gf import GF, MAX_FIELD_ORDER
 from .rcode import RCode
 from .ring import RingElement
 
 FORMAT_VERSION = 1
-
-# Largest field order a code file may declare (the README's desk scale).
-MAX_FIELD_ORDER = 2**20
 
 
 def _require(cond: bool, msg: str) -> None:

@@ -11,10 +11,13 @@ given by ascending coefficients.  When no modulus is supplied, the monic
 irreducible with the smallest integer encoding is selected, so a field is
 reproducible from (p, e) alone.
 
-Multiplication and inversion for extension fields are table backed up to
-a size cutoff; larger fields fall back to per-call polynomial arithmetic.
-Power-residue classification uses plain exponentiation, never discrete
-logs, so no log tables exist anywhere.
+Prime fields compute with ints mod p.  Every extension field builds, once
+on construction, exp/log/Zech tables relative to its smallest primitive
+encoding g: exp[i] = g^i, log[g^i] = i and zech[k] = log(1 + g^k), O(q)
+entries in all.  Each product, inverse, power and Frobenius image is then
+one or two lookups in exp/log, and each sum one more in zech.  Orders are
+capped at ``MAX_FIELD_ORDER`` before any primality, irreducibility or
+table work.  Power-residue classification uses plain exponentiation.
 """
 
 from __future__ import annotations
@@ -29,9 +32,9 @@ from .errors import (
     NotPrimeError,
 )
 
-# Above this order, extension fields compute products per call instead of
-# building q-by-q tables.
-_TABLE_LIMIT = 256
+# Largest field order GF accepts (the README's desk scale); every
+# extension field holds O(q) table entries.
+MAX_FIELD_ORDER = 2**20
 
 
 def _is_prime(n: int) -> bool:
@@ -59,16 +62,6 @@ def _trim(a: list[int]) -> list[int]:
     while a and a[-1] == 0:
         a.pop()
     return a
-
-
-def _padd(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
-    n = max(len(a), len(b))
-    out = [0] * n
-    for i, c in enumerate(a):
-        out[i] = c
-    for i, c in enumerate(b):
-        out[i] = (out[i] + c) % p
-    return _trim(out)
 
 
 def _psub(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
@@ -135,21 +128,6 @@ def _ppowmod(base: Sequence[int], n: int, mod: Sequence[int], p: int) -> list[in
     return result
 
 
-def _pinvmod(a: Sequence[int], mod: Sequence[int], p: int) -> list[int]:
-    # extended Euclid; valid because mod is irreducible and a != 0 mod mod
-    r0, r1 = _trim(list(mod)), _pmod(a, mod, p)
-    s0: list[int] = []
-    s1: list[int] = [1]
-    while r1:
-        q, r = _pdivmod(r0, r1, p)
-        r0, r1 = r1, r
-        s0, s1 = s1, _psub(s0, _pmul(q, s1, p), p)
-    if len(r0) != 1:
-        raise ZeroDivisionError("element has no inverse")
-    inv_c = pow(r0[0], p - 2, p)
-    return _pmod([(c * inv_c) % p for c in s0], mod, p)
-
-
 def _is_irreducible(coeffs: Sequence[int], p: int) -> bool:
     """Irreducibility over F_p for a monic polynomial of degree >= 1.
 
@@ -201,18 +179,27 @@ def _require_int(name: str, v: object) -> int:
 class GF:
     """The finite field GF(p^e); elements are ints in [0, p^e)."""
 
-    __slots__ = ("p", "e", "q", "modulus", "_add_t", "_neg_t", "_mul_t", "_inv_t", "_frob_t")
+    __slots__ = ("p", "e", "q", "modulus", "_exp", "_log", "_zech", "_log_neg1")
 
     def __init__(self, p: int, e: int = 1, modulus: Iterable[int] | None = None):
         _require_int("p", p)
         _require_int("e", e)
-        if p < 2 or not _is_prime(p):
+        if p < 2:
             raise NotPrimeError(f"{p} is not prime")
         if e < 1:
             raise ValueError(f"extension degree must be >= 1, got {e}")
+        # bound q = p^e one factor at a time, so a huge p fails before the
+        # primality test and a huge e is never used as an exponent
+        q = 1
+        for _ in range(e):
+            q *= p
+            if q > MAX_FIELD_ORDER:
+                raise ValueError(f"field order {p}^{e} exceeds {MAX_FIELD_ORDER}")
+        if not _is_prime(p):
+            raise NotPrimeError(f"{p} is not prime")
         self.p = p
         self.e = e
-        self.q = p**e
+        self.q = q
         if modulus is None:
             mod = _smallest_irreducible(p, e)
         else:
@@ -226,11 +213,67 @@ class GF:
             if not _is_irreducible(mod, p):
                 raise BadModulusError(f"modulus {list(mod)} is reducible over GF({p})")
         self.modulus = mod
-        self._add_t: list[list[int]] | None = None
-        self._neg_t: list[int] | None = None
-        self._mul_t: list[list[int]] | None = None
-        self._inv_t: list[int] | None = None
-        self._frob_t: dict[int, list[int]] = {}
+        # prime fields compute mod p and leave the tables empty
+        self._exp, self._log, self._zech = self._log_tables() if e > 1 else ([], [], [])
+        self._log_neg1 = self._log[p - 1] if e > 1 else 0
+
+    def _log_tables(self) -> tuple[list[int], list[int | None], list[int | None]]:
+        """exp (doubled, so log sums need no reduction), log and zech.
+
+        Multiplying an encoding by x shifts its digits and folds the top
+        digit t back in as t * x^e, which touches only the digits where the
+        modulus has a nonzero coefficient.  So the build walks x-orbits:
+        the subgroup <x> of order d, then its cosets g^a <x> for a < m =
+        (q - 1) / d, where g^a x^b = g^(a + b*s) for x = g^s.
+        """
+        p, e, q = self.p, self.e, self.q
+        n = q - 1
+        mod = list(self.modulus)
+        primes = [r for r in range(2, n + 1) if n % r == 0 and _is_prime(r)]
+        g = next(
+            g for g in range(p, q)
+            if all(_ppowmod(self.coeffs(g), n // r, mod, p) != [1] for r in primes)
+        )
+        top = p ** (e - 1)
+        # t * x^e == -t * (mod[0] + mod[1] x + ... + mod[e-1] x^(e-1)): for
+        # each top digit t, the digits to add and their place values
+        fold = [[]] + [
+            [(-t * c % p, p**j) for j, c in enumerate(mod[:e]) if c] for t in range(1, p)
+        ]
+
+        def x_orbit(start: int) -> list[int]:
+            out, v = [], start
+            while True:
+                out.append(v)
+                t, rest = divmod(v, top)
+                v = rest * p
+                for c, place in fold[t]:
+                    digit = v // place % p
+                    v += ((digit + c) % p - digit) * place
+                if v == start:
+                    return out
+
+        def encode(poly: list[int]) -> int:
+            return sum(c * p**i for i, c in enumerate(poly))
+
+        sub = x_orbit(1)
+        d = len(sub)
+        m = n // d
+        # g^m generates <x>, so g^m = x^u with u a unit mod d
+        s = m * pow(sub.index(encode(_ppowmod(self.coeffs(g), m, mod, p))), -1, d)
+        exp = [0] * (2 * n)
+        log: list[int | None] = [None] * q
+        rep = [1]
+        for a in range(m):
+            i = a
+            for v in x_orbit(encode(rep)) if a else sub:
+                exp[i] = exp[i + n] = v
+                log[v] = i
+                i = (i + s) % n
+            rep = _pmod(_pmul(rep, self.coeffs(g), p), mod, p)
+        # 1 + v bumps the constant digit; it is 0 exactly when v = -1
+        zech = [log[v + 1 - p if v % p == p - 1 else v + 1] for v in exp[:n]]
+        return exp, log, zech
 
     # -- identity ---------------------------------------------------------
 
@@ -287,43 +330,21 @@ class GF:
 
     # -- arithmetic ---------------------------------------------------------
 
-    def _build_tables(self) -> None:
-        p, q = self.p, self.q
-        mod = list(self.modulus)
-        polys = [list(_trim(list(self.coeffs(x)))) for x in range(q)]
-        enc = {}
-        for x in range(q):
-            enc[tuple(polys[x])] = x
-        self._add_t = [[enc[tuple(_padd(polys[x], polys[y], p))] for y in range(q)] for x in range(q)]
-        self._neg_t = [enc[tuple(_psub([], polys[x], p))] for x in range(q)]
-        self._mul_t = [
-            [enc[tuple(_pmod(_pmul(polys[x], polys[y], p), mod, p))] for y in range(q)]
-            for x in range(q)
-        ]
-        inv = [0] * q
-        for x in range(1, q):
-            inv[x] = enc[tuple(_pinvmod(polys[x], mod, p))]
-        self._inv_t = inv
-
     def add(self, x: int, y: int) -> int:
         if self.e == 1:
             return (x + y) % self.p
-        if self._add_t is None and self.q <= _TABLE_LIMIT:
-            self._build_tables()
-        if self._add_t is not None:
-            return self._add_t[x][y]
-        return self.encode(
-            tuple((a + b) % self.p for a, b in zip(self.coeffs(x), self.coeffs(y)))
-        )
+        if not x or not y:
+            return x or y
+        log = self._log
+        a = log[x]
+        # x + y = g^a (1 + g^(log y - a)); a negative index wraps mod q - 1
+        z = self._zech[log[y] - a]
+        return 0 if z is None else self._exp[a + z]
 
     def neg(self, x: int) -> int:
         if self.e == 1:
             return -x % self.p
-        if self._neg_t is None and self.q <= _TABLE_LIMIT:
-            self._build_tables()
-        if self._neg_t is not None:
-            return self._neg_t[x]
-        return self.encode(tuple(-a % self.p for a in self.coeffs(x)))
+        return self._exp[self._log[x] + self._log_neg1] if x else 0
 
     def sub(self, x: int, y: int) -> int:
         if self.e == 1:
@@ -333,67 +354,43 @@ class GF:
     def mul(self, x: int, y: int) -> int:
         if self.e == 1:
             return (x * y) % self.p
-        if self._mul_t is None and self.q <= _TABLE_LIMIT:
-            self._build_tables()
-        if self._mul_t is not None:
-            return self._mul_t[x][y]
-        prod = _pmod(
-            _pmul(list(self.coeffs(x)), list(self.coeffs(y)), self.p),
-            list(self.modulus),
-            self.p,
-        )
-        prod = list(prod) + [0] * (self.e - len(prod))
-        return self.encode(tuple(prod))
+        if not x or not y:
+            return 0
+        return self._exp[self._log[x] + self._log[y]]
 
     def inv(self, x: int) -> int:
         if x == 0:
             raise ZeroDivisionError(f"0 has no inverse in {self!r}")
         if self.e == 1:
             return pow(x, self.p - 2, self.p)
-        if self._inv_t is None and self.q <= _TABLE_LIMIT:
-            self._build_tables()
-        if self._inv_t is not None:
-            return self._inv_t[x]
-        res = _pinvmod(list(self.coeffs(x)), list(self.modulus), self.p)
-        res = list(res) + [0] * (self.e - len(res))
-        return self.encode(tuple(res))
+        return self._exp[self.q - 1 - self._log[x]]
 
     def pow(self, x: int, m: int) -> int:
-        """x**m by square and multiply; exponents reduce mod q - 1."""
+        """x**m for any int m; 0**0 is 1 and a negative m inverts x first.
+
+        Prime fields use modular exponentiation; extension fields read
+        g^(m * log x mod (q - 1)) from the exp table.
+        """
         if m < 0:
-            return self.pow(self.inv(x), -m)
+            x, m = self.inv(x), -m
+        if self.e == 1:
+            return pow(x, m, self.p)
         if x == 0:
             return 0 if m else 1
-        if self.q > 2:
-            m %= self.q - 1
-        result = 1
-        base = x
-        while m:
-            if m & 1:
-                result = self.mul(result, base)
-            base = self.mul(base, base)
-            m >>= 1
-        return result
+        return self._exp[self._log[x] * m % (self.q - 1)]
 
     def frobenius(self, x: int, l: int = 1) -> int:
         """x**(p**l); the identity when l is a multiple of e."""
         if l < 0:
             raise ValueError("frobenius iterate must be >= 0")
-        l %= self.e
-        if l == 0 or x < 2:
+        if self.e == 1 or x == 0:
             return x
-        if self.q <= _TABLE_LIMIT:
-            table = self._frob_t.get(l)
-            if table is None:
-                table = [self.pow(v, self.p**l) for v in range(self.q)]
-                self._frob_t[l] = table
-            return table[x]
-        return self.pow(x, self.p**l)
+        return self._exp[self._log[x] * self.p ** (l % self.e) % (self.q - 1)]
 
     # -- power residues -------------------------------------------------------
 
     def _check_beta(self, beta: int) -> int:
-        beta = int(beta)
+        _require_int("beta", beta)
         if beta < 1 or (self.q - 1) % beta != 0:
             raise BadBetaError(f"beta={beta} does not divide q-1={self.q - 1}")
         return beta
@@ -401,7 +398,7 @@ class GF:
     def is_beta_power(self, x: int, beta: int) -> bool:
         """True when x lies in the image of the beta-power map on units.
 
-        Decided by x**((q-1)/beta) == 1, so no log tables are needed.
+        Decided by x**((q-1)/beta) == 1.
         """
         beta = self._check_beta(beta)
         if x == 0:

@@ -1,10 +1,13 @@
 """Field arithmetic: worked values plus structural properties."""
 
+import functools
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lcdring import GF
+from lcdring.gf import _pmod, _pmul, _ppowmod
 from lcdring.errors import (
     BadBetaError,
     BadModulusError,
@@ -152,12 +155,103 @@ def test_pow_matches_repeated_multiplication(f9):
             acc = f9.mul(acc, x)
 
 
-def test_large_field_falls_back_without_tables():
-    # q = 3^6 = 729 sits above the table cutoff; arithmetic must still agree
-    # with the defining polynomial relations.
-    f = GF(3, 6)
-    x = 3
-    assert f.mul(x, f.inv(x)) == 1 if x else True
-    y = f.pow(x, f.q - 1)
-    assert y == 1
+# GF(9), GF(25), GF(2^8), GF(5^4), GF(23^2) and the explicit GF(16) modulus
+# x^4 + x^3 + x^2 + x + 1 are fields where x is not primitive
+DIFF_FIELDS = [
+    (2, 2), (2, 3), (3, 2), (2, 4), (2, 4, (1, 1, 1, 1, 1)), (5, 2), (3, 3),
+    (2, 8), (3, 5), (3, 6), (2, 10), (5, 4), (23, 2),
+]
+
+
+@functools.cache
+def _diff_field(args):
+    return GF(*args)
+
+
+def _poly(f, x):
+    return list(f.coeffs(x))
+
+
+def _enc(f, poly):
+    return f.encode(tuple(poly) + (0,) * (f.e - len(poly)))
+
+
+@pytest.mark.parametrize("args", DIFF_FIELDS, ids=str)
+def test_log_tables_use_the_smallest_primitive_encoding(args):
+    f = _diff_field(args)
+    n, mod = f.q - 1, list(f.modulus)
+    g = f._exp[1]
+    # the powers of g run through every unit, so g has order q - 1
+    assert sorted(f._exp[:n]) == list(f.units())
+    assert f._exp[n:] == f._exp[:n]
+    assert all(f._log[f._exp[i]] == i for i in range(n))
+    for i in range(0, n, max(1, n // 50)):
+        assert f._exp[i] == _enc(f, _ppowmod(_poly(f, g), i, mod, f.p))
+    # every smaller encoding has order below q - 1
+    for h in range(1, g):
+        v, order = h, 1
+        while v != 1:
+            v, order = _enc(f, _pmod(_pmul(_poly(f, v), _poly(f, h), f.p), mod, f.p)), order + 1
+        assert order < n
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(DIFF_FIELDS), st.data())
+@example((3, 6), None)
+def test_table_arithmetic_matches_polynomial_arithmetic(args, data):
+    f = _diff_field(args)
+    p, q, mod = f.p, f.q, list(f.modulus)
+    if data is None:  # x = 3 is the residue of x itself
+        x, y, m = 3, 1, f.q - 1
+    else:
+        x = data.draw(st.integers(0, q - 1))
+        y = data.draw(st.integers(0, q - 1))
+        m = data.draw(st.one_of(st.integers(-2 * q, 3 * q), st.sampled_from([0, q - 1, q])))
+    cx, cy = f.coeffs(x), f.coeffs(y)
+    assert f.add(x, y) == f.encode(tuple((a + b) % p for a, b in zip(cx, cy)))
+    assert f.sub(x, y) == f.encode(tuple((a - b) % p for a, b in zip(cx, cy)))
+    assert f.neg(x) == f.encode(tuple(-a % p for a in cx))
+    assert f.mul(x, y) == _enc(f, _pmod(_pmul(cx, cy, p), mod, p))
+    for l in range(2 * f.e + 1):
+        assert f.frobenius(x, l) == _enc(f, _ppowmod(cx, p**l, mod, p))
+    if x == 0:
+        with pytest.raises(ZeroDivisionError):
+            f.inv(0)
+        if m < 0:
+            with pytest.raises(ZeroDivisionError):
+                f.pow(0, m)
+        else:
+            assert f.pow(0, m) == (0 if m else 1)
+        return
+    inv = _enc(f, _ppowmod(cx, q - 2, mod, p))
+    assert f.inv(x) == inv
+    assert f.mul(x, f.inv(x)) == 1
+    assert f.pow(x, q - 1) == 1
     assert f.frobenius(x, f.e) == x
+    base, k = (cx, m) if m >= 0 else (f.coeffs(inv), -m)
+    assert f.pow(x, m) == _enc(f, _ppowmod(base, k, mod, p))
+
+
+@pytest.mark.parametrize(
+    "args",
+    [(2, 21), (2**61 - 1,), (2, 10**18), (1048573, 2)],
+    ids=["2^21", "mersenne-61", "e=1e18", "p^2"],
+)
+def test_field_order_bounded_before_construction(args):
+    with pytest.raises(ValueError, match="exceeds"):
+        GF(*args)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda f: f.is_beta_power(4, 2.9),
+        lambda f: f.is_beta_power(4, True),
+        lambda f: f.beta_nonresidue(2.5),
+        lambda f: f.beta_nonresidue(True),
+    ],
+    ids=["float", "bool", "nonresidue-float", "nonresidue-bool"],
+)
+def test_beta_must_be_an_int(f5, call):
+    with pytest.raises(ValueError, match="beta must be an int"):
+        call(f5)
