@@ -14,13 +14,13 @@ nonzero factors, hence nonzero, which is exactly the complementary-dual
 criterion.  Scaling by nonzero constants is a monomial equivalence, so
 length, dimension and distance are untouched.
 
-Positions off the deletion set keep factor 1; positions on it draw from
-the units whose relevant power differs from 1:
-
-* Euclidean: anything outside {1, -1}, so q > 3 is required.
-* Galois twist l: anything outside the beta-th powers of the unit group,
-  where beta = (p^e - 1) / (p^(e-l) + 1); requires the divisibility and
-  beta > 1.
+Both modes are one construction with twist l: Euclidean is l = 0 (q > 3),
+Galois is 0 < l < e with beta = (q - 1) / (p^(e-l) + 1) an integer > 1.
+With m = e - l (F^e is the identity), scaling column j of [I | M] by a
+adds a^(p^m + 1) - 1 to diagonal entry j of the twisted Gram matrix
+P = G F^m(G)^T.  Positions off the deletion set keep factor 1; positions
+on it draw from the units outside the subgroup of (p^m + 1)-th roots of
+unity, which is {1, -1} for l = 0 and the beta-th powers for a Galois twist.
 
 Everything is deterministic: deletion sets scan in lexicographic order
 and factors default to the smallest valid encoding; a seed switches the
@@ -30,6 +30,7 @@ factor choice to a reproducible random draw.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass
 from typing import Sequence
@@ -47,7 +48,7 @@ from .errors import (
 )
 from .fqcode import FqCode
 from .gf import GF
-from .linalg import Matrix, det, gram, minor_det, standard_form
+from .linalg import Matrix, _det_rows, det, gram, minor_det, standard_form
 from .rcode import RCode
 from .ring import RingElement
 
@@ -131,22 +132,28 @@ def lemma_det_check(p: Matrix, b: Sequence[int], cert: MinorCertificate) -> bool
             f"support {support} differs from certified set {cert.r_set}"
         )
     f = p.field
-    m = p.nrows
-    entries = list(p.entries)
-    for j in range(m):
-        entries[j * m + j] = f.add(entries[j * m + j], b[j])
-    lhs = det(Matrix(f, m, m, tuple(entries)))
+    rows = p.to_rows()
+    for j, row in enumerate(rows):
+        row[j] = f.add(row[j], b[j])
+    lhs = _det_rows(f, rows)
     rhs = cert.det
     for j in support:
         rhs = f.mul(rhs, b[j])
     return lhs == rhs
 
 
-def _nonresidue_factors(field: GF, beta: int) -> list[int]:
-    return [x for x in field.units() if not field.is_beta_power(x, beta)]
-
-
-def _galois_beta(field: GF, l: int) -> int:
+def _twist_params(field: GF, mode: str, l: int | None) -> tuple[int, int | None]:
+    """(l, beta) of a mode, the Euclidean one being l = 0; refusals raise."""
+    if mode == MODE_EUCLID:
+        if l not in (None, 0):
+            raise BadLError("the Euclidean mode fixes l = 0")
+        if field.q <= 3:
+            raise FieldTooSmallError(f"need q > 3, got q = {field.q}")
+        return 0, None
+    if mode != MODE_GALOIS:
+        raise ValueError(f"unknown mode {mode!r}")
+    if l is None:
+        raise BadLError("the Galois mode requires a twist l")
     if not 0 < l < field.e:
         raise BadLError(f"twist must satisfy 0 < l < e = {field.e}, got {l}")
     base = field.p ** (field.e - l) + 1
@@ -157,28 +164,37 @@ def _galois_beta(field: GF, l: int) -> int:
     beta = (field.q - 1) // base
     if beta == 1:
         raise BetaOneError("beta = 1: every unit is a beta-th power, nothing to scale by")
-    return beta
+    return l, beta
+
+
+def _factors(field: GF, b_exp: int) -> list[int]:
+    """Units a with a^b_exp != 1, in encoding order.
+
+    The b_exp-th roots of unity are the d = gcd(b_exp, q - 1) values x^((q - 1) / d).
+    """
+    d = math.gcd(b_exp, field.q - 1)
+    roots: set[int] = set()
+    for x in field.units():
+        roots.add(field.pow(x, (field.q - 1) // d))
+        if len(roots) == d:
+            break
+    return [x for x in field.units() if x not in roots]
 
 
 def _scaling(
-    code: FqCode,
-    mode: str,
-    l: int,
-    beta: int | None,
-    frob_m: int,
-    b_exp: int,
-    factors: list[int],
-    seed: int | None,
-    max_dim: int,
+    code: FqCode, mode: str, l: int, beta: int | None, seed: int | None
 ) -> tuple[tuple[int, ...], FqCode, FieldScalingCertificate]:
     f = code.field
     if code.k == 0:
         raise ZeroCodeError("nothing to scale in the zero code")
+    m = f.e - l
+    b_exp = f.p**m + 1
     gs, perm = standard_form(code.gen)
-    p = gram(gs, frob_m)
-    cert = minor_search(p, max_dim)
+    p = gram(gs, m)
+    cert = minor_search(p)
     a_std = [1] * code.n
     if cert.t >= 0:
+        factors = _factors(f, b_exp)
         rng = random.Random(seed) if seed is not None else None
         for j in cert.r_set:
             a_std[j] = rng.choice(factors) if rng is not None else factors[0]
@@ -186,7 +202,7 @@ def _scaling(
     if not lemma_det_check(p, b, cert):
         raise ConsistencyError("minor determinant identity failed")
     scaled_std = gs.scale_cols(a_std)
-    gram_det = det(gram(scaled_std, frob_m))
+    gram_det = det(gram(scaled_std, m))
     expected = cert.det
     for j in cert.r_set:
         expected = f.mul(expected, b[j])
@@ -213,7 +229,7 @@ def _scaling(
 
 
 def euclid_lcd_scaling(
-    code: FqCode, seed: int | None = None, max_dim: int = DEFAULT_DIM_CAP
+    code: FqCode, seed: int | None = None
 ) -> tuple[tuple[int, ...], FqCode, FieldScalingCertificate]:
     """A nonzero column scaling making the code Euclidean LCD.
 
@@ -221,26 +237,20 @@ def euclid_lcd_scaling(
     [n, k, d] are preserved; an already-LCD code comes back unchanged
     with the all-ones scaling.
     """
-    f = code.field
-    if f.q <= 3:
-        raise FieldTooSmallError(f"need q > 3, got q = {f.q}")
-    factors = [x for x in f.units() if x != 1 and x != f.minus_one]
-    return _scaling(code, MODE_EUCLID, 0, None, 0, 2, factors, seed, max_dim)
+    l, beta = _twist_params(code.field, MODE_EUCLID, 0)
+    return _scaling(code, MODE_EUCLID, l, beta, seed)
 
 
 def galois_lcd_scaling(
-    code: FqCode, l: int, seed: int | None = None, max_dim: int = DEFAULT_DIM_CAP
+    code: FqCode, l: int, seed: int | None = None
 ) -> tuple[tuple[int, ...], FqCode, FieldScalingCertificate]:
     """A nonzero column scaling making the code LCD for the twist l.
 
     Perturbation entries are a_j^(p^(e-l)+1) - 1, which vanish exactly on
     the beta-th powers; factors are drawn from the complement.
     """
-    f = code.field
-    beta = _galois_beta(f, l)
-    factors = _nonresidue_factors(f, beta)
-    b_exp = f.p ** (f.e - l) + 1
-    return _scaling(code, MODE_GALOIS, l, beta, f.e - l, b_exp, factors, seed, max_dim)
+    l, beta = _twist_params(code.field, MODE_GALOIS, l)
+    return _scaling(code, MODE_GALOIS, l, beta, seed)
 
 
 def ring_lcd_equivalent(
@@ -248,7 +258,6 @@ def ring_lcd_equivalent(
     mode: str = MODE_EUCLID,
     l: int | None = None,
     seed: int | None = None,
-    max_dim: int = DEFAULT_DIM_CAP,
 ) -> tuple[tuple[RingElement, ...], RCode, RingScalingCertificate]:
     """An equivalent LCD code over R, built componentwise.
 
@@ -258,20 +267,7 @@ def ring_lcd_equivalent(
     length, dimension and Lee distance as the input.
     """
     f = code.field
-    if mode == MODE_EUCLID:
-        if l not in (None, 0):
-            raise BadLError("the Euclidean mode fixes l = 0")
-        if f.q <= 3:
-            raise FieldTooSmallError(f"need q > 3, got q = {f.q}")
-        l_eff = 0
-        beta = None
-    elif mode == MODE_GALOIS:
-        if l is None:
-            raise BadLError("the Galois mode requires a twist l")
-        beta = _galois_beta(f, l)
-        l_eff = l
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
+    l_eff, beta = _twist_params(f, mode, l)
 
     slot_alphas: list[tuple[int, ...]] = []
     certs: list[FieldScalingCertificate | None] = []
@@ -280,10 +276,7 @@ def ring_lcd_equivalent(
             slot_alphas.append((1,) * code.n)
             certs.append(None)
             continue
-        if mode == MODE_EUCLID:
-            avec, _, fc = euclid_lcd_scaling(comp, seed=seed, max_dim=max_dim)
-        else:
-            avec, _, fc = galois_lcd_scaling(comp, l_eff, seed=seed, max_dim=max_dim)
+        avec, _, fc = _scaling(comp, mode, l_eff, beta, seed)
         slot_alphas.append(avec)
         certs.append(fc)
 

@@ -33,7 +33,7 @@ class Matrix:
             )
         q = self.field.q
         for v in self.entries:
-            if not 0 <= v < q:
+            if type(v) is not int or not 0 <= v < q:
                 raise ValueError(f"entry {v!r} is not an element of {self.field!r}")
 
     # -- construction -------------------------------------------------------
@@ -102,15 +102,6 @@ class Matrix:
         )
         return Matrix(self.field, self.nrows, self.ncols, out)
 
-    def delete_rows_cols(self, drop: Iterable[int]) -> "Matrix":
-        """Remove the rows and columns listed in ``drop`` (square matrices)."""
-        if not self.is_square:
-            raise NotSquareError("row/column deletion needs a square matrix")
-        dropset = set(drop)
-        keep = [i for i in range(self.nrows) if i not in dropset]
-        out = tuple(self.entry(r, c) for r in keep for c in keep)
-        return Matrix(self.field, len(keep), len(keep), out)
-
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.field != other.field:
             raise MismatchError("matrix product requires one common field")
@@ -169,16 +160,10 @@ def rank(m: Matrix) -> int:
     return rref(m)[1]
 
 
-def det(m: Matrix) -> int:
-    """Determinant by exact elimination; the empty matrix has determinant 1."""
-    if not m.is_square:
-        raise NotSquareError(f"determinant of a {m.nrows}x{m.ncols} matrix")
-    n = m.nrows
-    if n == 0:
-        return 1
-    f = m.field
+def _det_rows(f: GF, rows: list[list[int]]) -> int:
+    """Determinant of a square list of rows, which elimination overwrites."""
     sub, mul, inv = f.sub, f.mul, f.inv
-    rows = m.to_rows()
+    n = len(rows)
     swaps = 0
     acc = 1
     for c in range(n):
@@ -198,6 +183,13 @@ def det(m: Matrix) -> int:
     if swaps % 2:
         acc = f.neg(acc)
     return acc
+
+
+def det(m: Matrix) -> int:
+    """Determinant by exact elimination; the empty matrix has determinant 1."""
+    if not m.is_square:
+        raise NotSquareError(f"determinant of a {m.nrows}x{m.ncols} matrix")
+    return _det_rows(m.field, m.to_rows())
 
 
 def nullspace_basis(m: Matrix) -> Matrix:
@@ -245,6 +237,15 @@ def minor_det(p: Matrix, drop: Iterable[int]) -> int:
     """Determinant after deleting the rows and columns listed in ``drop``.
 
     Dropping everything leaves the empty matrix, whose determinant is 1;
-    dropping nothing gives det(p).
+    dropping nothing gives det(p).  Every index in ``drop`` must lie in
+    [0, p.nrows); repeats count once.  The kept entries are read straight
+    from p, without building the submatrix.
     """
-    return det(p.delete_rows_cols(drop))
+    if not p.is_square:
+        raise NotSquareError("row/column deletion needs a square matrix")
+    m = p.nrows
+    dropset = set(drop)
+    if dropset and (min(dropset) < 0 or max(dropset) >= m):
+        raise MismatchError(f"deletion indices {sorted(dropset)} outside [0, {m})")
+    keep = [i for i in range(m) if i not in dropset]
+    return _det_rows(p.field, [[row[c] for c in keep] for row in map(p.row, keep)])

@@ -62,7 +62,7 @@ class RingElement:
             raise ValueError("ring elements carry exactly 4 coordinates")
         q = self.field.q
         for v in self.g:
-            if not 0 <= v < q:
+            if type(v) is not int or not 0 <= v < q:
                 raise ValueError(f"coordinate {v!r} is not an element of {self.field!r}")
 
     # -- constructors ---------------------------------------------------------

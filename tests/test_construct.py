@@ -1,5 +1,6 @@
 """Minor search, the determinant identity, and the LCD scalings."""
 
+import functools
 import random
 
 import pytest
@@ -7,6 +8,8 @@ import pytest
 from lcdring import GF, FqCode, Matrix, RCode, RingElement
 from lcdring.construct import (
     MinorCertificate,
+    _factors,
+    _twist_params,
     euclid_lcd_scaling,
     galois_lcd_scaling,
     lemma_det_check,
@@ -16,12 +19,13 @@ from lcdring.construct import (
 from lcdring.errors import (
     BadLError,
     BetaOneError,
+    DivisibilityError,
     FieldTooSmallError,
     SizeCapError,
     SupportMismatchError,
     ZeroCodeError,
 )
-from lcdring.linalg import minor_det
+from lcdring.linalg import det, minor_det, standard_form
 
 from support import random_fqcode
 
@@ -186,6 +190,34 @@ class TestGaloisScaling:
             assert out.min_dist() == c.min_dist()
             assert out.is_lcd(1)
 
+    @pytest.mark.parametrize("pe,l", [((2, 4), 3), ((2, 6), 5), ((3, 4), 3)])
+    def test_gram_det_reads_twist_e_minus_l(self, pe, l):
+        f = GF(*pe)
+        rng = random.Random(47)
+        directions = set()
+        for _ in range(12):
+            c = random_fqcode(rng, f, 5, 2)
+            if c.k == 0:
+                continue
+            alpha, out, cert = galois_lcd_scaling(c, l)
+            gs, perm = standard_form(c.gen)
+            rows = gs.scale_cols([alpha[j] for j in perm]).to_rows()
+            assert cert.gram_det == summed_gram_det(f, rows, f.e - l) != 0
+            directions.add(summed_gram_det(f, rows, f.e - l) != summed_gram_det(f, rows, l))
+            assert out.is_lcd(l)
+        assert True in directions
+
+
+def summed_gram_det(f, rows, t):
+    """det of the matrix [sum_j r_j s_j^(p^t)] over row pairs (r, s), summed entry by entry."""
+    pw = f.p**t
+    entries = [
+        functools.reduce(f.add, (f.mul(a, f.pow(b, pw)) for a, b in zip(r, s)), 0)
+        for r in rows
+        for s in rows
+    ]
+    return det(Matrix(f, len(rows), len(rows), tuple(entries)))
+
 
 class TestRingLevel:
     def test_componentwise_example(self):
@@ -249,3 +281,49 @@ class TestRingLevel:
             rc = random_rcode(rng, F5, rng.randint(2, 3), 1)
             _, out, _ = ring_lcd_equivalent(rc, "euclid")
             assert oracle.hull_dim(out, 0) == 0
+
+
+# fields of the factor-rule check, with the Galois twists 0 < l < e that
+# pass both the divisibility p^(e-l) + 1 | q - 1 and beta > 1
+FACTOR_FIELDS = {
+    (2, 2): (),
+    (5, 1): (),
+    (7, 1): (),
+    (2, 3): (),
+    (3, 2): (1,),
+    (2, 4): (2, 3),
+    (5, 2): (1,),
+    (3, 3): (),
+    (7, 2): (1,),
+    (2, 6): (3, 5),
+    (3, 4): (2, 3),
+}
+
+
+class TestFactorRule:
+    @pytest.mark.parametrize("pe", FACTOR_FIELDS, ids=lambda pe: f"GF({pe[0]}^{pe[1]})")
+    def test_one_rule_matches_both_definitions(self, pe):
+        field = GF(*pe)
+        assert _twist_params(field, "euclid", None) == (0, None)
+        euclid = [x for x in field.units() if x not in (1, field.minus_one)]
+        assert _factors(field, field.p**field.e + 1) == euclid
+        valid = []
+        for l in range(1, field.e):
+            try:
+                _, beta = _twist_params(field, "galois", l)
+            except (DivisibilityError, BetaOneError):
+                continue
+            valid.append(l)
+            nonpowers = [x for x in field.units() if not field.is_beta_power(x, beta)]
+            assert _factors(field, field.p ** (field.e - l) + 1) == nonpowers
+        assert tuple(valid) == FACTOR_FIELDS[pe]
+
+    def test_refusals(self):
+        with pytest.raises(BadLError, match="fixes l = 0"):
+            _twist_params(F5, "euclid", 1)
+        with pytest.raises(BadLError, match="requires a twist"):
+            _twist_params(F9, "galois", None)
+        with pytest.raises(ValueError, match="unknown mode"):
+            _twist_params(F9, "hermitian", 1)
+        with pytest.raises(DivisibilityError):
+            _twist_params(GF(2, 3), "galois", 1)

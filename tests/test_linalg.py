@@ -5,7 +5,7 @@ import random
 import pytest
 
 from lcdring import GF, Matrix, linalg
-from lcdring.errors import ConsistencyError, NotSquareError, RankDeficientError
+from lcdring.errors import ConsistencyError, MismatchError, NotSquareError, RankDeficientError
 from lcdring.linalg import det, gram, minor_det, nullspace_basis, rref, standard_form
 
 F5 = GF(5)
@@ -20,6 +20,12 @@ def m(field, rows, ncols=None):
 def test_from_rows_checks_entries(entry):
     with pytest.raises(ValueError, match="not an element encoding"):
         m(F5, [[entry, 2]])
+
+
+@pytest.mark.parametrize("entry", [True, False, 2.0, 0.0, -1, 5])
+def test_constructor_checks_entries(entry):
+    with pytest.raises(ValueError, match="is not an element of"):
+        Matrix(F5, 1, 2, (entry, 2))
 
 
 class TestRref:
@@ -179,3 +185,23 @@ class TestMinorDet:
     def test_requires_square(self):
         with pytest.raises(NotSquareError):
             minor_det(m(F5, [[1, 2]]), set())
+
+    @pytest.mark.parametrize("drop", [{5}, [-1], (0, 2), [1, 1, 2]])
+    def test_out_of_range_index_refused(self, drop):
+        p = m(F5, [[1, 2], [3, 0]])
+        assert det(p) == 4
+        with pytest.raises(MismatchError):
+            minor_det(p, drop)
+
+    @pytest.mark.parametrize("field", [GF(2, 2), F5, F9], ids=lambda f: f"GF({f.q})")
+    def test_matches_det_of_built_submatrix(self, field):
+        rng = random.Random(field.q)
+        for _ in range(40):
+            n = rng.randint(1, 5)
+            p = m(field, [[rng.randrange(field.q) for _ in range(n)] for _ in range(n)])
+            drop = [rng.randrange(n) for _ in range(rng.randint(0, n + 1))]
+            keep = [i for i in range(n) if i not in drop]
+            want = det(m(field, [[p.entry(r, c) for c in keep] for r in keep]))
+            for form in (list, set, tuple, sorted, lambda d: reversed(sorted(d))):
+                assert minor_det(p, form(drop)) == want
+            assert minor_det(p, (i for i in drop)) == want

@@ -15,6 +15,12 @@ F5 = GF(5)
 F9 = GF(3, 2, [1, 0, 1])
 
 
+@pytest.mark.parametrize("coord", [True, False, 1.0, 0.0, -1, 5])
+def test_constructor_checks_coordinates(coord):
+    with pytest.raises(ValueError, match="is not an element of"):
+        RingElement(F5, (coord, 0, 0, 0))
+
+
 class TestBasisConversion:
     def test_one_is_the_sum_of_idempotents(self):
         assert u_to_gamma(F5, (1, 0, 0, 0)) == (1, 1, 1, 1)
