@@ -20,7 +20,7 @@ from .errors import (
     LcdringError,
     SizeCapError,
 )
-from .fqcode import DEFAULT_ENUM_CAP
+from .fqcode import DEFAULT_ENUM_CAP, count_text
 from .rcode import RCode
 from .ring import gamma_to_u, gray
 
@@ -225,7 +225,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         # an explicit skip instead of erroring when that cannot fit
         pairings = oracle.count(code) * oracle.count(dual)
         if pairings > budget:
-            print(f"{name}: skipped ({pairings} pairings exceed --max-enum {budget})")
+            shown = count_text(code.field.q, code.k + dual.k)
+            print(f"{name}: skipped ({shown} pairings exceed --max-enum {budget})")
             return
         check(name, oracle.is_dual_pair(code, dual, l, budget))
 

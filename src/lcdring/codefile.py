@@ -36,6 +36,10 @@ from .ring import RingElement
 
 FORMAT_VERSION = 1
 
+# Largest code length a file may declare, checked before any matrix is
+# built: the zero code's dual at this length is four n-by-n identities.
+MAX_LENGTH = 512
+
 
 def _require(cond: bool, msg: str) -> None:
     if not cond:
@@ -86,7 +90,7 @@ def parse_code(text: str) -> RCode:
     """Parse and validate a ring-code document."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ParseError(f"not valid JSON: {exc}") from exc
     _require(isinstance(doc, dict), "top level must be an object")
     kind = doc.get("kind", "ring")
@@ -94,6 +98,7 @@ def parse_code(text: str) -> RCode:
     field = _load_field(doc)
     n = doc.get("n")
     _require(_is_int(n) and n >= 1, "'n' must be a positive integer")
+    _require(n <= MAX_LENGTH, f"'n' must be at most {MAX_LENGTH}, got {n}")
     basis = doc.get("basis", "gamma")
     _require(basis in ("gamma", "u"), f"unknown basis {basis!r}")
     has_comp = "components" in doc

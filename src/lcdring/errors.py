@@ -17,14 +17,6 @@ class BadBetaError(LcdringError):
     """Residue exponent does not divide the unit group order."""
 
 
-class EmptySetError(LcdringError):
-    """The requested residue complement is empty (beta = 1)."""
-
-
-class BadRankError(LcdringError):
-    """Requested element index exceeds the size of the set."""
-
-
 class NotSquareError(LcdringError):
     """Operation requires a square matrix."""
 

@@ -11,6 +11,7 @@ matrix P = G * F^(e-l)(G)^T, since u*G lies in the l-dual iff u*P = 0.
 from __future__ import annotations
 
 import dataclasses
+import sys
 from dataclasses import dataclass
 from operator import getitem
 from typing import Iterator, Sequence
@@ -26,6 +27,12 @@ from .gf import GF
 from .linalg import Matrix, det, gram, nullspace_basis, rank, rref
 
 DEFAULT_ENUM_CAP = 1_000_000
+
+
+def count_text(q: int, k: int) -> str:
+    """q^k for a message: decimal while Python's int-to-str digit limit allows, else "q^k"."""
+    limit = sys.get_int_max_str_digits()
+    return f"{q}^{k}" if limit and q**k >= 10**limit else str(q**k)
 
 
 def _projective_steps(p: int, e: int, k: int) -> Iterator[int]:
@@ -158,7 +165,7 @@ class FqCode:
         f = self.field
         total = f.q**self.k
         if total > cap:
-            raise CapExceededError(f"{total} codewords exceed the cap of {cap}")
+            raise CapExceededError(f"{count_text(f.q, self.k)} codewords exceed the cap of {cap}")
         n = self.n
         rows = self.gen.to_rows()
         best = min(n - row.count(0) for row in rows)

@@ -24,13 +24,7 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from .errors import (
-    BadBetaError,
-    BadModulusError,
-    BadRankError,
-    EmptySetError,
-    NotPrimeError,
-)
+from .errors import BadBetaError, BadModulusError, NotPrimeError
 
 # Largest field order GF accepts (the README's desk scale); every
 # extension field holds O(q) table entries.
@@ -389,31 +383,14 @@ class GF:
 
     # -- power residues -------------------------------------------------------
 
-    def _check_beta(self, beta: int) -> int:
-        _require_int("beta", beta)
-        if beta < 1 or (self.q - 1) % beta != 0:
-            raise BadBetaError(f"beta={beta} does not divide q-1={self.q - 1}")
-        return beta
-
     def is_beta_power(self, x: int, beta: int) -> bool:
         """True when x lies in the image of the beta-power map on units.
 
         Decided by x**((q-1)/beta) == 1.
         """
-        beta = self._check_beta(beta)
+        _require_int("beta", beta)
+        if beta < 1 or (self.q - 1) % beta != 0:
+            raise BadBetaError(f"beta={beta} does not divide q-1={self.q - 1}")
         if x == 0:
             raise ZeroDivisionError("0 is not a unit")
         return self.pow(x, (self.q - 1) // beta) == 1
-
-    def beta_nonresidue(self, beta: int, rank: int = 0) -> int:
-        """The rank-th smallest unit (by encoding) outside the beta powers."""
-        beta = self._check_beta(beta)
-        if beta == 1:
-            raise EmptySetError("every unit is a first power; the complement is empty")
-        seen = 0
-        for x in range(1, self.q):
-            if not self.is_beta_power(x, beta):
-                if seen == rank:
-                    return x
-                seen += 1
-        raise BadRankError(f"rank {rank} out of range; only {seen} non-residues exist")

@@ -5,20 +5,27 @@ shares no dual, kernel or echelon machinery with the rest of the package;
 agreement between the two routes is the evidence the test suite relies
 on.  Enumeration order is fixed (message encodings ascending) so streams
 are reproducible.  Budgets are hard errors, never silent skips.
+
+Field and ring codes share one path through a word's slot vectors: (w,)
+for a field word, the four idempotent coordinate vectors for a ring word.
+The ring pairing acts slotwise, so it vanishes exactly when every slot's
+field pairing does, and the Lee weight counts nonzeros over all slots.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, Sequence, Union
+from itertools import product
+from typing import Callable, Iterator, Sequence, Union
 
 from .errors import CapExceededError, MismatchError, NonIntegralLogError, ZeroCodeError
-from .fqcode import FqCode
+from .fqcode import FqCode, count_text
 from .rcode import RCode
 from .ring import RingElement
 
 DEFAULT_BUDGET = 1_000_000
 
 Code = Union[FqCode, RCode]
+Slots = tuple[Sequence[int], ...]
 
 
 def _fq_words(code: FqCode) -> Iterator[tuple[int, ...]]:
@@ -46,15 +53,32 @@ def _fq_words(code: FqCode) -> Iterator[tuple[int, ...]]:
 def _r_words(code: RCode) -> Iterator[tuple[RingElement, ...]]:
     """All ring codewords; component 1 varies fastest."""
     f = code.field
-    comp_words = [list(_fq_words(c)) for c in code.comps]
-    for w4 in comp_words[3]:
-        for w3 in comp_words[2]:
-            for w2 in comp_words[1]:
-                for w1 in comp_words[0]:
-                    yield tuple(
-                        RingElement(f, (a, b, c, d))
-                        for a, b, c, d in zip(w1, w2, w3, w4)
-                    )
+    comp_words = [list(_fq_words(c)) for c in reversed(code.comps)]
+    for w4, w3, w2, w1 in product(*comp_words):
+        yield tuple(RingElement(f, g) for g in zip(w1, w2, w3, w4))
+
+
+def _words(code: Code) -> Iterator:
+    return _fq_words(code) if isinstance(code, FqCode) else _r_words(code)
+
+
+def _slot_view(code: Code) -> tuple[tuple[FqCode, ...], Callable[[Sequence], Slots]]:
+    """The slot codes of ``code`` and the map from its words to slot vectors."""
+    if isinstance(code, FqCode):
+        return (code,), lambda w: (w,)
+    return code.comps, lambda w: tuple(zip(*(x.g for x in w)))
+
+
+def _pairs_to_zero(add: Callable, mul: Callable, t: Slots, s: Slots) -> bool:
+    """Whether sum_j t_j * s_j vanishes in every slot, in the field of ``add`` and ``mul``."""
+    for a, b in zip(t, s):
+        acc = 0
+        for x, y in zip(a, b):
+            if x and y:
+                acc = add(acc, mul(x, y))
+        if acc:
+            return False
+    return True
 
 
 def count(code: Code) -> int:
@@ -64,36 +88,20 @@ def count(code: Code) -> int:
 def codewords(code: Code, budget: int = DEFAULT_BUDGET) -> Iterator:
     """Stream every codeword exactly once; errors out above the budget."""
     if count(code) > budget:
-        raise CapExceededError(f"{count(code)} codewords exceed the budget of {budget}")
-    if isinstance(code, FqCode):
-        return _fq_words(code)
-    return _r_words(code)
+        raise CapExceededError(
+            f"{count_text(code.field.q, code.k)} codewords exceed the budget of {budget}"
+        )
+    return _words(code)
 
 
 def min_distance(code: Code, budget: int = DEFAULT_BUDGET) -> int:
     """Exact minimum Hamming (field) or Lee (ring) weight over nonzero words."""
     if code.k == 0:
         raise ZeroCodeError("the zero code has no minimum distance")
-    best = None
-    for i, word in enumerate(codewords(code, budget)):
-        if i == 0:
-            continue
-        if isinstance(code, FqCode):
-            w = sum(1 for v in word if v)
-        else:
-            w = sum(1 for x in word for v in x.g if v)
-        if best is None or w < best:
-            best = w
-    return best
-
-
-def _fq_pair(field, t: Sequence[int], s_frob: Sequence[int]) -> int:
-    add, mul = field.add, field.mul
-    acc = 0
-    for a, b in zip(t, s_frob):
-        if a and b:
-            acc = add(acc, mul(a, b))
-    return acc
+    _, view = _slot_view(code)
+    words = codewords(code, budget)
+    next(words)  # the zero word
+    return min(sum(len(v) - v.count(0) for v in view(w)) for w in words)
 
 
 def is_dual_pair(code: Code, dual: Code, l: int, budget: int = DEFAULT_BUDGET) -> bool:
@@ -106,73 +114,41 @@ def is_dual_pair(code: Code, dual: Code, l: int, budget: int = DEFAULT_BUDGET) -
     f = code.field
     pairs = count(code) * count(dual)
     if pairs > budget:
-        raise CapExceededError(f"{pairs} pairings exceed the budget of {budget}")
-    if isinstance(code, FqCode):
-        if count(code) * count(dual) != f.q**code.n:
-            return False
-        frob = f.frobenius
-        dual_tw = [tuple(frob(v, l) for v in s) for s in _fq_words(dual)]
-        for t in _fq_words(code):
-            for s in dual_tw:
-                if _fq_pair(f, t, s) != 0:
-                    return False
-        return True
-    if count(code) * count(dual) != f.q ** (4 * code.n):
+        raise CapExceededError(
+            f"{count_text(f.q, code.k + dual.k)} pairings exceed the budget of {budget}"
+        )
+    slots, view = _slot_view(code)
+    if pairs != f.q ** (len(slots) * code.n):
         return False
-    frob = f.frobenius
-    dual_tw = [
-        tuple(tuple(frob(v, l) for v in x.g) for x in s) for s in _r_words(dual)
-    ]
-    add, mul = f.add, f.mul
-    for t in _r_words(code):
-        tg = [x.g for x in t]
+    frob, add, mul = f.frobenius, f.add, f.mul
+    dual_tw = [tuple(tuple(frob(v, l) for v in x) for x in view(s)) for s in _words(dual)]
+    for t in map(view, _words(code)):
         for s in dual_tw:
-            for slot in range(4):
-                acc = 0
-                for a, b in zip(tg, s):
-                    if a[slot] and b[slot]:
-                        acc = add(acc, mul(a[slot], b[slot]))
-                if acc != 0:
-                    return False
+            if not _pairs_to_zero(add, mul, t, s):
+                return False
     return True
 
 
 def hull_dim(code: Code, l: int, budget: int = DEFAULT_BUDGET) -> int:
     """log_q of the number of codewords orthogonal to the whole code.
 
-    Membership in the dual is decided against the generators, which is
-    the definition reduced by linearity of the pairing in its first slot.
-    A non-power-of-q count means a bug somewhere and raises.
+    Membership in the dual is decided against the generators, each slot
+    code's rows embedded in their own slot: the definition reduced by
+    linearity of the pairing in its first argument.  A non-power-of-q
+    count means a bug somewhere and raises.
     """
     f = code.field
-    frob = f.frobenius
+    frob, add, mul = f.frobenius, f.add, f.mul
+    slots, view = _slot_view(code)
+    zero = (0,) * code.n
+    gens = [tuple(c.gen.row(r) if j == i else zero for j in range(len(slots)))
+            for i, c in enumerate(slots) for r in range(c.k)]
     hits = 0
-    if isinstance(code, FqCode):
-        gens = [code.gen.row(r) for r in range(code.k)]
-        for s in codewords(code, budget):
-            s_tw = tuple(frob(v, l) for v in s)
-            if all(_fq_pair(f, g, s_tw) == 0 for g in gens):
-                hits += 1
-    else:
-        slot_gens = [
-            [(i, c.gen.row(r)) for r in range(c.k)] for i, c in enumerate(code.comps)
-        ]
-        gens = [pair for group in slot_gens for pair in group]
-        for s in codewords(code, budget):
-            s_tw = [tuple(frob(v, l) for v in x.g) for x in s]
-            ok = True
-            for slot, g in gens:
-                acc = 0
-                for a, x in zip(g, s_tw):
-                    if a and x[slot]:
-                        acc = f.add(acc, f.mul(a, x[slot]))
-                if acc != 0:
-                    ok = False
-                    break
-            if ok:
-                hits += 1
-    h = 0
-    rest = hits
+    for s in codewords(code, budget):
+        s_tw = tuple(tuple(frob(v, l) for v in x) for x in view(s))
+        if all(_pairs_to_zero(add, mul, g, s_tw) for g in gens):
+            hits += 1
+    h, rest = 0, hits
     while rest and rest % f.q == 0:
         rest //= f.q
         h += 1

@@ -15,7 +15,7 @@ from typing import Sequence
 from .errors import CapExceededError, MismatchError, NotAUnitError, ZeroCodeError
 from .fqcode import DEFAULT_ENUM_CAP, FqCode
 from .gf import GF
-from .ring import RingElement
+from .ring import RingElement, gray
 
 
 @dataclass(frozen=True)
@@ -164,14 +164,7 @@ class RCode:
         image dimension is the sum of the component dimensions and its
         Hamming distance is the Lee distance of the source.
         """
-        rows = []
-        for i, comp in enumerate(self.comps):
-            for r in range(comp.k):
-                row = comp.gen.row(r)
-                out = [0] * (4 * self.n)
-                for j, v in enumerate(row):
-                    out[4 * j + i] = v
-                rows.append(out)
+        rows = [gray(row) for row in self.generator_rows()]
         return FqCode.from_rows(self.field, 4 * self.n, rows)
 
     def scale(self, alpha: Sequence[RingElement]) -> "RCode":

@@ -261,3 +261,32 @@ def test_construct_golden_choices(key, tmp_path, capsys):
         for c in report["components"]
     ]
     assert comps == comps_want
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["analyze"], ["dual"], ["gray"], ["mindist"], ["verify"], ["construct-lcd", "--mode", "euclid"]],
+    ids=lambda a: a[0],
+)
+def test_declared_length_bounded_before_any_matrix(argv, tmp_path, capsys):
+    path = tmp_path / "long.json"
+    path.write_text('{"field":{"p":5},"n":1000000000000000000,"components":[[],[],[],[]]}')
+    assert main([argv[0], str(path), *argv[1:]]) == 1
+    assert "'n' must be at most" in capsys.readouterr().err
+
+
+def test_deep_nesting_exits_1(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200_000)
+    assert main(["analyze", str(path)]) == 1
+    assert "error: not valid JSON" in capsys.readouterr().err
+
+
+def test_verify_skip_line_past_the_int_str_limit(tmp_path, capsys):
+    # q^(4n) = 1048573^720 has more than 4300 digits
+    path = tmp_path / "zero.json"
+    path.write_text('{"field":{"p":1048573},"n":180,"components":[[],[],[],[]]}')
+    assert main(["verify", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert "l=0 dual pairing: skipped (1048573^720 pairings exceed --max-enum 1000000)" in out
+    assert "all checks agree" in out

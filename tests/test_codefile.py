@@ -6,7 +6,13 @@ import random
 import pytest
 
 from lcdring import GF, FqCode, RCode
-from lcdring.codefile import code_document, dumps, field_code_document, parse_code
+from lcdring.codefile import (
+    MAX_LENGTH,
+    code_document,
+    dumps,
+    field_code_document,
+    parse_code,
+)
 from lcdring.errors import BadModulusError, NotPrimeError, ParseError
 
 from support import random_rcode
@@ -129,6 +135,15 @@ def test_out_of_range_encoding_rejected():
 def test_not_json():
     with pytest.raises(ParseError):
         parse_code("not json at all {")
+
+
+def test_length_bounded_before_any_matrix():
+    doc = {"field": {"p": 5}, "components": [[], [], [], []]}
+    rc = parse_code(json.dumps(dict(doc, n=MAX_LENGTH)))
+    assert rc.n == MAX_LENGTH and rc.k == 0
+    for n in (MAX_LENGTH + 1, 10**18):
+        with pytest.raises(ParseError, match="'n' must be at most"):
+            parse_code(json.dumps(dict(doc, n=n)))
 
 
 @pytest.mark.parametrize("representation", ["components", "generators"])

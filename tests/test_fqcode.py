@@ -1,6 +1,7 @@
 """Field codes: duals, hulls, LCD and MDS predicates, scaling."""
 
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -14,7 +15,7 @@ from lcdring.errors import (
     ZeroCodeError,
     ZeroScaleError,
 )
-from lcdring.fqcode import _projective_steps
+from lcdring.fqcode import _projective_steps, count_text
 from lcdring.linalg import gram, rank
 
 from support import random_fqcode
@@ -163,6 +164,15 @@ class TestMinDist:
         with pytest.raises(CapExceededError):
             c.min_dist(cap=124)
         assert c.min_dist(cap=125) == 2
+
+    def test_cap_message_past_the_int_str_limit(self):
+        # 1048573^716 has more than 4300 digits, past Python's default
+        # int-to-str limit; the refusal must still be a cap refusal
+        c = FqCode.full(GF(1048573), 716)
+        with pytest.raises(CapExceededError, match=r"^1048573\^716 codewords exceed the cap"):
+            c.min_dist()
+        p = RCode.from_components([c] + [FqCode.zero(c.field, 716)] * 3).params()
+        assert p.d_lee is None and p.components[0] == (716, 716, None)
 
     def test_cached_distance_ignores_later_cap(self):
         c = code(F5, 4, [[1, 0, 0, 1], [0, 1, 0, 1], [0, 0, 1, 1]])
@@ -363,3 +373,12 @@ class TestScale:
             scaled = c.scale(factors)
             assert scaled.k == c.k
             assert scaled.min_dist() == c.min_dist()
+
+
+def test_count_text_is_decimal_while_printable():
+    limit = sys.get_int_max_str_digits()
+    if not limit:
+        pytest.skip("this interpreter prints ints of any length")
+    assert count_text(5, 3) == "125"
+    assert count_text(10, limit - 1) == str(10 ** (limit - 1))
+    assert count_text(10, limit) == f"10^{limit}"

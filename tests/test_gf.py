@@ -8,13 +8,7 @@ from hypothesis import strategies as st
 
 from lcdring import GF
 from lcdring.gf import _pmod, _pmul, _ppowmod
-from lcdring.errors import (
-    BadBetaError,
-    BadModulusError,
-    BadRankError,
-    EmptySetError,
-    NotPrimeError,
-)
+from lcdring.errors import BadBetaError, BadModulusError, NotPrimeError
 
 
 @pytest.fixture(scope="module")
@@ -103,15 +97,6 @@ def test_residue_classification(f9):
         f9.is_beta_power(0, 2)
     with pytest.raises(BadBetaError):
         f9.is_beta_power(1, 3)  # 3 does not divide 8
-
-
-def test_nonresidue_picking(f9):
-    assert [f9.beta_nonresidue(2, r) for r in range(4)] == [4, 5, 7, 8]
-    with pytest.raises(BadRankError):
-        f9.beta_nonresidue(2, 4)
-    f4 = GF(2, 2)
-    with pytest.raises(EmptySetError):
-        f4.beta_nonresidue(1, 0)
 
 
 def test_encoding_roundtrip(f9):
@@ -247,10 +232,8 @@ def test_field_order_bounded_before_construction(args):
     [
         lambda f: f.is_beta_power(4, 2.9),
         lambda f: f.is_beta_power(4, True),
-        lambda f: f.beta_nonresidue(2.5),
-        lambda f: f.beta_nonresidue(True),
     ],
-    ids=["float", "bool", "nonresidue-float", "nonresidue-bool"],
+    ids=["float", "bool"],
 )
 def test_beta_must_be_an_int(f5, call):
     with pytest.raises(ValueError, match="beta must be an int"):

@@ -38,10 +38,31 @@ class TestEnumeration:
         assert len(words) == 5**4
         assert len(set(words)) == 5**4
 
+    def test_ring_order_component_one_fastest(self):
+        rows = [[[1, 2]], [[0, 1]], [], [[1, 1]]]
+        rc = RCode.from_components([FqCode.from_rows(F5, 2, r) for r in rows])
+        # d1 * (1, 2) in slot 1, d2 * (0, 1) in slot 2, d4 * (1, 1) in slot 4
+        want = [
+            ((d1, 0, 0, d4), (2 * d1 % 5, d2, 0, d4))
+            for d4 in range(5)
+            for d2 in range(5)
+            for d1 in range(5)
+        ]
+        assert [tuple(x.g for x in w) for w in oracle.codewords(rc)] == want
+
     def test_budget(self):
         c = FqCode.full(F5, 6)
         with pytest.raises(CapExceededError):
             list(oracle.codewords(c, budget=100))
+
+    def test_budget_messages_past_the_int_str_limit(self):
+        # 1048573^716 has more than 4300 digits
+        big = FqCode.full(GF(1048573), 716)
+        with pytest.raises(CapExceededError, match=r"^1048573\^716 codewords exceed"):
+            oracle.codewords(big)
+        zero = FqCode.zero(big.field, 716)
+        with pytest.raises(CapExceededError, match=r"^1048573\^716 pairings exceed"):
+            oracle.is_dual_pair(zero, big, 0)
 
 
 class TestMinDistance:
@@ -51,6 +72,16 @@ class TestMinDistance:
     def test_ring_repetition(self):
         rep = FqCode.from_rows(F5, 3, [[1, 1, 1]])
         assert oracle.min_distance(RCode.from_components([rep] * 4)) == 3
+
+    def test_ring_weight_counts_every_slot(self):
+        rep = FqCode.from_rows(F5, 3, [[1, 1, 1]])
+        par = rep.galois_dual(0)  # [3, 2, 2]
+        for i in range(4):
+            comps = [rep] * 4
+            comps[i] = par
+            assert oracle.min_distance(RCode.from_components(comps)) == 2
+        light = FqCode.from_rows(F5, 3, [[0, 1, 0]])
+        assert oracle.min_distance(RCode.from_components([rep, light, rep, rep])) == 1
 
     def test_matches_fast_path(self):
         import random
@@ -83,6 +114,25 @@ class TestDualPair:
         for l in range(1):
             assert oracle.is_dual_pair(rc, rc.galois_dual(l), l)
 
+    def test_ring_dual_with_one_wrong_component(self):
+        # distinct components, so pairing the wrong slots cannot pass
+        comps = [
+            FqCode.from_rows(F5, 2, [[1, 2]]),
+            FqCode.from_rows(F5, 2, [[1, 1]]),
+            FqCode.zero(F5, 2),
+            FqCode.from_rows(F5, 2, [[0, 1]]),
+        ]
+        rc = RCode.from_components(comps)
+        dual = rc.galois_dual(0)
+        assert oracle.is_dual_pair(rc, dual, 0)
+        wrong = FqCode.from_rows(F5, 2, [[1, 3]])
+        for i, c in enumerate(dual.comps):
+            if c.k != 1:
+                continue
+            swapped = list(dual.comps)
+            swapped[i] = wrong
+            assert not oracle.is_dual_pair(rc, RCode.from_components(swapped), 0)
+
     def test_twisted_field_dual(self):
         c = FqCode.from_rows(F9, 2, [[1, 4]])
         assert oracle.is_dual_pair(c, c.galois_dual(1), 1)
@@ -102,6 +152,19 @@ class TestHull:
     def test_ring_hull_splits(self):
         rc = RCode.from_components([line()] * 4)
         assert oracle.hull_dim(rc, 0) == 4
+
+    def test_ring_hull_with_distinct_components(self):
+        comps = [
+            FqCode.from_rows(F9, 2, [[1, 1]]),
+            FqCode.from_rows(F9, 2, [[1, 4]]),
+            FqCode.zero(F9, 2),
+            FqCode.from_rows(F9, 2, [[1, 3]]),
+        ]
+        rc = RCode.from_components(comps)
+        assert [c.hull_dim(0) for c in comps] == [0, 0, 0, 1]
+        assert [c.hull_dim(1) for c in comps] == [0, 1, 0, 0]
+        assert oracle.hull_dim(rc, 0) == 1
+        assert oracle.hull_dim(rc, 1) == 1
 
     def test_agrees_with_fast_path(self):
         import random
