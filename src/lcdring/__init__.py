@@ -22,7 +22,7 @@ from .construct import (
 from .errors import LcdringError
 from .fqcode import FqCode
 from .gf import GF
-from .linalg import Matrix, det, gram, minor_det, nullspace_basis, rank, rref, standard_form
+from .linalg import Matrix, det, gram, minor_det, nullspace_basis, rank, rref
 from .rcode import RCode, RCodeParams
 from .ring import RingElement, galois_inner, gamma_to_u, gray, lee_distance, lee_weight, u_to_gamma
 
@@ -43,7 +43,6 @@ __all__ = [
     "rank",
     "det",
     "nullspace_basis",
-    "standard_form",
     "gram",
     "minor_det",
     "u_to_gamma",

@@ -221,8 +221,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             failures.append(name)
 
     def pairing_check(name: str, dual: RCode, l: int) -> None:
-        # the definitional dual check costs |C| * |dual| pairings; report
-        # an explicit skip instead of erroring when that cannot fit
+        # the dual check pairs each dual word with the k generators only,
+        # but its budget counts the |C| * |dual| pairs of the definition;
+        # report an explicit skip instead of erroring when that cannot fit
         pairings = oracle.count(code) * oracle.count(dual)
         if pairings > budget:
             shown = count_text(code.field.q, code.k + dual.k)

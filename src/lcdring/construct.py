@@ -16,11 +16,13 @@ length, dimension and distance are untouched.
 
 Both modes are one construction with twist l: Euclidean is l = 0 (q > 3),
 Galois is 0 < l < e with beta = (q - 1) / (p^(e-l) + 1) an integer > 1.
-With m = e - l (F^e is the identity), scaling column j of [I | M] by a
-adds a^(p^m + 1) - 1 to diagonal entry j of the twisted Gram matrix
-P = G F^m(G)^T.  Positions off the deletion set keep factor 1; positions
-on it draw from the units outside the subgroup of (p^m + 1)-th roots of
-unity, which is {1, -1} for l = 0 and the beta-th powers for a Galois twist.
+With m = e - l (F^e is the identity), pivot column j of the RREF
+generator G is the unit vector e_j, so scaling it by a adds
+a^(p^m + 1) - 1 to diagonal entry j of the twisted Gram matrix
+P = G F^m(G)^T, the one every hull predicate reads.  Positions off the
+deletion set keep factor 1; positions on it draw from the units outside
+the subgroup of (p^m + 1)-th roots of unity, which is {1, -1} for l = 0
+and the beta-th powers for a Galois twist.
 
 Everything is deterministic: deletion sets scan in lexicographic order
 and factors default to the smallest valid encoding; a seed switches the
@@ -48,7 +50,7 @@ from .errors import (
 )
 from .fqcode import FqCode
 from .gf import GF
-from .linalg import Matrix, _det_rows, det, gram, minor_det, standard_form
+from .linalg import Matrix, _det_rows, det, gram, minor_det
 from .rcode import RCode
 from .ring import RingElement
 
@@ -75,7 +77,12 @@ class MinorCertificate:
 
 @dataclass(frozen=True)
 class FieldScalingCertificate:
-    """Replayable record of one field-level LCD scaling."""
+    """Replayable record of one field-level LCD scaling.
+
+    ``perm`` lists the RREF generator's pivot columns, then the remaining
+    columns in ascending order.  A deletion index j in ``minor.r_set``
+    names row j of P, and its factor lands on column perm[j].
+    """
 
     mode: str
     l: int
@@ -189,20 +196,20 @@ def _scaling(
         raise ZeroCodeError("nothing to scale in the zero code")
     m = f.e - l
     b_exp = f.p**m + 1
-    gs, perm = standard_form(code.gen)
-    p = gram(gs, m)
+    # code.gen is the RREF generator: column pivots[j] is the unit vector e_j
+    pivots = tuple(next(c for c, v in enumerate(code.gen.row(j)) if v) for j in range(code.k))
+    p = code._gram(l)
     cert = minor_search(p)
-    a_std = [1] * code.n
+    alpha = [1] * code.n
     if cert.t >= 0:
         factors = _factors(f, b_exp)
         rng = random.Random(seed) if seed is not None else None
         for j in cert.r_set:
-            a_std[j] = rng.choice(factors) if rng is not None else factors[0]
-    b = [f.sub(f.pow(a_std[j], b_exp), 1) for j in range(code.k)]
+            alpha[pivots[j]] = rng.choice(factors) if rng is not None else factors[0]
+    b = [f.sub(f.pow(alpha[c], b_exp), 1) for c in pivots]
     if not lemma_det_check(p, b, cert):
         raise ConsistencyError("minor determinant identity failed")
-    scaled_std = gs.scale_cols(a_std)
-    gram_det = det(gram(scaled_std, m))
+    gram_det = det(gram(code.gen.scale_cols(alpha), m))
     expected = cert.det
     for j in cert.r_set:
         expected = f.mul(expected, b[j])
@@ -210,9 +217,6 @@ def _scaling(
         raise ConsistencyError(
             f"scaled Gram determinant {gram_det} does not match certificate {expected}"
         )
-    alpha = [1] * code.n
-    for new_j, old_j in enumerate(perm):
-        alpha[old_j] = a_std[new_j]
     out = code.scale(alpha)
     if not out.is_lcd(l):
         raise ConsistencyError("scaled code failed the complementary-dual check")
@@ -220,7 +224,7 @@ def _scaling(
         mode=mode,
         l=l,
         beta=beta,
-        perm=perm,
+        perm=pivots + tuple(c for c in range(code.n) if c not in pivots),
         minor=cert,
         alpha=tuple(alpha),
         gram_det=gram_det,

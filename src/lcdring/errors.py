@@ -21,10 +21,6 @@ class NotSquareError(LcdringError):
     """Operation requires a square matrix."""
 
 
-class RankDeficientError(LcdringError):
-    """Matrix does not have full row rank."""
-
-
 class MismatchError(LcdringError):
     """Operands disagree on field, length, or shape."""
 

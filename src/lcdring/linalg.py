@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
-from .errors import ConsistencyError, MismatchError, NotSquareError, RankDeficientError
+from .errors import ConsistencyError, MismatchError, NotSquareError
 from .gf import GF
 
 
@@ -83,13 +83,6 @@ class Matrix:
 
     def map_entries(self, fn: Callable[[int], int]) -> "Matrix":
         return Matrix(self.field, self.nrows, self.ncols, tuple(fn(v) for v in self.entries))
-
-    def permute_cols(self, perm: Sequence[int]) -> "Matrix":
-        """Column j of the result is column perm[j] of self."""
-        if sorted(perm) != list(range(self.ncols)):
-            raise MismatchError("not a permutation of the column indices")
-        out = tuple(self.entry(r, perm[j]) for r in range(self.nrows) for j in range(self.ncols))
-        return Matrix(self.field, self.nrows, self.ncols, out)
 
     def scale_cols(self, factors: Sequence[int]) -> "Matrix":
         if len(factors) != self.ncols:
@@ -210,20 +203,6 @@ def nullspace_basis(m: Matrix) -> Matrix:
     if nullity != len(free):
         raise ConsistencyError(f"kernel basis of {len(free)} vectors has rank {nullity}")
     return canon
-
-
-def standard_form(g: Matrix) -> tuple[Matrix, tuple[int, ...]]:
-    """Column-permute the RREF of ``g`` into [I_k | M].
-
-    Returns the permuted matrix and ``perm`` with perm[new] = old column
-    index.  Requires full row rank.
-    """
-    r, rk, pivots = rref(g)
-    if rk < g.nrows:
-        raise RankDeficientError(f"rank {rk} < {g.nrows} rows")
-    rest = [c for c in range(g.ncols) if c not in set(pivots)]
-    perm = tuple(pivots) + tuple(rest)
-    return r.permute_cols(perm), perm
 
 
 def gram(g: Matrix, m: int) -> Matrix:

@@ -10,12 +10,18 @@ Field and ring codes share one path through a word's slot vectors: (w,)
 for a field word, the four idempotent coordinate vectors for a ring word.
 The ring pairing acts slotwise, so it vanishes exactly when every slot's
 field pairing does, and the Lee weight counts nonzeros over all slots.
+
+Dual and hull checks share one count: how many words of a stream pair to
+zero with every generator of a code.  The pairing is linear in its first
+argument, so that is orthogonality to the whole code, and the dual check
+pairs each dual word with k generators instead of |C| codewords.  Its
+budget still counts the |C| * |D| pairs of the definition.
 """
 
 from __future__ import annotations
 
 from itertools import product
-from typing import Callable, Iterator, Sequence, Union
+from typing import Callable, Iterable, Iterator, Sequence, Union
 
 from .errors import CapExceededError, MismatchError, NonIntegralLogError, ZeroCodeError
 from .fqcode import FqCode, count_text
@@ -104,10 +110,29 @@ def min_distance(code: Code, budget: int = DEFAULT_BUDGET) -> int:
     return min(sum(len(v) - v.count(0) for v in view(w)) for w in words)
 
 
-def is_dual_pair(code: Code, dual: Code, l: int, budget: int = DEFAULT_BUDGET) -> bool:
-    """Definition-level dual check: every pair is orthogonal and sizes match.
+def _orthogonal_count(code: Code, words: Iterable, l: int) -> int:
+    """How many of ``words`` pair to zero, under twist l, with every generator of ``code``.
 
-    The pair budget bounds the product of the two cardinalities.
+    Each slot code's rows are embedded in their own slot, and a word w
+    pairs with a generator g as sum_j g_j * w_j^(p^l), slot by slot.
+    """
+    f = code.field
+    frob, add, mul = f.frobenius, f.add, f.mul
+    slots, view = _slot_view(code)
+    zero = (0,) * code.n
+    gens = [tuple(c.gen.row(r) if j == i else zero for j in range(len(slots)))
+            for i, c in enumerate(slots) for r in range(c.k)]
+    twisted = (tuple(tuple(frob(v, l) for v in x) for x in view(s)) for s in words)
+    return sum(all(_pairs_to_zero(add, mul, g, s) for g in gens) for s in twisted)
+
+
+def is_dual_pair(code: Code, dual: Code, l: int, budget: int = DEFAULT_BUDGET) -> bool:
+    """Whether ``dual`` is the l-dual of ``code``: sizes match and every pair is orthogonal.
+
+    By linearity of the pairing in its first argument, a dual word is
+    orthogonal to all of ``code`` exactly when it is orthogonal to every
+    generator, so each dual word is paired with the k generators only.
+    The budget still bounds the |C| * |D| pairs of the definition.
     """
     if type(code) is not type(dual) or code.field != dual.field or code.n != dual.n:
         raise MismatchError("dual check needs two codes in one ambient space")
@@ -117,37 +142,21 @@ def is_dual_pair(code: Code, dual: Code, l: int, budget: int = DEFAULT_BUDGET) -
         raise CapExceededError(
             f"{count_text(f.q, code.k + dual.k)} pairings exceed the budget of {budget}"
         )
-    slots, view = _slot_view(code)
+    slots, _ = _slot_view(code)
     if pairs != f.q ** (len(slots) * code.n):
         return False
-    frob, add, mul = f.frobenius, f.add, f.mul
-    dual_tw = [tuple(tuple(frob(v, l) for v in x) for x in view(s)) for s in _words(dual)]
-    for t in map(view, _words(code)):
-        for s in dual_tw:
-            if not _pairs_to_zero(add, mul, t, s):
-                return False
-    return True
+    return _orthogonal_count(code, _words(dual), l) == count(dual)
 
 
 def hull_dim(code: Code, l: int, budget: int = DEFAULT_BUDGET) -> int:
     """log_q of the number of codewords orthogonal to the whole code.
 
-    Membership in the dual is decided against the generators, each slot
-    code's rows embedded in their own slot: the definition reduced by
-    linearity of the pairing in its first argument.  A non-power-of-q
-    count means a bug somewhere and raises.
+    Membership in the dual is decided against the generators, the
+    definition reduced by linearity of the pairing in its first argument.
+    A non-power-of-q count means a bug somewhere and raises.
     """
     f = code.field
-    frob, add, mul = f.frobenius, f.add, f.mul
-    slots, view = _slot_view(code)
-    zero = (0,) * code.n
-    gens = [tuple(c.gen.row(r) if j == i else zero for j in range(len(slots)))
-            for i, c in enumerate(slots) for r in range(c.k)]
-    hits = 0
-    for s in codewords(code, budget):
-        s_tw = tuple(tuple(frob(v, l) for v in x) for x in view(s))
-        if all(_pairs_to_zero(add, mul, g, s_tw) for g in gens):
-            hits += 1
+    hits = _orthogonal_count(code, codewords(code, budget), l)
     h, rest = 0, hits
     while rest and rest % f.q == 0:
         rest //= f.q

@@ -15,7 +15,7 @@ from typing import Sequence
 from .errors import CapExceededError, MismatchError, NotAUnitError, ZeroCodeError
 from .fqcode import DEFAULT_ENUM_CAP, FqCode
 from .gf import GF
-from .ring import RingElement, gray
+from .ring import RingElement
 
 
 @dataclass(frozen=True)
@@ -162,9 +162,16 @@ class RCode:
 
         Component i lands on the positions congruent to i mod 4, so the
         image dimension is the sum of the component dimensions and its
-        Hamming distance is the Lee distance of the source.
+        Hamming distance is the Lee distance of the source.  A row of
+        component i is written straight into positions 4j + i, which is
+        what ``ring.gray`` makes of that row embedded in slot i.
         """
-        rows = [gray(row) for row in self.generator_rows()]
+        rows = []
+        for i, comp in enumerate(self.comps):
+            for r in range(comp.k):
+                row = [0] * (4 * self.n)
+                row[i::4] = comp.gen.row(r)
+                rows.append(row)
         return FqCode.from_rows(self.field, 4 * self.n, rows)
 
     def scale(self, alpha: Sequence[RingElement]) -> "RCode":

@@ -5,8 +5,8 @@ import random
 import pytest
 
 from lcdring import GF, Matrix, linalg
-from lcdring.errors import ConsistencyError, MismatchError, NotSquareError, RankDeficientError
-from lcdring.linalg import det, gram, minor_det, nullspace_basis, rref, standard_form
+from lcdring.errors import ConsistencyError, MismatchError, NotSquareError
+from lcdring.linalg import det, gram, minor_det, nullspace_basis, rref
 
 F5 = GF(5)
 F9 = GF(3, 2, [1, 0, 1])
@@ -114,36 +114,6 @@ class TestNullspace:
         monkeypatch.setattr(linalg, "rref", rref_reporting_one_rank_too_many)
         with pytest.raises(ConsistencyError, match="kernel basis"):
             nullspace_basis(m(F5, [[1, 2]]))
-
-
-class TestStandardForm:
-    def test_moves_pivot_to_front(self):
-        gs, perm = standard_form(m(F5, [[0, 1, 1]]))
-        assert gs.to_rows() == [[1, 0, 1]]
-        assert perm == (1, 0, 2)
-
-    def test_already_standard(self):
-        g = m(F5, [[1, 0, 2], [0, 1, 3]])
-        gs, perm = standard_form(g)
-        assert gs == g and perm == (0, 1, 2)
-
-    def test_rank_deficient(self):
-        with pytest.raises(RankDeficientError):
-            standard_form(m(F5, [[1, 2], [2, 4]]))
-
-    def test_permutation_inverts_to_row_equivalent(self):
-        rng = random.Random(5)
-        for _ in range(20):
-            rows = [[rng.randrange(5) for _ in range(5)] for _ in range(2)]
-            g = m(F5, rows)
-            reduced, rank, _ = rref(g)
-            if rank < 2:
-                continue
-            gs, perm = standard_form(g)
-            inverse = [0] * len(perm)
-            for new_j, old_j in enumerate(perm):
-                inverse[old_j] = new_j
-            assert gs.permute_cols(inverse) == reduced
 
 
 class TestGram:

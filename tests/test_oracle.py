@@ -1,11 +1,13 @@
 """The brute-force reference implementations themselves."""
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from lcdring import GF, FqCode, RCode
+from lcdring import GF, FqCode, RCode, RingElement
 from lcdring import oracle
 from lcdring.errors import CapExceededError, ZeroCodeError
-from lcdring.ring import gray
+from lcdring.ring import galois_inner, gray
 
 F5 = GF(5)
 F9 = GF(3, 2, [1, 0, 1])
@@ -139,6 +141,112 @@ class TestDualPair:
         assert not oracle.is_dual_pair(c, c.galois_dual(0), 1)
 
 
+def definition_dual_pair(code, dual, l):
+    """The dual by definition: sizes multiply to q^(slots * n) and all |C| * |D| pairs vanish."""
+    f = code.field
+    ring = isinstance(code, RCode)
+    if code.size * dual.size != f.q ** ((4 if ring else 1) * code.n):
+        return False
+    if ring:
+        zero = RingElement.zero(f)
+
+        def orthogonal(t, s):
+            return galois_inner(t, s, l) == zero
+
+    else:
+
+        def orthogonal(t, s):
+            acc = 0
+            for a, b in zip(t, s):
+                acc = f.add(acc, f.mul(a, f.frobenius(b, l)))
+            return acc == 0
+
+    dual_words = list(oracle.codewords(dual))
+    return all(orthogonal(t, s) for t in oracle.codewords(code) for s in dual_words)
+
+
+DIFF_FIELDS = {2: GF(2), 4: GF(2, 2), 5: F5, 8: GF(2, 3), 9: F9}
+DIFF_PAIR_CAP = 9**4  # every GF(9) ring code of length 1 fits
+
+
+def miss_one_generator(comp, dual_comp, l, i):
+    """A code of the dual's size orthogonal to every generator of ``comp`` but row i."""
+    f, n = comp.field, comp.n
+    rest = FqCode.from_rows(f, n, [comp.gen.row(r) for r in range(comp.k) if r != i])
+    basis = dual_comp.gen.to_rows()
+    w = next(
+        r for r in rest.galois_dual(l).gen.to_rows()
+        if FqCode.from_rows(f, n, basis + [r]).k > dual_comp.k
+    )
+    basis[0] = [f.add(a, b) for a, b in zip(basis[0], w)]
+    out = FqCode.from_rows(f, n, basis)
+    assert out.k == dual_comp.k
+    return out
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_is_dual_pair_matches_the_definition(data):
+    q = data.draw(st.sampled_from(sorted(DIFF_FIELDS)), label="q")
+    f = DIFF_FIELDS[q]
+    ring = data.draw(st.booleans(), label="ring")
+    slots = 4 if ring else 1
+    n = data.draw(
+        st.integers(1, max(n for n in range(1, 13) if q ** (slots * n) <= DIFF_PAIR_CAP)),
+        label="n",
+    )
+    row = st.lists(st.integers(0, q - 1), min_size=n, max_size=n)
+    comps = [
+        FqCode.from_rows(f, n, data.draw(st.lists(row, max_size=n), label=f"slot {i} rows"))
+        for i in range(slots)
+    ]
+    if ring:
+        assume(len(set(comps)) > 1)
+        code = RCode.from_components(comps)
+    else:
+        code = comps[0]
+    l = data.draw(st.integers(0, f.e - 1), label="l")
+    dual = code.galois_dual(l)
+    dual_comps = dual.comps if ring else (dual,)
+
+    def with_slot(i, c):
+        cs = list(dual_comps)
+        cs[i] = c
+        return RCode.from_components(cs) if ring else cs[0]
+
+    candidates = [dual]
+    partial = [i for i, c in enumerate(comps) if 0 < c.k < n]
+    if partial:
+        i = data.draw(st.sampled_from(partial), label="slot missing a generator")
+        r = data.draw(st.integers(0, comps[i].k - 1), label="missed row")
+        candidates.append(with_slot(i, miss_one_generator(comps[i], dual_comps[i], l, r)))
+    i = data.draw(st.sampled_from(partial or list(range(slots))), label="wrong slot")
+    k = dual_comps[i].k
+    other = FqCode.from_rows(f, n, data.draw(st.lists(row, max_size=k), label="wrong slot rows"))
+    for j in range(n):  # pad with unit vectors up to the dual's dimension
+        if other.k < k:
+            unit = [int(c == j) for c in range(n)]
+            other = FqCode.from_rows(f, n, other.gen.to_rows() + [unit])
+    candidates.append(with_slot(i, other))
+    if ring:
+        # the right components in the wrong slots
+        i, j = next((i, j) for i in range(4) for j in range(i) if dual_comps[i] != dual_comps[j])
+        swapped = list(dual_comps)
+        swapped[i], swapped[j] = swapped[j], swapped[i]
+        candidates.append(RCode.from_components(swapped))
+    nonzero = [i for i, c in enumerate(dual_comps) if c.k]
+    if nonzero:
+        # a proper subcode of the dual: every pair vanishes but the size is short
+        i = nonzero[0]
+        candidates.append(with_slot(i, FqCode.from_rows(f, n, dual_comps[i].gen.to_rows()[1:])))
+
+    assert oracle.is_dual_pair(code, dual, l) and definition_dual_pair(code, dual, l)
+    for cand in candidates[1:]:
+        want = definition_dual_pair(code, cand, l)
+        assert oracle.is_dual_pair(code, cand, l) == want
+        assert want == (cand == dual)
+
+
 class TestHull:
     def test_self_orthogonal_line(self):
         assert oracle.hull_dim(line(), 0) == 1
@@ -182,7 +290,7 @@ class TestGrayConsistency:
     def test_enumerated_expansion_matches_image(self):
         import random
 
-        from support import random_rcode
+        from support import make_field, random_rcode
 
         rng = random.Random(53)
         for _ in range(10):
@@ -190,3 +298,10 @@ class TestGrayConsistency:
             expanded = {gray(w) for w in oracle.codewords(rc)}
             image = set(oracle.codewords(rc.gray_image()))
             assert expanded == image
+        # the slot-by-slot image is the span of the expanded ring generators
+        for q in (4, 5, 9):
+            f = make_field(q)
+            for n in range(1, 5):
+                rc = random_rcode(rng, f, n, n)
+                rows = [gray(r) for r in rc.generator_rows()]
+                assert rc.gray_image() == FqCode.from_rows(f, 4 * n, rows)
