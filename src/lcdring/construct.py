@@ -7,12 +7,28 @@ any perturbation b supported on at most t+1 diagonal positions,
 
     det(P + diag(b)) = (prod of the b_j) * det(P with support deleted).
 
-Searching deletion sets by increasing size finds the first nonvanishing
-minor; placing suitable column scalings on those positions makes the
-twisted Gram determinant of the scaled generator equal a product of
-nonzero factors, hence nonzero, which is exactly the complementary-dual
-criterion.  Scaling by nonzero constants is a monomial equivalence, so
-length, dimension and distance are untouched.
+The first nonvanishing deletion minor, by size and then lexicographically,
+comes from one greedy row basis of P:
+
+* every principal minor of order above rank P vanishes, so no deletion
+  set smaller than k - rank P works;
+* if P[K, K] is nonsingular and |K| = rank P, the rows K of P are
+  independent, so K is a row basis;
+* scanning rows from k - 1 down to 0 and keeping each row independent of
+  those kept picks the basis whose complement is the lexicographically
+  first complement of any row basis (the matroid greedy property).
+
+So if P[K, K] is nonsingular for that greedy K, its complement is the
+answer, at the cost of one elimination and one determinant.  For a
+Hermitian twist, 2(e - l) = 0 mod e (l = 0 or l = e/2), P^T = F^m(P), so
+column j of P is the conjugate of row j, the columns K span the column
+space as well, and P[K, K] is always nonsingular.  Only other twists can
+leave it singular; then an exhaustive scan takes over from size
+k - rank P.  Placing suitable column scalings on the deletion positions
+makes the twisted Gram determinant of the scaled generator equal a
+product of nonzero factors, hence nonzero, which is exactly the
+complementary-dual criterion.  Scaling by nonzero constants is a
+monomial equivalence, so length, dimension and distance are untouched.
 
 Both modes are one construction with twist l: Euclidean is l = 0 (q > 3),
 Galois is 0 < l < e with beta = (q - 1) / (p^(e-l) + 1) an integer > 1.
@@ -24,9 +40,10 @@ deletion set keep factor 1; positions on it draw from the units outside
 the subgroup of (p^m + 1)-th roots of unity, which is {1, -1} for l = 0
 and the beta-th powers for a Galois twist.
 
-Everything is deterministic: deletion sets scan in lexicographic order
-and factors default to the smallest valid encoding; a seed switches the
-factor choice to a reproducible random draw.
+Everything is deterministic: the deletion set is the lexicographically
+first one of its size, and factors default to the smallest valid
+encoding; a seed switches the factor choice to a reproducible random
+draw.
 """
 
 from __future__ import annotations
@@ -50,7 +67,7 @@ from .errors import (
 )
 from .fqcode import FqCode
 from .gf import GF
-from .linalg import Matrix, _det_rows, det, gram, minor_det
+from .linalg import Matrix, _det_rows, det, gram, minor_det, rref
 from .rcode import RCode
 from .ring import RingElement
 
@@ -107,18 +124,30 @@ class RingScalingCertificate:
 
 
 def minor_search(p: Matrix, max_dim: int = DEFAULT_DIM_CAP) -> MinorCertificate:
-    """Scan deletion sets by size, then lexicographically, for a nonzero minor.
+    """The first deletion set with a nonzero minor, by size, then lexicographically.
 
-    Always terminates: deleting everything leaves the empty matrix with
-    determinant 1.  Minimality of the returned size is guaranteed by the
-    scan order.
+    The complement of P's greedy row basis K, rows scanned from k - 1 down
+    to 0, is tried first; a nonsingular P[K, K] makes it exactly that set
+    (see the module docstring), and for the Gram matrix of a Hermitian
+    twist it always is, at O(k^3) cost.  A singular P[K, K] falls back to
+    the exhaustive scan from size k - rank P, refused above ``max_dim``
+    rows.  The scan always terminates: deleting everything leaves the
+    empty matrix with determinant 1.
     """
     if not p.is_square:
         raise NotSquareError("minor search needs a square matrix")
     m = p.nrows
+    # column c of this matrix is row m - 1 - c of P, so rref's pivots pick
+    # the greedy row basis from the last row up
+    _, rk, pivots = rref(Matrix.from_rows(p.field, p.to_rows()[::-1], ncols=m).transpose())
+    basis = {m - 1 - c for c in pivots}
+    drop = tuple(i for i in range(m) if i not in basis)
+    d = minor_det(p, drop)
+    if d != 0:
+        return MinorCertificate(len(drop) - 1, drop, d)
     if m > max_dim:
         raise SizeCapError(f"matrix size {m} exceeds the search cap of {max_dim}")
-    for w in range(m + 1):
+    for w in range(m - rk, m + 1):
         for drop in itertools.combinations(range(m), w):
             d = minor_det(p, drop)
             if d != 0:

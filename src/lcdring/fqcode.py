@@ -69,6 +69,13 @@ class FqCode:
     def __post_init__(self) -> None:
         if self.gen.field != self.field or self.gen.ncols != self.n:
             raise MismatchError("generator does not match the declared ambient space")
+        gen, last = self.gen, -1
+        for r in range(gen.nrows):
+            row = gen.row(r)
+            c = next((c for c, v in enumerate(row) if v), None)
+            if c is None or c <= last or row[c] != 1 or gen.col(c).count(0) != gen.nrows - 1:
+                raise MismatchError(f"generator row {r} breaks reduced row echelon form")
+            last = c
 
     @classmethod
     def from_rows(cls, field: GF, n: int, rows: Sequence[Sequence[int]]) -> "FqCode":

@@ -7,6 +7,7 @@ import pytest
 
 from lcdring import linalg
 from lcdring.cli import main
+from lcdring.codefile import parse_code
 
 SAMPLES = sorted((pathlib.Path(__file__).parent.parent / "sample_codes").glob("*.json"))
 
@@ -95,6 +96,17 @@ def test_construct_beta_one_exit_code(tmp_path):
     path = tmp_path / "gf4.json"
     path.write_text(json.dumps(doc))
     assert main(["construct-lcd", str(path), "--mode", "galois", "--l", "1"]) == 1
+
+
+def test_construct_self_orthogonal_k24(tmp_path, capsys):
+    # [I | 2I] over GF(5) has a zero Gram matrix: 24 positions get scaled
+    rows = [[int(i == j) for j in range(24)] + [2 * (i == j) for j in range(24)] for i in range(24)]
+    path, out_path = tmp_path / "k24.json", tmp_path / "out.json"
+    path.write_text(json.dumps({"field": {"p": 5}, "n": 48, "components": [rows, [], [], []]}))
+    assert main(["construct-lcd", str(path), "--mode", "euclid", "-o", str(out_path)]) == 0
+    assert "C1: t=23," in capsys.readouterr().out
+    out = parse_code(out_path.read_text())
+    assert out.k == 24 and out.is_lcd(0)
 
 
 def test_construct_field_too_small_exit_code(tmp_path):

@@ -1,11 +1,14 @@
 """Minor search, the determinant identity, and the LCD scalings."""
 
 import functools
+import itertools
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from lcdring import GF, FqCode, Matrix, RCode, RingElement
+from lcdring import GF, FqCode, Matrix, RCode, RingElement, construct
 from lcdring.construct import (
     MinorCertificate,
     _factors,
@@ -31,7 +34,10 @@ from support import random_fqcode
 
 F4 = GF(2, 2)
 F5 = GF(5)
+F8 = GF(2, 3)
 F9 = GF(3, 2, [1, 0, 1])
+F16 = GF(2, 4)
+F25 = GF(5, 2)
 
 
 def mat(field, rows):
@@ -55,9 +61,18 @@ class TestMinorSearch:
         cert = minor_search(Matrix.zero(F5, 4, 4))
         assert (cert.t, cert.r_set, cert.det) == (3, (0, 1, 2, 3), 1)
 
-    def test_size_cap(self):
+    def test_nonsingular_matrix_above_cap_is_certified(self):
+        cert = minor_search(Matrix.identity(F5, 3), max_dim=2)
+        assert (cert.t, cert.r_set, cert.det) == (-1, (), 1)
+
+    def test_cap_refuses_a_needed_fallback_scan(self):
+        # rank 1, greedy row basis {0}: the candidate deletes {1}, but P[0, 0] = 0
         with pytest.raises(SizeCapError):
-            minor_search(Matrix.identity(F5, 3), max_dim=2)
+            minor_search(mat(F5, [[0, 1], [0, 0]]), max_dim=1)
+
+    def test_fallback_scan_under_default_cap(self):
+        cert = minor_search(mat(F5, [[0, 1], [0, 0]]))
+        assert (cert.t, cert.r_set, cert.det) == (1, (0, 1), 1)
 
     def test_minimality_by_rescan(self):
         rng = random.Random(41)
@@ -65,12 +80,123 @@ class TestMinorSearch:
             m = rng.randint(1, 4)
             p = mat(F5, [[rng.randrange(5) for _ in range(m)] for _ in range(m)])
             cert = minor_search(p)
-            import itertools
-
             for w in range(cert.t + 1):
                 for drop in itertools.combinations(range(m), w):
                     assert minor_det(p, drop) == 0
             assert minor_det(p, cert.r_set) == cert.det != 0
+
+
+def first_minor_by_scan(p):
+    """(t, r_set, det) from every deletion set, by size, then lexicographically."""
+    for w in range(p.nrows + 1):
+        for drop in itertools.combinations(range(p.nrows), w):
+            d = minor_det(p, drop)
+            if d:
+                return w - 1, drop, d
+
+
+DIFF_FIELDS = (GF(2), F4, F5, F8, F9, F16, F25)
+
+
+@st.composite
+def square_matrices(draw):
+    """Arbitrary square matrices of bounded rank, or twisted Gram matrices at any l."""
+    f = draw(st.sampled_from(DIFF_FIELDS))
+    m = draw(st.integers(0, 6))
+
+    def rows(nrows, ncols):
+        row = st.lists(st.integers(0, f.q - 1), min_size=ncols, max_size=ncols)
+        return draw(st.lists(row, min_size=nrows, max_size=nrows))
+
+    if draw(st.booleans()):
+        r = draw(st.integers(0, m))
+        return Matrix.from_rows(f, rows(m, r), ncols=r) @ Matrix.from_rows(f, rows(r, m), ncols=m)
+    n = draw(st.integers(max(m, 1), 8))
+    return FqCode.from_rows(f, n, rows(m, n))._gram(draw(st.integers(0, f.e - 1)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(square_matrices())
+@example(mat(F5, [[0, 1], [0, 0]]))
+@example(FqCode.from_rows(F8, 4, [[1, 0, 7, 6], [0, 1, 6, 5]])._gram(1))  # P = [[2, 0], [1, 0]]
+def test_minor_search_matches_exhaustive_scan(p):
+    cert = minor_search(p)
+    assert (cert.t, cert.r_set, cert.det) == first_minor_by_scan(p)
+
+
+@pytest.fixture
+def minor_det_calls(monkeypatch):
+    """Deletion sets that minor_search passes to minor_det, in call order."""
+    calls = []
+    monkeypatch.setattr(construct, "minor_det", lambda p, drop: calls.append(drop) or minor_det(p, drop))
+    return calls
+
+
+def test_gf8_example_takes_the_fallback_scan(minor_det_calls):
+    # greedy basis {1}, P[1, 1] = 0: the scan starts at size 1 and returns deletion set {1}
+    assert minor_search(FqCode.from_rows(F8, 4, [[1, 0, 7, 6], [0, 1, 6, 5]])._gram(1)).r_set == (1,)
+    assert minor_det_calls == [(0,), (0,), (1,)]
+
+
+# Hermitian twists 2(e - l) = 0 mod e: l = 0 and l = e/2
+HERMITIAN = [(F5, 0), (F9, 0), (F9, 1), (F16, 0), (F16, 2), (F25, 0), (F25, 1)]
+
+
+def planted_codes(rng, f, l, n, count):
+    """Length-n codes holding a self-orthogonal [I | a I] block beside a random one, columns shuffled."""
+    m = f.e - l
+    a = next(a for a in f.units() if f.pow(a, f.p**m + 1) == f.minus_one)
+    for _ in range(count):
+        h = rng.randint(0, n // 2)
+        n2 = n - 2 * h
+        r = rng.randint(h == 0, n2)
+        rows = [[int(i == j) for j in range(h)] + [a * (i == j) for j in range(h)] + [0] * n2 for i in range(h)]
+        rows += [[0] * (2 * h) + [rng.randrange(f.q) for _ in range(n2)] for _ in range(r)]
+        perm = rng.sample(range(n), n)
+        yield FqCode.from_rows(f, n, [[row[c] for c in perm] for row in rows])
+
+
+class TestHermitianCertificate:
+    @pytest.mark.parametrize("f,l", HERMITIAN, ids=repr)
+    def test_one_determinant_per_search(self, f, l, minor_det_calls):
+        for c in planted_codes(random.Random(48), f, l, 8, 40):
+            minor_det_calls.clear()
+            cert = minor_search(c._gram(l))
+            assert minor_det_calls == [cert.r_set]
+
+    @pytest.mark.parametrize("f,l", HERMITIAN, ids=repr)
+    def test_scaled_support_is_the_hull(self, f, l):
+        rng = random.Random(49)
+        mode, twist = ("euclid", None) if l == 0 else ("galois", l)
+        sizes = set()
+        for _ in range(10):
+            rc = RCode.from_components(list(planted_codes(rng, f, l, 8, 4)))
+            _, out, cert = ring_lcd_equivalent(rc, mode, l=twist)
+            for comp, fc in zip(rc.comps, cert.components):
+                if fc is not None:
+                    assert fc.minor.t + 1 == comp.hull_dim(l)
+                    sizes.add(fc.minor.t + 1)
+            assert out.is_lcd(l)
+        assert max(sizes) >= 4
+
+    def test_euclid_k100_zero_gram(self):
+        # [I | 2I] over GF(5) is self-dual, 1 + 2^2 = 0: every row gets scaled
+        rows = [[int(i == j) for j in range(100)] + [2 * (i == j) for j in range(100)] for i in range(100)]
+        c = FqCode.from_rows(F5, 200, rows)
+        assert c.is_self_dual()
+        alpha, out, cert = euclid_lcd_scaling(c)
+        assert cert.minor == MinorCertificate(99, tuple(range(100)), 1)
+        assert alpha == (2,) * 100 + (1,) * 100
+        assert out.k == 100 and out.is_lcd(0)
+
+    def test_galois_k40(self):
+        a = next(a for a in F9.units() if F9.pow(a, 4) == F9.minus_one)
+        rows = [[int(i == j) for j in range(40)] + [a * (i == j) for j in range(40)] for i in range(40)]
+        rows[0][-1] = 1  # the last column joins row 0 to row 39: hull dimension 38
+        c = FqCode.from_rows(F9, 80, rows)
+        _, out, cert = galois_lcd_scaling(c, 1)
+        assert cert.minor.t + 1 == c.hull_dim(1) == 38
+        assert out.k == 40 and out.is_lcd(1)
 
 
 class TestLemmaCheck:

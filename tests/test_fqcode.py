@@ -44,6 +44,22 @@ class TestConstruction:
         with pytest.raises(MismatchError):
             code(F5, 3, [[1, 2]])
 
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [[2, 4]],  # pivot not 1
+            [[1, 1], [0, 1]],  # pivot column not cleared
+            [[0, 1], [1, 0]],  # pivots not increasing
+            [[1, 0], [1, 0]],  # repeated pivot
+            [[1, 2], [0, 0]],  # zero row
+        ],
+    )
+    def test_direct_generator_must_be_rref(self, rows):
+        with pytest.raises(MismatchError, match="reduced row echelon"):
+            FqCode(F5, 2, Matrix.from_rows(F5, rows))
+        c = code(F5, 2, rows)
+        assert FqCode(F5, 2, c.gen) == c
+
 
 class TestGaloisDual:
     def test_self_dual_line(self):
