@@ -51,8 +51,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import (
     BadLError,
@@ -77,8 +76,7 @@ MODE_EUCLID = "euclid"
 MODE_GALOIS = "galois"
 
 
-@dataclass(frozen=True)
-class MinorCertificate:
+class MinorCertificate(NamedTuple):
     """First nonvanishing minor of a square matrix, by deletion size.
 
     ``t`` is the largest size at which every deletion minor vanishes, so
@@ -92,8 +90,7 @@ class MinorCertificate:
     det: int
 
 
-@dataclass(frozen=True)
-class FieldScalingCertificate:
+class FieldScalingCertificate(NamedTuple):
     """Replayable record of one field-level LCD scaling.
 
     ``perm`` lists the RREF generator's pivot columns, then the remaining
@@ -110,8 +107,7 @@ class FieldScalingCertificate:
     gram_det: int
 
 
-@dataclass(frozen=True)
-class RingScalingCertificate:
+class RingScalingCertificate(NamedTuple):
     """Per-component records plus the assembled unit vector."""
 
     mode: str

@@ -10,9 +10,7 @@ matrix P = G * F^(e-l)(G)^T, since u*G lies in the l-dual iff u*P = 0.
 
 from __future__ import annotations
 
-import dataclasses
 import sys
-from dataclasses import dataclass
 from operator import getitem
 from typing import Iterator, Sequence
 
@@ -57,14 +55,39 @@ def _projective_steps(p: int, e: int, k: int) -> Iterator[int]:
             yield i
 
 
-@dataclass(frozen=True)
 class FqCode:
-    """An [n, k] linear code over GF(q), canonicalized by RREF."""
+    """An [n, k] linear code over GF(q), canonicalized by RREF.
 
+    ``_dist`` caches the minimum distance; it takes no part in equality,
+    hashing or the repr.
+    """
+
+    __slots__ = ("field", "n", "gen", "_dist")
     field: GF
     n: int
     gen: Matrix
-    _dist: int | None = dataclasses.field(default=None, compare=False, repr=False)
+    _dist: int | None
+
+    def __init__(self, field: GF, n: int, gen: Matrix) -> None:
+        object.__setattr__(self, "field", field)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "gen", gen)
+        object.__setattr__(self, "_dist", None)
+        self.__post_init__()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.field, self.n, self.gen) == (other.field, other.n, other.gen)
+
+    def __hash__(self) -> int:
+        return hash((self.field, self.n, self.gen))
 
     def __post_init__(self) -> None:
         if self.gen.field != self.field or self.gen.ncols != self.n:

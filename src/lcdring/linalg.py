@@ -8,21 +8,49 @@ which is what makes it usable as a canonical form for code equality.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 from .errors import ConsistencyError, MismatchError, NotSquareError
 from .gf import GF
 
 
-@dataclass(frozen=True)
 class Matrix:
     """A rows-by-cols matrix over a finite field, entries row major."""
 
+    __slots__ = ("field", "nrows", "ncols", "entries")
     field: GF
     nrows: int
     ncols: int
     entries: tuple[int, ...]
+
+    def __init__(self, field: GF, nrows: int, ncols: int, entries: tuple[int, ...]) -> None:
+        object.__setattr__(self, "field", field)
+        object.__setattr__(self, "nrows", nrows)
+        object.__setattr__(self, "ncols", ncols)
+        object.__setattr__(self, "entries", entries)
+        self.__post_init__()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.field, self.nrows, self.ncols, self.entries) == (
+            other.field, other.nrows, other.ncols, other.entries
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.field, self.nrows, self.ncols, self.entries))
+
+    def __repr__(self) -> str:
+        return (
+            f"Matrix(field={self.field!r}, nrows={self.nrows!r}, "
+            f"ncols={self.ncols!r}, entries={self.entries!r})"
+        )
 
     def __post_init__(self) -> None:
         if self.nrows < 0 or self.ncols < 0:

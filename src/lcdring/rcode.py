@@ -9,8 +9,7 @@ matrix over R is just a view rebuilt on demand.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import CapExceededError, MismatchError, NotAUnitError, ZeroCodeError
 from .fqcode import DEFAULT_ENUM_CAP, FqCode
@@ -18,19 +17,38 @@ from .gf import GF
 from .ring import RingElement
 
 
-@dataclass(frozen=True)
-class RCodeParams:
+class RCodeParams(NamedTuple):
     n: int
     k: int
     d_lee: int | None
     components: tuple[tuple[int, int, int | None], ...]
 
 
-@dataclass(frozen=True)
 class RCode:
+    __slots__ = ("field", "n", "comps")
     field: GF
     n: int
     comps: tuple[FqCode, FqCode, FqCode, FqCode]
+
+    def __init__(self, field: GF, n: int, comps: Sequence[FqCode]) -> None:
+        object.__setattr__(self, "field", field)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "comps", comps)
+        self.__post_init__()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.field, self.n, self.comps) == (other.field, other.n, other.comps)
+
+    def __hash__(self) -> int:
+        return hash((self.field, self.n, self.comps))
 
     def __post_init__(self) -> None:
         if not isinstance(self.comps, tuple):

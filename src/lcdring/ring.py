@@ -19,7 +19,6 @@ turns Lee distance into Hamming distance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import BadLError, MismatchError, NotAUnitError
@@ -48,12 +47,31 @@ def gamma_to_u(field: GF, quad: Sequence[int]) -> tuple[int, int, int, int]:
     return (a1, a2, a3, a4)
 
 
-@dataclass(frozen=True)
 class RingElement:
     """An element of R in idempotent coordinates (g1, g2, g3, g4 slots)."""
 
+    __slots__ = ("field", "g")
     field: GF
     g: tuple[int, int, int, int]
+
+    def __init__(self, field: GF, g: Sequence[int]) -> None:
+        object.__setattr__(self, "field", field)
+        object.__setattr__(self, "g", g)
+        self.__post_init__()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.field, self.g) == (other.field, other.g)
+
+    def __hash__(self) -> int:
+        return hash((self.field, self.g))
 
     def __post_init__(self) -> None:
         if not isinstance(self.g, tuple):

@@ -2,9 +2,12 @@
 
 import json
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import lcdring
 from lcdring import linalg
 from lcdring.cli import main
 from lcdring.codefile import parse_code
@@ -302,3 +305,16 @@ def test_verify_skip_line_past_the_int_str_limit(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "l=0 dual pairing: skipped (1048573^720 pairings exceed --max-enum 1000000)" in out
     assert "all checks agree" in out
+
+
+@pytest.mark.parametrize("module", ["lcdring", "lcdring.cli"])
+def test_import_leaves_out_dataclasses_and_inspect(module):
+    """A cold CLI start imports neither module: building dataclasses costs most of it."""
+    src = str(pathlib.Path(lcdring.__file__).parent.parent)
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); import {module}; "
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    )
+    run = subprocess.run([sys.executable, "-I", "-S", "-B", "-c", code],
+                         capture_output=True, text=True, check=True)
+    assert run.stdout == "[]\n"
