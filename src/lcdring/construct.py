@@ -66,7 +66,7 @@ from .errors import (
 )
 from .fqcode import FqCode
 from .gf import GF
-from .linalg import Matrix, _det_rows, det, gram, minor_det, rref
+from .linalg import Matrix, _rank_det, det, gram, minor_det, rref
 from .rcode import RCode
 from .ring import RingElement
 
@@ -167,7 +167,7 @@ def lemma_det_check(p: Matrix, b: Sequence[int], cert: MinorCertificate) -> bool
     rows = p.to_rows()
     for j, row in enumerate(rows):
         row[j] = f.add(row[j], b[j])
-    lhs = _det_rows(f, rows)
+    lhs = _rank_det(f, rows)[1]
     rhs = cert.det
     for j in support:
         rhs = f.mul(rhs, b[j])
@@ -301,6 +301,7 @@ def ring_lcd_equivalent(
     slot_alphas: list[tuple[int, ...]] = []
     certs: list[FieldScalingCertificate | None] = []
     for comp in code.comps:
+        # the P this check builds is memoized on comp, so _scaling reuses it
         if comp.is_lcd(l_eff):
             slot_alphas.append((1,) * code.n)
             certs.append(None)

@@ -6,6 +6,8 @@ Galois dual with twist l is computed as the Euclidean kernel of the
 entrywise (p^(e-l))-power of the generator, for every dual in the package.
 Hull predicates never build the dual: they read the k-by-k twisted Gram
 matrix P = G * F^(e-l)(G)^T, since u*G lies in the l-dual iff u*P = 0.
+Each code object builds one P and runs one elimination per twist,
+memoized: rank P and det P answer every hull and LCD predicate.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from .errors import (
     ZeroScaleError,
 )
 from .gf import GF
-from .linalg import Matrix, det, gram, nullspace_basis, rank, rref
+from .linalg import Matrix, _rank_det, gram, nullspace_basis, rref
 
 DEFAULT_ENUM_CAP = 1_000_000
 
@@ -58,21 +60,24 @@ def _projective_steps(p: int, e: int, k: int) -> Iterator[int]:
 class FqCode:
     """An [n, k] linear code over GF(q), canonicalized by RREF.
 
-    ``_dist`` caches the minimum distance; it takes no part in equality,
-    hashing or the repr.
+    ``_dist`` caches the minimum distance and ``_grams`` maps each twist
+    l to (P, rank P, det P); neither takes part in equality, hashing or
+    the repr.
     """
 
-    __slots__ = ("field", "n", "gen", "_dist")
+    __slots__ = ("field", "n", "gen", "_dist", "_grams")
     field: GF
     n: int
     gen: Matrix
     _dist: int | None
+    _grams: dict[int, tuple[Matrix, int, int]]
 
     def __init__(self, field: GF, n: int, gen: Matrix) -> None:
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "gen", gen)
         object.__setattr__(self, "_dist", None)
+        object.__setattr__(self, "_grams", {})
         self.__post_init__()
 
     def __setattr__(self, name: str, value: object) -> None:
@@ -141,9 +146,21 @@ class FqCode:
             raise BadLError(f"l must lie in [0, {self.field.e - 1}], got {l}")
         return self.field.e - l
 
+    def _gram_facts(self, l: int) -> tuple[Matrix, int, int]:
+        """(P, rank P, det P) for the twisted Gram matrix P = G * F^(e-l)(G)^T.
+
+        One Gram product and one elimination per twist; later calls read
+        the memo.
+        """
+        facts = self._grams.get(l)
+        if facts is None:
+            p = gram(self.gen, self._twist(l))
+            facts = self._grams[l] = (p, *_rank_det(self.field, p.to_rows()))
+        return facts
+
     def _gram(self, l: int) -> Matrix:
-        """The twisted Gram matrix P = G * F^(e-l)(G)^T behind every hull predicate."""
-        return gram(self.gen, self._twist(l))
+        """The twisted Gram matrix P behind every hull predicate."""
+        return self._gram_facts(l)[0]
 
     def galois_dual(self, l: int = 0) -> "FqCode":
         """All words pairing to zero with the code under sum(t_i * s_i^(p^l))."""
@@ -154,7 +171,7 @@ class FqCode:
 
     def hull_dim(self, l: int = 0) -> int:
         """dim Hull_l = k - rank(P): the hull is {u*G : u*P = 0}."""
-        return self.k - rank(self._gram(l))
+        return self.k - self._gram_facts(l)[1]
 
     def lcd_status(self, l: int = 0) -> tuple[bool, int]:
         """(flag, determinant) for the twisted Gram criterion.
@@ -162,15 +179,15 @@ class FqCode:
         The zero code has an empty Gram matrix with determinant 1, so it
         counts as complementary-dual by convention.
         """
-        d = det(self._gram(l))
+        d = self._gram_facts(l)[2]
         return (d != 0, d)
 
     def is_lcd(self, l: int = 0) -> bool:
         return self.lcd_status(l)[0]
 
     def is_self_orthogonal(self, l: int = 0) -> bool:
-        """Contained in its own l-dual exactly when P = 0."""
-        return not any(self._gram(l).entries)
+        """Contained in its own l-dual exactly when P = 0, that is rank P = 0."""
+        return self._gram_facts(l)[1] == 0
 
     def is_self_dual(self) -> bool:
         """Equal to its Euclidean dual exactly when P = 0 for l = 0 and 2k = n."""

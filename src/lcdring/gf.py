@@ -18,10 +18,17 @@ entries in all.  Each product, inverse, power and Frobenius image is then
 one or two lookups in exp/log, and each sum one more in zech.  Orders are
 capped at ``MAX_FIELD_ORDER`` before any primality, irreducibility or
 table work.  Power-residue classification uses plain exponentiation.
+
+Linear algebra runs on two row kernels: ``dot`` (the sum of products of
+two rows) and ``sub_scaled`` (the row update xs - c*ys).  A prime field
+computes them with ints and one reduction mod p; an extension field runs
+one loop over the same exp/log/Zech tables, with no method call per
+entry.
 """
 
 from __future__ import annotations
 
+from operator import mul as _imul
 from typing import Iterable, Sequence
 
 from .errors import BadBetaError, BadModulusError, NotPrimeError
@@ -380,6 +387,62 @@ class GF:
         if self.e == 1 or x == 0:
             return x
         return self._exp[self._log[x] * self.p ** (l % self.e) % (self.q - 1)]
+
+    # -- row kernels ----------------------------------------------------------
+
+    def dot(self, xs: Sequence[int], ys: Sequence[int]) -> int:
+        """sum(x_i * y_i) over two rows of equal length."""
+        if self.e == 1:
+            return sum(map(_imul, xs, ys)) % self.p
+        log, zech, n = self._log, self._zech, self.q - 1
+        # acc is the log of the running sum, -1 while that sum is 0;
+        # g^acc + g^t = g^(acc + zech[t - acc]), and a negative index wraps
+        acc = -1
+        for x, y in zip(xs, ys):
+            if x and y:
+                t = log[x] + log[y]
+                if t >= n:
+                    t -= n
+                if acc < 0:
+                    acc = t
+                else:
+                    z = zech[t - acc]
+                    if z is None:
+                        acc = -1
+                    else:
+                        acc += z
+                        if acc >= n:
+                            acc -= n
+        return 0 if acc < 0 else self._exp[acc]
+
+    def sub_scaled(self, xs: Sequence[int], c: int, ys: Sequence[int]) -> list[int]:
+        """The row xs - c*ys, for rows of equal length."""
+        if self.e == 1:
+            p = self.p
+            return [(x - c * y) % p for x, y in zip(xs, ys)]
+        if not c:
+            return list(xs)
+        log, exp, zech, n = self._log, self._exp, self._zech, self.q - 1
+        # -c*y = g^(lc + log y); each log stays below n, so every sum of two
+        # fits the doubled exp table
+        lc = log[c] + self._log_neg1
+        if lc >= n:
+            lc -= n
+        out = []
+        for x, y in zip(xs, ys):
+            if not y:
+                out.append(x)
+                continue
+            t = lc + log[y]
+            if not x:
+                out.append(exp[t])
+                continue
+            if t >= n:
+                t -= n
+            a = log[x]
+            z = zech[t - a]
+            out.append(0 if z is None else exp[a + z])
+        return out
 
     # -- power residues -------------------------------------------------------
 

@@ -4,6 +4,11 @@ Matrices are immutable, row major, and carry their field.  Everything here
 is classical Gauss elimination; the field is exact so no pivoting strategy
 beyond "first nonzero" is needed.  The reduced row echelon form is unique,
 which is what makes it usable as a canonical form for code equality.
+
+The per-entry work lives in two row kernels that ``GF`` owns: every
+product entry and every Gram entry is one ``dot`` of two rows, and every
+elimination step is one ``sub_scaled`` row update.  Rank and determinant
+come together from one forward elimination (``_rank_det``).
 """
 
 from __future__ import annotations
@@ -106,7 +111,7 @@ class Matrix:
     # -- rearrangement ----------------------------------------------------------
 
     def transpose(self) -> "Matrix":
-        out = tuple(self.entry(r, c) for c in range(self.ncols) for r in range(self.nrows))
+        out = tuple(v for c in range(self.ncols) for v in self.col(c))
         return Matrix(self.field, self.ncols, self.nrows, out)
 
     def map_entries(self, fn: Callable[[int], int]) -> "Matrix":
@@ -116,12 +121,8 @@ class Matrix:
         if len(factors) != self.ncols:
             raise MismatchError("one factor per column required")
         mul = self.field.mul
-        out = tuple(
-            mul(self.entry(r, c), factors[c])
-            for r in range(self.nrows)
-            for c in range(self.ncols)
-        )
-        return Matrix(self.field, self.nrows, self.ncols, out)
+        cols = [[mul(v, a) for v in self.col(c)] for c, a in enumerate(factors)]
+        return Matrix(self.field, self.nrows, self.ncols, tuple(v for row in zip(*cols) for v in row))
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.field != other.field:
@@ -130,19 +131,10 @@ class Matrix:
             raise MismatchError(
                 f"inner dimensions differ: {self.nrows}x{self.ncols} @ {other.nrows}x{other.ncols}"
             )
-        f = self.field
-        add, mul = f.add, f.mul
+        dot = self.field.dot
         cols = [other.col(c) for c in range(other.ncols)]
-        out = []
-        for r in range(self.nrows):
-            row = self.row(r)
-            for col in cols:
-                acc = 0
-                for a, b in zip(row, col):
-                    if a and b:
-                        acc = add(acc, mul(a, b))
-                out.append(acc)
-        return Matrix(f, self.nrows, other.ncols, tuple(out))
+        out = tuple(dot(self.row(r), col) for r in range(self.nrows) for col in cols)
+        return Matrix(self.field, self.nrows, other.ncols, out)
 
     def col(self, c: int) -> tuple[int, ...]:
         return self.entries[c :: self.ncols] if self.ncols else ()
@@ -151,7 +143,7 @@ class Matrix:
 def rref(m: Matrix) -> tuple[Matrix, int, tuple[int, ...]]:
     """Unique reduced row echelon form, with rank and pivot columns."""
     f = m.field
-    add, sub, mul, inv = f.add, f.sub, f.mul, f.inv
+    sub_scaled, mul, inv = f.sub_scaled, f.mul, f.inv
     rows = m.to_rows()
     nrows, ncols = m.nrows, m.ncols
     pivots = []
@@ -164,13 +156,15 @@ def rref(m: Matrix) -> tuple[Matrix, int, tuple[int, ...]]:
             continue
         if pr != r:
             rows[r], rows[pr] = rows[pr], rows[r]
+        # row r is zero left of column c, so every update starts there
         pivot_inv = inv(rows[r][c])
         if pivot_inv != 1:
-            rows[r] = [mul(pivot_inv, v) for v in rows[r]]
+            rows[r][c:] = [mul(pivot_inv, v) for v in rows[r][c:]]
+        tail = rows[r][c:]
         for i in range(nrows):
-            if i != r and rows[i][c]:
-                factor = rows[i][c]
-                rows[i] = [sub(v, mul(factor, w)) for v, w in zip(rows[i], rows[r])]
+            row = rows[i]
+            if i != r and row[c]:
+                row[c:] = sub_scaled(row[c:], row[c], tail)
         pivots.append(c)
         r += 1
     flat = tuple(v for row in rows for v in row)
@@ -178,46 +172,59 @@ def rref(m: Matrix) -> tuple[Matrix, int, tuple[int, ...]]:
 
 
 def rank(m: Matrix) -> int:
-    return rref(m)[1]
+    return _rank_det(m.field, m.to_rows())[0]
 
 
-def _det_rows(f: GF, rows: list[list[int]]) -> int:
-    """Determinant of a square list of rows, which elimination overwrites."""
-    sub, mul, inv = f.sub, f.mul, f.inv
+def _rank_det(f: GF, rows: list[list[int]]) -> tuple[int, int]:
+    """(rank, determinant) of a list of rows by one forward elimination, which overwrites them.
+
+    The determinant is 0 unless the rows form a square matrix of full
+    rank; no rows at all give (0, 1), the empty matrix's determinant.
+    """
+    sub_scaled, mul, inv = f.sub_scaled, f.mul, f.inv
     n = len(rows)
+    ncols = len(rows[0]) if rows else 0
+    r = 0
     swaps = 0
     acc = 1
-    for c in range(n):
-        pr = next((i for i in range(c, n) if rows[i][c]), None)
+    for c in range(ncols):
+        if r == n:
+            break
+        pr = next((i for i in range(r, n) if rows[i][c]), None)
         if pr is None:
-            return 0
-        if pr != c:
-            rows[c], rows[pr] = rows[pr], rows[c]
+            continue
+        if pr != r:
+            rows[r], rows[pr] = rows[pr], rows[r]
             swaps += 1
-        pivot = rows[c][c]
+        # rows r.. are zero left of column c; the updates leave column c
+        # itself stale, and no later step reads it
+        pivot = rows[r][c]
         acc = mul(acc, pivot)
         pivot_inv = inv(pivot)
-        for i in range(c + 1, n):
-            if rows[i][c]:
-                factor = mul(rows[i][c], pivot_inv)
-                rows[i] = [sub(v, mul(factor, w)) for v, w in zip(rows[i], rows[c])]
-    if swaps % 2:
-        acc = f.neg(acc)
-    return acc
+        tail = rows[r][c + 1 :]
+        for i in range(r + 1, n):
+            row = rows[i]
+            if row[c]:
+                row[c + 1 :] = sub_scaled(row[c + 1 :], mul(row[c], pivot_inv), tail)
+        r += 1
+    if r < n or r < ncols:
+        return r, 0
+    return r, f.neg(acc) if swaps % 2 else acc
 
 
 def det(m: Matrix) -> int:
     """Determinant by exact elimination; the empty matrix has determinant 1."""
     if not m.is_square:
         raise NotSquareError(f"determinant of a {m.nrows}x{m.ncols} matrix")
-    return _det_rows(m.field, m.to_rows())
+    return _rank_det(m.field, m.to_rows())[1]
 
 
 def nullspace_basis(m: Matrix) -> Matrix:
     """A canonical (RREF) basis of the right kernel {x : m @ x^T = 0}."""
     f = m.field
     r, rk, pivots = rref(m)
-    free = [c for c in range(m.ncols) if c not in set(pivots)]
+    pivot_set = set(pivots)
+    free = [c for c in range(m.ncols) if c not in pivot_set]
     rows = []
     for fc in free:
         v = [0] * m.ncols
@@ -234,10 +241,16 @@ def nullspace_basis(m: Matrix) -> Matrix:
 
 
 def gram(g: Matrix, m: int) -> Matrix:
-    """g times the transpose of the entrywise (p^m)-power of g."""
+    """g times the transpose of the entrywise (p^m)-power of g.
+
+    Entry (i, j) is the dot product of row i of g with row j of the
+    twisted g, so neither a transpose nor a matrix product is built.
+    """
     f = g.field
-    twisted = g.map_entries(lambda v: f.frobenius(v, m))
-    return g @ twisted.transpose()
+    rows = [g.row(r) for r in range(g.nrows)]
+    twisted = [tuple(f.frobenius(v, m) for v in row) for row in rows]
+    dot = f.dot
+    return Matrix(f, g.nrows, g.nrows, tuple(dot(a, b) for a in rows for b in twisted))
 
 
 def minor_det(p: Matrix, drop: Iterable[int]) -> int:
@@ -255,4 +268,4 @@ def minor_det(p: Matrix, drop: Iterable[int]) -> int:
     if dropset and (min(dropset) < 0 or max(dropset) >= m):
         raise MismatchError(f"deletion indices {sorted(dropset)} outside [0, {m})")
     keep = [i for i in range(m) if i not in dropset]
-    return _det_rows(p.field, [[row[c] for c in keep] for row in map(p.row, keep)])
+    return _rank_det(p.field, [[row[c] for c in keep] for row in map(p.row, keep)])[1]

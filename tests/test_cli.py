@@ -318,3 +318,72 @@ def test_import_leaves_out_dataclasses_and_inspect(module):
     run = subprocess.run([sys.executable, "-I", "-S", "-B", "-c", code],
                          capture_output=True, text=True, check=True)
     assert run.stdout == "[]\n"
+
+
+GOLDEN = pathlib.Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize("sample", SAMPLES, ids=lambda p: p.name)
+def test_analyze_report_matches_golden(sample, capsys):
+    """Text and JSON report (gram_dets, hull_dims and flags at every l), byte for byte."""
+    assert main(["analyze", str(sample), "--json", "-"]) == 0
+    got = capsys.readouterr().out.encode("utf-8")
+    assert got == (GOLDEN / f"analyze-{sample.stem}.txt").read_bytes()
+
+
+@pytest.fixture
+def gram_work(monkeypatch):
+    """Gram products and eliminations, recorded where lcdring calls them.
+
+    ``codes`` holds (generator, twist) for each P an FqCode builds and
+    ``scaled`` the same for construct's check of the scaled generator;
+    generators are kept so their ids stay unique.  ``code_eliminations``
+    logs the forward eliminations FqCode runs, ``eliminations`` all others.
+    """
+    from lcdring import construct, fqcode
+
+    work = {"codes": [], "scaled": [], "eliminations": [], "code_eliminations": []}
+    real_gram, real_elim = linalg.gram, linalg._rank_det
+
+    def recording_gram(key):
+        return lambda g, m: work[key].append((g, m)) or real_gram(g, m)
+
+    def counting_elim(key):
+        return lambda f, rows: work[key].append(len(rows)) or real_elim(f, rows)
+
+    monkeypatch.setattr(fqcode, "gram", recording_gram("codes"))
+    monkeypatch.setattr(construct, "gram", recording_gram("scaled"))
+    monkeypatch.setattr(linalg, "_rank_det", counting_elim("eliminations"))
+    monkeypatch.setattr(construct, "_rank_det", counting_elim("eliminations"))
+    monkeypatch.setattr(fqcode, "_rank_det", counting_elim("code_eliminations"))
+    return work
+
+
+@pytest.mark.parametrize("sample", SAMPLES, ids=lambda p: p.name)
+def test_analyze_builds_one_gram_and_one_elimination_per_component_and_twist(sample, gram_work, capsys):
+    e = parse_code(sample.read_text()).field.e
+    assert main(["analyze", str(sample), "--json", "-"]) == 0
+    builds = [(id(g), m) for g, m in gram_work["codes"]]
+    assert len(set(builds)) == len(builds) == 4 * e
+    assert {m for _, m in builds} == set(range(1, e + 1))
+    assert len(gram_work["code_eliminations"]) == 4 * e
+    assert gram_work["eliminations"] == [] and gram_work["scaled"] == []
+
+
+@pytest.mark.parametrize(
+    "name,mode",
+    [("gf4_mixed_mds.json", "euclid"), ("gf5_self_dual_line.json", "euclid"),
+     ("gf9_twisted_hull.json", "euclid"), ("gf9_twisted_hull.json", "galois")],
+)
+def test_construct_builds_one_gram_per_code_object_and_twist(name, mode, gram_work, tmp_path, capsys):
+    argv = ["construct-lcd", str(SAMPLES[0].parent / name), "--mode", mode, "--json", "-"]
+    argv += ["--l", "1"] if mode == "galois" else []
+    assert main(argv + ["-o", str(tmp_path / "out.json")]) == 0
+    out = capsys.readouterr().out
+    scaled = sum(c is not None for c in json.loads(out[out.index("\n{") + 1 :])["components"])
+    # the four input components, each scaled component's output in the
+    # field construction, and the four components of the assembled code
+    builds = [(id(g), m) for g, m in gram_work["codes"]]
+    assert len(set(builds)) == len(builds) == 8 + scaled
+    assert len(gram_work["code_eliminations"]) == len(builds)
+    assert len(gram_work["scaled"]) == scaled

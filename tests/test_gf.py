@@ -238,3 +238,61 @@ def test_field_order_bounded_before_construction(args):
 def test_beta_must_be_an_int(f5, call):
     with pytest.raises(ValueError, match="beta must be an int"):
         call(f5)
+
+
+# Row kernels against scalar add/mul/sub loops: GF(2), GF(5), GF(4), GF(8),
+# GF(9), GF(16), GF(25), GF(27) and GF(3^5)
+KERNEL_FIELDS = [(2,), (5,), (2, 2), (2, 3), (3, 2), (2, 4), (5, 2), (3, 3), (3, 5)]
+
+
+def _scalar_dot(f, xs, ys):
+    acc = 0
+    for x, y in zip(xs, ys):
+        acc = f.add(acc, f.mul(x, y))
+    return acc
+
+
+@st.composite
+def _kernel_rows(draw):
+    """(field, xs, ys, c): rows rich in zeros, some all zero, some whose dot cancels to 0 partway."""
+    f = _diff_field(draw(st.sampled_from(KERNEL_FIELDS)))
+    elem = st.one_of(st.just(0), st.integers(0, f.q - 1))
+    n = draw(st.integers(0, 8))
+    xs = draw(st.lists(elem, min_size=n, max_size=n))
+    ys = draw(st.lists(elem, min_size=n, max_size=n))
+    shape = draw(st.sampled_from(["random", "zero xs", "zero ys", "cancel"]))
+    if shape == "zero xs":
+        xs = [0] * n
+    elif shape == "zero ys":
+        ys = [0] * n
+    elif shape == "cancel":
+        # a term -s after a prefix summing to s brings the running sum back to 0
+        cut = draw(st.integers(0, n))
+        x = draw(st.integers(1, f.q - 1))
+        s = _scalar_dot(f, xs[:cut], ys[:cut])
+        xs.insert(cut, x)
+        ys.insert(cut, f.mul(f.neg(s), f.inv(x)))
+    return f, xs, ys, draw(elem)
+
+
+@settings(max_examples=600, deadline=None)
+@given(_kernel_rows())
+@example((_diff_field((3, 5)), [1, 1, 2], [5, _diff_field((3, 5)).neg(5), 7], 3))
+@example((_diff_field((2, 4)), [0, 0, 0], [0, 0, 0], 0))
+def test_row_kernels_match_scalar_arithmetic(case):
+    f, xs, ys, c = case
+    assert f.dot(xs, ys) == _scalar_dot(f, xs, ys)
+    assert f.sub_scaled(xs, c, ys) == [f.sub(x, f.mul(c, y)) for x, y in zip(xs, ys)]
+
+
+@pytest.mark.parametrize("args", KERNEL_FIELDS, ids=str)
+def test_row_kernels_reach_every_log_sum(args):
+    # c, y and their negatives run over every unit, so log c + log(-1) + log y
+    # covers its whole range up to 3(q - 1)
+    f = _diff_field(args)
+    units = list(f.units())
+    for c in units:
+        xs = [f.mul(c, y) for y in units]
+        assert f.sub_scaled(xs, c, units) == [0] * len(units)
+        assert f.sub_scaled([0] * len(units), c, units) == [f.neg(x) for x in xs]
+        assert f.dot([c] * len(units), units) == _scalar_dot(f, [c] * len(units), units)

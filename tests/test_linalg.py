@@ -1,12 +1,13 @@
 """Exact linear algebra over small fields."""
 
+import itertools
 import random
 
 import pytest
 
 from lcdring import GF, Matrix, linalg
 from lcdring.errors import ConsistencyError, MismatchError, NotSquareError
-from lcdring.linalg import det, gram, minor_det, nullspace_basis, rref
+from lcdring.linalg import _rank_det, det, gram, minor_det, nullspace_basis, rank, rref
 
 F5 = GF(5)
 F9 = GF(3, 2, [1, 0, 1])
@@ -26,6 +27,29 @@ def test_from_rows_checks_entries(entry):
 def test_constructor_checks_entries(entry):
     with pytest.raises(ValueError, match="is not an element of"):
         Matrix(F5, 1, 2, (entry, 2))
+
+
+class TestRearrangement:
+    @pytest.mark.parametrize("shape", [(0, 0), (0, 3), (3, 0), (1, 4), (3, 2), (4, 4)])
+    def test_transpose_scale_cols_and_product_entrywise(self, shape):
+        rng = random.Random(sum(shape))
+        nrows, ncols = shape
+        a = m(F9, [[rng.randrange(9) for _ in range(ncols)] for _ in range(nrows)], ncols=ncols)
+        t = a.transpose()
+        assert (t.nrows, t.ncols) == (ncols, nrows)
+        assert all(t.entry(c, r) == a.entry(r, c) for r in range(nrows) for c in range(ncols))
+        factors = [rng.randrange(9) for _ in range(ncols)]
+        s = a.scale_cols(factors)
+        assert all(
+            s.entry(r, c) == F9.mul(a.entry(r, c), factors[c]) for r in range(nrows) for c in range(ncols)
+        )
+        prod = a @ t
+        for r in range(nrows):
+            for c in range(nrows):
+                acc = 0
+                for j in range(ncols):
+                    acc = F9.add(acc, F9.mul(a.entry(r, j), a.entry(c, j)))
+                assert prod.entry(r, c) == acc
 
 
 class TestRref:
@@ -114,6 +138,45 @@ class TestNullspace:
         monkeypatch.setattr(linalg, "rref", rref_reporting_one_rank_too_many)
         with pytest.raises(ConsistencyError, match="kernel basis"):
             nullspace_basis(m(F5, [[1, 2]]))
+
+
+def leibniz_det(field, rows):
+    """sum over permutations s of sign(s) * prod_i rows[i][s(i)]."""
+    total = 0
+    for perm in itertools.permutations(range(len(rows))):
+        inversions = sum(perm[i] > perm[j] for i in range(len(perm)) for j in range(i + 1, len(perm)))
+        term = 1
+        for i, c in enumerate(perm):
+            term = field.mul(term, rows[i][c])
+        total = field.add(total, field.neg(term) if inversions % 2 else term)
+    return total
+
+
+class TestRankDet:
+    @pytest.mark.parametrize("field", [GF(2), GF(2, 3), F5, F9, GF(3, 3)], ids=lambda f: f"GF({f.q})")
+    def test_one_elimination_matches_rref_and_leibniz(self, field):
+        rng = random.Random(field.q + 17)
+        singular = 0
+        for _ in range(120):
+            k = rng.randint(0, 5)
+            # a product of k x r and r x k factors has rank at most r
+            r = rng.choice([k, k, rng.randint(0, k)])
+            a = m(field, [[rng.randrange(field.q) for _ in range(r)] for _ in range(k)], ncols=r)
+            b = m(field, [[rng.randrange(field.q) for _ in range(k)] for _ in range(r)], ncols=k)
+            p = a @ b if r < k else m(field, [[rng.randrange(field.q) for _ in range(k)] for _ in range(k)], ncols=k)
+            rows = p.to_rows()
+            rk, d = _rank_det(field, p.to_rows())
+            assert rk == rref(p)[1] == rank(p)
+            assert d == leibniz_det(field, rows) == det(p)
+            assert (d != 0) == (rk == k)
+            singular += d == 0
+        assert 10 <= singular <= 110
+
+    def test_wide_and_tall_rows_have_rank_and_no_determinant(self):
+        assert _rank_det(F5, [[1, 2, 3], [2, 4, 2]]) == (2, 0)
+        assert _rank_det(F5, [[1, 2, 3], [2, 4, 1]]) == (1, 0)
+        assert _rank_det(F5, [[1], [2], [0]]) == (1, 0)
+        assert _rank_det(F5, []) == (0, 1)
 
 
 class TestGram:
