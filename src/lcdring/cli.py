@@ -43,11 +43,6 @@ def _fmt_params(triple: tuple[int, int, int | None]) -> str:
     return f"[{n}, {k}, {d if d is not None else '?'}]"
 
 
-def _field_doc(code: RCode) -> dict[str, Any]:
-    f = code.field
-    return {"p": f.p, "e": f.e, "modulus": list(f.modulus)}
-
-
 def _predicate_block(code: RCode, ls: list[int]) -> list[dict[str, Any]]:
     out = []
     for l in ls:
@@ -76,7 +71,7 @@ def _analysis(code: RCode, ls: list[int], cap: int) -> dict[str, Any]:
         mds = 4 * params.d_lee == bound_x4
     return {
         "version": codefile.FORMAT_VERSION,
-        "field": _field_doc(code),
+        "field": codefile.field_document(code.field),
         "n": code.n,
         "k": code.k,
         "components": [list(t) for t in params.components],
@@ -132,9 +127,8 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 def _cmd_construct(args: argparse.Namespace) -> int:
     code = _load(args.file)
-    mode = construct.MODE_EUCLID if args.mode == "euclid" else construct.MODE_GALOIS
     alpha, out, cert = construct.ring_lcd_equivalent(
-        code, mode=mode, l=args.l, seed=args.seed
+        code, mode=args.mode, l=args.l, seed=args.seed
     )
     alpha_gamma = [list(x.g) for x in alpha]
     alpha_u = [list(gamma_to_u(code.field, x.g)) for x in alpha]
@@ -282,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("construct-lcd", help="scale into an equivalent LCD code")
     p.add_argument("file")
-    p.add_argument("--mode", choices=["euclid", "galois"], required=True)
+    p.add_argument("--mode", choices=[construct.MODE_EUCLID, construct.MODE_GALOIS], required=True)
     p.add_argument("--l", type=int, default=None, help="twist (galois mode)")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("-o", "--output", metavar="FILE", help="where to write the scaled code")

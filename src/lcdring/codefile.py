@@ -136,6 +136,11 @@ def parse_code(text: str) -> RCode:
     return RCode.from_generators(field, n, rows)
 
 
+def field_document(field: GF) -> dict[str, Any]:
+    """The "field" entry of every document: p, e and the modulus coefficients."""
+    return {"p": field.p, "e": field.e, "modulus": list(field.modulus)}
+
+
 def code_document(
     code: RCode, representation: str = "components", basis: str = "gamma"
 ) -> dict[str, Any]:
@@ -146,7 +151,7 @@ def code_document(
         raise ValueError(f"unknown basis {basis!r}")
     doc: dict[str, Any] = {
         "kind": "ring",
-        "field": {"p": code.field.p, "e": code.field.e, "modulus": list(code.field.modulus)},
+        "field": field_document(code.field),
         "n": code.n,
         "basis": basis,
     }
@@ -168,7 +173,7 @@ def code_document(
 def field_code_document(code: FqCode) -> dict[str, Any]:
     return {
         "kind": "field",
-        "field": {"p": code.field.p, "e": code.field.e, "modulus": list(code.field.modulus)},
+        "field": field_document(code.field),
         "n": code.n,
         "rows": code.gen.to_rows(),
     }

@@ -86,25 +86,19 @@ def _pmul(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
     return _trim(out)
 
 
-def _pdivmod(a: Sequence[int], b: Sequence[int], p: int) -> tuple[list[int], list[int]]:
+def _pmod(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
     rem = _trim(list(a))
     b = _trim(list(b))
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
     inv_lead = pow(b[-1], p - 2, p)
-    quot = [0] * max(0, len(rem) - len(b) + 1)
     while len(rem) >= len(b):
         shift = len(rem) - len(b)
         factor = (rem[-1] * inv_lead) % p
-        quot[shift] = factor
         for i, bi in enumerate(b):
             rem[i + shift] = (rem[i + shift] - factor * bi) % p
         _trim(rem)
-    return _trim(quot), rem
-
-
-def _pmod(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
-    return _pdivmod(a, b, p)[1]
+    return rem
 
 
 def _pgcd(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:

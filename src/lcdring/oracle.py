@@ -7,9 +7,11 @@ on.  Enumeration order is fixed (message encodings ascending) so streams
 are reproducible.  Budgets are hard errors, never silent skips.
 
 Field and ring codes share one path through a word's slot vectors: (w,)
-for a field word, the four idempotent coordinate vectors for a ring word.
-The ring pairing acts slotwise, so it vanishes exactly when every slot's
-field pairing does, and the Lee weight counts nonzeros over all slots.
+for a field word, one word of each of the four component codes for a ring
+word.  The ring pairing acts slotwise, so it vanishes exactly when every
+slot's field pairing does: a generator of slot code i pairs with slot i
+of a word alone.  The Lee weight counts nonzeros over all slots.  Ring
+words become ``RingElement``s only where ``codewords`` yields them.
 
 Dual and hull checks share one count: how many words of a stream pair to
 zero with every generator of a code.  The pairing is linear in its first
@@ -21,7 +23,7 @@ budget still counts the |C| * |D| pairs of the definition.
 from __future__ import annotations
 
 from itertools import product
-from typing import Callable, Iterable, Iterator, Sequence, Union
+from typing import Iterable, Iterator, Sequence, Union
 
 from .errors import CapExceededError, MismatchError, NonIntegralLogError, ZeroCodeError
 from .fqcode import FqCode, count_text
@@ -47,83 +49,82 @@ def _fq_words(code: FqCode) -> Iterator[tuple[int, ...]]:
             yield acc
             return
         for d in range(q):
-            if d:
-                nxt = tuple(add(a, b) for a, b in zip(acc, scaled[i][d]))
-            else:
-                nxt = acc
-            yield from walk(i - 1, nxt)
+            yield from walk(i - 1, tuple(map(add, acc, scaled[i][d])) if d else acc)
 
     yield from walk(code.k - 1, (0,) * code.n)
-
-
-def _r_words(code: RCode) -> Iterator[tuple[RingElement, ...]]:
-    """All ring codewords; component 1 varies fastest."""
-    f = code.field
-    comp_words = [list(_fq_words(c)) for c in reversed(code.comps)]
-    for w4, w3, w2, w1 in product(*comp_words):
-        yield tuple(RingElement(f, g) for g in zip(w1, w2, w3, w4))
-
-
-def _words(code: Code) -> Iterator:
-    return _fq_words(code) if isinstance(code, FqCode) else _r_words(code)
-
-
-def _slot_view(code: Code) -> tuple[tuple[FqCode, ...], Callable[[Sequence], Slots]]:
-    """The slot codes of ``code`` and the map from its words to slot vectors."""
-    if isinstance(code, FqCode):
-        return (code,), lambda w: (w,)
-    return code.comps, lambda w: tuple(zip(*(x.g for x in w)))
-
-
-def _pairs_to_zero(add: Callable, mul: Callable, t: Slots, s: Slots) -> bool:
-    """Whether sum_j t_j * s_j vanishes in every slot, in the field of ``add`` and ``mul``."""
-    for a, b in zip(t, s):
-        acc = 0
-        for x, y in zip(a, b):
-            if x and y:
-                acc = add(acc, mul(x, y))
-        if acc:
-            return False
-    return True
 
 
 def count(code: Code) -> int:
     return code.field.q**code.k
 
 
-def codewords(code: Code, budget: int = DEFAULT_BUDGET) -> Iterator:
-    """Stream every codeword exactly once; errors out above the budget."""
+def _check_budget(code: Code, budget: int) -> None:
     if count(code) > budget:
         raise CapExceededError(
             f"{count_text(code.field.q, code.k)} codewords exceed the budget of {budget}"
         )
-    return _words(code)
+
+
+def codewords(code: Code, budget: int = DEFAULT_BUDGET) -> Iterator:
+    """Stream every codeword exactly once; errors out above the budget.
+
+    The only place here that builds ``RingElement``s: a ring word is the
+    tuple of n elements read off its four slot vectors.
+    """
+    if isinstance(code, FqCode):
+        _check_budget(code, budget)
+        return _fq_words(code)
+    f = code.field
+    return (tuple(RingElement(f, g) for g in zip(*s)) for s in _slot_words(code, budget))
+
+
+def _slot_words(code: Code, budget: int) -> Iterator[Slots]:
+    """Every word of ``code`` as its slot vectors, in the order of ``codewords``.
+
+    A field word streams from ``codewords`` as (w,).  A ring word is one
+    word of each component code, slot 1 varying fastest; the component
+    lists are small, since their product is within the budget.
+    """
+    if isinstance(code, FqCode):
+        return ((w,) for w in codewords(code, budget))
+    _check_budget(code, budget)
+    lists = [list(codewords(c, budget)) for c in reversed(code.comps)]
+    return (s[::-1] for s in product(*lists))
 
 
 def min_distance(code: Code, budget: int = DEFAULT_BUDGET) -> int:
     """Exact minimum Hamming (field) or Lee (ring) weight over nonzero words."""
     if code.k == 0:
         raise ZeroCodeError("the zero code has no minimum distance")
-    _, view = _slot_view(code)
-    words = codewords(code, budget)
+    words = _slot_words(code, budget)
     next(words)  # the zero word
-    return min(sum(len(v) - v.count(0) for v in view(w)) for w in words)
+    return min(sum(len(v) - v.count(0) for v in s) for s in words)
 
 
-def _orthogonal_count(code: Code, words: Iterable, l: int) -> int:
+def _orthogonal_count(code: Code, words: Iterable[Slots], l: int) -> int:
     """How many of ``words`` pair to zero, under twist l, with every generator of ``code``.
 
-    Each slot code's rows are embedded in their own slot, and a word w
-    pairs with a generator g as sum_j g_j * w_j^(p^l), slot by slot.
+    A generator g of slot code i pairs only with slot i of a word w, as
+    sum_j g_j * w_j^(p^l); a slot whose code has no rows is never twisted.
     """
     f = code.field
     frob, add, mul = f.frobenius, f.add, f.mul
-    slots, view = _slot_view(code)
-    zero = (0,) * code.n
-    gens = [tuple(c.gen.row(r) if j == i else zero for j in range(len(slots)))
-            for i, c in enumerate(slots) for r in range(c.k)]
-    twisted = (tuple(tuple(frob(v, l) for v in x) for x in view(s)) for s in words)
-    return sum(all(_pairs_to_zero(add, mul, g, s) for g in gens) for s in twisted)
+    slots = (code,) if isinstance(code, FqCode) else code.comps
+    gens = [(i, [c.gen.row(r) for r in range(c.k)]) for i, c in enumerate(slots) if c.k]
+
+    def orthogonal(s: Slots) -> bool:
+        for i, rows in gens:
+            t = [frob(v, l) for v in s[i]]
+            for g in rows:
+                acc = 0
+                for x, y in zip(g, t):
+                    if x and y:
+                        acc = add(acc, mul(x, y))
+                if acc:
+                    return False
+        return True
+
+    return sum(map(orthogonal, words))
 
 
 def is_dual_pair(code: Code, dual: Code, l: int, budget: int = DEFAULT_BUDGET) -> bool:
@@ -142,10 +143,9 @@ def is_dual_pair(code: Code, dual: Code, l: int, budget: int = DEFAULT_BUDGET) -
         raise CapExceededError(
             f"{count_text(f.q, code.k + dual.k)} pairings exceed the budget of {budget}"
         )
-    slots, _ = _slot_view(code)
-    if pairs != f.q ** (len(slots) * code.n):
+    if pairs != f.q ** ((1 if isinstance(code, FqCode) else 4) * code.n):
         return False
-    return _orthogonal_count(code, _words(dual), l) == count(dual)
+    return _orthogonal_count(code, _slot_words(dual, budget), l) == count(dual)
 
 
 def hull_dim(code: Code, l: int, budget: int = DEFAULT_BUDGET) -> int:
@@ -156,7 +156,7 @@ def hull_dim(code: Code, l: int, budget: int = DEFAULT_BUDGET) -> int:
     A non-power-of-q count means a bug somewhere and raises.
     """
     f = code.field
-    hits = _orthogonal_count(code, codewords(code, budget), l)
+    hits = _orthogonal_count(code, _slot_words(code, budget), l)
     h, rest = 0, hits
     while rest and rest % f.q == 0:
         rest //= f.q

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lcdring import GF
-from lcdring.gf import _pmod, _pmul, _ppowmod
+from lcdring.gf import _pmod, _pmul, _ppowmod, _psub, _trim
 from lcdring.errors import BadBetaError, BadModulusError, NotPrimeError
 
 
@@ -138,6 +138,20 @@ def test_pow_matches_repeated_multiplication(f9):
         for m in range(10):
             assert f9.pow(x, m) == acc
             acc = f9.mul(acc, x)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([2, 3, 5, 7]), st.data())
+def test_pmod_is_the_remainder_of_division(p, data):
+    """a = m*b + r with deg r < deg b gives _pmod(a, b) == r; a zero divisor raises."""
+    poly = st.lists(st.integers(0, p - 1), max_size=6)
+    b, m, r = data.draw(poly), data.draw(poly), data.draw(poly)
+    b.append(data.draw(st.integers(1, p - 1)))  # a nonzero leading coefficient
+    r = _trim(r[: len(b) - 1])  # deg r < deg b
+    a = _psub(_pmul(m, b, p), [-c % p for c in r], p)
+    assert _pmod(a, b, p) == r
+    with pytest.raises(ZeroDivisionError):
+        _pmod(a, [0] * len(b), p)
 
 
 # GF(9), GF(25), GF(2^8), GF(5^4), GF(23^2) and the explicit GF(16) modulus

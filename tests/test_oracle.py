@@ -247,6 +247,59 @@ def test_is_dual_pair_matches_the_definition(data):
         assert want == (cand == dual)
 
 
+RING_WORD_CAP = 125  # |C| words, so |C|^2 galois_inner pairs per definitional hull
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_ring_hull_and_distance_match_the_definitions(data):
+    """Ring hull_dim and min_distance against all-pairs galois_inner and the least lee_weight."""
+    q = data.draw(st.sampled_from([4, 5, 9]), label="q")
+    f = DIFF_FIELDS[q]
+    n = data.draw(st.integers(1, 3), label="n")
+    row = st.lists(st.integers(0, q - 1), min_size=n, max_size=n)
+    room = max(k for k in range(n * 4 + 1) if q**k <= RING_WORD_CAP)
+    comps = []
+    for i in range(4):  # later slots get what is left, so zero components are common
+        rows = data.draw(st.lists(row, max_size=min(n, room)), label=f"slot {i} rows")
+        comps.append(FqCode.from_rows(f, n, rows))
+        room -= comps[-1].k
+    rc = RCode.from_components(comps)
+    words = list(oracle.codewords(rc))
+    assert len(words) == q**rc.k
+    zero = RingElement.zero(f)
+    for l in range(f.e):
+        hull = sum(all(galois_inner(t, w, l) == zero for t in words) for w in words)
+        assert q ** oracle.hull_dim(rc, l) == hull
+    if rc.k == 0:
+        with pytest.raises(ZeroCodeError):
+            oracle.min_distance(rc)
+    else:
+        want = min(sum(x.lee_weight for x in w) for w in words if any(not x.is_zero for x in w))
+        assert oracle.min_distance(rc) == want
+
+
+def test_ring_oracles_build_no_ring_element(monkeypatch):
+    comps = [
+        FqCode.from_rows(F5, 2, [[1, 2]]),
+        FqCode.from_rows(F5, 2, [[1, 1]]),
+        FqCode.zero(F5, 2),
+        FqCode.from_rows(F5, 2, [[0, 1]]),
+    ]
+    rc = RCode.from_components(comps)
+    dual = rc.galois_dual(0)
+
+    def refuse(self, *args):
+        raise AssertionError("the oracle built a RingElement")
+
+    monkeypatch.setattr(RingElement, "__init__", refuse)
+    assert oracle.min_distance(rc) == 1
+    assert oracle.hull_dim(rc, 0) == 1
+    assert oracle.is_dual_pair(rc, dual, 0)
+    with pytest.raises(AssertionError, match="built a RingElement"):
+        next(oracle.codewords(rc))
+
+
 class TestHull:
     def test_self_orthogonal_line(self):
         assert oracle.hull_dim(line(), 0) == 1

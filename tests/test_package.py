@@ -26,3 +26,35 @@ def test_package_imports_only_the_standard_library():
                 if top != "lcdring" and top not in sys.stdlib_module_names:
                     outside.append(f"{path.name}:{node.lineno}: {name}")
     assert outside == []
+
+
+# What the fast paths compute, and the shared kernels behind them.
+FAST_PATH_ATTRS = {
+    "galois_dual", "hull_dim", "lcd_status", "is_lcd", "is_self_orthogonal", "is_self_dual",
+    "min_dist", "lee_min_dist", "params", "gray_image", "_gram", "_gram_facts", "_grams",
+    "_dist", "dot", "sub_scaled",
+}
+
+
+def test_oracle_is_independent_of_the_fast_paths():
+    """oracle.py checks the fast paths, so it may not import or read them."""
+    path = PACKAGE / "oracle.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            targets = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            targets = [f"{node.module or ''}.{alias.name}" for alias in node.names]
+        elif isinstance(node, ast.Attribute) and node.attr in FAST_PATH_ATTRS:
+            found.append(f"oracle.py:{node.lineno}: .{node.attr}")
+            continue
+        else:
+            continue
+        for target in targets:
+            parts = target.split(".")
+            if {"linalg", "construct"} & set(parts) or (
+                "fqcode" in parts and parts[-1] not in ("FqCode", "count_text")
+            ):
+                found.append(f"oracle.py:{node.lineno}: import {target}")
+    assert found == []
