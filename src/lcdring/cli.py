@@ -64,11 +64,8 @@ def _predicate_block(code: RCode, ls: list[int]) -> list[dict[str, Any]]:
 def _analysis(code: RCode, ls: list[int], cap: int) -> dict[str, Any]:
     params = code.params(cap)
     bound_x4 = 4 * code.n - code.k + 4
-    mds: bool | None
-    if code.k == 0 or params.d_lee is None:
-        mds = None
-    else:
-        mds = 4 * params.d_lee == bound_x4
+    # the component distances are cached on code.comps, so is_mds enumerates nothing
+    mds = None if code.k == 0 or params.d_lee is None else code.is_mds(cap)
     return {
         "version": codefile.FORMAT_VERSION,
         "field": codefile.field_document(code.field),

@@ -66,7 +66,7 @@ from .errors import (
 )
 from .fqcode import FqCode
 from .gf import GF
-from .linalg import Matrix, _rank_det, det, gram, minor_det, rref
+from .linalg import Matrix, _eliminate, det, gram, minor_det
 from .rcode import RCode
 from .ring import RingElement
 
@@ -119,31 +119,31 @@ class RingScalingCertificate(NamedTuple):
     k: int
 
 
-def minor_search(p: Matrix, max_dim: int = DEFAULT_DIM_CAP) -> MinorCertificate:
+def minor_search(p: Matrix) -> MinorCertificate:
     """The first deletion set with a nonzero minor, by size, then lexicographically.
 
     The complement of P's greedy row basis K, rows scanned from k - 1 down
     to 0, is tried first; a nonsingular P[K, K] makes it exactly that set
     (see the module docstring), and for the Gram matrix of a Hermitian
     twist it always is, at O(k^3) cost.  A singular P[K, K] falls back to
-    the exhaustive scan from size k - rank P, refused above ``max_dim``
-    rows.  The scan always terminates: deleting everything leaves the
-    empty matrix with determinant 1.
+    the exhaustive scan from size k - rank P, refused above
+    ``DEFAULT_DIM_CAP`` rows.  The scan always terminates: deleting
+    everything leaves the empty matrix with determinant 1.
     """
     if not p.is_square:
         raise NotSquareError("minor search needs a square matrix")
     m = p.nrows
-    # column c of this matrix is row m - 1 - c of P, so rref's pivots pick
-    # the greedy row basis from the last row up
-    _, rk, pivots = rref(Matrix.from_rows(p.field, p.to_rows()[::-1], ncols=m).transpose())
-    basis = {m - 1 - c for c in pivots}
+    # entry (c, j) of these rows is P[m - 1 - j][c]: column j is row m - 1 - j
+    # of P, so the pivot columns pick the greedy row basis from the last row up
+    pivots, _ = _eliminate(p.field, [list(p.col(c)[::-1]) for c in range(m)])
+    basis = {m - 1 - j for j in pivots}
     drop = tuple(i for i in range(m) if i not in basis)
     d = minor_det(p, drop)
     if d != 0:
         return MinorCertificate(len(drop) - 1, drop, d)
-    if m > max_dim:
-        raise SizeCapError(f"matrix size {m} exceeds the search cap of {max_dim}")
-    for w in range(m - rk, m + 1):
+    if m > DEFAULT_DIM_CAP:
+        raise SizeCapError(f"matrix size {m} exceeds the search cap of {DEFAULT_DIM_CAP}")
+    for w in range(m - len(pivots), m + 1):
         for drop in itertools.combinations(range(m), w):
             d = minor_det(p, drop)
             if d != 0:
@@ -167,7 +167,7 @@ def lemma_det_check(p: Matrix, b: Sequence[int], cert: MinorCertificate) -> bool
     rows = p.to_rows()
     for j, row in enumerate(rows):
         row[j] = f.add(row[j], b[j])
-    lhs = _rank_det(f, rows)[1]
+    lhs = _eliminate(f, rows)[1]
     rhs = cert.det
     for j in support:
         rhs = f.mul(rhs, b[j])

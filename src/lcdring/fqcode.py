@@ -24,7 +24,7 @@ from .errors import (
     ZeroScaleError,
 )
 from .gf import GF
-from .linalg import Matrix, _rank_det, gram, nullspace_basis, rref
+from .linalg import Matrix, _eliminate, gram, nullspace_basis, rref
 
 DEFAULT_ENUM_CAP = 1_000_000
 
@@ -155,7 +155,8 @@ class FqCode:
         facts = self._grams.get(l)
         if facts is None:
             p = gram(self.gen, self._twist(l))
-            facts = self._grams[l] = (p, *_rank_det(self.field, p.to_rows()))
+            pivots, d = _eliminate(self.field, p.to_rows())
+            facts = self._grams[l] = (p, len(pivots), d)
         return facts
 
     def _gram(self, l: int) -> Matrix:

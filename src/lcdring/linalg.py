@@ -5,10 +5,11 @@ is classical Gauss elimination; the field is exact so no pivoting strategy
 beyond "first nonzero" is needed.  The reduced row echelon form is unique,
 which is what makes it usable as a canonical form for code equality.
 
-The per-entry work lives in two row kernels that ``GF`` owns: every
-product entry and every Gram entry is one ``dot`` of two rows, and every
-elimination step is one ``sub_scaled`` row update.  Rank and determinant
-come together from one forward elimination (``_rank_det``).
+The per-entry work lives in two row kernels that ``GF`` owns: every Gram
+entry is one ``dot`` of two rows, and every elimination step is one
+``sub_scaled`` row update.  One forward elimination (``_eliminate``) is
+the only Gauss loop: it gives pivot columns and the determinant together,
+and ``rref`` is that pass plus a back-substitution.
 """
 
 from __future__ import annotations
@@ -124,66 +125,23 @@ class Matrix:
         cols = [[mul(v, a) for v in self.col(c)] for c, a in enumerate(factors)]
         return Matrix(self.field, self.nrows, self.ncols, tuple(v for row in zip(*cols) for v in row))
 
-    def __matmul__(self, other: "Matrix") -> "Matrix":
-        if self.field != other.field:
-            raise MismatchError("matrix product requires one common field")
-        if self.ncols != other.nrows:
-            raise MismatchError(
-                f"inner dimensions differ: {self.nrows}x{self.ncols} @ {other.nrows}x{other.ncols}"
-            )
-        dot = self.field.dot
-        cols = [other.col(c) for c in range(other.ncols)]
-        out = tuple(dot(self.row(r), col) for r in range(self.nrows) for col in cols)
-        return Matrix(self.field, self.nrows, other.ncols, out)
-
     def col(self, c: int) -> tuple[int, ...]:
         return self.entries[c :: self.ncols] if self.ncols else ()
 
 
-def rref(m: Matrix) -> tuple[Matrix, int, tuple[int, ...]]:
-    """Unique reduced row echelon form, with rank and pivot columns."""
-    f = m.field
-    sub_scaled, mul, inv = f.sub_scaled, f.mul, f.inv
-    rows = m.to_rows()
-    nrows, ncols = m.nrows, m.ncols
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
-            break
-        pr = next((i for i in range(r, nrows) if rows[i][c]), None)
-        if pr is None:
-            continue
-        if pr != r:
-            rows[r], rows[pr] = rows[pr], rows[r]
-        # row r is zero left of column c, so every update starts there
-        pivot_inv = inv(rows[r][c])
-        if pivot_inv != 1:
-            rows[r][c:] = [mul(pivot_inv, v) for v in rows[r][c:]]
-        tail = rows[r][c:]
-        for i in range(nrows):
-            row = rows[i]
-            if i != r and row[c]:
-                row[c:] = sub_scaled(row[c:], row[c], tail)
-        pivots.append(c)
-        r += 1
-    flat = tuple(v for row in rows for v in row)
-    return Matrix(f, nrows, ncols, flat), r, tuple(pivots)
+def _eliminate(f: GF, rows: list[list[int]]) -> tuple[tuple[int, ...], int]:
+    """(pivot columns, determinant) of a list of rows by forward elimination.
 
-
-def rank(m: Matrix) -> int:
-    return _rank_det(m.field, m.to_rows())[0]
-
-
-def _rank_det(f: GF, rows: list[list[int]]) -> tuple[int, int]:
-    """(rank, determinant) of a list of rows by one forward elimination, which overwrites them.
-
-    The determinant is 0 unless the rows form a square matrix of full
-    rank; no rows at all give (0, 1), the empty matrix's determinant.
+    The rows are overwritten with a row echelon form: row r is zero left
+    of pivot column r and every row below it is zero in that column.  The
+    determinant is 0 unless the rows form a square matrix of full rank; no
+    rows at all give ((), 1), the empty matrix's determinant.  This is the
+    one Gauss loop of the package.
     """
     sub_scaled, mul, inv = f.sub_scaled, f.mul, f.inv
     n = len(rows)
     ncols = len(rows[0]) if rows else 0
+    pivots: list[int] = []
     r = 0
     swaps = 0
     acc = 1
@@ -196,31 +154,60 @@ def _rank_det(f: GF, rows: list[list[int]]) -> tuple[int, int]:
         if pr != r:
             rows[r], rows[pr] = rows[pr], rows[r]
             swaps += 1
-        # rows r.. are zero left of column c; the updates leave column c
-        # itself stale, and no later step reads it
+        # rows r.. are zero left of column c, so every update starts there
         pivot = rows[r][c]
         acc = mul(acc, pivot)
         pivot_inv = inv(pivot)
-        tail = rows[r][c + 1 :]
+        tail = rows[r][c:]
         for i in range(r + 1, n):
             row = rows[i]
             if row[c]:
-                row[c + 1 :] = sub_scaled(row[c + 1 :], mul(row[c], pivot_inv), tail)
+                row[c:] = sub_scaled(row[c:], mul(row[c], pivot_inv), tail)
+        pivots.append(c)
         r += 1
     if r < n or r < ncols:
-        return r, 0
-    return r, f.neg(acc) if swaps % 2 else acc
+        return tuple(pivots), 0
+    return tuple(pivots), f.neg(acc) if swaps % 2 else acc
+
+
+def rref(m: Matrix) -> tuple[Matrix, int, tuple[int, ...]]:
+    """Unique reduced row echelon form, with rank and pivot columns.
+
+    Forward elimination, then back-substitution from the last pivot up:
+    each pivot row, already clear in every later pivot column, is scaled
+    to a leading 1 and cleared from the rows above it.
+    """
+    f = m.field
+    sub_scaled, mul, inv = f.sub_scaled, f.mul, f.inv
+    rows = m.to_rows()
+    pivots, _ = _eliminate(f, rows)
+    for r in reversed(range(len(pivots))):
+        c = pivots[r]
+        pivot_inv = inv(rows[r][c])
+        if pivot_inv != 1:
+            rows[r][c:] = [mul(pivot_inv, v) for v in rows[r][c:]]
+        tail = rows[r][c:]
+        for i in range(r):
+            row = rows[i]
+            if row[c]:
+                row[c:] = sub_scaled(row[c:], row[c], tail)
+    flat = tuple(v for row in rows for v in row)
+    return Matrix(f, m.nrows, m.ncols, flat), len(pivots), pivots
+
+
+def rank(m: Matrix) -> int:
+    return len(_eliminate(m.field, m.to_rows())[0])
 
 
 def det(m: Matrix) -> int:
     """Determinant by exact elimination; the empty matrix has determinant 1."""
     if not m.is_square:
         raise NotSquareError(f"determinant of a {m.nrows}x{m.ncols} matrix")
-    return _rank_det(m.field, m.to_rows())[1]
+    return _eliminate(m.field, m.to_rows())[1]
 
 
 def nullspace_basis(m: Matrix) -> Matrix:
-    """A canonical (RREF) basis of the right kernel {x : m @ x^T = 0}."""
+    """A canonical (RREF) basis of the right kernel {x : m · x^T = 0}."""
     f = m.field
     r, rk, pivots = rref(m)
     pivot_set = set(pivots)
@@ -268,4 +255,4 @@ def minor_det(p: Matrix, drop: Iterable[int]) -> int:
     if dropset and (min(dropset) < 0 or max(dropset) >= m):
         raise MismatchError(f"deletion indices {sorted(dropset)} outside [0, {m})")
     keep = [i for i in range(m) if i not in dropset]
-    return _rank_det(p.field, [[row[c] for c in keep] for row in map(p.row, keep)])[1]
+    return _eliminate(p.field, [[row[c] for c in keep] for row in map(p.row, keep)])[1]

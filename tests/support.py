@@ -1,10 +1,10 @@
-"""Shared helpers for generating random codes in tests."""
+"""Shared helpers for tests: random codes and a reference matrix product."""
 
 from __future__ import annotations
 
 import random
 
-from lcdring import GF, FqCode, RCode, RingElement
+from lcdring import GF, FqCode, Matrix, RCode, RingElement
 
 FIELDS = {
     4: lambda: GF(2, 2),
@@ -32,3 +32,17 @@ def random_ring_vector(rng: random.Random, field: GF, n: int) -> tuple[RingEleme
         RingElement(field, tuple(rng.randrange(field.q) for _ in range(4)))
         for _ in range(n)
     )
+
+
+def matmul(a: Matrix, b: Matrix) -> Matrix:
+    """The product a·b from scalar ``GF.add``/``GF.mul``, independent of the row kernels."""
+    f = a.field
+    assert f == b.field and a.ncols == b.nrows
+    out = []
+    for r in range(a.nrows):
+        for c in range(b.ncols):
+            acc = 0
+            for j in range(a.ncols):
+                acc = f.add(acc, f.mul(a.entry(r, j), b.entry(j, c)))
+            out.append(acc)
+    return Matrix(f, a.nrows, b.ncols, tuple(out))

@@ -22,7 +22,7 @@ from lcdring.errors import BetaOneError, FieldTooSmallError
 from lcdring.linalg import minor_det
 from lcdring.ring import gray, lee_distance
 
-from support import make_field, random_fqcode, random_rcode, random_ring_vector
+from support import make_field, matmul, random_fqcode, random_rcode, random_ring_vector
 
 # the definitional dual check costs |C| * |dual| pairings; instances whose
 # pairing count fits this budget get the brute-force check on top of the
@@ -145,7 +145,7 @@ def test_criterion_4_minor_determinant_identity():
                 r = rng.randint(0, m - 1)
                 a = Matrix.from_rows(field, [[rng.randrange(field.q) for _ in range(r)] for _ in range(m)], ncols=r)
                 b = Matrix.from_rows(field, [[rng.randrange(field.q) for _ in range(m)] for _ in range(r)], ncols=m)
-                rows = (a @ b).to_rows()
+                rows = matmul(a, b).to_rows()
             p = Matrix.from_rows(field, rows, ncols=m)
             cert = minor_search(p)
             b_vec = [0] * m

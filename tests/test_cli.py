@@ -338,36 +338,38 @@ def gram_work(monkeypatch):
     ``codes`` holds (generator, twist) for each P an FqCode builds and
     ``scaled`` the same for construct's check of the scaled generator;
     generators are kept so their ids stay unique.  ``code_eliminations``
-    logs the forward eliminations FqCode runs, ``eliminations`` all others.
+    names the caller of each forward elimination FqCode runs itself, and
+    ``eliminations`` that of every other one, ``rref`` included.
     """
     from lcdring import construct, fqcode
 
     work = {"codes": [], "scaled": [], "eliminations": [], "code_eliminations": []}
-    real_gram, real_elim = linalg.gram, linalg._rank_det
+    real_gram, real_elim = linalg.gram, linalg._eliminate
 
     def recording_gram(key):
         return lambda g, m: work[key].append((g, m)) or real_gram(g, m)
 
     def counting_elim(key):
-        return lambda f, rows: work[key].append(len(rows)) or real_elim(f, rows)
+        return lambda f, rows: work[key].append(sys._getframe(1).f_code.co_name) or real_elim(f, rows)
 
     monkeypatch.setattr(fqcode, "gram", recording_gram("codes"))
     monkeypatch.setattr(construct, "gram", recording_gram("scaled"))
-    monkeypatch.setattr(linalg, "_rank_det", counting_elim("eliminations"))
-    monkeypatch.setattr(construct, "_rank_det", counting_elim("eliminations"))
-    monkeypatch.setattr(fqcode, "_rank_det", counting_elim("code_eliminations"))
+    monkeypatch.setattr(linalg, "_eliminate", counting_elim("eliminations"))
+    monkeypatch.setattr(construct, "_eliminate", counting_elim("eliminations"))
+    monkeypatch.setattr(fqcode, "_eliminate", counting_elim("code_eliminations"))
     return work
 
 
 @pytest.mark.parametrize("sample", SAMPLES, ids=lambda p: p.name)
 def test_analyze_builds_one_gram_and_one_elimination_per_component_and_twist(sample, gram_work, capsys):
-    e = parse_code(sample.read_text()).field.e
     assert main(["analyze", str(sample), "--json", "-"]) == 0
+    # the only eliminations outside FqCode are the rref passes that parse the four components
+    assert gram_work["eliminations"] == ["rref"] * 4 and gram_work["scaled"] == []
+    e = parse_code(sample.read_text()).field.e
     builds = [(id(g), m) for g, m in gram_work["codes"]]
     assert len(set(builds)) == len(builds) == 4 * e
     assert {m for _, m in builds} == set(range(1, e + 1))
-    assert len(gram_work["code_eliminations"]) == 4 * e
-    assert gram_work["eliminations"] == [] and gram_work["scaled"] == []
+    assert gram_work["code_eliminations"] == ["_gram_facts"] * (4 * e)
 
 
 @pytest.mark.parametrize(

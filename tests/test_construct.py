@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from lcdring import GF, FqCode, Matrix, RCode, RingElement, construct
 from lcdring.construct import (
+    DEFAULT_DIM_CAP,
     MinorCertificate,
     _factors,
     _twist_params,
@@ -30,7 +31,7 @@ from lcdring.errors import (
 )
 from lcdring.linalg import det, minor_det
 
-from support import random_fqcode
+from support import matmul, random_fqcode
 
 F4 = GF(2, 2)
 F5 = GF(5)
@@ -62,13 +63,19 @@ class TestMinorSearch:
         assert (cert.t, cert.r_set, cert.det) == (3, (0, 1, 2, 3), 1)
 
     def test_nonsingular_matrix_above_cap_is_certified(self):
-        cert = minor_search(Matrix.identity(F5, 3), max_dim=2)
+        cert = minor_search(Matrix.identity(F5, DEFAULT_DIM_CAP + 1))
         assert (cert.t, cert.r_set, cert.det) == (-1, (), 1)
 
     def test_cap_refuses_a_needed_fallback_scan(self):
-        # rank 1, greedy row basis {0}: the candidate deletes {1}, but P[0, 0] = 0
+        # [[0, 1], [0, 0]] plus an identity block, above the cap: the greedy
+        # row basis skips row 1 only, but deleting {1} leaves P[0, 0] = 0
+        m = DEFAULT_DIM_CAP + 1
+        rows = [[0] * m for _ in range(m)]
+        rows[0][1] = 1
+        for i in range(2, m):
+            rows[i][i] = 1
         with pytest.raises(SizeCapError):
-            minor_search(mat(F5, [[0, 1], [0, 0]]), max_dim=1)
+            minor_search(mat(F5, rows))
 
     def test_fallback_scan_under_default_cap(self):
         cert = minor_search(mat(F5, [[0, 1], [0, 0]]))
@@ -110,7 +117,7 @@ def square_matrices(draw):
 
     if draw(st.booleans()):
         r = draw(st.integers(0, m))
-        return Matrix.from_rows(f, rows(m, r), ncols=r) @ Matrix.from_rows(f, rows(r, m), ncols=m)
+        return matmul(Matrix.from_rows(f, rows(m, r), ncols=r), Matrix.from_rows(f, rows(r, m), ncols=m))
     n = draw(st.integers(max(m, 1), 8))
     return FqCode.from_rows(f, n, rows(m, n))._gram(draw(st.integers(0, f.e - 1)))
 

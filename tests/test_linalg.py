@@ -4,10 +4,14 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lcdring import GF, Matrix, linalg
 from lcdring.errors import ConsistencyError, MismatchError, NotSquareError
-from lcdring.linalg import _rank_det, det, gram, minor_det, nullspace_basis, rank, rref
+from lcdring.linalg import _eliminate, det, gram, minor_det, nullspace_basis, rank, rref
+
+from support import matmul
 
 F5 = GF(5)
 F9 = GF(3, 2, [1, 0, 1])
@@ -43,13 +47,6 @@ class TestRearrangement:
         assert all(
             s.entry(r, c) == F9.mul(a.entry(r, c), factors[c]) for r in range(nrows) for c in range(ncols)
         )
-        prod = a @ t
-        for r in range(nrows):
-            for c in range(nrows):
-                acc = 0
-                for j in range(ncols):
-                    acc = F9.add(acc, F9.mul(a.entry(r, j), a.entry(c, j)))
-                assert prod.entry(r, c) == acc
 
 
 class TestRref:
@@ -95,7 +92,7 @@ class TestDet:
         for _ in range(40):
             a = m(F5, [[rng.randrange(5) for _ in range(3)] for _ in range(3)])
             b = m(F5, [[rng.randrange(5) for _ in range(3)] for _ in range(3)])
-            assert det(a @ b) == F5.mul(det(a), det(b))
+            assert det(matmul(a, b)) == F5.mul(det(a), det(b))
 
     def test_swap_tracks_sign(self):
         # rows swapped from the identity: determinant must be -1
@@ -123,7 +120,7 @@ class TestNullspace:
             _, rank, _ = rref(a)
             ns = nullspace_basis(a)
             assert rank + ns.nrows == a.ncols
-            prod = a @ ns.transpose()
+            prod = matmul(a, ns.transpose())
             assert all(v == 0 for v in prod.entries)
 
 
@@ -152,6 +149,66 @@ def leibniz_det(field, rows):
     return total
 
 
+def gauss_jordan(field, rows):
+    """Textbook Gauss-Jordan by scalar field operations: (RREF rows, pivot columns)."""
+    rows = [list(row) for row in rows]
+    pivots = []
+    for c in range(len(rows[0]) if rows else 0):
+        r = len(pivots)
+        pr = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        s = field.inv(rows[r][c])
+        rows[r] = [field.mul(s, v) for v in rows[r]]
+        for i in range(len(rows)):
+            a = rows[i][c]
+            if i != r and a:
+                rows[i] = [field.sub(v, field.mul(a, w)) for v, w in zip(rows[i], rows[r])]
+        pivots.append(c)
+    return rows, tuple(pivots)
+
+
+@st.composite
+def row_lists(draw):
+    """(field, ncols, rows) up to 6 x 8, rows random, zero, repeated or combinations of earlier ones."""
+    f = draw(st.sampled_from([GF(2), GF(2, 2), F5, GF(2, 3), F9, GF(2, 4), GF(5, 2)]))
+    ncols = draw(st.integers(0, 8))
+    elem = st.integers(0, f.q - 1)
+    rows = []
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(["random", "zero", "repeat", "combination"] if rows else ["random", "zero"]))
+        if kind == "random":
+            row = draw(st.lists(elem, min_size=ncols, max_size=ncols))
+        elif kind == "zero":
+            row = [0] * ncols
+        elif kind == "repeat":
+            row = list(draw(st.sampled_from(rows)))
+        else:
+            row = [0] * ncols
+            for a, prev in zip(draw(st.lists(elem, min_size=len(rows), max_size=len(rows))), rows):
+                row = [f.add(v, f.mul(a, w)) for v, w in zip(row, prev)]
+        rows.append(row)
+    return f, ncols, rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(row_lists())
+def test_rref_matches_textbook_gauss_jordan(case):
+    f, ncols, rows = case
+    want, want_pivots = gauss_jordan(f, rows)
+    reduced, rk, pivots = rref(m(f, rows, ncols=ncols))
+    assert reduced.to_rows() == want
+    assert (rk, pivots) == (len(want_pivots), want_pivots)
+    echelon = [list(row) for row in rows]
+    assert _eliminate(f, echelon)[0] == pivots
+    # the forward pass leaves true zeros left of each pivot, below it, and past the rank
+    for r, c in enumerate(pivots):
+        assert echelon[r][c] and not any(echelon[r][:c])
+        assert not any(echelon[i][c] for i in range(r + 1, len(rows)))
+    assert not any(v for row in echelon[rk:] for v in row)
+
+
 class TestRankDet:
     @pytest.mark.parametrize("field", [GF(2), GF(2, 3), F5, F9, GF(3, 3)], ids=lambda f: f"GF({f.q})")
     def test_one_elimination_matches_rref_and_leibniz(self, field):
@@ -163,20 +220,20 @@ class TestRankDet:
             r = rng.choice([k, k, rng.randint(0, k)])
             a = m(field, [[rng.randrange(field.q) for _ in range(r)] for _ in range(k)], ncols=r)
             b = m(field, [[rng.randrange(field.q) for _ in range(k)] for _ in range(r)], ncols=k)
-            p = a @ b if r < k else m(field, [[rng.randrange(field.q) for _ in range(k)] for _ in range(k)], ncols=k)
+            p = matmul(a, b) if r < k else m(field, [[rng.randrange(field.q) for _ in range(k)] for _ in range(k)], ncols=k)
             rows = p.to_rows()
-            rk, d = _rank_det(field, p.to_rows())
-            assert rk == rref(p)[1] == rank(p)
+            pivots, d = _eliminate(field, p.to_rows())
+            assert pivots == rref(p)[2] and len(pivots) == rank(p)
             assert d == leibniz_det(field, rows) == det(p)
-            assert (d != 0) == (rk == k)
+            assert (d != 0) == (len(pivots) == k)
             singular += d == 0
         assert 10 <= singular <= 110
 
     def test_wide_and_tall_rows_have_rank_and_no_determinant(self):
-        assert _rank_det(F5, [[1, 2, 3], [2, 4, 2]]) == (2, 0)
-        assert _rank_det(F5, [[1, 2, 3], [2, 4, 1]]) == (1, 0)
-        assert _rank_det(F5, [[1], [2], [0]]) == (1, 0)
-        assert _rank_det(F5, []) == (0, 1)
+        assert _eliminate(F5, [[1, 2, 3], [2, 4, 2]]) == ((0, 2), 0)
+        assert _eliminate(F5, [[1, 2, 3], [2, 4, 1]]) == ((0,), 0)
+        assert _eliminate(F5, [[1], [2], [0]]) == ((0,), 0)
+        assert _eliminate(F5, []) == ((), 1)
 
 
 class TestGram:
