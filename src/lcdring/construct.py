@@ -154,16 +154,19 @@ def minor_search(p: Matrix) -> MinorCertificate:
 def lemma_det_check(p: Matrix, b: Sequence[int], cert: MinorCertificate) -> bool:
     """Verify det(p + diag(b)) against the certified minor identity.
 
-    ``b`` must be supported exactly on the certificate's deletion set.
+    ``b`` must hold field encodings supported exactly on the certificate's
+    deletion set.
     """
     if not p.is_square or len(b) != p.nrows:
         raise NotSquareError("perturbation must match a square matrix")
+    f = p.field
+    for v in b:
+        f.check(v)
     support = tuple(j for j, v in enumerate(b) if v)
     if set(support) != set(cert.r_set):
         raise SupportMismatchError(
             f"support {support} differs from certified set {cert.r_set}"
         )
-    f = p.field
     rows = p.to_rows()
     for j, row in enumerate(rows):
         row[j] = f.add(row[j], b[j])

@@ -13,7 +13,7 @@ memoized: rank P and det P answer every hull and LCD predicate.
 from __future__ import annotations
 
 import sys
-from operator import getitem
+from operator import attrgetter, getitem
 from typing import Iterator, Sequence
 
 from .errors import (
@@ -25,6 +25,7 @@ from .errors import (
 )
 from .gf import GF
 from .linalg import Matrix, _eliminate, gram, nullspace_basis, rref
+from .value import Value
 
 DEFAULT_ENUM_CAP = 1_000_000
 
@@ -57,7 +58,7 @@ def _projective_steps(p: int, e: int, k: int) -> Iterator[int]:
             yield i
 
 
-class FqCode:
+class FqCode(Value):
     """An [n, k] linear code over GF(q), canonicalized by RREF.
 
     ``_dist`` caches the minimum distance and ``_grams`` maps each twist
@@ -66,6 +67,7 @@ class FqCode:
     """
 
     __slots__ = ("field", "n", "gen", "_dist", "_grams")
+    _key = attrgetter("field", "n", "gen")
     field: GF
     n: int
     gen: Matrix
@@ -79,20 +81,6 @@ class FqCode:
         object.__setattr__(self, "_dist", None)
         object.__setattr__(self, "_grams", {})
         self.__post_init__()
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.field, self.n, self.gen) == (other.field, other.n, other.gen)
-
-    def __hash__(self) -> int:
-        return hash((self.field, self.n, self.gen))
 
     def __post_init__(self) -> None:
         if self.gen.field != self.field or self.gen.ncols != self.n:
@@ -256,5 +244,4 @@ class FqCode:
         for j, a in enumerate(factors):
             if a == 0:
                 raise ZeroScaleError(f"factor at position {j} is zero")
-            self.field.check(a)
         return FqCode.from_rows(self.field, self.n, self.gen.scale_cols(factors).to_rows())

@@ -14,16 +14,19 @@ and ``rref`` is that pass plus a back-substitution.
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import Callable, Iterable, Sequence
 
 from .errors import ConsistencyError, MismatchError, NotSquareError
 from .gf import GF
+from .value import Value
 
 
-class Matrix:
+class Matrix(Value):
     """A rows-by-cols matrix over a finite field, entries row major."""
 
     __slots__ = ("field", "nrows", "ncols", "entries")
+    _key = attrgetter("field", "nrows", "ncols", "entries")
     field: GF
     nrows: int
     ncols: int
@@ -35,22 +38,6 @@ class Matrix:
         object.__setattr__(self, "ncols", ncols)
         object.__setattr__(self, "entries", entries)
         self.__post_init__()
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.field, self.nrows, self.ncols, self.entries) == (
-            other.field, other.nrows, other.ncols, other.entries
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.field, self.nrows, self.ncols, self.entries))
 
     def __repr__(self) -> str:
         return (
@@ -121,6 +108,8 @@ class Matrix:
     def scale_cols(self, factors: Sequence[int]) -> "Matrix":
         if len(factors) != self.ncols:
             raise MismatchError("one factor per column required")
+        for a in factors:
+            self.field.check(a)
         mul = self.field.mul
         cols = [[mul(v, a) for v in self.col(c)] for c, a in enumerate(factors)]
         return Matrix(self.field, self.nrows, self.ncols, tuple(v for row in zip(*cols) for v in row))
@@ -244,14 +233,18 @@ def minor_det(p: Matrix, drop: Iterable[int]) -> int:
     """Determinant after deleting the rows and columns listed in ``drop``.
 
     Dropping everything leaves the empty matrix, whose determinant is 1;
-    dropping nothing gives det(p).  Every index in ``drop`` must lie in
-    [0, p.nrows); repeats count once.  The kept entries are read straight
+    dropping nothing gives det(p).  Every index in ``drop`` must be an int
+    in [0, p.nrows); repeats count once.  The kept entries are read straight
     from p, without building the submatrix.
     """
     if not p.is_square:
         raise NotSquareError("row/column deletion needs a square matrix")
     m = p.nrows
-    dropset = set(drop)
+    dropset = set()
+    for i in drop:
+        if type(i) is not int:
+            raise MismatchError(f"deletion index {i!r} is not an int")
+        dropset.add(i)
     if dropset and (min(dropset) < 0 or max(dropset) >= m):
         raise MismatchError(f"deletion indices {sorted(dropset)} outside [0, {m})")
     keep = [i for i in range(m) if i not in dropset]

@@ -9,12 +9,14 @@ matrix over R is just a view rebuilt on demand.
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import NamedTuple, Sequence
 
 from .errors import CapExceededError, MismatchError, NotAUnitError, ZeroCodeError
 from .fqcode import DEFAULT_ENUM_CAP, FqCode
 from .gf import GF
 from .ring import RingElement
+from .value import Value
 
 
 class RCodeParams(NamedTuple):
@@ -24,8 +26,9 @@ class RCodeParams(NamedTuple):
     components: tuple[tuple[int, int, int | None], ...]
 
 
-class RCode:
+class RCode(Value):
     __slots__ = ("field", "n", "comps")
+    _key = attrgetter("field", "n", "comps")
     field: GF
     n: int
     comps: tuple[FqCode, FqCode, FqCode, FqCode]
@@ -33,26 +36,10 @@ class RCode:
     def __init__(self, field: GF, n: int, comps: Sequence[FqCode]) -> None:
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "comps", comps)
+        object.__setattr__(self, "comps", tuple(comps))
         self.__post_init__()
 
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.field, self.n, self.comps) == (other.field, other.n, other.comps)
-
-    def __hash__(self) -> int:
-        return hash((self.field, self.n, self.comps))
-
     def __post_init__(self) -> None:
-        if not isinstance(self.comps, tuple):
-            object.__setattr__(self, "comps", tuple(self.comps))
         if len(self.comps) != 4:
             raise MismatchError("exactly four component codes required")
         for c in self.comps:

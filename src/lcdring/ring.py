@@ -19,15 +19,17 @@ turns Lee distance into Hamming distance.
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import Sequence
 
 from .errors import BadLError, MismatchError, NotAUnitError
 from .gf import GF
+from .value import Value
 
 
 def u_to_gamma(field: GF, quad: Sequence[int]) -> tuple[int, int, int, int]:
     """Convert (a1, a2, a3, a4) of a1 + a2*u + a3*v + a4*uv to idempotent coordinates."""
-    a1, a2, a3, a4 = quad
+    a1, a2, a3, a4 = map(field.check, quad)
     add = field.add
     r1 = a1
     r3 = add(a1, a2)
@@ -47,35 +49,20 @@ def gamma_to_u(field: GF, quad: Sequence[int]) -> tuple[int, int, int, int]:
     return (a1, a2, a3, a4)
 
 
-class RingElement:
+class RingElement(Value):
     """An element of R in idempotent coordinates (g1, g2, g3, g4 slots)."""
 
     __slots__ = ("field", "g")
+    _key = attrgetter("field", "g")
     field: GF
     g: tuple[int, int, int, int]
 
     def __init__(self, field: GF, g: Sequence[int]) -> None:
         object.__setattr__(self, "field", field)
-        object.__setattr__(self, "g", g)
+        object.__setattr__(self, "g", tuple(g))
         self.__post_init__()
 
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.field, self.g) == (other.field, other.g)
-
-    def __hash__(self) -> int:
-        return hash((self.field, self.g))
-
     def __post_init__(self) -> None:
-        if not isinstance(self.g, tuple):
-            object.__setattr__(self, "g", tuple(self.g))
         if len(self.g) != 4:
             raise ValueError("ring elements carry exactly 4 coordinates")
         q = self.field.q

@@ -146,17 +146,22 @@ def test_length_bounded_before_any_matrix():
             parse_code(json.dumps(dict(doc, n=n)))
 
 
-@pytest.mark.parametrize("representation", ["components", "generators"])
-@pytest.mark.parametrize("basis", ["gamma", "u"])
-def test_roundtrip(representation, basis):
-    if representation == "components" and basis == "u":
-        pytest.skip("components are gamma-only")
+@pytest.mark.parametrize(
+    "basis, representation", [("gamma", "components"), ("gamma", "generators"), ("u", "generators")]
+)
+def test_roundtrip(basis, representation):
     rng = random.Random(61)
     f9 = GF(3, 2, [1, 0, 1])
     for _ in range(10):
         rc = random_rcode(rng, f9, rng.randint(1, 4), 2)
         text = dumps(code_document(rc, representation=representation, basis=basis))
         assert parse_code(text) == rc
+
+
+def test_components_are_gamma_only():
+    rc = random_rcode(random.Random(61), GF(5), 2, 2)
+    with pytest.raises(ValueError, match="only meaningful in the gamma basis"):
+        code_document(rc, "components", "u")
 
 
 def test_field_code_document_shape():

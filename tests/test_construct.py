@@ -230,6 +230,14 @@ class TestLemmaCheck:
         with pytest.raises(SupportMismatchError):
             lemma_det_check(p, [0, 1], cert)
 
+    @pytest.mark.parametrize("b", [[-1], [-3], [5], [True], [1.0]])
+    def test_non_encoding_refused(self, b):
+        p = mat(F4, [[0]])
+        cert = minor_search(p)
+        assert cert.r_set == (0,)
+        with pytest.raises(ValueError, match="not an element encoding"):
+            lemma_det_check(p, b, cert)
+
     def test_random_instances(self):
         rng = random.Random(42)
         for field in (F5, F9):

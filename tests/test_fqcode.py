@@ -379,6 +379,14 @@ class TestScale:
         with pytest.raises(ZeroScaleError):
             code(F5, 2, [[1, 2]]).scale([1, 0])
 
+    @pytest.mark.parametrize("factors, error", [
+        ([1, 7], ValueError), ([True, 1], ValueError), ([1, False], ZeroScaleError),
+        ([1, 1, 1], MismatchError),
+    ])
+    def test_other_refusals(self, factors, error):
+        with pytest.raises(error):
+            code(F5, 2, [[1, 2]]).scale(factors)
+
     def test_preserves_parameters(self):
         rng = random.Random(24)
         for _ in range(20):

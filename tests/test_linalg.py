@@ -49,6 +49,13 @@ class TestRearrangement:
         )
 
 
+@pytest.mark.parametrize("field, factor", [(F5, 7), (F5, -3), (F5, True), (F5, 2.0),
+                                           (GF(2, 2), -1), (GF(2, 2), 9)])
+def test_scale_cols_checks_factors(field, factor):
+    with pytest.raises(ValueError, match="not an element encoding"):
+        m(field, [[1, 2]]).scale_cols([1, factor])
+
+
 class TestRref:
     def test_scales_single_row(self):
         r, rank, pivots = rref(m(F5, [[2, 4]]))
@@ -282,6 +289,11 @@ class TestMinorDet:
         assert det(p) == 4
         with pytest.raises(MismatchError):
             minor_det(p, drop)
+
+    @pytest.mark.parametrize("drop", [[1.5], [True], {False}, [0, 1.0], [1, True], (0, 0.0)])
+    def test_non_int_index_refused(self, drop):
+        with pytest.raises(MismatchError, match="is not an int"):
+            minor_det(m(F5, [[1, 2], [3, 0]]), drop)
 
     @pytest.mark.parametrize("field", [GF(2, 2), F5, F9], ids=lambda f: f"GF({f.q})")
     def test_matches_det_of_built_submatrix(self, field):

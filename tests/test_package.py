@@ -28,6 +28,31 @@ def test_package_imports_only_the_standard_library():
     assert outside == []
 
 
+def test_value_protocol_lives_in_one_class():
+    """Only value.Value refuses assignment; only Value and GF define equality and hashing."""
+    owners = {"__setattr__": {"value.Value"}, "__delattr__": {"value.Value"},
+              "__eq__": {"value.Value", "gf.GF"}, "__hash__": {"value.Value", "gf.GF"}}
+    classes, found = set(), []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for cls in ast.walk(tree):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            owner = f"{path.stem}.{cls.name}"
+            classes.add(owner)
+            for node in cls.body:
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    names = [node.name]
+                elif isinstance(node, ast.Assign):
+                    names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+                else:
+                    continue
+                found += [f"{owner}.{name}" for name in names
+                          if name in owners and owner not in owners[name]]
+    assert found == []
+    assert {"value.Value", "gf.GF"} <= classes
+
+
 # What the fast paths compute, and the shared kernels behind them.
 FAST_PATH_ATTRS = {
     "galois_dual", "hull_dim", "lcd_status", "is_lcd", "is_self_orthogonal", "is_self_dual",

@@ -21,6 +21,13 @@ def test_constructor_checks_coordinates(coord):
         RingElement(F5, (coord, 0, 0, 0))
 
 
+@pytest.mark.parametrize("quad", [(0, 7, 0, 0), (0, True, 0, 0), (-1, 0, 0, 0), (0, 0, 0, 1.0)])
+def test_u_basis_checks_coordinates(quad):
+    for convert in (u_to_gamma, RingElement.from_u):
+        with pytest.raises(ValueError, match="not an element encoding"):
+            convert(F5, quad)
+
+
 class TestBasisConversion:
     def test_one_is_the_sum_of_idempotents(self):
         assert u_to_gamma(F5, (1, 0, 0, 0)) == (1, 1, 1, 1)
