@@ -13,7 +13,8 @@ memoized: rank P and det P answer every hull and LCD predicate.
 from __future__ import annotations
 
 import sys
-from operator import attrgetter, getitem
+from itertools import chain
+from operator import attrgetter
 from typing import Iterator, Sequence
 
 from .errors import (
@@ -36,6 +37,10 @@ def count_text(q: int, k: int) -> str:
     return f"{q}^{k}" if limit and q**k >= 10**limit else str(q**k)
 
 
+# Largest number of entries in the p-ary ruler block _projective_steps builds.
+RULER_BLOCK = 1 << 16
+
+
 def _projective_steps(p: int, e: int, k: int) -> Iterator[int]:
     """F_p-digit indices j * e + t of the projective Gray walk over GF(p^e)^k.
 
@@ -47,15 +52,36 @@ def _projective_steps(p: int, e: int, k: int) -> Iterator[int]:
     left the lower digits every lower choice is met exactly once.  Digits
     above j stay 0, so each message whose highest nonzero digit is 1 is
     visited exactly once.
+
+    The ruler v_p(1), ..., v_p(p^m - 1) of the m lowest digits is built
+    once as ``bytes`` (R_(m+1) = (R_m + [m]) * (p - 1) + R_m, so R_i is a
+    prefix of R_m), with p^m - 1 <= ``RULER_BLOCK`` and m <= (k - 1) * e.
+    Higher digits step through v_p once per block, so memory stays
+    bounded whatever q^k is.  The indices come out of ``chain``, which
+    reads each block from C rather than resuming a generator per step.
     """
-    for top in range(k):
-        yield top * e
-        for s in range(1, p ** (top * e)):
-            i = 0
-            while not s % p:
-                s //= p
-                i += 1
-            yield i
+    block, m = b"", 0
+    while m < (k - 1) * e and p ** (m + 1) - 1 <= RULER_BLOCK:
+        block = (block + bytes([m])) * (p - 1) + block
+        m += 1
+
+    def chunks() -> Iterator[Sequence[int]]:
+        for top in range(k):
+            low = top * e
+            yield (low,)
+            if low <= m:
+                yield block[: p**low - 1]
+                continue
+            yield block
+            for s in range(1, p ** (low - m)):
+                i = m
+                while not s % p:
+                    s //= p
+                    i += 1
+                yield (i,)
+                yield block
+
+    return chain.from_iterable(chunks())
 
 
 class FqCode(Value):
@@ -185,14 +211,24 @@ class FqCode(Value):
     # -- metrics ---------------------------------------------------------------
 
     def min_dist(self, cap: int = DEFAULT_ENUM_CAP) -> int:
-        """Exact minimum Hamming weight by a projective Gray-order scan.
+        """Exact minimum Hamming weight by a projective Gray-order scan on packed F_p lanes.
 
         Scalar multiples share a weight, so only the (q^k - 1)/(q - 1)
         messages whose highest nonzero digit is 1 are visited.  Below that
         digit the message walks its F_p coordinates in p-ary Gray order
-        (``_projective_steps``), so each codeword costs one row update by a
-        precomputed multiple x^t * row.  The cap still counts all q^k
-        messages, so the same inputs are refused as by a full scan.
+        (``_projective_steps``), so each codeword is the previous one plus
+        a precomputed multiple x^t * row_j.  A word of GF(p^e)^n is one int
+        holding its n * e F_p digits in lanes of b = p.bit_length() + 1
+        bits, plane-major: lane t * n + i holds digit t of coordinate i.
+        The walk carries w + K, where K holds 2^(b-1) - p in every lane, so
+        after adding a step's lanes, bit b - 1 of a lane is set exactly
+        when its digit sum reached p, and subtracting p there reduces every
+        lane at once.  Digit w_i is nonzero exactly when bit b - 1 of
+        w_i + 2^(b-1) - 1 is set; OR-ing these flags over the e planes onto
+        plane 0 and counting its bits gives the weight.  No lane sum
+        reaches 2^b, so one kernel serves every field.  The cap still
+        counts all q^k messages, so the same inputs are refused as by a
+        full scan.
         """
         if self.k == 0:
             raise ZeroCodeError("the zero code has no minimum distance")
@@ -206,25 +242,37 @@ class FqCode(Value):
         rows = self.gen.to_rows()
         best = min(n - row.count(0) for row in rows)
         if best > 1 and self.k > 1:
-            # deltas[j * e + t][i] maps coordinate i through "+ x^t * row j".
-            # Add rows are shared by entry: at most q rows of q entries,
-            # within the cap because k >= 2 here.
-            add_rows: dict[int, list[int]] = {}
+            p, e = f.p, f.e
+            b = p.bit_length() + 1
+            msb = b - 1  # the top bit of a lane
+            plane = n * b
+            one = ((1 << (plane * e)) - 1) // ((1 << b) - 1)  # 1 in every lane
+            high = one << msb
+            # deltas[j * e + t] packs x^t * row j
             deltas = []
             for row in rows:
-                for t in range(f.e):
-                    xt = f.p**t  # the encoding of x^t
-                    delta = []
-                    for v in row:
-                        c = f.mul(xt, v)
-                        if c not in add_rows:
-                            add_rows[c] = [f.add(c, y) for y in range(f.q)]
-                        delta.append(add_rows[c])
-                    deltas.append(delta)
-            word = [0] * n
-            for i in _projective_steps(f.p, f.e, self.k):
-                word = list(map(getitem, deltas[i], word))
-                w = n - word.count(0)
+                for t in range(e):
+                    xt = p**t  # the encoding of x^t
+                    d = 0
+                    for i, v in enumerate(row):
+                        for u, digit in enumerate(f.coeffs(f.mul(xt, v))):
+                            d |= digit << (u * plane + i * b)
+                    deltas.append(d)
+            folds = []  # OR planes t .. t + 2h - 1 onto plane t, doubling h
+            h = 1
+            while h < e:
+                folds.append(h * plane)
+                h *= 2
+            plane0 = high & ((1 << plane) - 1)
+            nonzero = one * (p - 1)  # w + K + (p - 1) = w + 2^(b-1) - 1 in each lane
+            word = one * ((1 << msb) - p)  # the zero word plus K
+            for d in map(deltas.__getitem__, _projective_steps(p, e, self.k)):
+                s = word + d
+                word = s - ((s & high) >> msb) * p
+                flags = (word + nonzero) & high
+                for shift in folds:
+                    flags |= flags >> shift
+                w = (flags & plane0).bit_count()
                 if w < best:
                     best = w
                     if best == 1:

@@ -22,6 +22,13 @@ from .gf import GF
 from .value import Value
 
 
+def _index(i: int, bound: int, what: str) -> int:
+    """``i`` itself when it is a plain int in [0, bound), else a ``MismatchError``."""
+    if type(i) is not int or not 0 <= i < bound:
+        raise MismatchError(f"{what} index {i!r} outside [0, {bound})")
+    return i
+
+
 class Matrix(Value):
     """A rows-by-cols matrix over a finite field, entries row major."""
 
@@ -84,10 +91,11 @@ class Matrix(Value):
     # -- access ---------------------------------------------------------------
 
     def entry(self, r: int, c: int) -> int:
-        return self.entries[r * self.ncols + c]
+        return self.entries[_index(r, self.nrows, "row") * self.ncols + _index(c, self.ncols, "column")]
 
     def row(self, r: int) -> tuple[int, ...]:
-        return self.entries[r * self.ncols : (r + 1) * self.ncols]
+        start = _index(r, self.nrows, "row") * self.ncols
+        return self.entries[start : start + self.ncols]
 
     def to_rows(self) -> list[list[int]]:
         return [list(self.row(r)) for r in range(self.nrows)]
@@ -115,7 +123,7 @@ class Matrix(Value):
         return Matrix(self.field, self.nrows, self.ncols, tuple(v for row in zip(*cols) for v in row))
 
     def col(self, c: int) -> tuple[int, ...]:
-        return self.entries[c :: self.ncols] if self.ncols else ()
+        return self.entries[_index(c, self.ncols, "column") :: self.ncols]
 
 
 def _eliminate(f: GF, rows: list[list[int]]) -> tuple[tuple[int, ...], int]:

@@ -40,7 +40,7 @@ def u_to_gamma(field: GF, quad: Sequence[int]) -> tuple[int, int, int, int]:
 
 def gamma_to_u(field: GF, quad: Sequence[int]) -> tuple[int, int, int, int]:
     """Inverse of :func:`u_to_gamma`."""
-    r1, r2, r3, r4 = quad
+    r1, r2, r3, r4 = map(field.check, quad)
     add, sub = field.add, field.sub
     a1 = r1
     a2 = sub(r3, r1)
@@ -89,6 +89,8 @@ class RingElement(Value):
     @classmethod
     def idempotent(cls, field: GF, i: int) -> "RingElement":
         """g1..g4 for i in 0..3."""
+        if type(i) is not int or not 0 <= i <= 3:
+            raise MismatchError(f"idempotent slot {i!r} outside 0..3")
         coords = [0, 0, 0, 0]
         coords[i] = 1
         return cls(field, tuple(coords))

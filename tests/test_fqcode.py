@@ -1,5 +1,6 @@
 """Field codes: duals, hulls, LCD and MDS predicates, scaling."""
 
+import itertools
 import random
 import sys
 
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lcdring import GF, FqCode, Matrix, RCode, oracle
+from lcdring import GF, FqCode, Matrix, RCode, fqcode, oracle
 from lcdring.errors import (
     BadLError,
     CapExceededError,
@@ -248,7 +249,34 @@ def test_gray_walk_words_on_a_small_code():
     assert scaled == {w for w in oracle.codewords(c) if any(w)}
 
 
-DIFF_FIELDS = [GF(2), GF(3), GF(2, 2), GF(5), GF(7), GF(2, 3), GF(3, 2)]
+def _ruler_walk(p, e, k):
+    """The projective walk's step indices straight from their definition."""
+    for top in range(k):
+        yield top * e
+        for s in range(1, p ** (top * e)):
+            i = 0
+            while s % p == 0:
+                s //= p
+                i += 1
+            yield i
+
+
+def test_projective_steps_are_bounded_and_lazy():
+    # 2^60 - 1 steps in all, so the walk must hand them out lazily from a
+    # ruler block of bounded size; for p = 2, e = 1 they are v_2(1), v_2(2), ...
+    head = list(itertools.islice(_projective_steps(2, 1, 60), 10**5))
+    assert head == [(s & -s).bit_length() - 1 for s in range(1, 10**5 + 1)]
+
+
+@pytest.mark.parametrize("block", [1, 3, 8, 30])
+@pytest.mark.parametrize("p, e, k", [(2, 1, 9), (3, 1, 6), (2, 2, 4), (3, 2, 3), (5, 1, 4), (2, 3, 3)])
+def test_projective_steps_past_the_ruler_block(monkeypatch, block, p, e, k):
+    # a small block sends the high digits through the v_p loop between blocks
+    monkeypatch.setattr(fqcode, "RULER_BLOCK", block)
+    assert list(_projective_steps(p, e, k)) == list(_ruler_walk(p, e, k))
+
+
+DIFF_FIELDS = [GF(2), GF(3), GF(2, 2), GF(5), GF(7), GF(2, 3), GF(3, 2), GF(3, 3), GF(5, 2), GF(2, 4), GF(17)]
 
 
 @settings(max_examples=200, deadline=None)
@@ -274,6 +302,37 @@ def test_min_dist_matches_oracle(data):
     if c.k == 0:
         return
     assert c.min_dist() == oracle.min_distance(c)
+
+
+@pytest.mark.parametrize(
+    "p, rows, d",
+    [
+        (131, [[1, 0, 5, 130, 7, 9], [0, 1, 5, 130, 7, 11]], 3),  # row 1 - row 0
+        (131, [[1, 0, 1, 2, 3, 4], [0, 1, 2, 4, 6, 8]], 2),  # row 1 - 2 * row 0
+        (131, [[1, 0, 3, 5, 7, 11, 13], [0, 1, 100, 123, 15, 61, 85]], 3),  # row 1 - 77 * row 0
+        (257, [[1, 0, 2, 256, 9, 17], [0, 1, 4, 255, 18, 34]], 2),  # row 1 - 2 * row 0
+        (257, [[1, 0, 3, 5, 7, 11], [0, 1, 86, 229, 116, 144]], 3),  # row 1 - 200 * row 0
+    ],
+)
+def test_min_dist_wide_lanes(p, rows, d):
+    # lanes of p.bit_length() + 1 = 9 and 10 bits
+    c = code(GF(p), len(rows[0]), rows)
+    assert c.k == 2
+    assert c.min_dist() == d == oracle.min_distance(c)
+
+
+@pytest.mark.parametrize("field, a", [(GF(5), 3), (GF(2, 3), 2), (GF(2, 3), 6)], ids=["gf5", "gf8-x", "gf8-x2+x"])
+def test_min_dist_long_words(field, a):
+    # n = 512 spreads a word over thousands of bits; the lightest word,
+    # row 1 - a * row 0, is nonzero at its first two and three far coordinates
+    n = 512
+    rng = random.Random(32)
+    row0 = [1, 0] + [rng.randrange(1, field.q) for _ in range(n - 2)]
+    row1 = [0, 1] + [field.mul(a, v) for v in row0[2:]]
+    for j in (n - 1, n - 5, n - 300):
+        row1[j] = field.add(row1[j], 1)
+    c = code(field, n, [row0, row1])
+    assert c.min_dist() == oracle.min_distance(c) == 5
 
 
 HULL_FIELDS = [GF(2), GF(2, 2), GF(5), GF(2, 3), GF(3, 2), GF(2, 4), GF(3, 3)]

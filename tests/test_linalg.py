@@ -56,6 +56,31 @@ def test_scale_cols_checks_factors(field, factor):
         m(field, [[1, 2]]).scale_cols([1, factor])
 
 
+class TestAccessBounds:
+    @pytest.mark.parametrize("r", [-1, 2, True, 1.0])
+    def test_row_refused(self, r):
+        with pytest.raises(MismatchError, match="row index"):
+            m(F5, [[1, 2], [3, 4]]).row(r)
+
+    @pytest.mark.parametrize("c", [-1, 2, 5, False, 0.0])
+    def test_col_refused(self, c):
+        with pytest.raises(MismatchError, match="column index"):
+            m(F5, [[1, 2], [3, 4]]).col(c)
+
+    @pytest.mark.parametrize("r, c, what", [(0, -1, "column"), (0, 2, "column"), (2, 0, "row"),
+                                            (-1, 0, "row"), (True, 0, "row"), (0, True, "column")])
+    def test_entry_refused(self, r, c, what):
+        with pytest.raises(MismatchError, match=f"{what} index"):
+            m(F5, [[1, 2], [3, 4]]).entry(r, c)
+
+    def test_empty_shapes(self):
+        assert Matrix.zero(F5, 2, 0).row(1) == () and Matrix.zero(F5, 0, 2).to_rows() == []
+        with pytest.raises(MismatchError):
+            Matrix.zero(F5, 2, 0).col(0)
+        with pytest.raises(MismatchError):
+            Matrix.zero(F5, 0, 2).row(0)
+
+
 class TestRref:
     def test_scales_single_row(self):
         r, rank, pivots = rref(m(F5, [[2, 4]]))

@@ -21,11 +21,18 @@ def test_constructor_checks_coordinates(coord):
         RingElement(F5, (coord, 0, 0, 0))
 
 
-@pytest.mark.parametrize("quad", [(0, 7, 0, 0), (0, True, 0, 0), (-1, 0, 0, 0), (0, 0, 0, 1.0)])
+@pytest.mark.parametrize(
+    "quad", [(0, 7, 0, 0), (0, True, 0, 0), (-1, 0, 0, 0), (0, 0, 0, 1.0), (7, 0, 0, 0), (True, 0, 0, 0)])
 def test_u_basis_checks_coordinates(quad):
-    for convert in (u_to_gamma, RingElement.from_u):
+    for convert in (u_to_gamma, RingElement.from_u, gamma_to_u):
         with pytest.raises(ValueError, match="not an element encoding"):
             convert(F5, quad)
+
+
+@pytest.mark.parametrize("slot", [-1, 4, True, False, 1.0, "1"])
+def test_idempotent_refuses_bad_slots(slot):
+    with pytest.raises(MismatchError, match="idempotent slot"):
+        RingElement.idempotent(F5, slot)
 
 
 class TestBasisConversion:
