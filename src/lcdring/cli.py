@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Any
+from typing import Any, Sequence
 
 from . import codefile, construct, oracle
 from .errors import (
@@ -38,7 +38,7 @@ def _write_text(path: str | None, text: str) -> None:
             fh.write(text)
 
 
-def _fmt_params(triple: tuple[int, int, int | None]) -> str:
+def _fmt_params(triple: Sequence[int | None]) -> str:
     n, k, d = triple
     return f"[{n}, {k}, {d if d is not None else '?'}]"
 
@@ -86,7 +86,7 @@ def _print_analysis(report: dict[str, Any]) -> None:
     print(f"ring code: n={report['n']}, k={report['k']}")
     print("components [n, k, d]:")
     for i, t in enumerate(report["components"]):
-        print(f"  C{i + 1} = {_fmt_params(tuple(t))}")
+        print(f"  C{i + 1} = {_fmt_params(t)}")
     d = report["d_lee"]
     print(f"lee distance: {d if d is not None else 'unknown'}")
     print(f"singleton bound: {report['singleton_bound_x4'] / 4:g}")
@@ -122,58 +122,51 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     return 0
 
 
+def _print_construction(report: dict[str, Any]) -> None:
+    beta = f", beta={report['beta']}" if report["beta"] else ""
+    print(f"mode: {report['mode']} (l={report['l']}{beta})")
+    print(f"alpha (gamma basis): {report['alpha_gamma']}")
+    print(f"alpha (u basis):     {report['alpha_u']}")
+    for i, fc in enumerate(report["components"]):
+        if fc is None:
+            print(f"  C{i + 1}: already lcd, identity scaling")
+        else:
+            print(f"  C{i + 1}: t={fc['t']}, set={fc['r_set']}, "
+                  f"minor_det={fc['minor_det']}, gram_det={fc['gram_det']}")
+    print(f"result: lcd={'yes' if report['lcd'] else 'no'} gram_dets={report['gram_dets']}")
+    print(f"input  parameters: {_fmt_params(report['input'])}")
+    print(f"output parameters: {_fmt_params(report['output'])}")
+
+
 def _cmd_construct(args: argparse.Namespace) -> int:
     code = _load(args.file)
     alpha, out, cert = construct.ring_lcd_equivalent(
         code, mode=args.mode, l=args.l, seed=args.seed
     )
-    alpha_gamma = [list(x.g) for x in alpha]
-    alpha_u = [list(gamma_to_u(code.field, x.g)) for x in alpha]
-    print(f"mode: {args.mode} (l={cert.l}" + (f", beta={cert.beta}" if cert.beta else "") + ")")
-    print(f"alpha (gamma basis): {alpha_gamma}")
-    print(f"alpha (u basis):     {alpha_u}")
-    for i, fc in enumerate(cert.components):
-        if fc is None:
-            print(f"  C{i + 1}: already lcd, identity scaling")
-        else:
-            print(
-                f"  C{i + 1}: t={fc.minor.t}, set={list(fc.minor.r_set)}, "
-                f"minor_det={fc.minor.det}, gram_det={fc.gram_det}"
-            )
     flag, dets = out.lcd_status(cert.l)
-    print(f"result: lcd={'yes' if flag else 'no'} gram_dets={list(dets)}")
-    in_params = code.params(args.max_enum)
-    out_params = out.params(args.max_enum)
-    print(f"input  parameters: {_fmt_params((in_params.n, in_params.k, in_params.d_lee))}")
-    print(f"output parameters: {_fmt_params((out_params.n, out_params.k, out_params.d_lee))}")
-    doc = codefile.code_document(out)
-    _write_text(args.output, codefile.dumps(doc))
+    report = {
+        "version": codefile.FORMAT_VERSION,
+        "mode": args.mode,
+        "l": cert.l,
+        "beta": cert.beta,
+        "alpha_gamma": [list(x.g) for x in alpha],
+        "alpha_u": [list(gamma_to_u(code.field, x.g)) for x in alpha],
+        "components": [
+            None if fc is None else {
+                "t": fc.minor.t, "r_set": list(fc.minor.r_set), "minor_det": fc.minor.det,
+                "perm": list(fc.perm), "alpha": list(fc.alpha), "gram_det": fc.gram_det,
+            }
+            for fc in cert.components
+        ],
+        "lcd": flag,
+        "gram_dets": list(dets),
+        # (n, k, d_lee), the first three fields of RCodeParams
+        "input": list(code.params(args.max_enum)[:3]),
+        "output": list(out.params(args.max_enum)[:3]),
+    }
+    _print_construction(report)
+    _write_text(args.output, codefile.dumps(codefile.code_document(out)))
     if args.json:
-        report = {
-            "version": codefile.FORMAT_VERSION,
-            "mode": args.mode,
-            "l": cert.l,
-            "beta": cert.beta,
-            "alpha_gamma": alpha_gamma,
-            "alpha_u": alpha_u,
-            "components": [
-                None
-                if fc is None
-                else {
-                    "t": fc.minor.t,
-                    "r_set": list(fc.minor.r_set),
-                    "minor_det": fc.minor.det,
-                    "perm": list(fc.perm),
-                    "alpha": list(fc.alpha),
-                    "gram_det": fc.gram_det,
-                }
-                for fc in cert.components
-            ],
-            "lcd": flag,
-            "gram_dets": list(dets),
-            "input": [in_params.n, in_params.k, in_params.d_lee],
-            "output": [out_params.n, out_params.k, out_params.d_lee],
-        }
         _write_text(args.json, codefile.dumps(report))
     if not flag:
         raise ConsistencyError("construction produced a non-LCD code")

@@ -38,6 +38,9 @@ FORMAT_VERSION = 1
 
 # Largest code length a file may declare, checked before any matrix is
 # built: the zero code's dual at this length is four n-by-n identities.
+# It also bounds the rows of each component, and 4 * MAX_LENGTH bounds the
+# generator rows (a full code written as generators has 4n), since parse
+# time grows with the number of rows.
 MAX_LENGTH = 512
 
 
@@ -75,6 +78,7 @@ def _load_field(doc: dict[str, Any]) -> GF:
 
 def _check_int_rows(field: GF, rows: Any, n: int, what: str) -> list[list[int]]:
     _require(isinstance(rows, list), f"{what} must be a list of rows")
+    _require(len(rows) <= MAX_LENGTH, f"{what} has {len(rows)} rows, more than {MAX_LENGTH}")
     out = []
     for r, row in enumerate(rows):
         _require(isinstance(row, list), f"{what} row {r} is not a list")
@@ -110,13 +114,12 @@ def parse_code(text: str) -> RCode:
         comps = doc["components"]
         _require(isinstance(comps, list) and len(comps) == 4,
                  "'components' must list exactly four generator matrices")
-        parts = [
-            FqCode.from_rows(field, n, _check_int_rows(field, comp, n, f"component {i + 1}"))
-            for i, comp in enumerate(comps)
-        ]
-        return RCode.from_components(parts)
+        rows = [_check_int_rows(field, comp, n, f"component {i + 1}") for i, comp in enumerate(comps)]
+        return RCode.from_components([FqCode.from_rows(field, n, r) for r in rows])
     gens = doc["generators"]
     _require(isinstance(gens, list), "'generators' must be a list of rows")
+    _require(len(gens) <= 4 * MAX_LENGTH,
+             f"'generators' has {len(gens)} rows, more than {4 * MAX_LENGTH}")
     rows = []
     for r, row in enumerate(gens):
         _require(isinstance(row, list) and len(row) == n,

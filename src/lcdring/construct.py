@@ -40,6 +40,13 @@ deletion set keep factor 1; positions on it draw from the units outside
 the subgroup of (p^m + 1)-th roots of unity, which is {1, -1} for l = 0
 and the beta-th powers for a Galois twist.
 
+The scaled code's memoized Gram matrix P_out gives that determinant
+without a second Gram product: G diag(alpha) = D G_out, D = diag(alpha at
+the pivot columns), so with Gram_m(X) = X F^m(X)^T and b_j + 1 =
+alpha_j^(p^m + 1), det Gram_m(G diag(alpha)) = det P_out * prod_j (b_j + 1).
+Scaling over R acts slot by slot, so the ring code is assembled from the
+component codes the field construction has already checked.
+
 Everything is deterministic: the deletion set is the lexicographically
 first one of its size, and factors default to the smallest valid
 encoding; a seed switches the factor choice to a reproducible random
@@ -66,7 +73,7 @@ from .errors import (
 )
 from .fqcode import FqCode
 from .gf import GF
-from .linalg import Matrix, _eliminate, det, gram, minor_det
+from .linalg import Matrix, _eliminate, minor_det
 from .rcode import RCode
 from .ring import RingElement
 
@@ -96,6 +103,8 @@ class FieldScalingCertificate(NamedTuple):
     ``perm`` lists the RREF generator's pivot columns, then the remaining
     columns in ascending order.  A deletion index j in ``minor.r_set``
     names row j of P, and its factor lands on column perm[j].
+    ``gram_det`` is det Gram_m(G diag(alpha)) = det P_out * prod_j (b_j + 1)
+    (see the module docstring), which must equal ``minor.det`` * prod_j b_j.
     """
 
     mode: str
@@ -189,7 +198,7 @@ def _twist_params(field: GF, mode: str, l: int | None) -> tuple[int, int | None]
         raise ValueError(f"unknown mode {mode!r}")
     if l is None:
         raise BadLError("the Galois mode requires a twist l")
-    if not 0 < l < field.e:
+    if isinstance(l, bool) or not isinstance(l, int) or not 0 < l < field.e:
         raise BadLError(f"twist must satisfy 0 < l < e = {field.e}, got {l}")
     base = field.p ** (field.e - l) + 1
     if (field.q - 1) % base != 0:
@@ -237,15 +246,17 @@ def _scaling(
     b = [f.sub(f.pow(alpha[c], b_exp), 1) for c in pivots]
     if not lemma_det_check(p, b, cert):
         raise ConsistencyError("minor determinant identity failed")
-    gram_det = det(gram(code.gen.scale_cols(alpha), m))
+    out = code.scale(alpha)
+    # det Gram_m(G diag(alpha)) = det P_out * prod (b_j + 1): see the module docstring
+    gram_det = out.lcd_status(l)[1]
     expected = cert.det
     for j in cert.r_set:
+        gram_det = f.mul(gram_det, f.add(b[j], 1))
         expected = f.mul(expected, b[j])
     if gram_det != expected or gram_det == 0:
         raise ConsistencyError(
             f"scaled Gram determinant {gram_det} does not match certificate {expected}"
         )
-    out = code.scale(alpha)
     if not out.is_lcd(l):
         raise ConsistencyError("scaled code failed the complementary-dual check")
     fc = FieldScalingCertificate(
@@ -294,37 +305,30 @@ def ring_lcd_equivalent(
     """An equivalent LCD code over R, built componentwise.
 
     Components that are already LCD keep the identity scaling; the rest
-    go through the field-level construction.  The per-coordinate unit is
-    assembled from the four slot factors, so the result has the same
-    length, dimension and Lee distance as the input.
+    go through the field-level construction.  The result, equal to
+    ``code.scale(alpha)``, is the ring code of the four resulting
+    components, and the per-coordinate unit is assembled from the four
+    slot factors, so it has the same length, dimension and Lee distance
+    as the input.
     """
     f = code.field
     l_eff, beta = _twist_params(f, mode, l)
 
-    slot_alphas: list[tuple[int, ...]] = []
-    certs: list[FieldScalingCertificate | None] = []
-    for comp in code.comps:
-        # the P this check builds is memoized on comp, so _scaling reuses it
-        if comp.is_lcd(l_eff):
-            slot_alphas.append((1,) * code.n)
-            certs.append(None)
-            continue
-        avec, _, fc = _scaling(comp, mode, l_eff, beta, seed)
-        slot_alphas.append(avec)
-        certs.append(fc)
-
-    alpha = tuple(
-        RingElement(f, (slot_alphas[0][j], slot_alphas[1][j], slot_alphas[2][j], slot_alphas[3][j]))
-        for j in range(code.n)
-    )
-    out = code.scale(alpha)
+    # the P each is_lcd builds is memoized on comp, so _scaling reuses it
+    slot_alphas, comps, certs = zip(*(
+        ((1,) * code.n, comp, None) if comp.is_lcd(l_eff)
+        else _scaling(comp, mode, l_eff, beta, seed)
+        for comp in code.comps
+    ))
+    alpha = tuple(RingElement(f, g) for g in zip(*slot_alphas))
+    out = RCode(f, code.n, comps)
     if not out.is_lcd(l_eff):
         raise ConsistencyError("assembled scaling failed the complementary-dual check")
     cert = RingScalingCertificate(
         mode=mode,
         l=l_eff,
         beta=beta,
-        components=tuple(certs),
+        components=certs,
         alpha=alpha,
         n=code.n,
         k=code.k,

@@ -18,7 +18,6 @@ from operator import attrgetter
 from typing import Iterator, Sequence
 
 from .errors import (
-    BadLError,
     CapExceededError,
     MismatchError,
     ZeroCodeError,
@@ -156,19 +155,18 @@ class FqCode(Value):
 
     def _twist(self, l: int) -> int:
         """Frobenius power m = e - l: the l-pairing with G is the Euclidean one with F^m(G)."""
-        if not 0 <= l <= self.field.e - 1:
-            raise BadLError(f"l must lie in [0, {self.field.e - 1}], got {l}")
-        return self.field.e - l
+        return self.field.e - self.field.check_twist(l)
 
     def _gram_facts(self, l: int) -> tuple[Matrix, int, int]:
         """(P, rank P, det P) for the twisted Gram matrix P = G * F^(e-l)(G)^T.
 
         One Gram product and one elimination per twist; later calls read
-        the memo.
+        the memo, once l is checked (True and 1.0 would find the entry of 1).
         """
+        m = self._twist(l)
         facts = self._grams.get(l)
         if facts is None:
-            p = gram(self.gen, self._twist(l))
+            p = gram(self.gen, m)
             pivots, d = _eliminate(self.field, p.to_rows())
             facts = self._grams[l] = (p, len(pivots), d)
         return facts

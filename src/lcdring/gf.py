@@ -31,7 +31,7 @@ from __future__ import annotations
 from operator import mul as _imul
 from typing import Iterable, Sequence
 
-from .errors import BadBetaError, BadModulusError, NotPrimeError
+from .errors import BadBetaError, BadLError, BadModulusError, NotPrimeError
 
 # Largest field order GF accepts (the README's desk scale); every
 # extension field holds O(q) table entries.
@@ -373,6 +373,12 @@ class GF:
         if x == 0:
             return 0 if m else 1
         return self._exp[self._log[x] * m % (self.q - 1)]
+
+    def check_twist(self, l: int) -> int:
+        """l, if it is an int in [0, e - 1] naming the twist x -> x^(p^l); BadLError otherwise."""
+        if isinstance(l, bool) or not isinstance(l, int) or not 0 <= l < self.e:
+            raise BadLError(f"l must lie in [0, {self.e - 1}], got {l!r}")
+        return l
 
     def frobenius(self, x: int, l: int = 1) -> int:
         """x**(p**l); the identity when l is a multiple of e."""

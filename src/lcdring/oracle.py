@@ -138,6 +138,7 @@ def is_dual_pair(code: Code, dual: Code, l: int, budget: int = DEFAULT_BUDGET) -
     if type(code) is not type(dual) or code.field != dual.field or code.n != dual.n:
         raise MismatchError("dual check needs two codes in one ambient space")
     f = code.field
+    f.check_twist(l)
     pairs = count(code) * count(dual)
     if pairs > budget:
         raise CapExceededError(
@@ -156,6 +157,7 @@ def hull_dim(code: Code, l: int, budget: int = DEFAULT_BUDGET) -> int:
     A non-power-of-q count means a bug somewhere and raises.
     """
     f = code.field
+    f.check_twist(l)
     hits = _orthogonal_count(code, _slot_words(code, budget), l)
     h, rest = 0, hits
     while rest and rest % f.q == 0:

@@ -22,7 +22,7 @@ from __future__ import annotations
 from operator import attrgetter
 from typing import Sequence
 
-from .errors import BadLError, MismatchError, NotAUnitError
+from .errors import MismatchError, NotAUnitError
 from .gf import GF
 from .value import Value
 
@@ -181,8 +181,7 @@ def galois_inner(s: Sequence[RingElement], t: Sequence[RingElement], l: int) -> 
     if not s:
         raise MismatchError("inner product of empty vectors")
     field = s[0].field
-    if not 0 <= l <= field.e - 1:
-        raise BadLError(f"l must lie in [0, {field.e - 1}], got {l}")
+    field.check_twist(l)
     add, mul, frob = field.add, field.mul, field.frobenius
     acc = [0, 0, 0, 0]
     for a, b in zip(s, t):

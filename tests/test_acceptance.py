@@ -172,6 +172,7 @@ def test_criterion_5_construction_end_to_end():
                 continue
             alpha, out, cert = ring_lcd_equivalent(rc, mode, l=l if mode == "galois" else None)
             assert all(a.is_unit for a in alpha)
+            assert out == rc.scale(alpha)
             assert out.is_lcd(l)
             assert out.n == rc.n and out.k == rc.k
             din = min(

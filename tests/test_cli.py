@@ -336,14 +336,14 @@ def gram_work(monkeypatch):
     """Gram products and eliminations, recorded where lcdring calls them.
 
     ``codes`` holds (generator, twist) for each P an FqCode builds and
-    ``scaled`` the same for construct's check of the scaled generator;
+    ``elsewhere`` the same for any other call of ``linalg.gram``;
     generators are kept so their ids stay unique.  ``code_eliminations``
     names the caller of each forward elimination FqCode runs itself, and
     ``eliminations`` that of every other one, ``rref`` included.
     """
     from lcdring import construct, fqcode
 
-    work = {"codes": [], "scaled": [], "eliminations": [], "code_eliminations": []}
+    work = {"codes": [], "elsewhere": [], "eliminations": [], "code_eliminations": []}
     real_gram, real_elim = linalg.gram, linalg._eliminate
 
     def recording_gram(key):
@@ -353,7 +353,7 @@ def gram_work(monkeypatch):
         return lambda f, rows: work[key].append(sys._getframe(1).f_code.co_name) or real_elim(f, rows)
 
     monkeypatch.setattr(fqcode, "gram", recording_gram("codes"))
-    monkeypatch.setattr(construct, "gram", recording_gram("scaled"))
+    monkeypatch.setattr(linalg, "gram", recording_gram("elsewhere"))
     monkeypatch.setattr(linalg, "_eliminate", counting_elim("eliminations"))
     monkeypatch.setattr(construct, "_eliminate", counting_elim("eliminations"))
     monkeypatch.setattr(fqcode, "_eliminate", counting_elim("code_eliminations"))
@@ -364,7 +364,7 @@ def gram_work(monkeypatch):
 def test_analyze_builds_one_gram_and_one_elimination_per_component_and_twist(sample, gram_work, capsys):
     assert main(["analyze", str(sample), "--json", "-"]) == 0
     # the only eliminations outside FqCode are the rref passes that parse the four components
-    assert gram_work["eliminations"] == ["rref"] * 4 and gram_work["scaled"] == []
+    assert gram_work["eliminations"] == ["rref"] * 4 and gram_work["elsewhere"] == []
     e = parse_code(sample.read_text()).field.e
     builds = [(id(g), m) for g, m in gram_work["codes"]]
     assert len(set(builds)) == len(builds) == 4 * e
@@ -383,9 +383,9 @@ def test_construct_builds_one_gram_per_code_object_and_twist(name, mode, gram_wo
     assert main(argv + ["-o", str(tmp_path / "out.json")]) == 0
     out = capsys.readouterr().out
     scaled = sum(c is not None for c in json.loads(out[out.index("\n{") + 1 :])["components"])
-    # the four input components, each scaled component's output in the
-    # field construction, and the four components of the assembled code
+    # the four input components and each scaled component's output; the
+    # assembled code reuses those objects, and construct builds no P itself
     builds = [(id(g), m) for g, m in gram_work["codes"]]
-    assert len(set(builds)) == len(builds) == 8 + scaled
+    assert len(set(builds)) == len(builds) == 4 + scaled
     assert len(gram_work["code_eliminations"]) == len(builds)
-    assert len(gram_work["scaled"]) == scaled
+    assert gram_work["elsewhere"] == []

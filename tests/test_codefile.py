@@ -146,6 +146,34 @@ def test_length_bounded_before_any_matrix():
             parse_code(json.dumps(dict(doc, n=n)))
 
 
+def test_rows_bounded_before_any_matrix(monkeypatch):
+    built = []
+    real = FqCode.from_rows.__func__
+    monkeypatch.setattr(FqCode, "from_rows", classmethod(lambda cls, *a: built.append(a) or real(cls, *a)))
+    row = [[1]]
+    at_cap = {"field": {"p": 5}, "n": 1, "components": [row, row, row, row * MAX_LENGTH]}
+    assert parse_code(json.dumps(at_cap)).k == 4
+    over = dict(at_cap, components=[row, row, row, row * (MAX_LENGTH + 1)])
+    built.clear()
+    with pytest.raises(ParseError, match=f"component 4 has {MAX_LENGTH + 1} rows, more than {MAX_LENGTH}"):
+        parse_code(json.dumps(over))
+    assert built == []
+    gens = {"field": {"p": 5}, "n": 1, "generators": [[[1, 0, 0, 0]]] * (4 * MAX_LENGTH)}
+    assert parse_code(json.dumps(gens)).k == 1
+    gens["generators"].append([[0, 0, 0, 1]])
+    with pytest.raises(ParseError, match=f"'generators' has {4 * MAX_LENGTH + 1} rows"):
+        parse_code(json.dumps(gens))
+
+
+def test_full_code_writes_4n_generator_rows():
+    """code_document writes a full code as 4n generator rows, so at n = MAX_LENGTH it meets the cap."""
+    for n in (1, 3):
+        full = RCode.from_components([FqCode.full(F5, n)] * 4)
+        doc = code_document(full, representation="generators")
+        assert len(doc["generators"]) == 4 * n
+        assert parse_code(dumps(doc)) == full
+
+
 @pytest.mark.parametrize(
     "basis, representation", [("gamma", "components"), ("gamma", "generators"), ("u", "generators")]
 )

@@ -178,7 +178,8 @@ class TestHermitianCertificate:
         sizes = set()
         for _ in range(10):
             rc = RCode.from_components(list(planted_codes(rng, f, l, 8, 4)))
-            _, out, cert = ring_lcd_equivalent(rc, mode, l=twist)
+            alpha, out, cert = ring_lcd_equivalent(rc, mode, l=twist)
+            assert out == rc.scale(alpha)
             for comp, fc in zip(rc.comps, cert.components):
                 if fc is not None:
                     assert fc.minor.t + 1 == comp.hull_dim(l)
@@ -364,6 +365,7 @@ class TestRingLevel:
         line = FqCode.from_rows(F5, 2, [[1, 2]])
         rc = RCode.from_components([line] * 4)
         alpha, out, cert = ring_lcd_equivalent(rc, "euclid")
+        assert out == rc.scale(alpha)
         assert all(a.is_unit for a in alpha)
         assert alpha[0] == RingElement.scalar(F5, 2)
         assert alpha[1] == RingElement.one(F5)
@@ -374,7 +376,8 @@ class TestRingLevel:
         good = FqCode.from_rows(F5, 2, [[1, 1]])
         rc = RCode.from_components([good] * 4)
         alpha, out, cert = ring_lcd_equivalent(rc, "euclid")
-        assert out == rc
+        assert out == rc == rc.scale(alpha)
+        assert all(c is d for c, d in zip(out.comps, rc.comps))
         assert all(a == RingElement.one(F5) for a in alpha)
         assert all(c is None for c in cert.components)
 
@@ -386,6 +389,8 @@ class TestRingLevel:
         assert cert.components[0] is not None
         assert all(c is None for c in cert.components[1:])
         assert all(a.g[1] == a.g[2] == a.g[3] == 1 for a in alpha)
+        assert out == rc.scale(alpha)
+        assert out.comps[1:] == rc.comps[1:]
         assert out.is_lcd(0)
 
     def test_galois_mode(self):
@@ -393,8 +398,37 @@ class TestRingLevel:
         rc = RCode.from_components([bad] * 4)
         alpha, out, cert = ring_lcd_equivalent(rc, "galois", l=1)
         assert cert.beta == 2
+        assert out == rc.scale(alpha)
         assert out.is_lcd(1)
         assert out.lee_min_dist() == rc.lee_min_dist()
+
+    def test_assembles_the_checked_components(self, monkeypatch):
+        """The output holds the field construction's scaled codes themselves; nothing is rescaled."""
+        scaled = {}
+        real = construct._scaling
+
+        def recording(comp, *rest):
+            scaled[id(comp)] = real(comp, *rest)
+            return scaled[id(comp)]
+
+        def no_rescale(self, alpha):
+            raise AssertionError("ring_lcd_equivalent rescaled the input code")
+
+        monkeypatch.setattr(construct, "_scaling", recording)
+        monkeypatch.setattr(RCode, "scale", no_rescale)
+        rng = random.Random(47)
+        runs = []
+        for _ in range(4):
+            rc = RCode.from_components(list(planted_codes(rng, F9, 1, 6, 4)))
+            scaled.clear()
+            alpha, out, cert = ring_lcd_equivalent(rc, "galois", l=1)
+            for comp, got, fc in zip(rc.comps, out.comps, cert.components):
+                assert got is (comp if fc is None else scaled[id(comp)][1])
+            runs.append((rc, alpha, out))
+        monkeypatch.undo()
+        assert any(out != rc for rc, _, out in runs)
+        for rc, alpha, out in runs:
+            assert out == rc.scale(alpha)
 
     def test_galois_refusals_fire_before_scaling(self):
         rc = RCode.from_components([FqCode.from_rows(F4, 2, [[1, 1]])] * 4)
@@ -419,7 +453,8 @@ class TestRingLevel:
         rng = random.Random(46)
         for _ in range(8):
             rc = random_rcode(rng, F5, rng.randint(2, 3), 1)
-            _, out, _ = ring_lcd_equivalent(rc, "euclid")
+            alpha, out, _ = ring_lcd_equivalent(rc, "euclid")
+            assert out == rc.scale(alpha)
             assert oracle.hull_dim(out, 0) == 0
 
 
@@ -463,6 +498,9 @@ class TestFactorRule:
             _twist_params(F5, "euclid", 1)
         with pytest.raises(BadLError, match="requires a twist"):
             _twist_params(F9, "galois", None)
+        for l in (True, 1.0, "1", 0, 2):
+            with pytest.raises(BadLError, match="0 < l < e = 2"):
+                _twist_params(F9, "galois", l)
         with pytest.raises(ValueError, match="unknown mode"):
             _twist_params(F9, "hermitian", 1)
         with pytest.raises(DivisibilityError):

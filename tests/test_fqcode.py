@@ -85,6 +85,16 @@ class TestGaloisDual:
         with pytest.raises(BadLError):
             code(F5, 2, [[1, 1]]).galois_dual(1)
 
+    @pytest.mark.parametrize("l", [2, -1, True, False, 1.0, "1", None], ids=repr)
+    def test_twist_entry_points_refuse(self, l):
+        # the memo holds l = 0 and 1 first, which True, False and 1.0 would hit
+        c = code(F9, 2, [[1, 4]])
+        for good in range(2):
+            c.hull_dim(good)
+        for call in (c.galois_dual, c.hull_dim, c.lcd_status, c.is_lcd, c.is_self_orthogonal, c._gram):
+            with pytest.raises(BadLError, match=r"l must lie in \[0, 1\]"):
+                call(l)
+
     def test_dimensions_complement(self):
         rng = random.Random(21)
         for _ in range(30):

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from lcdring import GF, FqCode, RCode, RingElement
 from lcdring import oracle
-from lcdring.errors import CapExceededError, ZeroCodeError
+from lcdring.errors import BadLError, CapExceededError, ZeroCodeError
 from lcdring.ring import galois_inner, gray
 
 F5 = GF(5)
@@ -15,6 +15,18 @@ F9 = GF(3, 2, [1, 0, 1])
 
 def line():
     return FqCode.from_rows(F5, 2, [[1, 2]])
+
+
+@pytest.mark.parametrize("l", [2, -1, True, False, 1.0, "1", None], ids=repr)
+def test_twist_checks_refuse(l):
+    # Frobenius wraps l mod e, so an unchecked l = 2 on GF(9) would answer for l = 0
+    c = FqCode.from_rows(F9, 2, [[1, 4]])
+    rc = RCode.from_components([c] * 4)
+    for code in (c, rc):
+        with pytest.raises(BadLError):
+            oracle.hull_dim(code, l)
+        with pytest.raises(BadLError):
+            oracle.is_dual_pair(code, code.galois_dual(1), l)
 
 
 class TestEnumeration:

@@ -53,6 +53,24 @@ def test_value_protocol_lives_in_one_class():
     assert {"value.Value", "gf.GF"} <= classes
 
 
+def test_only_fqcode_builds_gram_matrices():
+    """One Gram route: linalg.gram has one call site, in FqCode._gram_facts, the memo every predicate reads."""
+    calls = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        owner = {}  # node -> innermost enclosing def; ast.walk is breadth-first
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                owner.update(dict.fromkeys(ast.walk(fn), fn.name))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name == "gram":
+                    calls.append(f"{path.name}:{owner.get(node, '<module>')}")
+    assert calls == ["fqcode.py:_gram_facts"]
+
+
 # What the fast paths compute, and the shared kernels behind them.
 FAST_PATH_ATTRS = {
     "galois_dual", "hull_dim", "lcd_status", "is_lcd", "is_self_orthogonal", "is_self_dual",

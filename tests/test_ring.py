@@ -155,6 +155,12 @@ class TestGaloisInner:
         with pytest.raises(BadLError):
             galois_inner((one,), (one,), 2)
 
+    @pytest.mark.parametrize("l", [-1, True, False, 1.0, "1", None], ids=repr)
+    def test_refuses_non_int_twists(self, l):
+        one = RingElement.one(F9)
+        with pytest.raises(BadLError):
+            galois_inner((one,), (one,), l)
+
     def test_slotwise_agreement_with_field_pairing(self):
         rng = random.Random(4)
         for _ in range(25):
