@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Any, Sequence
+from typing import Any, NoReturn, Sequence
 
 from . import codefile, construct, oracle
 from .errors import (
@@ -250,8 +250,25 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 1 (input error), as 2 means a cap was exceeded; subparsers inherit this."""
+
+    def error(self, message: str) -> NoReturn:
+        self.exit(1, f"{self.format_usage()}{self.prog}: error: {message}\n")
+
+
+def _enum_cap(text: str) -> int:
+    """A ``--max-enum`` value: a non-negative int."""
+    try:
+        if int(text) >= 0:
+            return int(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected a non-negative int, got {text!r}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="lcdring",
         description="Analyze and transform linear codes over F_q + uF_q + vF_q + uvF_q.",
     )
@@ -260,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", help="parameters, duals and predicate table")
     p.add_argument("file")
     p.add_argument("--l", type=int, action="append", help="twist to check (repeatable); default all")
-    p.add_argument("--max-enum", type=int, default=DEFAULT_ENUM_CAP)
+    p.add_argument("--max-enum", type=_enum_cap, default=DEFAULT_ENUM_CAP)
     p.add_argument("--json", metavar="FILE", help="also write a JSON report ('-' for stdout)")
     p.set_defaults(func=_cmd_analyze)
 
@@ -270,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--l", type=int, default=None, help="twist (galois mode)")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("-o", "--output", metavar="FILE", help="where to write the scaled code")
-    p.add_argument("--max-enum", type=int, default=DEFAULT_ENUM_CAP)
+    p.add_argument("--max-enum", type=_enum_cap, default=DEFAULT_ENUM_CAP)
     p.add_argument("--json", metavar="FILE")
     p.set_defaults(func=_cmd_construct)
 
@@ -287,12 +304,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("mindist", help="exact Lee distance by enumeration")
     p.add_argument("file")
-    p.add_argument("--max-enum", type=int, default=DEFAULT_ENUM_CAP)
+    p.add_argument("--max-enum", type=_enum_cap, default=DEFAULT_ENUM_CAP)
     p.set_defaults(func=_cmd_mindist)
 
     p = sub.add_parser("verify", help="cross-check fast paths against brute force")
     p.add_argument("file")
-    p.add_argument("--max-enum", type=int, default=DEFAULT_ENUM_CAP)
+    p.add_argument("--max-enum", type=_enum_cap, default=DEFAULT_ENUM_CAP)
     p.set_defaults(func=_cmd_verify)
 
     return parser

@@ -13,10 +13,6 @@ class BadModulusError(LcdringError):
     """Modulus polynomial has the wrong shape or is reducible."""
 
 
-class BadBetaError(LcdringError):
-    """Residue exponent does not divide the unit group order."""
-
-
 class NotSquareError(LcdringError):
     """Operation requires a square matrix."""
 

@@ -1,9 +1,12 @@
 """Linear codes over F_q.
 
 A code is stored by its unique reduced row echelon generator matrix, so
-two objects describe the same code exactly when they compare equal.  The
-Galois dual with twist l is computed as the Euclidean kernel of the
-entrywise (p^(e-l))-power of the generator, for every dual in the package.
+two objects describe the same code exactly when they compare equal.
+Only ``from_rows`` eliminates; a code derived from an RREF generator is
+written straight into RREF, and the constructor checks the form.  Each
+code object computes one kernel, its Euclidean dual, memoized.  The l-dual
+is that dual's entrywise (p^(e-l))-power, since y lies in the l-dual iff
+F^l(y) lies in the Euclidean dual, and F maps RREF onto RREF.
 Hull predicates never build the dual: they read the k-by-k twisted Gram
 matrix P = G * F^(e-l)(G)^T, since u*G lies in the l-dual iff u*P = 0.
 Each code object builds one P and runs one elimination per twist,
@@ -86,17 +89,18 @@ def _projective_steps(p: int, e: int, k: int) -> Iterator[int]:
 class FqCode(Value):
     """An [n, k] linear code over GF(q), canonicalized by RREF.
 
-    ``_dist`` caches the minimum distance and ``_grams`` maps each twist
-    l to (P, rank P, det P); neither takes part in equality, hashing or
-    the repr.
+    ``_dist`` caches the minimum distance, ``_dual`` the Euclidean dual
+    and ``_grams`` maps each twist l to (P, rank P, det P); none of them
+    takes part in equality, hashing or the repr.
     """
 
-    __slots__ = ("field", "n", "gen", "_dist", "_grams")
+    __slots__ = ("field", "n", "gen", "_dist", "_dual", "_grams")
     _key = attrgetter("field", "n", "gen")
     field: GF
     n: int
     gen: Matrix
     _dist: int | None
+    _dual: "FqCode | None"
     _grams: dict[int, tuple[Matrix, int, int]]
 
     def __init__(self, field: GF, n: int, gen: Matrix) -> None:
@@ -104,6 +108,7 @@ class FqCode(Value):
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "gen", gen)
         object.__setattr__(self, "_dist", None)
+        object.__setattr__(self, "_dual", None)
         object.__setattr__(self, "_grams", {})
         self.__post_init__()
 
@@ -133,10 +138,6 @@ class FqCode(Value):
     @classmethod
     def zero(cls, field: GF, n: int) -> "FqCode":
         return cls(field, n, Matrix.zero(field, 0, n))
-
-    @classmethod
-    def full(cls, field: GF, n: int) -> "FqCode":
-        return cls(field, n, Matrix.identity(field, n))
 
     # -- basic data ---------------------------------------------------------
 
@@ -179,8 +180,13 @@ class FqCode(Value):
         """All words pairing to zero with the code under sum(t_i * s_i^(p^l))."""
         f = self.field
         m = self._twist(l)
-        twisted = self.gen.map_entries(lambda v: f.frobenius(v, m))
-        return FqCode(f, self.n, nullspace_basis(twisted))
+        dual = self._dual
+        if dual is None:
+            dual = FqCode(f, self.n, nullspace_basis(self.gen))
+            object.__setattr__(self, "_dual", dual)
+        if m == f.e:
+            return dual
+        return FqCode(f, self.n, dual.gen.map_entries(lambda v: f.frobenius(v, m)))
 
     def hull_dim(self, l: int = 0) -> int:
         """dim Hull_l = k - rank(P): the hull is {u*G : u*P = 0}."""
@@ -284,10 +290,20 @@ class FqCode(Value):
     # -- equivalence ---------------------------------------------------------
 
     def scale(self, factors: Sequence[int]) -> "FqCode":
-        """The monomially equivalent code with column j scaled by factors[j]."""
+        """The monomially equivalent code with column j scaled by factors[j].
+
+        Each row of G * diag(factors), divided by its pivot's factor, is an RREF row.
+        """
         if len(factors) != self.n:
             raise MismatchError("one scaling factor per coordinate required")
         for j, a in enumerate(factors):
             if a == 0:
                 raise ZeroScaleError(f"factor at position {j} is zero")
-        return FqCode.from_rows(self.field, self.n, self.gen.scale_cols(factors).to_rows())
+        f = self.field
+        for a in factors:
+            f.check(a)
+        mul, entries = f.mul, []
+        for row in self.gen.to_rows():
+            s = f.inv(factors[row.index(1)])  # the first 1 of an RREF row is its pivot
+            entries += [mul(mul(v, a), s) for v, a in zip(row, factors)]
+        return FqCode(f, self.n, Matrix(f, self.k, self.n, tuple(entries)))

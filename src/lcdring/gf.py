@@ -17,7 +17,7 @@ encoding g: exp[i] = g^i, log[g^i] = i and zech[k] = log(1 + g^k), O(q)
 entries in all.  Each product, inverse, power and Frobenius image is then
 one or two lookups in exp/log, and each sum one more in zech.  Orders are
 capped at ``MAX_FIELD_ORDER`` before any primality, irreducibility or
-table work.  Power-residue classification uses plain exponentiation.
+table work.
 
 Linear algebra runs on two row kernels: ``dot`` (the sum of products of
 two rows) and ``sub_scaled`` (the row update xs - c*ys).  A prime field
@@ -31,7 +31,7 @@ from __future__ import annotations
 from operator import mul as _imul
 from typing import Iterable, Sequence
 
-from .errors import BadBetaError, BadLError, BadModulusError, NotPrimeError
+from .errors import BadLError, BadModulusError, NotPrimeError
 
 # Largest field order GF accepts (the README's desk scale); every
 # extension field holds O(q) table entries.
@@ -303,25 +303,11 @@ class GF:
             x //= self.p
         return tuple(out)
 
-    def encode(self, coeffs: Sequence[int]) -> int:
-        if len(coeffs) != self.e:
-            raise ValueError(f"need exactly {self.e} coefficients")
-        acc = 0
-        for c in reversed(coeffs):
-            if not 0 <= c < self.p:
-                raise ValueError("coefficient out of range")
-            acc = acc * self.p + c
-        return acc
-
     def elements(self) -> range:
         return range(self.q)
 
     def units(self) -> range:
         return range(1, self.q)
-
-    @property
-    def minus_one(self) -> int:
-        return self.neg(1)
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -443,17 +429,3 @@ class GF:
             z = zech[t - a]
             out.append(0 if z is None else exp[a + z])
         return out
-
-    # -- power residues -------------------------------------------------------
-
-    def is_beta_power(self, x: int, beta: int) -> bool:
-        """True when x lies in the image of the beta-power map on units.
-
-        Decided by x**((q-1)/beta) == 1.
-        """
-        _require_int("beta", beta)
-        if beta < 1 or (self.q - 1) % beta != 0:
-            raise BadBetaError(f"beta={beta} does not divide q-1={self.q - 1}")
-        if x == 0:
-            raise ZeroDivisionError("0 is not a unit")
-        return self.pow(x, (self.q - 1) // beta) == 1

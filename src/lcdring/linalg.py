@@ -106,21 +106,8 @@ class Matrix(Value):
 
     # -- rearrangement ----------------------------------------------------------
 
-    def transpose(self) -> "Matrix":
-        out = tuple(v for c in range(self.ncols) for v in self.col(c))
-        return Matrix(self.field, self.ncols, self.nrows, out)
-
     def map_entries(self, fn: Callable[[int], int]) -> "Matrix":
         return Matrix(self.field, self.nrows, self.ncols, tuple(fn(v) for v in self.entries))
-
-    def scale_cols(self, factors: Sequence[int]) -> "Matrix":
-        if len(factors) != self.ncols:
-            raise MismatchError("one factor per column required")
-        for a in factors:
-            self.field.check(a)
-        mul = self.field.mul
-        cols = [[mul(v, a) for v in self.col(c)] for c, a in enumerate(factors)]
-        return Matrix(self.field, self.nrows, self.ncols, tuple(v for row in zip(*cols) for v in row))
 
     def col(self, c: int) -> tuple[int, ...]:
         return self.entries[_index(c, self.ncols, "column") :: self.ncols]

@@ -15,6 +15,7 @@ from typing import NamedTuple, Sequence
 from .errors import CapExceededError, MismatchError, NotAUnitError, ZeroCodeError
 from .fqcode import DEFAULT_ENUM_CAP, FqCode
 from .gf import GF
+from .linalg import Matrix
 from .ring import RingElement
 from .value import Value
 
@@ -169,15 +170,19 @@ class RCode(Value):
         image dimension is the sum of the component dimensions and its
         Hamming distance is the Lee distance of the source.  A row of
         component i is written straight into positions 4j + i, which is
-        what ``ring.gray`` makes of that row embedded in slot i.
+        what ``ring.gray`` makes of that row embedded in slot i.  Components
+        share no position, so sorted by pivot (4c + i) the rows are in RREF.
         """
-        rows = []
+        keyed = []
         for i, comp in enumerate(self.comps):
             for r in range(comp.k):
+                src = comp.gen.row(r)
                 row = [0] * (4 * self.n)
-                row[i::4] = comp.gen.row(r)
-                rows.append(row)
-        return FqCode.from_rows(self.field, 4 * self.n, rows)
+                row[i::4] = src
+                keyed.append((4 * src.index(1) + i, row))  # an RREF row's first 1 is its pivot
+        keyed.sort()
+        entries = tuple(v for _, row in keyed for v in row)
+        return FqCode(self.field, 4 * self.n, Matrix(self.field, len(keyed), 4 * self.n, entries))
 
     def scale(self, alpha: Sequence[RingElement]) -> "RCode":
         """Entrywise multiplication by a vector of units."""

@@ -8,7 +8,7 @@ import sys
 import pytest
 
 import lcdring
-from lcdring import linalg
+from lcdring import fqcode, linalg
 from lcdring.cli import main
 from lcdring.codefile import parse_code
 
@@ -158,6 +158,25 @@ def test_mindist(line_path, capsys):
 
 def test_mindist_cap_exit_code(line_path):
     assert main(["mindist", line_path, "--max-enum", "3"]) == 2
+
+
+def test_usage_error_exits_1():
+    # argparse's own status, 2, is the code for an exceeded budget
+    src = str(pathlib.Path(lcdring.__file__).parent.parent)
+    code = f"import sys; sys.path.insert(0, {src!r}); from lcdring.cli import main; sys.exit(main())"
+    run = subprocess.run([sys.executable, "-I", "-c", code, "dual"], capture_output=True, text=True)
+    assert run.returncode == 1
+    assert "the following arguments are required: file" in run.stderr
+
+
+@pytest.mark.parametrize("command", ["analyze", "construct-lcd", "mindist", "verify"])
+@pytest.mark.parametrize("cap", ["-1", "two"])
+def test_max_enum_must_be_a_non_negative_int(command, cap, line_path, capsys):
+    argv = [command, line_path, "--max-enum", cap] + (["--mode", "euclid"] if command == "construct-lcd" else [])
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    assert f"argument --max-enum: expected a non-negative int, got '{cap}'" in capsys.readouterr().err
 
 
 # a [4, 3] component (5^3 = 125 messages) beside a component holding a
@@ -331,6 +350,30 @@ def test_analyze_report_matches_golden(sample, capsys):
     assert got == (GOLDEN / f"analyze-{sample.stem}.txt").read_bytes()
 
 
+def _file_jobs():
+    """(argv, golden file, forward eliminations) for dual at every twist and gray, per sample."""
+    for sample in SAMPLES:
+        for l in range(parse_code(sample.read_text()).field.e):
+            yield pytest.param(["dual", str(sample), "--l", str(l)], f"dual-{sample.stem}-l{l}.json", 12,
+                               id=f"dual-{sample.stem}-l{l}")
+        yield pytest.param(["gray", str(sample)], f"gray-{sample.stem}.json", 4, id=f"gray-{sample.stem}")
+
+
+@pytest.mark.parametrize("argv, golden, eliminations", list(_file_jobs()))
+def test_dual_and_gray_files_match_golden(argv, golden, eliminations, gram_work, monkeypatch, capsys):
+    """The written code, byte for byte, and the work behind it.
+
+    Parsing runs one rref per component.  dual adds one kernel per
+    component (two rref passes) whatever the twist; gray adds nothing.
+    """
+    real, kernels = fqcode.nullspace_basis, []
+    monkeypatch.setattr(fqcode, "nullspace_basis", lambda g: kernels.append(g) or real(g))
+    assert main(argv) == 0
+    assert capsys.readouterr().out.encode("utf-8") == (GOLDEN / golden).read_bytes()
+    assert gram_work["eliminations"] == ["rref"] * eliminations
+    assert len(kernels) == (4 if argv[0] == "dual" else 0)
+
+
 @pytest.fixture
 def gram_work(monkeypatch):
     """Gram products and eliminations, recorded where lcdring calls them.
@@ -341,7 +384,7 @@ def gram_work(monkeypatch):
     names the caller of each forward elimination FqCode runs itself, and
     ``eliminations`` that of every other one, ``rref`` included.
     """
-    from lcdring import construct, fqcode
+    from lcdring import construct
 
     work = {"codes": [], "elsewhere": [], "eliminations": [], "code_eliminations": []}
     real_gram, real_elim = linalg.gram, linalg._eliminate
@@ -389,3 +432,17 @@ def test_construct_builds_one_gram_per_code_object_and_twist(name, mode, gram_wo
     assert len(set(builds)) == len(builds) == 4 + scaled
     assert len(gram_work["code_eliminations"]) == len(builds)
     assert gram_work["elsewhere"] == []
+
+
+GF16_FILE = {"field": {"p": 2, "e": 4}, "n": 2, "components": [[[1, 7]], [], [[1, 1]], [[0, 1]]]}
+
+
+@pytest.mark.parametrize("sample", [*SAMPLES, "gf16"], ids=lambda p: getattr(p, "name", p))
+def test_verify_eliminations_do_not_depend_on_e(sample, gram_work, tmp_path, capsys):
+    if sample == "gf16":
+        sample = tmp_path / "gf16.json"
+        sample.write_text(json.dumps(GF16_FILE))
+    assert main(["verify", str(sample)]) == 0
+    # 4 parse passes, one kernel (2 rref) per component and one for the gray
+    # image; every twist reads the same kernels
+    assert gram_work["eliminations"] == ["rref"] * 14

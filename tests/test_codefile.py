@@ -168,7 +168,7 @@ def test_rows_bounded_before_any_matrix(monkeypatch):
 def test_full_code_writes_4n_generator_rows():
     """code_document writes a full code as 4n generator rows, so at n = MAX_LENGTH it meets the cap."""
     for n in (1, 3):
-        full = RCode.from_components([FqCode.full(F5, n)] * 4)
+        full = RCode.from_components([FqCode.zero(F5, n).galois_dual(0)] * 4)
         doc = code_document(full, representation="generators")
         assert len(doc["generators"]) == 4 * n
         assert parse_code(dumps(doc)) == full

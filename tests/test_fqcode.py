@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lcdring import GF, FqCode, Matrix, RCode, fqcode, oracle
+from lcdring import GF, FqCode, Matrix, RCode, fqcode, linalg, oracle
 from lcdring.errors import (
     BadLError,
     CapExceededError,
@@ -17,7 +17,7 @@ from lcdring.errors import (
     ZeroScaleError,
 )
 from lcdring.fqcode import _projective_steps, count_text
-from lcdring.linalg import gram, rank
+from lcdring.linalg import gram, nullspace_basis, rank
 
 from support import random_fqcode
 
@@ -79,7 +79,7 @@ class TestGaloisDual:
                 assert acc == 0
 
     def test_zero_code_dual_is_everything(self):
-        assert FqCode.zero(F5, 3).galois_dual(0) == FqCode.full(F5, 3)
+        assert FqCode.zero(F5, 3).galois_dual(0) == FqCode(F5, 3, Matrix.identity(F5, 3))
 
     def test_bad_l(self):
         with pytest.raises(BadLError):
@@ -94,6 +94,14 @@ class TestGaloisDual:
         for call in (c.galois_dual, c.hull_dim, c.lcd_status, c.is_lcd, c.is_self_orthogonal, c._gram):
             with pytest.raises(BadLError, match=r"l must lie in \[0, 1\]"):
                 call(l)
+
+    def test_one_kernel_per_code_object(self, monkeypatch):
+        real, kernels = fqcode.nullspace_basis, []
+        monkeypatch.setattr(fqcode, "nullspace_basis", lambda g: kernels.append(g) or real(g))
+        c = code(GF(2, 4), 3, [[1, 7, 7]])
+        duals = [c.galois_dual(l) for l in (0, 1, 2, 3, 3, 2, 1, 0)]
+        assert kernels == [c.gen]
+        assert duals[:4] == duals[:3:-1]
 
     def test_dimensions_complement(self):
         rng = random.Random(21)
@@ -195,7 +203,7 @@ class TestMinDist:
     def test_cap_message_past_the_int_str_limit(self):
         # 1048573^716 has more than 4300 digits, past Python's default
         # int-to-str limit; the refusal must still be a cap refusal
-        c = FqCode.full(GF(1048573), 716)
+        c = FqCode.zero(GF(1048573), 716).galois_dual(0)
         with pytest.raises(CapExceededError, match=r"^1048573\^716 codewords exceed the cap"):
             c.min_dist()
         p = RCode.from_components([c] + [FqCode.zero(c.field, 716)] * 3).params()
@@ -345,13 +353,16 @@ def test_min_dist_long_words(field, a):
     assert c.min_dist() == oracle.min_distance(c) == 5
 
 
-HULL_FIELDS = [GF(2), GF(2, 2), GF(5), GF(2, 3), GF(3, 2), GF(2, 4), GF(3, 3)]
+HULL_FIELDS = [GF(2), GF(2, 2), GF(5), GF(2, 3), GF(3, 2), GF(2, 4), GF(3, 3), GF(5, 2)]
 
 
 def _check_hull_predicates(c):
     f = c.field
     for l in range(f.e):
         dual = c.galois_dual(l)
+        # the l-dual is the kernel of F^(e-l)(G), computed afresh here
+        twisted = c.gen.map_entries(lambda v: f.frobenius(v, f.e - l))
+        assert dual == FqCode(f, c.n, nullspace_basis(twisted))
         if f.q**c.n <= 4096:
             assert oracle.is_dual_pair(c, dual, l)
         # kernel route: dim(C meet dual) = k + dim(dual) - dim(C + dual)
@@ -390,7 +401,7 @@ def test_hull_predicates_match_kernel_route_and_oracle(data):
     [
         FqCode.zero(GF(2, 3), 3),
         FqCode.zero(F5, 0),
-        FqCode.full(GF(3, 3), 2),
+        FqCode.zero(GF(3, 3), 2).galois_dual(0),
         code(GF(2, 2), 4, [[1, 1, 0, 0], [0, 0, 1, 1]]),
         code(F9, 4, [[1, 0, 1, 1], [0, 1, 1, 2]]),
         code(GF(2, 4), 3, [[1, 7, 7]]),
@@ -407,7 +418,7 @@ def test_hull_predicates_on_mixed_ring_code():
         code(f, 2, [[1, 1]]),  # self-dual for both twists
         code(f, 2, [[1, 2]]),  # LCD for l = 0, hull 1 for l = 1
         FqCode.zero(f, 2),
-        FqCode.full(f, 2),
+        FqCode.zero(f, 2).galois_dual(0),
     ]
     rc = RCode.from_components(comps)
     assert [c.hull_dim(1) for c in comps] == [1, 1, 0, 0]
@@ -456,6 +467,17 @@ class TestScale:
         with pytest.raises(error):
             code(F5, 2, [[1, 2]]).scale(factors)
 
+    def test_runs_no_elimination(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("scale eliminated")
+
+        f = GF(2, 3)
+        c = code(f, 4, [[1, 0, 3, 5], [0, 1, 6, 7]])
+        want = code(f, 4, [[f.mul(v, a) for v, a in zip(row, [2, 3, 4, 5])] for row in c.gen.to_rows()])
+        for owner, name in ((fqcode, "rref"), (fqcode, "_eliminate"), (linalg, "_eliminate")):
+            monkeypatch.setattr(owner, name, refuse)
+        assert c.scale([2, 3, 4, 5]) == want
+
     def test_preserves_parameters(self):
         rng = random.Random(24)
         for _ in range(20):
@@ -466,6 +488,18 @@ class TestScale:
             scaled = c.scale(factors)
             assert scaled.k == c.k
             assert scaled.min_dist() == c.min_dist()
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_scale_matches_elimination_of_scaled_columns(data):
+    f = data.draw(st.sampled_from(DIFF_FIELDS))
+    n = data.draw(st.integers(1, 7))
+    rows = data.draw(st.lists(st.lists(st.integers(0, f.q - 1), min_size=n, max_size=n), max_size=n))
+    factors = data.draw(st.lists(st.integers(1, f.q - 1), min_size=n, max_size=n))
+    c = code(f, n, rows)
+    scaled = [[f.mul(v, a) for v, a in zip(row, factors)] for row in c.gen.to_rows()]
+    assert c.scale(factors) == code(f, n, scaled)
 
 
 def test_count_text_is_decimal_while_printable():

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lcdring import GF, Matrix, linalg
+from lcdring import GF, FqCode, Matrix, linalg
 from lcdring.errors import ConsistencyError, MismatchError, NotSquareError
 from lcdring.linalg import _eliminate, det, gram, minor_det, nullspace_basis, rank, rref
 
@@ -33,27 +33,12 @@ def test_constructor_checks_entries(entry):
         Matrix(F5, 1, 2, (entry, 2))
 
 
-class TestRearrangement:
-    @pytest.mark.parametrize("shape", [(0, 0), (0, 3), (3, 0), (1, 4), (3, 2), (4, 4)])
-    def test_transpose_scale_cols_and_product_entrywise(self, shape):
-        rng = random.Random(sum(shape))
-        nrows, ncols = shape
-        a = m(F9, [[rng.randrange(9) for _ in range(ncols)] for _ in range(nrows)], ncols=ncols)
-        t = a.transpose()
-        assert (t.nrows, t.ncols) == (ncols, nrows)
-        assert all(t.entry(c, r) == a.entry(r, c) for r in range(nrows) for c in range(ncols))
-        factors = [rng.randrange(9) for _ in range(ncols)]
-        s = a.scale_cols(factors)
-        assert all(
-            s.entry(r, c) == F9.mul(a.entry(r, c), factors[c]) for r in range(nrows) for c in range(ncols)
-        )
-
-
 @pytest.mark.parametrize("field, factor", [(F5, 7), (F5, -3), (F5, True), (F5, 2.0),
                                            (GF(2, 2), -1), (GF(2, 2), 9)])
 def test_scale_cols_checks_factors(field, factor):
+    # FqCode.scale is the one route that scales columns
     with pytest.raises(ValueError, match="not an element encoding"):
-        m(field, [[1, 2]]).scale_cols([1, factor])
+        FqCode(field, 2, m(field, [[1, 2]])).scale([1, factor])
 
 
 class TestAccessBounds:
@@ -152,7 +137,7 @@ class TestNullspace:
             _, rank, _ = rref(a)
             ns = nullspace_basis(a)
             assert rank + ns.nrows == a.ncols
-            prod = matmul(a, ns.transpose())
+            prod = matmul(a, m(F9, [ns.col(c) for c in range(ns.ncols)], ncols=ns.nrows))
             assert all(v == 0 for v in prod.entries)
 
 

@@ -65,13 +65,13 @@ class TestEnumeration:
         assert [tuple(x.g for x in w) for w in oracle.codewords(rc)] == want
 
     def test_budget(self):
-        c = FqCode.full(F5, 6)
+        c = FqCode.zero(F5, 6).galois_dual(0)
         with pytest.raises(CapExceededError):
             list(oracle.codewords(c, budget=100))
 
     def test_budget_messages_past_the_int_str_limit(self):
         # 1048573^716 has more than 4300 digits
-        big = FqCode.full(GF(1048573), 716)
+        big = FqCode.zero(GF(1048573), 716).galois_dual(0)
         with pytest.raises(CapExceededError, match=r"^1048573\^716 codewords exceed"):
             oracle.codewords(big)
         zero = FqCode.zero(big.field, 716)

@@ -53,8 +53,8 @@ def test_value_protocol_lives_in_one_class():
     assert {"value.Value", "gf.GF"} <= classes
 
 
-def test_only_fqcode_builds_gram_matrices():
-    """One Gram route: linalg.gram has one call site, in FqCode._gram_facts, the memo every predicate reads."""
+def _call_sites(callee):
+    """module.py:enclosing def for every call of a function or method named ``callee``."""
     calls = []
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
@@ -66,16 +66,26 @@ def test_only_fqcode_builds_gram_matrices():
             if isinstance(node, ast.Call):
                 func = node.func
                 name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-                if name == "gram":
+                if name == callee:
                     calls.append(f"{path.name}:{owner.get(node, '<module>')}")
-    assert calls == ["fqcode.py:_gram_facts"]
+    return calls
+
+
+def test_only_fqcode_builds_gram_matrices():
+    """One Gram route: linalg.gram has one call site, in FqCode._gram_facts, the memo every predicate reads."""
+    assert _call_sites("gram") == ["fqcode.py:_gram_facts"]
+
+
+def test_only_fqcode_computes_kernels():
+    """One kernel route: nullspace_basis has one call site, FqCode.galois_dual, memoized in _dual."""
+    assert _call_sites("nullspace_basis") == ["fqcode.py:galois_dual"]
 
 
 # What the fast paths compute, and the shared kernels behind them.
 FAST_PATH_ATTRS = {
     "galois_dual", "hull_dim", "lcd_status", "is_lcd", "is_self_orthogonal", "is_self_dual",
     "min_dist", "lee_min_dist", "params", "gray_image", "_gram", "_gram_facts", "_grams",
-    "_dist", "dot", "sub_scaled",
+    "_dist", "_dual", "dot", "sub_scaled",
 }
 
 

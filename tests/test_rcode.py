@@ -3,8 +3,11 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from lcdring import GF, FqCode, RCode, RingElement
+from lcdring import GF, FqCode, Matrix, RCode, RingElement
+from lcdring.ring import gray
 from lcdring.errors import MismatchError, NotAUnitError, ZeroCodeError
 
 from support import random_rcode
@@ -55,7 +58,7 @@ class TestDual:
     def test_zero_dualizes_to_full(self):
         z = RCode.zero(F5, 2)
         d = z.galois_dual(0)
-        assert all(c == FqCode.full(F5, 2) for c in d.comps)
+        assert all(c == FqCode(F5, 2, Matrix.identity(F5, 2)) for c in d.comps)
 
     def test_self_dual_line(self):
         rc = rcode_of(line_code())
@@ -103,6 +106,16 @@ class TestGrayImage:
             if rc.k == 0:
                 continue
             assert rc.gray_image().min_dist() == rc.lee_min_dist()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_gray_image_matches_elimination_of_expanded_rows(data):
+    f = data.draw(st.sampled_from([GF(2), GF(2, 2), F5, F9, GF(2, 3)]))
+    n = data.draw(st.integers(1, 5))
+    entries = st.lists(st.integers(0, f.q - 1), min_size=n, max_size=n)
+    rc = RCode.from_components([FqCode.from_rows(f, n, data.draw(st.lists(entries, max_size=n))) for _ in range(4)])
+    assert rc.gray_image() == FqCode.from_rows(f, 4 * n, [gray(row) for row in rc.generator_rows()])
 
 
 class TestParams:

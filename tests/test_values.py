@@ -38,7 +38,7 @@ def fqcode():
 
 
 def rcode():
-    return RCode.from_components([fqcode(), FqCode.zero(F5, 2), fqcode(), FqCode.full(F5, 2)])
+    return RCode.from_components([fqcode(), FqCode.zero(F5, 2), fqcode(), FqCode.zero(F5, 2).galois_dual(0)])
 
 
 def minor():
