@@ -110,7 +110,7 @@ def _resolve_ls(code: RCode, ls: list[int] | None) -> list[int]:
     for l in ls:
         if not 0 <= l <= code.field.e - 1:
             raise BadLError(f"l={l} outside [0, {code.field.e - 1}]")
-    return list(ls)
+    return list(dict.fromkeys(ls))  # each twist once, in the order first given
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:

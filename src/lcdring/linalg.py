@@ -81,10 +81,6 @@ class Matrix(Value):
         return cls(field, len(rows), width, flat)
 
     @classmethod
-    def identity(cls, field: GF, n: int) -> "Matrix":
-        return cls(field, n, n, tuple(1 if i == j else 0 for i in range(n) for j in range(n)))
-
-    @classmethod
     def zero(cls, field: GF, nrows: int, ncols: int) -> "Matrix":
         return cls(field, nrows, ncols, (0,) * (nrows * ncols))
 

@@ -13,16 +13,19 @@ slot's field pairing does: a generator of slot code i pairs with slot i
 of a word alone.  The Lee weight counts nonzeros over all slots.  Ring
 words become ``RingElement``s only where ``codewords`` yields them.
 
-Dual and hull checks share one count: how many words of a stream pair to
-zero with every generator of a code.  The pairing is linear in its first
-argument, so that is orthogonality to the whole code, and the dual check
-pairs each dual word with k generators instead of |C| codewords.  Its
-budget still counts the |C| * |D| pairs of the definition.
+Each oracle call decides every slot word once, then passes over every
+ring word.  Dual and hull checks share one count: how many words pair to
+zero with every generator of a code.  Each slot word is twisted and
+paired with its slot's generators once, and a ring word counts when all
+its slots pass.  The pairing is linear in its first argument, so that is
+orthogonality to the whole code; the dual check's budget still counts the
+|C| * |D| pairs of the definition.  Distances weigh each slot word once.
 """
 
 from __future__ import annotations
 
-from itertools import product
+from functools import reduce
+from itertools import product, repeat
 from typing import Iterable, Iterator, Sequence, Union
 
 from .errors import CapExceededError, MismatchError, NonIntegralLogError, ZeroCodeError
@@ -33,10 +36,10 @@ from .ring import RingElement
 DEFAULT_BUDGET = 1_000_000
 
 Code = Union[FqCode, RCode]
-Slots = tuple[Sequence[int], ...]
+Word = tuple[int, ...]
 
 
-def _fq_words(code: FqCode) -> Iterator[tuple[int, ...]]:
+def _fq_words(code: FqCode) -> Iterator[Word]:
     """All codewords, ordered by message encoding (row 0 least significant)."""
     f = code.field
     q = f.q
@@ -44,7 +47,7 @@ def _fq_words(code: FqCode) -> Iterator[tuple[int, ...]]:
     rows = [code.gen.row(r) for r in range(code.k)]
     scaled = [[tuple(mul(d, v) for v in row) for d in range(q)] for row in rows]
 
-    def walk(i: int, acc: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+    def walk(i: int, acc: Word) -> Iterator[Word]:
         if i < 0:
             yield acc
             return
@@ -75,56 +78,53 @@ def codewords(code: Code, budget: int = DEFAULT_BUDGET) -> Iterator:
         _check_budget(code, budget)
         return _fq_words(code)
     f = code.field
-    return (tuple(RingElement(f, g) for g in zip(*s)) for s in _slot_words(code, budget))
+    comps = _slot_lists(code, budget)[::-1]  # slot 1 varies fastest
+    return (tuple(RingElement(f, g) for g in zip(*s[::-1])) for s in product(*comps))
 
 
-def _slot_words(code: Code, budget: int) -> Iterator[Slots]:
-    """Every word of ``code`` as its slot vectors, in the order of ``codewords``.
-
-    A field word streams from ``codewords`` as (w,).  A ring word is one
-    word of each component code, slot 1 varying fastest; the component
-    lists are small, since their product is within the budget.
+def _slot_lists(code: Code, budget: int) -> list[Iterable[Word]]:
+    """Each slot code's words once the budget allows ``code``: a field code
+    streams as its one slot, and a ring code's four component lists are small.
     """
     if isinstance(code, FqCode):
-        return ((w,) for w in codewords(code, budget))
+        return [codewords(code, budget)]
     _check_budget(code, budget)
-    lists = [list(codewords(c, budget)) for c in reversed(code.comps)]
-    return (s[::-1] for s in product(*lists))
+    return [list(codewords(c, budget)) for c in code.comps]
+
+
+def _per_word(values: Sequence[Iterable]) -> Iterator[tuple]:
+    """The tuple of slot values of every word, the zero word first; one slot streams."""
+    return zip(*values) if len(values) == 1 else product(*values)
 
 
 def min_distance(code: Code, budget: int = DEFAULT_BUDGET) -> int:
     """Exact minimum Hamming (field) or Lee (ring) weight over nonzero words."""
     if code.k == 0:
         raise ZeroCodeError("the zero code has no minimum distance")
-    words = _slot_words(code, budget)
-    next(words)  # the zero word
-    return min(sum(len(v) - v.count(0) for v in s) for s in words)
+    weights = [(len(v) - v.count(0) for v in ws) for ws in _slot_lists(code, budget)]
+    sums = map(sum, _per_word(weights))
+    next(sums)  # the zero word
+    return min(sums)
 
 
-def _orthogonal_count(code: Code, words: Iterable[Slots], l: int) -> int:
-    """How many of ``words`` pair to zero, under twist l, with every generator of ``code``.
+def _orthogonal_count(code: Code, slot_words: list[Iterable[Word]], l: int) -> int:
+    """How many words pair to zero, under twist l, with every generator of ``code``.
 
-    A generator g of slot code i pairs only with slot i of a word w, as
-    sum_j g_j * w_j^(p^l); a slot whose code has no rows is never twisted.
+    ``slot_words`` holds each slot code's words.  A generator g of slot code i
+    pairs with slot i of a word w alone, as sum_j g_j * w_j^(p^l), so each slot
+    word is twisted once; a slot whose code has no rows is never twisted.
     """
     f = code.field
     frob, add, mul = f.frobenius, f.add, f.mul
     slots = (code,) if isinstance(code, FqCode) else code.comps
-    gens = [(i, [c.gen.row(r) for r in range(c.k)]) for i, c in enumerate(slots) if c.k]
 
-    def orthogonal(s: Slots) -> bool:
-        for i, rows in gens:
-            t = [frob(v, l) for v in s[i]]
-            for g in rows:
-                acc = 0
-                for x, y in zip(g, t):
-                    if x and y:
-                        acc = add(acc, mul(x, y))
-                if acc:
-                    return False
-        return True
+    def orthogonal(rows: list[Word], w: Word) -> bool:
+        t = [frob(v, l) for v in w] if rows else w
+        return not any(reduce(add, [mul(x, y) for x, y in zip(g, t) if x and y], 0) for g in rows)
 
-    return sum(map(orthogonal, words))
+    gens = [[c.gen.row(r) for r in range(c.k)] for c in slots]
+    verdicts = [map(orthogonal, repeat(rows), ws) for rows, ws in zip(gens, slot_words)]
+    return sum(map(all, _per_word(verdicts)))
 
 
 def is_dual_pair(code: Code, dual: Code, l: int, budget: int = DEFAULT_BUDGET) -> bool:
@@ -146,7 +146,7 @@ def is_dual_pair(code: Code, dual: Code, l: int, budget: int = DEFAULT_BUDGET) -
         )
     if pairs != f.q ** ((1 if isinstance(code, FqCode) else 4) * code.n):
         return False
-    return _orthogonal_count(code, _slot_words(dual, budget), l) == count(dual)
+    return _orthogonal_count(code, _slot_lists(dual, budget), l) == count(dual)
 
 
 def hull_dim(code: Code, l: int, budget: int = DEFAULT_BUDGET) -> int:
@@ -158,7 +158,7 @@ def hull_dim(code: Code, l: int, budget: int = DEFAULT_BUDGET) -> int:
     """
     f = code.field
     f.check_twist(l)
-    hits = _orthogonal_count(code, _slot_words(code, budget), l)
+    hits = _orthogonal_count(code, _slot_lists(code, budget), l)
     h, rest = 0, hits
     while rest and rest % f.q == 0:
         rest //= f.q

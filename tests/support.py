@@ -1,4 +1,4 @@
-"""Shared helpers for tests: random codes and a reference matrix product."""
+"""Shared helpers for tests: random codes, an identity matrix and a reference matrix product."""
 
 from __future__ import annotations
 
@@ -32,6 +32,10 @@ def random_ring_vector(rng: random.Random, field: GF, n: int) -> tuple[RingEleme
         RingElement(field, tuple(rng.randrange(field.q) for _ in range(4)))
         for _ in range(n)
     )
+
+
+def identity(field: GF, n: int) -> Matrix:
+    return Matrix(field, n, n, tuple(int(i == j) for i in range(n) for j in range(n)))
 
 
 def matmul(a: Matrix, b: Matrix) -> Matrix:

@@ -59,6 +59,15 @@ def test_analyze_json_report(line_path, tmp_path, capsys):
     assert report["predicates"][0]["self_dual"] is True
 
 
+def test_analyze_repeated_l_reports_each_twist_once(gf9_path, tmp_path, capsys):
+    report_path = tmp_path / "report.json"
+    argv = ["analyze", gf9_path, "--l", "1", "--l", "0", "--l", "1", "--json", str(report_path)]
+    assert main(argv) == 0
+    rows = [line.split(":")[0] for line in capsys.readouterr().out.splitlines() if line.startswith("l=")]
+    assert rows == ["l=1", "l=0"]
+    assert [p["l"] for p in json.loads(report_path.read_text())["predicates"]] == [1, 0]
+
+
 def test_analyze_bad_l(line_path):
     assert main(["analyze", line_path, "--l", "1"]) == 1
 
@@ -372,6 +381,14 @@ def test_dual_and_gray_files_match_golden(argv, golden, eliminations, gram_work,
     assert capsys.readouterr().out.encode("utf-8") == (GOLDEN / golden).read_bytes()
     assert gram_work["eliminations"] == ["rref"] * eliminations
     assert len(kernels) == (4 if argv[0] == "dual" else 0)
+
+
+@pytest.mark.parametrize("sample", SAMPLES, ids=lambda p: p.name)
+def test_verify_report_matches_golden(sample, capsys):
+    """Every check line of verify, skips included, byte for byte."""
+    assert main(["verify", str(sample)]) == 0
+    got = capsys.readouterr().out.encode("utf-8")
+    assert got == (GOLDEN / f"verify-{sample.stem}.txt").read_bytes()
 
 
 @pytest.fixture

@@ -31,7 +31,7 @@ from lcdring.errors import (
 )
 from lcdring.linalg import det, minor_det
 
-from support import matmul, random_fqcode
+from support import identity, matmul, random_fqcode
 
 F4 = GF(2, 2)
 F5 = GF(5)
@@ -63,7 +63,7 @@ class TestMinorSearch:
         assert (cert.t, cert.r_set, cert.det) == (3, (0, 1, 2, 3), 1)
 
     def test_nonsingular_matrix_above_cap_is_certified(self):
-        cert = minor_search(Matrix.identity(F5, DEFAULT_DIM_CAP + 1))
+        cert = minor_search(identity(F5, DEFAULT_DIM_CAP + 1))
         assert (cert.t, cert.r_set, cert.det) == (-1, (), 1)
 
     def test_cap_refuses_a_needed_fallback_scan(self):

@@ -19,7 +19,7 @@ from lcdring.errors import (
 from lcdring.fqcode import _projective_steps, count_text
 from lcdring.linalg import gram, nullspace_basis, rank
 
-from support import random_fqcode
+from support import identity, random_fqcode
 
 F5 = GF(5)
 F9 = GF(3, 2, [1, 0, 1])
@@ -79,7 +79,7 @@ class TestGaloisDual:
                 assert acc == 0
 
     def test_zero_code_dual_is_everything(self):
-        assert FqCode.zero(F5, 3).galois_dual(0) == FqCode(F5, 3, Matrix.identity(F5, 3))
+        assert FqCode.zero(F5, 3).galois_dual(0) == FqCode(F5, 3, identity(F5, 3))
 
     def test_bad_l(self):
         with pytest.raises(BadLError):

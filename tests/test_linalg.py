@@ -11,7 +11,7 @@ from lcdring import GF, FqCode, Matrix, linalg
 from lcdring.errors import ConsistencyError, MismatchError, NotSquareError
 from lcdring.linalg import _eliminate, det, gram, minor_det, nullspace_basis, rank, rref
 
-from support import matmul
+from support import identity, matmul
 
 F5 = GF(5)
 F9 = GF(3, 2, [1, 0, 1])
@@ -73,7 +73,7 @@ class TestRref:
         assert rank == 1 and pivots == (0,)
 
     def test_identity_fixed(self):
-        eye = Matrix.identity(F5, 3)
+        eye = identity(F5, 3)
         r, rank, _ = rref(eye)
         assert r == eye and rank == 3
 
@@ -123,12 +123,12 @@ class TestNullspace:
         assert ns.to_rows() == [[1, 2]]  # (3,1) scaled monic is (1,2)
 
     def test_identity_has_trivial_kernel(self):
-        ns = nullspace_basis(Matrix.identity(F5, 3))
+        ns = nullspace_basis(identity(F5, 3))
         assert ns.nrows == 0 and ns.ncols == 3
 
     def test_zero_map_has_full_kernel(self):
         ns = nullspace_basis(Matrix.zero(F5, 1, 4))
-        assert ns == Matrix.identity(F5, 4)
+        assert ns == identity(F5, 4)
 
     def test_rank_nullity_and_membership(self):
         rng = random.Random(11)
@@ -261,7 +261,7 @@ class TestGram:
         assert gram(m(F9, [[1, 4]]), 1).to_rows() == [[0]]
 
     def test_identity(self):
-        eye = Matrix.identity(F9, 3)
+        eye = identity(F9, 3)
         for twist in range(3):
             assert gram(eye, twist) == eye
 

@@ -1,5 +1,7 @@
 """The brute-force reference implementations themselves."""
 
+from collections import Counter
+
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -96,6 +98,15 @@ class TestMinDistance:
             assert oracle.min_distance(RCode.from_components(comps)) == 2
         light = FqCode.from_rows(F5, 3, [[0, 1, 0]])
         assert oracle.min_distance(RCode.from_components([rep, light, rep, rep])) == 1
+
+    def test_weight_reached_only_in_slot_4(self):
+        # over GF(2) the only weight-1 ring word has its one nonzero entry
+        # in slot 4, and every other nonzero word weighs at least 3
+        f = GF(2)
+        rep = FqCode.from_rows(f, 3, [[1, 1, 1]])
+        rc = RCode.from_components([rep, rep, rep, FqCode.from_rows(f, 3, [[0, 1, 0]])])
+        assert oracle.min_distance(rc) == 1
+        assert sorted(sum(x.lee_weight for x in w) for w in oracle.codewords(rc))[:3] == [0, 1, 3]
 
     def test_matches_fast_path(self):
         import random
@@ -310,6 +321,78 @@ def test_ring_oracles_build_no_ring_element(monkeypatch):
     assert oracle.is_dual_pair(rc, dual, 0)
     with pytest.raises(AssertionError, match="built a RingElement"):
         next(oracle.codewords(rc))
+
+
+@pytest.fixture
+def tally(monkeypatch):
+    """Run one oracle call; return its result and what it did per slot word and ring word.
+
+    ``twists`` counts ``GF.frobenius`` calls, ``weighed`` the zero counts
+    taken on slot words (one per weight), and ``ring_words`` the tuples
+    the ring pass draws from ``itertools.product``.
+    """
+    work = Counter()
+    real_frob, real_words, real_product = GF.frobenius, oracle.codewords, oracle.product
+
+    class Weighed(tuple):
+        def count(self, x):
+            work["weighed"] += 1
+            return tuple.count(self, x)
+
+    def frobenius(self, x, l):
+        work["twists"] += 1
+        return real_frob(self, x, l)
+
+    def product(*values):
+        for s in real_product(*values):
+            work["ring_words"] += 1
+            yield s
+
+    monkeypatch.setattr(GF, "frobenius", frobenius)
+    monkeypatch.setattr(oracle, "codewords", lambda code, budget: map(Weighed, real_words(code, budget)))
+    monkeypatch.setattr(oracle, "product", product)
+
+    def run(call, *args):
+        work.clear()
+        return call(*args), {key: work[key] for key in ("twists", "weighed", "ring_words")}
+
+    return run
+
+
+def test_each_slot_word_is_decided_once_and_every_ring_word_counted(tally):
+    """Twists and weights scale with the slot codes' sizes, the ring pass with |C|.
+
+    Slot 2 has no rows, so its words are never twisted; the dual's slot 4
+    has dimension 0, so only its zero word is paired.
+    """
+    comps = [
+        FqCode.from_rows(F9, 2, [[1, 4]]),
+        FqCode.zero(F9, 2),
+        FqCode.from_rows(F9, 2, [[1, 1]]),
+        FqCode.from_rows(F9, 2, [[1, 0], [0, 1]]),
+    ]
+    rc = RCode.from_components(comps)
+    dual = rc.galois_dual(1)
+    assert [c.k for c in dual.comps] == [1, 2, 1, 0]
+    hull = sum(c.hull_dim(1) for c in comps)
+    # twisted: slots 1, 3 and 4 of each word, 9 + 9 + 81 words of n = 2 entries
+    assert tally(oracle.hull_dim, rc, 1) == (hull, {"twists": 2 * 99, "weighed": 0, "ring_words": 9**4})
+    # the dual's words in slots 1, 3 and 4: 9 + 9 + 1; the budget bounds |C| * |D| = 9^8 pairs
+    want = {"twists": 2 * 19, "weighed": 0, "ring_words": 9**4}
+    assert tally(oracle.is_dual_pair, rc, dual, 1, 9**8) == (True, want)
+    d = rc.params().d_lee
+    assert tally(oracle.min_distance, rc) == (d, {"twists": 0, "weighed": 100, "ring_words": 9**4})
+
+
+def test_field_code_streams_through_one_slot(tally):
+    c = FqCode.from_rows(F9, 3, [[1, 4, 0], [0, 1, 1]])
+    dual = c.galois_dual(1)
+    hull, d = c.hull_dim(1), c.min_dist()
+    assert tally(oracle.hull_dim, c, 1) == (hull, {"twists": 3 * 81, "weighed": 0, "ring_words": 0})
+    assert tally(oracle.is_dual_pair, c, dual, 1) == (True, {"twists": 3 * 9, "weighed": 0, "ring_words": 0})
+    assert tally(oracle.min_distance, c) == (d, {"twists": 0, "weighed": 81, "ring_words": 0})
+    zero = FqCode.zero(F9, 3)
+    assert tally(oracle.hull_dim, zero, 1) == (0, {"twists": 0, "weighed": 0, "ring_words": 0})
 
 
 class TestHull:

@@ -6,11 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lcdring import GF, FqCode, Matrix, RCode, RingElement
+from lcdring import GF, FqCode, RCode, RingElement
 from lcdring.ring import gray
 from lcdring.errors import MismatchError, NotAUnitError, ZeroCodeError
 
-from support import random_rcode
+from support import identity, random_rcode
 
 F5 = GF(5)
 F9 = GF(3, 2, [1, 0, 1])
@@ -58,7 +58,7 @@ class TestDual:
     def test_zero_dualizes_to_full(self):
         z = RCode.zero(F5, 2)
         d = z.galois_dual(0)
-        assert all(c == FqCode(F5, 2, Matrix.identity(F5, 2)) for c in d.comps)
+        assert all(c == FqCode(F5, 2, identity(F5, 2)) for c in d.comps)
 
     def test_self_dual_line(self):
         rc = rcode_of(line_code())
