@@ -3,14 +3,16 @@
 Subcommands: analyze, construct-lcd, dual, gray, mindist, verify.
 Exit codes: 0 success, 1 input error, 2 budget or size cap exceeded,
 3 internal consistency failure.  Reports are deterministic for a fixed
-input and seed.
+input and seed.  The grammar is one table, ``COMMANDS``: the parser, the
+usage lines and the ``--help`` text are all read from it.
 """
 
 from __future__ import annotations
 
-import argparse
+import re
 import sys
-from typing import Any, NoReturn, Sequence
+from types import SimpleNamespace
+from typing import Any, Callable, NamedTuple, NoReturn, Sequence
 
 from . import codefile, construct, oracle
 from .errors import (
@@ -113,7 +115,7 @@ def _resolve_ls(code: RCode, ls: list[int] | None) -> list[int]:
     return list(dict.fromkeys(ls))  # each twist once, in the order first given
 
 
-def _cmd_analyze(args: argparse.Namespace) -> int:
+def _cmd_analyze(args: SimpleNamespace) -> int:
     code = _load(args.file)
     report = _analysis(code, _resolve_ls(code, args.l), args.max_enum)
     _print_analysis(report)
@@ -138,7 +140,7 @@ def _print_construction(report: dict[str, Any]) -> None:
     print(f"output parameters: {_fmt_params(report['output'])}")
 
 
-def _cmd_construct(args: argparse.Namespace) -> int:
+def _cmd_construct(args: SimpleNamespace) -> int:
     code = _load(args.file)
     alpha, out, cert = construct.ring_lcd_equivalent(
         code, mode=args.mode, l=args.l, seed=args.seed
@@ -173,28 +175,28 @@ def _cmd_construct(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_dual(args: argparse.Namespace) -> int:
+def _cmd_dual(args: SimpleNamespace) -> int:
     code = _load(args.file)
     dual = code.galois_dual(args.l)
     _write_text(args.output, codefile.dumps(codefile.code_document(dual)))
     return 0
 
 
-def _cmd_gray(args: argparse.Namespace) -> int:
+def _cmd_gray(args: SimpleNamespace) -> int:
     code = _load(args.file)
     image = code.gray_image()
     _write_text(args.output, codefile.dumps(codefile.field_code_document(image)))
     return 0
 
 
-def _cmd_mindist(args: argparse.Namespace) -> int:
+def _cmd_mindist(args: SimpleNamespace) -> int:
     code = _load(args.file)
     d = code.lee_min_dist(args.max_enum)
     print(f"lee distance: {d}")
     return 0
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
+def _cmd_verify(args: SimpleNamespace) -> int:
     code = _load(args.file)
     budget = args.max_enum
     failures: list[str] = []
@@ -250,11 +252,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 0
 
 
-class _Parser(argparse.ArgumentParser):
-    """Usage errors exit 1 (input error), as 2 means a cap was exceeded; subparsers inherit this."""
-
-    def error(self, message: str) -> NoReturn:
-        self.exit(1, f"{self.format_usage()}{self.prog}: error: {message}\n")
+def _int(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"invalid int value: {text!r}") from None
 
 
 def _enum_cap(text: str) -> int:
@@ -264,61 +266,210 @@ def _enum_cap(text: str) -> int:
             return int(text)
     except ValueError:
         pass
-    raise argparse.ArgumentTypeError(f"expected a non-negative int, got {text!r}")
+    raise ValueError(f"expected a non-negative int, got {text!r}")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="lcdring",
-        description="Analyze and transform linear codes over F_q + uF_q + vF_q + uvF_q.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+class Option(NamedTuple):
+    """One option of a subcommand; each takes one value, which ``convert`` reads."""
 
-    p = sub.add_parser("analyze", help="parameters, duals and predicate table")
-    p.add_argument("file")
-    p.add_argument("--l", type=int, action="append", help="twist to check (repeatable); default all")
-    p.add_argument("--max-enum", type=_enum_cap, default=DEFAULT_ENUM_CAP)
-    p.add_argument("--json", metavar="FILE", help="also write a JSON report ('-' for stdout)")
-    p.set_defaults(func=_cmd_analyze)
+    flags: tuple[str, ...]
+    dest: str
+    metavar: str
+    convert: Callable[[str], Any] = str
+    default: Any = None
+    repeats: bool = False  # each use appends its value to a list
+    required: bool = False
+    choices: tuple[str, ...] = ()
 
-    p = sub.add_parser("construct-lcd", help="scale into an equivalent LCD code")
-    p.add_argument("file")
-    p.add_argument("--mode", choices=[construct.MODE_EUCLID, construct.MODE_GALOIS], required=True)
-    p.add_argument("--l", type=int, default=None, help="twist (galois mode)")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("-o", "--output", metavar="FILE", help="where to write the scaled code")
-    p.add_argument("--max-enum", type=_enum_cap, default=DEFAULT_ENUM_CAP)
-    p.add_argument("--json", metavar="FILE")
-    p.set_defaults(func=_cmd_construct)
 
-    p = sub.add_parser("dual", help="write the Galois dual code")
-    p.add_argument("file")
-    p.add_argument("--l", type=int, default=0)
-    p.add_argument("-o", "--output", metavar="FILE")
-    p.set_defaults(func=_cmd_dual)
+_HELP = Option(("-h", "--help"), "help", "")
+_OUTPUT = Option(("-o", "--output"), "output", "FILE")
+_MAX_ENUM = Option(("--max-enum",), "max_enum", "N", _enum_cap, DEFAULT_ENUM_CAP)
+_JSON = Option(("--json",), "json", "OUT")
 
-    p = sub.add_parser("gray", help="write the expanded field code")
-    p.add_argument("file")
-    p.add_argument("-o", "--output", metavar="FILE")
-    p.set_defaults(func=_cmd_gray)
+# The grammar: name -> (handler, help line, options).  Every command also
+# takes one positional FILE.  The parser, the usage lines and the --help
+# text (the README's CLI synopsis) are all read from this table.
+COMMANDS: dict[str, tuple[Callable[[SimpleNamespace], int], str, tuple[Option, ...]]] = {
+    "analyze": (_cmd_analyze, "parameters, duals and predicate table", (
+        Option(("--l",), "l", "L", _int, repeats=True), _MAX_ENUM, _JSON)),
+    "construct-lcd": (_cmd_construct, "scale into an equivalent LCD code", (
+        Option(("--mode",), "mode", "", required=True,
+               choices=(construct.MODE_EUCLID, construct.MODE_GALOIS)),
+        Option(("--l",), "l", "L", _int), Option(("--seed",), "seed", "S", _int),
+        _OUTPUT, _MAX_ENUM, _JSON)),
+    "dual": (_cmd_dual, "write the Galois dual code", (Option(("--l",), "l", "L", _int, 0), _OUTPUT)),
+    "gray": (_cmd_gray, "write the expanded field code", (_OUTPUT,)),
+    "mindist": (_cmd_mindist, "exact Lee distance by enumeration", (_MAX_ENUM,)),
+    "verify": (_cmd_verify, "cross-check fast paths against brute force", (_MAX_ENUM,)),
+}
 
-    p = sub.add_parser("mindist", help="exact Lee distance by enumeration")
-    p.add_argument("file")
-    p.add_argument("--max-enum", type=_enum_cap, default=DEFAULT_ENUM_CAP)
-    p.set_defaults(func=_cmd_mindist)
 
-    p = sub.add_parser("verify", help="cross-check fast paths against brute force")
-    p.add_argument("file")
-    p.add_argument("--max-enum", type=_enum_cap, default=DEFAULT_ENUM_CAP)
-    p.set_defaults(func=_cmd_verify)
+def _synopsis(name: str) -> str:
+    """The command's line of the CLI synopsis."""
+    words = [f"lcdring {name} FILE"]
+    for opt in COMMANDS[name][2]:
+        word = f"{opt.flags[0]} {'|'.join(opt.choices) or opt.metavar}{' ...' if opt.repeats else ''}"
+        words.append(word if opt.required else f"[{word}]")
+    return " ".join(words)
 
-    return parser
+
+class _UsageError(Exception):
+    """A refused command line; the message follows ``<prog>: error:``."""
+
+
+def _refuse(prog: str, usage: str, exc: _UsageError) -> NoReturn:
+    """Usage errors exit 1 (input error), as 2 means a cap was exceeded."""
+    sys.stderr.write(f"usage: {usage}\n{prog}: error: {exc}\n")
+    raise SystemExit(1)
+
+
+def _help(text: str) -> NoReturn:
+    sys.stdout.write(text)
+    raise SystemExit(0)
+
+
+# How a token is read, by the rules argparse applied when it parsed this
+# CLI: None for a positional, _END for the first "--" (every later token is a
+# positional), else (option or None if unknown, flag, attached value or None).
+_END = "--"
+
+
+def _classify(token: str, flags: dict[str, Option]) -> tuple[Option | None, str, str | None] | None:
+    """Read one token: unique prefixes of long flags, ``--flag=value`` and ``-oVALUE`` count."""
+    if not token.startswith("-"):
+        return None
+    if token in flags:
+        return flags[token], token, None
+    if len(token) == 1:
+        return None
+    head, eq, value = token.partition("=")
+    if eq and head in flags:
+        return flags[head], head, value
+    if token[1] == "-":
+        hits = [flag for flag in flags if flag.startswith(head)]
+        attached = value if eq else None
+    else:
+        hits = [token[:2]] if token[:2] in flags else []
+        attached = token[2:]
+    if len(hits) > 1:
+        raise _UsageError(f"ambiguous option: {token} could match {', '.join(hits)}")
+    if hits:
+        return flags[hits[0]], hits[0], attached
+    if re.match(r"^-\d+$|^-\d*\.\d+$", token) or " " in token:
+        return None  # a negative number, or text that is no flag
+    return None, token, None
+
+
+def _classify_all(argv: list[str], flags: dict[str, Option]) -> list[Any]:
+    kinds: list[Any] = []
+    for i, token in enumerate(argv):
+        if token == "--":
+            return kinds + [_END] + [None] * (len(argv) - i - 1)
+        kinds.append(_classify(token, flags))
+    return kinds
+
+
+def _option_at(argv: list[str], kinds: list[Any], i: int, flags: dict[str, Option]) -> tuple[Option, str | None, int]:
+    """(option, its raw value, index past both) for the option token at ``argv[i]``.
+
+    ``-h`` may carry more one-letter flags (``-hoFILE``); help wins once
+    the whole token has been read without error.
+    """
+    opt, flag, value = kinds[i]
+    chained = False
+    while opt is _HELP and value is not None:
+        if flag[1] == "-" or not value or "-" + value[0] not in flags:
+            raise _UsageError(f"argument -h/--help: ignored explicit argument {value!r}")
+        chained, flag = True, "-" + value[0]
+        opt, value = flags[flag], value[1:] or None
+    i += 1
+    if opt is not _HELP and value is None:
+        if i == len(argv) or kinds[i] is not None:
+            raise _UsageError(f"argument {'/'.join(opt.flags)}: expected one argument")
+        value, i = argv[i], i + 1
+    return (_HELP if chained else opt), value, i
+
+
+def _parse_command(name: str, argv: list[str]) -> tuple[SimpleNamespace, list[str]]:
+    """The arguments of one command and the tokens it did not use."""
+    _, text, options = COMMANDS[name]
+    flags = {flag: opt for opt in (_HELP, *options) for flag in opt.flags}
+    values = {opt.dest: opt.default for opt in options}
+    seen: set[str] = set()
+    path, extras = None, []
+    try:
+        kinds = _classify_all(argv, flags)
+        i = 0
+        while i < len(argv):
+            kind = kinds[i]
+            if type(kind) is tuple and kind[0] is not None:
+                opt, raw, i = _option_at(argv, kinds, i, flags)
+                if opt is _HELP:
+                    _help(f"{_synopsis(name)}\n  {text}\n")
+                try:
+                    value = opt.convert(raw)
+                except ValueError as exc:
+                    raise _UsageError(f"argument {'/'.join(opt.flags)}: {exc}") from None
+                if opt.choices and value not in opt.choices:
+                    raise _UsageError(f"argument {'/'.join(opt.flags)}: invalid choice: {value!r} "
+                                      f"(choose from {', '.join(map(repr, opt.choices))})")
+                seen.add(opt.dest)
+                values[opt.dest] = [*(values[opt.dest] or ()), value] if opt.repeats else value
+                continue
+            j = i + (kind == _END)
+            if path is None and type(kind) is not tuple and j < len(argv):
+                # FILE is the first positional, with the "--" before or after it
+                path, i = argv[j], j + 1
+                if i < len(argv) and kinds[i] == _END:
+                    i += 1
+                continue
+            extras.append(argv[i])
+            i += 1
+        missing = ["file"] if path is None else []
+        missing += ["/".join(opt.flags) for opt in options if opt.required and opt.dest not in seen]
+        if missing:
+            raise _UsageError(f"the following arguments are required: {', '.join(missing)}")
+    except _UsageError as exc:
+        _refuse(f"lcdring {name}", _synopsis(name), exc)
+    return SimpleNamespace(file=path, **values), extras
+
+
+def parse_args(argv: Sequence[str]) -> tuple[Callable[[SimpleNamespace], int], SimpleNamespace]:
+    """The handler and arguments of a command line, read from ``COMMANDS``.
+
+    Help exits 0 and a usage error exits 1, each through ``SystemExit``.
+    """
+    argv = list(argv)
+    flags = dict.fromkeys(_HELP.flags, _HELP)
+    extras: list[str] = []
+    try:
+        kinds = _classify_all(argv, flags)
+        for i, (token, kind) in enumerate(zip(argv, kinds)):
+            if type(kind) is tuple and kind[0] is None:
+                extras.append(token)
+            elif type(kind) is tuple:
+                _option_at(argv, kinds, i, flags)
+                _help("".join(f"{_synopsis(name)}\n" for name in COMMANDS))
+            elif kind == _END and i == len(argv) - 1:
+                break
+            elif token not in COMMANDS:
+                raise _UsageError(f"argument command: invalid choice: {token!r} "
+                                  f"(choose from {', '.join(map(repr, COMMANDS))})")
+            else:
+                args, rest = _parse_command(token, argv[i + 1 :])
+                if extras + rest:
+                    raise _UsageError(f"unrecognized arguments: {' '.join(extras + rest)}")
+                return COMMANDS[token][0], args
+        raise _UsageError("the following arguments are required: command")
+    except _UsageError as exc:
+        _refuse("lcdring", f"lcdring {{{','.join(COMMANDS)}}} ...", exc)
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    handler, args = parse_args(sys.argv[1:] if argv is None else argv)
     try:
-        return args.func(args)
+        return handler(args)
     except (CapExceededError, SizeCapError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -186,7 +186,8 @@ class FqCode(Value):
             object.__setattr__(self, "_dual", dual)
         if m == f.e:
             return dual
-        return FqCode(f, self.n, dual.gen.map_entries(lambda v: f.frobenius(v, m)))
+        gen = dual.gen
+        return FqCode(f, self.n, Matrix(f, gen.nrows, gen.ncols, tuple(f.frobenius_row(gen.entries, m))))
 
     def hull_dim(self, l: int = 0) -> int:
         """dim Hull_l = k - rank(P): the hull is {u*G : u*P = 0}."""

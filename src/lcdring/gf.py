@@ -19,11 +19,12 @@ one or two lookups in exp/log, and each sum one more in zech.  Orders are
 capped at ``MAX_FIELD_ORDER`` before any primality, irreducibility or
 table work.
 
-Linear algebra runs on two row kernels: ``dot`` (the sum of products of
-two rows) and ``sub_scaled`` (the row update xs - c*ys).  A prime field
-computes them with ints and one reduction mod p; an extension field runs
-one loop over the same exp/log/Zech tables, with no method call per
-entry.
+Linear algebra runs on three row kernels: ``dot`` (the sum of products
+of two rows), ``sub_scaled`` (the row update xs - c*ys) and
+``frobenius_row`` (the entrywise x -> x^(p^m) of a row).  A prime field
+computes them with ints and one reduction mod p, and its Frobenius map
+is the identity; an extension field runs one loop over the same
+exp/log/Zech tables, with no method call per entry.
 """
 
 from __future__ import annotations
@@ -429,3 +430,14 @@ class GF:
             z = zech[t - a]
             out.append(0 if z is None else exp[a + z])
         return out
+
+    def frobenius_row(self, xs: Sequence[int], m: int) -> list[int]:
+        """The row of x**(p**m) for each entry x of xs, for m >= 0."""
+        if self.e == 1:
+            return list(xs)
+        n = self.q - 1
+        k = pow(self.p, m, n)  # x^(p^m) = g^(log x * k), as g^(q-1) = 1
+        if k == 1:
+            return list(xs)
+        log, exp = self._log, self._exp
+        return [exp[log[x] * k % n] if x else 0 for x in xs]

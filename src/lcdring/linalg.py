@@ -15,7 +15,7 @@ and ``rref`` is that pass plus a back-substitution.
 from __future__ import annotations
 
 from operator import attrgetter
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .errors import ConsistencyError, MismatchError, NotSquareError
 from .gf import GF
@@ -101,9 +101,6 @@ class Matrix(Value):
         return self.nrows == self.ncols
 
     # -- rearrangement ----------------------------------------------------------
-
-    def map_entries(self, fn: Callable[[int], int]) -> "Matrix":
-        return Matrix(self.field, self.nrows, self.ncols, tuple(fn(v) for v in self.entries))
 
     def col(self, c: int) -> tuple[int, ...]:
         return self.entries[_index(c, self.ncols, "column") :: self.ncols]
@@ -215,7 +212,7 @@ def gram(g: Matrix, m: int) -> Matrix:
     """
     f = g.field
     rows = [g.row(r) for r in range(g.nrows)]
-    twisted = [tuple(f.frobenius(v, m) for v in row) for row in rows]
+    twisted = [f.frobenius_row(row, m) for row in rows]
     dot = f.dot
     return Matrix(f, g.nrows, g.nrows, tuple(dot(a, b) for a in rows for b in twisted))
 

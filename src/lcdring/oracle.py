@@ -40,21 +40,33 @@ Word = tuple[int, ...]
 
 
 def _fq_words(code: FqCode) -> Iterator[Word]:
-    """All codewords, ordered by message encoding (row 0 least significant)."""
+    """All codewords, ordered by message encoding (row 0 least significant).
+
+    The message digits count up like an odometer.  When digit i steps from
+    d to d + 1, every lower digit wraps from q - 1 to 0, so the word changes
+    by a fixed vector: (d + 1 - d) * row i - (q - 1) * (rows 0..i-1), digits
+    read as field elements.  Each word is the last one plus that step.
+    """
     f = code.field
-    q = f.q
-    add, mul = f.add, f.mul
-    rows = [code.gen.row(r) for r in range(code.k)]
-    scaled = [[tuple(mul(d, v) for v in row) for d in range(q)] for row in rows]
-
-    def walk(i: int, acc: Word) -> Iterator[Word]:
-        if i < 0:
-            yield acc
+    q, k = f.q, code.k
+    add, sub, mul = f.add, f.sub, f.mul
+    wrap = (0,) * code.n  # -(q - 1) * (rows 0..i-1)
+    steps = []
+    for row in (code.gen.row(r) for r in range(k)):
+        steps.append([tuple(map(add, wrap, [mul(sub(d + 1, d), v) for v in row])) for d in range(q - 1)])
+        wrap = tuple(map(sub, wrap, [mul(q - 1, v) for v in row]))
+    digits = [0] * k + [None]  # the sentinel ends every carry
+    word = (0,) * code.n
+    while True:
+        yield word
+        i = 0
+        while digits[i] == q - 1:
+            digits[i] = 0
+            i += 1
+        if i == k:
             return
-        for d in range(q):
-            yield from walk(i - 1, tuple(map(add, acc, scaled[i][d])) if d else acc)
-
-    yield from walk(code.k - 1, (0,) * code.n)
+        word = tuple(map(add, word, steps[i][digits[i]]))
+        digits[i] += 1
 
 
 def count(code: Code) -> int:

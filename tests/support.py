@@ -1,10 +1,14 @@
-"""Shared helpers for tests: random codes, an identity matrix and a reference matrix product."""
+"""Shared test helpers: random codes, an identity matrix, a reference matrix product and CLI parser."""
 
 from __future__ import annotations
 
+import argparse
 import random
+from typing import NoReturn
 
-from lcdring import GF, FqCode, Matrix, RCode, RingElement
+from lcdring import GF, FqCode, Matrix, RCode, RingElement, construct
+from lcdring.cli import _cmd_analyze, _cmd_construct, _cmd_dual, _cmd_gray, _cmd_mindist, _cmd_verify
+from lcdring.fqcode import DEFAULT_ENUM_CAP
 
 FIELDS = {
     4: lambda: GF(2, 2),
@@ -50,3 +54,70 @@ def matmul(a: Matrix, b: Matrix) -> Matrix:
                 acc = f.add(acc, f.mul(a.entry(r, j), b.entry(j, c)))
             out.append(acc)
     return Matrix(f, a.nrows, b.ncols, tuple(out))
+
+
+# The argparse parser the CLI used before its command table; the reference
+# the table parser is checked against.
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 1 (input error), as 2 means a cap was exceeded; subparsers inherit this."""
+
+    def error(self, message: str) -> NoReturn:
+        self.exit(1, f"{self.format_usage()}{self.prog}: error: {message}\n")
+
+
+def _enum_cap(text: str) -> int:
+    """A ``--max-enum`` value: a non-negative int."""
+    try:
+        if int(text) >= 0:
+            return int(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected a non-negative int, got {text!r}")
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = _Parser(
+        prog="lcdring",
+        description="Analyze and transform linear codes over F_q + uF_q + vF_q + uvF_q.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p = sub.add_parser("analyze", help="parameters, duals and predicate table")
+    p.add_argument("file")
+    p.add_argument("--l", type=int, action="append", help="twist to check (repeatable); default all")
+    p.add_argument("--max-enum", type=_enum_cap, default=DEFAULT_ENUM_CAP)
+    p.add_argument("--json", metavar="FILE", help="also write a JSON report ('-' for stdout)")
+    p.set_defaults(func=_cmd_analyze)
+
+    p = sub.add_parser("construct-lcd", help="scale into an equivalent LCD code")
+    p.add_argument("file")
+    p.add_argument("--mode", choices=[construct.MODE_EUCLID, construct.MODE_GALOIS], required=True)
+    p.add_argument("--l", type=int, default=None, help="twist (galois mode)")
+    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("-o", "--output", metavar="FILE", help="where to write the scaled code")
+    p.add_argument("--max-enum", type=_enum_cap, default=DEFAULT_ENUM_CAP)
+    p.add_argument("--json", metavar="FILE")
+    p.set_defaults(func=_cmd_construct)
+
+    p = sub.add_parser("dual", help="write the Galois dual code")
+    p.add_argument("file")
+    p.add_argument("--l", type=int, default=0)
+    p.add_argument("-o", "--output", metavar="FILE")
+    p.set_defaults(func=_cmd_dual)
+
+    p = sub.add_parser("gray", help="write the expanded field code")
+    p.add_argument("file")
+    p.add_argument("-o", "--output", metavar="FILE")
+    p.set_defaults(func=_cmd_gray)
+
+    p = sub.add_parser("mindist", help="exact Lee distance by enumeration")
+    p.add_argument("file")
+    p.add_argument("--max-enum", type=_enum_cap, default=DEFAULT_ENUM_CAP)
+    p.set_defaults(func=_cmd_mindist)
+
+    p = sub.add_parser("verify", help="cross-check fast paths against brute force")
+    p.add_argument("file")
+    p.add_argument("--max-enum", type=_enum_cap, default=DEFAULT_ENUM_CAP)
+    p.set_defaults(func=_cmd_verify)
+
+    return parser

@@ -1,16 +1,21 @@
 """End-to-end CLI behavior, including exit codes and determinism."""
 
+import io
 import json
 import pathlib
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import lcdring
 from lcdring import fqcode, linalg
-from lcdring.cli import main
+from lcdring.cli import COMMANDS, main, parse_args
 from lcdring.codefile import parse_code
+from support import build_parser
 
 SAMPLES = sorted((pathlib.Path(__file__).parent.parent / "sample_codes").glob("*.json"))
 
@@ -170,7 +175,7 @@ def test_mindist_cap_exit_code(line_path):
 
 
 def test_usage_error_exits_1():
-    # argparse's own status, 2, is the code for an exceeded budget
+    # a usage error is an input error: 2 is the code for an exceeded budget
     src = str(pathlib.Path(lcdring.__file__).parent.parent)
     code = f"import sys; sys.path.insert(0, {src!r}); from lcdring.cli import main; sys.exit(main())"
     run = subprocess.run([sys.executable, "-I", "-c", code, "dual"], capture_output=True, text=True)
@@ -337,15 +342,90 @@ def test_verify_skip_line_past_the_int_str_limit(tmp_path, capsys):
 
 @pytest.mark.parametrize("module", ["lcdring", "lcdring.cli"])
 def test_import_leaves_out_dataclasses_and_inspect(module):
-    """A cold CLI start imports neither module: building dataclasses costs most of it."""
+    """A cold CLI call imports none of these: building dataclasses costs most of
+    an import, and argparse (with gettext and locale) most of a short call."""
     src = str(pathlib.Path(lcdring.__file__).parent.parent)
+    heavy = "print(sorted({'dataclasses', 'inspect', 'argparse', 'gettext', 'locale'} & set(sys.modules)))"
     code = (
-        f"import sys; sys.path.insert(0, {src!r}); import {module}; "
-        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+        f"import sys; sys.path.insert(0, {src!r}); import {module}; {heavy}; "
+        f"from lcdring.cli import main; main(['mindist', {str(SAMPLES[0])!r}]); {heavy}"
     )
     run = subprocess.run([sys.executable, "-I", "-S", "-B", "-c", code],
                          capture_output=True, text=True, check=True)
-    assert run.stdout == "[]\n"
+    first, job, last = run.stdout.splitlines()
+    assert (first, last) == ("[]", "[]")
+    assert job.startswith("lee distance: ")
+
+
+def test_help_prints_the_readme_synopsis(capsys):
+    readme = (pathlib.Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    synopsis = readme.split("## CLI\n\n```\n", 1)[1].split("```", 1)[0]
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out == synopsis
+
+
+REFERENCE_PARSER = build_parser()
+FLAGS = sorted({flag for _, _, options in COMMANDS.values() for opt in options for flag in opt.flags})
+PREFIXES = sorted({f[:k] for f in FLAGS + ["--help"] if f.startswith("--") for k in range(3, len(f))})
+NAMES = [*COMMANDS, "bogus", "ana", ""]
+FLAG_LIKE = FLAGS + PREFIXES + ["-h", "--help", "--bogus", "-x", "---"]
+# an attached value is never "--": argparse stored [] for --json=-- and -o--
+VALUES = ["0", "3", "17", "-1", "-7", "two", "1.5", "-2.5", "", "a b", "euclid", "galois", "c.json", "-", "-x",
+          "--bogus"]
+TOKENS = st.one_of(
+    st.sampled_from(NAMES), st.sampled_from(FLAG_LIKE), st.sampled_from(VALUES), st.just("--"),
+    st.builds("{}={}".format, st.sampled_from(FLAG_LIKE), st.sampled_from(VALUES)),
+    st.builds(str.__add__, st.sampled_from(["-o", "-h", "-ho", "-hh"]), st.sampled_from(VALUES)),
+)
+ARGV = st.lists(TOKENS, max_size=3) | st.builds(
+    lambda name, rest: [name, *rest], st.sampled_from(NAMES), st.lists(TOKENS, max_size=7))
+
+
+def _table(argv):
+    handler, args = parse_args(argv)
+    return handler, vars(args)
+
+
+def _reference(argv):
+    attrs = vars(REFERENCE_PARSER.parse_args(argv))
+    handler = attrs.pop("func")
+    assert attrs.pop("command") in COMMANDS
+    return handler, attrs
+
+
+def _outcome(parse, argv):
+    """("ok", handler, attributes), or ("exit", code, usage line seen, last stderr line)."""
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with redirect_stdout(out), redirect_stderr(err):
+            handler, attrs = parse(list(argv))
+    except SystemExit as exc:
+        lines = err.getvalue().splitlines()
+        return "exit", exc.code, bool(lines) and lines[0].startswith("usage: "), lines[-1:]
+    return "ok", handler, attrs
+
+
+@settings(max_examples=1500, deadline=None)
+@given(ARGV)
+@example(["mindist", "c.json", "--max", "5"])
+@example(["construct-lcd", "-oout.json", "--mode=galois", "--l", "1", "c.json", "--seed", "-3"])
+@example(["analyze", "--l", "1", "c.json", "--l=0", "--json", "-"])
+@example(["mindist", "c.json", "--max-enum", "-1"])
+@example(["dual", "--l", "two", "c.json"])
+@example(["construct-lcd", "c.json", "--m", "euclid"])
+@example(["gray", "--", "-o"])
+@example(["verify", "c.json", "extra"])
+def test_table_parser_agrees_with_argparse(argv):
+    """Same handler and attributes, or the same exit, usage line and error line on stderr."""
+    assert _outcome(_table, argv) == _outcome(_reference, argv)
+
+
+def test_attached_double_dash_is_a_value():
+    """argparse stored [] for an attached "--"; the table parser keeps the text."""
+    assert vars(parse_args(["gray", "c.json", "--output=--"])[1]) == {"file": "c.json", "output": "--"}
+    assert vars(parse_args(["gray", "c.json", "-o--"])[1]) == {"file": "c.json", "output": "--"}
 
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"

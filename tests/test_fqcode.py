@@ -361,7 +361,7 @@ def _check_hull_predicates(c):
     for l in range(f.e):
         dual = c.galois_dual(l)
         # the l-dual is the kernel of F^(e-l)(G), computed afresh here
-        twisted = c.gen.map_entries(lambda v: f.frobenius(v, f.e - l))
+        twisted = Matrix(f, c.k, c.n, tuple(f.frobenius(v, f.e - l) for v in c.gen.entries))
         assert dual == FqCode(f, c.n, nullspace_basis(twisted))
         if f.q**c.n <= 4096:
             assert oracle.is_dual_pair(c, dual, l)

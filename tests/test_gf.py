@@ -294,3 +294,18 @@ def test_row_kernels_reach_every_log_sum(args):
         assert f.sub_scaled(xs, c, units) == [0] * len(units)
         assert f.sub_scaled([0] * len(units), c, units) == [f.neg(x) for x in xs]
         assert f.dot([c] * len(units), units) == _scalar_dot(f, [c] * len(units), units)
+
+
+@st.composite
+def _frobenius_rows(draw):
+    """(field, row) over GF(5), GF(4), GF(9), GF(16) and GF(25), rows rich in zeros."""
+    f = _diff_field(draw(st.sampled_from([(5,), (2, 2), (3, 2), (2, 4), (5, 2)])))
+    return f, draw(st.lists(st.one_of(st.just(0), st.integers(0, f.q - 1)), max_size=10))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_frobenius_rows())
+def test_frobenius_row_matches_frobenius(case):
+    f, xs = case
+    for m in range(2 * f.e + 1):
+        assert f.frobenius_row(xs, m) == [f.frobenius(x, m) for x in xs]

@@ -1,6 +1,7 @@
 """The brute-force reference implementations themselves."""
 
 from collections import Counter
+from itertools import product
 
 import pytest
 from hypothesis import assume, given, settings
@@ -47,6 +48,24 @@ class TestEnumeration:
         # message m = d0 + 5*d1 scales row0 by d0 and row1 by d1
         assert words[:6] == [(0, 0), (1, 0), (2, 0), (3, 0), (4, 0), (0, 1)]
         assert len(set(words)) == 25
+
+    @pytest.mark.parametrize("field, rows", [
+        (GF(2, 2), [[1, 2, 0, 3], [0, 1, 3, 2], [0, 0, 1, 1]]),
+        (F5, [[1, 0, 2, 4], [0, 1, 3, 3], [0, 0, 1, 2]]),
+    ], ids=["GF(4)", "GF(5)"])
+    def test_encoding_order_matches_product(self, field, rows):
+        """Message d_0 + d_1 q + d_2 q^2 gives the word sum of d_i * row i, messages ascending."""
+        c = FqCode.from_rows(field, 4, rows)
+        gen = [c.gen.row(r) for r in range(c.k)]
+        want = []
+        for msg in product(range(field.q), repeat=c.k):  # msg[0] is the most significant digit
+            word = [0] * c.n
+            for d, row in zip(msg[::-1], gen):
+                word = [field.add(w, field.mul(d, v)) for w, v in zip(word, row)]
+            want.append(tuple(word))
+        words = oracle.codewords(c)
+        assert iter(words) is words  # a stream, not a list of all q^k words
+        assert list(words) == want
 
     def test_ring_scalars(self):
         rc = RCode.from_components([FqCode.from_rows(F5, 1, [[1]])] * 4)
