@@ -22,7 +22,7 @@ from .construct import (
 from .errors import LcdringError
 from .fqcode import FqCode
 from .gf import GF
-from .linalg import Matrix, det, gram, minor_det, nullspace_basis, rank, rref
+from .linalg import Matrix, det, gram, minor_det, rank, rref
 from .rcode import RCode, RCodeParams
 from .ring import RingElement, galois_inner, gamma_to_u, gray, lee_distance, lee_weight, u_to_gamma
 
@@ -42,7 +42,6 @@ __all__ = [
     "rref",
     "rank",
     "det",
-    "nullspace_basis",
     "gram",
     "minor_det",
     "u_to_gamma",

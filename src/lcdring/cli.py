@@ -16,7 +16,6 @@ from typing import Any, Callable, NamedTuple, NoReturn, Sequence
 
 from . import codefile, construct, oracle
 from .errors import (
-    BadLError,
     CapExceededError,
     ConsistencyError,
     LcdringError,
@@ -66,8 +65,7 @@ def _predicate_block(code: RCode, ls: list[int]) -> list[dict[str, Any]]:
 def _analysis(code: RCode, ls: list[int], cap: int) -> dict[str, Any]:
     params = code.params(cap)
     bound_x4 = 4 * code.n - code.k + 4
-    # the component distances are cached on code.comps, so is_mds enumerates nothing
-    mds = None if code.k == 0 or params.d_lee is None else code.is_mds(cap)
+    mds = None if params.d_lee is None else 4 * params.d_lee == bound_x4
     return {
         "version": codefile.FORMAT_VERSION,
         "field": codefile.field_document(code.field),
@@ -110,8 +108,7 @@ def _resolve_ls(code: RCode, ls: list[int] | None) -> list[int]:
     if not ls:
         return list(range(code.field.e))
     for l in ls:
-        if not 0 <= l <= code.field.e - 1:
-            raise BadLError(f"l={l} outside [0, {code.field.e - 1}]")
+        code.field.check_twist(l)
     return list(dict.fromkeys(ls))  # each twist once, in the order first given
 
 

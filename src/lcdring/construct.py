@@ -234,7 +234,7 @@ def _scaling(
     m = f.e - l
     b_exp = f.p**m + 1
     # code.gen is the RREF generator: column pivots[j] is the unit vector e_j
-    pivots = tuple(next(c for c, v in enumerate(code.gen.row(j)) if v) for j in range(code.k))
+    pivots = code.pivots
     p = code._gram(l)
     cert = minor_search(p)
     alpha = [1] * code.n

@@ -3,10 +3,13 @@
 A code is stored by its unique reduced row echelon generator matrix, so
 two objects describe the same code exactly when they compare equal.
 Only ``from_rows`` eliminates; a code derived from an RREF generator is
-written straight into RREF, and the constructor checks the form.  Each
-code object computes one kernel, its Euclidean dual, memoized.  The l-dual
-is that dual's entrywise (p^(e-l))-power, since y lies in the l-dual iff
-F^l(y) lies in the Euclidean dual, and F maps RREF onto RREF.
+written straight into RREF, and the constructor checks the form and
+records the pivot columns.  Each code object computes one kernel, its
+Euclidean dual, memoized: one row e_f - sum_i G[i][f] * e_(p_i) per free
+column f, written from the generator and its pivots p_i and reduced by
+``from_rows``.  The l-dual is that dual's entrywise (p^(e-l))-power, since
+y lies in the l-dual iff F^l(y) lies in the Euclidean dual, and F maps
+RREF onto RREF.
 Hull predicates never build the dual: they read the k-by-k twisted Gram
 matrix P = G * F^(e-l)(G)^T, since u*G lies in the l-dual iff u*P = 0.
 Each code object builds one P and runs one elimination per twist,
@@ -22,12 +25,13 @@ from typing import Iterator, Sequence
 
 from .errors import (
     CapExceededError,
+    ConsistencyError,
     MismatchError,
     ZeroCodeError,
     ZeroScaleError,
 )
 from .gf import GF
-from .linalg import Matrix, _eliminate, gram, nullspace_basis, rref
+from .linalg import Matrix, _eliminate, gram, rref
 from .value import Value
 
 DEFAULT_ENUM_CAP = 1_000_000
@@ -89,16 +93,19 @@ def _projective_steps(p: int, e: int, k: int) -> Iterator[int]:
 class FqCode(Value):
     """An [n, k] linear code over GF(q), canonicalized by RREF.
 
-    ``_dist`` caches the minimum distance, ``_dual`` the Euclidean dual
-    and ``_grams`` maps each twist l to (P, rank P, det P); none of them
-    takes part in equality, hashing or the repr.
+    ``pivots`` holds the generator's pivot columns, found by the
+    constructor's RREF check.  ``_dist`` caches the minimum distance,
+    ``_dual`` the Euclidean dual and ``_grams`` maps each twist l to
+    (P, rank P, det P).  None of these takes part in equality, hashing or
+    the repr.
     """
 
-    __slots__ = ("field", "n", "gen", "_dist", "_dual", "_grams")
+    __slots__ = ("field", "n", "gen", "pivots", "_dist", "_dual", "_grams")
     _key = attrgetter("field", "n", "gen")
     field: GF
     n: int
     gen: Matrix
+    pivots: tuple[int, ...]
     _dist: int | None
     _dual: "FqCode | None"
     _grams: dict[int, tuple[Matrix, int, int]]
@@ -115,21 +122,19 @@ class FqCode(Value):
     def __post_init__(self) -> None:
         if self.gen.field != self.field or self.gen.ncols != self.n:
             raise MismatchError("generator does not match the declared ambient space")
-        gen, last = self.gen, -1
+        gen, pivots, last = self.gen, [], -1
         for r in range(gen.nrows):
             row = gen.row(r)
             c = next((c for c, v in enumerate(row) if v), None)
             if c is None or c <= last or row[c] != 1 or gen.col(c).count(0) != gen.nrows - 1:
                 raise MismatchError(f"generator row {r} breaks reduced row echelon form")
+            pivots.append(c)
             last = c
+        object.__setattr__(self, "pivots", tuple(pivots))
 
     @classmethod
     def from_rows(cls, field: GF, n: int, rows: Sequence[Sequence[int]]) -> "FqCode":
         """The span of ``rows``; redundant and zero rows are dropped."""
-        rows = [list(r) for r in rows]
-        for r in rows:
-            if len(r) != n:
-                raise MismatchError(f"row of width {len(r)} in a length-{n} code")
         m = Matrix.from_rows(field, rows, ncols=n)
         reduced, rk, _ = rref(m)
         gen = Matrix(field, rk, n, reduced.entries[: rk * n])
@@ -178,16 +183,28 @@ class FqCode(Value):
 
     def galois_dual(self, l: int = 0) -> "FqCode":
         """All words pairing to zero with the code under sum(t_i * s_i^(p^l))."""
-        f = self.field
+        f, n = self.field, self.n
         m = self._twist(l)
         dual = self._dual
         if dual is None:
-            dual = FqCode(f, self.n, nullspace_basis(self.gen))
+            # one kernel row e_c - sum_i G[i][c] * e_(p_i) per free column c
+            gen, pivots, neg = self.gen, self.pivots, f.neg
+            rows = []
+            for c in sorted(set(range(n)) - set(pivots)):
+                v = [0] * n
+                v[c] = 1
+                for p, x in zip(pivots, gen.col(c)):
+                    v[p] = neg(x)
+                rows.append(v)
+            dual = FqCode.from_rows(f, n, rows)
+            # free-column rows are independent, so no rank can be lost
+            if dual.k != len(rows):
+                raise ConsistencyError(f"kernel basis of {len(rows)} vectors has rank {dual.k}")
             object.__setattr__(self, "_dual", dual)
         if m == f.e:
             return dual
         gen = dual.gen
-        return FqCode(f, self.n, Matrix(f, gen.nrows, gen.ncols, tuple(f.frobenius_row(gen.entries, m))))
+        return FqCode(f, n, Matrix(f, gen.nrows, gen.ncols, tuple(f.frobenius_row(gen.entries, m))))
 
     def hull_dim(self, l: int = 0) -> int:
         """dim Hull_l = k - rank(P): the hull is {u*G : u*P = 0}."""
@@ -304,7 +321,7 @@ class FqCode(Value):
         for a in factors:
             f.check(a)
         mul, entries = f.mul, []
-        for row in self.gen.to_rows():
-            s = f.inv(factors[row.index(1)])  # the first 1 of an RREF row is its pivot
+        for row, c in zip(self.gen.to_rows(), self.pivots):
+            s = f.inv(factors[c])
             entries += [mul(mul(v, a), s) for v, a in zip(row, factors)]
         return FqCode(f, self.n, Matrix(f, self.k, self.n, tuple(entries)))

@@ -17,7 +17,7 @@ from __future__ import annotations
 from operator import attrgetter
 from typing import Iterable, Sequence
 
-from .errors import ConsistencyError, MismatchError, NotSquareError
+from .errors import MismatchError, NotSquareError
 from .gf import GF
 from .value import Value
 
@@ -77,7 +77,7 @@ class Matrix(Value):
                 raise MismatchError(f"rows have width {width}, expected {ncols}")
         else:
             width = 0 if ncols is None else ncols
-        flat = tuple(field.check(v) for r in rows for v in r)
+        flat = tuple(v for r in rows for v in r)
         return cls(field, len(rows), width, flat)
 
     @classmethod
@@ -181,27 +181,6 @@ def det(m: Matrix) -> int:
     if not m.is_square:
         raise NotSquareError(f"determinant of a {m.nrows}x{m.ncols} matrix")
     return _eliminate(m.field, m.to_rows())[1]
-
-
-def nullspace_basis(m: Matrix) -> Matrix:
-    """A canonical (RREF) basis of the right kernel {x : m · x^T = 0}."""
-    f = m.field
-    r, rk, pivots = rref(m)
-    pivot_set = set(pivots)
-    free = [c for c in range(m.ncols) if c not in pivot_set]
-    rows = []
-    for fc in free:
-        v = [0] * m.ncols
-        v[fc] = 1
-        for i, pc in enumerate(pivots):
-            v[pc] = f.neg(r.entry(i, fc))
-        rows.append(v)
-    basis = Matrix.from_rows(f, rows, ncols=m.ncols)
-    canon, nullity, _ = rref(basis)
-    # free-column construction is independent, so no rank can be lost
-    if nullity != len(free):
-        raise ConsistencyError(f"kernel basis of {len(free)} vectors has rank {nullity}")
-    return canon
 
 
 def gram(g: Matrix, m: int) -> Matrix:

@@ -175,11 +175,10 @@ class RCode(Value):
         """
         keyed = []
         for i, comp in enumerate(self.comps):
-            for r in range(comp.k):
-                src = comp.gen.row(r)
+            for r, c in enumerate(comp.pivots):
                 row = [0] * (4 * self.n)
-                row[i::4] = src
-                keyed.append((4 * src.index(1) + i, row))  # an RREF row's first 1 is its pivot
+                row[i::4] = comp.gen.row(r)
+                keyed.append((4 * c + i, row))
         keyed.sort()
         entries = tuple(v for _, row in keyed for v in row)
         return FqCode(self.field, 4 * self.n, Matrix(self.field, len(keyed), 4 * self.n, entries))

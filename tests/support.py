@@ -1,4 +1,4 @@
-"""Shared test helpers: random codes, an identity matrix, a reference matrix product and CLI parser."""
+"""Shared test helpers: random codes, an identity matrix, a reference matrix product and kernel, and CLI parser."""
 
 from __future__ import annotations
 
@@ -8,7 +8,9 @@ from typing import NoReturn
 
 from lcdring import GF, FqCode, Matrix, RCode, RingElement, construct
 from lcdring.cli import _cmd_analyze, _cmd_construct, _cmd_dual, _cmd_gray, _cmd_mindist, _cmd_verify
+from lcdring.errors import ConsistencyError
 from lcdring.fqcode import DEFAULT_ENUM_CAP
+from lcdring.linalg import rref
 
 FIELDS = {
     4: lambda: GF(2, 2),
@@ -54,6 +56,29 @@ def matmul(a: Matrix, b: Matrix) -> Matrix:
                 acc = f.add(acc, f.mul(a.entry(r, j), b.entry(j, c)))
             out.append(acc)
     return Matrix(f, a.nrows, b.ncols, tuple(out))
+
+
+# An independent kernel route (two eliminations, pivots found afresh); the
+# reference FqCode.galois_dual is checked against.
+def nullspace_basis(m: Matrix) -> Matrix:
+    """A canonical (RREF) basis of the right kernel {x : m · x^T = 0}."""
+    f = m.field
+    r, rk, pivots = rref(m)
+    pivot_set = set(pivots)
+    free = [c for c in range(m.ncols) if c not in pivot_set]
+    rows = []
+    for fc in free:
+        v = [0] * m.ncols
+        v[fc] = 1
+        for i, pc in enumerate(pivots):
+            v[pc] = f.neg(r.entry(i, fc))
+        rows.append(v)
+    basis = Matrix.from_rows(f, rows, ncols=m.ncols)
+    canon, nullity, _ = rref(basis)
+    # free-column construction is independent, so no rank can be lost
+    if nullity != len(free):
+        raise ConsistencyError(f"kernel basis of {len(free)} vectors has rank {nullity}")
+    return canon
 
 
 # The argparse parser the CLI used before its command table; the reference

@@ -73,8 +73,13 @@ def test_analyze_repeated_l_reports_each_twist_once(gf9_path, tmp_path, capsys):
     assert [p["l"] for p in json.loads(report_path.read_text())["predicates"]] == [1, 0]
 
 
-def test_analyze_bad_l(line_path):
+def test_analyze_bad_l(line_path, capsys):
     assert main(["analyze", line_path, "--l", "1"]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: l must lie in [0, 0], got 1\n"
+    # the same refusal as dual's, from the one twist check
+    assert main(["dual", line_path, "--l", "1"]) == 1
+    assert capsys.readouterr().err == err
 
 
 def test_analyze_missing_file():
@@ -225,13 +230,16 @@ def test_huge_prime_refused_before_primality_test(tmp_path, capsys):
 
 
 def test_kernel_invariant_failure_exits_3(line_path, monkeypatch, capsys):
-    real = linalg.rref
+    real = fqcode.rref
 
-    def rref_reporting_one_rank_too_many(m):
+    def kernel_rref_reporting_one_rank_too_few(m):
         r, rk, pivots = real(m)
-        return r, rk + 1, pivots
+        # frame 1 is FqCode.from_rows; parsing calls it too, and stays exact
+        if sys._getframe(2).f_code.co_name == "galois_dual":
+            rk -= 1
+        return r, rk, pivots
 
-    monkeypatch.setattr(linalg, "rref", rref_reporting_one_rank_too_many)
+    monkeypatch.setattr(fqcode, "rref", kernel_rref_reporting_one_rank_too_few)
     assert main(["dual", line_path]) == 3
     assert "internal consistency failure: kernel basis" in capsys.readouterr().err
 
@@ -443,7 +451,7 @@ def _file_jobs():
     """(argv, golden file, forward eliminations) for dual at every twist and gray, per sample."""
     for sample in SAMPLES:
         for l in range(parse_code(sample.read_text()).field.e):
-            yield pytest.param(["dual", str(sample), "--l", str(l)], f"dual-{sample.stem}-l{l}.json", 12,
+            yield pytest.param(["dual", str(sample), "--l", str(l)], f"dual-{sample.stem}-l{l}.json", 8,
                                id=f"dual-{sample.stem}-l{l}")
         yield pytest.param(["gray", str(sample)], f"gray-{sample.stem}.json", 4, id=f"gray-{sample.stem}")
 
@@ -453,14 +461,20 @@ def test_dual_and_gray_files_match_golden(argv, golden, eliminations, gram_work,
     """The written code, byte for byte, and the work behind it.
 
     Parsing runs one rref per component.  dual adds one kernel per
-    component (two rref passes) whatever the twist; gray adds nothing.
+    component (one rref pass, through FqCode.from_rows) whatever the
+    twist; gray adds nothing.
     """
-    real, kernels = fqcode.nullspace_basis, []
-    monkeypatch.setattr(fqcode, "nullspace_basis", lambda g: kernels.append(g) or real(g))
+    real, callers = fqcode.FqCode.from_rows, []
+
+    def recording_from_rows(cls, field, n, rows):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return real(field, n, rows)
+
+    monkeypatch.setattr(fqcode.FqCode, "from_rows", classmethod(recording_from_rows))
     assert main(argv) == 0
     assert capsys.readouterr().out.encode("utf-8") == (GOLDEN / golden).read_bytes()
     assert gram_work["eliminations"] == ["rref"] * eliminations
-    assert len(kernels) == (4 if argv[0] == "dual" else 0)
+    assert callers.count("galois_dual") == (4 if argv[0] == "dual" else 0)
 
 
 @pytest.mark.parametrize("sample", SAMPLES, ids=lambda p: p.name)
@@ -540,6 +554,6 @@ def test_verify_eliminations_do_not_depend_on_e(sample, gram_work, tmp_path, cap
         sample = tmp_path / "gf16.json"
         sample.write_text(json.dumps(GF16_FILE))
     assert main(["verify", str(sample)]) == 0
-    # 4 parse passes, one kernel (2 rref) per component and one for the gray
+    # 4 parse passes, one kernel (1 rref) per component and one for the gray
     # image; every twist reads the same kernels
-    assert gram_work["eliminations"] == ["rref"] * 14
+    assert gram_work["eliminations"] == ["rref"] * 9

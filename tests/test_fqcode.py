@@ -17,9 +17,9 @@ from lcdring.errors import (
     ZeroScaleError,
 )
 from lcdring.fqcode import _projective_steps, count_text
-from lcdring.linalg import gram, nullspace_basis, rank
+from lcdring.linalg import gram, rank, rref
 
-from support import identity, random_fqcode
+from support import identity, matmul, nullspace_basis, random_fqcode
 
 F5 = GF(5)
 F9 = GF(3, 2, [1, 0, 1])
@@ -96,11 +96,13 @@ class TestGaloisDual:
                 call(l)
 
     def test_one_kernel_per_code_object(self, monkeypatch):
-        real, kernels = fqcode.nullspace_basis, []
-        monkeypatch.setattr(fqcode, "nullspace_basis", lambda g: kernels.append(g) or real(g))
         c = code(GF(2, 4), 3, [[1, 7, 7]])
+        real, kernels = fqcode.rref, []
+        monkeypatch.setattr(fqcode, "rref", lambda m: kernels.append(m) or real(m))
         duals = [c.galois_dual(l) for l in (0, 1, 2, 3, 3, 2, 1, 0)]
-        assert kernels == [c.gen]
+        # one elimination, of the n - k kernel rows written from G and its pivots
+        assert [(m.nrows, m.ncols) for m in kernels] == [(c.n - c.k, c.n)]
+        assert not any(matmul(c.gen, Matrix.from_rows(c.field, zip(*kernels[0].to_rows()))).entries)
         assert duals[:4] == duals[:3:-1]
 
     def test_dimensions_complement(self):
@@ -500,6 +502,25 @@ def test_scale_matches_elimination_of_scaled_columns(data):
     c = code(f, n, rows)
     scaled = [[f.mul(v, a) for v, a in zip(row, factors)] for row in c.gen.to_rows()]
     assert c.scale(factors) == code(f, n, scaled)
+
+
+PIVOT_FIELDS = [GF(2, 2), GF(5), GF(3, 2), GF(2, 4)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_pivots_are_the_rref_pivots(data):
+    """The pivots the constructor records, for random codes and every code derived from them."""
+    f = data.draw(st.sampled_from(PIVOT_FIELDS))
+    n = data.draw(st.integers(1, 6))
+    row = st.lists(st.integers(0, f.q - 1), min_size=n, max_size=n)
+    comps = [code(f, n, data.draw(st.lists(row, max_size=n))) for _ in range(4)]
+    factors = data.draw(st.lists(st.integers(1, f.q - 1), min_size=n, max_size=n))
+    derived = [c.galois_dual(l) for c in comps for l in range(f.e)]
+    derived += [c.scale(factors) for c in comps]
+    derived.append(RCode.from_components(comps).gray_image())
+    for c in comps + derived:
+        assert c.pivots == rref(c.gen)[2]
 
 
 def test_count_text_is_decimal_while_printable():

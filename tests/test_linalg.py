@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lcdring import GF, FqCode, Matrix, linalg
+from lcdring import GF, FqCode, Matrix, fqcode
 from lcdring.errors import ConsistencyError, MismatchError, NotSquareError
-from lcdring.linalg import _eliminate, det, gram, minor_det, nullspace_basis, rank, rref
+from lcdring.linalg import _eliminate, det, gram, minor_det, rank, rref
 
 from support import identity, matmul
 
@@ -23,7 +23,7 @@ def m(field, rows, ncols=None):
 
 @pytest.mark.parametrize("entry", [True, 2.0, 5])
 def test_from_rows_checks_entries(entry):
-    with pytest.raises(ValueError, match="not an element encoding"):
+    with pytest.raises(ValueError, match="is not an element of"):
         m(F5, [[entry, 2]])
 
 
@@ -117,6 +117,11 @@ class TestDet:
         assert det(a) == 4
 
 
+def nullspace_basis(a):
+    """The right kernel of ``a``: the Euclidean dual of its row space, as FqCode builds it."""
+    return FqCode.from_rows(a.field, a.ncols, a.to_rows()).galois_dual(0).gen
+
+
 class TestNullspace:
     def test_line_in_plane(self):
         ns = nullspace_basis(m(F5, [[1, 2]]))
@@ -143,15 +148,16 @@ class TestNullspace:
 
     def test_lost_rank_raises_consistency_error(self, monkeypatch):
         # raised, not asserted, so the check also runs under python -O
-        real = linalg.rref
+        real = fqcode.rref
 
-        def rref_reporting_one_rank_too_many(a):
+        def rref_reporting_one_rank_too_few(a):
             r, rk, pivots = real(a)
-            return r, rk + 1, pivots
+            return r, rk - 1, pivots
 
-        monkeypatch.setattr(linalg, "rref", rref_reporting_one_rank_too_many)
-        with pytest.raises(ConsistencyError, match="kernel basis"):
-            nullspace_basis(m(F5, [[1, 2]]))
+        line = FqCode(F5, 2, m(F5, [[1, 2]]))
+        monkeypatch.setattr(fqcode, "rref", rref_reporting_one_rank_too_few)
+        with pytest.raises(ConsistencyError, match="kernel basis of 1 vectors has rank 0"):
+            line.galois_dual(0)
 
 
 def leibniz_det(field, rows):

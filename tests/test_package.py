@@ -76,14 +76,14 @@ def test_only_fqcode_builds_gram_matrices():
     assert _call_sites("gram") == ["fqcode.py:_gram_facts"]
 
 
-def test_only_fqcode_computes_kernels():
-    """One kernel route: nullspace_basis has one call site, FqCode.galois_dual, memoized in _dual."""
-    assert _call_sites("nullspace_basis") == ["fqcode.py:galois_dual"]
+def test_only_from_rows_reduces_into_rref():
+    """One route into RREF: rref has one call site, FqCode.from_rows; the kernel in galois_dual goes through it."""
+    assert _call_sites("rref") == ["fqcode.py:from_rows"]
 
 
 # What the fast paths compute, and the shared kernels behind them.
 FAST_PATH_ATTRS = {
-    "galois_dual", "hull_dim", "lcd_status", "is_lcd", "is_self_orthogonal", "is_self_dual",
+    "pivots", "galois_dual", "hull_dim", "lcd_status", "is_lcd", "is_self_orthogonal", "is_self_dual",
     "min_dist", "lee_min_dist", "params", "gray_image", "_gram", "_gram_facts", "_grams",
     "_dist", "_dual", "dot", "sub_scaled", "frobenius_row",
 }
