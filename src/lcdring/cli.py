@@ -3,13 +3,14 @@
 Subcommands: analyze, construct-lcd, dual, gray, mindist, verify.
 Exit codes: 0 success, 1 input error, 2 budget or size cap exceeded,
 3 internal consistency failure.  Reports are deterministic for a fixed
-input and seed.  The grammar is one table, ``COMMANDS``: the parser, the
-usage lines and the ``--help`` text are all read from it.
+input and seed.  The grammar is one table, ``COMMANDS``: both parsers, the
+usage lines and the ``--help`` text are read from it.  A plain
+``CMD FILE --opt value ...`` line is read directly, without importing
+argparse; argparse, built from the same table, reads every other line.
 """
 
 from __future__ import annotations
 
-import re
 import sys
 from types import SimpleNamespace
 from typing import Any, Callable, NamedTuple, NoReturn, Sequence
@@ -203,17 +204,6 @@ def _cmd_verify(args: SimpleNamespace) -> int:
         if not ok:
             failures.append(name)
 
-    def pairing_check(name: str, dual: RCode, l: int) -> None:
-        # the dual check pairs each dual word with the k generators only,
-        # but its budget counts the |C| * |dual| pairs of the definition;
-        # report an explicit skip instead of erroring when that cannot fit
-        pairings = oracle.count(code) * oracle.count(dual)
-        if pairings > budget:
-            shown = count_text(code.field.q, code.k + dual.k)
-            print(f"{name}: skipped ({shown} pairings exceed --max-enum {budget})")
-            return
-        check(name, oracle.is_dual_pair(code, dual, l, budget))
-
     params = code.params(budget)
     if code.k > 0:
         check(
@@ -237,7 +227,13 @@ def _cmd_verify(args: SimpleNamespace) -> int:
         fast_hull = sum(c.hull_dim(l) for c in code.comps)
         check(f"l={l} hull dimension", bf_hull == fast_hull)
         check(f"l={l} lcd flag", code.is_lcd(l) == (bf_hull == 0))
-        pairing_check(f"l={l} dual pairing", dual, l)
+        # the oracle budgets the |C| * |dual| pairs of the definition;
+        # report an explicit skip instead of erroring when that cannot fit
+        try:
+            check(f"l={l} dual pairing", oracle.is_dual_pair(code, dual, l, budget))
+        except CapExceededError:
+            shown = count_text(code.field.q, code.k + dual.k)
+            print(f"l={l} dual pairing: skipped ({shown} pairings exceed --max-enum {budget})")
         check(
             f"l={l} expansion of dual",
             dual.gray_image() == gray_code.galois_dual(l),
@@ -279,14 +275,13 @@ class Option(NamedTuple):
     choices: tuple[str, ...] = ()
 
 
-_HELP = Option(("-h", "--help"), "help", "")
 _OUTPUT = Option(("-o", "--output"), "output", "FILE")
 _MAX_ENUM = Option(("--max-enum",), "max_enum", "N", _enum_cap, DEFAULT_ENUM_CAP)
 _JSON = Option(("--json",), "json", "OUT")
 
 # The grammar: name -> (handler, help line, options).  Every command also
-# takes one positional FILE.  The parser, the usage lines and the --help
-# text (the README's CLI synopsis) are all read from this table.
+# takes one positional FILE.  Both parsers, the usage lines and the --help
+# text (the README's CLI synopsis) are read from this table.
 COMMANDS: dict[str, tuple[Callable[[SimpleNamespace], int], str, tuple[Option, ...]]] = {
     "analyze": (_cmd_analyze, "parameters, duals and predicate table", (
         Option(("--l",), "l", "L", _int, repeats=True), _MAX_ENUM, _JSON)),
@@ -311,156 +306,109 @@ def _synopsis(name: str) -> str:
     return " ".join(words)
 
 
-class _UsageError(Exception):
-    """A refused command line; the message follows ``<prog>: error:``."""
+def _plain_value(token: str) -> bool:
+    """Whether a plain line reads ``token`` as a value: it starts with no "-" or is "-"."""
+    return token == "-" or not token.startswith("-")
 
 
-def _refuse(prog: str, usage: str, exc: _UsageError) -> NoReturn:
-    """Usage errors exit 1 (input error), as 2 means a cap was exceeded."""
-    sys.stderr.write(f"usage: {usage}\n{prog}: error: {exc}\n")
-    raise SystemExit(1)
+def _plain(argv: list[str]) -> tuple[Callable[[SimpleNamespace], int], SimpleNamespace] | None:
+    """The handler and arguments of a plain ``CMD FILE --opt value ...`` line, else None.
 
-
-def _help(text: str) -> NoReturn:
-    sys.stdout.write(text)
-    raise SystemExit(0)
-
-
-# How a token is read, by the rules argparse applied when it parsed this
-# CLI: None for a positional, _END for the first "--" (every later token is a
-# positional), else (option or None if unknown, flag, attached value or None).
-_END = "--"
-
-
-def _classify(token: str, flags: dict[str, Option]) -> tuple[Option | None, str, str | None] | None:
-    """Read one token: unique prefixes of long flags, ``--flag=value`` and ``-oVALUE`` count."""
-    if not token.startswith("-"):
-        return None
-    if token in flags:
-        return flags[token], token, None
-    if len(token) == 1:
-        return None
-    head, eq, value = token.partition("=")
-    if eq and head in flags:
-        return flags[head], head, value
-    if token[1] == "-":
-        hits = [flag for flag in flags if flag.startswith(head)]
-        attached = value if eq else None
-    else:
-        hits = [token[:2]] if token[:2] in flags else []
-        attached = token[2:]
-    if len(hits) > 1:
-        raise _UsageError(f"ambiguous option: {token} could match {', '.join(hits)}")
-    if hits:
-        return flags[hits[0]], hits[0], attached
-    if re.match(r"^-\d+$|^-\d*\.\d+$", token) or " " in token:
-        return None  # a negative number, or text that is no flag
-    return None, token, None
-
-
-def _classify_all(argv: list[str], flags: dict[str, Option]) -> list[Any]:
-    kinds: list[Any] = []
-    for i, token in enumerate(argv):
-        if token == "--":
-            return kinds + [_END] + [None] * (len(argv) - i - 1)
-        kinds.append(_classify(token, flags))
-    return kinds
-
-
-def _option_at(argv: list[str], kinds: list[Any], i: int, flags: dict[str, Option]) -> tuple[Option, str | None, int]:
-    """(option, its raw value, index past both) for the option token at ``argv[i]``.
-
-    ``-h`` may carry more one-letter flags (``-hoFILE``); help wins once
-    the whole token has been read without error.
+    FILE follows the command.  Each option is spelt in full, as ``--opt value``,
+    ``--opt=value``, ``-o VALUE`` or ``-oVALUE``, where a separate value starts
+    with no "-" unless it is "-".  Every value converts and every required
+    option is given.  argparse reads any such line the same way, except that
+    it drops an attached "--".
     """
-    opt, flag, value = kinds[i]
-    chained = False
-    while opt is _HELP and value is not None:
-        if flag[1] == "-" or not value or "-" + value[0] not in flags:
-            raise _UsageError(f"argument -h/--help: ignored explicit argument {value!r}")
-        chained, flag = True, "-" + value[0]
-        opt, value = flags[flag], value[1:] or None
-    i += 1
-    if opt is not _HELP and value is None:
-        if i == len(argv) or kinds[i] is not None:
-            raise _UsageError(f"argument {'/'.join(opt.flags)}: expected one argument")
-        value, i = argv[i], i + 1
-    return (_HELP if chained else opt), value, i
+    if len(argv) < 2 or argv[0] not in COMMANDS or not _plain_value(argv[1]):
+        return None
+    handler, _, options = COMMANDS[argv[0]]
+    flags = {flag: opt for opt in options for flag in opt.flags}
+    given: dict[str, Any] = {}
+    rest = iter(argv[2:])
+    for token in rest:
+        head, eq, value = token.partition("=")
+        if token in flags:
+            opt, value = flags[token], next(rest, None)
+            if value is None or not _plain_value(value):
+                return None
+        elif eq and head in flags:
+            opt = flags[head]
+        elif len(token) > 2 and token[:2] in flags:  # -oVALUE
+            opt, value = flags[token[:2]], token[2:]
+        else:
+            return None
+        try:
+            value = opt.convert(value)
+        except ValueError:
+            return None
+        if opt.choices and value not in opt.choices:
+            return None
+        given[opt.dest] = [*given.get(opt.dest, ()), value] if opt.repeats else value
+    if any(opt.required and opt.dest not in given for opt in options):
+        return None
+    return handler, SimpleNamespace(file=argv[1], **{opt.dest: given.get(opt.dest, opt.default) for opt in options})
 
 
-def _parse_command(name: str, argv: list[str]) -> tuple[SimpleNamespace, list[str]]:
-    """The arguments of one command and the tokens it did not use."""
-    _, text, options = COMMANDS[name]
-    flags = {flag: opt for opt in (_HELP, *options) for flag in opt.flags}
-    values = {opt.dest: opt.default for opt in options}
-    seen: set[str] = set()
-    path, extras = None, []
-    try:
-        kinds = _classify_all(argv, flags)
-        i = 0
-        while i < len(argv):
-            kind = kinds[i]
-            if type(kind) is tuple and kind[0] is not None:
-                opt, raw, i = _option_at(argv, kinds, i, flags)
-                if opt is _HELP:
-                    _help(f"{_synopsis(name)}\n  {text}\n")
-                try:
-                    value = opt.convert(raw)
-                except ValueError as exc:
-                    raise _UsageError(f"argument {'/'.join(opt.flags)}: {exc}") from None
-                if opt.choices and value not in opt.choices:
-                    raise _UsageError(f"argument {'/'.join(opt.flags)}: invalid choice: {value!r} "
-                                      f"(choose from {', '.join(map(repr, opt.choices))})")
-                seen.add(opt.dest)
-                values[opt.dest] = [*(values[opt.dest] or ()), value] if opt.repeats else value
-                continue
-            j = i + (kind == _END)
-            if path is None and type(kind) is not tuple and j < len(argv):
-                # FILE is the first positional, with the "--" before or after it
-                path, i = argv[j], j + 1
-                if i < len(argv) and kinds[i] == _END:
-                    i += 1
-                continue
-            extras.append(argv[i])
-            i += 1
-        missing = ["file"] if path is None else []
-        missing += ["/".join(opt.flags) for opt in options if opt.required and opt.dest not in seen]
-        if missing:
-            raise _UsageError(f"the following arguments are required: {', '.join(missing)}")
-    except _UsageError as exc:
-        _refuse(f"lcdring {name}", _synopsis(name), exc)
-    return SimpleNamespace(file=path, **values), extras
+def _argparse(argv: list[str]) -> tuple[Callable[[SimpleNamespace], int], SimpleNamespace]:
+    """Every other command line (help, usage errors, prefixes, "--"), read by argparse built from ``COMMANDS``."""
+    import argparse
+
+    class Parser(argparse.ArgumentParser):
+        def error(self, message: str) -> NoReturn:
+            # usage errors exit 1 (input error), as 2 means a cap was exceeded
+            self.exit(1, f"{self.format_usage()}{self.prog}: error: {message}\n")
+
+        def format_help(self) -> str:
+            return self.description or ""
+
+    class Store(argparse.Action):
+        repeats = False
+
+        def __call__(self, parser: Any, namespace: Any, value: Any, option_string: Any = None) -> None:
+            if value == []:  # argparse drops an attached "--" (--output=--) and passes no value
+                raise argparse.ArgumentError(self, "expected one argument")
+            if self.repeats:
+                value = [*(getattr(namespace, self.dest) or ()), value]
+            setattr(namespace, self.dest, value)
+
+    class Append(Store):
+        repeats = True
+
+    def typed(convert: Callable[[str], Any]) -> Callable[[str], Any]:
+        def read(text: str) -> Any:
+            try:
+                return convert(text)
+            except ValueError as exc:  # keeps the converter's text, not "invalid _int value"
+                raise argparse.ArgumentTypeError(str(exc)) from None
+        return read
+
+    parser = Parser(prog="lcdring", usage=f"lcdring {{{','.join(COMMANDS)}}} ...",
+                    description="".join(f"{_synopsis(name)}\n" for name in COMMANDS))
+    # without prog, argparse would build each command's prog from the usage above
+    sub = parser.add_subparsers(dest="command", required=True, prog="lcdring")
+    for name, (handler, text, options) in COMMANDS.items():
+        p = sub.add_parser(name, usage=_synopsis(name), description=f"{_synopsis(name)}\n  {text}\n")
+        p.add_argument("file")
+        for opt in options:
+            p.add_argument(*opt.flags, dest=opt.dest, type=typed(opt.convert), default=opt.default,
+                           action=Append if opt.repeats else Store, required=opt.required,
+                           choices=opt.choices or None)
+        p.set_defaults(func=handler)
+    args = vars(parser.parse_args(argv))
+    del args["command"]
+    return args.pop("func"), SimpleNamespace(**args)
 
 
 def parse_args(argv: Sequence[str]) -> tuple[Callable[[SimpleNamespace], int], SimpleNamespace]:
     """The handler and arguments of a command line, read from ``COMMANDS``.
 
-    Help exits 0 and a usage error exits 1, each through ``SystemExit``.
+    A plain line is read directly and never imports argparse; argparse
+    reads every other one.  Help exits 0 and a usage error exits 1, each
+    through ``SystemExit``.
     """
     argv = list(argv)
-    flags = dict.fromkeys(_HELP.flags, _HELP)
-    extras: list[str] = []
-    try:
-        kinds = _classify_all(argv, flags)
-        for i, (token, kind) in enumerate(zip(argv, kinds)):
-            if type(kind) is tuple and kind[0] is None:
-                extras.append(token)
-            elif type(kind) is tuple:
-                _option_at(argv, kinds, i, flags)
-                _help("".join(f"{_synopsis(name)}\n" for name in COMMANDS))
-            elif kind == _END and i == len(argv) - 1:
-                break
-            elif token not in COMMANDS:
-                raise _UsageError(f"argument command: invalid choice: {token!r} "
-                                  f"(choose from {', '.join(map(repr, COMMANDS))})")
-            else:
-                args, rest = _parse_command(token, argv[i + 1 :])
-                if extras + rest:
-                    raise _UsageError(f"unrecognized arguments: {' '.join(extras + rest)}")
-                return COMMANDS[token][0], args
-        raise _UsageError("the following arguments are required: command")
-    except _UsageError as exc:
-        _refuse("lcdring", f"lcdring {{{','.join(COMMANDS)}}} ...", exc)
+    return _plain(argv) or _argparse(argv)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -349,29 +349,56 @@ def test_verify_skip_line_past_the_int_str_limit(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("module", ["lcdring", "lcdring.cli"])
-def test_import_leaves_out_dataclasses_and_inspect(module):
-    """A cold CLI call imports none of these: building dataclasses costs most of
-    an import, and argparse (with gettext and locale) most of a short call."""
+def test_import_leaves_out_dataclasses_and_inspect(module, tmp_path):
+    """A plain CLI call imports none of these: building dataclasses costs most of
+    an import, and argparse (with gettext and locale) most of a short call.  The
+    jobs are the benchmark's six command-line shapes."""
+    gf4, gf5, gf9 = (str(path) for path in SAMPLES)
+    out, rep = str(tmp_path / "out.json"), str(tmp_path / "rep.json")
+    jobs = [
+        ["analyze", gf4, "--json", out],
+        ["dual", gf9, "--l", "1", "-o", out],
+        ["gray", gf4, "-o", out],
+        ["verify", gf4],
+        ["construct-lcd", gf5, "--mode", "euclid", "-o", out, "--json", rep],
+        ["mindist", gf4],
+    ]
     src = str(pathlib.Path(lcdring.__file__).parent.parent)
     heavy = "print(sorted({'dataclasses', 'inspect', 'argparse', 'gettext', 'locale'} & set(sys.modules)))"
     code = (
         f"import sys; sys.path.insert(0, {src!r}); import {module}; {heavy}; "
-        f"from lcdring.cli import main; main(['mindist', {str(SAMPLES[0])!r}]); {heavy}"
+        f"from lcdring.cli import main; print([main(argv) for argv in {jobs!r}]); {heavy}"
     )
     run = subprocess.run([sys.executable, "-I", "-S", "-B", "-c", code],
                          capture_output=True, text=True, check=True)
-    first, job, last = run.stdout.splitlines()
+    lines = run.stdout.splitlines()
+    first, job, codes, last = lines[0], lines[-3], lines[-2], lines[-1]
     assert (first, last) == ("[]", "[]")
     assert job.startswith("lee distance: ")
+    assert codes == "[0, 0, 0, 0, 0, 0]"
+
+
+def _readme_synopsis():
+    readme = (pathlib.Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    return readme.split("## CLI\n\n```\n", 1)[1].split("```", 1)[0]
 
 
 def test_help_prints_the_readme_synopsis(capsys):
-    readme = (pathlib.Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
-    synopsis = readme.split("## CLI\n\n```\n", 1)[1].split("```", 1)[0]
+    synopsis = _readme_synopsis()
     with pytest.raises(SystemExit) as exc:
         main(["--help"])
     assert exc.value.code == 0
     assert capsys.readouterr().out == synopsis
+
+
+@pytest.mark.parametrize("flag", ["--help", "-h"])
+@pytest.mark.parametrize("name", COMMANDS)
+def test_command_help_prints_its_readme_line(name, flag, capsys):
+    (line,) = [line for line in _readme_synopsis().splitlines() if line.startswith(f"lcdring {name} ")]
+    with pytest.raises(SystemExit) as exc:
+        main([name, flag])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out == f"{line}\n  {COMMANDS[name][1]}\n"
 
 
 REFERENCE_PARSER = build_parser()
@@ -431,9 +458,22 @@ def test_table_parser_agrees_with_argparse(argv):
 
 
 def test_attached_double_dash_is_a_value():
-    """argparse stored [] for an attached "--"; the table parser keeps the text."""
+    """After an option spelt in full, the plain path reads an attached "--" as the text "--"."""
     assert vars(parse_args(["gray", "c.json", "--output=--"])[1]) == {"file": "c.json", "output": "--"}
     assert vars(parse_args(["gray", "c.json", "-o--"])[1]) == {"file": "c.json", "output": "--"}
+
+
+@pytest.mark.parametrize("argv, flag", [(["gray", "c.json", "--out=--"], "-o/--output"),
+                                        (["analyze", "c.json", "--l=--"], "--l")])
+def test_attached_double_dash_left_to_argparse_is_refused(argv, flag, capsys):
+    """argparse drops an attached "--" and passes no value: a usage error, not a list in the arguments."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: lcdring {argv[0]} FILE")
+    assert err.splitlines()[-1] == f"lcdring {argv[0]}: error: argument {flag}: expected one argument"
+    assert "Traceback" not in err
 
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
