@@ -232,8 +232,27 @@ class FqCode(Value):
 
     # -- metrics ---------------------------------------------------------------
 
+    def _check_cap(self, cap: int) -> None:
+        """Refuse a distance whose q^k messages exceed ``cap``; the cap counts all of them."""
+        q, k = self.field.q, self.k
+        if q**k > cap:
+            raise CapExceededError(f"{count_text(q, k)} codewords exceed the cap of {cap}")
+
+    def _row_floor(self) -> int:
+        """The least weight of a generator row: the minimum distance when it is 1 or 2.
+
+        A word sum_i m_i * row_i reads m_i at pivot p_i, so a word of weight 1
+        is a multiple of one row: d = 1 exactly when some row has weight 1.
+        Otherwise d >= 2, and any word of weight 2, a row among them, is minimal.
+        """
+        return min(self.n - row.count(0) for row in self.gen.to_rows())
+
     def min_dist(self, cap: int = DEFAULT_ENUM_CAP) -> int:
-        """Exact minimum Hamming weight by a projective Gray-order scan on packed F_p lanes.
+        """Exact minimum Hamming weight: the RREF rows' floor, else a projective Gray-order scan.
+
+        A generator row of weight 1 or 2 is the answer (``_row_floor``), read
+        without a walk.  Otherwise the scan runs and stops at the first word
+        of weight 2, since no word is lighter.
 
         Scalar multiples share a weight, so only the (q^k - 1)/(q - 1)
         messages whose highest nonzero digit is 1 are visited.  Below that
@@ -248,22 +267,20 @@ class FqCode(Value):
         lane at once.  Digit w_i is nonzero exactly when bit b - 1 of
         w_i + 2^(b-1) - 1 is set; OR-ing these flags over the e planes onto
         plane 0 and counting its bits gives the weight.  No lane sum
-        reaches 2^b, so one kernel serves every field.  The cap still
-        counts all q^k messages, so the same inputs are refused as by a
-        full scan.
+        reaches 2^b, so one kernel serves every field.  A memoized distance
+        is returned before the cap is read; otherwise the cap still counts
+        all q^k messages, even when the floor decides, so the same inputs
+        are refused as by a full scan.
         """
         if self.k == 0:
             raise ZeroCodeError("the zero code has no minimum distance")
         if self._dist is not None:
             return self._dist
-        f = self.field
-        total = f.q**self.k
-        if total > cap:
-            raise CapExceededError(f"{count_text(f.q, self.k)} codewords exceed the cap of {cap}")
-        n = self.n
-        rows = self.gen.to_rows()
-        best = min(n - row.count(0) for row in rows)
-        if best > 1 and self.k > 1:
+        self._check_cap(cap)
+        best = self._row_floor()
+        if best > 2 and self.k > 1:
+            f, n = self.field, self.n
+            rows = self.gen.to_rows()
             p, e = f.p, f.e
             b = p.bit_length() + 1
             msb = b - 1  # the top bit of a lane
@@ -297,7 +314,7 @@ class FqCode(Value):
                 w = (flags & plane0).bit_count()
                 if w < best:
                     best = w
-                    if best == 1:
+                    if best == 2:
                         break
         object.__setattr__(self, "_dist", best)
         return best

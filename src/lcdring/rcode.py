@@ -132,10 +132,29 @@ class RCode(Value):
     # -- metrics ---------------------------------------------------------------
 
     def lee_min_dist(self, cap: int = DEFAULT_ENUM_CAP) -> int:
-        """Minimum Lee weight; equals the smallest nonzero-component distance."""
+        """Minimum Lee weight d_Lee = min_i d_i over the nonzero components.
+
+        First the cap: each component without a memoized distance is
+        checked in slot order, counting all its q^k messages, so the same
+        inputs are refused, with the same message, as by one ``min_dist``
+        per component.  Then the floor: the lightest generator row over all
+        components is d_Lee when it weighs 1 or 2, since a weight-1 word of
+        a component is a multiple of one of its RREF rows, so without such
+        a row every d_i >= 2.  Otherwise the components are walked in
+        ascending q^k until the running minimum reaches 2.
+        """
         if self.k == 0:
             raise ZeroCodeError("the zero code has no minimum distance")
-        return min(c.min_dist(cap) for c in self.comps if c.k > 0)
+        live = [c for c in self.comps if c.k > 0]
+        for c in live:
+            if c._dist is None:
+                c._check_cap(cap)
+        best = min(c._row_floor() for c in live)
+        for c in sorted(live, key=attrgetter("k")):
+            if best <= 2:
+                break
+            best = min(best, c.min_dist(cap))
+        return best
 
     def params(self, cap: int = DEFAULT_ENUM_CAP) -> RCodeParams:
         """Aggregate parameters; distances degrade to None past the cap."""

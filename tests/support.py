@@ -1,4 +1,5 @@
-"""Shared test helpers: random codes, an identity matrix, a reference matrix product and kernel, and CLI parser."""
+"""Shared test helpers: random codes, an identity matrix, a reference matrix product and kernel,
+a Gray-walk step counter, and CLI parser."""
 
 from __future__ import annotations
 
@@ -6,7 +7,7 @@ import argparse
 import random
 from typing import NoReturn
 
-from lcdring import GF, FqCode, Matrix, RCode, RingElement, construct
+from lcdring import GF, FqCode, Matrix, RCode, RingElement, construct, fqcode
 from lcdring.cli import _cmd_analyze, _cmd_construct, _cmd_dual, _cmd_gray, _cmd_mindist, _cmd_verify
 from lcdring.errors import ConsistencyError
 from lcdring.fqcode import DEFAULT_ENUM_CAP
@@ -56,6 +57,27 @@ def matmul(a: Matrix, b: Matrix) -> Matrix:
                 acc = f.add(acc, f.mul(a.entry(r, j), b.entry(j, c)))
             out.append(acc)
     return Matrix(f, a.nrows, b.ncols, tuple(out))
+
+
+class WalkSteps:
+    """Counts the work of distance walks by wrapping ``fqcode._projective_steps``.
+
+    ``walks`` is the number of Gray walks started and ``steps`` the number
+    of words they visited; a walk that stops early is charged only the
+    words it reached.  The wrapper is undone with ``monkeypatch``.
+    """
+
+    def __init__(self, monkeypatch) -> None:
+        self.walks = self.steps = 0
+        real = fqcode._projective_steps
+
+        def counted(p: int, e: int, k: int):
+            self.walks += 1
+            for i in real(p, e, k):
+                self.steps += 1
+                yield i
+
+        monkeypatch.setattr(fqcode, "_projective_steps", counted)
 
 
 # An independent kernel route (two eliminations, pivots found afresh); the

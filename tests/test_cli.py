@@ -214,6 +214,37 @@ def test_mindist_cap_counts_every_message(comps, tmp_path, capsys):
     assert "lee distance: 1" in capsys.readouterr().out
 
 
+# the weight-2 twin: no component has a weight-1 row, and a weight-2 row
+# fixes the Lee distance at 2, yet the 125 messages still count
+BIG_TWO = [[1, 0, 0, 1], [0, 1, 0, 1], [0, 0, 1, 1]]
+WEIGHT_TWO = [[1, 4, 0, 0]]
+
+
+@pytest.mark.parametrize("comps", [[BIG_TWO, WEIGHT_TWO, [], []], [WEIGHT_TWO, BIG_TWO, [], []]])
+def test_mindist_cap_counts_every_message_at_weight_two(comps, tmp_path, capsys):
+    path = tmp_path / "mixed.json"
+    path.write_text(json.dumps({"field": {"p": 5}, "n": 4, "components": comps}))
+    assert main(["mindist", str(path), "--max-enum", "124"]) == 2
+    assert "125 codewords exceed the cap of 124" in capsys.readouterr().err
+    assert main(["mindist", str(path), "--max-enum", "125"]) == 0
+    assert "lee distance: 2" in capsys.readouterr().out
+
+
+def test_mindist_weight_two_row_starts_no_walk(tmp_path, monkeypatch, capsys):
+    # a GF(7) [9, 7] component (7^7 = 823,543 messages, inside the default
+    # cap) whose rows weigh 3, beside a component with a row of weight 2
+    big = [[int(i == j) for j in range(7)] + [1, i % 6 + 1] for i in range(7)]
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps({"field": {"p": 7}, "n": 9, "components": [big, [[0, 0, 1, 0, 0, 0, 0, 0, 6]], [], []]}))
+
+    def no_walk(p, e, k):
+        raise AssertionError("a Gray walk started")
+
+    monkeypatch.setattr(fqcode, "_projective_steps", no_walk)
+    assert main(["mindist", str(path)]) == 0
+    assert capsys.readouterr().out == "lee distance: 2\n"
+
+
 def test_json_booleans_rejected(tmp_path, capsys):
     path = tmp_path / "bool.json"
     path.write_text('{"field":{"p":5},"n":true,"components":[[[true]],[],[],[]]}')
