@@ -556,6 +556,40 @@ def test_verify_report_matches_golden(sample, capsys):
     assert got == (GOLDEN / f"verify-{sample.stem}.txt").read_bytes()
 
 
+def _construct_jobs():
+    """(argv, golden stem) for construct-lcd on each sample, per mode (Galois at l = 1), without and with a seed."""
+    for sample in SAMPLES:
+        for mode in ("euclid", "galois"):
+            for seed in (None, 7):
+                argv = ["construct-lcd", str(sample), "--mode", mode]
+                argv += ["--l", "1"] if mode == "galois" else []
+                argv += [] if seed is None else ["--seed", str(seed)]
+                stem = f"construct-{sample.stem}-{mode}" + ("" if seed is None else f"-seed{seed}")
+                yield pytest.param(argv, stem, id=stem)
+
+
+@pytest.mark.parametrize("argv, stem", list(_construct_jobs()))
+def test_construct_outputs_match_golden(argv, stem, tmp_path, capsys):
+    """stdout, the -o code and the --json report, byte for byte; a refusal pins its exit code.
+
+    The goldens were written by the construction as it stood before any
+    twist beyond the paper's condition was admitted, so they pin that every
+    input accepted then gives the same bytes now.
+    """
+    code, report = tmp_path / "code.json", tmp_path / "report.json"
+    rc = main([*argv, "-o", str(code), "--json", str(report)])
+    out = capsys.readouterr().out.encode("utf-8")
+    refusal = GOLDEN / f"{stem}.exit"
+    if refusal.exists():
+        assert rc == int(refusal.read_text())
+        assert out == b"" and not code.exists() and not report.exists()
+        return
+    assert rc == 0
+    assert out == (GOLDEN / f"{stem}.txt").read_bytes()
+    assert code.read_bytes() == (GOLDEN / f"{stem}.code.json").read_bytes()
+    assert report.read_bytes() == (GOLDEN / f"{stem}.report.json").read_bytes()
+
+
 @pytest.fixture
 def gram_work(monkeypatch):
     """Gram products and eliminations, recorded where lcdring calls them.
