@@ -22,23 +22,31 @@ So if P[K, K] is nonsingular for that greedy K, its complement is the
 answer, at the cost of one elimination and one determinant.  For a
 Hermitian twist, 2(e - l) = 0 mod e (l = 0 or l = e/2), P^T = F^m(P), so
 column j of P is the conjugate of row j, the columns K span the column
-space as well, and P[K, K] is always nonsingular.  Only other twists can
-leave it singular; then an exhaustive scan takes over from size
-k - rank P.  Placing suitable column scalings on the deletion positions
-makes the twisted Gram determinant of the scaled generator equal a
-product of nonzero factors, hence nonzero, which is exactly the
-complementary-dual criterion.  Scaling by nonzero constants is a
-monomial equivalence, so length, dimension and distance are untouched.
+space as well, and P[K, K] is always nonsingular, so the deletion set
+has the size k - rank P of the hull.  Only other twists can leave it
+singular; then an exhaustive scan takes over from size k - rank P, and
+the set it finds can be larger than the hull (P = [[0, 0], [x, 0]] has
+hull 1 and needs both rows deleted).  Placing suitable column scalings
+on the deletion positions makes the twisted Gram determinant of the
+scaled generator equal a product of nonzero factors, hence nonzero,
+which is exactly the complementary-dual criterion.  Scaling by nonzero
+constants is a monomial equivalence, so length, dimension and distance
+are untouched.
 
-Both modes are one construction with twist l: Euclidean is l = 0 (q > 3),
-Galois is 0 < l < e with beta = (q - 1) / (p^(e-l) + 1) an integer > 1.
-With m = e - l (F^e is the identity), pivot column j of the RREF
-generator G is the unit vector e_j, so scaling it by a adds
-a^(p^m + 1) - 1 to diagonal entry j of the twisted Gram matrix
+Both modes are one construction with twist l: Euclidean is l = 0, and
+Galois takes any 0 <= l < e.  With m = e - l (F^e is the identity), pivot
+column j of the RREF generator G is the unit vector e_j, so scaling it by
+a adds a^(p^m + 1) - 1 to diagonal entry j of the twisted Gram matrix
 P = G F^m(G)^T, the one every hull predicate reads.  Positions off the
 deletion set keep factor 1; positions on it draw from the units outside
-the subgroup of (p^m + 1)-th roots of unity, which is {1, -1} for l = 0
-and the beta-th powers for a Galois twist.
+the subgroup of (p^m + 1)-th roots of unity.  A factor exists exactly when
+that subgroup is proper, that is when q - 1 does not divide p^m + 1: at
+l = 0 when q > 3, and at 0 < l < e unless q = 4, since q - 1 <= p^m + 1
+forces p^(e-1)(p - 1) <= 2.  The paper's condition, p^m + 1 | q - 1 with
+beta = (q - 1) / (p^m + 1) > 1, is the case where the subgroup is the
+beta-th powers.  The rule is sharp: if every unit has a^(p^m + 1) = 1,
+every permutation and column scaling leaves P unchanged, so the hull
+dimension k - rank P is a monomial invariant.
 
 The scaled code's memoized Gram matrix P_out gives that determinant
 without a second Gram product: G diag(alpha) = D G_out, D = diag(alpha at
@@ -62,9 +70,7 @@ from typing import NamedTuple, Sequence
 
 from .errors import (
     BadLError,
-    BetaOneError,
     ConsistencyError,
-    DivisibilityError,
     FieldTooSmallError,
     NotSquareError,
     SizeCapError,
@@ -187,28 +193,28 @@ def lemma_det_check(p: Matrix, b: Sequence[int], cert: MinorCertificate) -> bool
 
 
 def _twist_params(field: GF, mode: str, l: int | None) -> tuple[int, int | None]:
-    """(l, beta) of a mode, the Euclidean one being l = 0; refusals raise."""
+    """(l, beta) of a mode: Euclidean fixes l = 0, Galois takes any twist 0 <= l < e.
+
+    Scaling needs a unit a with a^(p^(e-l) + 1) != 1, which exists exactly
+    when q - 1 does not divide p^(e-l) + 1; otherwise FieldTooSmallError.
+    beta = (q - 1) / (p^(e-l) + 1) where that division is exact (the
+    paper's condition), else None.
+    """
     if mode == MODE_EUCLID:
         if l not in (None, 0):
             raise BadLError("the Euclidean mode fixes l = 0")
-        if field.q <= 3:
-            raise FieldTooSmallError(f"need q > 3, got q = {field.q}")
-        return 0, None
-    if mode != MODE_GALOIS:
+        l = 0
+    elif mode != MODE_GALOIS:
         raise ValueError(f"unknown mode {mode!r}")
-    if l is None:
+    elif l is None:
         raise BadLError("the Galois mode requires a twist l")
-    if isinstance(l, bool) or not isinstance(l, int) or not 0 < l < field.e:
-        raise BadLError(f"twist must satisfy 0 < l < e = {field.e}, got {l}")
-    base = field.p ** (field.e - l) + 1
-    if (field.q - 1) % base != 0:
-        raise DivisibilityError(
-            f"p^(e-l) + 1 = {base} does not divide q - 1 = {field.q - 1}"
+    base = field.p ** (field.e - field.check_twist(l)) + 1
+    if base % (field.q - 1) == 0:
+        raise FieldTooSmallError(
+            f"q - 1 = {field.q - 1} divides p^(e-l) + 1 = {base}: at l = {l} "
+            f"every unit a of GF({field.q}) has a^{base} = 1, nothing to scale by"
         )
-    beta = (field.q - 1) // base
-    if beta == 1:
-        raise BetaOneError("beta = 1: every unit is a beta-th power, nothing to scale by")
-    return l, beta
+    return l, (field.q - 1) // base if (field.q - 1) % base == 0 else None
 
 
 def _factors(field: GF, b_exp: int) -> list[int]:
@@ -290,7 +296,8 @@ def galois_lcd_scaling(
     """A nonzero column scaling making the code LCD for the twist l.
 
     Perturbation entries are a_j^(p^(e-l)+1) - 1, which vanish exactly on
-    the beta-th powers; factors are drawn from the complement.
+    the (p^(e-l)+1)-th roots of unity; factors are drawn from the other
+    units.  l = 0 is the Euclidean twist.
     """
     l, beta = _twist_params(code.field, MODE_GALOIS, l)
     return _scaling(code, MODE_GALOIS, l, beta, seed)

@@ -53,14 +53,6 @@ class FieldTooSmallError(LcdringError):
     """The construction needs more field elements than q provides."""
 
 
-class DivisibilityError(LcdringError):
-    """Required divisibility between field parameters fails."""
-
-
-class BetaOneError(LcdringError):
-    """beta = 1 leaves no valid scaling factors."""
-
-
 class ParseError(LcdringError):
     """Code file is malformed."""
 

@@ -117,12 +117,9 @@ class FqCode(Value):
         object.__setattr__(self, "_dist", None)
         object.__setattr__(self, "_dual", None)
         object.__setattr__(self, "_grams", {})
-        self.__post_init__()
-
-    def __post_init__(self) -> None:
-        if self.gen.field != self.field or self.gen.ncols != self.n:
+        if gen.field != field or gen.ncols != n:
             raise MismatchError("generator does not match the declared ambient space")
-        gen, pivots, last = self.gen, [], -1
+        pivots, last = [], -1
         for r in range(gen.nrows):
             row = gen.row(r)
             c = next((c for c, v in enumerate(row) if v), None)

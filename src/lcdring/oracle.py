@@ -69,12 +69,8 @@ def _fq_words(code: FqCode) -> Iterator[Word]:
         digits[i] += 1
 
 
-def count(code: Code) -> int:
-    return code.field.q**code.k
-
-
 def _check_budget(code: Code, budget: int) -> None:
-    if count(code) > budget:
+    if code.size > budget:
         raise CapExceededError(
             f"{count_text(code.field.q, code.k)} codewords exceed the budget of {budget}"
         )
@@ -151,14 +147,14 @@ def is_dual_pair(code: Code, dual: Code, l: int, budget: int = DEFAULT_BUDGET) -
         raise MismatchError("dual check needs two codes in one ambient space")
     f = code.field
     f.check_twist(l)
-    pairs = count(code) * count(dual)
+    pairs = code.size * dual.size
     if pairs > budget:
         raise CapExceededError(
             f"{count_text(f.q, code.k + dual.k)} pairings exceed the budget of {budget}"
         )
     if pairs != f.q ** ((1 if isinstance(code, FqCode) else 4) * code.n):
         return False
-    return _orthogonal_count(code, _slot_lists(dual, budget), l) == count(dual)
+    return _orthogonal_count(code, _slot_lists(dual, budget), l) == dual.size
 
 
 def hull_dim(code: Code, l: int, budget: int = DEFAULT_BUDGET) -> int:

@@ -38,9 +38,6 @@ class RCode(Value):
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "comps", tuple(comps))
-        self.__post_init__()
-
-    def __post_init__(self) -> None:
         if len(self.comps) != 4:
             raise MismatchError("exactly four component codes required")
         for c in self.comps:

@@ -60,9 +60,6 @@ class RingElement(Value):
     def __init__(self, field: GF, g: Sequence[int]) -> None:
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "g", tuple(g))
-        self.__post_init__()
-
-    def __post_init__(self) -> None:
         if len(self.g) != 4:
             raise ValueError("ring elements carry exactly 4 coordinates")
         q = self.field.q

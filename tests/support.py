@@ -1,11 +1,12 @@
-"""Shared test helpers: random codes, an identity matrix, a reference matrix product and kernel,
-a Gray-walk step counter, and CLI parser."""
+"""Shared test helpers: random codes, every code of a small space, an identity matrix, a reference
+matrix product and kernel, a Gray-walk step counter, and CLI parser."""
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import random
-from typing import NoReturn
+from typing import Iterator, NoReturn
 
 from lcdring import GF, FqCode, Matrix, RCode, RingElement, construct, fqcode
 from lcdring.cli import _cmd_analyze, _cmd_construct, _cmd_dual, _cmd_gray, _cmd_mindist, _cmd_verify
@@ -32,6 +33,22 @@ def random_fqcode(rng: random.Random, field: GF, n: int, k_rows: int) -> FqCode:
 def random_rcode(rng: random.Random, field: GF, n: int, k_max: int) -> RCode:
     comps = [random_fqcode(rng, field, n, rng.randint(0, k_max)) for _ in range(4)]
     return RCode.from_components(comps)
+
+
+def all_codes(field: GF, n: int) -> Iterator[FqCode]:
+    """Every subspace of GF(q)^n once, the zero code first, through the checked constructor.
+
+    A subspace has one RREF generator: per pivot set, row i is e_(pivot i)
+    plus any values in the non-pivot columns right of its pivot.
+    """
+    for k in range(n + 1):
+        for pivots in itertools.combinations(range(n), k):
+            free = [(i, c) for i, pc in enumerate(pivots) for c in range(pc + 1, n) if c not in pivots]
+            for values in itertools.product(range(field.q), repeat=len(free)):
+                rows = [[int(c == pc) for c in range(n)] for pc in pivots]
+                for (i, c), v in zip(free, values):
+                    rows[i][c] = v
+                yield FqCode(field, n, Matrix.from_rows(field, rows, ncols=n))
 
 
 def random_ring_vector(rng: random.Random, field: GF, n: int) -> tuple[RingElement, ...]:

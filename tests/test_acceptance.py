@@ -18,7 +18,7 @@ from lcdring.construct import (
     minor_search,
     ring_lcd_equivalent,
 )
-from lcdring.errors import BetaOneError, FieldTooSmallError
+from lcdring.errors import FieldTooSmallError
 from lcdring.linalg import minor_det
 from lcdring.ring import gray, lee_distance
 
@@ -93,7 +93,7 @@ def test_criterion_2_duality_decomposition(dual_instances):
                 rc.gray_image().galois_dual(l), rc.n
             )
             assert dual == via_expansion
-            if oracle.count(rc) * oracle.count(dual) <= PAIR_BUDGET:
+            if rc.size * dual.size <= PAIR_BUDGET:
                 assert oracle.is_dual_pair(rc, dual, l, PAIR_BUDGET)
                 checked_bf[rc.field.q] += 1
     elapsed = time.monotonic() - start
@@ -195,20 +195,22 @@ def test_criterion_5_construction_end_to_end():
 
 
 def test_criterion_6_negative_gate():
+    """The twists where every unit a has a^(p^(e-l)+1) = 1 refuse: GF(4) at l = 1, GF(2)/GF(3) at l = 0."""
     f4 = make_field(4)
     rc4 = RCode.from_components([FqCode.from_rows(f4, 2, [[1, 2]])] * 4)
-    with pytest.raises(BetaOneError):
+    with pytest.raises(FieldTooSmallError):
         ring_lcd_equivalent(rc4, "galois", l=1)
-    with pytest.raises(BetaOneError):
+    with pytest.raises(FieldTooSmallError):
         galois_lcd_scaling(FqCode.from_rows(f4, 2, [[1, 2]]), 1)
     for p in (2, 3):
         field = GF(p)
         rc = RCode.from_components([FqCode.from_rows(field, 2, [[1, 1]])] * 4)
-        with pytest.raises(FieldTooSmallError):
-            ring_lcd_equivalent(rc, "euclid")
+        for mode, l in (("euclid", None), ("galois", 0)):
+            with pytest.raises(FieldTooSmallError):
+                ring_lcd_equivalent(rc, mode, l=l)
         with pytest.raises(FieldTooSmallError):
             euclid_lcd_scaling(FqCode.from_rows(field, 2, [[1, 1]]))
-    _report(6, "GF(4) twist 1 refuses with BetaOne; GF(2)/GF(3) Euclidean refuse with FieldTooSmall")
+    _report(6, "GF(4) twist 1 and GF(2)/GF(3) at twist 0 refuse with FieldTooSmall")
 
 
 def test_criterion_7_mds_equivalences():

@@ -120,6 +120,51 @@ def test_construct_beta_one_exit_code(tmp_path):
     assert main(["construct-lcd", str(path), "--mode", "galois", "--l", "1"]) == 1
 
 
+# GF(8) at l = 1 misses the paper's condition (2^2 + 1 does not divide 7);
+# C1 has P = [[0, 0], [3, 0]], so both of its rows get scaled
+GF8_FILE = {
+    "field": {"p": 2, "e": 3},
+    "n": 4,
+    "components": [[[1, 0, 2, 7], [0, 1, 3, 4]], [], [[1, 1, 0, 0]], [[0, 0, 1, 1]]],
+}
+
+
+def test_construct_gf8_twist_outside_the_papers_condition(tmp_path, capsys):
+    path, out_path, report_path = tmp_path / "gf8.json", tmp_path / "out.json", tmp_path / "report.json"
+    path.write_text(json.dumps(GF8_FILE))
+    argv = ["construct-lcd", str(path), "--mode", "galois", "--l", "1", "-o", str(out_path), "--json", str(report_path)]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("mode: galois (l=1)\n") and "beta=" not in out
+    assert "C1: t=1, set=[0, 1]," in out and "result: lcd=yes" in out
+    assert '"beta": null' in report_path.read_text()
+    assert json.loads(report_path.read_text())["lcd"] is True
+    assert main(["verify", str(out_path)]) == 0
+    assert capsys.readouterr().out.endswith("all checks agree\n")
+
+
+@pytest.mark.parametrize("sample", SAMPLES, ids=lambda p: p.name)
+def test_construct_galois_twist_zero_is_euclid(sample, tmp_path, capsys):
+    runs = []
+    for mode in ("euclid", "galois"):
+        out_path, report_path = tmp_path / f"{mode}.json", tmp_path / f"{mode}-report.json"
+        argv = ["construct-lcd", str(sample), "--mode", mode, "--l", "0", "-o", str(out_path), "--json", str(report_path)]
+        assert main(argv) == 0
+        report = json.loads(report_path.read_text())
+        runs.append((report["alpha_gamma"], report["components"], out_path.read_bytes()))
+    assert runs[0] == runs[1]
+
+
+@pytest.mark.parametrize("p,mode,l", [(2, "euclid", None), (2, "galois", 0), (3, "galois", 0)])
+def test_construct_refuses_twists_with_no_scaling_factor(p, mode, l, tmp_path, capsys):
+    """q - 1 divides p^(e-l) + 1: every unit a has a^(p^(e-l)+1) = 1, so input error."""
+    path = tmp_path / "code.json"
+    path.write_text(json.dumps({"field": {"p": p}, "n": 2, "components": [[[1, 1]]] * 4}))
+    argv = ["construct-lcd", str(path), "--mode", mode] + ([] if l is None else ["--l", str(l)])
+    assert main(argv) == 1
+    assert "divides p^(e-l) + 1" in capsys.readouterr().err
+
+
 def test_construct_self_orthogonal_k24(tmp_path, capsys):
     # [I | 2I] over GF(5) has a zero Gram matrix: 24 positions get scaled
     rows = [[int(i == j) for j in range(24)] + [2 * (i == j) for j in range(24)] for i in range(24)]

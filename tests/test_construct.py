@@ -3,12 +3,13 @@
 import functools
 import itertools
 import random
+import time
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lcdring import GF, FqCode, Matrix, RCode, RingElement, construct
+from lcdring import GF, FqCode, Matrix, RCode, RingElement, construct, oracle
 from lcdring.construct import (
     DEFAULT_DIM_CAP,
     MinorCertificate,
@@ -22,8 +23,6 @@ from lcdring.construct import (
 )
 from lcdring.errors import (
     BadLError,
-    BetaOneError,
-    DivisibilityError,
     FieldTooSmallError,
     SizeCapError,
     SupportMismatchError,
@@ -31,7 +30,7 @@ from lcdring.errors import (
 )
 from lcdring.linalg import det, minor_det
 
-from support import identity, matmul, random_fqcode
+from support import all_codes, identity, matmul, random_fqcode
 
 F4 = GF(2, 2)
 F5 = GF(5)
@@ -311,15 +310,28 @@ class TestGaloisScaling:
         assert alpha == (1, 1) and out == c
 
     def test_beta_one_refused(self):
+        # q - 1 = 3 divides 2^1 + 1: every unit of GF(4) has a^3 = 1
         c = FqCode.from_rows(F4, 2, [[1, 1]])
-        with pytest.raises(BetaOneError):
+        with pytest.raises(FieldTooSmallError):
             galois_lcd_scaling(c, 1)
 
     def test_bad_l(self):
         c = FqCode.from_rows(F9, 2, [[1, 1]])
-        for l in (0, 2, -1):
+        for l in (2, -1, True):
             with pytest.raises(BadLError):
                 galois_lcd_scaling(c, l)
+
+    def test_deletion_set_can_exceed_the_hull(self):
+        # P = [[0, 0], [3, 0]] has rank 1, so hull 1, but both of its 1x1
+        # deletion minors vanish: the certified set is both rows
+        c = FqCode.from_rows(F8, 4, [[1, 0, 2, 7], [0, 1, 3, 4]])
+        assert c.hull_dim(1) == oracle.hull_dim(c, 1) == 1
+        assert c._gram(1).to_rows() == [[0, 0], [3, 0]]
+        alpha, out, cert = galois_lcd_scaling(c, 1)
+        assert cert.minor == MinorCertificate(1, (0, 1), 1)
+        assert cert.beta is None
+        assert out == c.scale(alpha)
+        assert oracle.hull_dim(out, 1) == 0
 
     def test_parameters_preserved(self):
         rng = random.Random(44)
@@ -432,7 +444,7 @@ class TestRingLevel:
 
     def test_galois_refusals_fire_before_scaling(self):
         rc = RCode.from_components([FqCode.from_rows(F4, 2, [[1, 1]])] * 4)
-        with pytest.raises(BetaOneError):
+        with pytest.raises(FieldTooSmallError):
             ring_lcd_equivalent(rc, "galois", l=1)
         rc3 = RCode.from_components([FqCode.from_rows(GF(3), 2, [[1, 1]])] * 4)
         with pytest.raises(FieldTooSmallError):
@@ -458,50 +470,113 @@ class TestRingLevel:
             assert oracle.hull_dim(out, 0) == 0
 
 
-# fields of the factor-rule check, with the Galois twists 0 < l < e that
-# pass both the divisibility p^(e-l) + 1 | q - 1 and beta > 1
+# fields of the factor-rule check: the twists l admitted (q - 1 does not
+# divide p^(e-l) + 1), and among them those meeting the paper's condition
+# p^(e-l) + 1 | q - 1, where beta is reported
 FACTOR_FIELDS = {
-    (2, 2): (),
-    (5, 1): (),
-    (7, 1): (),
-    (2, 3): (),
-    (3, 2): (1,),
-    (2, 4): (2, 3),
-    (5, 2): (1,),
-    (3, 3): (),
-    (7, 2): (1,),
-    (2, 6): (3, 5),
-    (3, 4): (2, 3),
+    (2, 1): ((), ()),
+    (3, 1): ((), ()),
+    (2, 2): ((0,), ()),
+    (5, 1): ((0,), ()),
+    (7, 1): ((0,), ()),
+    (2, 3): ((0, 1, 2), ()),
+    (3, 2): ((0, 1), (1,)),
+    (2, 4): ((0, 1, 2, 3), (2, 3)),
+    (5, 2): ((0, 1), (1,)),
+    (3, 3): ((0, 1, 2), ()),
+    (7, 2): ((0, 1), (1,)),
+    (2, 6): ((0, 1, 2, 3, 4, 5), (3, 5)),
+    (3, 4): ((0, 1, 2, 3), (2, 3)),
 }
 
 
 class TestFactorRule:
     @pytest.mark.parametrize("pe", FACTOR_FIELDS, ids=lambda pe: f"GF({pe[0]}^{pe[1]})")
     def test_one_rule_matches_both_definitions(self, pe):
+        """A twist is admitted exactly when some unit a has a^(p^(e-l)+1) != 1; _factors lists those units."""
         field = GF(*pe)
-        assert _twist_params(field, "euclid", None) == (0, None)
-        euclid = [x for x in field.units() if x not in (1, field.neg(1))]
-        assert _factors(field, field.p**field.e + 1) == euclid
-        valid = []
-        for l in range(1, field.e):
+        admitted, paper = [], []
+        for l in range(field.e):
+            b_exp = field.p ** (field.e - l) + 1
+            factors = [x for x in field.units() if field.pow(x, b_exp) != 1]
+            assert _factors(field, b_exp) == factors
             try:
                 _, beta = _twist_params(field, "galois", l)
-            except (DivisibilityError, BetaOneError):
+            except FieldTooSmallError:
+                assert factors == []
                 continue
-            valid.append(l)
-            nonpowers = [x for x in field.units() if field.pow(x, (field.q - 1) // beta) != 1]
-            assert _factors(field, field.p ** (field.e - l) + 1) == nonpowers
-        assert tuple(valid) == FACTOR_FIELDS[pe]
+            assert factors
+            admitted.append(l)
+            if beta is not None:
+                # the paper's case: the units off the roots of unity are the non-beta-th powers
+                paper.append(l)
+                assert factors == [x for x in field.units() if field.pow(x, (field.q - 1) // beta) != 1]
+        assert (tuple(admitted), tuple(paper)) == FACTOR_FIELDS[pe]
+        if 0 in admitted:
+            assert _twist_params(field, "euclid", None) == (0, None)
+            assert _factors(field, field.q + 1) == [x for x in field.units() if x not in (1, field.neg(1))]
 
     def test_refusals(self):
         with pytest.raises(BadLError, match="fixes l = 0"):
             _twist_params(F5, "euclid", 1)
         with pytest.raises(BadLError, match="requires a twist"):
             _twist_params(F9, "galois", None)
-        for l in (True, 1.0, "1", 0, 2):
-            with pytest.raises(BadLError, match="0 < l < e = 2"):
+        for l in (True, 1.0, "1", -1, 2):
+            with pytest.raises(BadLError, match=r"l must lie in \[0, 1\]"):
                 _twist_params(F9, "galois", l)
         with pytest.raises(ValueError, match="unknown mode"):
             _twist_params(F9, "hermitian", 1)
-        with pytest.raises(DivisibilityError):
-            _twist_params(GF(2, 3), "galois", 1)
+        with pytest.raises(FieldTooSmallError, match="q - 1 = 3 divides"):
+            _twist_params(F4, "galois", 1)
+        assert _twist_params(F9, "galois", 0) == _twist_params(F9, "euclid", None) == (0, None)
+        assert _twist_params(F8, "galois", 1) == (1, None)
+
+
+# every subspace of GF(q)^n for n up to the bound, at every admitted twist
+CENSUS = [(F4, 4), (F5, 4), (F8, 3), (F9, 3), (F16, 2), (GF(3, 3), 2), (GF(2, 5), 2)]
+
+
+def test_census_every_code_scales_to_lcd():
+    """The scaled code is LCD by brute force; its deletion set is the hull for a Hermitian twist, at least it otherwise."""
+    start = time.monotonic()
+    scaled = 0
+    for f, top in CENSUS:
+        twists = [l for l in range(f.e) if (f.p ** (f.e - l) + 1) % (f.q - 1)]
+        for n in range(1, top + 1):
+            for c in all_codes(f, n):
+                if c.k == 0:
+                    continue
+                for l in twists:
+                    alpha, out, cert = galois_lcd_scaling(c, l)
+                    assert out == c.scale(alpha)
+                    assert oracle.hull_dim(out, l) == 0
+                    size, hull = len(cert.minor.r_set), c.hull_dim(l)
+                    assert size == hull if 2 * l % f.e == 0 else size >= hull
+                    scaled += 1
+    assert scaled == 2973
+    assert time.monotonic() - start <= 3.0
+
+
+def test_census_covers_every_subspace():
+    """Gaussian binomials: [n, k]_q subspaces of each dimension k, each enumerated once."""
+    for f, n in ((F4, 4), (F5, 3), (F9, 2)):
+        codes = list(all_codes(f, n))
+        assert len(set(codes)) == len(codes)
+        for k in range(n + 1):
+            top = functools.reduce(int.__mul__, (f.q ** (n - i) - 1 for i in range(k)), 1)
+            bottom = functools.reduce(int.__mul__, (f.q ** (k - i) - 1 for i in range(k)), 1)
+            assert sum(c.k == k for c in codes) == top // bottom
+
+
+@pytest.mark.parametrize("f,l", [(GF(2), 0), (GF(3), 0), (F4, 1)], ids=repr)
+def test_refused_twists_fix_the_hull_under_every_monomial_map(f, l):
+    """Every unit a has a^(p^(e-l)+1) = 1, so no permutation or scaling moves P: the refusal is sharp."""
+    for n in range(1, 4):
+        maps = list(itertools.product(itertools.permutations(range(n)), itertools.product(f.units(), repeat=n)))
+        for c in all_codes(f, n):
+            rows = c.gen.to_rows()
+            images = {FqCode.from_rows(f, n, [[f.mul(row[perm[j]], a[j]) for j in range(n)] for row in rows])
+                      for perm, a in maps}
+            assert {oracle.hull_dim(image, l) for image in images} == {oracle.hull_dim(c, l)}
+    with pytest.raises(FieldTooSmallError):
+        galois_lcd_scaling(FqCode.from_rows(f, 1, [[1]]), l)

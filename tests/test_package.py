@@ -111,3 +111,23 @@ def test_oracle_is_independent_of_the_fast_paths():
             ):
                 found.append(f"oracle.py:{node.lineno}: import {target}")
     assert found == []
+
+
+def test_every_error_class_is_raised():
+    """Each class in errors.py but the root is raised by name in src/lcdring, or is a base of one that is."""
+    tree = ast.parse((PACKAGE / "errors.py").read_text(encoding="utf-8"))
+    bases = {cls.name: [b.id for b in cls.bases if isinstance(b, ast.Name)]
+             for cls in tree.body if isinstance(cls, ast.ClassDef)}
+    live = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if isinstance(exc, ast.Name) and exc.id in bases:
+                    live.add(exc.id)
+    for name in list(live):  # a raised class keeps its whole chain of bases alive
+        while bases.get(name):
+            name = bases[name][0]
+            live.add(name)
+    assert sorted(set(bases) - live - {"LcdringError"}) == []
+    assert len(bases) > 10
