@@ -17,6 +17,7 @@ from typing import Any, Callable, NamedTuple, NoReturn, Sequence
 
 from . import codefile, construct, oracle
 from .errors import (
+    BadLError,
     CapExceededError,
     ConsistencyError,
     LcdringError,
@@ -140,9 +141,12 @@ def _print_construction(report: dict[str, Any]) -> None:
 
 def _cmd_construct(args: SimpleNamespace) -> int:
     code = _load(args.file)
-    alpha, out, cert = construct.ring_lcd_equivalent(
-        code, mode=args.mode, l=args.l, seed=args.seed
-    )
+    # --mode is sugar for the twist: euclid is l = 0, galois names its l
+    if args.mode == "euclid" and args.l not in (None, 0):
+        raise BadLError("the Euclidean mode fixes l = 0")
+    if args.mode == "galois" and args.l is None:
+        raise BadLError("the Galois mode requires a twist l")
+    alpha, out, cert = construct.ring_lcd_equivalent(code, args.l or 0, args.seed)
     flag, dets = out.lcd_status(cert.l)
     report = {
         "version": codefile.FORMAT_VERSION,
@@ -286,8 +290,7 @@ COMMANDS: dict[str, tuple[Callable[[SimpleNamespace], int], str, tuple[Option, .
     "analyze": (_cmd_analyze, "parameters, duals and predicate table", (
         Option(("--l",), "l", "L", _int, repeats=True), _MAX_ENUM, _JSON)),
     "construct-lcd": (_cmd_construct, "scale into an equivalent LCD code", (
-        Option(("--mode",), "mode", "", required=True,
-               choices=(construct.MODE_EUCLID, construct.MODE_GALOIS)),
+        Option(("--mode",), "mode", "", required=True, choices=("euclid", "galois")),
         Option(("--l",), "l", "L", _int), Option(("--seed",), "seed", "S", _int),
         _OUTPUT, _MAX_ENUM, _JSON)),
     "dual": (_cmd_dual, "write the Galois dual code", (Option(("--l",), "l", "L", _int, 0), _OUTPUT)),

@@ -1,9 +1,10 @@
 """Scaling constructions that turn any code into an equivalent LCD code.
 
-The engine behind both the Euclidean and the twisted (Galois) variants is
-the same determinant identity: if every minor of a square matrix P
-obtained by deleting up to t matching rows and columns vanishes, then for
-any perturbation b supported on at most t+1 diagonal positions,
+There is one construction, with one parameter, the twist l; the
+Euclidean case is l = 0.  Its engine is a determinant identity: if every
+minor of a square matrix P obtained by deleting up to t matching rows
+and columns vanishes, then for any perturbation b supported on at most
+t+1 diagonal positions,
 
     det(P + diag(b)) = (prod of the b_j) * det(P with support deleted).
 
@@ -33,8 +34,7 @@ which is exactly the complementary-dual criterion.  Scaling by nonzero
 constants is a monomial equivalence, so length, dimension and distance
 are untouched.
 
-Both modes are one construction with twist l: Euclidean is l = 0, and
-Galois takes any 0 <= l < e.  With m = e - l (F^e is the identity), pivot
+The twist is any 0 <= l < e.  With m = e - l (F^e is the identity), pivot
 column j of the RREF generator G is the unit vector e_j, so scaling it by
 a adds a^(p^m + 1) - 1 to diagonal entry j of the twisted Gram matrix
 P = G F^m(G)^T, the one every hull predicate reads.  Positions off the
@@ -69,7 +69,6 @@ import random
 from typing import NamedTuple, Sequence
 
 from .errors import (
-    BadLError,
     ConsistencyError,
     FieldTooSmallError,
     NotSquareError,
@@ -84,9 +83,6 @@ from .rcode import RCode
 from .ring import RingElement
 
 DEFAULT_DIM_CAP = 20
-
-MODE_EUCLID = "euclid"
-MODE_GALOIS = "galois"
 
 
 class MinorCertificate(NamedTuple):
@@ -113,7 +109,6 @@ class FieldScalingCertificate(NamedTuple):
     (see the module docstring), which must equal ``minor.det`` * prod_j b_j.
     """
 
-    mode: str
     l: int
     beta: int | None
     perm: tuple[int, ...]
@@ -123,15 +118,11 @@ class FieldScalingCertificate(NamedTuple):
 
 
 class RingScalingCertificate(NamedTuple):
-    """Per-component records plus the assembled unit vector."""
+    """The twist, beta, and one record per component (None if already LCD)."""
 
-    mode: str
     l: int
     beta: int | None
     components: tuple[FieldScalingCertificate | None, ...]
-    alpha: tuple[RingElement, ...]
-    n: int
-    k: int
 
 
 def minor_search(p: Matrix) -> MinorCertificate:
@@ -192,29 +183,21 @@ def lemma_det_check(p: Matrix, b: Sequence[int], cert: MinorCertificate) -> bool
     return lhs == rhs
 
 
-def _twist_params(field: GF, mode: str, l: int | None) -> tuple[int, int | None]:
-    """(l, beta) of a mode: Euclidean fixes l = 0, Galois takes any twist 0 <= l < e.
+def _beta(field: GF, l: int) -> int | None:
+    """beta of the twist 0 <= l < e, or None off the paper's condition.
 
     Scaling needs a unit a with a^(p^(e-l) + 1) != 1, which exists exactly
     when q - 1 does not divide p^(e-l) + 1; otherwise FieldTooSmallError.
     beta = (q - 1) / (p^(e-l) + 1) where that division is exact (the
     paper's condition), else None.
     """
-    if mode == MODE_EUCLID:
-        if l not in (None, 0):
-            raise BadLError("the Euclidean mode fixes l = 0")
-        l = 0
-    elif mode != MODE_GALOIS:
-        raise ValueError(f"unknown mode {mode!r}")
-    elif l is None:
-        raise BadLError("the Galois mode requires a twist l")
     base = field.p ** (field.e - field.check_twist(l)) + 1
     if base % (field.q - 1) == 0:
         raise FieldTooSmallError(
             f"q - 1 = {field.q - 1} divides p^(e-l) + 1 = {base}: at l = {l} "
             f"every unit a of GF({field.q}) has a^{base} = 1, nothing to scale by"
         )
-    return l, (field.q - 1) // base if (field.q - 1) % base == 0 else None
+    return (field.q - 1) // base if (field.q - 1) % base == 0 else None
 
 
 def _factors(field: GF, b_exp: int) -> list[int]:
@@ -232,7 +215,7 @@ def _factors(field: GF, b_exp: int) -> list[int]:
 
 
 def _scaling(
-    code: FqCode, mode: str, l: int, beta: int | None, seed: int | None
+    code: FqCode, l: int, beta: int | None, seed: int | None
 ) -> tuple[tuple[int, ...], FqCode, FieldScalingCertificate]:
     f = code.field
     if code.k == 0:
@@ -266,7 +249,6 @@ def _scaling(
     if not out.is_lcd(l):
         raise ConsistencyError("scaled code failed the complementary-dual check")
     fc = FieldScalingCertificate(
-        mode=mode,
         l=l,
         beta=beta,
         perm=pivots + tuple(c for c in range(code.n) if c not in pivots),
@@ -286,8 +268,7 @@ def euclid_lcd_scaling(
     [n, k, d] are preserved; an already-LCD code comes back unchanged
     with the all-ones scaling.
     """
-    l, beta = _twist_params(code.field, MODE_EUCLID, 0)
-    return _scaling(code, MODE_EUCLID, l, beta, seed)
+    return galois_lcd_scaling(code, 0, seed)
 
 
 def galois_lcd_scaling(
@@ -299,17 +280,13 @@ def galois_lcd_scaling(
     the (p^(e-l)+1)-th roots of unity; factors are drawn from the other
     units.  l = 0 is the Euclidean twist.
     """
-    l, beta = _twist_params(code.field, MODE_GALOIS, l)
-    return _scaling(code, MODE_GALOIS, l, beta, seed)
+    return _scaling(code, l, _beta(code.field, l), seed)
 
 
 def ring_lcd_equivalent(
-    code: RCode,
-    mode: str = MODE_EUCLID,
-    l: int | None = None,
-    seed: int | None = None,
+    code: RCode, l: int = 0, seed: int | None = None
 ) -> tuple[tuple[RingElement, ...], RCode, RingScalingCertificate]:
-    """An equivalent LCD code over R, built componentwise.
+    """An equivalent code over R that is LCD for the twist l, built componentwise.
 
     Components that are already LCD keep the identity scaling; the rest
     go through the field-level construction.  The result, equal to
@@ -319,25 +296,16 @@ def ring_lcd_equivalent(
     as the input.
     """
     f = code.field
-    l_eff, beta = _twist_params(f, mode, l)
+    beta = _beta(f, l)
 
     # the P each is_lcd builds is memoized on comp, so _scaling reuses it
     slot_alphas, comps, certs = zip(*(
-        ((1,) * code.n, comp, None) if comp.is_lcd(l_eff)
-        else _scaling(comp, mode, l_eff, beta, seed)
+        ((1,) * code.n, comp, None) if comp.is_lcd(l)
+        else _scaling(comp, l, beta, seed)
         for comp in code.comps
     ))
     alpha = tuple(RingElement(f, g) for g in zip(*slot_alphas))
     out = RCode(f, code.n, comps)
-    if not out.is_lcd(l_eff):
+    if not out.is_lcd(l):
         raise ConsistencyError("assembled scaling failed the complementary-dual check")
-    cert = RingScalingCertificate(
-        mode=mode,
-        l=l_eff,
-        beta=beta,
-        components=certs,
-        alpha=alpha,
-        n=code.n,
-        k=code.k,
-    )
-    return alpha, out, cert
+    return alpha, out, RingScalingCertificate(l, beta, certs)

@@ -8,7 +8,7 @@ import itertools
 import random
 from typing import Iterator, NoReturn
 
-from lcdring import GF, FqCode, Matrix, RCode, RingElement, construct, fqcode
+from lcdring import GF, FqCode, Matrix, RCode, RingElement, fqcode
 from lcdring.cli import _cmd_analyze, _cmd_construct, _cmd_dual, _cmd_gray, _cmd_mindist, _cmd_verify
 from lcdring.errors import ConsistencyError
 from lcdring.fqcode import DEFAULT_ENUM_CAP
@@ -155,7 +155,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("construct-lcd", help="scale into an equivalent LCD code")
     p.add_argument("file")
-    p.add_argument("--mode", choices=[construct.MODE_EUCLID, construct.MODE_GALOIS], required=True)
+    p.add_argument("--mode", choices=["euclid", "galois"], required=True)
     p.add_argument("--l", type=int, default=None, help="twist (galois mode)")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("-o", "--output", metavar="FILE", help="where to write the scaled code")

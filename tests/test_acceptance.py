@@ -170,7 +170,7 @@ def test_criterion_5_construction_end_to_end():
             rc = random_rcode(rng, field, n, 2)
             if rc.is_lcd(l):
                 continue
-            alpha, out, cert = ring_lcd_equivalent(rc, mode, l=l if mode == "galois" else None)
+            alpha, out, cert = ring_lcd_equivalent(rc, l)
             assert all(a.is_unit for a in alpha)
             assert out == rc.scale(alpha)
             assert out.is_lcd(l)
@@ -199,15 +199,14 @@ def test_criterion_6_negative_gate():
     f4 = make_field(4)
     rc4 = RCode.from_components([FqCode.from_rows(f4, 2, [[1, 2]])] * 4)
     with pytest.raises(FieldTooSmallError):
-        ring_lcd_equivalent(rc4, "galois", l=1)
+        ring_lcd_equivalent(rc4, 1)
     with pytest.raises(FieldTooSmallError):
         galois_lcd_scaling(FqCode.from_rows(f4, 2, [[1, 2]]), 1)
     for p in (2, 3):
         field = GF(p)
         rc = RCode.from_components([FqCode.from_rows(field, 2, [[1, 1]])] * 4)
-        for mode, l in (("euclid", None), ("galois", 0)):
-            with pytest.raises(FieldTooSmallError):
-                ring_lcd_equivalent(rc, mode, l=l)
+        with pytest.raises(FieldTooSmallError):
+            ring_lcd_equivalent(rc)
         with pytest.raises(FieldTooSmallError):
             euclid_lcd_scaling(FqCode.from_rows(field, 2, [[1, 1]]))
     _report(6, "GF(4) twist 1 and GF(2)/GF(3) at twist 0 refuse with FieldTooSmall")

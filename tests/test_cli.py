@@ -109,17 +109,6 @@ def test_construct_galois_gf9(gf9_path, tmp_path, capsys):
     assert "result: lcd=yes" in out
 
 
-def test_construct_beta_one_exit_code(tmp_path):
-    doc = {
-        "field": {"p": 2, "e": 2},
-        "n": 2,
-        "components": [[[1, 1]], [[1, 1]], [[1, 1]], [[1, 1]]],
-    }
-    path = tmp_path / "gf4.json"
-    path.write_text(json.dumps(doc))
-    assert main(["construct-lcd", str(path), "--mode", "galois", "--l", "1"]) == 1
-
-
 # GF(8) at l = 1 misses the paper's condition (2^2 + 1 does not divide 7);
 # C1 has P = [[0, 0], [3, 0]], so both of its rows get scaled
 GF8_FILE = {
@@ -155,7 +144,7 @@ def test_construct_galois_twist_zero_is_euclid(sample, tmp_path, capsys):
     assert runs[0] == runs[1]
 
 
-@pytest.mark.parametrize("p,mode,l", [(2, "euclid", None), (2, "galois", 0), (3, "galois", 0)])
+@pytest.mark.parametrize("p,mode,l", [(2, "euclid", None), (2, "galois", 0), (3, "euclid", None), (3, "galois", 0)])
 def test_construct_refuses_twists_with_no_scaling_factor(p, mode, l, tmp_path, capsys):
     """q - 1 divides p^(e-l) + 1: every unit a has a^(p^(e-l)+1) = 1, so input error."""
     path = tmp_path / "code.json"
@@ -163,6 +152,19 @@ def test_construct_refuses_twists_with_no_scaling_factor(p, mode, l, tmp_path, c
     argv = ["construct-lcd", str(path), "--mode", mode] + ([] if l is None else ["--l", str(l)])
     assert main(argv) == 1
     assert "divides p^(e-l) + 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mode,twist,message", [
+    ("euclid", ["--l", "1"], "the Euclidean mode fixes l = 0"),
+    ("galois", [], "the Galois mode requires a twist l"),
+], ids=["euclid-l1", "galois-no-l"])
+def test_construct_mode_and_twist_must_agree(gf9_path, mode, twist, message, tmp_path, capsys):
+    """--mode names the twist: euclid is l = 0, galois needs its l; a mismatch is an input error."""
+    out_path = tmp_path / "out.json"
+    assert main(["construct-lcd", gf9_path, "--mode", mode, *twist, "-o", str(out_path)]) == 1
+    captured = capsys.readouterr()
+    assert message in captured.err and captured.out == ""
+    assert not out_path.exists()
 
 
 def test_construct_self_orthogonal_k24(tmp_path, capsys):
@@ -174,17 +176,6 @@ def test_construct_self_orthogonal_k24(tmp_path, capsys):
     assert "C1: t=23," in capsys.readouterr().out
     out = parse_code(out_path.read_text())
     assert out.k == 24 and out.is_lcd(0)
-
-
-def test_construct_field_too_small_exit_code(tmp_path):
-    doc = {
-        "field": {"p": 3, "e": 1},
-        "n": 2,
-        "components": [[[1, 2]], [[1, 2]], [[1, 2]], [[1, 2]]],
-    }
-    path = tmp_path / "gf3.json"
-    path.write_text(json.dumps(doc))
-    assert main(["construct-lcd", str(path), "--mode", "euclid"]) == 1
 
 
 def test_dual_of_self_dual_line_is_identical_file(line_path, tmp_path):

@@ -13,8 +13,8 @@ from lcdring import GF, FqCode, Matrix, RCode, RingElement, construct, oracle
 from lcdring.construct import (
     DEFAULT_DIM_CAP,
     MinorCertificate,
+    _beta,
     _factors,
-    _twist_params,
     euclid_lcd_scaling,
     galois_lcd_scaling,
     lemma_det_check,
@@ -173,11 +173,10 @@ class TestHermitianCertificate:
     @pytest.mark.parametrize("f,l", HERMITIAN, ids=repr)
     def test_scaled_support_is_the_hull(self, f, l):
         rng = random.Random(49)
-        mode, twist = ("euclid", None) if l == 0 else ("galois", l)
         sizes = set()
         for _ in range(10):
             rc = RCode.from_components(list(planted_codes(rng, f, l, 8, 4)))
-            alpha, out, cert = ring_lcd_equivalent(rc, mode, l=twist)
+            alpha, out, cert = ring_lcd_equivalent(rc, l)
             assert out == rc.scale(alpha)
             for comp, fc in zip(rc.comps, cert.components):
                 if fc is not None:
@@ -376,7 +375,7 @@ class TestRingLevel:
     def test_componentwise_example(self):
         line = FqCode.from_rows(F5, 2, [[1, 2]])
         rc = RCode.from_components([line] * 4)
-        alpha, out, cert = ring_lcd_equivalent(rc, "euclid")
+        alpha, out, cert = ring_lcd_equivalent(rc)
         assert out == rc.scale(alpha)
         assert all(a.is_unit for a in alpha)
         assert alpha[0] == RingElement.scalar(F5, 2)
@@ -387,7 +386,7 @@ class TestRingLevel:
     def test_already_lcd_identity(self):
         good = FqCode.from_rows(F5, 2, [[1, 1]])
         rc = RCode.from_components([good] * 4)
-        alpha, out, cert = ring_lcd_equivalent(rc, "euclid")
+        alpha, out, cert = ring_lcd_equivalent(rc)
         assert out == rc == rc.scale(alpha)
         assert all(c is d for c, d in zip(out.comps, rc.comps))
         assert all(a == RingElement.one(F5) for a in alpha)
@@ -397,7 +396,7 @@ class TestRingLevel:
         line = FqCode.from_rows(F5, 2, [[1, 2]])
         good = FqCode.from_rows(F5, 2, [[1, 1]])
         rc = RCode.from_components([line, good, good, good])
-        alpha, out, cert = ring_lcd_equivalent(rc, "euclid")
+        alpha, out, cert = ring_lcd_equivalent(rc)
         assert cert.components[0] is not None
         assert all(c is None for c in cert.components[1:])
         assert all(a.g[1] == a.g[2] == a.g[3] == 1 for a in alpha)
@@ -408,7 +407,7 @@ class TestRingLevel:
     def test_galois_mode(self):
         bad = FqCode.from_rows(F9, 2, [[1, 4]])
         rc = RCode.from_components([bad] * 4)
-        alpha, out, cert = ring_lcd_equivalent(rc, "galois", l=1)
+        alpha, out, cert = ring_lcd_equivalent(rc, 1)
         assert cert.beta == 2
         assert out == rc.scale(alpha)
         assert out.is_lcd(1)
@@ -433,7 +432,7 @@ class TestRingLevel:
         for _ in range(4):
             rc = RCode.from_components(list(planted_codes(rng, F9, 1, 6, 4)))
             scaled.clear()
-            alpha, out, cert = ring_lcd_equivalent(rc, "galois", l=1)
+            alpha, out, cert = ring_lcd_equivalent(rc, 1)
             for comp, got, fc in zip(rc.comps, out.comps, cert.components):
                 assert got is (comp if fc is None else scaled[id(comp)][1])
             runs.append((rc, alpha, out))
@@ -445,17 +444,17 @@ class TestRingLevel:
     def test_galois_refusals_fire_before_scaling(self):
         rc = RCode.from_components([FqCode.from_rows(F4, 2, [[1, 1]])] * 4)
         with pytest.raises(FieldTooSmallError):
-            ring_lcd_equivalent(rc, "galois", l=1)
+            ring_lcd_equivalent(rc, 1)
         rc3 = RCode.from_components([FqCode.from_rows(GF(3), 2, [[1, 1]])] * 4)
         with pytest.raises(FieldTooSmallError):
-            ring_lcd_equivalent(rc3, "euclid")
+            ring_lcd_equivalent(rc3)
 
     def test_determinism_with_seed(self):
         rng = random.Random(45)
         line = FqCode.from_rows(F5, 2, [[1, 2]])
         rc = RCode.from_components([line] * 4)
-        a1, o1, _ = ring_lcd_equivalent(rc, "euclid", seed=7)
-        a2, o2, _ = ring_lcd_equivalent(rc, "euclid", seed=7)
+        a1, o1, _ = ring_lcd_equivalent(rc, seed=7)
+        a2, o2, _ = ring_lcd_equivalent(rc, seed=7)
         assert a1 == a2 and o1 == o2
 
     def test_oracle_confirms_trivial_hull_of_outputs(self):
@@ -465,7 +464,7 @@ class TestRingLevel:
         rng = random.Random(46)
         for _ in range(8):
             rc = random_rcode(rng, F5, rng.randint(2, 3), 1)
-            alpha, out, _ = ring_lcd_equivalent(rc, "euclid")
+            alpha, out, _ = ring_lcd_equivalent(rc)
             assert out == rc.scale(alpha)
             assert oracle.hull_dim(out, 0) == 0
 
@@ -501,7 +500,7 @@ class TestFactorRule:
             factors = [x for x in field.units() if field.pow(x, b_exp) != 1]
             assert _factors(field, b_exp) == factors
             try:
-                _, beta = _twist_params(field, "galois", l)
+                beta = _beta(field, l)
             except FieldTooSmallError:
                 assert factors == []
                 continue
@@ -513,23 +512,21 @@ class TestFactorRule:
                 assert factors == [x for x in field.units() if field.pow(x, (field.q - 1) // beta) != 1]
         assert (tuple(admitted), tuple(paper)) == FACTOR_FIELDS[pe]
         if 0 in admitted:
-            assert _twist_params(field, "euclid", None) == (0, None)
+            assert _beta(field, 0) is None
             assert _factors(field, field.q + 1) == [x for x in field.units() if x not in (1, field.neg(1))]
 
     def test_refusals(self):
-        with pytest.raises(BadLError, match="fixes l = 0"):
-            _twist_params(F5, "euclid", 1)
-        with pytest.raises(BadLError, match="requires a twist"):
-            _twist_params(F9, "galois", None)
-        for l in (True, 1.0, "1", -1, 2):
+        for l in (True, 1.0, "1", -1, 2, None):
             with pytest.raises(BadLError, match=r"l must lie in \[0, 1\]"):
-                _twist_params(F9, "galois", l)
-        with pytest.raises(ValueError, match="unknown mode"):
-            _twist_params(F9, "hermitian", 1)
+                _beta(F9, l)
         with pytest.raises(FieldTooSmallError, match="q - 1 = 3 divides"):
-            _twist_params(F4, "galois", 1)
-        assert _twist_params(F9, "galois", 0) == _twist_params(F9, "euclid", None) == (0, None)
-        assert _twist_params(F8, "galois", 1) == (1, None)
+            _beta(F4, 1)
+        assert _beta(F9, 0) is None and _beta(F9, 1) == 2
+        assert _beta(F8, 1) is None
+        # a mode string where the twist goes is refused, not read as some twist
+        rc = RCode.from_components([FqCode.from_rows(F5, 2, [[1, 2]])] * 4)
+        with pytest.raises(BadLError, match="got 'euclid'"):
+            ring_lcd_equivalent(rc, "euclid")
 
 
 # every subspace of GF(q)^n for n up to the bound, at every admitted twist

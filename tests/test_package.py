@@ -2,6 +2,7 @@
 
 import ast
 import pathlib
+import re
 import sys
 
 import lcdring
@@ -131,3 +132,14 @@ def test_every_error_class_is_raised():
             live.add(name)
     assert sorted(set(bases) - live - {"LcdringError"}) == []
     assert len(bases) > 10
+
+
+def test_readme_lists_the_public_api():
+    """README's "Public API" bullets name exactly lcdring.__all__, so an export cannot change unannounced."""
+    readme = (PACKAGE.parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Public API\n", 1)[1].split("\n## ", 1)[0]
+    # each bullet names its exports, over one or more lines, before a colon
+    bullets = "\n".join(re.findall(r"^- ([^:]*):", section, re.MULTILINE))
+    listed = re.findall(r"`(\w+)`", bullets)
+    assert len(listed) == len(set(listed))
+    assert sorted(listed) == sorted(lcdring.__all__)

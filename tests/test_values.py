@@ -46,12 +46,11 @@ def minor():
 
 
 def field_cert():
-    return FieldScalingCertificate("euclid", 0, None, (0, 1), minor(), (1, 2), 4)
+    return FieldScalingCertificate(0, None, (0, 1), minor(), (1, 2), 4)
 
 
 def ring_cert():
-    return RingScalingCertificate("euclid", 0, None, (None, field_cert(), None, None),
-                                  (element(), element()), 2, 4)
+    return RingScalingCertificate(0, None, (None, field_cert(), None, None))
 
 
 def params():
@@ -64,8 +63,8 @@ FIELDS = {
     fqcode: ("field", "n", "gen", "_dist"),
     rcode: ("field", "n", "comps"),
     minor: ("t", "r_set", "det"),
-    field_cert: ("mode", "l", "beta", "perm", "minor", "alpha", "gram_det"),
-    ring_cert: ("mode", "l", "beta", "components", "alpha", "n", "k"),
+    field_cert: ("l", "beta", "perm", "minor", "alpha", "gram_det"),
+    ring_cert: ("l", "beta", "components"),
     params: ("n", "k", "d_lee", "components"),
 }
 RECORDS = (minor, field_cert, ring_cert, params)
