@@ -18,6 +18,13 @@ generators representation: with "u" every 4-tuple is read as coefficients
 of (1, u, v, uv) and converted on load; components are always the four
 idempotent-slot codes, so they require the "gamma" basis.
 
+The reader checks the document's shape: JSON types and keys, the length
+and row caps, row widths and the 4-lists of generator entries.  The values
+are checked once, by the constructors it calls: ``GF`` for the field,
+``Matrix`` for component entries and ``RingElement`` for generator
+entries, whose ``ValueError`` it re-raises as ``ParseError``.  The writer
+emits the one form the CLI needs: components, in the gamma basis.
+
 The expanded image of a ring code is written as a field code:
 
     {"kind": "field", "field": {...}, "n": 8, "rows": [[...], ...]}
@@ -30,7 +37,7 @@ from typing import Any
 
 from .errors import ParseError
 from .fqcode import FqCode
-from .gf import GF, MAX_FIELD_ORDER
+from .gf import GF
 from .rcode import RCode
 from .ring import RingElement
 
@@ -58,43 +65,29 @@ def _load_field(doc: dict[str, Any]) -> GF:
     spec = doc.get("field")
     _require(isinstance(spec, dict), "missing or malformed 'field' object")
     _require("p" in spec, "'field' needs a prime 'p'")
-    p = spec["p"]
-    e = spec.get("e", 1)
     modulus = spec.get("modulus")
-    _require(_is_int(p) and _is_int(e), "'p' and 'e' must be integers")
-    # bound q = p^e before any primality or irreducibility work, one
-    # factor at a time so a huge e is never used as an exponent
-    _require(2 <= p <= MAX_FIELD_ORDER, f"'p' must lie in [2, {MAX_FIELD_ORDER}], got {p}")
-    _require(e >= 1, f"'e' must be a positive integer, got {e}")
-    q = 1
-    for _ in range(e):
-        q *= p
-        _require(q <= MAX_FIELD_ORDER, f"field order {p}^{e} exceeds {MAX_FIELD_ORDER}")
-    if modulus is not None:
-        _require(isinstance(modulus, list) and all(_is_int(c) for c in modulus),
-                 "'modulus' must be a list of integers")
-    return GF(p, e, modulus)
+    _require(modulus is None or isinstance(modulus, list), "'modulus' must be a list of integers")
+    # GF refuses non-integers and bounds q = p^e before any primality or
+    # irreducibility work
+    try:
+        return GF(spec["p"], spec.get("e", 1), modulus)
+    except ValueError as exc:
+        raise ParseError(f"bad 'field': {exc}") from exc
 
 
-def _check_int_rows(field: GF, rows: Any, n: int, what: str) -> list[list[int]]:
+def _check_rows(rows: Any, n: int, what: str) -> None:
     _require(isinstance(rows, list), f"{what} must be a list of rows")
     _require(len(rows) <= MAX_LENGTH, f"{what} has {len(rows)} rows, more than {MAX_LENGTH}")
-    out = []
     for r, row in enumerate(rows):
         _require(isinstance(row, list), f"{what} row {r} is not a list")
         _require(len(row) == n, f"{what} row {r} has width {len(row)}, expected {n}")
-        for v in row:
-            _require(_is_int(v) and 0 <= v < field.q,
-                     f"{what} row {r} entry {v!r} is not an encoding in [0, {field.q})")
-        out.append(list(row))
-    return out
 
 
 def parse_code(text: str) -> RCode:
-    """Parse and validate a ring-code document."""
+    """Parse a ring-code document; its values are checked as the code is built."""
     try:
         doc = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError, or an int past the digit limit
         raise ParseError(f"not valid JSON: {exc}") from exc
     _require(isinstance(doc, dict), "top level must be an object")
     kind = doc.get("kind", "ring")
@@ -114,12 +107,20 @@ def parse_code(text: str) -> RCode:
         comps = doc["components"]
         _require(isinstance(comps, list) and len(comps) == 4,
                  "'components' must list exactly four generator matrices")
-        rows = [_check_int_rows(field, comp, n, f"component {i + 1}") for i, comp in enumerate(comps)]
-        return RCode.from_components([FqCode.from_rows(field, n, r) for r in rows])
+        for i, rows in enumerate(comps):
+            _check_rows(rows, n, f"component {i + 1}")
+        codes = []
+        for i, rows in enumerate(comps):
+            try:
+                codes.append(FqCode.from_rows(field, n, rows))
+            except ValueError as exc:
+                raise ParseError(f"component {i + 1}: {exc}") from exc
+        return RCode.from_components(codes)
     gens = doc["generators"]
     _require(isinstance(gens, list), "'generators' must be a list of rows")
     _require(len(gens) <= 4 * MAX_LENGTH,
              f"'generators' has {len(gens)} rows, more than {4 * MAX_LENGTH}")
+    element = RingElement.from_u if basis == "u" else RingElement
     rows = []
     for r, row in enumerate(gens):
         _require(isinstance(row, list) and len(row) == n,
@@ -128,13 +129,10 @@ def parse_code(text: str) -> RCode:
         for j, quad in enumerate(row):
             _require(isinstance(quad, list) and len(quad) == 4,
                      f"generator row {r} entry {j} must be a 4-list")
-            for v in quad:
-                _require(_is_int(v) and 0 <= v < field.q,
-                         f"generator row {r} entry {j} holds {v!r}, not an encoding")
-            if basis == "u":
-                entries.append(RingElement.from_u(field, quad))
-            else:
-                entries.append(RingElement(field, tuple(quad)))
+            try:
+                entries.append(element(field, quad))
+            except ValueError as exc:
+                raise ParseError(f"generator row {r} entry {j}: {exc}") from exc
         rows.append(entries)
     return RCode.from_generators(field, n, rows)
 
@@ -144,33 +142,15 @@ def field_document(field: GF) -> dict[str, Any]:
     return {"p": field.p, "e": field.e, "modulus": list(field.modulus)}
 
 
-def code_document(
-    code: RCode, representation: str = "components", basis: str = "gamma"
-) -> dict[str, Any]:
-    """Serialize a ring code back into the document shape."""
-    if representation not in ("components", "generators"):
-        raise ValueError(f"unknown representation {representation!r}")
-    if basis not in ("gamma", "u"):
-        raise ValueError(f"unknown basis {basis!r}")
-    doc: dict[str, Any] = {
+def code_document(code: RCode) -> dict[str, Any]:
+    """A ring code as its four component generator matrices, in the gamma basis."""
+    return {
         "kind": "ring",
         "field": field_document(code.field),
         "n": code.n,
-        "basis": basis,
+        "basis": "gamma",
+        "components": [c.gen.to_rows() for c in code.comps],
     }
-    if representation == "components":
-        if basis != "gamma":
-            raise ValueError("component matrices are only meaningful in the gamma basis")
-        doc["components"] = [c.gen.to_rows() for c in code.comps]
-    else:
-        rows = []
-        for row in code.generator_rows():
-            if basis == "u":
-                rows.append([list(x.to_u()) for x in row])
-            else:
-                rows.append([list(x.g) for x in row])
-        doc["generators"] = rows
-    return doc
 
 
 def field_code_document(code: FqCode) -> dict[str, Any]:

@@ -18,7 +18,6 @@ memoized: rank P and det P answer every hull and LCD predicate.
 
 from __future__ import annotations
 
-import sys
 from itertools import chain
 from operator import attrgetter
 from typing import Iterator, Sequence
@@ -39,8 +38,10 @@ DEFAULT_ENUM_CAP = 1_000_000
 
 def count_text(q: int, k: int) -> str:
     """q^k for a message: decimal while Python's int-to-str digit limit allows, else "q^k"."""
-    limit = sys.get_int_max_str_digits()
-    return f"{q}^{k}" if limit and q**k >= 10**limit else str(q**k)
+    try:
+        return str(q**k)
+    except ValueError:
+        return f"{q}^{k}"
 
 
 # Largest number of entries in the p-ary ruler block _projective_steps builds.

@@ -2,6 +2,7 @@
 
 import json
 import random
+import sys
 
 import pytest
 
@@ -82,6 +83,7 @@ def test_field_errors_surface():
         {"n": True},
         {"components": [[[1, True]], [[1, 2]], [[1, 2]], [[1, 2]]]},
         {"components": None, "generators": [[[1, 0, 0, 0], [False, 0, 0, 0]]]},
+        {"field": {"p": 5, "modulus": 5}},
     ],
 )
 def test_booleans_and_non_integers_rejected(change):
@@ -102,8 +104,9 @@ def test_booleans_and_non_integers_rejected(change):
     ],
 )
 def test_field_order_bounded_before_construction(field):
+    """GF bounds q before its primality test; p < 2 is refused as no prime before that."""
     doc = dict(MINIMAL, field=field)
-    with pytest.raises(ParseError):
+    with pytest.raises(NotPrimeError if field["p"] < 2 else ParseError):
         parse_code(json.dumps(doc))
 
 
@@ -137,6 +140,46 @@ def test_not_json():
         parse_code("not json at all {")
 
 
+def test_number_past_the_int_str_limit_is_not_json():
+    limit = sys.get_int_max_str_digits()
+    if not limit:
+        pytest.skip("this interpreter reads ints of any length")
+    text = json.dumps(dict(MINIMAL, n=0)).replace('"n": 0', '"n": ' + "9" * (limit + 1))
+    with pytest.raises(ParseError, match="not valid JSON"):
+        parse_code(text)
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        ({"field": {"p": 2, "e": 21}}, "bad 'field': field order 2^21 exceeds 1048576"),
+        ({"components": [[[1, 2]], [[1, 2]], [[1, 2]], [[1, 7]]]},
+         "component 4: entry 7 is not an element of GF(5)"),
+        ({"components": None, "generators": [[[1, 0, 0, 0], [0, 0, 5, 0]]]},
+         "generator row 0 entry 1: coordinate 5 is not an element of GF(5)"),
+        ({"components": None, "basis": "u", "generators": [[[1, 0, 0, 0], [0, 0, 5, 0]]]},
+         "generator row 0 entry 1: 5 is not an element encoding of GF(5)"),
+    ],
+    ids=["field", "component", "gamma-generator", "u-generator"],
+)
+def test_constructor_refusals_name_their_place(change, message):
+    """The constructors check the values; the reader says where the value sits."""
+    doc = {k: v for k, v in {**MINIMAL, **change}.items() if v is not None}
+    with pytest.raises(ParseError) as info:
+        parse_code(json.dumps(doc))
+    assert str(info.value) == message
+    assert isinstance(info.value.__cause__, ValueError)
+
+
+@pytest.mark.parametrize(
+    "basis, message", [("u", "only meaningful in the gamma basis"), ("lambda", "unknown basis 'lambda'")],
+    ids=["u", "lambda"],
+)
+def test_components_need_the_gamma_basis(basis, message):
+    with pytest.raises(ParseError, match=message):
+        parse_code(json.dumps(dict(MINIMAL, basis=basis)))
+
+
 def test_length_bounded_before_any_matrix():
     doc = {"field": {"p": 5}, "components": [[], [], [], []]}
     rc = parse_code(json.dumps(dict(doc, n=MAX_LENGTH)))
@@ -165,11 +208,20 @@ def test_rows_bounded_before_any_matrix(monkeypatch):
         parse_code(json.dumps(gens))
 
 
+def generator_document(rc, basis):
+    """A generators document for ``rc``: one ring row per component row, entries in ``basis``."""
+    doc = {k: v for k, v in code_document(rc).items() if k != "components"}
+    doc["basis"] = basis
+    doc["generators"] = [[list(x.to_u() if basis == "u" else x.g) for x in row]
+                         for row in rc.generator_rows()]
+    return doc
+
+
 def test_full_code_writes_4n_generator_rows():
-    """code_document writes a full code as 4n generator rows, so at n = MAX_LENGTH it meets the cap."""
+    """A full code written as generators has 4n rows, so at n = MAX_LENGTH it meets the cap."""
     for n in (1, 3):
         full = RCode.from_components([FqCode.zero(F5, n).galois_dual(0)] * 4)
-        doc = code_document(full, representation="generators")
+        doc = generator_document(full, "gamma")
         assert len(doc["generators"]) == 4 * n
         assert parse_code(dumps(doc)) == full
 
@@ -182,14 +234,8 @@ def test_roundtrip(basis, representation):
     f9 = GF(3, 2, [1, 0, 1])
     for _ in range(10):
         rc = random_rcode(rng, f9, rng.randint(1, 4), 2)
-        text = dumps(code_document(rc, representation=representation, basis=basis))
-        assert parse_code(text) == rc
-
-
-def test_components_are_gamma_only():
-    rc = random_rcode(random.Random(61), GF(5), 2, 2)
-    with pytest.raises(ValueError, match="only meaningful in the gamma basis"):
-        code_document(rc, "components", "u")
+        doc = code_document(rc) if representation == "components" else generator_document(rc, basis)
+        assert parse_code(dumps(doc)) == rc
 
 
 def test_field_code_document_shape():

@@ -114,6 +114,16 @@ def test_oracle_is_independent_of_the_fast_paths():
     assert found == []
 
 
+def test_codefile_checks_only_the_shape():
+    """codefile leaves the field bound and the encoding range to GF, Matrix and RingElement."""
+    tree = ast.parse((PACKAGE / "codefile.py").read_text(encoding="utf-8"))
+    reads_q = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Attribute) and node.attr == "q"]
+    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    names |= {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert reads_q == []
+    assert "MAX_FIELD_ORDER" not in names
+
+
 def test_every_error_class_is_raised():
     """Each class in errors.py but the root is raised by name in src/lcdring, or is a base of one that is."""
     tree = ast.parse((PACKAGE / "errors.py").read_text(encoding="utf-8"))
