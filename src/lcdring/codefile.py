@@ -22,8 +22,10 @@ The reader checks the document's shape: JSON types and keys, the length
 and row caps, row widths and the 4-lists of generator entries.  The values
 are checked once, by the constructors it calls: ``GF`` for the field,
 ``Matrix`` for component entries and ``RingElement`` for generator
-entries, whose ``ValueError`` it re-raises as ``ParseError``.  The writer
-emits the one form the CLI needs: components, in the gamma basis.
+entries, whose ``ValueError`` it re-raises as ``ParseError``.  All four
+component matrices are built, so every entry is checked, before any is
+reduced.  The writer emits the one form the CLI needs: components, in the
+gamma basis.
 
 The expanded image of a ring code is written as a field code:
 
@@ -38,6 +40,7 @@ from typing import Any
 from .errors import ParseError
 from .fqcode import FqCode
 from .gf import GF
+from .linalg import Matrix
 from .rcode import RCode
 from .ring import RingElement
 
@@ -107,15 +110,17 @@ def parse_code(text: str) -> RCode:
         comps = doc["components"]
         _require(isinstance(comps, list) and len(comps) == 4,
                  "'components' must list exactly four generator matrices")
+        # all four shapes are checked before any matrix is built, and all
+        # four matrices (so every entry) before any is reduced
         for i, rows in enumerate(comps):
             _check_rows(rows, n, f"component {i + 1}")
-        codes = []
+        mats = []
         for i, rows in enumerate(comps):
             try:
-                codes.append(FqCode.from_rows(field, n, rows))
+                mats.append(Matrix.from_rows(field, rows, ncols=n))
             except ValueError as exc:
                 raise ParseError(f"component {i + 1}: {exc}") from exc
-        return RCode.from_components(codes)
+        return RCode.from_components([FqCode.from_rows(field, n, m) for m in mats])
     gens = doc["generators"]
     _require(isinstance(gens, list), "'generators' must be a list of rows")
     _require(len(gens) <= 4 * MAX_LENGTH,

@@ -131,9 +131,9 @@ class FqCode(Value):
         object.__setattr__(self, "pivots", tuple(pivots))
 
     @classmethod
-    def from_rows(cls, field: GF, n: int, rows: Sequence[Sequence[int]]) -> "FqCode":
-        """The span of ``rows``; redundant and zero rows are dropped."""
-        m = Matrix.from_rows(field, rows, ncols=n)
+    def from_rows(cls, field: GF, n: int, rows: Sequence[Sequence[int]] | Matrix) -> "FqCode":
+        """The span of ``rows``, lists or a built ``Matrix``; redundant and zero rows are dropped."""
+        m = rows if isinstance(rows, Matrix) else Matrix.from_rows(field, rows, ncols=n)
         reduced, rk, _ = rref(m)
         gen = Matrix(field, rk, n, reduced.entries[: rk * n])
         return cls(field, n, gen)

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from lcdring import GF, FqCode, RCode
+from lcdring import GF, FqCode, RCode, linalg
 from lcdring.codefile import (
     MAX_LENGTH,
     code_document,
@@ -206,6 +206,30 @@ def test_rows_bounded_before_any_matrix(monkeypatch):
     gens["generators"].append([[0, 0, 0, 1]])
     with pytest.raises(ParseError, match=f"'generators' has {4 * MAX_LENGTH + 1} rows"):
         parse_code(json.dumps(gens))
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ({"components": [[[1, 2, 3]] * 3] * 3 + [[[1, 2, 7]]]},
+         "component 4: entry 7 is not an element of GF(5)"),
+        ({"generators": [[[1, 0, 0, 0]] * 3] * 3 + [[[1, 0, 0, 0]] * 2 + [[0, 0, 0, 7]]]},
+         "generator row 3 entry 2: coordinate 7 is not an element of GF(5)"),
+    ],
+    ids=["component", "generator"],
+)
+def test_values_refused_before_any_elimination(monkeypatch, doc, message):
+    """A bad value in the last component or generator row costs no reduction of the earlier ones."""
+    eliminations = []
+    real = linalg._eliminate
+    monkeypatch.setattr(linalg, "_eliminate", lambda *a: eliminations.append(a) or real(*a))
+    doc = {"field": {"p": 5}, "n": 3, **doc}
+    with pytest.raises(ParseError) as info:
+        parse_code(json.dumps(doc))
+    assert str(info.value) == message
+    assert eliminations == []
+    good = json.dumps(doc).replace("7", "4")
+    assert parse_code(good).k > 0 and eliminations  # the patch sees every reduction
 
 
 def generator_document(rc, basis):
