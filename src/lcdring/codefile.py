@@ -120,7 +120,7 @@ def parse_code(text: str) -> RCode:
                 mats.append(Matrix.from_rows(field, rows, ncols=n))
             except ValueError as exc:
                 raise ParseError(f"component {i + 1}: {exc}") from exc
-        return RCode.from_components([FqCode.from_rows(field, n, m) for m in mats])
+        return RCode(FqCode.from_rows(field, n, m) for m in mats)
     gens = doc["generators"]
     _require(isinstance(gens, list), "'generators' must be a list of rows")
     _require(len(gens) <= 4 * MAX_LENGTH,
@@ -154,7 +154,7 @@ def code_document(code: RCode) -> dict[str, Any]:
         "field": field_document(code.field),
         "n": code.n,
         "basis": "gamma",
-        "components": [c.gen.to_rows() for c in code.comps],
+        "components": [c.gen.rows for c in code.comps],
     }
 
 
@@ -163,7 +163,7 @@ def field_code_document(code: FqCode) -> dict[str, Any]:
         "kind": "field",
         "field": field_document(code.field),
         "n": code.n,
-        "rows": code.gen.to_rows(),
+        "rows": code.gen.rows,
     }
 
 

@@ -141,7 +141,7 @@ def minor_search(p: Matrix) -> MinorCertificate:
     m = p.nrows
     # entry (c, j) of these rows is P[m - 1 - j][c]: column j is row m - 1 - j
     # of P, so the pivot columns pick the greedy row basis from the last row up
-    pivots, _ = _eliminate(p.field, [list(p.col(c)[::-1]) for c in range(m)])
+    pivots, _ = _eliminate(p.field, [list(col) for col in zip(*reversed(p.rows))])
     basis = {m - 1 - j for j in pivots}
     drop = tuple(i for i in range(m) if i not in basis)
     d = minor_det(p, drop)
@@ -305,7 +305,7 @@ def ring_lcd_equivalent(
         for comp in code.comps
     ))
     alpha = tuple(RingElement(f, g) for g in zip(*slot_alphas))
-    out = RCode(f, code.n, comps)
+    out = RCode(comps)
     if not out.is_lcd(l):
         raise ConsistencyError("assembled scaling failed the complementary-dual check")
     return alpha, out, RingScalingCertificate(l, beta, certs)

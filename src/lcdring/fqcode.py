@@ -1,7 +1,8 @@
 """Linear codes over F_q.
 
-A code is stored by its unique reduced row echelon generator matrix, so
-two objects describe the same code exactly when they compare equal.
+A code is its unique reduced row echelon generator matrix, which also
+gives its field and length, so two objects describe the same code
+exactly when they compare equal.
 Only ``from_rows`` eliminates; a code derived from an RREF generator is
 written straight into RREF, and the constructor checks the form and
 records the pivot columns.  Each code object computes one kernel, its
@@ -19,7 +20,7 @@ memoized: rank P and det P answer every hull and LCD predicate.
 from __future__ import annotations
 
 from itertools import chain
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from typing import Iterator, Sequence
 
 from .errors import (
@@ -92,57 +93,66 @@ def _projective_steps(p: int, e: int, k: int) -> Iterator[int]:
 
 
 class FqCode(Value):
-    """An [n, k] linear code over GF(q), canonicalized by RREF.
+    """An [n, k] linear code over GF(q): its RREF generator ``gen``.
 
-    ``pivots`` holds the generator's pivot columns, found by the
-    constructor's RREF check.  ``_dist`` caches the minimum distance,
-    ``_dual`` the Euclidean dual and ``_grams`` maps each twist l to
-    (P, rank P, det P).  None of these takes part in equality, hashing or
-    the repr.
+    The field and the length n are the generator's.  ``pivots`` holds its
+    pivot columns, found by the constructor's RREF check.  ``_dist``
+    caches the minimum distance, ``_dual`` the Euclidean dual and
+    ``_grams`` maps each twist l to (P, rank P, det P).  None of these
+    takes part in equality, hashing or the repr.
     """
 
-    __slots__ = ("field", "n", "gen", "pivots", "_dist", "_dual", "_grams")
-    _key = attrgetter("field", "n", "gen")
-    field: GF
-    n: int
+    __slots__ = ("gen", "pivots", "_dist", "_dual", "_grams")
+    _key = attrgetter("gen")
     gen: Matrix
     pivots: tuple[int, ...]
     _dist: int | None
     _dual: "FqCode | None"
     _grams: dict[int, tuple[Matrix, int, int]]
 
-    def __init__(self, field: GF, n: int, gen: Matrix) -> None:
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "n", n)
+    def __init__(self, gen: Matrix) -> None:
         object.__setattr__(self, "gen", gen)
         object.__setattr__(self, "_dist", None)
         object.__setattr__(self, "_dual", None)
         object.__setattr__(self, "_grams", {})
-        if gen.field != field or gen.ncols != n:
-            raise MismatchError("generator does not match the declared ambient space")
         pivots, last = [], -1
-        for r in range(gen.nrows):
-            row = gen.row(r)
+        for r, row in enumerate(gen.rows):
             c = next((c for c, v in enumerate(row) if v), None)
-            if c is None or c <= last or row[c] != 1 or gen.col(c).count(0) != gen.nrows - 1:
+            if c is None or c <= last or row[c] != 1:
                 raise MismatchError(f"generator row {r} breaks reduced row echelon form")
             pivots.append(c)
             last = c
+        # every row reads 0 at the other rows' pivots
+        if len(pivots) > 1:
+            at_pivots, k = itemgetter(*pivots), len(pivots)
+            for r, row in enumerate(gen.rows):
+                if at_pivots(row).count(0) != k - 1:
+                    raise MismatchError(f"generator row {r} breaks reduced row echelon form")
         object.__setattr__(self, "pivots", tuple(pivots))
 
     @classmethod
     def from_rows(cls, field: GF, n: int, rows: Sequence[Sequence[int]] | Matrix) -> "FqCode":
-        """The span of ``rows``, lists or a built ``Matrix``; redundant and zero rows are dropped."""
+        """The span of ``rows``, lists or a built ``Matrix`` of ``n`` columns over ``field``; zero and
+        redundant rows are dropped."""
         m = rows if isinstance(rows, Matrix) else Matrix.from_rows(field, rows, ncols=n)
+        if m.field != field or m.ncols != n:
+            raise MismatchError(f"a {m.ncols}-column matrix over {m.field!r} for a length-{n} code over {field!r}")
         reduced, rk, _ = rref(m)
-        gen = Matrix(field, rk, n, reduced.entries[: rk * n])
-        return cls(field, n, gen)
+        return cls(Matrix(field, n, reduced.rows[:rk]))
 
     @classmethod
     def zero(cls, field: GF, n: int) -> "FqCode":
-        return cls(field, n, Matrix.zero(field, 0, n))
+        return cls(Matrix.zero(field, 0, n))
 
     # -- basic data ---------------------------------------------------------
+
+    @property
+    def field(self) -> GF:
+        return self.gen.field
+
+    @property
+    def n(self) -> int:
+        return self.gen.ncols
 
     @property
     def k(self) -> int:
@@ -186,12 +196,13 @@ class FqCode(Value):
         dual = self._dual
         if dual is None:
             # one kernel row e_c - sum_i G[i][c] * e_(p_i) per free column c
-            gen, pivots, neg = self.gen, self.pivots, f.neg
+            pivots, neg = self.pivots, f.neg
+            cols = list(zip(*self.gen.rows)) or [()] * n  # one transpose, not a col() per column
             rows = []
             for c in sorted(set(range(n)) - set(pivots)):
                 v = [0] * n
                 v[c] = 1
-                for p, x in zip(pivots, gen.col(c)):
+                for p, x in zip(pivots, cols[c]):
                     v[p] = neg(x)
                 rows.append(v)
             dual = FqCode.from_rows(f, n, rows)
@@ -201,8 +212,7 @@ class FqCode(Value):
             object.__setattr__(self, "_dual", dual)
         if m == f.e:
             return dual
-        gen = dual.gen
-        return FqCode(f, n, Matrix(f, gen.nrows, gen.ncols, tuple(f.frobenius_row(gen.entries, m))))
+        return FqCode(Matrix(f, n, [f.frobenius_row(row, m) for row in dual.gen.rows]))
 
     def hull_dim(self, l: int = 0) -> int:
         """dim Hull_l = k - rank(P): the hull is {u*G : u*P = 0}."""
@@ -243,7 +253,8 @@ class FqCode(Value):
         is a multiple of one row: d = 1 exactly when some row has weight 1.
         Otherwise d >= 2, and any word of weight 2, a row among them, is minimal.
         """
-        return min(self.n - row.count(0) for row in self.gen.to_rows())
+        n = self.n
+        return min(n - row.count(0) for row in self.gen.rows)
 
     def min_dist(self, cap: int = DEFAULT_ENUM_CAP) -> int:
         """Exact minimum Hamming weight: the RREF rows' floor, else a projective Gray-order scan.
@@ -278,7 +289,7 @@ class FqCode(Value):
         best = self._row_floor()
         if best > 2 and self.k > 1:
             f, n = self.field, self.n
-            rows = self.gen.to_rows()
+            rows = self.gen.rows
             p, e = f.p, f.e
             b = p.bit_length() + 1
             msb = b - 1  # the top bit of a lane
@@ -335,8 +346,8 @@ class FqCode(Value):
         f = self.field
         for a in factors:
             f.check(a)
-        mul, entries = f.mul, []
-        for row, c in zip(self.gen.to_rows(), self.pivots):
+        mul, rows = f.mul, []
+        for row, c in zip(self.gen.rows, self.pivots):
             s = f.inv(factors[c])
-            entries += [mul(mul(v, a), s) for v, a in zip(row, factors)]
-        return FqCode(f, self.n, Matrix(f, self.k, self.n, tuple(entries)))
+            rows.append([mul(mul(v, a), s) for v, a in zip(row, factors)])
+        return FqCode(Matrix(f, self.n, rows))

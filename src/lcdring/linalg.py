@@ -1,7 +1,8 @@
 """Dense exact linear algebra over GF(q).
 
-Matrices are immutable, row major, and carry their field.  Everything here
-is classical Gauss elimination; the field is exact so no pivoting strategy
+A matrix is an immutable tuple of rows, each a tuple of field
+encodings, and carries its field and width.  Everything here is
+classical Gauss elimination; the field is exact so no pivoting strategy
 beyond "first nonzero" is needed.  The reduced row echelon form is unique,
 which is what makes it usable as a canonical form for code equality.
 
@@ -15,7 +16,7 @@ and ``rref`` is that pass plus a back-substitution.
 from __future__ import annotations
 
 from operator import attrgetter
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .errors import MismatchError, NotSquareError
 from .gf import GF
@@ -30,80 +31,73 @@ def _index(i: int, bound: int, what: str) -> int:
 
 
 class Matrix(Value):
-    """A rows-by-cols matrix over a finite field, entries row major."""
+    """A matrix over a finite field: its width ``ncols`` and a tuple of rows, each ``ncols`` entries."""
 
-    __slots__ = ("field", "nrows", "ncols", "entries")
-    _key = attrgetter("field", "nrows", "ncols", "entries")
+    __slots__ = ("field", "ncols", "rows")
+    _key = attrgetter("field", "ncols", "rows")
     field: GF
-    nrows: int
     ncols: int
-    entries: tuple[int, ...]
+    rows: tuple[tuple[int, ...], ...]
 
-    def __init__(self, field: GF, nrows: int, ncols: int, entries: tuple[int, ...]) -> None:
+    def __init__(self, field: GF, ncols: int, rows: Iterable[Iterable[int]]) -> None:
         object.__setattr__(self, "field", field)
-        object.__setattr__(self, "nrows", nrows)
         object.__setattr__(self, "ncols", ncols)
-        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "rows", tuple(map(tuple, rows)))
         self.__post_init__()
 
     def __repr__(self) -> str:
-        return (
-            f"Matrix(field={self.field!r}, nrows={self.nrows!r}, "
-            f"ncols={self.ncols!r}, entries={self.entries!r})"
-        )
+        return f"Matrix(field={self.field!r}, ncols={self.ncols!r}, rows={self.rows!r})"
 
     def __post_init__(self) -> None:
-        if self.nrows < 0 or self.ncols < 0:
-            raise ValueError("matrix dimensions must be non-negative")
-        if len(self.entries) != self.nrows * self.ncols:
-            raise ValueError(
-                f"expected {self.nrows * self.ncols} entries, got {len(self.entries)}"
-            )
-        q = self.field.q
-        for v in self.entries:
-            if type(v) is not int or not 0 <= v < q:
-                raise ValueError(f"entry {v!r} is not an element of {self.field!r}")
+        ncols, q = self.ncols, self.field.q
+        if type(ncols) is not int or ncols < 0:
+            raise ValueError(f"column count {ncols!r} is not a non-negative int")
+        for r, row in enumerate(self.rows):
+            if len(row) != ncols:
+                raise MismatchError(f"row {r} has width {len(row)}, expected {ncols}")
+            for v in row:
+                if type(v) is not int or not 0 <= v < q:
+                    raise ValueError(f"entry {v!r} is not an element of {self.field!r}")
 
     # -- construction -------------------------------------------------------
 
     @classmethod
-    def from_rows(cls, field: GF, rows: Sequence[Sequence[int]], ncols: int | None = None) -> "Matrix":
-        rows = [list(r) for r in rows]
-        if rows:
-            width = len(rows[0])
-            if any(len(r) != width for r in rows):
-                raise MismatchError("ragged rows")
-            if ncols is not None and width != ncols:
-                raise MismatchError(f"rows have width {width}, expected {ncols}")
-        else:
-            width = 0 if ncols is None else ncols
-        flat = tuple(v for r in rows for v in r)
-        return cls(field, len(rows), width, flat)
+    def from_rows(cls, field: GF, rows: Iterable[Iterable[int]], ncols: int | None = None) -> "Matrix":
+        """The matrix of ``rows``, as wide as its first row unless ``ncols`` says otherwise."""
+        rows = tuple(map(tuple, rows))
+        if ncols is None:
+            ncols = len(rows[0]) if rows else 0
+        return cls(field, ncols, rows)
 
     @classmethod
     def zero(cls, field: GF, nrows: int, ncols: int) -> "Matrix":
-        return cls(field, nrows, ncols, (0,) * (nrows * ncols))
+        if type(nrows) is not int or nrows < 0:
+            raise ValueError(f"row count {nrows!r} is not a non-negative int")
+        return cls(field, ncols, ((0,) * ncols,) * nrows)
 
     # -- access ---------------------------------------------------------------
 
+    @property
+    def nrows(self) -> int:
+        return len(self.rows)
+
     def entry(self, r: int, c: int) -> int:
-        return self.entries[_index(r, self.nrows, "row") * self.ncols + _index(c, self.ncols, "column")]
+        return self.rows[_index(r, self.nrows, "row")][_index(c, self.ncols, "column")]
 
     def row(self, r: int) -> tuple[int, ...]:
-        start = _index(r, self.nrows, "row") * self.ncols
-        return self.entries[start : start + self.ncols]
+        return self.rows[_index(r, self.nrows, "row")]
+
+    def col(self, c: int) -> tuple[int, ...]:
+        c = _index(c, self.ncols, "column")
+        return tuple(row[c] for row in self.rows)
 
     def to_rows(self) -> list[list[int]]:
-        return [list(self.row(r)) for r in range(self.nrows)]
+        """A fresh list of list rows, for elimination to overwrite."""
+        return [list(row) for row in self.rows]
 
     @property
     def is_square(self) -> bool:
         return self.nrows == self.ncols
-
-    # -- rearrangement ----------------------------------------------------------
-
-    def col(self, c: int) -> tuple[int, ...]:
-        return self.entries[_index(c, self.ncols, "column") :: self.ncols]
 
 
 def _eliminate(f: GF, rows: list[list[int]]) -> tuple[tuple[int, ...], int]:
@@ -168,8 +162,7 @@ def rref(m: Matrix) -> tuple[Matrix, int, tuple[int, ...]]:
             row = rows[i]
             if row[c]:
                 row[c:] = sub_scaled(row[c:], row[c], tail)
-    flat = tuple(v for row in rows for v in row)
-    return Matrix(f, m.nrows, m.ncols, flat), len(pivots), pivots
+    return Matrix(f, m.ncols, rows), len(pivots), pivots
 
 
 def rank(m: Matrix) -> int:
@@ -190,10 +183,9 @@ def gram(g: Matrix, m: int) -> Matrix:
     twisted g, so neither a transpose nor a matrix product is built.
     """
     f = g.field
-    rows = [g.row(r) for r in range(g.nrows)]
-    twisted = [f.frobenius_row(row, m) for row in rows]
+    twisted = [f.frobenius_row(row, m) for row in g.rows]
     dot = f.dot
-    return Matrix(f, g.nrows, g.nrows, tuple(dot(a, b) for a in rows for b in twisted))
+    return Matrix(f, g.nrows, [[dot(a, b) for b in twisted] for a in g.rows])
 
 
 def minor_det(p: Matrix, drop: Iterable[int]) -> int:
@@ -215,4 +207,5 @@ def minor_det(p: Matrix, drop: Iterable[int]) -> int:
     if dropset and (min(dropset) < 0 or max(dropset) >= m):
         raise MismatchError(f"deletion indices {sorted(dropset)} outside [0, {m})")
     keep = [i for i in range(m) if i not in dropset]
-    return _eliminate(p.field, [[row[c] for c in keep] for row in map(p.row, keep)])[1]
+    rows = p.rows
+    return _eliminate(p.field, [[rows[r][c] for c in keep] for r in keep])[1]

@@ -52,7 +52,7 @@ def _fq_words(code: FqCode) -> Iterator[Word]:
     add, sub, mul = f.add, f.sub, f.mul
     wrap = (0,) * code.n  # -(q - 1) * (rows 0..i-1)
     steps = []
-    for row in (code.gen.row(r) for r in range(k)):
+    for row in code.gen.rows:
         steps.append([tuple(map(add, wrap, [mul(sub(d + 1, d), v) for v in row])) for d in range(q - 1)])
         wrap = tuple(map(sub, wrap, [mul(q - 1, v) for v in row]))
     digits = [0] * k + [None]  # the sentinel ends every carry
@@ -126,11 +126,11 @@ def _orthogonal_count(code: Code, slot_words: list[Iterable[Word]], l: int) -> i
     frob, add, mul = f.frobenius, f.add, f.mul
     slots = (code,) if isinstance(code, FqCode) else code.comps
 
-    def orthogonal(rows: list[Word], w: Word) -> bool:
+    def orthogonal(rows: Sequence[Word], w: Word) -> bool:
         t = [frob(v, l) for v in w] if rows else w
         return not any(reduce(add, [mul(x, y) for x, y in zip(g, t) if x and y], 0) for g in rows)
 
-    gens = [[c.gen.row(r) for r in range(c.k)] for c in slots]
+    gens = [c.gen.rows for c in slots]
     verdicts = [map(orthogonal, repeat(rows), ws) for rows, ws in zip(gens, slot_words)]
     return sum(map(all, _per_word(verdicts)))
 

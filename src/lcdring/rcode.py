@@ -1,16 +1,17 @@
 """Linear codes over R as four component codes.
 
 A linear code over R decomposes as g1*C1 + g2*C2 + g3*C3 + g4*C4 where
-the C_i are linear codes over F_q; the quadruple is the single source of
-truth here.  Duals, complementary-dual checks, self-orthogonality, the
-Singleton test and unit scaling all act componentwise, and the generator
-matrix over R is just a view rebuilt on demand.
+the C_i are linear codes over F_q; an ``RCode`` is that quadruple, and
+its field and length are the components'.  Duals, complementary-dual
+checks, self-orthogonality, the Singleton test and unit scaling all act
+componentwise, and the generator matrix over R is just a view rebuilt
+on demand.
 """
 
 from __future__ import annotations
 
 from operator import attrgetter
-from typing import NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import CapExceededError, MismatchError, NotAUnitError, ZeroCodeError
 from .fqcode import DEFAULT_ENUM_CAP, FqCode
@@ -28,28 +29,20 @@ class RCodeParams(NamedTuple):
 
 
 class RCode(Value):
-    __slots__ = ("field", "n", "comps")
-    _key = attrgetter("field", "n", "comps")
-    field: GF
-    n: int
+    """A linear code over R: its four component codes over one GF(q) and one length n."""
+
+    __slots__ = ("comps",)
+    _key = attrgetter("comps")
     comps: tuple[FqCode, FqCode, FqCode, FqCode]
 
-    def __init__(self, field: GF, n: int, comps: Sequence[FqCode]) -> None:
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "n", n)
+    def __init__(self, comps: Iterable[FqCode]) -> None:
         object.__setattr__(self, "comps", tuple(comps))
         if len(self.comps) != 4:
             raise MismatchError("exactly four component codes required")
+        field, n = self.field, self.n
         for c in self.comps:
-            if c.field != self.field or c.n != self.n:
+            if c.field != field or c.n != n:
                 raise MismatchError("component codes disagree on field or length")
-
-    @classmethod
-    def from_components(cls, comps: Sequence[FqCode]) -> "RCode":
-        comps = tuple(comps)
-        if len(comps) != 4:
-            raise MismatchError("exactly four component codes required")
-        return cls(comps[0].field, comps[0].n, comps)
 
     @classmethod
     def from_generators(
@@ -66,17 +59,24 @@ class RCode(Value):
             for x in row:
                 if x.field != field:
                     raise MismatchError("generator entry from a different field")
-        comps = tuple(
+        return cls(
             FqCode.from_rows(field, n, [[x.g[i] for x in row] for row in rows])
             for i in range(4)
         )
-        return cls(field, n, comps)
 
     @classmethod
     def zero(cls, field: GF, n: int) -> "RCode":
-        return cls(field, n, tuple(FqCode.zero(field, n) for _ in range(4)))
+        return cls(FqCode.zero(field, n) for _ in range(4))
 
     # -- basic data ---------------------------------------------------------
+
+    @property
+    def field(self) -> GF:
+        return self.comps[0].field
+
+    @property
+    def n(self) -> int:
+        return self.comps[0].n
 
     @property
     def k(self) -> int:
@@ -88,18 +88,11 @@ class RCode(Value):
 
     def generator_rows(self) -> list[tuple[RingElement, ...]]:
         """Generators over R: each component row embedded in its slot."""
-        out = []
+        f, out = self.field, []
         for i, comp in enumerate(self.comps):
-            for r in range(comp.k):
-                row = comp.gen.row(r)
+            for row in comp.gen.rows:
                 out.append(
-                    tuple(
-                        RingElement(
-                            self.field,
-                            tuple(v if s == i else 0 for s in range(4)),
-                        )
-                        for v in row
-                    )
+                    tuple(RingElement(f, tuple(v if s == i else 0 for s in range(4))) for v in row)
                 )
         return out
 
@@ -110,7 +103,7 @@ class RCode(Value):
     # -- duality and predicates ------------------------------------------------
 
     def galois_dual(self, l: int = 0) -> "RCode":
-        return RCode(self.field, self.n, tuple(c.galois_dual(l) for c in self.comps))
+        return RCode(c.galois_dual(l) for c in self.comps)
 
     def lcd_status(self, l: int = 0) -> tuple[bool, tuple[int, int, int, int]]:
         """(flag, per-component twisted Gram determinants)."""
@@ -189,15 +182,14 @@ class RCode(Value):
         what ``ring.gray`` makes of that row embedded in slot i.  Components
         share no position, so sorted by pivot (4c + i) the rows are in RREF.
         """
-        keyed = []
+        width, keyed = 4 * self.n, []
         for i, comp in enumerate(self.comps):
-            for r, c in enumerate(comp.pivots):
-                row = [0] * (4 * self.n)
-                row[i::4] = comp.gen.row(r)
+            for c, gen_row in zip(comp.pivots, comp.gen.rows):
+                row = [0] * width
+                row[i::4] = gen_row
                 keyed.append((4 * c + i, row))
         keyed.sort()
-        entries = tuple(v for _, row in keyed for v in row)
-        return FqCode(self.field, 4 * self.n, Matrix(self.field, len(keyed), 4 * self.n, entries))
+        return FqCode(Matrix(self.field, width, [row for _, row in keyed]))
 
     def scale(self, alpha: Sequence[RingElement]) -> "RCode":
         """Entrywise multiplication by a vector of units."""
@@ -208,7 +200,4 @@ class RCode(Value):
                 raise MismatchError("scaling vector from a different ring")
             if not a.is_unit:
                 raise NotAUnitError(f"alpha[{j}] = {a.g} has a zero coordinate")
-        comps = tuple(
-            comp.scale([a.g[i] for a in alpha]) for i, comp in enumerate(self.comps)
-        )
-        return RCode(self.field, self.n, comps)
+        return RCode(comp.scale([a.g[i] for a in alpha]) for i, comp in enumerate(self.comps))

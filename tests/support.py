@@ -32,7 +32,7 @@ def random_fqcode(rng: random.Random, field: GF, n: int, k_rows: int) -> FqCode:
 
 def random_rcode(rng: random.Random, field: GF, n: int, k_max: int) -> RCode:
     comps = [random_fqcode(rng, field, n, rng.randint(0, k_max)) for _ in range(4)]
-    return RCode.from_components(comps)
+    return RCode(comps)
 
 
 def all_codes(field: GF, n: int) -> Iterator[FqCode]:
@@ -48,7 +48,7 @@ def all_codes(field: GF, n: int) -> Iterator[FqCode]:
                 rows = [[int(c == pc) for c in range(n)] for pc in pivots]
                 for (i, c), v in zip(free, values):
                     rows[i][c] = v
-                yield FqCode(field, n, Matrix.from_rows(field, rows, ncols=n))
+                yield FqCode(Matrix.from_rows(field, rows, ncols=n))
 
 
 def random_ring_vector(rng: random.Random, field: GF, n: int) -> tuple[RingElement, ...]:
@@ -59,7 +59,7 @@ def random_ring_vector(rng: random.Random, field: GF, n: int) -> tuple[RingEleme
 
 
 def identity(field: GF, n: int) -> Matrix:
-    return Matrix(field, n, n, tuple(int(i == j) for i in range(n) for j in range(n)))
+    return Matrix(field, n, [[int(i == j) for j in range(n)] for i in range(n)])
 
 
 def matmul(a: Matrix, b: Matrix) -> Matrix:
@@ -68,12 +68,13 @@ def matmul(a: Matrix, b: Matrix) -> Matrix:
     assert f == b.field and a.ncols == b.nrows
     out = []
     for r in range(a.nrows):
+        out.append([])
         for c in range(b.ncols):
             acc = 0
             for j in range(a.ncols):
                 acc = f.add(acc, f.mul(a.entry(r, j), b.entry(j, c)))
-            out.append(acc)
-    return Matrix(f, a.nrows, b.ncols, tuple(out))
+            out[r].append(acc)
+    return Matrix(f, b.ncols, out)
 
 
 class WalkSteps:

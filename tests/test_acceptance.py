@@ -78,7 +78,7 @@ def _components_from_expansion(image: FqCode, n: int) -> RCode:
     comps = [
         FqCode.from_rows(image.field, n, [row[i::4] for row in rows]) for i in range(4)
     ]
-    return RCode.from_components(comps)
+    return RCode(comps)
 
 
 def test_criterion_2_duality_decomposition(dual_instances):
@@ -197,14 +197,14 @@ def test_criterion_5_construction_end_to_end():
 def test_criterion_6_negative_gate():
     """The twists where every unit a has a^(p^(e-l)+1) = 1 refuse: GF(4) at l = 1, GF(2)/GF(3) at l = 0."""
     f4 = make_field(4)
-    rc4 = RCode.from_components([FqCode.from_rows(f4, 2, [[1, 2]])] * 4)
+    rc4 = RCode([FqCode.from_rows(f4, 2, [[1, 2]])] * 4)
     with pytest.raises(FieldTooSmallError):
         ring_lcd_equivalent(rc4, 1)
     with pytest.raises(FieldTooSmallError):
         galois_lcd_scaling(FqCode.from_rows(f4, 2, [[1, 2]]), 1)
     for p in (2, 3):
         field = GF(p)
-        rc = RCode.from_components([FqCode.from_rows(field, 2, [[1, 1]])] * 4)
+        rc = RCode([FqCode.from_rows(field, 2, [[1, 1]])] * 4)
         with pytest.raises(FieldTooSmallError):
             ring_lcd_equivalent(rc)
         with pytest.raises(FieldTooSmallError):
@@ -221,7 +221,7 @@ def test_criterion_7_mds_equivalences():
             parity = repetition.galois_dual(0)
             assert (parity.n, parity.k) == (n, n - 1)
             for comp in (repetition, parity):
-                rc = RCode.from_components([comp] * 4)
+                rc = RCode([comp] * 4)
                 flags = [rc.is_mds()]
                 for l in range(field.e):
                     flags.append(rc.galois_dual(l).is_mds())
@@ -231,7 +231,7 @@ def test_criterion_7_mds_equivalences():
     f5 = make_field(5)
     rep3 = FqCode.from_rows(f5, 3, [[1, 1, 1]])
     par3 = rep3.galois_dual(0)
-    mixed = RCode.from_components([par3, rep3, rep3, rep3])
+    mixed = RCode([par3, rep3, rep3, rep3])
     assert not mixed.is_mds()
     assert not mixed.galois_dual(0).is_mds()
     _report(7, f"MDS passes to Euclidean and twisted duals on {families} families; mixed counterexample rejected")

@@ -30,7 +30,7 @@ MINIMAL = {
 def test_minimal_components_file():
     rc = parse_code(json.dumps(MINIMAL))
     line = FqCode.from_rows(F5, 2, [[1, 2]])
-    assert rc == RCode.from_components([line] * 4)
+    assert rc == RCode([line] * 4)
 
 
 def test_u_basis_generators_match_gamma_scalars():
@@ -244,7 +244,7 @@ def generator_document(rc, basis):
 def test_full_code_writes_4n_generator_rows():
     """A full code written as generators has 4n rows, so at n = MAX_LENGTH it meets the cap."""
     for n in (1, 3):
-        full = RCode.from_components([FqCode.zero(F5, n).galois_dual(0)] * 4)
+        full = RCode([FqCode.zero(F5, n).galois_dual(0)] * 4)
         doc = generator_document(full, "gamma")
         assert len(doc["generators"]) == 4 * n
         assert parse_code(dumps(doc)) == full
@@ -264,7 +264,7 @@ def test_roundtrip(basis, representation):
 
 def test_field_code_document_shape():
     rep = FqCode.from_rows(F5, 3, [[1, 1, 1]])
-    rc = RCode.from_components([rep] * 4)
+    rc = RCode([rep] * 4)
     doc = field_code_document(rc.gray_image())
     assert doc["kind"] == "field"
     assert doc["n"] == 12

@@ -175,7 +175,7 @@ class TestHermitianCertificate:
         rng = random.Random(49)
         sizes = set()
         for _ in range(10):
-            rc = RCode.from_components(list(planted_codes(rng, f, l, 8, 4)))
+            rc = RCode(list(planted_codes(rng, f, l, 8, 4)))
             alpha, out, cert = ring_lcd_equivalent(rc, l)
             assert out == rc.scale(alpha)
             for comp, fc in zip(rc.comps, cert.components):
@@ -364,17 +364,16 @@ def summed_gram_det(f, rows, t):
     """det of the matrix [sum_j r_j s_j^(p^t)] over row pairs (r, s), summed entry by entry."""
     pw = f.p**t
     entries = [
-        functools.reduce(f.add, (f.mul(a, f.pow(b, pw)) for a, b in zip(r, s)), 0)
+        [functools.reduce(f.add, (f.mul(a, f.pow(b, pw)) for a, b in zip(r, s)), 0) for s in rows]
         for r in rows
-        for s in rows
     ]
-    return det(Matrix(f, len(rows), len(rows), tuple(entries)))
+    return det(Matrix(f, len(rows), entries))
 
 
 class TestRingLevel:
     def test_componentwise_example(self):
         line = FqCode.from_rows(F5, 2, [[1, 2]])
-        rc = RCode.from_components([line] * 4)
+        rc = RCode([line] * 4)
         alpha, out, cert = ring_lcd_equivalent(rc)
         assert out == rc.scale(alpha)
         assert all(a.is_unit for a in alpha)
@@ -385,7 +384,7 @@ class TestRingLevel:
 
     def test_already_lcd_identity(self):
         good = FqCode.from_rows(F5, 2, [[1, 1]])
-        rc = RCode.from_components([good] * 4)
+        rc = RCode([good] * 4)
         alpha, out, cert = ring_lcd_equivalent(rc)
         assert out == rc == rc.scale(alpha)
         assert all(c is d for c, d in zip(out.comps, rc.comps))
@@ -395,7 +394,7 @@ class TestRingLevel:
     def test_mixed_components_scale_only_where_needed(self):
         line = FqCode.from_rows(F5, 2, [[1, 2]])
         good = FqCode.from_rows(F5, 2, [[1, 1]])
-        rc = RCode.from_components([line, good, good, good])
+        rc = RCode([line, good, good, good])
         alpha, out, cert = ring_lcd_equivalent(rc)
         assert cert.components[0] is not None
         assert all(c is None for c in cert.components[1:])
@@ -406,7 +405,7 @@ class TestRingLevel:
 
     def test_galois_mode(self):
         bad = FqCode.from_rows(F9, 2, [[1, 4]])
-        rc = RCode.from_components([bad] * 4)
+        rc = RCode([bad] * 4)
         alpha, out, cert = ring_lcd_equivalent(rc, 1)
         assert cert.beta == 2
         assert out == rc.scale(alpha)
@@ -430,7 +429,7 @@ class TestRingLevel:
         rng = random.Random(47)
         runs = []
         for _ in range(4):
-            rc = RCode.from_components(list(planted_codes(rng, F9, 1, 6, 4)))
+            rc = RCode(list(planted_codes(rng, F9, 1, 6, 4)))
             scaled.clear()
             alpha, out, cert = ring_lcd_equivalent(rc, 1)
             for comp, got, fc in zip(rc.comps, out.comps, cert.components):
@@ -442,17 +441,17 @@ class TestRingLevel:
             assert out == rc.scale(alpha)
 
     def test_galois_refusals_fire_before_scaling(self):
-        rc = RCode.from_components([FqCode.from_rows(F4, 2, [[1, 1]])] * 4)
+        rc = RCode([FqCode.from_rows(F4, 2, [[1, 1]])] * 4)
         with pytest.raises(FieldTooSmallError):
             ring_lcd_equivalent(rc, 1)
-        rc3 = RCode.from_components([FqCode.from_rows(GF(3), 2, [[1, 1]])] * 4)
+        rc3 = RCode([FqCode.from_rows(GF(3), 2, [[1, 1]])] * 4)
         with pytest.raises(FieldTooSmallError):
             ring_lcd_equivalent(rc3)
 
     def test_determinism_with_seed(self):
         rng = random.Random(45)
         line = FqCode.from_rows(F5, 2, [[1, 2]])
-        rc = RCode.from_components([line] * 4)
+        rc = RCode([line] * 4)
         a1, o1, _ = ring_lcd_equivalent(rc, seed=7)
         a2, o2, _ = ring_lcd_equivalent(rc, seed=7)
         assert a1 == a2 and o1 == o2
@@ -524,7 +523,7 @@ class TestFactorRule:
         assert _beta(F9, 0) is None and _beta(F9, 1) == 2
         assert _beta(F8, 1) is None
         # a mode string where the twist goes is refused, not read as some twist
-        rc = RCode.from_components([FqCode.from_rows(F5, 2, [[1, 2]])] * 4)
+        rc = RCode([FqCode.from_rows(F5, 2, [[1, 2]])] * 4)
         with pytest.raises(BadLError, match="got 'euclid'"):
             ring_lcd_equivalent(rc, "euclid")
 

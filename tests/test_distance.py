@@ -60,7 +60,7 @@ def test_lee_min_dist_matches_oracle_with_planted_light_rows(data):
         used += k
         comps.append(FqCode.from_rows(f, n, _rows(data, f, n, k)))
     comps = [comps[i] for i in data.draw(st.permutations(range(4)))]
-    rc = RCode.from_components(comps)
+    rc = RCode(comps)
     if rc.k == 0:
         return
     assert rc.lee_min_dist() == oracle.min_distance(rc)
@@ -69,7 +69,7 @@ def test_lee_min_dist_matches_oracle_with_planted_light_rows(data):
 def test_light_row_decides_without_a_walk(monkeypatch):
     steps = WalkSteps(monkeypatch)
     assert FqCode.from_rows(F7, 6, RS + [[0, 0, 0, 0, 3, 5]]).min_dist() == 2
-    rc = RCode.from_components([FqCode.from_rows(F7, 6, rows) for rows in (RS, PAIR, [[0, 6, 0, 0, 1, 0]], [])])
+    rc = RCode([FqCode.from_rows(F7, 6, rows) for rows in (RS, PAIR, [[0, 6, 0, 0, 1, 0]], [])])
     assert rc.lee_min_dist() == 2
     assert steps.walks == 0
 
@@ -94,12 +94,12 @@ def test_lee_walks_the_cheapest_component_first_and_stops_at_two(monkeypatch):
     # both floors exceed 2; the [6, 2] component is walked first and reaches
     # 2, so the [6, 3] component is never walked
     big, small = FqCode.from_rows(F7, 6, RS), FqCode.from_rows(F7, 6, PAIR)
-    rc = RCode.from_components([big, small, FqCode.zero(F7, 6), small])
+    rc = RCode([big, small, FqCode.zero(F7, 6), small])
     steps = WalkSteps(monkeypatch)
     assert rc.lee_min_dist() == 2
     assert steps.walks == 1 and steps.steps <= (7**2 - 1) // (7 - 1)
     assert big._dist is None
-    assert RCode.from_components([big] * 4).lee_min_dist() == 4
+    assert RCode([big] * 4).lee_min_dist() == 4
 
 
 def test_lee_cap_refuses_the_first_component_in_slot_order_unless_memoized():
@@ -107,7 +107,7 @@ def test_lee_cap_refuses_the_first_component_in_slot_order_unless_memoized():
     light = FqCode.from_rows(F5, 4, [[0, 1, 0, 0]])
     c125 = FqCode.from_rows(F5, 4, [[1, 0, 0, 1], [0, 1, 0, 1], [0, 0, 1, 1]])
     c25 = FqCode.from_rows(F5, 4, [[1, 0, 1, 1], [0, 1, 1, 2]])
-    rc = RCode.from_components([light, c125, c25, FqCode.zero(F5, 4)])
+    rc = RCode([light, c125, c25, FqCode.zero(F5, 4)])
     with pytest.raises(CapExceededError, match=r"^125 codewords exceed the cap of 24$"):
         rc.lee_min_dist(cap=24)
     assert c125.min_dist() == 2

@@ -46,6 +46,18 @@ class TestConstruction:
             code(F5, 3, [[1, 2]])
 
     @pytest.mark.parametrize(
+        "n, built",
+        [
+            (2, Matrix.from_rows(GF(7), [[2, 1]])),  # another field
+            (4, Matrix.from_rows(F5, [[1, 2], [3, 1]])),  # another width
+        ],
+    )
+    def test_built_matrix_of_another_space_is_refused(self, n, built, monkeypatch):
+        monkeypatch.setattr(fqcode, "rref", lambda m: pytest.fail("eliminated before the check"))
+        with pytest.raises(MismatchError, match=f"for a length-{n} code over GF\\(5\\)"):
+            code(F5, n, built)
+
+    @pytest.mark.parametrize(
         "rows",
         [
             [[2, 4]],  # pivot not 1
@@ -57,9 +69,9 @@ class TestConstruction:
     )
     def test_direct_generator_must_be_rref(self, rows):
         with pytest.raises(MismatchError, match="reduced row echelon"):
-            FqCode(F5, 2, Matrix.from_rows(F5, rows))
+            FqCode(Matrix.from_rows(F5, rows))
         c = code(F5, 2, rows)
-        assert FqCode(F5, 2, c.gen) == c
+        assert FqCode(c.gen) == c
 
 
 class TestGaloisDual:
@@ -79,7 +91,7 @@ class TestGaloisDual:
                 assert acc == 0
 
     def test_zero_code_dual_is_everything(self):
-        assert FqCode.zero(F5, 3).galois_dual(0) == FqCode(F5, 3, identity(F5, 3))
+        assert FqCode.zero(F5, 3).galois_dual(0) == FqCode(identity(F5, 3))
 
     def test_bad_l(self):
         with pytest.raises(BadLError):
@@ -102,7 +114,7 @@ class TestGaloisDual:
         duals = [c.galois_dual(l) for l in (0, 1, 2, 3, 3, 2, 1, 0)]
         # one elimination, of the n - k kernel rows written from G and its pivots
         assert [(m.nrows, m.ncols) for m in kernels] == [(c.n - c.k, c.n)]
-        assert not any(matmul(c.gen, Matrix.from_rows(c.field, zip(*kernels[0].to_rows()))).entries)
+        assert not any(map(any, matmul(c.gen, Matrix.from_rows(c.field, zip(*kernels[0].rows))).rows))
         assert duals[:4] == duals[:3:-1]
 
     def test_dimensions_complement(self):
@@ -171,7 +183,7 @@ class TestSelfOrthogonal:
                 c = random_fqcode(rng, field, rng.randint(1, 5), rng.randint(0, 3))
                 for l in range(e):
                     gm = gram(c.gen, e - l)
-                    assert c.is_self_orthogonal(l) == all(v == 0 for v in gm.entries)
+                    assert c.is_self_orthogonal(l) == all(v == 0 for row in gm.rows for v in row)
 
     def test_self_dual(self):
         assert code(F5, 2, [[1, 2]]).is_self_dual()
@@ -208,7 +220,7 @@ class TestMinDist:
         c = FqCode.zero(GF(1048573), 716).galois_dual(0)
         with pytest.raises(CapExceededError, match=r"^1048573\^716 codewords exceed the cap"):
             c.min_dist()
-        p = RCode.from_components([c] + [FqCode.zero(c.field, 716)] * 3).params()
+        p = RCode([c] + [FqCode.zero(c.field, 716)] * 3).params()
         assert p.d_lee is None and p.components[0] == (716, 716, None)
 
     def test_cached_distance_ignores_later_cap(self):
@@ -363,8 +375,8 @@ def _check_hull_predicates(c):
     for l in range(f.e):
         dual = c.galois_dual(l)
         # the l-dual is the kernel of F^(e-l)(G), computed afresh here
-        twisted = Matrix(f, c.k, c.n, tuple(f.frobenius(v, f.e - l) for v in c.gen.entries))
-        assert dual == FqCode(f, c.n, nullspace_basis(twisted))
+        twisted = Matrix(f, c.n, [[f.frobenius(v, f.e - l) for v in row] for row in c.gen.rows])
+        assert dual == FqCode(nullspace_basis(twisted))
         if f.q**c.n <= 4096:
             assert oracle.is_dual_pair(c, dual, l)
         # kernel route: dim(C meet dual) = k + dim(dual) - dim(C + dual)
@@ -422,7 +434,7 @@ def test_hull_predicates_on_mixed_ring_code():
         FqCode.zero(f, 2),
         FqCode.zero(f, 2).galois_dual(0),
     ]
-    rc = RCode.from_components(comps)
+    rc = RCode(comps)
     assert [c.hull_dim(1) for c in comps] == [1, 1, 0, 0]
     assert [c.hull_dim(0) for c in comps] == [1, 0, 0, 0]
     for l in range(f.e):
@@ -430,7 +442,7 @@ def test_hull_predicates_on_mixed_ring_code():
         assert not rc.is_lcd(l)
         assert not rc.is_self_orthogonal(l)
     assert not rc.is_self_dual() and rc != rc.galois_dual(0)
-    assert RCode.from_components([comps[0]] * 4).is_self_dual()
+    assert RCode([comps[0]] * 4).is_self_dual()
 
 
 class TestMds:
@@ -518,7 +530,7 @@ def test_pivots_are_the_rref_pivots(data):
     factors = data.draw(st.lists(st.integers(1, f.q - 1), min_size=n, max_size=n))
     derived = [c.galois_dual(l) for c in comps for l in range(f.e)]
     derived += [c.scale(factors) for c in comps]
-    derived.append(RCode.from_components(comps).gray_image())
+    derived.append(RCode(comps).gray_image())
     for c in comps + derived:
         assert c.pivots == rref(c.gen)[2]
 

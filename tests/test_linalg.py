@@ -30,7 +30,34 @@ def test_from_rows_checks_entries(entry):
 @pytest.mark.parametrize("entry", [True, False, 2.0, 0.0, -1, 5])
 def test_constructor_checks_entries(entry):
     with pytest.raises(ValueError, match="is not an element of"):
-        Matrix(F5, 1, 2, (entry, 2))
+        Matrix(F5, 2, [(entry, 2)])
+
+
+def test_list_rows_become_tuples():
+    rows = [[1, 2], [3, 4]]
+    a = Matrix(F5, 2, rows)
+    rows[0][0] = 0
+    twin = Matrix(F5, 2, ((1, 2), (3, 4)))
+    assert a.rows == ((1, 2), (3, 4)) and a == twin and hash(a) == hash(twin)
+
+
+@pytest.mark.parametrize("ncols, rows", [(True, [[1]]), (2.0, [[1, 2]]), (-1, [])])
+def test_constructor_checks_the_column_count(ncols, rows):
+    with pytest.raises(ValueError, match="column count"):
+        Matrix(F5, ncols, rows)
+
+
+@pytest.mark.parametrize("nrows", [True, 1.0, -1])
+def test_zero_checks_the_row_count(nrows):
+    with pytest.raises(ValueError, match="row count"):
+        Matrix.zero(F5, nrows, 2)
+
+
+@pytest.mark.parametrize("build", [lambda rows: Matrix(F5, 2, rows), lambda rows: m(F5, rows, ncols=2)])
+@pytest.mark.parametrize("rows, r, width", [([[1, 2], [3]], 1, 1), ([[1, 2, 3]], 0, 3)])
+def test_rows_of_another_width_are_refused(build, rows, r, width):
+    with pytest.raises(MismatchError, match=f"row {r} has width {width}, expected 2"):
+        build(rows)
 
 
 @pytest.mark.parametrize("field, factor", [(F5, 7), (F5, -3), (F5, True), (F5, 2.0),
@@ -38,7 +65,7 @@ def test_constructor_checks_entries(entry):
 def test_scale_cols_checks_factors(field, factor):
     # FqCode.scale is the one route that scales columns
     with pytest.raises(ValueError, match="not an element encoding"):
-        FqCode(field, 2, m(field, [[1, 2]])).scale([1, factor])
+        FqCode(m(field, [[1, 2]])).scale([1, factor])
 
 
 class TestAccessBounds:
@@ -142,8 +169,8 @@ class TestNullspace:
             _, rank, _ = rref(a)
             ns = nullspace_basis(a)
             assert rank + ns.nrows == a.ncols
-            prod = matmul(a, m(F9, [ns.col(c) for c in range(ns.ncols)], ncols=ns.nrows))
-            assert all(v == 0 for v in prod.entries)
+            prod = matmul(a, m(F9, zip(*ns.rows), ncols=ns.nrows))
+            assert all(v == 0 for row in prod.rows for v in row)
 
 
     def test_lost_rank_raises_consistency_error(self, monkeypatch):
@@ -154,7 +181,7 @@ class TestNullspace:
             r, rk, pivots = real(a)
             return r, rk - 1, pivots
 
-        line = FqCode(F5, 2, m(F5, [[1, 2]]))
+        line = FqCode(m(F5, [[1, 2]]))
         monkeypatch.setattr(fqcode, "rref", rref_reporting_one_rank_too_few)
         with pytest.raises(ConsistencyError, match="kernel basis of 1 vectors has rank 0"):
             line.galois_dual(0)

@@ -24,7 +24,7 @@ def line():
 def test_twist_checks_refuse(l):
     # Frobenius wraps l mod e, so an unchecked l = 2 on GF(9) would answer for l = 0
     c = FqCode.from_rows(F9, 2, [[1, 4]])
-    rc = RCode.from_components([c] * 4)
+    rc = RCode([c] * 4)
     for code in (c, rc):
         with pytest.raises(BadLError):
             oracle.hull_dim(code, l)
@@ -68,14 +68,14 @@ class TestEnumeration:
         assert list(words) == want
 
     def test_ring_scalars(self):
-        rc = RCode.from_components([FqCode.from_rows(F5, 1, [[1]])] * 4)
+        rc = RCode([FqCode.from_rows(F5, 1, [[1]])] * 4)
         words = list(oracle.codewords(rc))
         assert len(words) == 5**4
         assert len(set(words)) == 5**4
 
     def test_ring_order_component_one_fastest(self):
         rows = [[[1, 2]], [[0, 1]], [], [[1, 1]]]
-        rc = RCode.from_components([FqCode.from_rows(F5, 2, r) for r in rows])
+        rc = RCode([FqCode.from_rows(F5, 2, r) for r in rows])
         # d1 * (1, 2) in slot 1, d2 * (0, 1) in slot 2, d4 * (1, 1) in slot 4
         want = [
             ((d1, 0, 0, d4), (2 * d1 % 5, d2, 0, d4))
@@ -106,7 +106,7 @@ class TestMinDistance:
 
     def test_ring_repetition(self):
         rep = FqCode.from_rows(F5, 3, [[1, 1, 1]])
-        assert oracle.min_distance(RCode.from_components([rep] * 4)) == 3
+        assert oracle.min_distance(RCode([rep] * 4)) == 3
 
     def test_ring_weight_counts_every_slot(self):
         rep = FqCode.from_rows(F5, 3, [[1, 1, 1]])
@@ -114,16 +114,16 @@ class TestMinDistance:
         for i in range(4):
             comps = [rep] * 4
             comps[i] = par
-            assert oracle.min_distance(RCode.from_components(comps)) == 2
+            assert oracle.min_distance(RCode(comps)) == 2
         light = FqCode.from_rows(F5, 3, [[0, 1, 0]])
-        assert oracle.min_distance(RCode.from_components([rep, light, rep, rep])) == 1
+        assert oracle.min_distance(RCode([rep, light, rep, rep])) == 1
 
     def test_weight_reached_only_in_slot_4(self):
         # over GF(2) the only weight-1 ring word has its one nonzero entry
         # in slot 4, and every other nonzero word weighs at least 3
         f = GF(2)
         rep = FqCode.from_rows(f, 3, [[1, 1, 1]])
-        rc = RCode.from_components([rep, rep, rep, FqCode.from_rows(f, 3, [[0, 1, 0]])])
+        rc = RCode([rep, rep, rep, FqCode.from_rows(f, 3, [[0, 1, 0]])])
         assert oracle.min_distance(rc) == 1
         assert sorted(sum(x.lee_weight for x in w) for w in oracle.codewords(rc))[:3] == [0, 1, 3]
 
@@ -154,7 +154,7 @@ class TestDualPair:
         assert not oracle.is_dual_pair(c, c, 0)
 
     def test_ring_dual(self):
-        rc = RCode.from_components([line()] * 4)
+        rc = RCode([line()] * 4)
         for l in range(1):
             assert oracle.is_dual_pair(rc, rc.galois_dual(l), l)
 
@@ -166,7 +166,7 @@ class TestDualPair:
             FqCode.zero(F5, 2),
             FqCode.from_rows(F5, 2, [[0, 1]]),
         ]
-        rc = RCode.from_components(comps)
+        rc = RCode(comps)
         dual = rc.galois_dual(0)
         assert oracle.is_dual_pair(rc, dual, 0)
         wrong = FqCode.from_rows(F5, 2, [[1, 3]])
@@ -175,7 +175,7 @@ class TestDualPair:
                 continue
             swapped = list(dual.comps)
             swapped[i] = wrong
-            assert not oracle.is_dual_pair(rc, RCode.from_components(swapped), 0)
+            assert not oracle.is_dual_pair(rc, RCode(swapped), 0)
 
     def test_twisted_field_dual(self):
         c = FqCode.from_rows(F9, 2, [[1, 4]])
@@ -244,7 +244,7 @@ def test_is_dual_pair_matches_the_definition(data):
     ]
     if ring:
         assume(len(set(comps)) > 1)
-        code = RCode.from_components(comps)
+        code = RCode(comps)
     else:
         code = comps[0]
     l = data.draw(st.integers(0, f.e - 1), label="l")
@@ -254,7 +254,7 @@ def test_is_dual_pair_matches_the_definition(data):
     def with_slot(i, c):
         cs = list(dual_comps)
         cs[i] = c
-        return RCode.from_components(cs) if ring else cs[0]
+        return RCode(cs) if ring else cs[0]
 
     candidates = [dual]
     partial = [i for i, c in enumerate(comps) if 0 < c.k < n]
@@ -275,7 +275,7 @@ def test_is_dual_pair_matches_the_definition(data):
         i, j = next((i, j) for i in range(4) for j in range(i) if dual_comps[i] != dual_comps[j])
         swapped = list(dual_comps)
         swapped[i], swapped[j] = swapped[j], swapped[i]
-        candidates.append(RCode.from_components(swapped))
+        candidates.append(RCode(swapped))
     nonzero = [i for i, c in enumerate(dual_comps) if c.k]
     if nonzero:
         # a proper subcode of the dual: every pair vanishes but the size is short
@@ -306,7 +306,7 @@ def test_ring_hull_and_distance_match_the_definitions(data):
         rows = data.draw(st.lists(row, max_size=min(n, room)), label=f"slot {i} rows")
         comps.append(FqCode.from_rows(f, n, rows))
         room -= comps[-1].k
-    rc = RCode.from_components(comps)
+    rc = RCode(comps)
     words = list(oracle.codewords(rc))
     assert len(words) == q**rc.k
     zero = RingElement.zero(f)
@@ -328,7 +328,7 @@ def test_ring_oracles_build_no_ring_element(monkeypatch):
         FqCode.zero(F5, 2),
         FqCode.from_rows(F5, 2, [[0, 1]]),
     ]
-    rc = RCode.from_components(comps)
+    rc = RCode(comps)
     dual = rc.galois_dual(0)
 
     def refuse(self, *args):
@@ -390,7 +390,7 @@ def test_each_slot_word_is_decided_once_and_every_ring_word_counted(tally):
         FqCode.from_rows(F9, 2, [[1, 1]]),
         FqCode.from_rows(F9, 2, [[1, 0], [0, 1]]),
     ]
-    rc = RCode.from_components(comps)
+    rc = RCode(comps)
     dual = rc.galois_dual(1)
     assert [c.k for c in dual.comps] == [1, 2, 1, 0]
     hull = sum(c.hull_dim(1) for c in comps)
@@ -425,7 +425,7 @@ class TestHull:
         assert oracle.hull_dim(FqCode.zero(F5, 2), 0) == 0
 
     def test_ring_hull_splits(self):
-        rc = RCode.from_components([line()] * 4)
+        rc = RCode([line()] * 4)
         assert oracle.hull_dim(rc, 0) == 4
 
     def test_ring_hull_with_distinct_components(self):
@@ -435,7 +435,7 @@ class TestHull:
             FqCode.zero(F9, 2),
             FqCode.from_rows(F9, 2, [[1, 3]]),
         ]
-        rc = RCode.from_components(comps)
+        rc = RCode(comps)
         assert [c.hull_dim(0) for c in comps] == [0, 0, 0, 1]
         assert [c.hull_dim(1) for c in comps] == [0, 1, 0, 0]
         assert oracle.hull_dim(rc, 0) == 1

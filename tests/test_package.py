@@ -124,6 +124,18 @@ def test_codefile_checks_only_the_shape():
     assert "MAX_FIELD_ORDER" not in names
 
 
+def test_matrix_rows_are_read_directly():
+    """No module reads a flat ``entries`` or calls ``Matrix.col``: columns come from one
+    ``zip(*rows)`` transpose, where a ``col()`` per column walks every row once per column."""
+    entries = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        entries += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                    if isinstance(node, ast.Attribute) and node.attr == "entries"]
+    assert entries == []
+    assert _call_sites("col") == []
+
+
 def test_every_error_class_is_raised():
     """Each class in errors.py but the root is raised by name in src/lcdring, or is a base of one that is."""
     tree = ast.parse((PACKAGE / "errors.py").read_text(encoding="utf-8"))
@@ -153,3 +165,22 @@ def test_readme_lists_the_public_api():
     listed = re.findall(r"`(\w+)`", bullets)
     assert len(listed) == len(set(listed))
     assert sorted(listed) == sorted(lcdring.__all__)
+
+
+def test_readme_quick_start_runs():
+    """README's "Library quick start" block runs, and each bare expression gives the value its comment names."""
+    readme = (PACKAGE.parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Library quick start\n", 1)[1]
+    block = section.split("```python\n", 1)[1].split("\n```", 1)[0]
+    lines = block.splitlines()
+    namespace: dict = {}
+    claims = 0
+    for node in ast.parse(block).body:
+        if isinstance(node, ast.Expr):
+            value = eval(compile(ast.Expression(node.value), "README.md", "eval"), namespace)
+            claim = lines[node.end_lineno - 1].partition("#")[2].split(":")[0].strip()
+            assert repr(value) == claim, ast.unparse(node)
+            claims += 1
+        else:
+            exec(compile(ast.Module([node], []), "README.md", "exec"), namespace)
+    assert claims == 3

@@ -21,7 +21,7 @@ def line_code():
 
 
 def rcode_of(comp):
-    return RCode.from_components([comp] * 4)
+    return RCode([comp] * 4)
 
 
 class TestConstruction:
@@ -31,7 +31,7 @@ class TestConstruction:
 
     def test_mismatched_components(self):
         with pytest.raises(MismatchError):
-            RCode.from_components(
+            RCode(
                 [line_code(), line_code(), line_code(), FqCode.zero(F5, 3)]
             )
 
@@ -58,7 +58,7 @@ class TestDual:
     def test_zero_dualizes_to_full(self):
         z = RCode.zero(F5, 2)
         d = z.galois_dual(0)
-        assert all(c == FqCode(F5, 2, identity(F5, 2)) for c in d.comps)
+        assert all(c == FqCode(identity(F5, 2)) for c in d.comps)
 
     def test_self_dual_line(self):
         rc = rcode_of(line_code())
@@ -74,7 +74,7 @@ class TestDual:
 
 class TestGrayImage:
     def test_single_slot(self):
-        rc = RCode.from_components(
+        rc = RCode(
             [
                 FqCode.zero(F5, 1),
                 FqCode.from_rows(F5, 1, [[1]]),
@@ -114,7 +114,7 @@ def test_gray_image_matches_elimination_of_expanded_rows(data):
     f = data.draw(st.sampled_from([GF(2), GF(2, 2), F5, F9, GF(2, 3)]))
     n = data.draw(st.integers(1, 5))
     entries = st.lists(st.integers(0, f.q - 1), min_size=n, max_size=n)
-    rc = RCode.from_components([FqCode.from_rows(f, n, data.draw(st.lists(entries, max_size=n))) for _ in range(4)])
+    rc = RCode([FqCode.from_rows(f, n, data.draw(st.lists(entries, max_size=n))) for _ in range(4)])
     assert rc.gray_image() == FqCode.from_rows(f, 4 * n, [gray(row) for row in rc.generator_rows()])
 
 
@@ -128,7 +128,7 @@ class TestParams:
     def test_mixed_distance(self):
         rep = FqCode.from_rows(F5, 3, [[1, 1, 1]])
         par = rep.galois_dual(0)  # [3, 2, 2]
-        rc = RCode.from_components([par, rep, rep, rep])
+        rc = RCode([par, rep, rep, rep])
         assert rc.params().d_lee == 2
 
     def test_zero_code(self):
@@ -140,7 +140,7 @@ class TestPredicates:
     def test_lcd_all_components(self):
         good = FqCode.from_rows(F5, 2, [[1, 1]])
         assert rcode_of(good).is_lcd(0)
-        mixed = RCode.from_components([line_code(), good, good, good])
+        mixed = RCode([line_code(), good, good, good])
         flag, dets = mixed.lcd_status(0)
         assert not flag and dets == (0, 2, 2, 2)
 
@@ -151,7 +151,7 @@ class TestPredicates:
         rc = rcode_of(line_code())
         assert rc.is_self_dual()
         assert rc.is_self_orthogonal(0)
-        bad = RCode.from_components([FqCode.from_rows(F5, 2, [[1, 1]])] + [line_code()] * 3)
+        bad = RCode([FqCode.from_rows(F5, 2, [[1, 1]])] + [line_code()] * 3)
         assert not bad.is_self_dual()
         assert not bad.is_self_orthogonal(0)
         assert RCode.zero(F5, 2).is_self_orthogonal(0)
@@ -169,7 +169,7 @@ class TestMds:
     def test_mixed_parameters_fail(self):
         rep = FqCode.from_rows(F5, 3, [[1, 1, 1]])
         par = rep.galois_dual(0)
-        rc = RCode.from_components([par, rep, rep, rep])
+        rc = RCode([par, rep, rep, rep])
         assert not rc.is_mds()
 
     def test_zero_raises(self):

@@ -38,7 +38,7 @@ def fqcode():
 
 
 def rcode():
-    return RCode.from_components([fqcode(), FqCode.zero(F5, 2), fqcode(), FqCode.zero(F5, 2).galois_dual(0)])
+    return RCode([fqcode(), FqCode.zero(F5, 2), fqcode(), FqCode.zero(F5, 2).galois_dual(0)])
 
 
 def minor():
@@ -58,10 +58,10 @@ def params():
 
 
 FIELDS = {
-    matrix: ("field", "nrows", "ncols", "entries"),
+    matrix: ("field", "ncols", "rows"),
     element: ("field", "g"),
-    fqcode: ("field", "n", "gen", "_dist"),
-    rcode: ("field", "n", "comps"),
+    fqcode: ("gen", "_dist"),
+    rcode: ("comps",),
     minor: ("t", "r_set", "det"),
     field_cert: ("l", "beta", "perm", "minor", "alpha", "gram_det"),
     ring_cert: ("l", "beta", "components"),
@@ -104,13 +104,13 @@ def test_cached_min_dist_is_invisible():
 
 
 def test_matrix_repr():
-    assert repr(matrix()) == "Matrix(field=GF(5), nrows=2, ncols=2, entries=(1, 2, 3, 4))"
+    assert repr(matrix()) == "Matrix(field=GF(5), ncols=2, rows=((1, 2), (3, 4)))"
 
 
 def test_lists_become_tuples():
     assert RingElement(F5, [1, 2, 3, 4]).g == (1, 2, 3, 4)
     comps = [fqcode()] * 4
-    code = RCode(F5, 2, comps)
+    code = RCode(comps)
     assert isinstance(code.comps, tuple) and code.comps == tuple(comps)
 
 
