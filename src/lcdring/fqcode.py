@@ -13,8 +13,12 @@ y lies in the l-dual iff F^l(y) lies in the Euclidean dual, and F maps
 RREF onto RREF.
 Hull predicates never build the dual: they read the k-by-k twisted Gram
 matrix P = G * F^(e-l)(G)^T, since u*G lies in the l-dual iff u*P = 0.
-Each code object builds one P and runs one elimination per twist,
-memoized: rank P and det P answer every hull and LCD predicate.
+G is [I | A] on its pivot and free columns, so P = I + A * F^(e-l)(A)^T
+is built from the free columns only, and only half of it when 2(e - l) is
+a multiple of e (``gram``).  The mate twist l' = (e - l) mod e has
+P = F^(l')(P')^T, so each code object builds one P and runs one
+elimination per twist orbit {l, e - l}, memoized, and reads the mate off
+it: rank P and det P answer every hull and LCD predicate.
 """
 
 from __future__ import annotations
@@ -172,17 +176,32 @@ class FqCode(Value):
         return self.field.e - self.field.check_twist(l)
 
     def _gram_facts(self, l: int) -> tuple[Matrix, int, int]:
-        """(P, rank P, det P) for the twisted Gram matrix P = G * F^(e-l)(G)^T.
+        """(P, rank P, det P) for the twisted Gram matrix P = G * F^m(G)^T, m = e - l.
 
-        One Gram product and one elimination per twist; later calls read
-        the memo, once l is checked (True and 1.0 would find the entry of 1).
+        G reads I on its pivot columns, so P = I + A * F^m(A)^T for the
+        block A of its free columns: one ``gram`` of A, half of it dot
+        products when 2m is a multiple of e, plus 1 on the diagonal.  The
+        mate twist l' = m mod e has P = F^(l')(P')^T, so rank P = rank P'
+        and det P = F^(l')(det P'): once the mate is memoized, l costs no
+        product and no elimination.  l is checked before any memo read
+        (True and 1.0 would find the entry of 1).
         """
-        m = self._twist(l)
+        f, m = self.field, self._twist(l)
         facts = self._grams.get(l)
         if facts is None:
-            p = gram(self.gen, m)
-            pivots, d = _eliminate(self.field, p.to_rows())
-            facts = self._grams[l] = (p, len(pivots), d)
+            mate = self._grams.get(m % f.e)
+            if mate is None:
+                free = sorted(set(range(self.n)) - set(self.pivots))
+                rows = gram(Matrix(f, len(free), [[row[c] for c in free] for row in self.gen.rows]), m).to_rows()
+                for i, row in enumerate(rows):
+                    row[i] = f.add(row[i], 1)
+                p = Matrix(f, self.k, rows)
+                pivots, d = _eliminate(f, rows)
+                facts = (p, len(pivots), d)
+            else:
+                p, r, d = mate
+                facts = (Matrix(f, p.nrows, [f.frobenius_row(c, m) for c in zip(*p.rows)]), r, f.frobenius(d, m))
+            self._grams[l] = facts
         return facts
 
     def _gram(self, l: int) -> Matrix:

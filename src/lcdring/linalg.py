@@ -181,11 +181,18 @@ def gram(g: Matrix, m: int) -> Matrix:
 
     Entry (i, j) is the dot product of row i of g with row j of the
     twisted g, so neither a transpose nor a matrix product is built.
+    When 2m is a multiple of e, F^(2m) is the identity, so entry (j, i) is
+    the (p^m)-power of entry (i, j): only entries with j >= i are dot
+    products, and the rest are read from them.
     """
     f = g.field
     twisted = [f.frobenius_row(row, m) for row in g.rows]
     dot = f.dot
-    return Matrix(f, g.nrows, [[dot(a, b) for b in twisted] for a in g.rows])
+    if 2 * m % f.e:
+        return Matrix(f, g.nrows, [[dot(a, b) for b in twisted] for a in g.rows])
+    upper = [[dot(a, b) for b in twisted[i:]] for i, a in enumerate(g.rows)]
+    lower = [f.frobenius_row(u, m) for u in upper]  # lower[j][i - j] is entry (i, j)
+    return Matrix(f, g.nrows, [[c[i - j] for j, c in enumerate(lower[:i])] + u for i, u in enumerate(upper)])
 
 
 def minor_det(p: Matrix, drop: Iterable[int]) -> int:

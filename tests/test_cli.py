@@ -606,16 +606,21 @@ def gram_work(monkeypatch):
     return work
 
 
-@pytest.mark.parametrize("sample", SAMPLES, ids=lambda p: p.name)
-def test_analyze_builds_one_gram_and_one_elimination_per_component_and_twist(sample, gram_work, capsys):
+@pytest.mark.parametrize("sample", [*SAMPLES, "gf16"], ids=lambda p: getattr(p, "name", p))
+def test_analyze_builds_one_gram_and_one_elimination_per_component_and_twist(sample, gram_work, tmp_path, capsys):
+    """A twist l and its mate e - l share one build: analyze asks l = 0, 1, ..., e - 1."""
+    if sample == "gf16":
+        sample = tmp_path / "gf16.json"
+        sample.write_text(json.dumps(GF16_FILE))
     assert main(["analyze", str(sample), "--json", "-"]) == 0
     # the only eliminations outside FqCode are the rref passes that parse the four components
     assert gram_work["eliminations"] == ["rref"] * 4 and gram_work["elsewhere"] == []
     e = parse_code(sample.read_text()).field.e
     builds = [(id(g), m) for g, m in gram_work["codes"]]
-    assert len(set(builds)) == len(builds) == 4 * e
-    assert {m for _, m in builds} == set(range(1, e + 1))
-    assert gram_work["code_eliminations"] == ["_gram_facts"] * (4 * e)
+    assert len(set(builds)) == len(builds) == 4 * (e // 2 + 1)
+    # each component builds twist l = e - m for one l of every orbit {l, e - l}
+    assert sorted(min(e - m, m % e) for _, m in builds) == sorted([*range(e // 2 + 1)] * 4)
+    assert gram_work["code_eliminations"] == ["_gram_facts"] * (4 * (e // 2 + 1))
 
 
 @pytest.mark.parametrize(

@@ -410,6 +410,33 @@ def test_hull_predicates_match_kernel_route_and_oracle(data):
     _check_hull_predicates(code(f, n, [list(r) for r in zip(*cols)]))
 
 
+GRAM_FIELDS = [GF(2, 2), GF(2, 3), F9, GF(2, 4), GF(3, 3), GF(2, 5), GF(2, 6)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_gram_facts_match_the_full_generator_in_any_twist_order(data):
+    # built from the free columns, half-filled, or read off the mate twist,
+    # each entry equals the full generator's Gram matrix and its elimination
+    f = data.draw(st.sampled_from(GRAM_FIELDS))
+    e, n = f.e, data.draw(st.integers(0, 6))
+    k = data.draw(st.integers(0, n))
+    rows = data.draw(st.lists(st.lists(st.integers(0, f.q - 1), min_size=n, max_size=n), min_size=k, max_size=k))
+    if data.draw(st.booleans()):  # the whole space, G = I with no free column
+        rows = [[int(i == j) for j in range(n)] for i in range(n)]
+    c = code(f, n, rows)
+    twists = [*range(e)]
+    for l in data.draw(st.sampled_from([twists, twists[::-1], data.draw(st.permutations(twists))])):
+        p = gram(c.gen, e - l)
+        pivots, d = linalg._eliminate(f, p.to_rows())
+        assert c._gram_facts(l) == (p, len(pivots), d)
+        if f.q**c.k <= 4096:
+            assert c.hull_dim(l) == oracle.hull_dim(c, l)
+    # the entries of 1 and its mate e - 1 are memoized, and True is still refused
+    with pytest.raises(BadLError):
+        c._gram_facts(True)
+
+
 @pytest.mark.parametrize(
     "c",
     [

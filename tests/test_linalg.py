@@ -299,16 +299,21 @@ class TestGram:
             assert gram(eye, twist) == eye
 
     def test_entries_recomputed_independently(self):
+        # every twist 0..e, half-filled (2 * twist a multiple of e) or not, on
+        # rows that are not in RREF and on rows of width 0
         rng = random.Random(13)
-        g = m(F9, [[rng.randrange(9) for _ in range(4)] for _ in range(3)])
-        for twist in (0, 1, 2):
-            gm = gram(g, twist)
-            for r in range(3):
-                for s in range(3):
-                    acc = 0
-                    for j in range(4):
-                        acc = F9.add(acc, F9.mul(g.entry(r, j), F9.frobenius(g.entry(s, j), twist)))
-                    assert gm.entry(r, s) == acc
+        for f in (F5, F9, GF(2, 3), GF(2, 4), GF(3, 3)):
+            for nrows, ncols in ((3, 4), (4, 2), (3, 0), (0, 3)):
+                g = Matrix(f, ncols, [[rng.randrange(f.q) for _ in range(ncols)] for _ in range(nrows)])
+                for twist in range(f.e + 1):
+                    gm = gram(g, twist)
+                    assert (gm.nrows, gm.ncols) == (nrows, nrows)
+                    for r in range(nrows):
+                        for s in range(nrows):
+                            acc = 0
+                            for j in range(ncols):
+                                acc = f.add(acc, f.mul(g.entry(r, j), f.frobenius(g.entry(s, j), twist)))
+                            assert gm.entry(r, s) == acc
 
 
 class TestMinorDet:
