@@ -148,6 +148,9 @@ def _cmd_construct(args: SimpleNamespace) -> int:
         raise BadLError("the Galois mode requires a twist l")
     alpha, out, cert = construct.ring_lcd_equivalent(code, args.l or 0, args.seed)
     flag, dets = out.lcd_status(cert.l)
+    # checked before anything is printed or written, so exit 3 leaves no file
+    if not flag:
+        raise ConsistencyError("construction produced a non-LCD code")
     report = {
         "version": codefile.FORMAT_VERSION,
         "mode": args.mode,
@@ -172,8 +175,6 @@ def _cmd_construct(args: SimpleNamespace) -> int:
     _write_text(args.output, codefile.dumps(codefile.code_document(out)))
     if args.json:
         _write_text(args.json, codefile.dumps(report))
-    if not flag:
-        raise ConsistencyError("construction produced a non-LCD code")
     return 0
 
 

@@ -27,6 +27,12 @@ component matrices are built, so every entry is checked, before any is
 reduced.  The writer emits the one form the CLI needs: components, in the
 gamma basis.
 
+``dumps`` writes every document the CLI writes, byte for byte as
+``json.dumps(doc, indent=2)`` plus a newline.  With an indent, json's
+encoder runs in Python, one call per matrix entry; ``dumps`` joins each
+list of plain ints in C with ``int.__repr__`` and leaves strings, floats,
+bools and None to json's C encoder.
+
 The expanded image of a ring code is written as a field code:
 
     {"kind": "field", "field": {...}, "n": 8, "rows": [[...], ...]}
@@ -167,5 +173,31 @@ def field_code_document(code: FqCode) -> dict[str, Any]:
     }
 
 
+_encode = json.JSONEncoder().encode
+
+
+def _write(v: Any, pad: str) -> str:
+    """``v`` as ``json.dumps(v, indent=2)`` writes it at the indent ``pad`` (a newline and spaces)."""
+    if isinstance(v, (list, tuple)):
+        if not v:
+            return "[]"
+        inner = pad + "  "
+        # bools are ints to isinstance, but json writes them as true/false
+        items = map(int.__repr__, v) if set(map(type, v)) == {int} else (_write(x, inner) for x in v)
+        return f"[{inner}{(',' + inner).join(items)}{pad}]"
+    if isinstance(v, dict):
+        if not v:
+            return "{}"
+        inner = pad + "  "
+        parts = []
+        for key, x in v.items():
+            if not isinstance(key, str):
+                raise TypeError(f"document keys must be str, not {type(key).__name__}")
+            parts.append(f"{_encode(key)}: {_write(x, inner)}")
+        return f"{{{inner}{(',' + inner).join(parts)}{pad}}}"
+    return _encode(v)
+
+
 def dumps(doc: dict[str, Any]) -> str:
-    return json.dumps(doc, indent=2) + "\n"
+    """``doc`` as ``json.dumps(doc, indent=2)`` writes it, plus a newline; keys must be str."""
+    return _write(doc, "\n") + "\n"

@@ -4,11 +4,16 @@ A code is its unique reduced row echelon generator matrix, which also
 gives its field and length, so two objects describe the same code
 exactly when they compare equal.
 Only ``from_rows`` eliminates; a code derived from an RREF generator is
-written straight into RREF, and the constructor checks the form and
-records the pivot columns.  Each code object computes one kernel, its
-Euclidean dual, memoized: one row e_f - sum_i G[i][f] * e_(p_i) per free
-column f, written from the generator and its pivots p_i and reduced by
-``from_rows``.  The l-dual is that dual's entrywise (p^(e-l))-power, since
+written straight into RREF.  The public constructor ``FqCode(gen)``
+checks that form and records the pivot columns.  A code the package
+derives is built by ``FqCode._derived`` from pivots the derivation
+already knows, without that scan: ``rref``'s own pivots in
+``from_rows``, the dual's pivots for its Frobenius images (F fixes 0 and
+1), G's pivots for a column scaling whose rows are divided by their pivot
+factors, and 4c + i for a Gray image.
+Each code object computes one kernel, its Euclidean dual, memoized: one
+row e_f - sum_i G[i][f] * e_(p_i) per free column f, written from the
+generator and its pivots p_i and reduced by ``from_rows``.  The l-dual is that dual's entrywise (p^(e-l))-power, since
 y lies in the l-dual iff F^l(y) lies in the Euclidean dual, and F maps
 RREF onto RREF.
 Hull predicates never build the dual: they read the k-by-k twisted Gram
@@ -100,7 +105,8 @@ class FqCode(Value):
     """An [n, k] linear code over GF(q): its RREF generator ``gen``.
 
     The field and the length n are the generator's.  ``pivots`` holds its
-    pivot columns, found by the constructor's RREF check.  ``_dist``
+    pivot columns, found by the constructor's RREF check or handed over by
+    the derivation that built the code (``_derived``).  ``_dist``
     caches the minimum distance, ``_dual`` the Euclidean dual and
     ``_grams`` maps each twist l to (P, rank P, det P).  None of these
     takes part in equality, hashing or the repr.
@@ -115,10 +121,6 @@ class FqCode(Value):
     _grams: dict[int, tuple[Matrix, int, int]]
 
     def __init__(self, gen: Matrix) -> None:
-        object.__setattr__(self, "gen", gen)
-        object.__setattr__(self, "_dist", None)
-        object.__setattr__(self, "_dual", None)
-        object.__setattr__(self, "_grams", {})
         pivots, last = [], -1
         for r, row in enumerate(gen.rows):
             c = next((c for c, v in enumerate(row) if v), None)
@@ -132,7 +134,26 @@ class FqCode(Value):
             for r, row in enumerate(gen.rows):
                 if at_pivots(row).count(0) != k - 1:
                     raise MismatchError(f"generator row {r} breaks reduced row echelon form")
-        object.__setattr__(self, "pivots", tuple(pivots))
+        self._fill(gen, tuple(pivots))
+
+    def _fill(self, gen: Matrix, pivots: tuple[int, ...]) -> None:
+        object.__setattr__(self, "gen", gen)
+        object.__setattr__(self, "pivots", pivots)
+        object.__setattr__(self, "_dist", None)
+        object.__setattr__(self, "_dual", None)
+        object.__setattr__(self, "_grams", {})
+
+    @classmethod
+    def _derived(cls, gen: Matrix, pivots: tuple[int, ...]) -> "FqCode":
+        """The code of an RREF generator a derivation built, with the pivots it already knows.
+
+        Only a derivation inside the package calls this, on a generator in
+        RREF whose row r leads at ``pivots[r]``; the constructor's scan
+        would find the same pivots.
+        """
+        c = object.__new__(cls)
+        c._fill(gen, pivots)
+        return c
 
     @classmethod
     def from_rows(cls, field: GF, n: int, rows: Sequence[Sequence[int]] | Matrix) -> "FqCode":
@@ -141,8 +162,8 @@ class FqCode(Value):
         m = rows if isinstance(rows, Matrix) else Matrix.from_rows(field, rows, ncols=n)
         if m.field != field or m.ncols != n:
             raise MismatchError(f"a {m.ncols}-column matrix over {m.field!r} for a length-{n} code over {field!r}")
-        reduced, rk, _ = rref(m)
-        return cls(Matrix(field, n, reduced.rows[:rk]))
+        reduced, rk, pivots = rref(m)
+        return FqCode._derived(Matrix._derived(field, n, reduced.rows[:rk]), pivots)
 
     @classmethod
     def zero(cls, field: GF, n: int) -> "FqCode":
@@ -192,15 +213,17 @@ class FqCode(Value):
             mate = self._grams.get(m % f.e)
             if mate is None:
                 free = sorted(set(range(self.n)) - set(self.pivots))
-                rows = gram(Matrix(f, len(free), [[row[c] for c in free] for row in self.gen.rows]), m).to_rows()
+                a = Matrix._derived(f, len(free), [[row[c] for c in free] for row in self.gen.rows])
+                rows = gram(a, m).to_rows()
                 for i, row in enumerate(rows):
                     row[i] = f.add(row[i], 1)
-                p = Matrix(f, self.k, rows)
+                p = Matrix._derived(f, self.k, rows)
                 pivots, d = _eliminate(f, rows)
                 facts = (p, len(pivots), d)
             else:
                 p, r, d = mate
-                facts = (Matrix(f, p.nrows, [f.frobenius_row(c, m) for c in zip(*p.rows)]), r, f.frobenius(d, m))
+                pt = Matrix._derived(f, p.nrows, [f.frobenius_row(c, m) for c in zip(*p.rows)])
+                facts = (pt, r, f.frobenius(d, m))
             self._grams[l] = facts
         return facts
 
@@ -224,14 +247,14 @@ class FqCode(Value):
                 for p, x in zip(pivots, cols[c]):
                     v[p] = neg(x)
                 rows.append(v)
-            dual = FqCode.from_rows(f, n, rows)
+            dual = FqCode.from_rows(f, n, Matrix._derived(f, n, rows))
             # free-column rows are independent, so no rank can be lost
             if dual.k != len(rows):
                 raise ConsistencyError(f"kernel basis of {len(rows)} vectors has rank {dual.k}")
             object.__setattr__(self, "_dual", dual)
         if m == f.e:
             return dual
-        return FqCode(Matrix(f, n, [f.frobenius_row(row, m) for row in dual.gen.rows]))
+        return FqCode._derived(Matrix._derived(f, n, [f.frobenius_row(row, m) for row in dual.gen.rows]), dual.pivots)
 
     def hull_dim(self, l: int = 0) -> int:
         """dim Hull_l = k - rank(P): the hull is {u*G : u*P = 0}."""
@@ -369,4 +392,4 @@ class FqCode(Value):
         for row, c in zip(self.gen.rows, self.pivots):
             s = f.inv(factors[c])
             rows.append([mul(mul(v, a), s) for v, a in zip(row, factors)])
-        return FqCode(Matrix(f, self.n, rows))
+        return FqCode._derived(Matrix._derived(f, self.n, rows), self.pivots)

@@ -11,6 +11,13 @@ entry is one ``dot`` of two rows, and every elimination step is one
 ``sub_scaled`` row update.  One forward elimination (``_eliminate``) is
 the only Gauss loop: it gives pivot columns and the determinant together,
 and ``rref`` is that pass plus a back-substitution.
+
+A matrix built from outside data, through ``Matrix(...)``,
+``Matrix.from_rows`` or ``Matrix.zero``, has its width and every entry
+checked.  A matrix computed here from valid ones (``rref``'s reduced
+form, ``gram``'s product) is stored by ``Matrix._derived`` without the
+checks: field operations on field elements give field elements, and each
+derivation writes rows of the width it states.
 """
 
 from __future__ import annotations
@@ -31,7 +38,11 @@ def _index(i: int, bound: int, what: str) -> int:
 
 
 class Matrix(Value):
-    """A matrix over a finite field: its width ``ncols`` and a tuple of rows, each ``ncols`` entries."""
+    """A matrix over a finite field: its width ``ncols`` and a tuple of rows, each ``ncols`` entries.
+
+    The constructor checks the width and each entry (``__post_init__``);
+    ``_derived`` stores a matrix computed from valid ones without them.
+    """
 
     __slots__ = ("field", "ncols", "rows")
     _key = attrgetter("field", "ncols", "rows")
@@ -40,10 +51,27 @@ class Matrix(Value):
     rows: tuple[tuple[int, ...], ...]
 
     def __init__(self, field: GF, ncols: int, rows: Iterable[Iterable[int]]) -> None:
+        self._fill(field, ncols, rows)
+        self.__post_init__()
+
+    def _fill(self, field: GF, ncols: int, rows: Iterable[Iterable[int]]) -> None:
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "ncols", ncols)
         object.__setattr__(self, "rows", tuple(map(tuple, rows)))
-        self.__post_init__()
+
+    @classmethod
+    def _derived(cls, field: GF, ncols: int, rows: Iterable[Iterable[int]]) -> "Matrix":
+        """The matrix of ``rows`` computed from valid matrices, stored without the entry checks.
+
+        Only a derivation inside the package calls this: its rows are
+        ``ncols`` wide and hold results of ``field``'s operations on its
+        elements, so they would pass every check.  The rows are copied into
+        tuples like the constructor's, so the caller may go on to overwrite
+        its lists.
+        """
+        m = object.__new__(cls)
+        m._fill(field, ncols, rows)
+        return m
 
     def __repr__(self) -> str:
         return f"Matrix(field={self.field!r}, ncols={self.ncols!r}, rows={self.rows!r})"
@@ -162,7 +190,7 @@ def rref(m: Matrix) -> tuple[Matrix, int, tuple[int, ...]]:
             row = rows[i]
             if row[c]:
                 row[c:] = sub_scaled(row[c:], row[c], tail)
-    return Matrix(f, m.ncols, rows), len(pivots), pivots
+    return Matrix._derived(f, m.ncols, rows), len(pivots), pivots
 
 
 def rank(m: Matrix) -> int:
@@ -189,10 +217,12 @@ def gram(g: Matrix, m: int) -> Matrix:
     twisted = [f.frobenius_row(row, m) for row in g.rows]
     dot = f.dot
     if 2 * m % f.e:
-        return Matrix(f, g.nrows, [[dot(a, b) for b in twisted] for a in g.rows])
+        return Matrix._derived(f, g.nrows, [[dot(a, b) for b in twisted] for a in g.rows])
     upper = [[dot(a, b) for b in twisted[i:]] for i, a in enumerate(g.rows)]
     lower = [f.frobenius_row(u, m) for u in upper]  # lower[j][i - j] is entry (i, j)
-    return Matrix(f, g.nrows, [[c[i - j] for j, c in enumerate(lower[:i])] + u for i, u in enumerate(upper)])
+    return Matrix._derived(
+        f, g.nrows, [[c[i - j] for j, c in enumerate(lower[:i])] + u for i, u in enumerate(upper)]
+    )
 
 
 def minor_det(p: Matrix, drop: Iterable[int]) -> int:

@@ -180,7 +180,8 @@ class RCode(Value):
         Hamming distance is the Lee distance of the source.  A row of
         component i is written straight into positions 4j + i, which is
         what ``ring.gray`` makes of that row embedded in slot i.  Components
-        share no position, so sorted by pivot (4c + i) the rows are in RREF.
+        share no position, so sorted by pivot (4c + i) the rows are in RREF,
+        and those keys are the image's pivots.
         """
         width, keyed = 4 * self.n, []
         for i, comp in enumerate(self.comps):
@@ -189,7 +190,8 @@ class RCode(Value):
                 row[i::4] = gen_row
                 keyed.append((4 * c + i, row))
         keyed.sort()
-        return FqCode(Matrix(self.field, width, [row for _, row in keyed]))
+        pivots, rows = zip(*keyed) if keyed else ((), ())
+        return FqCode._derived(Matrix._derived(self.field, width, rows), pivots)
 
     def scale(self, alpha: Sequence[RingElement]) -> "RCode":
         """Entrywise multiplication by a vector of units."""

@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import lcdring
-from lcdring import fqcode, linalg
+from lcdring import construct, fqcode, linalg
 from lcdring.cli import COMMANDS, main, parse_args
 from lcdring.codefile import parse_code
 from support import build_parser
@@ -309,6 +309,25 @@ def test_kernel_invariant_failure_exits_3(line_path, monkeypatch, capsys):
     monkeypatch.setattr(fqcode, "rref", kernel_rref_reporting_one_rank_too_few)
     assert main(["dual", line_path]) == 3
     assert "internal consistency failure: kernel basis" in capsys.readouterr().err
+
+
+def test_non_lcd_construction_exits_3_before_any_output(line_path, tmp_path, monkeypatch, capsys):
+    real = construct.ring_lcd_equivalent
+
+    def construction_then_non_lcd(*args):
+        result = real(*args)
+        # from here on every ring code reports a singular Gram matrix
+        monkeypatch.setattr(lcdring.RCode, "lcd_status", lambda self, l=0: (False, (0, 0, 0, 0)))
+        return result
+
+    monkeypatch.setattr(construct, "ring_lcd_equivalent", construction_then_non_lcd)
+    code_path, report_path = tmp_path / "out.json", tmp_path / "report.json"
+    argv = ["construct-lcd", line_path, "--mode", "euclid", "-o", str(code_path), "--json", str(report_path)]
+    assert main(argv) == 3
+    out, err = capsys.readouterr()
+    assert "internal consistency failure: construction produced a non-LCD code" in err
+    assert out == ""
+    assert not code_path.exists() and not report_path.exists()
 
 
 def test_verify_agrees(line_path, gf9_path, capsys):

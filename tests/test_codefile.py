@@ -1,10 +1,13 @@
 """The JSON code-file format."""
 
 import json
+import pathlib
 import random
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lcdring import GF, FqCode, RCode, linalg
 from lcdring.codefile import (
@@ -271,3 +274,40 @@ def test_field_code_document_shape():
     assert len(doc["rows"]) == 4
     with pytest.raises(ParseError):
         parse_code(json.dumps(doc))
+
+
+# json.dumps(doc, indent=2) is the reference the writer must match byte for byte
+ODD_TEXT = st.text(alphabet='"\\/\x00\x01\x1f\x7f\u00e9\u2028\U0001f600ab')
+TEXT = st.text() | ODD_TEXT
+INTS = st.integers() | st.integers(-(10**400), 10**400)
+LEAVES = (
+    st.none() | st.booleans() | INTS | st.floats() | TEXT
+    | st.lists(INTS) | st.lists(INTS | st.booleans())
+)
+VALUES = st.recursive(
+    LEAVES,
+    lambda inner: st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(TEXT, inner, max_size=4),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.dictionaries(TEXT, VALUES, max_size=5))
+def test_dumps_matches_json_indent_2(doc):
+    assert dumps(doc) == json.dumps(doc, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("key", [1, 1.5, True, None, (1,)])
+def test_dumps_refuses_keys_other_than_str(key):
+    with pytest.raises(TypeError):
+        dumps({"ok": [1], "nested": {key: 0}})
+
+
+GOLDEN_JSON = sorted((pathlib.Path(__file__).parent / "golden").glob("*.json"))
+
+
+@pytest.mark.parametrize("path", GOLDEN_JSON, ids=lambda p: p.name)
+def test_dumps_rewrites_every_golden_document(path):
+    text = path.read_text(encoding="utf-8")
+    assert dumps(json.loads(text)) == text
