@@ -66,8 +66,8 @@ def _predicate_block(code: RCode, ls: list[int]) -> list[dict[str, Any]]:
 
 def _analysis(code: RCode, ls: list[int], cap: int) -> dict[str, Any]:
     params = code.params(cap)
-    bound_x4 = 4 * code.n - code.k + 4
-    mds = None if params.d_lee is None else 4 * params.d_lee == bound_x4
+    # every component distance is memoized once d_lee is known, so is_mds walks nothing
+    mds = None if params.d_lee is None else code.is_mds(cap)
     return {
         "version": codefile.FORMAT_VERSION,
         "field": codefile.field_document(code.field),
@@ -75,7 +75,7 @@ def _analysis(code: RCode, ls: list[int], cap: int) -> dict[str, Any]:
         "k": code.k,
         "components": [list(t) for t in params.components],
         "d_lee": params.d_lee,
-        "singleton_bound_x4": bound_x4,
+        "singleton_bound_x4": 4 * code.n - code.k + 4,
         "mds": mds,
         "predicates": _predicate_block(code, ls),
     }

@@ -22,7 +22,9 @@ The reader checks the document's shape: JSON types and keys, the length
 and row caps, row widths and the 4-lists of generator entries.  The values
 are checked once, by the constructors it calls: ``GF`` for the field,
 ``Matrix`` for component entries and ``RingElement`` for generator
-entries, whose ``ValueError`` it re-raises as ``ParseError``.  All four
+entries, whose ``ValueError`` it re-raises as ``ParseError``;
+``RCode.from_generators`` does not check the generators' slot rows
+again.  All four
 component matrices are built, so every entry is checked, before any is
 reduced.  The writer emits the one form the CLI needs: components, in the
 gamma basis.

@@ -214,14 +214,20 @@ def _factors(field: GF, b_exp: int) -> list[int]:
     return [x for x in field.units() if x not in roots]
 
 
-def _scaling(
-    code: FqCode, l: int, beta: int | None, seed: int | None
+def galois_lcd_scaling(
+    code: FqCode, l: int, seed: int | None = None
 ) -> tuple[tuple[int, ...], FqCode, FieldScalingCertificate]:
+    """A nonzero column scaling making the code LCD for the twist l.
+
+    Perturbation entries are a_j^(p^(e-l)+1) - 1, which vanish exactly on
+    the (p^(e-l)+1)-th roots of unity; factors are drawn from the other
+    units.  l = 0 is the Euclidean twist.
+    """
     f = code.field
+    beta = _beta(f, l)
     if code.k == 0:
         raise ZeroCodeError("nothing to scale in the zero code")
-    m = f.e - l
-    b_exp = f.p**m + 1
+    b_exp = f.p ** code._twist(l) + 1
     # code.gen is the RREF generator: column pivots[j] is the unit vector e_j
     pivots = code.pivots
     p = code._gram(l)
@@ -271,18 +277,6 @@ def euclid_lcd_scaling(
     return galois_lcd_scaling(code, 0, seed)
 
 
-def galois_lcd_scaling(
-    code: FqCode, l: int, seed: int | None = None
-) -> tuple[tuple[int, ...], FqCode, FieldScalingCertificate]:
-    """A nonzero column scaling making the code LCD for the twist l.
-
-    Perturbation entries are a_j^(p^(e-l)+1) - 1, which vanish exactly on
-    the (p^(e-l)+1)-th roots of unity; factors are drawn from the other
-    units.  l = 0 is the Euclidean twist.
-    """
-    return _scaling(code, l, _beta(code.field, l), seed)
-
-
 def ring_lcd_equivalent(
     code: RCode, l: int = 0, seed: int | None = None
 ) -> tuple[tuple[RingElement, ...], RCode, RingScalingCertificate]:
@@ -298,10 +292,10 @@ def ring_lcd_equivalent(
     f = code.field
     beta = _beta(f, l)
 
-    # the P each is_lcd builds is memoized on comp, so _scaling reuses it
+    # the P each is_lcd builds is memoized on comp, so galois_lcd_scaling reuses it
     slot_alphas, comps, certs = zip(*(
         ((1,) * code.n, comp, None) if comp.is_lcd(l)
-        else _scaling(comp, l, beta, seed)
+        else galois_lcd_scaling(comp, l, seed)
         for comp in code.comps
     ))
     alpha = tuple(RingElement(f, g) for g in zip(*slot_alphas))

@@ -59,7 +59,3 @@ class ParseError(LcdringError):
 
 class ConsistencyError(LcdringError):
     """An internal cross-check failed; indicates a bug."""
-
-
-class NonIntegralLogError(ConsistencyError):
-    """A codeword count was not a power of q."""

@@ -30,13 +30,6 @@ from .gf import GF
 from .value import Value
 
 
-def _index(i: int, bound: int, what: str) -> int:
-    """``i`` itself when it is a plain int in [0, bound), else a ``MismatchError``."""
-    if type(i) is not int or not 0 <= i < bound:
-        raise MismatchError(f"{what} index {i!r} outside [0, {bound})")
-    return i
-
-
 class Matrix(Value):
     """A matrix over a finite field: its width ``ncols`` and a tuple of rows, each ``ncols`` entries.
 
@@ -109,15 +102,10 @@ class Matrix(Value):
     def nrows(self) -> int:
         return len(self.rows)
 
-    def entry(self, r: int, c: int) -> int:
-        return self.rows[_index(r, self.nrows, "row")][_index(c, self.ncols, "column")]
-
     def row(self, r: int) -> tuple[int, ...]:
-        return self.rows[_index(r, self.nrows, "row")]
-
-    def col(self, c: int) -> tuple[int, ...]:
-        c = _index(c, self.ncols, "column")
-        return tuple(row[c] for row in self.rows)
+        if type(r) is not int or not 0 <= r < self.nrows:
+            raise MismatchError(f"row index {r!r} outside [0, {self.nrows})")
+        return self.rows[r]
 
     def to_rows(self) -> list[list[int]]:
         """A fresh list of list rows, for elimination to overwrite."""

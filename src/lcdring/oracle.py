@@ -28,7 +28,7 @@ from functools import reduce
 from itertools import product, repeat
 from typing import Iterable, Iterator, Sequence, Union
 
-from .errors import CapExceededError, MismatchError, NonIntegralLogError, ZeroCodeError
+from .errors import CapExceededError, ConsistencyError, MismatchError, ZeroCodeError
 from .fqcode import FqCode, count_text
 from .rcode import RCode
 from .ring import RingElement
@@ -172,5 +172,5 @@ def hull_dim(code: Code, l: int, budget: int = DEFAULT_BUDGET) -> int:
         rest //= f.q
         h += 1
     if rest != 1:
-        raise NonIntegralLogError(f"hull count {hits} is not a power of q = {f.q}")
+        raise ConsistencyError(f"hull count {hits} is not a power of q = {f.q}")
     return h

@@ -52,7 +52,11 @@ class RCode(Value):
 
         R-scalars reach each idempotent slot independently, so the i-th
         component is simply the F_q-span of the slot-i coordinate rows.
+        Each ``RingElement`` checked its coordinates, so the slot matrices
+        are stored without checking them again.
         """
+        if type(n) is not int or n < 0:
+            raise ValueError(f"column count {n!r} is not a non-negative int")
         for row in rows:
             if len(row) != n:
                 raise MismatchError(f"generator of width {len(row)} in a length-{n} code")
@@ -60,7 +64,7 @@ class RCode(Value):
                 if x.field != field:
                     raise MismatchError("generator entry from a different field")
         return cls(
-            FqCode.from_rows(field, n, [[x.g[i] for x in row] for row in rows])
+            FqCode.from_rows(field, n, Matrix._derived(field, n, [[x.g[i] for x in row] for row in rows]))
             for i in range(4)
         )
 

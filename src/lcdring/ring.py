@@ -96,9 +96,6 @@ class RingElement(Value):
     def from_u(cls, field: GF, quad: Sequence[int]) -> "RingElement":
         return cls(field, u_to_gamma(field, quad))
 
-    def to_u(self) -> tuple[int, int, int, int]:
-        return gamma_to_u(self.field, self.g)
-
     # -- predicates ---------------------------------------------------------
 
     @property

@@ -1,5 +1,6 @@
 """Shared test helpers: random codes, every code of a small space, an identity matrix, a reference
-matrix product and kernel, a Gray-walk step counter, and CLI parser."""
+matrix product and kernel, a reference ring in the (1, u, v, uv) basis, a Gray-walk step counter,
+and CLI parser."""
 
 from __future__ import annotations
 
@@ -72,10 +73,42 @@ def matmul(a: Matrix, b: Matrix) -> Matrix:
         for c in range(b.ncols):
             acc = 0
             for j in range(a.ncols):
-                acc = f.add(acc, f.mul(a.entry(r, j), b.entry(j, c)))
+                acc = f.add(acc, f.mul(a.rows[r][j], b.rows[j][c]))
             out[r].append(acc)
     return Matrix(f, b.ncols, out)
 
+
+# The paper's own coordinates: (a, b, c, d) is a + bu + cv + duv, multiplied by the
+# written-out table below, with no RingElement arithmetic and no u_to_gamma, so a code
+# built through the idempotent decomposition can be checked against its definition.
+# U_TABLE[i][j] is basis[i] * basis[j] for basis = (1, u, v, uv), by u^2 = u, v^2 = v, uv = vu.
+U_TABLE = (
+    (0, 1, 2, 3),  # 1 * (1, u, v, uv) = (1, u, v, uv)
+    (1, 1, 3, 3),  # u * (1, u, v, uv) = (u, u, uv, uv)
+    (2, 3, 2, 3),  # v * (1, u, v, uv) = (v, uv, v, uv)
+    (3, 3, 3, 3),  # uv * (1, u, v, uv) = (uv, uv, uv, uv)
+)
+
+
+def u_mul(field: GF, x: tuple[int, ...], y: tuple[int, ...]) -> tuple[int, ...]:
+    """The product of two u-basis quadruples."""
+    out = [0, 0, 0, 0]
+    for i, a in enumerate(x):
+        for j, b in enumerate(y):
+            s = U_TABLE[i][j]
+            out[s] = field.add(out[s], field.mul(a, b))
+    return tuple(out)
+
+
+def u_span(field: GF, gens: list[list[tuple[int, ...]]]) -> set[tuple[tuple[int, ...], ...]]:
+    """Every sum of r_i * g_i over r_i in R, for one or more rows of u-basis quadruples."""
+    add = field.add
+    ring = list(itertools.product(range(field.q), repeat=4))
+    span = {((0, 0, 0, 0),) * len(gens[0])}
+    for g in gens:
+        multiples = {tuple(u_mul(field, r, x) for x in g) for r in ring}
+        span = {tuple(tuple(map(add, a, b)) for a, b in zip(w, m)) for w in span for m in multiples}
+    return span
 
 class WalkSteps:
     """Counts the work of distance walks by wrapping ``fqcode._projective_steps``.
@@ -111,7 +144,7 @@ def nullspace_basis(m: Matrix) -> Matrix:
         v = [0] * m.ncols
         v[fc] = 1
         for i, pc in enumerate(pivots):
-            v[pc] = f.neg(r.entry(i, fc))
+            v[pc] = f.neg(r.rows[i][fc])
         rows.append(v)
     basis = Matrix.from_rows(f, rows, ncols=m.ncols)
     canon, nullity, _ = rref(basis)

@@ -3,6 +3,7 @@
 import io
 import json
 import pathlib
+import random
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -12,10 +13,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import lcdring
-from lcdring import construct, fqcode, linalg
-from lcdring.cli import COMMANDS, main, parse_args
+from lcdring import GF, FqCode, RCode, construct, fqcode, linalg, oracle
+from lcdring.cli import COMMANDS, _analysis, main, parse_args
 from lcdring.codefile import parse_code
-from support import build_parser
+from support import build_parser, random_fqcode, random_rcode
 
 SAMPLES = sorted((pathlib.Path(__file__).parent.parent / "sample_codes").glob("*.json"))
 
@@ -62,6 +63,29 @@ def test_analyze_json_report(line_path, tmp_path, capsys):
     assert report["d_lee"] == 2
     assert report["predicates"][0]["lcd"] is False
     assert report["predicates"][0]["self_dual"] is True
+
+
+@pytest.mark.parametrize("field", [GF(2, 2), GF(5), GF(7)], ids=lambda f: f"GF({f.q})")
+def test_analysis_mds_agrees_with_the_oracle(field):
+    """``mds`` is the Singleton test on the enumerated Lee distance, and unknown when a distance is."""
+    rng = random.Random(field.q)
+    seen = set()
+    for trial in range(40):
+        n = rng.randint(1, 4)
+        if trial % 2:  # four equal components: the only way over R to reach the bound
+            rc = RCode([random_fqcode(rng, field, n, rng.randint(1, min(n, 2)))] * 4)
+        else:
+            rc = random_rcode(rng, field, n, 2)
+        if rc.k == 0 or rc.size > 20_000:
+            continue
+        mds = _analysis(rc, [0], fqcode.DEFAULT_ENUM_CAP)["mds"]
+        assert mds == (4 * oracle.min_distance(rc) == 4 * n - rc.k + 4)
+        seen.add(mds)
+        # a fresh copy has no memoized distances, so a cap below one component's q^k leaves them unknown
+        fresh = RCode(FqCode(c.gen) for c in rc.comps)
+        assert _analysis(fresh, [0], field.q ** max(c.k for c in rc.comps) - 1)["mds"] is None
+    assert seen == {True, False}
+    assert _analysis(RCode.zero(field, 3), [0], fqcode.DEFAULT_ENUM_CAP)["mds"] is None
 
 
 def test_analyze_repeated_l_reports_each_twist_once(gf9_path, tmp_path, capsys):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lcdring import GF, FqCode, RCode, linalg
+from lcdring import GF, FqCode, RCode, gamma_to_u, linalg
 from lcdring.codefile import (
     MAX_LENGTH,
     code_document,
@@ -239,7 +239,7 @@ def generator_document(rc, basis):
     """A generators document for ``rc``: one ring row per component row, entries in ``basis``."""
     doc = {k: v for k, v in code_document(rc).items() if k != "components"}
     doc["basis"] = basis
-    doc["generators"] = [[list(x.to_u() if basis == "u" else x.g) for x in row]
+    doc["generators"] = [[list(gamma_to_u(rc.field, x.g) if basis == "u" else x.g) for x in row]
                          for row in rc.generator_rows()]
     return doc
 

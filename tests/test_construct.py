@@ -415,7 +415,7 @@ class TestRingLevel:
     def test_assembles_the_checked_components(self, monkeypatch):
         """The output holds the field construction's scaled codes themselves; nothing is rescaled."""
         scaled = {}
-        real = construct._scaling
+        real = construct.galois_lcd_scaling
 
         def recording(comp, *rest):
             scaled[id(comp)] = real(comp, *rest)
@@ -424,7 +424,7 @@ class TestRingLevel:
         def no_rescale(self, alpha):
             raise AssertionError("ring_lcd_equivalent rescaled the input code")
 
-        monkeypatch.setattr(construct, "_scaling", recording)
+        monkeypatch.setattr(construct, "galois_lcd_scaling", recording)
         monkeypatch.setattr(RCode, "scale", no_rescale)
         rng = random.Random(47)
         runs = []

@@ -9,13 +9,16 @@ constructors.
 """
 
 import ast
+import json
 import pathlib
+import random
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lcdring
-from lcdring import GF, FqCode, Matrix, RCode, gram, rref
+from lcdring import GF, FqCode, Matrix, RCode, RingElement, gram, rref
+from lcdring.codefile import code_document, parse_code
 
 FIELDS = [GF(2), GF(3), GF(2, 2), GF(5), GF(2, 3), GF(3, 2), GF(7), GF(2, 4)]
 
@@ -79,6 +82,7 @@ PRIVATE_CONSTRUCTION_SITES = {
     ("fqcode", "FqCode.galois_dual", "FqCode._derived"),
     ("fqcode", "FqCode.scale", "Matrix._derived"),
     ("fqcode", "FqCode.scale", "FqCode._derived"),
+    ("rcode", "RCode.from_generators", "Matrix._derived"),
     ("rcode", "RCode.gray_image", "Matrix._derived"),
     ("rcode", "RCode.gray_image", "FqCode._derived"),
 }
@@ -107,3 +111,28 @@ def _private_construction_sites():
 
 def test_private_constructors_are_called_only_by_derivations():
     assert _private_construction_sites() == PRIVATE_CONSTRUCTION_SITES
+
+
+def test_generator_slots_are_checked_once(monkeypatch):
+    """Generator rows are checked by their ``RingElement``s only; a components document by its four matrices."""
+    f = GF(5)
+    rng = random.Random(3)
+    rows = [[RingElement(f, [rng.randrange(5) for _ in range(4)]) for _ in range(6)] for _ in range(5)]
+    checked = []
+    real = Matrix.__post_init__
+
+    def counted(self):
+        checked.append(self.nrows)
+        real(self)
+
+    monkeypatch.setattr(Matrix, "__post_init__", counted)
+    rc = RCode.from_generators(f, 6, rows)
+    assert checked == []
+    doc = code_document(rc)
+    assert parse_code(json.dumps(doc)) == rc
+    assert checked == [c.k for c in rc.comps]
+    checked.clear()
+    del doc["components"]
+    doc["generators"] = [[list(x.g) for x in row] for row in rows]
+    assert parse_code(json.dumps(doc)) == rc
+    assert checked == []

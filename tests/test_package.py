@@ -125,8 +125,8 @@ def test_codefile_checks_only_the_shape():
 
 
 def test_matrix_rows_are_read_directly():
-    """No module reads a flat ``entries`` or calls ``Matrix.col``: columns come from one
-    ``zip(*rows)`` transpose, where a ``col()`` per column walks every row once per column."""
+    """No module reads a flat ``entries`` or calls a ``col`` accessor: columns come from one
+    ``zip(*rows)`` transpose, where a call per column would walk every row once per column."""
     entries = []
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
@@ -134,6 +134,53 @@ def test_matrix_rows_are_read_directly():
                     if isinstance(node, ast.Attribute) and node.attr == "entries"]
     assert entries == []
     assert _call_sites("col") == []
+
+
+# Functions and methods that nothing in src/lcdring reaches, each with the reason it stays.
+KEPT = {
+    "error": "argparse's hook, overridden in cli so a usage error exits 1",
+    "format_help": "argparse's hook, overridden in cli to print the command table's help",
+    "one": "ring arithmetic, documented in README's Public API",
+    "scalar": "ring arithmetic, documented in README's Public API",
+    "idempotent": "ring arithmetic, documented in README's Public API",
+    "inverse": "ring arithmetic, documented in README's Public API",
+    "is_zero": "ring arithmetic, documented in README's Public API",
+    "elements": "a public view of GF that tests use as a reference",
+    "generator_rows": "a public view of RCode that tests use as a reference",
+    "row": "perfbench's tracer reads Matrix.row (ROADMAP item 1)",
+}
+
+
+def test_every_function_is_reached():
+    """Every function and method of src/lcdring, dunders aside, is referenced there or kept in ``KEPT``.
+
+    A method is referenced as an attribute or as a string that is an
+    identifier (a ``getattr``, an ``attrgetter``); a function also by its
+    bare name, and an ``__all__`` entry is such a string.  Like
+    ``_call_sites`` this matches by name alone, so a dead method that
+    shares its name with a live one (``RCode.zero`` with ``FqCode.zero``,
+    ``FqCode.is_mds`` with ``RCode.is_mds``) is not caught.
+    """
+    methods, functions, names, attrs = {}, {}, set(), set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        in_class = {id(fn) for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef) for fn in cls.body}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                if not (node.name.startswith("__") and node.name.endswith("__")):
+                    defs = methods if id(node) in in_class else functions
+                    defs.setdefault(node.name, f"{path.name}:{node.lineno}")
+            elif isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                attrs.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str) and node.value.isidentifier():
+                attrs.add(node.value)
+    unreached = {name: where for name, where in methods.items() if name not in attrs}
+    unreached |= {name: where for name, where in functions.items() if name not in attrs | names}
+    assert sorted(f"{where}: {name}" for name, where in unreached.items() if name not in KEPT) == []
+    # a kept name that became reachable, or was deleted, leaves KEPT too
+    assert sorted(set(KEPT) - set(unreached)) == []
 
 
 def test_every_error_class_is_raised():

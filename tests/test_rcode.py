@@ -6,11 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lcdring import GF, FqCode, RCode, RingElement
-from lcdring.ring import gray
+from lcdring import GF, FqCode, RCode, RingElement, oracle
+from lcdring.ring import gamma_to_u, gray
 from lcdring.errors import MismatchError, NotAUnitError, ZeroCodeError
 
-from support import identity, random_rcode
+from support import identity, random_rcode, u_mul, u_span
 
 F5 = GF(5)
 F9 = GF(3, 2, [1, 0, 1])
@@ -52,6 +52,23 @@ class TestConstruction:
             rc = random_rcode(rng, F9, rng.randint(1, 4), 2)
             again = RCode.from_generators(rc.field, rc.n, rc.generator_rows())
             assert again == rc
+
+    @pytest.mark.parametrize("n", [-1, True, 2.0])
+    def test_generator_length_checked(self, n):
+        with pytest.raises(ValueError, match="column count"):
+            RCode.from_generators(F5, n, [])
+
+    @pytest.mark.parametrize("field", [GF(2), GF(3), GF(2, 2)], ids=lambda f: f"GF({f.q})")
+    def test_span_in_u_coordinates(self, field):
+        """The R-span of the generators, multiplied out in the (1, u, v, uv) basis, is the
+        code ``from_generators`` builds through the idempotent slots, read back in u."""
+        assert u_mul(F5, (1, 1, 0, 0), (1, 1, 0, 0)) == (1, 3, 0, 0)  # (1 + u)^2 = 1 + 3u
+        rng = random.Random(field.q)
+        for n, count in ((1, 1), (2, 1), (1, 2), (2, 2)):
+            gens = [[tuple(rng.randrange(field.q) for _ in range(4)) for _ in range(n)] for _ in range(count)]
+            rc = RCode.from_generators(field, n, [[RingElement.from_u(field, x) for x in g] for g in gens])
+            words = [tuple(gamma_to_u(field, x.g) for x in w) for w in oracle.codewords(rc)]
+            assert len(words) == rc.size and set(words) == u_span(field, gens)
 
 
 class TestDual:
