@@ -25,7 +25,7 @@ from .errors import (
 )
 from .fqcode import DEFAULT_ENUM_CAP, count_text
 from .rcode import RCode
-from .ring import gamma_to_u, gray
+from .ring import gamma_to_u
 
 
 def _load(path: str) -> RCode:
@@ -222,7 +222,7 @@ def _cmd_verify(args: SimpleNamespace) -> int:
                 oracle.min_distance(comp, budget) == comp.min_dist(budget),
             )
     gray_code = code.gray_image()
-    enumerated = {gray(w) for w in oracle.codewords(code, budget)}
+    enumerated = set(oracle.expansions(code, budget))
     spanned = set(oracle.codewords(gray_code, budget))
     check("expansion image matches enumerated expansion", enumerated == spanned)
     for l in range(code.field.e):

@@ -54,6 +54,20 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+def _prime_divisors(n: int) -> list[int]:
+    """The distinct primes dividing n >= 1, ascending, by trial division up to sqrt(n)."""
+    out, r = [], 2
+    while r * r <= n:
+        if n % r == 0:
+            out.append(r)
+            while n % r == 0:
+                n //= r
+        r += 1
+    if n > 1:
+        out.append(n)
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Polynomial helpers over F_p.  Coefficient lists are little endian and
 # trimmed (no trailing zeros); [] is the zero polynomial.
@@ -225,7 +239,7 @@ class GF:
         p, e, q = self.p, self.e, self.q
         n = q - 1
         mod = list(self.modulus)
-        primes = [r for r in range(2, n + 1) if n % r == 0 and _is_prime(r)]
+        primes = _prime_divisors(n)
         g = next(
             g for g in range(p, q)
             if all(_ppowmod(self.coeffs(g), n // r, mod, p) != [1] for r in primes)

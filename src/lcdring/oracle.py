@@ -11,7 +11,9 @@ for a field word, one word of each of the four component codes for a ring
 word.  The ring pairing acts slotwise, so it vanishes exactly when every
 slot's field pairing does: a generator of slot code i pairs with slot i
 of a word alone.  The Lee weight counts nonzeros over all slots.  Ring
-words become ``RingElement``s only where ``codewords`` yields them.
+words become ``RingElement``s only where ``codewords`` yields them;
+``expansions`` reads the same slot words straight into each ring word's
+length-4n expansion, in the same order.
 
 Each oracle call decides every slot word once, then passes over every
 ring word.  Dual and hull checks share one count: how many words pair to
@@ -26,6 +28,7 @@ from __future__ import annotations
 
 from functools import reduce
 from itertools import product, repeat
+from operator import itemgetter
 from typing import Iterable, Iterator, Sequence, Union
 
 from .errors import CapExceededError, ConsistencyError, MismatchError, ZeroCodeError
@@ -88,6 +91,21 @@ def codewords(code: Code, budget: int = DEFAULT_BUDGET) -> Iterator:
     f = code.field
     comps = _slot_lists(code, budget)[::-1]  # slot 1 varies fastest
     return (tuple(RingElement(f, g) for g in zip(*s[::-1])) for s in product(*comps))
+
+
+def expansions(code: RCode, budget: int = DEFAULT_BUDGET) -> Iterator[Word]:
+    """The F_q^(4n) expansion of every ring word, in ``codewords`` order.
+
+    Entry j of slot i lands at position 4j + i, as ``ring.gray`` places it,
+    read with one ``itemgetter`` from the four slot words joined slot 4
+    first, the order ``product`` draws them in.  No ``RingElement`` is built.
+    """
+    n = code.n
+    comps = _slot_lists(code, budget)[::-1]  # slot 1 varies fastest
+    if n == 0:  # itemgetter needs an index; the one word is empty
+        return repeat((), code.size)
+    pick = itemgetter(*[(3 - i) * n + j for j in range(n) for i in range(4)])
+    return (pick(w4 + w3 + w2 + w1) for w4, w3, w2, w1 in product(*comps))
 
 
 def _slot_lists(code: Code, budget: int) -> list[Iterable[Word]]:

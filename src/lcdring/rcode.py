@@ -68,10 +68,6 @@ class RCode(Value):
             for i in range(4)
         )
 
-    @classmethod
-    def zero(cls, field: GF, n: int) -> "RCode":
-        return cls(FqCode.zero(field, n) for _ in range(4))
-
     # -- basic data ---------------------------------------------------------
 
     @property

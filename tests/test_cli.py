@@ -18,7 +18,8 @@ from lcdring.cli import COMMANDS, _analysis, main, parse_args
 from lcdring.codefile import parse_code
 from support import build_parser, random_fqcode, random_rcode
 
-SAMPLES = sorted((pathlib.Path(__file__).parent.parent / "sample_codes").glob("*.json"))
+SAMPLE_DIR = pathlib.Path(__file__).parent.parent / "sample_codes"
+SAMPLES = sorted(SAMPLE_DIR.glob("*.json"))
 
 LINE_FILE = {
     "field": {"p": 5, "e": 1},
@@ -85,7 +86,7 @@ def test_analysis_mds_agrees_with_the_oracle(field):
         fresh = RCode(FqCode(c.gen) for c in rc.comps)
         assert _analysis(fresh, [0], field.q ** max(c.k for c in rc.comps) - 1)["mds"] is None
     assert seen == {True, False}
-    assert _analysis(RCode.zero(field, 3), [0], fqcode.DEFAULT_ENUM_CAP)["mds"] is None
+    assert _analysis(RCode([FqCode.zero(field, 3)] * 4), [0], fqcode.DEFAULT_ENUM_CAP)["mds"] is None
 
 
 def test_analyze_repeated_l_reports_each_twist_once(gf9_path, tmp_path, capsys):
@@ -367,6 +368,40 @@ def test_verify_shipped_samples(sample, capsys):
     out = capsys.readouterr().out
     assert "all checks agree" in out
     assert "MISMATCH" not in out
+
+
+def test_verify_reports_a_wrong_expansion(monkeypatch, capsys):
+    """An image with two columns swapped fails the expansion check alone, and verify exits 3."""
+    real = RCode.gray_image
+
+    def swapped(self):
+        rows = [list(r) for r in real(self).gen.rows]
+        for r in rows:
+            r[0], r[4] = r[4], r[0]
+        return FqCode.from_rows(self.field, 4 * self.n, rows)
+
+    monkeypatch.setattr(RCode, "gray_image", swapped)
+    assert main(["verify", str(SAMPLE_DIR / "gf5_self_dual_line.json")]) == 3
+    out = capsys.readouterr().out
+    assert "expansion image matches enumerated expansion: MISMATCH" in out
+    assert out.count("MISMATCH") == 1
+    assert "1 check(s) failed" in out
+
+
+@pytest.mark.parametrize("name", ["gf5_self_dual_line.json", "gf9_twisted_hull.json"])
+def test_verify_builds_no_ring_element(name, monkeypatch, capsys):
+    """A code file of components goes through verify without one ``RingElement``."""
+    built = []
+    real = lcdring.RingElement.__init__
+
+    def counted(self, *args):
+        built.append(args)
+        real(self, *args)
+
+    monkeypatch.setattr(lcdring.RingElement, "__init__", counted)
+    assert main(["verify", str(SAMPLE_DIR / name)]) == 0
+    assert "all checks agree" in capsys.readouterr().out
+    assert built == []
 
 
 def test_reports_are_deterministic(line_path, tmp_path, capsys):

@@ -1,13 +1,14 @@
 """Field arithmetic: worked values plus structural properties."""
 
 import functools
+import hashlib
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lcdring import GF
-from lcdring.gf import _pmod, _pmul, _ppowmod, _psub, _trim
+from lcdring.gf import _is_prime, _pmod, _pmul, _ppowmod, _prime_divisors, _psub, _trim
 from lcdring.errors import BadModulusError, NotPrimeError
 
 
@@ -189,6 +190,27 @@ def test_log_tables_use_the_smallest_primitive_encoding(args):
         while v != 1:
             v, order = _enc(f, _pmod(_pmul(_poly(f, v), _poly(f, h), f.p), mod, f.p)), order + 1
         assert order < n
+
+
+@pytest.mark.parametrize("n, primes", [
+    (2**20 - 1, [3, 5, 11, 31, 41]),
+    (3**12 - 1, [2, 5, 7, 13, 73]),
+    (1021**2 - 1, [2, 3, 5, 7, 17, 73]),
+], ids=["2^20-1", "3^12-1", "1021^2-1"])
+def test_prime_divisors_of_the_largest_unit_groups(n, primes):
+    assert _prime_divisors(n) == primes
+
+
+def test_prime_divisors_match_every_prime_divisor():
+    for n in range(1, 2000):
+        assert _prime_divisors(n) == [r for r in range(2, n + 1) if n % r == 0 and _is_prime(r)]
+
+
+def test_gf256_exp_table_is_pinned():
+    exp = GF(2, 8)._exp
+    assert exp[:10] == [1, 3, 5, 15, 17, 51, 85, 255, 26, 46]
+    digest = hashlib.sha256(repr(exp).encode()).hexdigest()
+    assert digest == "4f57328f226aac2279b20bd04a69c29c3d81b440a48c3894ec7eedfacdf1cdee"
 
 
 @settings(max_examples=300, deadline=None)

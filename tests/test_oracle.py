@@ -338,6 +338,7 @@ def test_ring_oracles_build_no_ring_element(monkeypatch):
     assert oracle.min_distance(rc) == 1
     assert oracle.hull_dim(rc, 0) == 1
     assert oracle.is_dual_pair(rc, dual, 0)
+    assert len(set(oracle.expansions(rc))) == rc.size
     with pytest.raises(AssertionError, match="built a RingElement"):
         next(oracle.codewords(rc))
 
@@ -451,6 +452,42 @@ class TestHull:
             c = random_fqcode(rng, F9, rng.randint(1, 4), rng.randint(0, 2))
             for l in range(2):
                 assert oracle.hull_dim(c, l) == c.hull_dim(l)
+
+
+EXPANSION_FIELDS = {3: GF(3), **DIFF_FIELDS}
+EXPANSION_WORD_CAP = 2_000
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_expansions_match_gray_of_codewords(data):
+    """``expansions`` is ``gray`` of each ring word, in ``codewords`` order, under the same budget."""
+    q = data.draw(st.sampled_from(sorted(EXPANSION_FIELDS)), label="q")
+    f = EXPANSION_FIELDS[q]
+    n = data.draw(st.integers(0, 3), label="n")
+    row = st.lists(st.integers(0, q - 1), min_size=n, max_size=n)
+    room = max(k for k in range(4 * n + 1) if q**k <= EXPANSION_WORD_CAP)
+    comps = []
+    for i in range(4):
+        kind = data.draw(st.sampled_from(["zero", "full", "rows"]), label=f"slot {i} kind")
+        if kind == "full" and n <= room:
+            rows = [[int(c == r) for c in range(n)] for r in range(n)]
+        elif kind == "rows":
+            rows = data.draw(st.lists(row, max_size=min(n, room)), label=f"slot {i} rows")
+        else:
+            rows = []
+        comps.append(FqCode.from_rows(f, n, rows))
+        room -= comps[-1].k
+    rc = RCode(comps)
+    assert list(oracle.expansions(rc)) == [gray(w) for w in oracle.codewords(rc)]
+    for stream in (oracle.expansions, oracle.codewords):
+        with pytest.raises(CapExceededError):
+            stream(rc, rc.size - 1)  # refused on the call, before any word
+
+
+def test_expansions_of_length_zero():
+    rc = RCode([FqCode.zero(F5, 0)] * 4)
+    assert list(oracle.expansions(rc)) == [()] == [gray(w) for w in oracle.codewords(rc)]
 
 
 class TestGrayConsistency:

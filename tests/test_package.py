@@ -158,8 +158,8 @@ def test_every_function_is_reached():
     identifier (a ``getattr``, an ``attrgetter``); a function also by its
     bare name, and an ``__all__`` entry is such a string.  Like
     ``_call_sites`` this matches by name alone, so a dead method that
-    shares its name with a live one (``RCode.zero`` with ``FqCode.zero``,
-    ``FqCode.is_mds`` with ``RCode.is_mds``) is not caught.
+    shares its name with a live one (``FqCode.is_mds`` with
+    ``RCode.is_mds``) is not caught.
     """
     methods, functions, names, attrs = {}, {}, set(), set()
     for path in sorted(PACKAGE.glob("*.py")):

@@ -26,7 +26,7 @@ def rcode_of(comp):
 
 class TestConstruction:
     def test_zero(self):
-        z = RCode.zero(F5, 3)
+        z = RCode([FqCode.zero(F5, 3)] * 4)
         assert z.k == 0 and all(c.k == 0 for c in z.comps)
 
     def test_mismatched_components(self):
@@ -73,7 +73,7 @@ class TestConstruction:
 
 class TestDual:
     def test_zero_dualizes_to_full(self):
-        z = RCode.zero(F5, 2)
+        z = RCode([FqCode.zero(F5, 2)] * 4)
         d = z.galois_dual(0)
         assert all(c == FqCode(identity(F5, 2)) for c in d.comps)
 
@@ -108,7 +108,7 @@ class TestGrayImage:
         assert img.min_dist() == 3
 
     def test_zero(self):
-        assert RCode.zero(F5, 2).gray_image() == FqCode.zero(F5, 8)
+        assert RCode([FqCode.zero(F5, 2)] * 4).gray_image() == FqCode.zero(F5, 8)
 
     def test_dimension_always_adds_up(self):
         rng = random.Random(33)
@@ -149,7 +149,7 @@ class TestParams:
         assert rc.params().d_lee == 2
 
     def test_zero_code(self):
-        p = RCode.zero(F5, 3).params()
+        p = RCode([FqCode.zero(F5, 3)] * 4).params()
         assert p.k == 0 and p.d_lee is None
 
 
@@ -162,7 +162,7 @@ class TestPredicates:
         assert not flag and dets == (0, 2, 2, 2)
 
     def test_zero_code_is_lcd(self):
-        assert RCode.zero(F5, 2).is_lcd(0)
+        assert RCode([FqCode.zero(F5, 2)] * 4).is_lcd(0)
 
     def test_self_dual_and_orthogonal(self):
         rc = rcode_of(line_code())
@@ -171,7 +171,7 @@ class TestPredicates:
         bad = RCode([FqCode.from_rows(F5, 2, [[1, 1]])] + [line_code()] * 3)
         assert not bad.is_self_dual()
         assert not bad.is_self_orthogonal(0)
-        assert RCode.zero(F5, 2).is_self_orthogonal(0)
+        assert RCode([FqCode.zero(F5, 2)] * 4).is_self_orthogonal(0)
 
 
 class TestMds:
@@ -191,7 +191,7 @@ class TestMds:
 
     def test_zero_raises(self):
         with pytest.raises(ZeroCodeError):
-            RCode.zero(F5, 3).is_mds()
+            RCode([FqCode.zero(F5, 3)] * 4).is_mds()
 
     def test_bound_equality_matches_componentwise_rule(self):
         rng = random.Random(34)
