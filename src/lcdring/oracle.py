@@ -6,6 +6,12 @@ agreement between the two routes is the evidence the test suite relies
 on.  Enumeration order is fixed (message encodings ascending) so streams
 are reproducible.  Budgets are hard errors, never silent skips.
 
+A field code's words stream in blocks: the words of its low generator
+rows are tabulated once, entry by entry, into per-position columns of at
+most ``TABLE_ENTRIES`` entries, and each word of the remaining rows
+yields the block of words ``zip`` reads off those columns shifted by its
+entries.  Only the tables and the walk over the high rows call the field.
+
 Field and ring codes share one path through a word's slot vectors: (w,)
 for a field word, one word of each of the four component codes for a ring
 word.  The ring pairing acts slotwise, so it vanishes exactly when every
@@ -27,39 +33,103 @@ orthogonality to the whole code; the dual check's budget still counts the
 from __future__ import annotations
 
 from functools import reduce
-from itertools import product, repeat
+from itertools import chain, product, repeat
 from operator import itemgetter
 from typing import Iterable, Iterator, Sequence, Union
 
 from .errors import CapExceededError, ConsistencyError, MismatchError, ZeroCodeError
 from .fqcode import FqCode, count_text
+from .gf import GF
 from .rcode import RCode
 from .ring import RingElement
 
 DEFAULT_BUDGET = 1_000_000
+
+# Entries a position's low-row tables may hold in ``_fq_words``: the column of
+# every low word, or its up to q shifts.  Any q <= 64 gets r >= 1, so each
+# block's n column lookups serve at least q words, while the tables stay
+# within 32 KB a position.  An unbounded split (r = k // 2) was no faster and
+# held n * |C| entries at k = 2.
+TABLE_ENTRIES = 4096
 
 Code = Union[FqCode, RCode]
 Word = tuple[int, ...]
 
 
 def _fq_words(code: FqCode) -> Iterator[Word]:
-    """All codewords, ordered by message encoding (row 0 least significant).
+    """All codewords, ordered by message encoding (row 0 least significant), in blocks.
+
+    The word of message low + q^r * high is the sum of the words the low
+    r rows and the high k - r rows give.  The low rows are enumerated once
+    into per-position columns, entry j of every low word in message order;
+    each high word b then yields the block of q^r words read by ``zip``
+    from column j shifted by b_j, so most entries cost no field call.  r
+    is the most rows whose tables fit ``TABLE_ENTRIES`` per position: the
+    q^k-entry column itself when every row fits (r = k), else q^r entries
+    and their up to q shifts.  With r = 0 every block is one word.
+    """
+    f = code.field
+    q, k, n, rows = f.q, code.k, code.n, code.gen.rows
+    if q**k <= TABLE_ENTRIES:
+        r = k
+    else:
+        r = 0
+        while q ** (r + 2) <= TABLE_ENTRIES:
+            r += 1
+    if r == 0:
+        return _odometer(f, rows, n)
+    return chain.from_iterable(_blocks(f, rows, n, r))
+
+
+def _blocks(f: GF, rows: Sequence[Word], n: int, r: int) -> Iterator[Iterator[Word]]:
+    """``_fq_words``' blocks, its tables built on the first ``next``."""
+    q, add, mul = f.q, f.add, f.mul
+    cols = []
+    for j in range(n):
+        col = [0]
+        for row in rows[:r]:
+            v = row[j]
+            # a zero entry adds nothing, so the column repeats once per digit
+            col = col * q if v == 0 else [add(x, m) for m in [mul(d, v) for d in range(q)] for x in col]
+        cols.append(col)
+    if r == len(rows):
+        yield zip(*cols)
+        return
+    shifts = [{0: col} for col in cols]  # column j shifted by v, made on first use
+
+    def shifted(memo: dict[int, list[int]], v: int) -> list[int]:
+        col = memo.get(v)
+        if col is None:
+            col = memo[v] = [add(x, v) for x in memo[0]]
+        return col
+
+    for b in _odometer(f, rows[r:], n):
+        yield zip(*map(shifted, shifts, b))
+
+
+def _odometer(f: GF, rows: Sequence[Word], n: int) -> Iterator[Word]:
+    """Every word of ``rows``' span, in message order, each the last one plus a step.
 
     The message digits count up like an odometer.  When digit i steps from
     d to d + 1, every lower digit wraps from q - 1 to 0, so the word changes
     by a fixed vector: (d + 1 - d) * row i - (q - 1) * (rows 0..i-1), digits
-    read as field elements.  Each word is the last one plus that step.
+    read as field elements.  The step depends on d only through the scalar
+    d + 1 - d, which is 1 + x + ... + x^t when d ends in t digits p - 1; so
+    at most e scalars, and -(q - 1) is among them (d = p^(e-1) - 1).
     """
-    f = code.field
-    q, k = f.q, code.k
+    q, k = f.q, len(rows)
     add, sub, mul = f.add, f.sub, f.mul
-    wrap = (0,) * code.n  # -(q - 1) * (rows 0..i-1)
+    scalars = [sub(d + 1, d) for d in range(q - 1)]
+    carry = sub(0, q - 1)
+    wrap = (0,) * n  # -(q - 1) * (rows 0..i-1)
     steps = []
-    for row in code.gen.rows:
-        steps.append([tuple(map(add, wrap, [mul(sub(d + 1, d), v) for v in row])) for d in range(q - 1)])
-        wrap = tuple(map(sub, wrap, [mul(q - 1, v) for v in row]))
+    for row in rows:
+        multiples = {s: [mul(s, v) for v in row] for s in set(scalars)}
+        by_scalar = {s: tuple(map(add, wrap, m)) for s, m in multiples.items()}
+        steps.append([by_scalar[s] for s in scalars])
+        wrap = tuple(map(add, wrap, multiples[carry]))
     digits = [0] * k + [None]  # the sentinel ends every carry
-    word = (0,) * code.n
+    word = (0,) * n
     while True:
         yield word
         i = 0
@@ -110,7 +180,7 @@ def expansions(code: RCode, budget: int = DEFAULT_BUDGET) -> Iterator[Word]:
 
 def _slot_lists(code: Code, budget: int) -> list[Iterable[Word]]:
     """Each slot code's words once the budget allows ``code``: a field code
-    streams as its one slot, and a ring code's four component lists are small.
+    streams in blocks as its one slot, and a ring code's four component lists are small.
     """
     if isinstance(code, FqCode):
         return [codewords(code, budget)]

@@ -1,6 +1,6 @@
 """Shared test helpers: random codes, every code of a small space, an identity matrix, a reference
-matrix product and kernel, a reference ring in the (1, u, v, uv) basis, a Gray-walk step counter,
-and CLI parser."""
+matrix product and kernel, a reference ring in the (1, u, v, uv) basis with its Frobenius and
+Galois dual, a Gray-walk step counter, and CLI parser."""
 
 from __future__ import annotations
 
@@ -109,6 +109,31 @@ def u_span(field: GF, gens: list[list[tuple[int, ...]]]) -> set[tuple[tuple[int,
         multiples = {tuple(u_mul(field, r, x) for x in g) for r in ring}
         span = {tuple(tuple(map(add, a, b)) for a, b in zip(w, m)) for w in span for m in multiples}
     return span
+
+
+def u_frobenius(field: GF, x: tuple[int, ...], l: int) -> tuple[int, ...]:
+    """x^(p^l) for a u-basis quadruple: u and v are fixed, so each coefficient is twisted."""
+    return tuple(field.frobenius(a, l) for a in x)
+
+
+def u_dual(field: GF, n: int, words: set[tuple[tuple[int, ...], ...]], l: int) -> set[tuple[tuple[int, ...], ...]]:
+    """The l-Galois dual by its definition: every y in R^n with sum_j x_j * y_j^(p^l) = 0
+    for every word x, each pair of entries multiplied by the written-out table once."""
+    ring = list(itertools.product(range(field.q), repeat=4))
+    twisted = {y: u_frobenius(field, y, l) for y in ring}
+    products: dict = {}
+    zero = (0, 0, 0, 0)
+
+    def pairs_to_zero(x, y) -> bool:
+        acc = zero
+        for a, b in zip(x, y):
+            if (a, b) not in products:
+                products[a, b] = u_mul(field, a, twisted[b])
+            acc = tuple(map(field.add, acc, products[a, b]))
+        return acc == zero
+
+    return {y for y in itertools.product(ring, repeat=n) if all(pairs_to_zero(x, y) for x in words)}
+
 
 class WalkSteps:
     """Counts the work of distance walks by wrapping ``fqcode._projective_steps``.

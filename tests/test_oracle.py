@@ -1,7 +1,9 @@
 """The brute-force reference implementations themselves."""
 
+import random
+import tracemalloc
 from collections import Counter
-from itertools import product
+from itertools import islice, product
 
 import pytest
 from hypothesis import assume, given, settings
@@ -14,6 +16,22 @@ from lcdring.ring import galois_inner, gray
 
 F5 = GF(5)
 F9 = GF(3, 2, [1, 0, 1])
+
+
+ENUM_FIELDS = {4: GF(2, 2), 5: F5, 9: F9, 101: GF(101)}
+
+
+def product_words(c):
+    """Every word as the sum of d_i * row i, messages d_0 + d_1 q + ... ascending."""
+    f = c.field
+    multiples = [[[f.mul(d, v) for v in row] for d in range(f.q)] for row in c.gen.rows]
+    want = []
+    for msg in product(range(f.q), repeat=c.k):  # msg[0] is the most significant digit
+        word = [0] * c.n
+        for d, row in zip(msg[::-1], multiples):
+            word = list(map(f.add, word, row[d]))
+        want.append(tuple(word))
+    return want
 
 
 def line():
@@ -56,16 +74,67 @@ class TestEnumeration:
     def test_encoding_order_matches_product(self, field, rows):
         """Message d_0 + d_1 q + d_2 q^2 gives the word sum of d_i * row i, messages ascending."""
         c = FqCode.from_rows(field, 4, rows)
-        gen = [c.gen.row(r) for r in range(c.k)]
-        want = []
-        for msg in product(range(field.q), repeat=c.k):  # msg[0] is the most significant digit
-            word = [0] * c.n
-            for d, row in zip(msg[::-1], gen):
-                word = [field.add(w, field.mul(d, v)) for w, v in zip(word, row)]
-            want.append(tuple(word))
         words = oracle.codewords(c)
         assert iter(words) is words  # a stream, not a list of all q^k words
-        assert list(words) == want
+        assert list(words) == product_words(c)
+
+    # r = k when q^k fits the table (GF(4) at the bound, GF(5), the zero code),
+    # 0 < r < k for GF(9) at k = 4, and r = 0 for GF(101) at k = 2
+    @pytest.mark.parametrize("q, k", [(4, 6), (5, 5), (5, 0), (9, 4), (101, 2)])
+    @settings(max_examples=8, deadline=None)
+    @given(data=st.data())
+    def test_blocks_match_product(self, q, k, data):
+        """Every regime of the blocked enumeration gives ``product``'s words in its order."""
+        assert 4**6 <= oracle.TABLE_ENTRIES < min(9**4, 101**2)
+        f = ENUM_FIELDS[q]
+        n = data.draw(st.integers(k, k + 2), label="n")
+        pivots = data.draw(st.permutations(range(n)), label="columns")[:k]
+        zero = data.draw(st.sets(st.sampled_from(range(n))), label="zero columns") if n else set()
+        rows = []
+        for pc in pivots:  # unit pivot columns, as in the RREF generator, keep the rank k
+            row = data.draw(st.lists(st.integers(0, q - 1), min_size=n, max_size=n), label="row")
+            rows.append([int(c == pc) if c in pivots or c in zero else v for c, v in enumerate(row)])
+        c = FqCode.from_rows(f, n, rows)
+        assert c.k == k
+        words = oracle.codewords(c)
+        assert iter(words) is words
+        assert list(words) == product_words(c)
+
+    @pytest.mark.parametrize("field, walk_mb", [(GF(101), 0.12), (GF(4099), 2.56), (GF(31), 0.04)], ids=repr)
+    def test_first_words_take_little_memory(self, field, walk_mb):
+        """The tables built before the tenth word stay within 1 MB of the peak the word-by-word walk
+        reached on these codes (walk_mb, measured before enumeration went by blocks)."""
+        n, k = {101: (64, 2), 4099: (16, 1), 31: (32, 4)}[field.q]
+        rng = random.Random(field.q)
+        c = FqCode.from_rows(field, n, [[rng.randrange(field.q) for _ in range(n)] for _ in range(k)])
+        tracemalloc.start()
+        try:
+            first = list(islice(oracle.codewords(c), 10))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert first == [tuple(field.mul(d, v) for v in c.gen.rows[0]) for d in range(10)]  # q > 10
+        assert peak <= (walk_mb + 1) * 2**20
+
+    @pytest.mark.parametrize("field", [GF(4099), GF(2, 13)], ids=repr)
+    def test_steps_are_keyed_by_scalar(self, field, monkeypatch):
+        """Before the first word, a row's steps cost e * n products, not (q - 1) * n.
+
+        Digit d steps to d + 1 by the scalar (d + 1) - d, one of e values.
+        """
+        n = 16
+        c = FqCode.from_rows(field, n, [[1] + [field.q - 1 - j for j in range(1, n)]])
+        calls = 0
+        real = GF.mul
+
+        def mul(self, x, y):
+            nonlocal calls
+            calls += 1
+            return real(self, x, y)
+
+        monkeypatch.setattr(GF, "mul", mul)
+        assert next(oracle.codewords(c)) == (0,) * n
+        assert calls <= field.e * n * c.k
 
     def test_ring_scalars(self):
         rc = RCode([FqCode.from_rows(F5, 1, [[1]])] * 4)

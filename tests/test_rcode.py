@@ -10,7 +10,7 @@ from lcdring import GF, FqCode, RCode, RingElement, oracle
 from lcdring.ring import gamma_to_u, gray
 from lcdring.errors import MismatchError, NotAUnitError, ZeroCodeError
 
-from support import identity, random_rcode, u_mul, u_span
+from support import identity, random_rcode, u_dual, u_mul, u_span
 
 F5 = GF(5)
 F9 = GF(3, 2, [1, 0, 1])
@@ -80,6 +80,23 @@ class TestDual:
     def test_self_dual_line(self):
         rc = rcode_of(line_code())
         assert rc.galois_dual(0) == rc
+
+    @pytest.mark.parametrize("field", [GF(2), GF(3), GF(2, 2)], ids=lambda f: f"GF({f.q})")
+    def test_dual_in_u_coordinates(self, field):
+        """The l-Galois dual by its definition over all pairs, in the (1, u, v, uv) basis, is
+        ``galois_dual(l)`` read back in u; the hull it leaves gives the hull dimension and LCD flag."""
+        rng = random.Random(field.q + 1)
+        for n, count in ((1, 1), (2, 1), (1, 2), (2, 2)):
+            gens = [[tuple(rng.randrange(field.q) for _ in range(4)) for _ in range(n)] for _ in range(count)]
+            rc = RCode.from_generators(field, n, [[RingElement.from_u(field, x) for x in g] for g in gens])
+            words = u_span(field, gens)
+            for l in range(field.e):
+                dual = u_dual(field, n, words, l)
+                got = {tuple(gamma_to_u(field, x.g) for x in w) for w in oracle.codewords(rc.galois_dual(l))}
+                assert got == dual
+                hull = words & dual
+                assert len(hull) == field.q ** sum(c.hull_dim(l) for c in rc.comps)
+                assert rc.is_lcd(l) == (len(hull) == 1)
 
     def test_dimension_identity(self):
         rng = random.Random(32)
