@@ -16,10 +16,10 @@ Field and ring codes share one path through a word's slot vectors: (w,)
 for a field word, one word of each of the four component codes for a ring
 word.  The ring pairing acts slotwise, so it vanishes exactly when every
 slot's field pairing does: a generator of slot code i pairs with slot i
-of a word alone.  The Lee weight counts nonzeros over all slots.  Ring
-words become ``RingElement``s only where ``codewords`` yields them;
-``expansions`` reads the same slot words straight into each ring word's
-length-4n expansion, in the same order.
+of a word alone.  The Lee weight counts nonzeros over all slots.  Slot
+words are the only form a ring word takes here: no ``RingElement`` is
+built, and the expansion R^n -> F_q^(4n), which puts entry j of slot i at
+position 4j + i, is checked by reading slot i back off each image word.
 
 Each oracle call decides every slot word once, then passes over every
 ring word.  Dual and hull checks share one count: how many words pair to
@@ -34,14 +34,13 @@ from __future__ import annotations
 
 from functools import reduce
 from itertools import chain, product, repeat
-from operator import itemgetter
+from math import prod
 from typing import Iterable, Iterator, Sequence, Union
 
 from .errors import CapExceededError, ConsistencyError, MismatchError, ZeroCodeError
 from .fqcode import FqCode, count_text
 from .gf import GF
 from .rcode import RCode
-from .ring import RingElement
 
 DEFAULT_BUDGET = 1_000_000
 
@@ -149,33 +148,10 @@ def _check_budget(code: Code, budget: int) -> None:
         )
 
 
-def codewords(code: Code, budget: int = DEFAULT_BUDGET) -> Iterator:
-    """Stream every codeword exactly once; errors out above the budget.
-
-    The only place here that builds ``RingElement``s: a ring word is the
-    tuple of n elements read off its four slot vectors.
-    """
-    if isinstance(code, FqCode):
-        _check_budget(code, budget)
-        return _fq_words(code)
-    f = code.field
-    comps = _slot_lists(code, budget)[::-1]  # slot 1 varies fastest
-    return (tuple(RingElement(f, g) for g in zip(*s[::-1])) for s in product(*comps))
-
-
-def expansions(code: RCode, budget: int = DEFAULT_BUDGET) -> Iterator[Word]:
-    """The F_q^(4n) expansion of every ring word, in ``codewords`` order.
-
-    Entry j of slot i lands at position 4j + i, as ``ring.gray`` places it,
-    read with one ``itemgetter`` from the four slot words joined slot 4
-    first, the order ``product`` draws them in.  No ``RingElement`` is built.
-    """
-    n = code.n
-    comps = _slot_lists(code, budget)[::-1]  # slot 1 varies fastest
-    if n == 0:  # itemgetter needs an index; the one word is empty
-        return repeat((), code.size)
-    pick = itemgetter(*[(3 - i) * n + j for j in range(n) for i in range(4)])
-    return (pick(w4 + w3 + w2 + w1) for w4, w3, w2, w1 in product(*comps))
+def codewords(code: FqCode, budget: int = DEFAULT_BUDGET) -> Iterator[Word]:
+    """Stream every codeword of a field code exactly once; errors out above the budget."""
+    _check_budget(code, budget)
+    return _fq_words(code)
 
 
 def _slot_lists(code: Code, budget: int) -> list[Iterable[Word]]:
@@ -262,3 +238,29 @@ def hull_dim(code: Code, l: int, budget: int = DEFAULT_BUDGET) -> int:
     if rest != 1:
         raise ConsistencyError(f"hull count {hits} is not a power of q = {f.q}")
     return h
+
+
+def is_expansion(code: RCode, image: FqCode, budget: int = DEFAULT_BUDGET) -> bool:
+    """Whether ``image``'s words are exactly the F_q^(4n) expansions of ``code``'s words.
+
+    Entry j of slot i lands at position 4j + i, so a field word is an
+    expansion when each w[i::4] is a word of slot code i, and distinct slot
+    tuples expand to distinct words: there are prod |S_i| expansions.  The
+    image's words stream past the four sets of slot words once.  Each of
+    its distinct words comes out as often as its zero word does, Z times,
+    so the sets are equal when every word is an expansion and
+    |image| = Z * prod |S_i|.  Both budgets are checked before any word.
+    """
+    _check_budget(code, budget)
+    _check_budget(image, budget)
+    if image.field != code.field or image.n != 4 * code.n:
+        return False
+    slots = [set(ws) for ws in _slot_lists(code, budget)]
+    s1, s2, s3, s4 = slots
+    zero = (0,) * image.n
+    zeros = 0
+    for w in codewords(image, budget):
+        if w[0::4] not in s1 or w[1::4] not in s2 or w[2::4] not in s3 or w[3::4] not in s4:
+            return False
+        zeros += w == zero
+    return image.size == zeros * prod(map(len, slots))

@@ -1,6 +1,7 @@
-"""Shared test helpers: random codes, every code of a small space, an identity matrix, a reference
-matrix product and kernel, a reference ring in the (1, u, v, uv) basis with its Frobenius and
-Galois dual, a Gray-walk step counter, and CLI parser."""
+"""Shared test helpers: random codes, every code of a small space, every ring word as
+``RingElement``s, an identity matrix, a reference matrix product and kernel, a reference ring
+in the (1, u, v, uv) basis with its Frobenius and Galois dual, a Gray-walk step counter, and
+CLI parser."""
 
 from __future__ import annotations
 
@@ -9,7 +10,7 @@ import itertools
 import random
 from typing import Iterator, NoReturn
 
-from lcdring import GF, FqCode, Matrix, RCode, RingElement, fqcode
+from lcdring import GF, FqCode, Matrix, RCode, RingElement, fqcode, oracle
 from lcdring.cli import _cmd_analyze, _cmd_construct, _cmd_dual, _cmd_gray, _cmd_mindist, _cmd_verify
 from lcdring.errors import ConsistencyError
 from lcdring.fqcode import DEFAULT_ENUM_CAP
@@ -50,6 +51,15 @@ def all_codes(field: GF, n: int) -> Iterator[FqCode]:
                 for (i, c), v in zip(free, values):
                     rows[i][c] = v
                 yield FqCode(Matrix.from_rows(field, rows, ncols=n))
+
+
+def ring_words(rc: RCode) -> Iterator[tuple[RingElement, ...]]:
+    """Every word of a ring code as n ``RingElement``s, one word of each component
+    code per ring word, slot 1 varying fastest."""
+    f = rc.field
+    comps = [list(oracle.codewords(c)) for c in rc.comps][::-1]
+    for slots in itertools.product(*comps):
+        yield tuple(RingElement(f, g) for g in zip(*slots[::-1]))
 
 
 def random_ring_vector(rng: random.Random, field: GF, n: int) -> tuple[RingElement, ...]:
@@ -101,13 +111,21 @@ def u_mul(field: GF, x: tuple[int, ...], y: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def u_span(field: GF, gens: list[list[tuple[int, ...]]]) -> set[tuple[tuple[int, ...], ...]]:
-    """Every sum of r_i * g_i over r_i in R, for one or more rows of u-basis quadruples."""
-    add = field.add
-    ring = list(itertools.product(range(field.q), repeat=4))
+    """Every sum of r_i * g_i over r_i in R, for one or more rows of u-basis quadruples.
+
+    R is the F_q-span of 1, u, v and uv, so this is the F_q-span of s * g_i
+    for s in that basis, closed under one spanning vector at a time.
+    """
+    add, mul = field.add, field.mul
+    basis = [tuple(int(i == s) for i in range(4)) for s in range(4)]  # 1, u, v, uv
     span = {((0, 0, 0, 0),) * len(gens[0])}
     for g in gens:
-        multiples = {tuple(u_mul(field, r, x) for x in g) for r in ring}
-        span = {tuple(tuple(map(add, a, b)) for a, b in zip(w, m)) for w in span for m in multiples}
+        for s in basis:
+            b = tuple(u_mul(field, s, x) for x in g)
+            if b in span:  # so is every multiple of it
+                continue
+            multiples = [tuple(tuple(mul(c, y) for y in x) for x in b) for c in range(field.q)]
+            span = {tuple(tuple(map(add, a, y)) for a, y in zip(w, m)) for w in span for m in multiples}
     return span
 
 

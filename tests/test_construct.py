@@ -29,8 +29,9 @@ from lcdring.errors import (
     ZeroCodeError,
 )
 from lcdring.linalg import det, minor_det
+from lcdring.ring import gamma_to_u
 
-from support import all_codes, identity, matmul, random_fqcode
+from support import all_codes, identity, matmul, random_fqcode, u_frobenius, u_mul, u_span
 
 F4 = GF(2, 2)
 F5 = GF(5)
@@ -466,6 +467,49 @@ class TestRingLevel:
             alpha, out, _ = ring_lcd_equivalent(rc)
             assert out == rc.scale(alpha)
             assert oracle.hull_dim(out, 0) == 0
+
+
+def u_generators(rc):
+    """The generator rows of a ring code in (1, u, v, uv) coordinates."""
+    return [[gamma_to_u(rc.field, x.g) for x in row] for row in rc.generator_rows()]
+
+
+@pytest.mark.parametrize("f,l", [(F5, 0), (F9, 0), (F9, 1), (F8, 1), (F8, 2)], ids=repr)
+def test_main_theorem_in_u_coordinates(f, l):
+    """The paper's main theorem end to end in the (1, u, v, uv) basis: every word of C times
+    alpha, entrywise by the written-out table, gives exactly the span of the output's generators,
+    and no nonzero word of it pairs to zero with every generator under sum_j x_j * F^l(g_j)."""
+    rng = random.Random(10 * f.q + l)
+    zero = (0, 0, 0, 0)
+    scaled = 0
+    for n in (1, 2, 2, 2):
+        codes = [c for c in all_codes(f, n) if c.k]
+        comps = [rng.choice(codes) for _ in range(4)]
+        if n == 2:  # slot 1 has a hull, so alpha scales it
+            comps[0] = rng.choice([c for c in codes if not c.is_lcd(l)])
+        while f.q ** sum(c.k for c in comps) > 4096:
+            comps[rng.randrange(1, 4)] = FqCode.zero(f, n)
+        rc = RCode(comps)
+        alpha, out, _ = ring_lcd_equivalent(rc, l)
+        a = [gamma_to_u(f, x.g) for x in alpha]
+        span = u_span(f, u_generators(out))
+        assert {tuple(map(u_mul, [f] * n, a, w)) for w in u_span(f, u_generators(rc))} == span
+        assert (out.n, out.size, len(span)) == (rc.n, rc.size, rc.size)
+        twisted = [[u_frobenius(f, x, l) for x in g] for g in u_generators(out)]
+        products = {}
+
+        def pairs_to_zero(w, g):
+            acc = zero
+            for x, y in zip(w, g):
+                if (x, y) not in products:
+                    products[x, y] = u_mul(f, x, y)
+                acc = tuple(map(f.add, acc, products[x, y]))
+            return acc == zero
+
+        assert [w for w in span if all(pairs_to_zero(w, g) for g in twisted)] == [(zero,) * n]
+        assert oracle.min_distance(out) == oracle.min_distance(rc)
+        scaled += not rc.is_lcd(l)
+    assert scaled == 3
 
 
 # fields of the factor-rule check: the twists l admitted (q - 1 does not

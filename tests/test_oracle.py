@@ -9,10 +9,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from lcdring import GF, FqCode, RCode, RingElement
+from lcdring import GF, FqCode, Matrix, RCode, RingElement
 from lcdring import oracle
 from lcdring.errors import BadLError, CapExceededError, ZeroCodeError
 from lcdring.ring import galois_inner, gray
+
+from support import ring_words
 
 F5 = GF(5)
 F9 = GF(3, 2, [1, 0, 1])
@@ -138,21 +140,9 @@ class TestEnumeration:
 
     def test_ring_scalars(self):
         rc = RCode([FqCode.from_rows(F5, 1, [[1]])] * 4)
-        words = list(oracle.codewords(rc))
+        words = list(ring_words(rc))
         assert len(words) == 5**4
         assert len(set(words)) == 5**4
-
-    def test_ring_order_component_one_fastest(self):
-        rows = [[[1, 2]], [[0, 1]], [], [[1, 1]]]
-        rc = RCode([FqCode.from_rows(F5, 2, r) for r in rows])
-        # d1 * (1, 2) in slot 1, d2 * (0, 1) in slot 2, d4 * (1, 1) in slot 4
-        want = [
-            ((d1, 0, 0, d4), (2 * d1 % 5, d2, 0, d4))
-            for d4 in range(5)
-            for d2 in range(5)
-            for d1 in range(5)
-        ]
-        assert [tuple(x.g for x in w) for w in oracle.codewords(rc)] == want
 
     def test_budget(self):
         c = FqCode.zero(F5, 6).galois_dual(0)
@@ -194,7 +184,7 @@ class TestMinDistance:
         rep = FqCode.from_rows(f, 3, [[1, 1, 1]])
         rc = RCode([rep, rep, rep, FqCode.from_rows(f, 3, [[0, 1, 0]])])
         assert oracle.min_distance(rc) == 1
-        assert sorted(sum(x.lee_weight for x in w) for w in oracle.codewords(rc))[:3] == [0, 1, 3]
+        assert sorted(sum(x.lee_weight for x in w) for w in ring_words(rc))[:3] == [0, 1, 3]
 
     def test_matches_fast_path(self):
         import random
@@ -272,8 +262,9 @@ def definition_dual_pair(code, dual, l):
                 acc = f.add(acc, f.mul(a, f.frobenius(b, l)))
             return acc == 0
 
-    dual_words = list(oracle.codewords(dual))
-    return all(orthogonal(t, s) for t in oracle.codewords(code) for s in dual_words)
+    words = ring_words if ring else oracle.codewords
+    dual_words = list(words(dual))
+    return all(orthogonal(t, s) for t in words(code) for s in dual_words)
 
 
 DIFF_FIELDS = {2: GF(2), 4: GF(2, 2), 5: F5, 8: GF(2, 3), 9: F9}
@@ -293,6 +284,16 @@ def miss_one_generator(comp, dual_comp, l, i):
     out = FqCode.from_rows(f, n, basis)
     assert out.k == dual_comp.k
     return out
+
+
+def same_k(data, f, n, k, label):
+    """A drawn code of length n and dimension k, padded with unit vectors."""
+    row = st.lists(st.integers(0, f.q - 1), min_size=n, max_size=n)
+    c = FqCode.from_rows(f, n, data.draw(st.lists(row, max_size=k), label=label))
+    for j in range(n):
+        if c.k < k:
+            c = FqCode.from_rows(f, n, c.gen.to_rows() + [[int(i == j) for i in range(n)]])
+    return c
 
 
 @settings(max_examples=80, deadline=None)
@@ -332,13 +333,7 @@ def test_is_dual_pair_matches_the_definition(data):
         r = data.draw(st.integers(0, comps[i].k - 1), label="missed row")
         candidates.append(with_slot(i, miss_one_generator(comps[i], dual_comps[i], l, r)))
     i = data.draw(st.sampled_from(partial or list(range(slots))), label="wrong slot")
-    k = dual_comps[i].k
-    other = FqCode.from_rows(f, n, data.draw(st.lists(row, max_size=k), label="wrong slot rows"))
-    for j in range(n):  # pad with unit vectors up to the dual's dimension
-        if other.k < k:
-            unit = [int(c == j) for c in range(n)]
-            other = FqCode.from_rows(f, n, other.gen.to_rows() + [unit])
-    candidates.append(with_slot(i, other))
+    candidates.append(with_slot(i, same_k(data, f, n, dual_comps[i].k, "wrong slot rows")))
     if ring:
         # the right components in the wrong slots
         i, j = next((i, j) for i in range(4) for j in range(i) if dual_comps[i] != dual_comps[j])
@@ -376,7 +371,7 @@ def test_ring_hull_and_distance_match_the_definitions(data):
         comps.append(FqCode.from_rows(f, n, rows))
         room -= comps[-1].k
     rc = RCode(comps)
-    words = list(oracle.codewords(rc))
+    words = list(ring_words(rc))
     assert len(words) == q**rc.k
     zero = RingElement.zero(f)
     for l in range(f.e):
@@ -398,7 +393,7 @@ def test_ring_oracles_build_no_ring_element(monkeypatch):
         FqCode.from_rows(F5, 2, [[0, 1]]),
     ]
     rc = RCode(comps)
-    dual = rc.galois_dual(0)
+    dual, image = rc.galois_dual(0), rc.gray_image()
 
     def refuse(self, *args):
         raise AssertionError("the oracle built a RingElement")
@@ -407,9 +402,9 @@ def test_ring_oracles_build_no_ring_element(monkeypatch):
     assert oracle.min_distance(rc) == 1
     assert oracle.hull_dim(rc, 0) == 1
     assert oracle.is_dual_pair(rc, dual, 0)
-    assert len(set(oracle.expansions(rc))) == rc.size
+    assert oracle.is_expansion(rc, image)
     with pytest.raises(AssertionError, match="built a RingElement"):
-        next(oracle.codewords(rc))
+        next(ring_words(rc))
 
 
 @pytest.fixture
@@ -523,14 +518,14 @@ class TestHull:
                 assert oracle.hull_dim(c, l) == c.hull_dim(l)
 
 
-EXPANSION_FIELDS = {3: GF(3), **DIFF_FIELDS}
+EXPANSION_FIELDS = {3: GF(3), 4: GF(2, 2), 5: F5, 9: F9}
 EXPANSION_WORD_CAP = 2_000
 
 
 @settings(max_examples=120, deadline=None)
 @given(st.data())
-def test_expansions_match_gray_of_codewords(data):
-    """``expansions`` is ``gray`` of each ring word, in ``codewords`` order, under the same budget."""
+def test_is_expansion_matches_the_expanded_set(data):
+    """``is_expansion`` decides the set equality of ``gray`` of every ring word with the image's words."""
     q = data.draw(st.sampled_from(sorted(EXPANSION_FIELDS)), label="q")
     f = EXPANSION_FIELDS[q]
     n = data.draw(st.integers(0, 3), label="n")
@@ -548,15 +543,88 @@ def test_expansions_match_gray_of_codewords(data):
         comps.append(FqCode.from_rows(f, n, rows))
         room -= comps[-1].k
     rc = RCode(comps)
-    assert list(oracle.expansions(rc)) == [gray(w) for w in oracle.codewords(rc)]
-    for stream in (oracle.expansions, oracle.codewords):
-        with pytest.raises(CapExceededError):
-            stream(rc, rc.size - 1)  # refused on the call, before any word
+    image = rc.gray_image()
+    rows = image.gen.to_rows()
+    candidates = [image, FqCode.from_rows(f, 4 * n + 1, [r + [0] for r in rows])]
+    if n:
+        a, b = data.draw(st.lists(st.integers(0, 4 * n - 1), min_size=2, max_size=2, unique=True), label="swap")
+        for r in rows:
+            r[a], r[b] = r[b], r[a]
+        candidates.append(FqCode.from_rows(f, 4 * n, rows))
+        i = data.draw(st.integers(0, 3), label="replaced slot")
+        other = list(comps)
+        other[i] = same_k(data, f, n, comps[i].k, "replacement rows")
+        candidates.append(RCode(other).gray_image())
+    if image.k:
+        candidates.append(FqCode.from_rows(f, 4 * n, image.gen.to_rows()[1:]))
+    expanded = {gray(w) for w in ring_words(rc)}
+    assert oracle.is_expansion(rc, image)
+    for cand in candidates:
+        assert oracle.is_expansion(rc, cand) == (expanded == set(oracle.codewords(cand)))
+    # both refusals come on the call, the code's first, before any word is drawn
+    full = FqCode.zero(f, 4 * n).galois_dual(0)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oracle, "_fq_words", None)
+        with pytest.raises(CapExceededError, match=rf"^{rc.size} codewords"):
+            oracle.is_expansion(rc, full, rc.size - 1)
+        if rc.k < 4 * n:
+            with pytest.raises(CapExceededError, match=rf"^{full.size} codewords"):
+                oracle.is_expansion(rc, full, rc.size)
 
 
-def test_expansions_of_length_zero():
-    rc = RCode([FqCode.zero(F5, 0)] * 4)
-    assert list(oracle.expansions(rc)) == [()] == [gray(w) for w in oracle.codewords(rc)]
+def test_is_expansion_needs_the_field_and_the_length():
+    """Words of one field or length are never the expansion over another, even where the ints agree."""
+    rc = RCode([FqCode.zero(F5, 1)] * 4)
+    assert oracle.is_expansion(rc, FqCode.zero(F5, 4))
+    assert not oracle.is_expansion(rc, FqCode.zero(GF(7), 4))
+    assert not oracle.is_expansion(rc, FqCode.zero(F5, 3))
+    empty = RCode([FqCode.zero(F5, 0)] * 4)
+    assert oracle.is_expansion(empty, FqCode.zero(F5, 0))
+    assert not oracle.is_expansion(empty, FqCode.zero(F5, 4))
+
+
+def test_is_expansion_counts_each_word_once():
+    """A generator with a repeated row, as a faulty derivation could build, lists each word q
+    times; the verdict is still the set equality."""
+    line = FqCode.from_rows(F5, 1, [[1]])
+    zero = FqCode.zero(F5, 1)
+
+    def repeated(rows):
+        return FqCode._derived(Matrix._derived(F5, 4, rows), (0,) * len(rows))
+
+    one, two = RCode([line, zero, zero, zero]), RCode([line, line, zero, zero])
+    cases = [
+        (one, repeated([(1, 0, 0, 0)] * 2), True),
+        (two, repeated([(1, 0, 0, 0)] * 2), False),  # q^2 words, but only q distinct
+        (two, repeated([(1, 0, 0, 0), (0, 1, 0, 0), (1, 1, 0, 0)]), True),
+        (two, repeated([(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0)]), False),
+    ]
+    for rc, image, want in cases:
+        assert want == ({gray(w) for w in ring_words(rc)} == set(oracle.codewords(image)))
+        assert oracle.is_expansion(rc, image) == want
+
+
+def test_is_expansion_streams_the_image():
+    """The check holds the slot words and one block of image words, never a set of ring words."""
+    f = GF(2)
+    rng = random.Random(16)
+    comps = [
+        FqCode.from_rows(f, 16, [[int(c == r) if c < k else rng.randrange(2) for c in range(16)] for r in range(k)])
+        for k in (4, 4, 3, 3)
+    ]
+    rc = RCode(comps)
+    image = rc.gray_image()
+    assert image.k == 14
+    tracemalloc.start()
+    try:
+        assert oracle.is_expansion(rc, image)
+        _, streamed = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        assert len(set(oracle.codewords(image))) == rc.size
+        _, held = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert streamed <= 4 * 2**20 < held
 
 
 class TestGrayConsistency:
@@ -568,7 +636,7 @@ class TestGrayConsistency:
         rng = random.Random(53)
         for _ in range(10):
             rc = random_rcode(rng, F5, 2, 1)
-            expanded = {gray(w) for w in oracle.codewords(rc)}
+            expanded = {gray(w) for w in ring_words(rc)}
             image = set(oracle.codewords(rc.gray_image()))
             assert expanded == image
         # the slot-by-slot image is the span of the expanded ring generators

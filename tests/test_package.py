@@ -114,6 +114,25 @@ def test_oracle_is_independent_of_the_fast_paths():
     assert found == []
 
 
+def test_oracle_reads_ring_words_as_slot_words():
+    """oracle.py imports nothing from ring, keeps no second stream of expansions, and is the only
+    module that enumerates codewords."""
+    tree = ast.parse((PACKAGE / "oracle.py").read_text(encoding="utf-8"))
+    ring = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            targets = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            targets = [f"{node.module or ''}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        ring += [f"oracle.py:{node.lineno}: import {t}" for t in targets if "ring" in t.split(".")]
+    assert ring == []
+    assert _call_sites("expansions") == []
+    sites = _call_sites("codewords")
+    assert sites and all(site.startswith("oracle.py:") for site in sites)
+
+
 def test_codefile_checks_only_the_shape():
     """codefile leaves the field bound and the encoding range to GF, Matrix and RingElement."""
     tree = ast.parse((PACKAGE / "codefile.py").read_text(encoding="utf-8"))
