@@ -3,14 +3,19 @@
 A code is its unique reduced row echelon generator matrix, which also
 gives its field and length, so two objects describe the same code
 exactly when they compare equal.
-Only ``from_rows`` eliminates; a code derived from an RREF generator is
-written straight into RREF.  The public constructor ``FqCode(gen)``
-checks that form and records the pivot columns.  A code the package
-derives is built by ``FqCode._derived`` from pivots the derivation
-already knows, without that scan: ``rref``'s own pivots in
-``from_rows``, the dual's pivots for its Frobenius images (F fixes 0 and
-1), G's pivots for a column scaling whose rows are divided by their pivot
-factors, and 4c + i for a Gray image.
+Only ``from_rows`` eliminates, and only rows not already reduced:
+``rref`` first runs ``linalg.rref_scan``, the one test of the form, and
+takes rows that pass it as they are, so a component of a code file or
+of ``RCode.from_generators`` that is already in RREF, or a kernel in
+``galois_dual`` whose rows happen to be reduced, costs no elimination.
+The public constructor ``FqCode(gen)`` runs the same scan, refuses a
+generator that fails it and records the pivot columns.  A code derived from an RREF
+generator is written straight into RREF and built by
+``FqCode._derived`` without the scan, from pivots the derivation already
+knows: ``rref``'s own pivots in ``from_rows``, the dual's pivots for its
+Frobenius images (F fixes 0 and 1), G's pivots for a column scaling
+whose rows are divided by their pivot factors, and 4c + i for a Gray
+image.
 Each code object computes one kernel, its Euclidean dual, memoized: one
 row e_f - sum_i G[i][f] * e_(p_i) per free column f, written from the
 generator and its pivots p_i and reduced by ``from_rows``.  The l-dual is that dual's entrywise (p^(e-l))-power, since
@@ -29,7 +34,7 @@ it: rank P and det P answer every hull and LCD predicate.
 from __future__ import annotations
 
 from itertools import chain
-from operator import attrgetter, itemgetter
+from operator import attrgetter
 from typing import Iterator, Sequence
 
 from .errors import (
@@ -40,7 +45,7 @@ from .errors import (
     ZeroScaleError,
 )
 from .gf import GF
-from .linalg import Matrix, _eliminate, gram, rref
+from .linalg import Matrix, _eliminate, gram, rref, rref_scan
 from .value import Value
 
 DEFAULT_ENUM_CAP = 1_000_000
@@ -105,7 +110,7 @@ class FqCode(Value):
     """An [n, k] linear code over GF(q): its RREF generator ``gen``.
 
     The field and the length n are the generator's.  ``pivots`` holds its
-    pivot columns, found by the constructor's RREF check or handed over by
+    pivot columns, found by the constructor's ``rref_scan`` or handed over by
     the derivation that built the code (``_derived``).  ``_dist``
     caches the minimum distance, ``_dual`` the Euclidean dual and
     ``_grams`` maps each twist l to (P, rank P, det P).  None of these
@@ -121,20 +126,10 @@ class FqCode(Value):
     _grams: dict[int, tuple[Matrix, int, int]]
 
     def __init__(self, gen: Matrix) -> None:
-        pivots, last = [], -1
-        for r, row in enumerate(gen.rows):
-            c = next((c for c, v in enumerate(row) if v), None)
-            if c is None or c <= last or row[c] != 1:
-                raise MismatchError(f"generator row {r} breaks reduced row echelon form")
-            pivots.append(c)
-            last = c
-        # every row reads 0 at the other rows' pivots
-        if len(pivots) > 1:
-            at_pivots, k = itemgetter(*pivots), len(pivots)
-            for r, row in enumerate(gen.rows):
-                if at_pivots(row).count(0) != k - 1:
-                    raise MismatchError(f"generator row {r} breaks reduced row echelon form")
-        self._fill(gen, tuple(pivots))
+        pivots, bad = rref_scan(gen)
+        if bad is not None:
+            raise MismatchError(f"generator row {bad} breaks reduced row echelon form")
+        self._fill(gen, pivots)
 
     def _fill(self, gen: Matrix, pivots: tuple[int, ...]) -> None:
         object.__setattr__(self, "gen", gen)

@@ -10,7 +10,10 @@ The per-entry work lives in two row kernels that ``GF`` owns: every Gram
 entry is one ``dot`` of two rows, and every elimination step is one
 ``sub_scaled`` row update.  One forward elimination (``_eliminate``) is
 the only Gauss loop: it gives pivot columns and the determinant together,
-and ``rref`` is that pass plus a back-substitution.
+and ``rref`` is that pass plus a back-substitution.  ``rref`` runs them
+only on a matrix that ``rref_scan``, the package's one test of reduced
+row echelon form, turns down: the form is unique, so a matrix that passes
+is its own, and a systematic generator [I | A] costs one O(k * n) read.
 
 A matrix built from outside data, through ``Matrix(...)``,
 ``Matrix.from_rows`` or ``Matrix.zero``, has its width and every entry
@@ -22,7 +25,7 @@ derivation writes rows of the width it states.
 
 from __future__ import annotations
 
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from typing import Iterable
 
 from .errors import MismatchError, NotSquareError
@@ -157,13 +160,49 @@ def _eliminate(f: GF, rows: list[list[int]]) -> tuple[tuple[int, ...], int]:
     return tuple(pivots), f.neg(acc) if swaps % 2 else acc
 
 
+def rref_scan(m: Matrix) -> tuple[tuple[int, ...], int | None]:
+    """(pivot columns, None) when m is already in reduced row echelon form, else ((), r).
+
+    Reduced means: no row is zero, each row's first nonzero entry is a 1,
+    these leading columns strictly increase, and every row reads 0 at the
+    other rows' pivots.  r is the first row whose leading entry is not a 1
+    right of the row above's, or if every row's is, the first row with a
+    nonzero entry at another row's pivot.  The scan reads each row up to
+    its leading 1 and then at the pivots, O(k * n) with no field
+    arithmetic.  It is the one test of the form, behind ``rref`` and
+    ``FqCode(gen)``.
+    """
+    rows = m.rows
+    pivots, last = [], -1
+    for r, row in enumerate(rows):
+        try:
+            c = row.index(1)
+        except ValueError:
+            return (), r
+        if c <= last or any(row[:c]):
+            return (), r
+        pivots.append(c)
+        last = c
+    if len(pivots) > 1:
+        at_pivots, k = itemgetter(*pivots), len(pivots)
+        for r, row in enumerate(rows):
+            if at_pivots(row).count(0) != k - 1:
+                return (), r
+    return tuple(pivots), None
+
+
 def rref(m: Matrix) -> tuple[Matrix, int, tuple[int, ...]]:
     """Unique reduced row echelon form, with rank and pivot columns.
 
-    Forward elimination, then back-substitution from the last pivot up:
+    A matrix that ``rref_scan`` finds reduced is its own form, returned as
+    it is with no elimination: the form is unique.  Any other goes through
+    forward elimination, then back-substitution from the last pivot up:
     each pivot row, already clear in every later pivot column, is scaled
     to a leading 1 and cleared from the rows above it.
     """
+    pivots, bad = rref_scan(m)
+    if bad is None:
+        return m, len(pivots), pivots
     f = m.field
     sub_scaled, mul, inv = f.sub_scaled, f.mul, f.inv
     rows = m.to_rows()

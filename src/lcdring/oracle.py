@@ -38,11 +38,9 @@ from math import prod
 from typing import Iterable, Iterator, Sequence, Union
 
 from .errors import CapExceededError, ConsistencyError, MismatchError, ZeroCodeError
-from .fqcode import FqCode, count_text
+from .fqcode import DEFAULT_ENUM_CAP, FqCode, count_text
 from .gf import GF
 from .rcode import RCode
-
-DEFAULT_BUDGET = 1_000_000
 
 # Entries a position's low-row tables may hold in ``_fq_words``: the column of
 # every low word, or its up to q shifts.  Any q <= 64 gets r >= 1, so each
@@ -148,7 +146,7 @@ def _check_budget(code: Code, budget: int) -> None:
         )
 
 
-def codewords(code: FqCode, budget: int = DEFAULT_BUDGET) -> Iterator[Word]:
+def codewords(code: FqCode, budget: int = DEFAULT_ENUM_CAP) -> Iterator[Word]:
     """Stream every codeword of a field code exactly once; errors out above the budget."""
     _check_budget(code, budget)
     return _fq_words(code)
@@ -169,7 +167,7 @@ def _per_word(values: Sequence[Iterable]) -> Iterator[tuple]:
     return zip(*values) if len(values) == 1 else product(*values)
 
 
-def min_distance(code: Code, budget: int = DEFAULT_BUDGET) -> int:
+def min_distance(code: Code, budget: int = DEFAULT_ENUM_CAP) -> int:
     """Exact minimum Hamming (field) or Lee (ring) weight over nonzero words."""
     if code.k == 0:
         raise ZeroCodeError("the zero code has no minimum distance")
@@ -199,7 +197,7 @@ def _orthogonal_count(code: Code, slot_words: list[Iterable[Word]], l: int) -> i
     return sum(map(all, _per_word(verdicts)))
 
 
-def is_dual_pair(code: Code, dual: Code, l: int, budget: int = DEFAULT_BUDGET) -> bool:
+def is_dual_pair(code: Code, dual: Code, l: int, budget: int = DEFAULT_ENUM_CAP) -> bool:
     """Whether ``dual`` is the l-dual of ``code``: sizes match and every pair is orthogonal.
 
     By linearity of the pairing in its first argument, a dual word is
@@ -221,7 +219,7 @@ def is_dual_pair(code: Code, dual: Code, l: int, budget: int = DEFAULT_BUDGET) -
     return _orthogonal_count(code, _slot_lists(dual, budget), l) == dual.size
 
 
-def hull_dim(code: Code, l: int, budget: int = DEFAULT_BUDGET) -> int:
+def hull_dim(code: Code, l: int, budget: int = DEFAULT_ENUM_CAP) -> int:
     """log_q of the number of codewords orthogonal to the whole code.
 
     Membership in the dual is decided against the generators, the
@@ -240,7 +238,7 @@ def hull_dim(code: Code, l: int, budget: int = DEFAULT_BUDGET) -> int:
     return h
 
 
-def is_expansion(code: RCode, image: FqCode, budget: int = DEFAULT_BUDGET) -> bool:
+def is_expansion(code: RCode, image: FqCode, budget: int = DEFAULT_ENUM_CAP) -> bool:
     """Whether ``image``'s words are exactly the F_q^(4n) expansions of ``code``'s words.
 
     Entry j of slot i lands at position 4j + i, so a field word is an

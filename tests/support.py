@@ -1,7 +1,7 @@
 """Shared test helpers: random codes, every code of a small space, every ring word as
-``RingElement``s, an identity matrix, a reference matrix product and kernel, a reference ring
-in the (1, u, v, uv) basis with its Frobenius and Galois dual, a Gray-walk step counter, and
-CLI parser."""
+``RingElement``s, an identity matrix, a reference matrix product, Gauss-Jordan and
+kernel, a reference ring in the (1, u, v, uv) basis with its Frobenius and Galois dual,
+a Gray-walk step counter, and CLI parser."""
 
 from __future__ import annotations
 
@@ -174,7 +174,33 @@ class WalkSteps:
         monkeypatch.setattr(fqcode, "_projective_steps", counted)
 
 
-# An independent kernel route (two eliminations, pivots found afresh); the
+def gauss_jordan(field: GF, rows) -> tuple[list[list[int]], tuple[int, ...]]:
+    """Textbook Gauss-Jordan by scalar field operations: (RREF rows, pivot columns)."""
+    rows = [list(row) for row in rows]
+    pivots = []
+    for c in range(len(rows[0]) if rows else 0):
+        r = len(pivots)
+        pr = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        s = field.inv(rows[r][c])
+        rows[r] = [field.mul(s, v) for v in rows[r]]
+        for i in range(len(rows)):
+            a = rows[i][c]
+            if i != r and a:
+                rows[i] = [field.sub(v, field.mul(a, w)) for v, w in zip(rows[i], rows[r])]
+        pivots.append(c)
+    return rows, tuple(pivots)
+
+
+def reduced_as_given(m: Matrix) -> bool:
+    """Whether ``m`` is already its own RREF: Gauss-Jordan leaves every row as it is, and none is zero."""
+    want, pivots = gauss_jordan(m.field, m.rows)
+    return want == m.to_rows() and len(pivots) == m.nrows
+
+
+# An independent kernel route (two rref passes, pivots found afresh); the
 # reference FqCode.galois_dual is checked against.
 def nullspace_basis(m: Matrix) -> Matrix:
     """A canonical (RREF) basis of the right kernel {x : m · x^T = 0}."""

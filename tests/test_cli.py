@@ -16,7 +16,7 @@ import lcdring
 from lcdring import GF, FqCode, RCode, construct, fqcode, linalg, oracle
 from lcdring.cli import COMMANDS, _analysis, main, parse_args
 from lcdring.codefile import parse_code
-from support import build_parser, random_fqcode, random_rcode
+from support import build_parser, random_fqcode, random_rcode, reduced_as_given
 
 SAMPLE_DIR = pathlib.Path(__file__).parent.parent / "sample_codes"
 SAMPLES = sorted(SAMPLE_DIR.glob("*.json"))
@@ -584,7 +584,7 @@ def test_analyze_report_matches_golden(sample, capsys):
 
 
 def _file_jobs():
-    """(argv, golden file, forward eliminations) for dual at every twist and gray, per sample."""
+    """(argv, golden file, rref passes) for dual at every twist and gray, per sample."""
     for sample in SAMPLES:
         for l in range(parse_code(sample.read_text()).field.e):
             yield pytest.param(["dual", str(sample), "--l", str(l)], f"dual-{sample.stem}-l{l}.json", 8,
@@ -592,13 +592,14 @@ def _file_jobs():
         yield pytest.param(["gray", str(sample)], f"gray-{sample.stem}.json", 4, id=f"gray-{sample.stem}")
 
 
-@pytest.mark.parametrize("argv, golden, eliminations", list(_file_jobs()))
-def test_dual_and_gray_files_match_golden(argv, golden, eliminations, gram_work, monkeypatch, capsys):
+@pytest.mark.parametrize("argv, golden, passes", list(_file_jobs()))
+def test_dual_and_gray_files_match_golden(argv, golden, passes, gram_work, monkeypatch, capsys):
     """The written code, byte for byte, and the work behind it.
 
-    Parsing runs one rref per component.  dual adds one kernel per
+    Parsing runs one rref pass per component.  dual adds one kernel per
     component (one rref pass, through FqCode.from_rows) whatever the
-    twist; gray adds nothing.
+    twist; gray adds nothing.  A pass eliminates exactly when its rows
+    are not already reduced.
     """
     real, callers = fqcode.FqCode.from_rows, []
 
@@ -609,7 +610,8 @@ def test_dual_and_gray_files_match_golden(argv, golden, eliminations, gram_work,
     monkeypatch.setattr(fqcode.FqCode, "from_rows", classmethod(recording_from_rows))
     assert main(argv) == 0
     assert capsys.readouterr().out.encode("utf-8") == (GOLDEN / golden).read_bytes()
-    assert gram_work["eliminations"] == ["rref"] * eliminations
+    assert len(gram_work["rref"]) == passes
+    assert gram_work["eliminations"] == ["rref"] * unreduced(gram_work)
     assert callers.count("galois_dual") == (4 if argv[0] == "dual" else 0)
 
 
@@ -664,11 +666,14 @@ def gram_work(monkeypatch):
     generators are kept so their ids stay unique.  ``code_eliminations``
     names the caller of each forward elimination FqCode runs itself, and
     ``eliminations`` that of every other one, ``rref`` included.
+    ``rref`` holds each matrix ``FqCode.from_rows`` hands to ``rref``, and
+    ``unreduced`` counts those that are not already their own RREF
+    (``reduced_as_given``): exactly those are eliminated.
     """
     from lcdring import construct
 
-    work = {"codes": [], "elsewhere": [], "eliminations": [], "code_eliminations": []}
-    real_gram, real_elim = linalg.gram, linalg._eliminate
+    work = {"codes": [], "elsewhere": [], "eliminations": [], "code_eliminations": [], "rref": []}
+    real_gram, real_elim, real_rref = linalg.gram, linalg._eliminate, fqcode.rref
 
     def recording_gram(key):
         return lambda g, m: work[key].append((g, m)) or real_gram(g, m)
@@ -681,7 +686,13 @@ def gram_work(monkeypatch):
     monkeypatch.setattr(linalg, "_eliminate", counting_elim("eliminations"))
     monkeypatch.setattr(construct, "_eliminate", counting_elim("eliminations"))
     monkeypatch.setattr(fqcode, "_eliminate", counting_elim("code_eliminations"))
+    monkeypatch.setattr(fqcode, "rref", lambda m: work["rref"].append(m) or real_rref(m))
     return work
+
+
+def unreduced(work):
+    """How many of the matrices handed to rref it must eliminate."""
+    return sum(not reduced_as_given(m) for m in work["rref"])
 
 
 @pytest.mark.parametrize("sample", [*SAMPLES, "gf16"], ids=lambda p: getattr(p, "name", p))
@@ -691,8 +702,13 @@ def test_analyze_builds_one_gram_and_one_elimination_per_component_and_twist(sam
         sample = tmp_path / "gf16.json"
         sample.write_text(json.dumps(GF16_FILE))
     assert main(["analyze", str(sample), "--json", "-"]) == 0
-    # the only eliminations outside FqCode are the rref passes that parse the four components
-    assert gram_work["eliminations"] == ["rref"] * 4 and gram_work["elsewhere"] == []
+    # the only eliminations outside FqCode are those of the four parse rref
+    # passes whose component rows are not already reduced
+    assert len(gram_work["rref"]) == 4
+    doc = json.loads(sample.read_text())
+    if "components" in doc:
+        assert [m.to_rows() for m in gram_work["rref"]] == doc["components"]
+    assert gram_work["eliminations"] == ["rref"] * unreduced(gram_work) and gram_work["elsewhere"] == []
     e = parse_code(sample.read_text()).field.e
     builds = [(id(g), m) for g, m in gram_work["codes"]]
     assert len(set(builds)) == len(builds) == 4 * (e // 2 + 1)
@@ -729,6 +745,8 @@ def test_verify_eliminations_do_not_depend_on_e(sample, gram_work, tmp_path, cap
         sample = tmp_path / "gf16.json"
         sample.write_text(json.dumps(GF16_FILE))
     assert main(["verify", str(sample)]) == 0
-    # 4 parse passes, one kernel (1 rref) per component and one for the gray
-    # image; every twist reads the same kernels
-    assert gram_work["eliminations"] == ["rref"] * 9
+    # 4 parse passes, one kernel (1 rref pass) per component and one for the
+    # gray image; every twist reads the same kernels, and a pass eliminates
+    # exactly when its rows are not already reduced
+    assert len(gram_work["rref"]) == 9
+    assert gram_work["eliminations"] == ["rref"] * unreduced(gram_work)

@@ -17,7 +17,7 @@ from lcdring.errors import (
     ZeroScaleError,
 )
 from lcdring.fqcode import _projective_steps, count_text
-from lcdring.linalg import gram, rank, rref
+from lcdring.linalg import _eliminate, gram, rank, rref
 
 from support import identity, matmul, nullspace_basis, random_fqcode
 
@@ -67,11 +67,17 @@ class TestConstruction:
             [[1, 2], [0, 0]],  # zero row
         ],
     )
-    def test_direct_generator_must_be_rref(self, rows):
+    def test_direct_generator_must_be_rref(self, rows, monkeypatch):
         with pytest.raises(MismatchError, match="reduced row echelon"):
             FqCode(Matrix.from_rows(F5, rows))
+        forward = []
+        monkeypatch.setattr(linalg, "_eliminate", lambda *a: forward.append(a) or _eliminate(*a))
+        # the constructor's near miss is one for rref too, which eliminates it ...
         c = code(F5, 2, rows)
+        assert len(forward) == 1
         assert FqCode(c.gen) == c
+        # ... and takes the reduced generator as it is
+        assert rref(c.gen) == (c.gen, c.k, c.pivots) and len(forward) == 1
 
 
 class TestGaloisDual:

@@ -2,16 +2,17 @@
 
 import itertools
 import random
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lcdring import GF, FqCode, Matrix, fqcode
+from lcdring import GF, FqCode, Matrix, fqcode, linalg
 from lcdring.errors import ConsistencyError, MismatchError, NotSquareError
 from lcdring.linalg import _eliminate, det, gram, minor_det, rank, rref
 
-from support import identity, matmul
+from support import gauss_jordan, identity, matmul
 
 F5 = GF(5)
 F9 = GF(3, 2, [1, 0, 1])
@@ -186,26 +187,6 @@ def leibniz_det(field, rows):
     return total
 
 
-def gauss_jordan(field, rows):
-    """Textbook Gauss-Jordan by scalar field operations: (RREF rows, pivot columns)."""
-    rows = [list(row) for row in rows]
-    pivots = []
-    for c in range(len(rows[0]) if rows else 0):
-        r = len(pivots)
-        pr = next((i for i in range(r, len(rows)) if rows[i][c]), None)
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        s = field.inv(rows[r][c])
-        rows[r] = [field.mul(s, v) for v in rows[r]]
-        for i in range(len(rows)):
-            a = rows[i][c]
-            if i != r and a:
-                rows[i] = [field.sub(v, field.mul(a, w)) for v, w in zip(rows[i], rows[r])]
-        pivots.append(c)
-    return rows, tuple(pivots)
-
-
 @st.composite
 def row_lists(draw):
     """(field, ncols, rows) up to 6 x 8, rows random, zero, repeated or combinations of earlier ones."""
@@ -229,14 +210,62 @@ def row_lists(draw):
     return f, ncols, rows
 
 
+NEAR_MISSES = ("leading entry not 1", "pivots out of order", "nonzero at another pivot",
+               "zero row between rows", "trailing zero row")
+
+
+@st.composite
+def reduced_or_near_miss(draw):
+    """(field, ncols, rows): a random RREF with no zero row, as it is or broken by one near miss."""
+    f = draw(st.sampled_from([GF(2), GF(2, 2), F5, GF(2, 3), F9]))
+    ncols = draw(st.integers(1, 8))
+    pivots = sorted(draw(st.sets(st.integers(0, ncols - 1), max_size=min(ncols, 5))))
+    rows = []
+    for pc in pivots:
+        row = [int(c == pc) for c in range(ncols)]
+        for c in range(pc + 1, ncols):
+            if c not in pivots:
+                row[c] = draw(st.integers(0, f.q - 1))
+        rows.append(row)
+    miss = draw(st.sampled_from((None, *NEAR_MISSES)))
+    if miss == "leading entry not 1" and rows and f.q > 2:
+        r = draw(st.integers(0, len(rows) - 1))
+        a = draw(st.integers(2, f.q - 1))
+        rows[r] = [f.mul(a, v) for v in rows[r]]
+    elif miss == "pivots out of order" and len(rows) > 1:
+        r = draw(st.integers(0, len(rows) - 2))
+        rows[r], rows[r + 1] = rows[r + 1], rows[r]
+    elif miss == "nonzero at another pivot" and len(rows) > 1:
+        r, s = draw(st.permutations(range(len(rows))))[:2]
+        rows[r] = [f.add(v, w) for v, w in zip(rows[r], rows[s])]
+    elif miss == "zero row between rows" and len(rows) > 1:
+        rows.insert(draw(st.integers(1, len(rows) - 1)), [0] * ncols)
+    elif miss == "trailing zero row":
+        rows += [[0] * ncols] * draw(st.integers(1, 2))
+    return f, ncols, rows
+
+
 @settings(max_examples=300, deadline=None)
-@given(row_lists())
+@given(st.one_of(row_lists(), reduced_or_near_miss()))
+@example((F5, 4, [[1, 0, 2, 0], [0, 1, 3, 0], [0, 0, 0, 1]]))  # reduced
+@example((F5, 4, [[1, 0, 2, 0], [0, 3, 4, 0]]))  # leading entry not 1
+@example((F5, 4, [[0, 1, 3, 0], [1, 0, 2, 0]]))  # pivots out of order
+@example((F5, 4, [[1, 1, 0, 0], [0, 1, 3, 0]]))  # nonzero at another pivot
+@example((F5, 4, [[1, 0, 2, 0], [0, 0, 0, 0], [0, 1, 3, 0]]))  # zero row between rows
+@example((F5, 4, [[1, 0, 2, 0], [0, 1, 3, 0], [0, 0, 0, 0]]))  # trailing zero row
+@example((F5, 4, []))  # no rows: reduced
 def test_rref_matches_textbook_gauss_jordan(case):
     f, ncols, rows = case
     want, want_pivots = gauss_jordan(f, rows)
-    reduced, rk, pivots = rref(m(f, rows, ncols=ncols))
+    given_m = m(f, rows, ncols=ncols)
+    with mock.patch.object(linalg, "_eliminate", wraps=_eliminate) as forward:
+        reduced, rk, pivots = rref(given_m)
     assert reduced.to_rows() == want
     assert (rk, pivots) == (len(want_pivots), want_pivots)
+    # rows Gauss-Jordan leaves as they are, none of them zero, are taken without an elimination
+    already = want == rows and rk == len(rows)
+    assert forward.call_count == (0 if already else 1)
+    assert (reduced is given_m) == already
     echelon = [list(row) for row in rows]
     assert _eliminate(f, echelon)[0] == pivots
     # the forward pass leaves true zeros left of each pivot, below it, and past the rank

@@ -82,6 +82,17 @@ def test_only_from_rows_reduces_into_rref():
     assert _call_sites("rref") == ["fqcode.py:from_rows"]
 
 
+def test_one_reduced_form_scan():
+    """linalg.rref_scan is the one test of reduced row echelon form: defined once, in linalg, and
+    read only by rref, which takes a matrix that passes as it is, and by FqCode(gen), which refuses
+    one that fails."""
+    defs = [path.name for path in sorted(PACKAGE.glob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name == "rref_scan"]
+    assert defs == ["linalg.py"]
+    assert _call_sites("rref_scan") == ["fqcode.py:__init__", "linalg.py:rref"]
+
+
 # What the fast paths compute, and the shared kernels behind them.
 FAST_PATH_ATTRS = {
     "pivots", "galois_dual", "hull_dim", "lcd_status", "is_lcd", "is_self_orthogonal", "is_self_dual",
@@ -108,7 +119,7 @@ def test_oracle_is_independent_of_the_fast_paths():
         for target in targets:
             parts = target.split(".")
             if {"linalg", "construct"} & set(parts) or (
-                "fqcode" in parts and parts[-1] not in ("FqCode", "count_text")
+                "fqcode" in parts and parts[-1] not in ("FqCode", "count_text", "DEFAULT_ENUM_CAP")
             ):
                 found.append(f"oracle.py:{node.lineno}: import {target}")
     assert found == []
