@@ -16,13 +16,7 @@ from types import SimpleNamespace
 from typing import Any, Callable, NamedTuple, NoReturn, Sequence
 
 from . import codefile, construct, oracle
-from .errors import (
-    BadLError,
-    CapExceededError,
-    ConsistencyError,
-    LcdringError,
-    SizeCapError,
-)
+from .errors import BadLError, CapExceededError, ConsistencyError, LcdringError
 from .fqcode import DEFAULT_ENUM_CAP, count_text
 from .rcode import RCode
 from .ring import gamma_to_u
@@ -417,7 +411,7 @@ def main(argv: list[str] | None = None) -> int:
     handler, args = parse_args(sys.argv[1:] if argv is None else argv)
     try:
         return handler(args)
-    except (CapExceededError, SizeCapError) as exc:
+    except CapExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ConsistencyError as exc:

@@ -69,10 +69,10 @@ import random
 from typing import NamedTuple, Sequence
 
 from .errors import (
+    CapExceededError,
     ConsistencyError,
     FieldTooSmallError,
     NotSquareError,
-    SizeCapError,
     SupportMismatchError,
     ZeroCodeError,
 )
@@ -148,7 +148,7 @@ def minor_search(p: Matrix) -> MinorCertificate:
     if d != 0:
         return MinorCertificate(len(drop) - 1, drop, d)
     if m > DEFAULT_DIM_CAP:
-        raise SizeCapError(f"matrix size {m} exceeds the search cap of {DEFAULT_DIM_CAP}")
+        raise CapExceededError(f"matrix size {m} exceeds the search cap of {DEFAULT_DIM_CAP}")
     for w in range(m - len(pivots), m + 1):
         for drop in itertools.combinations(range(m), w):
             d = minor_det(p, drop)

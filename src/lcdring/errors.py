@@ -30,11 +30,7 @@ class ZeroCodeError(LcdringError):
 
 
 class CapExceededError(LcdringError):
-    """Enumeration would exceed the configured budget."""
-
-
-class SizeCapError(LcdringError):
-    """Minor search dimension exceeds the configured budget."""
+    """Enumeration or search would exceed the configured budget."""
 
 
 class ZeroScaleError(LcdringError):

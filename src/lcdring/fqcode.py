@@ -365,9 +365,6 @@ class FqCode(Value):
         object.__setattr__(self, "_dist", best)
         return best
 
-    def is_mds(self, cap: int = DEFAULT_ENUM_CAP) -> bool:
-        return self.min_dist(cap) == self.n - self.k + 1
-
     # -- equivalence ---------------------------------------------------------
 
     def scale(self, factors: Sequence[int]) -> "FqCode":

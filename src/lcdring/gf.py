@@ -141,20 +141,11 @@ def _ppowmod(base: Sequence[int], n: int, mod: Sequence[int], p: int) -> list[in
 def _is_irreducible(coeffs: Sequence[int], p: int) -> bool:
     """Irreducibility over F_p for a monic polynomial of degree >= 1.
 
-    Root absence settles degrees up to 3; beyond that, any proper factor
-    has degree d <= deg/2 and divides x^(p^d) - x, so gcd probes catch it.
+    A reducible polynomial has an irreducible factor of degree d <= deg/2,
+    which divides x^(p^d) - x, so one gcd probe per d decides every degree;
+    the d = 1 probe is the root test.
     """
     deg = len(coeffs) - 1
-    if deg == 1:
-        return True
-    for r in range(p):
-        acc = 0
-        for c in reversed(coeffs):
-            acc = (acc * r + c) % p
-        if acc == 0:
-            return False
-    if deg <= 3:
-        return True
     x = [0, 1]
     cur = x
     for _ in range(deg // 2):
@@ -306,7 +297,7 @@ class GF:
     # -- element encoding ---------------------------------------------------
 
     def check(self, x: int) -> int:
-        if isinstance(x, bool) or not isinstance(x, int) or not 0 <= x < self.q:
+        if type(x) is not int or not 0 <= x < self.q:
             raise ValueError(f"{x!r} is not an element encoding of {self!r}")
         return x
 

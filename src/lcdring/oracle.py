@@ -89,9 +89,6 @@ def _blocks(f: GF, rows: Sequence[Word], n: int, r: int) -> Iterator[Iterator[Wo
             # a zero entry adds nothing, so the column repeats once per digit
             col = col * q if v == 0 else [add(x, m) for m in [mul(d, v) for d in range(q)] for x in col]
         cols.append(col)
-    if r == len(rows):
-        yield zip(*cols)
-        return
     shifts = [{0: col} for col in cols]  # column j shifted by v, made on first use
 
     def shifted(memo: dict[int, list[int]], v: int) -> list[int]:

@@ -7,13 +7,14 @@ import random
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import lcdring
-from lcdring import GF, FqCode, RCode, construct, fqcode, linalg, oracle
+from lcdring import GF, FqCode, RCode, cli, construct, errors, fqcode, linalg, oracle
 from lcdring.cli import COMMANDS, _analysis, main, parse_args
 from lcdring.codefile import parse_code
 from support import build_parser, random_fqcode, random_rcode, reduced_as_given
@@ -203,6 +204,21 @@ def test_construct_self_orthogonal_k24(tmp_path, capsys):
     assert out.k == 24 and out.is_lcd(0)
 
 
+def test_construct_past_the_search_cap_exits_2(tmp_path, capsys):
+    """A singular greedy minor needs the fallback scan, which is refused above ``DEFAULT_DIM_CAP`` rows."""
+    # [I | A] over GF(8) with A's rows 0 and 1 making the l = 1 Gram block [[0, 1], [0, 0]]: deleting
+    # the greedy co-basis {1} leaves P[0][0] = 0
+    k = construct.DEFAULT_DIM_CAP + 1
+    rows = [[int(i == j) for j in range(k)] + [0, 0, 0] for i in range(k)]
+    rows[0][k:], rows[1][k:] = [4, 7, 5], [7, 7, 1]
+    path, out_path = tmp_path / "cap.json", tmp_path / "out.json"
+    path.write_text(json.dumps({"field": {"p": 2, "e": 3}, "n": k + 3, "components": [rows, [], [], []]}))
+    assert main(["construct-lcd", str(path), "--mode", "galois", "--l", "1", "-o", str(out_path)]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: matrix size {k} exceeds the search cap of {k - 1}\n")
+    assert not out_path.exists()
+
+
 def test_dual_of_self_dual_line_is_identical_file(line_path, tmp_path):
     out1 = tmp_path / "dual.json"
     assert main(["dual", line_path, "--l", "0", "-o", str(out1)]) == 0
@@ -319,6 +335,20 @@ def test_huge_prime_refused_before_primality_test(tmp_path, capsys):
     path.write_text(json.dumps(doc))
     assert main(["analyze", str(path)]) == 1
     assert f"field order {2**61 - 1}^1 exceeds 1048576" in capsys.readouterr().err
+
+
+def test_every_error_class_has_its_exit_code(monkeypatch, capsys):
+    """2 for CapExceededError and only for it, 3 for ConsistencyError, 1 for every other class in errors.py."""
+    classes = [c for c in vars(errors).values() if isinstance(c, type) and issubclass(c, errors.LcdringError)]
+    assert len(classes) > 10
+    for cls in classes:
+        def handler(args, cls=cls):
+            raise cls("boom")
+
+        monkeypatch.setattr(cli, "parse_args", lambda argv: (handler, SimpleNamespace()))
+        code = {errors.CapExceededError: 2, errors.ConsistencyError: 3}.get(cls, 1)
+        prefix = "internal consistency failure" if code == 3 else "error"
+        assert (main([]), capsys.readouterr().err) == (code, f"{prefix}: boom\n"), cls.__name__
 
 
 def test_kernel_invariant_failure_exits_3(line_path, monkeypatch, capsys):

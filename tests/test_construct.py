@@ -23,8 +23,8 @@ from lcdring.construct import (
 )
 from lcdring.errors import (
     BadLError,
+    CapExceededError,
     FieldTooSmallError,
-    SizeCapError,
     SupportMismatchError,
     ZeroCodeError,
 )
@@ -74,7 +74,8 @@ class TestMinorSearch:
         rows[0][1] = 1
         for i in range(2, m):
             rows[i][i] = 1
-        with pytest.raises(SizeCapError):
+        message = rf"^matrix size {m} exceeds the search cap of {DEFAULT_DIM_CAP}$"
+        with pytest.raises(CapExceededError, match=message):
             minor_search(mat(F5, rows))
 
     def test_fallback_scan_under_default_cap(self):

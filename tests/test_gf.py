@@ -1,14 +1,16 @@
 """Field arithmetic: worked values plus structural properties."""
 
+import enum
 import functools
 import hashlib
+import itertools
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lcdring import GF
-from lcdring.gf import _is_prime, _pmod, _pmul, _ppowmod, _prime_divisors, _psub, _trim
+from lcdring import GF, FqCode, Matrix, RingElement, gamma_to_u, lemma_det_check, minor_search, u_to_gamma
+from lcdring.gf import _is_irreducible, _is_prime, _pmod, _pmul, _ppowmod, _prime_divisors, _psub, _trim
 from lcdring.errors import BadModulusError, NotPrimeError
 
 
@@ -68,6 +70,37 @@ def test_non_int_arguments_refused(args):
 def test_check_refuses_non_elements(f5, x):
     with pytest.raises(ValueError, match="not an element encoding"):
         f5.check(x)
+
+
+class Digit(enum.IntEnum):
+    TWO = 2
+
+
+def _lemma_det_check(f, x):
+    p = Matrix.from_rows(f, [[0]])
+    return lemma_det_check(p, [x], minor_search(p))
+
+
+# every entry point that takes field values, and what it gives for the plain int 2 over GF(5)
+ENCODING_ENTRY_POINTS = [
+    (lambda f, x: f.check(x), 2),
+    (lambda f, x: u_to_gamma(f, (x, 0, 0, 0)), (2, 2, 2, 2)),
+    (lambda f, x: gamma_to_u(f, (x, 0, 0, 0)), (2, 3, 3, 2)),
+    (lambda f, x: RingElement.from_u(f, (x, 0, 0, 0)).g, (2, 2, 2, 2)),
+    (lambda f, x: RingElement(f, (x, 0, 0, 0)).g, (2, 0, 0, 0)),
+    (lambda f, x: FqCode.from_rows(f, 2, [[1, 1]]).scale([1, x]).gen.rows, ((1, 2),)),
+    (lambda f, x: Matrix.from_rows(f, [[x]]).rows, ((2,),)),
+    (_lemma_det_check, True),  # det [[0 + 2]] = 2 = the empty minor's 1 times b_0
+]
+
+
+@pytest.mark.parametrize("call, value", ENCODING_ENTRY_POINTS, ids=[
+    "check", "u_to_gamma", "gamma_to_u", "from_u", "RingElement", "scale", "from_rows", "lemma_det_check"])
+def test_an_int_subclass_is_not_an_encoding(f5, call, value):
+    """One definition of an encoding: an int of exactly type int, so an IntEnum member never leaks into a value."""
+    assert call(f5, 2) == value
+    with pytest.raises(ValueError, match="is not an element"):
+        call(f5, Digit.TWO)
 
 
 def test_arithmetic_worked_values(f5, f9):
@@ -150,6 +183,58 @@ def test_pmod_is_the_remainder_of_division(p, data):
     assert _pmod(a, b, p) == r
     with pytest.raises(ZeroDivisionError):
         _pmod(a, [0] * len(b), p)
+
+
+def _monics(p, deg):
+    """Every monic polynomial of degree deg over F_p, as an ascending coefficient list."""
+    return ([*low, 1] for low in itertools.product(range(p), repeat=deg))
+
+
+def _has_proper_factor(coeffs, p):
+    """Trial division by every monic polynomial of degree 1..deg//2."""
+    deg = len(coeffs) - 1
+    return any(_pmod(coeffs, d, p) == [] for m in range(1, deg // 2 + 1) for d in _monics(p, m))
+
+
+def _necklace(p, n):
+    """(1/n) * sum over d | n of mu(d) * p^(n/d): the count of monic irreducibles of degree n."""
+    def mobius(d):
+        primes = [r for r in range(2, d + 1) if d % r == 0 and _is_prime(r)]
+        return 0 if any(d % (r * r) == 0 for r in primes) else (-1) ** len(primes)
+    return sum(mobius(d) * p ** (n // d) for d in range(1, n + 1) if n % d == 0) // n
+
+
+@pytest.mark.parametrize("p, top", [(2, 8), (3, 6), (5, 4), (7, 3)])
+def test_irreducibility_matches_trial_division(p, top):
+    """Every monic polynomial of degree <= top, and the irreducible count per degree."""
+    for deg in range(1, top + 1):
+        count = 0
+        for coeffs in _monics(p, deg):
+            irreducible = _is_irreducible(coeffs, p)
+            assert irreducible == (not _has_proper_factor(coeffs, p)), coeffs
+            count += irreducible
+        assert count == _necklace(p, deg)
+
+
+@st.composite
+def _monic_polys(draw):
+    """(p, coeffs): a random monic polynomial, or a product of two of degree >= 2, often with no root."""
+    p, top = draw(st.sampled_from([(2, 12), (3, 8), (5, 6), (7, 6), (11, 4), (13, 4)]))
+
+    def monic(lo, hi):
+        return draw(st.lists(st.integers(0, p - 1), min_size=lo, max_size=hi)) + [1]
+
+    if draw(st.booleans()):
+        return p, monic(1, top)
+    return p, _pmul(monic(2, top // 2), monic(2, top // 2), p)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_monic_polys())
+@example((2, [1, 0, 1, 0, 1]))  # (x^2 + x + 1)^2: reducible, with no root over GF(2)
+def test_irreducibility_matches_trial_division_past_the_exhaustive_degrees(case):
+    p, coeffs = case
+    assert _is_irreducible(coeffs, p) == (not _has_proper_factor(coeffs, p))
 
 
 # GF(9), GF(25), GF(2^8), GF(5^4), GF(23^2) and the explicit GF(16) modulus

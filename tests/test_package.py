@@ -29,6 +29,17 @@ def test_package_imports_only_the_standard_library():
     assert outside == []
 
 
+def test_sources_parse_at_the_declared_python_floor():
+    """Every module parses as the oldest Python that pyproject.toml's requires-python admits.
+
+    This checks syntax only: a standard-library name added after the floor still passes.
+    """
+    pyproject = (PACKAGE.parents[1] / "pyproject.toml").read_text(encoding="utf-8")
+    floor = tuple(map(int, re.search(r'^requires-python = ">=(\d+)\.(\d+)"$', pyproject, re.MULTILINE).groups()))
+    for path in sorted(PACKAGE.glob("*.py")):
+        ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=floor)
+
+
 def test_value_protocol_lives_in_one_class():
     """Only value.Value refuses assignment; only Value and GF define equality and hashing."""
     owners = {"__setattr__": {"value.Value"}, "__delattr__": {"value.Value"},
@@ -188,8 +199,8 @@ def test_every_function_is_reached():
     identifier (a ``getattr``, an ``attrgetter``); a function also by its
     bare name, and an ``__all__`` entry is such a string.  Like
     ``_call_sites`` this matches by name alone, so a dead method that
-    shares its name with a live one (``FqCode.is_mds`` with
-    ``RCode.is_mds``) is not caught.
+    shares its name with a live one (``FqCode.zero`` with
+    ``Matrix.zero``) is not caught.
     """
     methods, functions, names, attrs = {}, {}, set(), set()
     for path in sorted(PACKAGE.glob("*.py")):

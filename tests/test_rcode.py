@@ -216,7 +216,7 @@ class TestMds:
             rc = random_rcode(rng, F5, rng.randint(2, 4), 2)
             if any(c.k == 0 for c in rc.comps):
                 continue
-            per_comp = all(c.is_mds() for c in rc.comps) and (
+            per_comp = all(c.min_dist() == c.n - c.k + 1 for c in rc.comps) and (
                 len({(c.k, c.min_dist()) for c in rc.comps}) == 1
             )
             assert rc.is_mds() == per_comp
