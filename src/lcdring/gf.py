@@ -160,6 +160,8 @@ def _smallest_irreducible(p: int, e: int) -> tuple[int, ...]:
     if e == 1:
         return (0, 1)
     for low in range(p**e):
+        if low % p == 0:  # constant term 0, so x divides it
+            continue
         coeffs = []
         v = low
         for _ in range(e):
@@ -172,7 +174,7 @@ def _smallest_irreducible(p: int, e: int) -> tuple[int, ...]:
 
 
 def _require_int(name: str, v: object) -> int:
-    if isinstance(v, bool) or not isinstance(v, int):
+    if type(v) is not int:
         raise ValueError(f"{name} must be an int, got {v!r}")
     return v
 
@@ -368,7 +370,7 @@ class GF:
 
     def check_twist(self, l: int) -> int:
         """l, if it is an int in [0, e - 1] naming the twist x -> x^(p^l); BadLError otherwise."""
-        if isinstance(l, bool) or not isinstance(l, int) or not 0 <= l < self.e:
+        if type(l) is not int or not 0 <= l < self.e:
             raise BadLError(f"l must lie in [0, {self.e - 1}], got {l!r}")
         return l
 

@@ -3,14 +3,18 @@
 Everything here works from first principles on enumerated codewords and
 shares no dual, kernel or echelon machinery with the rest of the package;
 agreement between the two routes is the evidence the test suite relies
-on.  Enumeration order is fixed (message encodings ascending) so streams
-are reproducible.  Budgets are hard errors, never silent skips.
+on.  Budgets are hard errors, never silent skips.  No result depends on
+the order words come in, but that order is fixed, so streams are
+reproducible.
 
 A field code's words stream in blocks: the words of its low generator
 rows are tabulated once, entry by entry, into per-position columns of at
 most ``TABLE_ENTRIES`` entries, and each word of the remaining rows
 yields the block of words ``zip`` reads off those columns shifted by its
-entries.  Only the tables and the walk over the high rows call the field.
+entries.  Blocks come in the p-ary Gray order of the high rows' messages
+(``_walk``), and words within a block in message order, so the whole
+stream is in message order only when q^k <= ``TABLE_ENTRIES``.  Only the
+tables and the walk over the high rows call the field.
 
 Field and ring codes share one path through a word's slot vectors: (w,)
 for a field word, one word of each of the four component codes for a ring
@@ -54,16 +58,17 @@ Word = tuple[int, ...]
 
 
 def _fq_words(code: FqCode) -> Iterator[Word]:
-    """All codewords, ordered by message encoding (row 0 least significant), in blocks.
+    """All codewords once, the zero word first, in blocks.
 
     The word of message low + q^r * high is the sum of the words the low
     r rows and the high k - r rows give.  The low rows are enumerated once
-    into per-position columns, entry j of every low word in message order;
-    each high word b then yields the block of q^r words read by ``zip``
-    from column j shifted by b_j, so most entries cost no field call.  r
-    is the most rows whose tables fit ``TABLE_ENTRIES`` per position: the
-    q^k-entry column itself when every row fits (r = k), else q^r entries
-    and their up to q shifts.  With r = 0 every block is one word.
+    into per-position columns, entry j of every low word in message order
+    (row 0 least significant); each high word b, in ``_walk``'s order, then
+    yields the block of q^r words read by ``zip`` from column j shifted by
+    b_j, so most entries cost no field call.  r is the most rows whose
+    tables fit ``TABLE_ENTRIES`` per position: the q^k-entry column itself
+    when every row fits (r = k), else q^r entries and their up to q shifts.
+    With r = 0 the walk is the stream.
     """
     f = code.field
     q, k, n, rows = f.q, code.k, code.n, code.gen.rows
@@ -74,7 +79,7 @@ def _fq_words(code: FqCode) -> Iterator[Word]:
         while q ** (r + 2) <= TABLE_ENTRIES:
             r += 1
     if r == 0:
-        return _odometer(f, rows, n)
+        return _walk(f, rows, n)
     return chain.from_iterable(_blocks(f, rows, n, r))
 
 
@@ -97,43 +102,30 @@ def _blocks(f: GF, rows: Sequence[Word], n: int, r: int) -> Iterator[Iterator[Wo
             col = memo[v] = [add(x, v) for x in memo[0]]
         return col
 
-    for b in _odometer(f, rows[r:], n):
+    for b in _walk(f, rows[r:], n):
         yield zip(*map(shifted, shifts, b))
 
 
-def _odometer(f: GF, rows: Sequence[Word], n: int) -> Iterator[Word]:
-    """Every word of ``rows``' span, in message order, each the last one plus a step.
+def _walk(f: GF, rows: Sequence[Word], n: int) -> Iterator[Word]:
+    """The word of every message to ``rows`` once, the zero word first, each the last one plus a step.
 
-    The message digits count up like an odometer.  When digit i steps from
-    d to d + 1, every lower digit wraps from q - 1 to 0, so the word changes
-    by a fixed vector: (d + 1 - d) * row i - (q - 1) * (rows 0..i-1), digits
-    read as field elements.  The step depends on d only through the scalar
-    d + 1 - d, which is 1 + x + ... + x^t when d ends in t digits p - 1; so
-    at most e scalars, and -(q - 1) is among them (d = p^(e-1) - 1).
+    A message is k * e digits over F_p: digit j * e + t is the coefficient
+    of x^t in the scalar of row j, and stepping it by 1 adds x^t * row j.
+    Step s = 1, 2, ... steps digit v_p(s), the number of times p divides s,
+    so after s steps digit i holds s_i - s_(i+1) mod p, s_i the base-p
+    digits of s: a p-ary Gray order, one word per s, and no digit carries.
     """
-    q, k = f.q, len(rows)
-    add, sub, mul = f.add, f.sub, f.mul
-    scalars = [sub(d + 1, d) for d in range(q - 1)]
-    carry = sub(0, q - 1)
-    wrap = (0,) * n  # -(q - 1) * (rows 0..i-1)
-    steps = []
-    for row in rows:
-        multiples = {s: [mul(s, v) for v in row] for s in set(scalars)}
-        by_scalar = {s: tuple(map(add, wrap, m)) for s, m in multiples.items()}
-        steps.append([by_scalar[s] for s in scalars])
-        wrap = tuple(map(add, wrap, multiples[carry]))
-    digits = [0] * k + [None]  # the sentinel ends every carry
+    p, add, mul = f.p, f.add, f.mul
+    steps = [[mul(p**t, v) for v in row] for row in rows for t in range(f.e)]
     word = (0,) * n
-    while True:
-        yield word
+    yield word
+    for s in range(1, p ** len(steps)):
         i = 0
-        while digits[i] == q - 1:
-            digits[i] = 0
+        while s % p == 0:
+            s //= p
             i += 1
-        if i == k:
-            return
-        word = tuple(map(add, word, steps[i][digits[i]]))
-        digits[i] += 1
+        word = tuple(map(add, word, steps[i]))
+        yield word
 
 
 def _check_budget(code: Code, budget: int) -> None:
@@ -169,9 +161,7 @@ def min_distance(code: Code, budget: int = DEFAULT_ENUM_CAP) -> int:
     if code.k == 0:
         raise ZeroCodeError("the zero code has no minimum distance")
     weights = [(len(v) - v.count(0) for v in ws) for ws in _slot_lists(code, budget)]
-    sums = map(sum, _per_word(weights))
-    next(sums)  # the zero word
-    return min(sums)
+    return min(filter(None, map(sum, _per_word(weights))))  # only the zero word weighs 0
 
 
 def _orthogonal_count(code: Code, slot_words: list[Iterable[Word]], l: int) -> int:

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from lcdring import GF, FqCode, Matrix, RingElement, gamma_to_u, lemma_det_check, minor_search, u_to_gamma
 from lcdring.gf import _is_irreducible, _is_prime, _pmod, _pmul, _ppowmod, _prime_divisors, _psub, _trim
-from lcdring.errors import BadModulusError, NotPrimeError
+from lcdring.errors import BadLError, BadModulusError, NotPrimeError
 
 
 @pytest.fixture(scope="module")
@@ -35,6 +35,29 @@ def test_gf9_accepts_x2_plus_1():
     assert f.q == 9
     # and it is also the smallest-encoding default
     assert GF(3, 2).modulus == (1, 0, 1)
+
+
+def _first_irreducible_by_trial_division(p, e):
+    """The monic degree-e polynomial of least encoding with no monic factor of degree 1 .. e // 2."""
+    def divides(g, f):
+        r = list(f)
+        for i in range(len(f) - len(g), -1, -1):  # long division; g is monic
+            c = r[i + len(g) - 1]
+            for j, gj in enumerate(g):
+                r[i + j] = (r[i + j] - c * gj) % p
+        return not any(r)
+
+    factors = [list(c) + [1] for d in range(1, e // 2 + 1) for c in itertools.product(range(p), repeat=d)]
+    for low in range(p**e):
+        f = [low // p**i % p for i in range(e)] + [1]
+        if not any(divides(g, f) for g in factors):
+            return tuple(f)
+
+
+@pytest.mark.parametrize("p, e", [(p, e) for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
+                                  for e in range(2, 11) if p**e <= 2**10])
+def test_default_modulus_is_the_first_irreducible(p, e):
+    assert GF(p, e).modulus == _first_irreducible_by_trial_division(p, e)
 
 
 def test_not_prime():
@@ -73,7 +96,9 @@ def test_check_refuses_non_elements(f5, x):
 
 
 class Digit(enum.IntEnum):
+    ONE = 1
     TWO = 2
+    FIVE = 5
 
 
 def _lemma_det_check(f, x):
@@ -101,6 +126,21 @@ def test_an_int_subclass_is_not_an_encoding(f5, call, value):
     assert call(f5, 2) == value
     with pytest.raises(ValueError, match="is not an element"):
         call(f5, Digit.TWO)
+
+
+@pytest.mark.parametrize("args, name", [
+    ((Digit.FIVE,), "p"), ((5, Digit.ONE), "e"), ((3, 2, [Digit.ONE, 0, Digit.ONE]), "modulus entry"),
+], ids=["p", "e", "modulus"])
+def test_an_int_subclass_is_not_field_data(args, name):
+    """p, e and the modulus entries are ints of exactly type int, so a field never stores an IntEnum member."""
+    with pytest.raises(ValueError, match=f"^{name} must be an int, got <Digit"):
+        GF(*args)
+
+
+def test_an_int_subclass_is_not_a_twist(f9):
+    assert f9.check_twist(1) == 1
+    with pytest.raises(BadLError, match=r"^l must lie in \[0, 1\], got <Digit.ONE: 1>$"):
+        f9.check_twist(Digit.ONE)
 
 
 def test_arithmetic_worked_values(f5, f9):

@@ -86,7 +86,8 @@ class TestEnumeration:
     @settings(max_examples=8, deadline=None)
     @given(data=st.data())
     def test_blocks_match_product(self, q, k, data):
-        """Every regime of the blocked enumeration gives ``product``'s words in its order."""
+        """Every regime of the blocked enumeration gives ``product``'s words once each, the zero
+        word first, and in ``product``'s order whenever q^k fits the tables."""
         assert 4**6 <= oracle.TABLE_ENTRIES < min(9**4, 101**2)
         f = ENUM_FIELDS[q]
         n = data.draw(st.integers(k, k + 2), label="n")
@@ -100,7 +101,31 @@ class TestEnumeration:
         assert c.k == k
         words = oracle.codewords(c)
         assert iter(words) is words
-        assert list(words) == product_words(c)
+        words, want = list(words), product_words(c)
+        assert len(set(want)) == q**k
+        assert words[0] == (0,) * n
+        assert sorted(words) == sorted(want)
+        if q**k <= oracle.TABLE_ENTRIES:
+            assert words == want
+
+    @pytest.mark.parametrize("field, k", [(GF(2), 3), (GF(2, 2), 3), (F5, 2), (F5, 3), (GF(2, 3), 3), (F9, 3), (F9, 0)],
+                             ids=repr)
+    def test_walk_is_a_gray_order(self, field, k):
+        """After s steps, F_p digit i of the message is s_i - s_(i+1) mod p, s_i the base-p digits of s:
+        digit j * e + t is the coefficient of x^t in row j's scalar."""
+        p, e, n = field.p, field.e, 3
+        rng = random.Random(field.q * 10 + k)
+        rows = [[rng.randrange(field.q) for _ in range(n)] for _ in range(k)]
+        words = list(oracle._walk(field, rows, n))
+        assert len(words) == field.q**k
+        for s, word in enumerate(words):
+            base_p = [s // p**i % p for i in range(k * e + 1)]
+            digits = [(base_p[i] - base_p[i + 1]) % p for i in range(k * e)]
+            want = (0,) * n
+            for j, row in enumerate(rows):
+                scalar = sum(d * p**t for t, d in enumerate(digits[j * e:(j + 1) * e]))
+                want = tuple(map(field.add, want, [field.mul(scalar, v) for v in row]))
+            assert word == want
 
     @pytest.mark.parametrize("field, walk_mb", [(GF(101), 0.12), (GF(4099), 2.56), (GF(31), 0.04)], ids=repr)
     def test_first_words_take_little_memory(self, field, walk_mb):
@@ -122,7 +147,7 @@ class TestEnumeration:
     def test_steps_are_keyed_by_scalar(self, field, monkeypatch):
         """Before the first word, a row's steps cost e * n products, not (q - 1) * n.
 
-        Digit d steps to d + 1 by the scalar (d + 1) - d, one of e values.
+        Each F_p digit of the message steps by 1, so the steps of row j are its e multiples x^t * row j.
         """
         n = 16
         c = FqCode.from_rows(field, n, [[1] + [field.q - 1 - j for j in range(1, n)]])
@@ -201,6 +226,14 @@ class TestMinDistance:
     def test_zero_code(self):
         with pytest.raises(ZeroCodeError):
             oracle.min_distance(FqCode.zero(F5, 2))
+
+    def test_word_order_does_not_matter(self, monkeypatch):
+        """The distance is the least nonzero weight, wherever the zero word comes in the stream."""
+        real = oracle._fq_words
+        monkeypatch.setattr(oracle, "_fq_words", lambda c: reversed(list(real(c))))
+        rep = FqCode.from_rows(F5, 3, [[1, 1, 1]])
+        assert oracle.min_distance(rep) == 3
+        assert oracle.min_distance(RCode([rep, rep, rep, FqCode.from_rows(F5, 3, [[0, 1, 1]])])) == 2
 
 
 class TestDualPair:

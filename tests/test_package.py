@@ -104,6 +104,20 @@ def test_one_reduced_form_scan():
     assert _call_sites("rref_scan") == ["fqcode.py:__init__", "linalg.py:rref"]
 
 
+def test_oracle_walks_one_way():
+    """oracle.py has one walk over a span, _walk, called from _fq_words and _blocks alone, and no
+    subtraction: a step adds x^t * row j, so no carry scalar is ever formed."""
+    path = PACKAGE / "oracle.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    generators = sorted(fn.name for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+                        and any(isinstance(node, (ast.Yield, ast.YieldFrom)) for node in ast.walk(fn)))
+    assert generators == ["_blocks", "_walk"]
+    assert _call_sites("_walk") == ["oracle.py:_blocks", "oracle.py:_fq_words"]
+    subs = [node.lineno for node in ast.walk(tree)
+            if (isinstance(node, ast.Attribute) and node.attr == "sub") or (isinstance(node, ast.Name) and node.id == "sub")]
+    assert subs == []
+
+
 # What the fast paths compute, and the shared kernels behind them.
 FAST_PATH_ATTRS = {
     "pivots", "galois_dual", "hull_dim", "lcd_status", "is_lcd", "is_self_orthogonal", "is_self_dual",
