@@ -67,11 +67,6 @@ def _require(cond: bool, msg: str) -> None:
         raise ParseError(msg)
 
 
-def _is_int(v: Any) -> bool:
-    """A JSON integer; ``true``/``false`` parse to bool, an int subclass."""
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
 def _load_field(doc: dict[str, Any]) -> GF:
     spec = doc.get("field")
     _require(isinstance(spec, dict), "missing or malformed 'field' object")
@@ -105,7 +100,7 @@ def parse_code(text: str) -> RCode:
     _require(kind == "ring", f"expected a ring-code document, got kind={kind!r}")
     field = _load_field(doc)
     n = doc.get("n")
-    _require(_is_int(n) and n >= 1, "'n' must be a positive integer")
+    _require(type(n) is int and n >= 1, "'n' must be a positive integer")
     _require(n <= MAX_LENGTH, f"'n' must be at most {MAX_LENGTH}, got {n}")
     basis = doc.get("basis", "gamma")
     _require(basis in ("gamma", "u"), f"unknown basis {basis!r}")

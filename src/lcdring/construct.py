@@ -133,8 +133,8 @@ def minor_search(p: Matrix) -> MinorCertificate:
     (see the module docstring), and for the Gram matrix of a Hermitian
     twist it always is, at O(k^3) cost.  A singular P[K, K] falls back to
     the exhaustive scan from size k - rank P, refused above
-    ``DEFAULT_DIM_CAP`` rows.  The scan always terminates: deleting
-    everything leaves the empty matrix with determinant 1.
+    ``DEFAULT_DIM_CAP`` rows.  The scan stops below size m: deleting
+    every row leaves the empty matrix, whose determinant is 1.
     """
     if not p.is_square:
         raise NotSquareError("minor search needs a square matrix")
@@ -149,12 +149,12 @@ def minor_search(p: Matrix) -> MinorCertificate:
         return MinorCertificate(len(drop) - 1, drop, d)
     if m > DEFAULT_DIM_CAP:
         raise CapExceededError(f"matrix size {m} exceeds the search cap of {DEFAULT_DIM_CAP}")
-    for w in range(m - len(pivots), m + 1):
+    for w in range(m - len(pivots), m):
         for drop in itertools.combinations(range(m), w):
             d = minor_det(p, drop)
             if d != 0:
                 return MinorCertificate(w - 1, drop, d)
-    raise ConsistencyError("unreachable: full deletion has determinant 1")
+    return MinorCertificate(m - 1, tuple(range(m)), 1)
 
 
 def lemma_det_check(p: Matrix, b: Sequence[int], cert: MinorCertificate) -> bool:
@@ -230,7 +230,7 @@ def galois_lcd_scaling(
     b_exp = f.p ** code._twist(l) + 1
     # code.gen is the RREF generator: column pivots[j] is the unit vector e_j
     pivots = code.pivots
-    p = code._gram(l)
+    p = code._gram_facts(l)[0]
     cert = minor_search(p)
     alpha = [1] * code.n
     if cert.t >= 0:

@@ -222,10 +222,6 @@ class FqCode(Value):
             self._grams[l] = facts
         return facts
 
-    def _gram(self, l: int) -> Matrix:
-        """The twisted Gram matrix P behind every hull predicate."""
-        return self._gram_facts(l)[0]
-
     def galois_dual(self, l: int = 0) -> "FqCode":
         """All words pairing to zero with the code under sum(t_i * s_i^(p^l))."""
         f, n = self.field, self.n

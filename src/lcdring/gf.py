@@ -39,23 +39,8 @@ from .errors import BadLError, BadModulusError, NotPrimeError
 MAX_FIELD_ORDER = 2**20
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
-
-
 def _prime_divisors(n: int) -> list[int]:
-    """The distinct primes dividing n >= 1, ascending, by trial division up to sqrt(n)."""
+    """The distinct primes dividing n >= 1, ascending, by trial division up to sqrt(n); [n] iff n is prime."""
     out, r = [], 2
     while r * r <= n:
         if n % r == 0:
@@ -156,21 +141,13 @@ def _is_irreducible(coeffs: Sequence[int], p: int) -> bool:
     return True
 
 
-def _smallest_irreducible(p: int, e: int) -> tuple[int, ...]:
-    if e == 1:
+def _smallest_irreducible(field: GF) -> tuple[int, ...]:
+    """The monic irreducible of degree e with the smallest encoding; one of every degree exists."""
+    if field.e == 1:
         return (0, 1)
-    for low in range(p**e):
-        if low % p == 0:  # constant term 0, so x divides it
-            continue
-        coeffs = []
-        v = low
-        for _ in range(e):
-            coeffs.append(v % p)
-            v //= p
-        coeffs.append(1)
-        if _is_irreducible(coeffs, p):
-            return tuple(coeffs)
-    raise BadModulusError(f"no irreducible polynomial of degree {e} over GF({p})")
+    mods = (field.coeffs(low) + (1,) for low in range(1, field.q))
+    # a constant term 0 means x divides it
+    return next(mod for mod in mods if mod[0] and _is_irreducible(mod, field.p))
 
 
 def _require_int(name: str, v: object) -> int:
@@ -198,13 +175,13 @@ class GF:
             q *= p
             if q > MAX_FIELD_ORDER:
                 raise ValueError(f"field order {p}^{e} exceeds {MAX_FIELD_ORDER}")
-        if not _is_prime(p):
+        if _prime_divisors(p) != [p]:
             raise NotPrimeError(f"{p} is not prime")
         self.p = p
         self.e = e
         self.q = q
         if modulus is None:
-            mod = _smallest_irreducible(p, e)
+            mod = _smallest_irreducible(self)
         else:
             mod = tuple(_require_int("modulus entry", c) for c in modulus)
             if len(mod) != e + 1:

@@ -2,6 +2,7 @@
 
 import io
 import json
+import os
 import pathlib
 import random
 import subprocess
@@ -256,6 +257,33 @@ def test_mindist_cap_exit_code(line_path):
     assert main(["mindist", line_path, "--max-enum", "3"]) == 2
 
 
+def test_mindist_of_the_zero_code_exits_1(tmp_path, capsys):
+    path = tmp_path / "zero.json"
+    path.write_text(json.dumps({"field": {"p": 5}, "n": 2, "components": [[], [], [], []]}))
+    assert main(["mindist", str(path)]) == 1
+    assert capsys.readouterr() == ("", "error: the zero code has no minimum distance\n")
+
+
+def test_unknown_choice_is_left_to_argparse(capsys):
+    argv = ["construct-lcd", "c.json", "--mode", "bogus"]
+    assert cli._plain(argv) is None
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    assert "lcdring construct-lcd: error: argument --mode: invalid choice: 'bogus'" in capsys.readouterr().err
+
+
+def test_module_entry_point_matches_main(capsys):
+    """``python -m lcdring.cli`` runs ``main`` on its arguments and exits with its code."""
+    argv = ["analyze", str(SAMPLE_DIR / "gf5_self_dual_line.json")]
+    src = str(pathlib.Path(lcdring.__file__).parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    run = subprocess.run([sys.executable, "-m", "lcdring.cli", *argv], capture_output=True, text=True, env=env)
+    code = main(argv)
+    assert (run.returncode, run.stdout, run.stderr) == (code, *capsys.readouterr())
+    assert code == 0 and run.stdout
+
+
 def test_usage_error_exits_1():
     # a usage error is an input error: 2 is the code for an exceeded budget
     src = str(pathlib.Path(lcdring.__file__).parent.parent)
@@ -383,6 +411,14 @@ def test_non_lcd_construction_exits_3_before_any_output(line_path, tmp_path, mon
     assert "internal consistency failure: construction produced a non-LCD code" in err
     assert out == ""
     assert not code_path.exists() and not report_path.exists()
+
+
+def test_construction_consistency_failure_exits_3_without_output(line_path, tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(construct, "lemma_det_check", lambda p, b, cert: False)
+    out_path = tmp_path / "out.json"
+    assert main(["construct-lcd", line_path, "--mode", "euclid", "-o", str(out_path)]) == 3
+    assert capsys.readouterr() == ("", "internal consistency failure: minor determinant identity failed\n")
+    assert not out_path.exists()
 
 
 def test_verify_agrees(line_path, gf9_path, capsys):

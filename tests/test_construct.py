@@ -4,6 +4,7 @@ import functools
 import itertools
 import random
 import time
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings
@@ -24,7 +25,9 @@ from lcdring.construct import (
 from lcdring.errors import (
     BadLError,
     CapExceededError,
+    ConsistencyError,
     FieldTooSmallError,
+    NotSquareError,
     SupportMismatchError,
     ZeroCodeError,
 )
@@ -120,13 +123,13 @@ def square_matrices(draw):
         r = draw(st.integers(0, m))
         return matmul(Matrix.from_rows(f, rows(m, r), ncols=r), Matrix.from_rows(f, rows(r, m), ncols=m))
     n = draw(st.integers(max(m, 1), 8))
-    return FqCode.from_rows(f, n, rows(m, n))._gram(draw(st.integers(0, f.e - 1)))
+    return FqCode.from_rows(f, n, rows(m, n))._gram_facts(draw(st.integers(0, f.e - 1)))[0]
 
 
 @settings(max_examples=300, deadline=None)
 @given(square_matrices())
 @example(mat(F5, [[0, 1], [0, 0]]))
-@example(FqCode.from_rows(F8, 4, [[1, 0, 7, 6], [0, 1, 6, 5]])._gram(1))  # P = [[2, 0], [1, 0]]
+@example(FqCode.from_rows(F8, 4, [[1, 0, 7, 6], [0, 1, 6, 5]])._gram_facts(1)[0])  # P = [[2, 0], [1, 0]]
 def test_minor_search_matches_exhaustive_scan(p):
     cert = minor_search(p)
     assert (cert.t, cert.r_set, cert.det) == first_minor_by_scan(p)
@@ -142,7 +145,7 @@ def minor_det_calls(monkeypatch):
 
 def test_gf8_example_takes_the_fallback_scan(minor_det_calls):
     # greedy basis {1}, P[1, 1] = 0: the scan starts at size 1 and returns deletion set {1}
-    assert minor_search(FqCode.from_rows(F8, 4, [[1, 0, 7, 6], [0, 1, 6, 5]])._gram(1)).r_set == (1,)
+    assert minor_search(FqCode.from_rows(F8, 4, [[1, 0, 7, 6], [0, 1, 6, 5]])._gram_facts(1)[0]).r_set == (1,)
     assert minor_det_calls == [(0,), (0,), (1,)]
 
 
@@ -169,7 +172,7 @@ class TestHermitianCertificate:
     def test_one_determinant_per_search(self, f, l, minor_det_calls):
         for c in planted_codes(random.Random(48), f, l, 8, 40):
             minor_det_calls.clear()
-            cert = minor_search(c._gram(l))
+            cert = minor_search(c._gram_facts(l)[0])
             assert minor_det_calls == [cert.r_set]
 
     @pytest.mark.parametrize("f,l", HERMITIAN, ids=repr)
@@ -224,6 +227,14 @@ class TestLemmaCheck:
         cert = minor_search(p)
         assert cert.t == -1
         assert lemma_det_check(p, [0], cert)
+
+    @pytest.mark.parametrize("b", [[0, 0], [0, 0, 0]])
+    def test_non_square_refused(self, b):
+        p = mat(F5, [[0, 0, 1], [0, 3, 0]])
+        with pytest.raises(NotSquareError, match="minor search needs a square matrix"):
+            minor_search(p)
+        with pytest.raises(NotSquareError, match="perturbation must match a square matrix"):
+            lemma_det_check(p, b, MinorCertificate(-1, (), 1))
 
     def test_support_mismatch(self):
         p = mat(F5, [[0, 0], [0, 3]])
@@ -327,7 +338,7 @@ class TestGaloisScaling:
         # deletion minors vanish: the certified set is both rows
         c = FqCode.from_rows(F8, 4, [[1, 0, 2, 7], [0, 1, 3, 4]])
         assert c.hull_dim(1) == oracle.hull_dim(c, 1) == 1
-        assert c._gram(1).to_rows() == [[0, 0], [3, 0]]
+        assert c._gram_facts(1)[0].to_rows() == [[0, 0], [3, 0]]
         alpha, out, cert = galois_lcd_scaling(c, 1)
         assert cert.minor == MinorCertificate(1, (0, 1), 1)
         assert cert.beta is None
@@ -577,8 +588,14 @@ class TestFactorRule:
 CENSUS = [(F4, 4), (F5, 4), (F8, 3), (F9, 3), (F16, 2), (GF(3, 3), 2), (GF(2, 5), 2)]
 
 
-def test_census_every_code_scales_to_lcd():
-    """The scaled code is LCD by brute force; its deletion set is the hull for a Hermitian twist, at least it otherwise."""
+def test_census_every_code_scales_to_lcd(minor_det_calls, monkeypatch):
+    """The scaled code is LCD by brute force; its deletion set is the hull for a Hermitian twist, at least it otherwise.
+
+    Each scaling evaluates one minor and no scan, so every census code takes the greedy
+    O(k^3) path, the non-Hermitian twists of GF(8), GF(16), GF(27) and GF(32) included.
+    """
+    scans = []
+    monkeypatch.setattr(construct, "itertools", SimpleNamespace(combinations=lambda *a: scans.append(a) or ()))
     start = time.monotonic()
     scaled = 0
     for f, top in CENSUS:
@@ -595,6 +612,7 @@ def test_census_every_code_scales_to_lcd():
                     assert size == hull if 2 * l % f.e == 0 else size >= hull
                     scaled += 1
     assert scaled == 2973
+    assert len(minor_det_calls) == 2973 and scans == []
     assert time.monotonic() - start <= 3.0
 
 
@@ -621,3 +639,20 @@ def test_refused_twists_fix_the_hull_under_every_monomial_map(f, l):
             assert {oracle.hull_dim(image, l) for image in images} == {oracle.hull_dim(c, l)}
     with pytest.raises(FieldTooSmallError):
         galois_lcd_scaling(FqCode.from_rows(f, 1, [[1]]), l)
+
+
+@pytest.mark.parametrize("owner, attr, fake, scale, message", [
+    (construct, "lemma_det_check", lambda p, b, cert: False, galois_lcd_scaling,
+     "minor determinant identity failed"),
+    (FqCode, "lcd_status", lambda self, l=0: (True, 1), galois_lcd_scaling,
+     "scaled Gram determinant .* does not match certificate"),
+    (FqCode, "is_lcd", lambda self, l=0: False, galois_lcd_scaling,
+     "scaled code failed the complementary-dual check"),
+    (RCode, "is_lcd", lambda self, l=0: False, lambda c, l: ring_lcd_equivalent(RCode([c] * 4), l),
+     "assembled scaling failed the complementary-dual check"),
+], ids=["lemma", "gram-det", "field-lcd", "ring-lcd"])
+def test_each_consistency_check_can_fail(owner, attr, fake, scale, message, monkeypatch):
+    """Each ConsistencyError of the construction fires when the fact it checks is made false."""
+    monkeypatch.setattr(owner, attr, fake)
+    with pytest.raises(ConsistencyError, match=message):
+        scale(FqCode.from_rows(F5, 2, [[1, 2]]), 0)

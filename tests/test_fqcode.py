@@ -109,7 +109,7 @@ class TestGaloisDual:
         c = code(F9, 2, [[1, 4]])
         for good in range(2):
             c.hull_dim(good)
-        for call in (c.galois_dual, c.hull_dim, c.lcd_status, c.is_lcd, c.is_self_orthogonal, c._gram):
+        for call in (c.galois_dual, c.hull_dim, c.lcd_status, c.is_lcd, c.is_self_orthogonal, c._gram_facts):
             with pytest.raises(BadLError, match=r"l must lie in \[0, 1\]"):
                 call(l)
 

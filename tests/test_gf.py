@@ -4,13 +4,14 @@ import enum
 import functools
 import hashlib
 import itertools
+import math
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lcdring import GF, FqCode, Matrix, RingElement, gamma_to_u, lemma_det_check, minor_search, u_to_gamma
-from lcdring.gf import _is_irreducible, _is_prime, _pmod, _pmul, _ppowmod, _prime_divisors, _psub, _trim
+from lcdring.gf import _is_irreducible, _pmod, _pmul, _ppowmod, _prime_divisors, _psub, _trim
 from lcdring.errors import BadLError, BadModulusError, NotPrimeError
 
 
@@ -61,8 +62,14 @@ def test_default_modulus_is_the_first_irreducible(p, e):
 
 
 def test_not_prime():
-    with pytest.raises(NotPrimeError):
-        GF(4)
+    """GF(p) builds exactly when p is prime: each p below 3000, and near the order cap
+    2^20 - 1, the prime 2^20 - 3 and 1021^2, a square that trial division finds only at its root."""
+    for p in [*range(-2, 3000), 1021**2, 2**20 - 1, 2**20 - 3]:
+        if p >= 2 and all(p % r for r in range(2, math.isqrt(p) + 1)):
+            assert GF(p).q == p
+        else:
+            with pytest.raises(NotPrimeError, match=f"^{p} is not prime$"):
+                GF(p)
 
 
 @pytest.mark.parametrize(
@@ -72,6 +79,7 @@ def test_not_prime():
         [1, 0, 2],       # not monic
         [0, 0, 1],       # x^2, root at 0
         [2, 0, 1],       # x^2 + 2 = x^2 - 1 has roots over F_3
+        [4, 0, 1],       # 4 lies outside [0, 3), though x^2 + 1 is irreducible
     ],
 )
 def test_bad_modulus(modulus):
@@ -161,6 +169,9 @@ def test_frobenius_worked_values(f5, f9):
     assert f9.frobenius(3, 1) == 6  # x^3 = 2x
     assert all(f9.frobenius(x, 2) == x for x in f9.elements())
     assert f5.frobenius(3, 1) == 3
+    for f in (f5, f9):
+        with pytest.raises(ValueError, match="frobenius iterate must be >= 0"):
+            f.frobenius(3, -1)
 
 
 def test_residue_classification(f9):
@@ -239,7 +250,7 @@ def _has_proper_factor(coeffs, p):
 def _necklace(p, n):
     """(1/n) * sum over d | n of mu(d) * p^(n/d): the count of monic irreducibles of degree n."""
     def mobius(d):
-        primes = [r for r in range(2, d + 1) if d % r == 0 and _is_prime(r)]
+        primes = [r for r in range(2, d + 1) if d % r == 0 and all(r % s for s in range(2, r))]
         return 0 if any(d % (r * r) == 0 for r in primes) else (-1) ** len(primes)
     return sum(mobius(d) * p ** (n // d) for d in range(1, n + 1) if n % d == 0) // n
 
@@ -328,7 +339,7 @@ def test_prime_divisors_of_the_largest_unit_groups(n, primes):
 
 def test_prime_divisors_match_every_prime_divisor():
     for n in range(1, 2000):
-        assert _prime_divisors(n) == [r for r in range(2, n + 1) if n % r == 0 and _is_prime(r)]
+        assert _prime_divisors(n) == [r for r in range(2, n + 1) if n % r == 0 and all(r % s for s in range(2, r))]
 
 
 def test_gf256_exp_table_is_pinned():

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from lcdring import GF, FqCode, Matrix, RCode, RingElement
 from lcdring import oracle
-from lcdring.errors import BadLError, CapExceededError, ZeroCodeError
+from lcdring.errors import BadLError, CapExceededError, ConsistencyError, MismatchError, ZeroCodeError
 from lcdring.ring import galois_inner, gray
 
 from support import ring_words
@@ -236,6 +236,12 @@ class TestMinDistance:
         assert oracle.min_distance(RCode([rep, rep, rep, FqCode.from_rows(F5, 3, [[0, 1, 1]])])) == 2
 
 
+def test_hull_count_must_be_a_power_of_q(monkeypatch):
+    monkeypatch.setattr(oracle, "_orthogonal_count", lambda code, slot_words, l: 10)
+    with pytest.raises(ConsistencyError, match="hull count 10 is not a power of q = 5"):
+        oracle.hull_dim(line(), 0)
+
+
 class TestDualPair:
     def test_line_and_its_dual(self):
         c = line()
@@ -268,6 +274,12 @@ class TestDualPair:
             swapped = list(dual.comps)
             swapped[i] = wrong
             assert not oracle.is_dual_pair(rc, RCode(swapped), 0)
+
+    def test_field_and_ring_code_refused(self):
+        c = line()
+        for code, dual in ((c, RCode([c] * 4)), (RCode([c] * 4), c)):
+            with pytest.raises(MismatchError, match="two codes in one ambient space"):
+                oracle.is_dual_pair(code, dual, 0)
 
     def test_twisted_field_dual(self):
         c = FqCode.from_rows(F9, 2, [[1, 4]])

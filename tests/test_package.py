@@ -121,7 +121,7 @@ def test_oracle_walks_one_way():
 # What the fast paths compute, and the shared kernels behind them.
 FAST_PATH_ATTRS = {
     "pivots", "galois_dual", "hull_dim", "lcd_status", "is_lcd", "is_self_orthogonal", "is_self_dual",
-    "min_dist", "lee_min_dist", "params", "gray_image", "_gram", "_gram_facts", "_grams",
+    "min_dist", "lee_min_dist", "params", "gray_image", "_gram_facts", "_grams",
     "_dist", "_dual", "_check_cap", "_row_floor", "dot", "sub_scaled", "frobenius_row",
 }
 

@@ -35,6 +35,15 @@ class TestConstruction:
                 [line_code(), line_code(), line_code(), FqCode.zero(F5, 3)]
             )
 
+    @pytest.mark.parametrize("count", [3, 5])
+    def test_exactly_four_components(self, count):
+        with pytest.raises(MismatchError, match="exactly four component codes"):
+            RCode([line_code()] * count)
+
+    def test_repr(self):
+        rc = RCode([line_code(), line_code(), FqCode.zero(F5, 2), line_code()])
+        assert repr(rc) == "RCode(n=2, k=3 (1,1,0,1), field=GF(5))"
+
     def test_scalar_generator_hits_all_slots(self):
         row = [RingElement.scalar(F5, 1), RingElement.scalar(F5, 2)]
         rc = RCode.from_generators(F5, 2, [row])
@@ -57,6 +66,14 @@ class TestConstruction:
     def test_generator_length_checked(self, n):
         with pytest.raises(ValueError, match="column count"):
             RCode.from_generators(F5, n, [])
+
+    @pytest.mark.parametrize("row, match", [
+        ([RingElement.one(F5)], "generator of width 1 in a length-2 code"),
+        ([RingElement.one(F5), RingElement.one(F9)], "generator entry from a different field"),
+    ], ids=["width", "field"])
+    def test_generator_rows_checked(self, row, match):
+        with pytest.raises(MismatchError, match=match):
+            RCode.from_generators(F5, 2, [row])
 
     @pytest.mark.parametrize("field", [GF(2), GF(3), GF(2, 2)], ids=lambda f: f"GF({f.q})")
     def test_span_in_u_coordinates(self, field):
@@ -233,6 +250,14 @@ class TestScale:
         alpha = (RingElement.scalar(F5, 2), RingElement.one(F5))
         scaled = rc.scale(alpha)
         assert all(c == FqCode.from_rows(F5, 2, [[1, 1]]) for c in scaled.comps)
+
+    @pytest.mark.parametrize("alpha, match", [
+        ((RingElement.one(F5),), "one scaling unit per coordinate"),
+        ((RingElement.one(F5), RingElement.one(F9)), "scaling vector from a different ring"),
+    ], ids=["length", "ring"])
+    def test_mismatched_scaling_rejected(self, alpha, match):
+        with pytest.raises(MismatchError, match=match):
+            rcode_of(line_code()).scale(alpha)
 
     def test_nonunit_rejected(self):
         rc = rcode_of(line_code())

@@ -21,6 +21,12 @@ def test_constructor_checks_coordinates(coord):
         RingElement(F5, (coord, 0, 0, 0))
 
 
+@pytest.mark.parametrize("g", [(1, 2, 3), (1, 2, 3, 4, 0)], ids=["3", "5"])
+def test_constructor_takes_four_coordinates(g):
+    with pytest.raises(ValueError, match="exactly 4 coordinates"):
+        RingElement(F5, g)
+
+
 @pytest.mark.parametrize(
     "quad", [(0, 7, 0, 0), (0, True, 0, 0), (-1, 0, 0, 0), (0, 0, 0, 1.0), (7, 0, 0, 0), (True, 0, 0, 0)])
 def test_u_basis_checks_coordinates(quad):
@@ -75,6 +81,14 @@ class TestRingArithmetic:
         assert x.inverse() == RingElement(F5, (1, 3, 1, 1))
         with pytest.raises(NotAUnitError):
             RingElement.idempotent(F5, 1).inverse()
+
+    def test_negation(self):
+        assert -RingElement(F5, (1, 2, 0, 4)) == RingElement(F5, (4, 3, 0, 1))
+        rng = random.Random(3)
+        for _ in range(30):
+            a = RingElement(F9, tuple(rng.randrange(9) for _ in range(4)))
+            assert (a + -a).is_zero
+            assert -a == RingElement.zero(F9) - a
 
     def test_mixed_rings_rejected(self):
         with pytest.raises(MismatchError):
@@ -174,3 +188,17 @@ class TestGaloisInner:
                     for a, b in zip(s, t):
                         acc = F9.add(acc, F9.mul(a.g[slot], F9.frobenius(b.g[slot], l)))
                     assert full.g[slot] == acc
+
+
+ONE5, ONE9 = RingElement.one(F5), RingElement.one(F9)
+
+
+@pytest.mark.parametrize("call, s, t, match", [
+    (lee_distance, (ONE5,), (ONE5, ONE5), "vectors differ in length"),
+    (lambda s, t: galois_inner(s, t, 0), (ONE5,), (ONE5, ONE5), "vectors differ in length"),
+    (lambda s, t: galois_inner(s, t, 0), (), (), "inner product of empty vectors"),
+    (lambda s, t: galois_inner(s, t, 0), (ONE5, ONE5), (ONE5, ONE9), "mixed fields in inner product"),
+], ids=["distance-length", "inner-length", "inner-empty", "inner-fields"])
+def test_vector_operands_checked(call, s, t, match):
+    with pytest.raises(MismatchError, match=match):
+        call(s, t)
