@@ -30,8 +30,7 @@ ring word.  Dual and hull checks share one count: how many words pair to
 zero with every generator of a code.  Each slot word is twisted and
 paired with its slot's generators once, and a ring word counts when all
 its slots pass.  The pairing is linear in its first argument, so that is
-orthogonality to the whole code; the dual check's budget still counts the
-|C| * |D| pairs of the definition.  Distances weigh each slot word once.
+orthogonality to the whole code.  Distances weigh each slot word once.
 """
 
 from __future__ import annotations
@@ -184,26 +183,22 @@ def _orthogonal_count(code: Code, slot_words: list[Iterable[Word]], l: int) -> i
     return sum(map(all, _per_word(verdicts)))
 
 
-def is_dual_pair(code: Code, dual: Code, l: int, budget: int = DEFAULT_ENUM_CAP) -> bool:
-    """Whether ``dual`` is the l-dual of ``code``: sizes match and every pair is orthogonal.
+def is_dual_pair(code: Code, dual: Code, l: int) -> bool:
+    """Whether ``dual`` is the l-dual of ``code``: dimensions fill the space and every pair is orthogonal.
 
-    By linearity of the pairing in its first argument, a dual word is
-    orthogonal to all of ``code`` exactly when it is orthogonal to every
-    generator, so each dual word is paired with the k generators only.
-    The budget still bounds the |C| * |D| pairs of the definition.
+    The pairing sum_j x_j * y_j^(p^l) is linear in x and additive and
+    Frobenius-semilinear in y, so it vanishes on all |C| * |D| pairs of a
+    slot exactly when it vanishes on its k * k_dual generator pairs: every
+    generator row of the dual's slot code must count as orthogonal to the
+    code's.
     """
     if type(code) is not type(dual) or code.field != dual.field or code.n != dual.n:
         raise MismatchError("dual check needs two codes in one ambient space")
-    f = code.field
-    f.check_twist(l)
-    pairs = code.size * dual.size
-    if pairs > budget:
-        raise CapExceededError(
-            f"{count_text(f.q, code.k + dual.k)} pairings exceed the budget of {budget}"
-        )
-    if pairs != f.q ** ((1 if isinstance(code, FqCode) else 4) * code.n):
+    code.field.check_twist(l)
+    slots = [(code, dual)] if isinstance(code, FqCode) else list(zip(code.comps, dual.comps))
+    if code.k + dual.k != len(slots) * code.n:
         return False
-    return _orthogonal_count(code, _slot_lists(dual, budget), l) == dual.size
+    return all(_orthogonal_count(c, [d.gen.rows], l) == d.k for c, d in slots)
 
 
 def hull_dim(code: Code, l: int, budget: int = DEFAULT_ENUM_CAP) -> int:

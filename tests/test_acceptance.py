@@ -24,12 +24,6 @@ from lcdring.ring import gray, lee_distance
 
 from support import make_field, matmul, random_fqcode, random_rcode, random_ring_vector
 
-# the definitional dual check costs |C| * |dual| pairings; instances whose
-# pairing count fits this budget get the brute-force check on top of the
-# structural ones
-PAIR_BUDGET = 400_000
-
-
 def _report(num: int, text: str) -> None:
     print(f"PASS criterion {num}: {text}")
 
@@ -83,7 +77,7 @@ def _components_from_expansion(image: FqCode, n: int) -> RCode:
 
 def test_criterion_2_duality_decomposition(dual_instances):
     start = time.monotonic()
-    checked_bf = {4: 0, 5: 0, 9: 0}
+    checked = 0
     for rc in dual_instances:
         for l in range(rc.field.e):
             dual = rc.galois_dual(l)
@@ -93,18 +87,16 @@ def test_criterion_2_duality_decomposition(dual_instances):
                 rc.gray_image().galois_dual(l), rc.n
             )
             assert dual == via_expansion
-            if rc.size * dual.size <= PAIR_BUDGET:
-                assert oracle.is_dual_pair(rc, dual, l, PAIR_BUDGET)
-                checked_bf[rc.field.q] += 1
+            assert oracle.is_dual_pair(rc, dual, l)
+            checked += 1
     elapsed = time.monotonic() - start
     assert len(dual_instances) >= 200
-    assert all(v > 0 for v in checked_bf.values()), "brute-force coverage missing for some q"
     assert elapsed < 60.0
     _report(
         2,
         f"dual decomposes componentwise on {len(dual_instances)} codes "
         f"(checked against the expansion route); "
-        f"{sum(checked_bf.values())} brute-force pair checks ({elapsed:.1f}s)",
+        f"{checked} oracle pairing checks ({elapsed:.1f}s)",
     )
 
 

@@ -500,13 +500,14 @@ def test_deep_nesting_exits_1(tmp_path, capsys):
     assert "error: not valid JSON" in capsys.readouterr().err
 
 
-def test_verify_skip_line_past_the_int_str_limit(tmp_path, capsys):
-    # q^(4n) = 1048573^720 has more than 4300 digits
+def test_verify_decides_the_pairing_past_the_int_str_limit(tmp_path, capsys):
+    # q^(4n) = 1048573^720 has more than 4300 digits, and the pairing is still decided
     path = tmp_path / "zero.json"
     path.write_text('{"field":{"p":1048573},"n":180,"components":[[],[],[],[]]}')
     assert main(["verify", str(path)]) == 0
     out = capsys.readouterr().out
-    assert "l=0 dual pairing: skipped (1048573^720 pairings exceed --max-enum 1000000)" in out
+    assert "l=0 dual pairing: agree\n" in out
+    assert "skipped" not in out
     assert "all checks agree" in out
 
 
@@ -683,7 +684,7 @@ def test_dual_and_gray_files_match_golden(argv, golden, passes, gram_work, monke
 
 @pytest.mark.parametrize("sample", SAMPLES, ids=lambda p: p.name)
 def test_verify_report_matches_golden(sample, capsys):
-    """Every check line of verify, skips included, byte for byte."""
+    """Every check line of verify, byte for byte."""
     assert main(["verify", str(sample)]) == 0
     got = capsys.readouterr().out.encode("utf-8")
     assert got == (GOLDEN / f"verify-{sample.stem}.txt").read_bytes()

@@ -6,6 +6,7 @@ import re
 import sys
 
 import lcdring
+from lcdring.errors import CapExceededError
 
 PACKAGE = pathlib.Path(lcdring.__file__).parent
 
@@ -236,6 +237,32 @@ def test_every_function_is_reached():
     assert sorted(f"{where}: {name}" for name, where in unreached.items() if name not in KEPT) == []
     # a kept name that became reachable, or was deleted, leaves KEPT too
     assert sorted(set(KEPT) - set(unreached)) == []
+
+
+def test_budgets_are_caught_only_where_documented():
+    """A handler that can catch CapExceededError sits only in cli.main, which exits 2, and in
+    RCode.params, whose distances degrade to None past the cap, so no budget becomes a silent skip.
+
+    A handler counts when it is bare or names the class or one of its bases.
+    """
+    catching = {cls.__name__ for cls in CapExceededError.__mro__}
+    found = set()
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, f"{owner}.{child.name}")
+                continue
+            if isinstance(child, ast.ExceptHandler):
+                types = child.type.elts if isinstance(child.type, ast.Tuple) else [child.type]
+                names = {getattr(t, "id", getattr(t, "attr", None)) for t in types}
+                if child.type is None or names & catching:
+                    found.add(owner)
+            visit(child, owner)
+
+    for path in sorted(PACKAGE.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)), path.stem)
+    assert sorted(found) == ["cli.main", "rcode.RCode.params"]
 
 
 def test_every_error_class_is_raised():
