@@ -60,8 +60,10 @@ def _predicate_block(code: RCode, ls: list[int]) -> list[dict[str, Any]]:
 
 def _analysis(code: RCode, ls: list[int], cap: int) -> dict[str, Any]:
     params = code.params(cap)
-    # every component distance is memoized once d_lee is known, so is_mds walks nothing
-    mds = None if params.d_lee is None else code.is_mds(cap)
+    # is_mds decides unequal dimensions without distances; otherwise every
+    # component distance is memoized once d_lee is known, so it walks nothing
+    equal = len({c.k for c in code.comps}) == 1
+    mds = None if params.d_lee is None and equal else code.is_mds(cap)
     return {
         "version": codefile.FORMAT_VERSION,
         "field": codefile.field_document(code.field),

@@ -1,34 +1,27 @@
 """Exact arithmetic in GF(p^e).
 
-Field elements are canonical integer encodings: the polynomial residue
-c0 + c1*x + ... + c_{e-1}*x^{e-1} is stored as the integer
-c0 + c1*p + ... + c_{e-1}*p^{e-1}, so elements range over [0, q) with
-q = p^e.  Zero is 0 and the multiplicative identity is 1 in every field.
+An element is the integer c0 + c1*p + ... + c_{e-1}*p^{e-1} encoding the
+residue c0 + c1*x + ... + c_{e-1}*x^{e-1}, so elements are [0, q) with
+q = p^e; zero is 0 and one is 1.  ``GF`` caps q at ``MAX_FIELD_ORDER``,
+then checks that p is prime and the modulus (ascending coefficients) a
+monic irreducible of degree e.  Without a modulus it takes the monic
+irreducible of smallest encoding, so (p, e) alone fixes the field.
 
-A ``GF`` instance validates its defining data on construction: ``p`` must
-be prime and the modulus a monic irreducible polynomial of degree ``e``
-given by ascending coefficients.  When no modulus is supplied, the monic
-irreducible with the smallest integer encoding is selected, so a field is
-reproducible from (p, e) alone.
+Prime fields compute with ints mod p.  An extension field builds, on
+construction, exp/log/Zech tables for its smallest primitive encoding g:
+exp[i] = g^i, log[g^i] = i and zech[k] = log(1 + g^k), O(q) entries,
+walking the cosets of <x> and deciding g in the quotient.  Products,
+inverses, powers and Frobenius images are one or two lookups in exp/log,
+and sums one more in zech.
 
-Prime fields compute with ints mod p.  Every extension field builds, once
-on construction, exp/log/Zech tables relative to its smallest primitive
-encoding g: exp[i] = g^i, log[g^i] = i and zech[k] = log(1 + g^k), O(q)
-entries in all.  Each product, inverse, power and Frobenius image is then
-one or two lookups in exp/log, and each sum one more in zech.  Orders are
-capped at ``MAX_FIELD_ORDER`` before any primality, irreducibility or
-table work.
-
-Linear algebra runs on three row kernels: ``dot`` (the sum of products
-of two rows), ``sub_scaled`` (the row update xs - c*ys) and
-``frobenius_row`` (the entrywise x -> x^(p^m) of a row).  A prime field
-computes them with ints and one reduction mod p, and its Frobenius map
-is the identity; an extension field runs one loop over the same
-exp/log/Zech tables, with no method call per entry.
+Linear algebra runs on the row kernels ``dot``, ``sub_scaled`` and
+``frobenius_row``: ints and one reduction mod p in a prime field, one
+loop over the tables with no method call per entry in an extension field.
 """
 
 from __future__ import annotations
 
+from math import gcd
 from operator import mul as _imul
 from typing import Iterable, Sequence
 
@@ -201,59 +194,64 @@ class GF:
         """exp (doubled, so log sums need no reduction), log and zech.
 
         Multiplying an encoding by x shifts its digits and folds the top
-        digit t back in as t * x^e, which touches only the digits where the
-        modulus has a nonzero coefficient.  So the build walks x-orbits:
-        the subgroup <x> of order d, then its cosets g^a <x> for a < m =
-        (q - 1) / d, where g^a x^b = g^(a + b*s) for x = g^s.
+        digit t back in as t * x^e, touching only the digits where the
+        modulus is nonzero.  So the build walks x-orbits into exp and log:
+        <x> first, of order d and index m, at places 0, 1, ...  As g^m lies
+        in <x>, g is primitive iff g^m = x^u, gcd(u, d) = 1, and no g^(m/r)
+        for a prime r | m lies in <x>.  Then x = g^s: x^b moves to place
+        b*s, and coset g^a <x> fills places a, a + s, ... from g^a =
+        sum_j g_j * x^j g^(a-1), a digit sum per place over coset a - 1.
         """
         p, e, q = self.p, self.e, self.q
-        n = q - 1
-        mod = list(self.modulus)
-        primes = _prime_divisors(n)
-        g = next(
-            g for g in range(p, q)
-            if all(_ppowmod(self.coeffs(g), n // r, mod, p) != [1] for r in primes)
-        )
-        top = p ** (e - 1)
+        n, mod, top = q - 1, self.modulus, p ** (e - 1)
         # t * x^e == -t * (mod[0] + mod[1] x + ... + mod[e-1] x^(e-1)): for
         # each top digit t, the digits to add and their place values
         fold = [[]] + [
             [(-t * c % p, p**j) for j, c in enumerate(mod[:e]) if c] for t in range(1, p)
         ]
+        exp, log = [0] * n, [None] * q
 
-        def x_orbit(start: int) -> list[int]:
-            out, v = [], start
+        def walk(v: int, i: int, s: int) -> int:
+            start = v
             while True:
-                out.append(v)
+                exp[i], log[v] = v, i
                 t, rest = divmod(v, top)
                 v = rest * p
                 for c, place in fold[t]:
                     digit = v // place % p
                     v += ((digit + c) % p - digit) * place
                 if v == start:
-                    return out
-
-        def encode(poly: list[int]) -> int:
-            return sum(c * p**i for i, c in enumerate(poly))
-
-        sub = x_orbit(1)
-        d = len(sub)
-        m = n // d
-        # g^m generates <x>, so g^m = x^u with u a unit mod d
-        s = m * pow(sub.index(encode(_ppowmod(self.coeffs(g), m, mod, p))), -1, d)
-        exp = [0] * (2 * n)
-        log: list[int | None] = [None] * q
-        rep = [1]
-        for a in range(m):
-            i = a
-            for v in x_orbit(encode(rep)) if a else sub:
-                exp[i] = exp[i + n] = v
-                log[v] = i
+                    return i + s
                 i = (i + s) % n
-            rep = _pmod(_pmul(rep, self.coeffs(g), p), mod, p)
+
+        def power(g: int, k: int) -> int:
+            return sum(c * p**i for i, c in enumerate(_ppowmod(self.coeffs(g), k, mod, p)))
+
+        d = walk(1, 0, 1)
+        m = n // d
+        primes = _prime_divisors(m)
+        for g in range(p, q):  # log is None off <x> so far
+            u = log[power(g, m)]
+            if gcd(u, d) == 1 and all(log[power(g, m // r)] is None for r in primes):
+                break
+        s = m * pow(u, -1, d)
+        if m > 1:
+            for b, v in enumerate(exp[:d]):
+                i = b * s % n
+                exp[i], log[v] = v, i
+        terms = [(c, j * s) for j, c in enumerate(self.coeffs(g)) if c]
+        places = [p**j for j in range(e)]
+        for a in range(1, m):
+            rep = 0
+            for place in places:
+                acc = 0
+                for c, shift in terms:
+                    acc += c * (exp[(a - 1 + shift) % n] // place)
+                rep += acc % p * place
+            walk(rep, a, s)
         # 1 + v bumps the constant digit; it is 0 exactly when v = -1
-        zech = [log[v + 1 - p if v % p == p - 1 else v + 1] for v in exp[:n]]
-        return exp, log, zech
+        zech = [log[v + 1 - p if v % p == p - 1 else v + 1] for v in exp]
+        return exp * 2, log, zech
 
     # -- identity ---------------------------------------------------------
 

@@ -164,9 +164,16 @@ class RCode(Value):
         return RCodeParams(self.n, self.k, d_lee, tuple(comp_params))
 
     def is_mds(self, cap: int = DEFAULT_ENUM_CAP) -> bool:
-        """Whether the Lee distance attains n - k/4 + 1 exactly."""
+        """Whether the Lee distance attains n - k/4 + 1 exactly.
+
+        d_Lee <= n - max k_i + 1, which is below n - k/4 + 1 unless all
+        four k_i are equal, so unequal dimensions decide "no" with no
+        distance computed.
+        """
         if self.k == 0:
             raise ZeroCodeError("the zero code has no minimum distance")
+        if len({c.k for c in self.comps}) > 1:
+            return False
         d = self.lee_min_dist(cap)
         return 4 * d == 4 * self.n - self.k + 4
 

@@ -70,7 +70,8 @@ def test_analyze_json_report(line_path, tmp_path, capsys):
 
 @pytest.mark.parametrize("field", [GF(2, 2), GF(5), GF(7)], ids=lambda f: f"GF({f.q})")
 def test_analysis_mds_agrees_with_the_oracle(field):
-    """``mds`` is the Singleton test on the enumerated Lee distance, and unknown when a distance is."""
+    """``mds`` is the Singleton test on the enumerated Lee distance; past the cap it is unknown for four
+    equal dimensions and "no" otherwise."""
     rng = random.Random(field.q)
     seen = set()
     for trial in range(40):
@@ -84,11 +85,30 @@ def test_analysis_mds_agrees_with_the_oracle(field):
         mds = _analysis(rc, [0], fqcode.DEFAULT_ENUM_CAP)["mds"]
         assert mds == (4 * oracle.min_distance(rc) == 4 * n - rc.k + 4)
         seen.add(mds)
-        # a fresh copy has no memoized distances, so a cap below one component's q^k leaves them unknown
+        # a fresh copy has no memoized distances, so a cap below one component's q^k leaves them unknown;
+        # d_Lee <= n - max k_i + 1 still decides "no" when the dimensions differ
         fresh = RCode(FqCode(c.gen) for c in rc.comps)
-        assert _analysis(fresh, [0], field.q ** max(c.k for c in rc.comps) - 1)["mds"] is None
+        equal = len({c.k for c in rc.comps}) == 1
+        assert _analysis(fresh, [0], field.q ** max(c.k for c in rc.comps) - 1)["mds"] is (None if equal else False)
     assert seen == {True, False}
     assert _analysis(RCode([FqCode.zero(field, 3)] * 4), [0], fqcode.DEFAULT_ENUM_CAP)["mds"] is None
+
+
+def test_analyze_unequal_dimensions_past_the_cap_is_not_mds(tmp_path, capsys):
+    """GF(625), n = 6, k = (4, 3, 1, 1): two distances pass the cap, but d_Lee <= 6 - 4 + 1 < 6 - 9/4 + 1."""
+    rng = random.Random(625)
+    comps = [
+        [[int(i == j) for j in range(k)] + [rng.randrange(625) for _ in range(6 - k)] for i in range(k)]
+        for k in (4, 3, 1, 1)
+    ]
+    path, report_path = tmp_path / "gf625.json", tmp_path / "report.json"
+    path.write_text(json.dumps({"field": {"p": 5, "e": 4}, "n": 6, "components": comps}))
+    assert main(["analyze", str(path), "--json", str(report_path)]) == 0
+    out = capsys.readouterr().out
+    assert "lee distance: unknown" in out and "mds: no" in out
+    report = json.loads(report_path.read_text())
+    assert [c[1] for c in report["components"]] == [4, 3, 1, 1]
+    assert report["d_lee"] is None and report["mds"] is False
 
 
 def test_analyze_repeated_l_reports_each_twist_once(gf9_path, tmp_path, capsys):

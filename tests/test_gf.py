@@ -11,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lcdring import GF, FqCode, Matrix, RingElement, gamma_to_u, lemma_det_check, minor_search, u_to_gamma
+import lcdring.gf as gf_module
 from lcdring.gf import _is_irreducible, _pmod, _pmul, _ppowmod, _prime_divisors, _psub, _trim
 from lcdring.errors import BadLError, BadModulusError, NotPrimeError
 
@@ -347,6 +348,94 @@ def test_gf256_exp_table_is_pinned():
     assert exp[:10] == [1, 3, 5, 15, 17, 51, 85, 255, 26, 46]
     digest = hashlib.sha256(repr(exp).encode()).hexdigest()
     assert digest == "4f57328f226aac2279b20bd04a69c29c3d81b440a48c3894ec7eedfacdf1cdee"
+
+
+# fields where x has small order, so <x> has many cosets, each started
+# from the one before
+@pytest.mark.parametrize("args, head, digest", [
+    ((23, 2), [1, 25, 95, 255, 39, 422], "949ba66f0799dbf308232a2319eb496b50add3c952bd7b82da54e9fd1c2263c0"),
+    ((5, 4), [1, 6, 36, 216, 549, 16], "0ab51ba1f9178d7da1ae128ca4e5a09abd9174087fe7ab2bec56db28f19301e4"),
+    ((83, 2), [1, 93, 1676, 4207, 4919, 2651], "dca51e866bc95cc5f5a4b5c8df0510d0305781a9bf5431eb76520af000414ddc"),
+    ((19, 3), [1, 29, 385, 4266, 4125, 1575], "ee41e81950840df39b127f3f5ec07fe3a42bef66ae74c02f647e426ced7737b5"),
+], ids=["23^2", "5^4", "83^2", "19^3"])
+def test_exp_tables_with_many_cosets_are_pinned(args, head, digest):
+    exp = GF(*args)._exp
+    assert exp[:6] == head
+    assert hashlib.sha256(repr(exp).encode()).hexdigest() == digest
+
+
+def _x_order(f):
+    """(d, m): the order of x and the index of <x> in the unit group."""
+    n = f.q - 1
+    d = n // math.gcd(f._log[f.p], n)
+    return d, n // d
+
+
+def _textbook_primitive(f):
+    """The smallest encoding g with g^((q-1)/r) != 1 for every prime r | q - 1."""
+    n, mod = f.q - 1, list(f.modulus)
+    primes = _prime_divisors(n)
+    return next(g for g in range(f.p, f.q) if all(_ppowmod(_poly(f, g), n // r, mod, f.p) != [1] for r in primes))
+
+
+@st.composite
+def _small_fields(draw):
+    """GF(p^e), q <= 625, e >= 2, under the first irreducible modulus at or after a drawn encoding."""
+    p, e = draw(st.sampled_from([
+        (2, 2), (2, 3), (2, 4), (2, 5), (2, 6), (2, 7), (2, 8), (2, 9), (3, 2), (3, 3), (3, 4), (3, 5),
+        (5, 2), (5, 3), (5, 4), (7, 2), (7, 3), (11, 2), (13, 2), (17, 2), (19, 2), (23, 2),
+    ]))
+    q = p**e
+    start = draw(st.integers(0, q - 1))
+    mods = ([(start + i) % q // p**j % p for j in range(e)] + [1] for i in range(q))
+    return GF(p, e, next(mod for mod in mods if _is_irreducible(mod, p)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_small_fields())
+@example(GF(2, 4, (1, 1, 1, 1, 1)))
+def test_log_tables_match_the_textbook_primitive_under_random_moduli(f):
+    """g is the textbook smallest primitive encoding, exp[i] = g^i at spot values, and log and zech invert them."""
+    p, n, mod = f.p, f.q - 1, list(f.modulus)
+    g = f._exp[1]
+    assert g == _textbook_primitive(f)
+    assert f._exp[n:] == f._exp[:n]
+    assert all(f._log[f._exp[i]] == i for i in range(n))
+    for i in range(0, n, max(1, n // 20)):
+        assert f._exp[i] == _enc(f, _ppowmod(_poly(f, g), i, mod, p))
+    for k in range(n):
+        one_more = [(c + (j == 0)) % p for j, c in enumerate(f.coeffs(f._exp[k]))]
+        assert f._zech[k] == f._log[_enc(f, one_more)]
+
+
+@pytest.mark.parametrize("args, failures", [
+    ((3, 5), set()), ((23, 2), {"g^m"}), ((5, 4), {"g^(m/r)"}), ((17, 2), {"g^m", "g^(m/r)"}),
+], ids=["x-primitive", "23^2", "5^4", "17^2"])
+def test_primitive_search_reaches_each_branch(args, failures):
+    """Why each encoding from x up to g is not primitive: g^m does not generate <x>, or some g^(m/r) is in <x>."""
+    f = GF(*args)
+    n, (d, m), g = f.q - 1, _x_order(f), f._exp[1]
+    assert (m == 1) == (g == f.p) == (not failures)
+    seen = set()
+    for h in range(f.p, g):
+        # h^m lies in <x>, and generates it iff its order is d
+        if n // math.gcd(f._log[f.pow(h, m)], n) != d:
+            seen.add("g^m")
+        else:
+            assert any(f.pow(h, n // r) == 1 for r in _prime_divisors(m))
+            seen.add("g^(m/r)")
+    assert seen == failures
+
+
+@pytest.mark.parametrize("args, cosets, products", [((23, 2), 132, 54), ((83, 2), 1722, 409)], ids=["23^2", "83^2"])
+def test_log_tables_make_no_polynomial_product_per_coset(args, cosets, products, monkeypatch):
+    """The build's polynomial products are the primitive search's powers below m, not one per coset of <x>."""
+    f = GF(*args)
+    assert _x_order(f)[1] == cosets
+    calls = []
+    monkeypatch.setattr(gf_module, "_pmul", lambda a, b, p: calls.append(1) or _pmul(a, b, p))
+    assert f._log_tables() == (f._exp, f._log, f._zech)
+    assert len(calls) == products < cosets / 2
 
 
 @settings(max_examples=300, deadline=None)

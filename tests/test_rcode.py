@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from lcdring import GF, FqCode, RCode, RingElement
 from lcdring.ring import gamma_to_u, gray
-from lcdring.errors import MismatchError, NotAUnitError, ZeroCodeError
+from lcdring.errors import CapExceededError, MismatchError, NotAUnitError, ZeroCodeError
 
 from support import identity, random_rcode, ring_words, u_dual, u_mul, u_span
 
@@ -226,6 +226,14 @@ class TestMds:
     def test_zero_raises(self):
         with pytest.raises(ZeroCodeError):
             RCode([FqCode.zero(F5, 3)] * 4).is_mds()
+
+    def test_unequal_dimensions_decide_no_before_the_cap(self):
+        """Only equal k_i can reach n - k/4 + 1, so a cap of 0 raises for equal k_i and not otherwise."""
+        rep = FqCode.from_rows(F5, 3, [[1, 1, 1]])
+        assert not RCode([rep, rep, rep, rep.galois_dual(0)]).is_mds(cap=0)
+        assert not RCode([rep, rep, rep, FqCode.zero(F5, 3)]).is_mds(cap=0)
+        with pytest.raises(CapExceededError):
+            RCode([rep] * 4).is_mds(cap=0)
 
     def test_bound_equality_matches_componentwise_rule(self):
         rng = random.Random(34)
