@@ -16,27 +16,27 @@ entries.  Blocks come in the p-ary Gray order of the high rows' messages
 stream is in message order only when q^k <= ``TABLE_ENTRIES``.  Only the
 tables and the walk over the high rows call the field.
 
-Field and ring codes share one path through a word's slot vectors: (w,)
-for a field word, one word of each of the four component codes for a ring
-word.  The ring pairing acts slotwise, so it vanishes exactly when every
-slot's field pairing does: a generator of slot code i pairs with slot i
-of a word alone.  The Lee weight counts nonzeros over all slots.  Slot
-words are the only form a ring word takes here: no ``RingElement`` is
-built, and the expansion R^n -> F_q^(4n), which puts entry j of slot i at
+Field and ring codes share one path through their slot codes (``_slots``):
+a field code is its own one slot, a ring code C = gamma_1 C_1 + ... +
+gamma_4 C_4 has its four components, and a ring word is a tuple of slot
+words.  A generator of slot code i pairs with slot i of a word alone, and
+the Lee weight counts nonzeros over all slots.  No ``RingElement`` is
+built: the expansion R^n -> F_q^(4n), which puts entry j of slot i at
 position 4j + i, is checked by reading slot i back off each image word.
 
-Each oracle call decides every slot word once, then passes over every
-ring word.  Dual and hull checks share one count: how many words pair to
-zero with every generator of a code.  Each slot word is twisted and
-paired with its slot's generators once, and a ring word counts when all
-its slots pass.  The pairing is linear in its first argument, so that is
-orthogonality to the whole code.  Distances weigh each slot word once.
+Each oracle call decides every slot word once and combines the slot
+results; no call passes over ring words.  A ring word is orthogonal to
+the code when each slot is, so the hull dimension sums the log_q of each
+slot's count of words orthogonal to its slot code's generators (linearity
+in the first argument makes that the whole slot code).  The lightest
+nonzero ring word has one nonzero slot, so the distance is the least
+nonzero slot weight.  The dual check counts with the same function.
 """
 
 from __future__ import annotations
 
 from functools import reduce
-from itertools import chain, product, repeat
+from itertools import chain
 from math import prod
 from typing import Iterable, Iterator, Sequence, Union
 
@@ -140,47 +140,39 @@ def codewords(code: FqCode, budget: int = DEFAULT_ENUM_CAP) -> Iterator[Word]:
     return _fq_words(code)
 
 
-def _slot_lists(code: Code, budget: int) -> list[Iterable[Word]]:
-    """Each slot code's words once the budget allows ``code``: a field code
-    streams in blocks as its one slot, and a ring code's four component lists are small.
-    """
-    if isinstance(code, FqCode):
-        return [codewords(code, budget)]
-    _check_budget(code, budget)
-    return [list(codewords(c, budget)) for c in code.comps]
-
-
-def _per_word(values: Sequence[Iterable]) -> Iterator[tuple]:
-    """The tuple of slot values of every word, the zero word first; one slot streams."""
-    return zip(*values) if len(values) == 1 else product(*values)
+def _slots(code: Code) -> tuple[FqCode, ...]:
+    """The slot codes: a field code is its own one slot, a ring code's are its four components."""
+    return (code,) if isinstance(code, FqCode) else code.comps
 
 
 def min_distance(code: Code, budget: int = DEFAULT_ENUM_CAP) -> int:
-    """Exact minimum Hamming (field) or Lee (ring) weight over nonzero words."""
+    """Exact minimum Hamming (field) or Lee (ring) weight over nonzero words.
+
+    A ring word weighs the sum of its slots' weights, so the lightest
+    nonzero one has a single nonzero slot: the least nonzero slot weight.
+    """
     if code.k == 0:
         raise ZeroCodeError("the zero code has no minimum distance")
-    weights = [(len(v) - v.count(0) for v in ws) for ws in _slot_lists(code, budget)]
-    return min(filter(None, map(sum, _per_word(weights))))  # only the zero word weighs 0
+    _check_budget(code, budget)  # a ring code's budget counts |C|; each slot code is no larger
+    weights = (len(w) - w.count(0) for c in _slots(code) for w in codewords(c, budget))
+    return min(filter(None, weights))  # only a slot's zero word weighs 0
 
 
-def _orthogonal_count(code: Code, slot_words: list[Iterable[Word]], l: int) -> int:
-    """How many words pair to zero, under twist l, with every generator of ``code``.
+def _orthogonal_count(code: FqCode, words: Iterable[Word], l: int) -> int:
+    """How many of ``words`` pair to zero, under twist l, with every generator of the field code ``code``.
 
-    ``slot_words`` holds each slot code's words.  A generator g of slot code i
-    pairs with slot i of a word w alone, as sum_j g_j * w_j^(p^l), so each slot
-    word is twisted once; a slot whose code has no rows is never twisted.
+    A generator g pairs with a word w as sum_j g_j * w_j^(p^l), so each
+    word is twisted once; with no generators, none is twisted.
     """
     f = code.field
     frob, add, mul = f.frobenius, f.add, f.mul
-    slots = (code,) if isinstance(code, FqCode) else code.comps
+    rows = code.gen.rows
 
-    def orthogonal(rows: Sequence[Word], w: Word) -> bool:
+    def orthogonal(w: Word) -> bool:
         t = [frob(v, l) for v in w] if rows else w
         return not any(reduce(add, [mul(x, y) for x, y in zip(g, t) if x and y], 0) for g in rows)
 
-    gens = [c.gen.rows for c in slots]
-    verdicts = [map(orthogonal, repeat(rows), ws) for rows, ws in zip(gens, slot_words)]
-    return sum(map(all, _per_word(verdicts)))
+    return sum(map(orthogonal, words))
 
 
 def is_dual_pair(code: Code, dual: Code, l: int) -> bool:
@@ -195,28 +187,31 @@ def is_dual_pair(code: Code, dual: Code, l: int) -> bool:
     if type(code) is not type(dual) or code.field != dual.field or code.n != dual.n:
         raise MismatchError("dual check needs two codes in one ambient space")
     code.field.check_twist(l)
-    slots = [(code, dual)] if isinstance(code, FqCode) else list(zip(code.comps, dual.comps))
+    slots = list(zip(_slots(code), _slots(dual)))
     if code.k + dual.k != len(slots) * code.n:
         return False
-    return all(_orthogonal_count(c, [d.gen.rows], l) == d.k for c, d in slots)
+    return all(_orthogonal_count(c, d.gen.rows, l) == d.k for c, d in slots)
 
 
 def hull_dim(code: Code, l: int, budget: int = DEFAULT_ENUM_CAP) -> int:
-    """log_q of the number of codewords orthogonal to the whole code.
+    """log_q of the number of codewords orthogonal to the whole code: the sum of each slot's.
 
-    Membership in the dual is decided against the generators, the
-    definition reduced by linearity of the pairing in its first argument.
-    A non-power-of-q count means a bug somewhere and raises.
+    Membership in a slot code's dual is decided against its generators,
+    the definition reduced by linearity of the pairing in its first
+    argument.  A slot count that is not a power of q means a bug somewhere
+    and raises, naming the slot.
     """
     f = code.field
     f.check_twist(l)
-    hits = _orthogonal_count(code, _slot_lists(code, budget), l)
-    h, rest = 0, hits
-    while rest and rest % f.q == 0:
-        rest //= f.q
-        h += 1
-    if rest != 1:
-        raise ConsistencyError(f"hull count {hits} is not a power of q = {f.q}")
+    _check_budget(code, budget)
+    h = 0
+    for i, c in enumerate(_slots(code), 1):
+        hits = rest = _orthogonal_count(c, codewords(c, budget), l)
+        while rest and rest % f.q == 0:
+            rest //= f.q
+            h += 1
+        if rest != 1:
+            raise ConsistencyError(f"slot {i}: hull count {hits} is not a power of q = {f.q}")
     return h
 
 
@@ -231,11 +226,13 @@ def is_expansion(code: RCode, image: FqCode, budget: int = DEFAULT_ENUM_CAP) -> 
     so the sets are equal when every word is an expansion and
     |image| = Z * prod |S_i|.  Both budgets are checked before any word.
     """
+    if len(_slots(code)) != 4 or len(_slots(image)) != 1:
+        raise MismatchError("expansion check needs a ring code and a field code")
     _check_budget(code, budget)
     _check_budget(image, budget)
     if image.field != code.field or image.n != 4 * code.n:
         return False
-    slots = [set(ws) for ws in _slot_lists(code, budget)]
+    slots = [set(codewords(c, budget)) for c in code.comps]
     s1, s2, s3, s4 = slots
     zero = (0,) * image.n
     zeros = 0

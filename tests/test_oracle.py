@@ -234,9 +234,21 @@ class TestMinDistance:
 
 
 def test_hull_count_must_be_a_power_of_q(monkeypatch):
-    monkeypatch.setattr(oracle, "_orthogonal_count", lambda code, slot_words, l: 10)
+    monkeypatch.setattr(oracle, "_orthogonal_count", lambda code, words, l: 10)
     with pytest.raises(ConsistencyError, match="hull count 10 is not a power of q = 5"):
         oracle.hull_dim(line(), 0)
+
+
+def test_each_slot_hull_count_must_be_a_power_of_q(monkeypatch):
+    """Two wrong slot counts of 2 over GF(4) multiply to a power of q; each slot is checked on its own."""
+    f = GF(2, 2)
+    comps = [FqCode.from_rows(f, 2, [[1, 1]]), FqCode.zero(f, 2), FqCode.zero(f, 2), FqCode.from_rows(f, 2, [[1, 0]])]
+    rc = RCode(comps)
+    assert oracle.hull_dim(rc, 0) == 1
+    real = oracle._orthogonal_count
+    monkeypatch.setattr(oracle, "_orthogonal_count", lambda c, words, l: 2 if c.k == 0 else real(c, words, l))
+    with pytest.raises(ConsistencyError, match=r"^slot 2: hull count 2 is not a power of q = 4$"):
+        oracle.hull_dim(rc, 0)
 
 
 class TestDualPair:
@@ -459,14 +471,13 @@ def test_ring_oracles_build_no_ring_element(monkeypatch):
 
 @pytest.fixture
 def tally(monkeypatch):
-    """Run one oracle call; return its result and what it did per slot word and ring word.
+    """Run one oracle call; return its result and what it did per slot word.
 
-    ``twists`` counts ``GF.frobenius`` calls, ``weighed`` the zero counts
-    taken on slot words (one per weight), and ``ring_words`` the tuples
-    the ring pass draws from ``itertools.product``.
+    ``twists`` counts ``GF.frobenius`` calls and ``weighed`` the zero
+    counts taken on slot words (one per weight).
     """
     work = Counter()
-    real_frob, real_words, real_product = GF.frobenius, oracle.codewords, oracle.product
+    real_frob, real_words = GF.frobenius, oracle.codewords
 
     class Weighed(tuple):
         def count(self, x):
@@ -477,24 +488,18 @@ def tally(monkeypatch):
         work["twists"] += 1
         return real_frob(self, x, l)
 
-    def product(*values):
-        for s in real_product(*values):
-            work["ring_words"] += 1
-            yield s
-
     monkeypatch.setattr(GF, "frobenius", frobenius)
     monkeypatch.setattr(oracle, "codewords", lambda code, budget: map(Weighed, real_words(code, budget)))
-    monkeypatch.setattr(oracle, "product", product)
 
     def run(call, *args):
         work.clear()
-        return call(*args), {key: work[key] for key in ("twists", "weighed", "ring_words")}
+        return call(*args), {key: work[key] for key in ("twists", "weighed")}
 
     return run
 
 
-def test_each_slot_word_is_decided_once_and_every_ring_word_counted(tally):
-    """Twists and weights scale with the slot codes' sizes, the ring pass with |C|;
+def test_each_slot_word_is_decided_once(tally):
+    """Twists and weights scale with the slot codes' sizes, not with |C| = 9^4;
     the dual check twists the dual's generator rows alone, slot by slot.
 
     Slot 2 has no rows, so its words are never twisted; the dual's slot 4
@@ -511,23 +516,23 @@ def test_each_slot_word_is_decided_once_and_every_ring_word_counted(tally):
     assert [c.k for c in dual.comps] == [1, 2, 1, 0]
     hull = sum(c.hull_dim(1) for c in comps)
     # twisted: slots 1, 3 and 4 of each word, 9 + 9 + 81 words of n = 2 entries
-    assert tally(oracle.hull_dim, rc, 1) == (hull, {"twists": 2 * 99, "weighed": 0, "ring_words": 9**4})
+    assert tally(oracle.hull_dim, rc, 1) == (hull, {"twists": 2 * 99, "weighed": 0})
     # the dual's generator rows where the slot code has rows: 1 in slot 1, 1 in slot 3, none in slot 4
-    want = {"twists": 2 * 2, "weighed": 0, "ring_words": 0}
-    assert tally(oracle.is_dual_pair, rc, dual, 1) == (True, want)
+    assert tally(oracle.is_dual_pair, rc, dual, 1) == (True, {"twists": 2 * 2, "weighed": 0})
     d = rc.params().d_lee
-    assert tally(oracle.min_distance, rc) == (d, {"twists": 0, "weighed": 100, "ring_words": 9**4})
+    # weighed: 9 + 1 + 9 + 81 slot words
+    assert tally(oracle.min_distance, rc) == (d, {"twists": 0, "weighed": 100})
 
 
 def test_field_code_streams_through_one_slot(tally):
     c = FqCode.from_rows(F9, 3, [[1, 4, 0], [0, 1, 1]])
     dual = c.galois_dual(1)
     hull, d = c.hull_dim(1), c.min_dist()
-    assert tally(oracle.hull_dim, c, 1) == (hull, {"twists": 3 * 81, "weighed": 0, "ring_words": 0})
-    assert tally(oracle.is_dual_pair, c, dual, 1) == (True, {"twists": 3 * 1, "weighed": 0, "ring_words": 0})
-    assert tally(oracle.min_distance, c) == (d, {"twists": 0, "weighed": 81, "ring_words": 0})
+    assert tally(oracle.hull_dim, c, 1) == (hull, {"twists": 3 * 81, "weighed": 0})
+    assert tally(oracle.is_dual_pair, c, dual, 1) == (True, {"twists": 3 * 1, "weighed": 0})
+    assert tally(oracle.min_distance, c) == (d, {"twists": 0, "weighed": 81})
     zero = FqCode.zero(F9, 3)
-    assert tally(oracle.hull_dim, zero, 1) == (0, {"twists": 0, "weighed": 0, "ring_words": 0})
+    assert tally(oracle.hull_dim, zero, 1) == (0, {"twists": 0, "weighed": 0})
 
 
 class TestHull:
@@ -632,6 +637,14 @@ def test_is_expansion_needs_the_field_and_the_length():
     empty = RCode([FqCode.zero(F5, 0)] * 4)
     assert oracle.is_expansion(empty, FqCode.zero(F5, 0))
     assert not oracle.is_expansion(empty, FqCode.zero(F5, 4))
+
+
+def test_is_expansion_needs_a_ring_code_and_a_field_code():
+    c = FqCode.zero(F5, 1)
+    rc = RCode([c] * 4)
+    for code, image in ((c, FqCode.zero(F5, 4)), (rc, rc), (c, rc)):
+        with pytest.raises(MismatchError, match="^expansion check needs a ring code and a field code$"):
+            oracle.is_expansion(code, image)
 
 
 def test_is_expansion_counts_each_word_once():

@@ -170,6 +170,24 @@ def test_oracle_reads_ring_words_as_slot_words():
     assert sites and all(site.startswith("oracle.py:") for site in sites)
 
 
+def test_oracle_combines_slot_results():
+    """oracle.py imports no ``product``, so no call walks the tuples of slot words that make ring
+    words, and it tells a field code from a ring code in ``_slots`` alone."""
+    tree = ast.parse((PACKAGE / "oracle.py").read_text(encoding="utf-8"))
+    owner = {}  # node -> innermost enclosing def; ast.walk is breadth-first
+    for fn in ast.walk(tree):
+        if isinstance(fn, ast.FunctionDef):
+            owner.update(dict.fromkeys(ast.walk(fn), fn.name))
+    names = {alias.name.split(".")[-1] for node in ast.walk(tree)
+             if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
+    names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    assert "product" not in names
+    sites = [owner.get(node, "<module>") for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "isinstance"
+             and any(isinstance(n, ast.Name) and n.id == "FqCode" for n in ast.walk(node.args[1]))]
+    assert sites == ["_slots"]
+
+
 def test_codefile_checks_only_the_shape():
     """codefile leaves the field bound and the encoding range to GF, Matrix and RingElement."""
     tree = ast.parse((PACKAGE / "codefile.py").read_text(encoding="utf-8"))
