@@ -1,11 +1,11 @@
 """Brute-force ground truth for the fast-path predicates.
 
-Everything here works from first principles on enumerated codewords and
-shares no dual, kernel or echelon machinery with the rest of the package;
-agreement between the two routes is the evidence the test suite relies
-on.  Budgets are hard errors, never silent skips.  No result depends on
-the order words come in, but that order is fixed, so streams are
-reproducible.
+Everything here works from first principles on enumerated words and
+generator rows and shares no dual, kernel or echelon machinery with the
+rest of the package; agreement between the two routes is the evidence
+the test suite relies on.  Budgets are hard errors, never silent skips,
+and count one slot code's words.  No result depends on the order words
+come in, but that order is fixed, so streams are reproducible.
 
 A field code's words stream in blocks: the words of its low generator
 rows are tabulated once, entry by entry, into per-position columns of at
@@ -22,7 +22,8 @@ gamma_4 C_4 has its four components, and a ring word is a tuple of slot
 words.  A generator of slot code i pairs with slot i of a word alone, and
 the Lee weight counts nonzeros over all slots.  No ``RingElement`` is
 built: the expansion R^n -> F_q^(4n), which puts entry j of slot i at
-position 4j + i, is checked by reading slot i back off each image word.
+position 4j + i, is checked on the image's generator rows alone: slot
+i is read back off each, and their leading positions are counted.
 
 Each oracle call decides every slot word once and combines the slot
 results; no call passes over ring words.  A ring word is orthogonal to
@@ -128,14 +129,16 @@ def _walk(f: GF, rows: Sequence[Word], n: int) -> Iterator[Word]:
 
 
 def _check_budget(code: Code, budget: int) -> None:
-    if code.size > budget:
-        raise CapExceededError(
-            f"{count_text(code.field.q, code.k)} codewords exceed the budget of {budget}"
-        )
+    """Refuse a code one of whose slot codes has more than ``budget`` words, naming the first."""
+    for c in _slots(code):
+        if c.size > budget:
+            raise CapExceededError(f"{count_text(c.field.q, c.k)} codewords exceed the budget of {budget}")
 
 
 def codewords(code: FqCode, budget: int = DEFAULT_ENUM_CAP) -> Iterator[Word]:
     """Stream every codeword of a field code exactly once; errors out above the budget."""
+    if len(_slots(code)) != 1:
+        raise MismatchError("codewords takes a field code")
     _check_budget(code, budget)
     return _fq_words(code)
 
@@ -153,7 +156,7 @@ def min_distance(code: Code, budget: int = DEFAULT_ENUM_CAP) -> int:
     """
     if code.k == 0:
         raise ZeroCodeError("the zero code has no minimum distance")
-    _check_budget(code, budget)  # a ring code's budget counts |C|; each slot code is no larger
+    _check_budget(code, budget)
     weights = (len(w) - w.count(0) for c in _slots(code) for w in codewords(c, budget))
     return min(filter(None, weights))  # only a slot's zero word weighs 0
 
@@ -219,25 +222,21 @@ def is_expansion(code: RCode, image: FqCode, budget: int = DEFAULT_ENUM_CAP) -> 
     """Whether ``image``'s words are exactly the F_q^(4n) expansions of ``code``'s words.
 
     Entry j of slot i lands at position 4j + i, so a field word is an
-    expansion when each w[i::4] is a word of slot code i, and distinct slot
-    tuples expand to distinct words: there are prod |S_i| expansions.  The
-    image's words stream past the four sets of slot words once.  Each of
-    its distinct words comes out as often as its zero word does, Z times,
-    so the sets are equal when every word is an expansion and
-    |image| = Z * prod |S_i|.  Both budgets are checked before any word.
+    expansion when each w[i::4] is a word of slot code i; the expansions
+    make a space E of prod |S_i| words.  If every generator row of the
+    image is one, its span lies in E, and rows with L distinct leading
+    positions span at least q^L words, so q^L >= |E| means the sets are
+    equal.  That is exact for rows in echelon form; rows sharing a
+    leading position may read False on equal sets.  No image word is drawn.
     """
     if len(_slots(code)) != 4 or len(_slots(image)) != 1:
         raise MismatchError("expansion check needs a ring code and a field code")
     _check_budget(code, budget)
-    _check_budget(image, budget)
     if image.field != code.field or image.n != 4 * code.n:
         return False
     slots = [set(codewords(c, budget)) for c in code.comps]
-    s1, s2, s3, s4 = slots
-    zero = (0,) * image.n
-    zeros = 0
-    for w in codewords(image, budget):
-        if w[0::4] not in s1 or w[1::4] not in s2 or w[2::4] not in s3 or w[3::4] not in s4:
-            return False
-        zeros += w == zero
-    return image.size == zeros * prod(map(len, slots))
+    rows = image.gen.rows
+    if any(g[i::4] not in s for g in rows for i, s in enumerate(slots)):
+        return False
+    leads = {next(j for j, v in enumerate(g) if v) for g in rows if any(g)}
+    return code.field.q ** len(leads) >= prod(map(len, slots))

@@ -531,6 +531,35 @@ def test_verify_decides_the_pairing_past_the_int_str_limit(tmp_path, capsys):
     assert "all checks agree" in out
 
 
+GF9_RING_FILE = {
+    "field": {"p": 3, "e": 2},
+    "n": 3,
+    "components": [[[1, 4, 2]], [[1, 0, 3], [0, 1, 5]], [[1, 1, 1]], [[1, 0, 7], [0, 1, 2]]],
+}
+
+
+def test_verify_budget_counts_one_component(tmp_path, capsys):
+    """|C| = 9^6 is past a budget of 100 that each component (at most 81 words) fits: verify
+    prints what it prints under the default budget."""
+    path = tmp_path / "gf9.json"
+    path.write_text(json.dumps(GF9_RING_FILE))
+    assert main(["verify", str(path)]) == 0
+    default = capsys.readouterr()
+    assert main(["verify", str(path), "--max-enum", "100"]) == 0
+    assert capsys.readouterr() == default
+    assert default.out.endswith("all checks agree\n") and default.err == ""
+
+
+def test_verify_refuses_a_component_past_the_budget(tmp_path, capsys):
+    path = tmp_path / "full.json"
+    full = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]  # a [3, 3] component: 9^3 = 729 words
+    path.write_text(json.dumps({"field": {"p": 3, "e": 2}, "n": 3, "components": [full, [], [], []]}))
+    assert main(["verify", str(path), "--max-enum", "100"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "729 codewords exceed the budget of 100" in err
+
+
 @pytest.mark.parametrize("module", ["lcdring", "lcdring.cli"])
 def test_import_leaves_out_dataclasses_and_inspect(module, tmp_path):
     """A plain CLI call imports none of these: building dataclasses costs most of

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from lcdring import GF, FqCode, Matrix, RCode, RingElement
 from lcdring import oracle
 from lcdring.errors import BadLError, CapExceededError, ConsistencyError, MismatchError, ZeroCodeError
+from lcdring.fqcode import DEFAULT_ENUM_CAP
 from lcdring.ring import galois_inner, gray
 
 from support import ring_words
@@ -173,6 +174,12 @@ class TestEnumeration:
         c = FqCode.zero(F5, 6).galois_dual(0)
         with pytest.raises(CapExceededError):
             list(oracle.codewords(c, budget=100))
+
+    def test_ring_code_refused(self, monkeypatch):
+        """A ring code is refused as such, before any budget is read."""
+        monkeypatch.setattr(oracle, "_check_budget", None)
+        with pytest.raises(MismatchError, match="^codewords takes a field code$"):
+            oracle.codewords(RCode([line()] * 4), budget=0)
 
     def test_budget_messages_past_the_int_str_limit(self):
         # 1048573^716 has more than 4300 digits
@@ -535,6 +542,35 @@ def test_field_code_streams_through_one_slot(tally):
     assert tally(oracle.hull_dim, zero, 1) == (0, {"twists": 0, "weighed": 0})
 
 
+def gf9_ring_code():
+    """Components of 9, 81, 9 and 81 words over GF(9) at n = 3: |C| = 9^6."""
+    rows = [[[1, 4, 2]], [[1, 0, 3], [0, 1, 5]], [[1, 1, 1]], [[1, 0, 7], [0, 1, 2]]]
+    return RCode([FqCode.from_rows(F9, 3, r) for r in rows])
+
+
+def test_budget_counts_one_component():
+    """A ring code past the budget whose components each fit gets the answers of the default budget."""
+    rc = gf9_ring_code()
+    image = rc.gray_image()
+    assert rc.size == 9**6 > 81 == max(c.size for c in rc.comps)
+
+    def answers(budget):
+        hulls = [oracle.hull_dim(rc, l, budget) for l in range(F9.e)]
+        return oracle.min_distance(rc, budget), hulls, oracle.is_expansion(rc, image, budget)
+
+    hulls = [sum(c.hull_dim(l) for c in rc.comps) for l in range(F9.e)]
+    assert answers(81) == answers(DEFAULT_ENUM_CAP) == (rc.params().d_lee, hulls, True)
+
+
+@pytest.mark.parametrize("call", ["min_distance", "hull_dim", "is_expansion"])
+def test_budget_names_the_first_component_past_it(call):
+    rc = gf9_ring_code()
+    assert [c.size for c in rc.comps] == [9, 81, 9, 81]  # slot 2 is the first past 80
+    args = {"min_distance": (), "hull_dim": (0,), "is_expansion": (rc.gray_image(),)}[call]
+    with pytest.raises(CapExceededError, match=r"^81 codewords exceed the budget of 80$"):
+        getattr(oracle, call)(rc, *args, 80)
+
+
 class TestHull:
     def test_self_orthogonal_line(self):
         assert oracle.hull_dim(line(), 0) == 1
@@ -617,15 +653,23 @@ def test_is_expansion_matches_the_expanded_set(data):
     assert oracle.is_expansion(rc, image)
     for cand in candidates:
         assert oracle.is_expansion(rc, cand) == (expanded == set(oracle.codewords(cand)))
-    # both refusals come on the call, the code's first, before any word is drawn
+    # the budget counts one component: the first past it is named before any word is drawn,
+    # and the image is neither budgeted nor drawn, whatever its size
     full = FqCode.zero(f, 4 * n).galois_dual(0)
+    top = max(c.size for c in comps)
+    first = next(c for c in comps if c.size == top)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(oracle, "_fq_words", None)
-        with pytest.raises(CapExceededError, match=rf"^{rc.size} codewords"):
-            oracle.is_expansion(rc, full, rc.size - 1)
-        if rc.k < 4 * n:
-            with pytest.raises(CapExceededError, match=rf"^{full.size} codewords"):
-                oracle.is_expansion(rc, full, rc.size)
+        with pytest.raises(CapExceededError, match=rf"^{q ** first.k} codewords exceed the budget of {top - 1}$"):
+            oracle.is_expansion(rc, full, top - 1)
+    checked, drawn = [], []
+    real_check, real_words = oracle._check_budget, oracle._fq_words
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oracle, "_check_budget", lambda c, budget: (checked.append(c), real_check(c, budget))[1])
+        mp.setattr(oracle, "_fq_words", lambda c: (drawn.append(c), real_words(c))[1])
+        assert oracle.is_expansion(rc, full, top) == (rc.k == 4 * n)
+    assert checked and drawn == list(comps)
+    assert all(c is not full for c in checked)
 
 
 def test_is_expansion_needs_the_field_and_the_length():
@@ -668,8 +712,41 @@ def test_is_expansion_counts_each_word_once():
         assert oracle.is_expansion(rc, image) == want
 
 
-def test_is_expansion_streams_the_image():
-    """The check holds the slot words and one block of image words, never a set of ring words."""
+def test_is_expansion_needs_distinct_leading_positions():
+    """Rows sharing a leading position, as no code the package builds has, can read False on
+    equal sets: (1, 1, 0, 0) and (1, 0, 0, 0) span all q^2 expansions of ``two``, but their one
+    leading position certifies only q words.  The verdict is sound, never exact past echelon form."""
+    line = FqCode.from_rows(F5, 1, [[1]])
+    zero = FqCode.zero(F5, 1)
+    two = RCode([line, line, zero, zero])
+    image = FqCode._derived(Matrix._derived(F5, 4, [(1, 1, 0, 0), (1, 0, 0, 0)]), (0, 0))
+    assert {gray(w) for w in ring_words(two)} == set(oracle.codewords(image))
+    assert not oracle.is_expansion(two, image)
+
+
+def test_is_expansion_draws_no_image_word(monkeypatch):
+    """The image's generator rows decide the check: ``codewords`` is only asked for slot codes."""
+    comps = [
+        FqCode.from_rows(F9, 2, [[1, 4]]),
+        FqCode.zero(F9, 2),
+        FqCode.from_rows(F9, 2, [[1, 1]]),
+        FqCode.from_rows(F9, 2, [[1, 0], [0, 1]]),
+    ]
+    rc = RCode(comps)
+    image = rc.gray_image()
+    real = oracle.codewords
+
+    def slot_words(code, budget):
+        assert code.n != 4 * rc.n, "drew an image word"
+        return real(code, budget)
+
+    monkeypatch.setattr(oracle, "codewords", slot_words)
+    assert oracle.is_expansion(rc, image)
+    assert not oracle.is_expansion(rc, FqCode.from_rows(F9, 8, image.gen.to_rows()[1:]))
+
+
+def test_is_expansion_holds_slot_words_only():
+    """The check holds the four sets of slot words, never a set of image or ring words."""
     f = GF(2)
     rng = random.Random(16)
     comps = [

@@ -188,6 +188,25 @@ def test_oracle_combines_slot_results():
     assert sites == ["_slots"]
 
 
+def test_oracle_budgets_one_slot_code():
+    """oracle.py raises ``CapExceededError`` in ``_check_budget`` alone, and ``is_expansion`` asks
+    ``codewords`` only for slot codes, names bound from ``code.comps``: no image word is drawn."""
+    tree = ast.parse((PACKAGE / "oracle.py").read_text(encoding="utf-8"))
+    owner = {}  # node -> innermost enclosing def; ast.walk is breadth-first
+    for fn in ast.walk(tree):
+        if isinstance(fn, ast.FunctionDef):
+            owner.update(dict.fromkeys(ast.walk(fn), fn.name))
+    raises = [owner.get(node, "<module>") for node in ast.walk(tree) if isinstance(node, ast.Raise)
+              and any(isinstance(n, ast.Name) and n.id == "CapExceededError" for n in ast.walk(node))]
+    assert raises == ["_check_budget"]
+    expansion = next(fn for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef) and fn.name == "is_expansion")
+    slots = {n.id for node in ast.walk(expansion) if isinstance(node, (ast.For, ast.comprehension))
+             and ast.unparse(node.iter) == "code.comps" for n in ast.walk(node.target) if isinstance(n, ast.Name)}
+    drawn = [node.args[0] for node in ast.walk(expansion)
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "codewords"]
+    assert drawn and all(isinstance(arg, ast.Name) and arg.id in slots for arg in drawn)
+
+
 def test_codefile_checks_only_the_shape():
     """codefile leaves the field bound and the encoding range to GF, Matrix and RingElement."""
     tree = ast.parse((PACKAGE / "codefile.py").read_text(encoding="utf-8"))
