@@ -8,15 +8,19 @@ monic irreducible of degree e.  Without a modulus it takes the monic
 irreducible of smallest encoding, so (p, e) alone fixes the field.
 
 Prime fields compute with ints mod p.  An extension field builds, on
-construction, exp/log/Zech tables for its smallest primitive encoding g:
-exp[i] = g^i, log[g^i] = i and zech[k] = log(1 + g^k), O(q) entries,
-walking the cosets of <x> and deciding g in the quotient.  Products,
-inverses, powers and Frobenius images are one or two lookups in exp/log,
-and sums one more in zech.
+construction, exp/log tables for its smallest primitive encoding g:
+exp[i] = g^i and log[g^i] = i, O(q) entries, walking the cosets of <x>
+and deciding g in the quotient.  Products, inverses, powers and
+Frobenius images are one or two lookups in exp/log.  In characteristic 2
+a sum is the XOR of the encodings; for odd p it is one more lookup in a
+Zech table zech[k] = log(1 + g^k).
 
-Linear algebra runs on the row kernels ``dot``, ``sub_scaled`` and
-``frobenius_row``: ints and one reduction mod p in a prime field, one
-loop over the tables with no method call per entry in an extension field.
+Linear algebra runs on the row kernels ``_clear_column``, ``_gram_rows``
+and ``frobenius_row``.  The first two read a row through a view built
+per call and never stored: its nonzero entries as (column, value) pairs
+in a prime field and (column, log value) pairs in an extension field, so
+an elimination step or a product walks the nonzero entries only and
+reads logs without converting each entry again.
 """
 
 from __future__ import annotations
@@ -191,7 +195,7 @@ class GF:
         self._log_neg1 = self._log[p - 1] if e > 1 else 0
 
     def _log_tables(self) -> tuple[list[int], list[int | None], list[int | None]]:
-        """exp (doubled, so log sums need no reduction), log and zech.
+        """exp (doubled, so log sums need no reduction), log and zech (empty when p = 2).
 
         Multiplying an encoding by x shifts its digits and folds the top
         digit t back in as t * x^e, touching only the digits where the
@@ -249,8 +253,9 @@ class GF:
                     acc += c * (exp[(a - 1 + shift) % n] // place)
                 rep += acc % p * place
             walk(rep, a, s)
-        # 1 + v bumps the constant digit; it is 0 exactly when v = -1
-        zech = [log[v + 1 - p if v % p == p - 1 else v + 1] for v in exp]
+        # 1 + v bumps the constant digit; it is 0 exactly when v = -1.  In
+        # characteristic 2 a sum is an XOR of encodings and reads no zech.
+        zech = [log[v + 1 - p if v % p == p - 1 else v + 1] for v in exp] if p > 2 else []
         return exp * 2, log, zech
 
     # -- identity ---------------------------------------------------------
@@ -295,6 +300,8 @@ class GF:
     # -- arithmetic ---------------------------------------------------------
 
     def add(self, x: int, y: int) -> int:
+        if self.p == 2:  # digits add mod 2
+            return x ^ y
         if self.e == 1:
             return (x + y) % self.p
         if not x or not y:
@@ -311,6 +318,8 @@ class GF:
         return self._exp[self._log[x] + self._log_neg1] if x else 0
 
     def sub(self, x: int, y: int) -> int:
+        if self.p == 2:
+            return x ^ y
         if self.e == 1:
             return (x - y) % self.p
         return self.add(x, self.neg(y))
@@ -359,58 +368,121 @@ class GF:
 
     # -- row kernels ----------------------------------------------------------
 
-    def dot(self, xs: Sequence[int], ys: Sequence[int]) -> int:
-        """sum(x_i * y_i) over two rows of equal length."""
+    def _view(self, xs: Sequence[int], start: int = 0) -> list[tuple[int, int]]:
+        """The nonzero entries of xs from column start on: (column, value) pairs
+        in a prime field, (column, log value) in an extension field."""
         if self.e == 1:
-            return sum(map(_imul, xs, ys)) % self.p
-        log, zech, n = self._log, self._zech, self.q - 1
-        # acc is the log of the running sum, -1 while that sum is 0;
-        # g^acc + g^t = g^(acc + zech[t - acc]), and a negative index wraps
-        acc = -1
-        for x, y in zip(xs, ys):
-            if x and y:
-                t = log[x] + log[y]
-                if t >= n:
-                    t -= n
-                if acc < 0:
-                    acc = t
-                else:
-                    z = zech[t - acc]
-                    if z is None:
-                        acc = -1
-                    else:
-                        acc += z
-                        if acc >= n:
-                            acc -= n
-        return 0 if acc < 0 else self._exp[acc]
+            return [(j, x) for j, x in enumerate(xs[start:], start) if x]
+        log = self._log
+        return [(j, log[x]) for j, x in enumerate(xs[start:], start) if x]
 
-    def sub_scaled(self, xs: Sequence[int], c: int, ys: Sequence[int]) -> list[int]:
-        """The row xs - c*ys, for rows of equal length."""
+    def _clear_column(self, pivot_row: Sequence[int], col: int, rows: Iterable[list[int]]) -> None:
+        """Subtract from each row of ``rows``, in place, the multiple of
+        ``pivot_row`` that makes it 0 in column ``col``.
+
+        pivot_row is nonzero at col and zero left of it.  Its view past col
+        is built once for all the rows nonzero at col, and an update walks
+        only that view.
+        """
+        rows = [row for row in rows if row[col]]
+        if not rows:
+            return
+        view = self._view(pivot_row, col + 1)
+        pivot = pivot_row[col]
         if self.e == 1:
             p = self.p
-            return [(x - c * y) % p for x, y in zip(xs, ys)]
-        if not c:
-            return list(xs)
-        log, exp, zech, n = self._log, self._exp, self._zech, self.q - 1
-        # -c*y = g^(lc + log y); each log stays below n, so every sum of two
-        # fits the doubled exp table
-        lc = log[c] + self._log_neg1
-        if lc >= n:
-            lc -= n
+            s = p - pow(pivot, p - 2, p)  # x - (x / pivot) * y = x + (x * s) * y
+            for row in rows:
+                c = row[col] * s % p
+                row[col] = 0
+                for j, y in view:
+                    row[j] = (row[j] + c * y) % p
+            return
+        log, exp, n = self._log, self._exp, self.q - 1
+        # -(x / pivot) * y = g^(lc + log y) with lc = log x + s mod (q - 1);
+        # both logs stay below q - 1, so their sum fits the doubled exp table
+        s = self._log_neg1 - log[pivot]
+        if self.p == 2:
+            for row in rows:
+                lc = (log[row[col]] + s) % n
+                row[col] = 0
+                for j, ly in view:
+                    row[j] ^= exp[lc + ly]
+            return
+        zech = self._zech
+        for row in rows:
+            lc = (log[row[col]] + s) % n
+            row[col] = 0
+            for j, ly in view:
+                t = lc + ly
+                v = row[j]
+                if v:
+                    # g^a + g^t = g^(a + zech[t - a]); a negative index wraps
+                    if t >= n:
+                        t -= n
+                    a = log[v]
+                    z = zech[t - a]
+                    row[j] = 0 if z is None else exp[a + z]
+                else:
+                    row[j] = exp[t]
+
+    def _gram_rows(self, rows: Sequence[Sequence[int]], m: int, half: bool) -> list[list[int]]:
+        """Row i is [sum(a_j * b_j^(p^m)) for each row b] for row a = rows[i];
+        with ``half``, only for b = rows[i], rows[i + 1], ...
+
+        An extension field reads each row's view against the twisted rows
+        as dense log rows, log b * p^m mod (q - 1) and None at a zero.
+        """
+        if self.e == 1:
+            p = self.p
+            return [[sum(map(_imul, a, b)) % p for b in rows[i if half else 0:]] for i, a in enumerate(rows)]
+        log, exp, n = self._log, self._exp, self.q - 1
+        k = pow(self.p, m, n)
+        views = [self._view(a) for a in rows]
+        twisted = []
+        for view in views:
+            b = [None] * len(rows[0])
+            for j, la in view:
+                b[j] = la * k % n
+            twisted.append(b)
         out = []
-        for x, y in zip(xs, ys):
-            if not y:
-                out.append(x)
-                continue
-            t = lc + log[y]
-            if not x:
-                out.append(exp[t])
-                continue
-            if t >= n:
-                t -= n
-            a = log[x]
-            z = zech[t - a]
-            out.append(0 if z is None else exp[a + z])
+        if self.p == 2:
+            for i, view in enumerate(views):
+                out_row = []
+                for b in twisted[i if half else 0:]:
+                    acc = 0
+                    for j, la in view:
+                        lb = b[j]
+                        if lb is not None:
+                            acc ^= exp[la + lb]
+                    out_row.append(acc)
+                out.append(out_row)
+            return out
+        zech = self._zech
+        for i, view in enumerate(views):
+            out_row = []
+            for b in twisted[i if half else 0:]:
+                # acc is the log of the running sum, -1 while that sum is 0;
+                # g^acc + g^t = g^(acc + zech[t - acc]), and a negative index wraps
+                acc = -1
+                for j, la in view:
+                    lb = b[j]
+                    if lb is not None:
+                        t = la + lb
+                        if t >= n:
+                            t -= n
+                        if acc < 0:
+                            acc = t
+                        else:
+                            z = zech[t - acc]
+                            if z is None:
+                                acc = -1
+                            else:
+                                acc += z
+                                if acc >= n:
+                                    acc -= n
+                out_row.append(0 if acc < 0 else exp[acc])
+            out.append(out_row)
         return out
 
     def frobenius_row(self, xs: Sequence[int], m: int) -> list[int]:

@@ -6,11 +6,14 @@ classical Gauss elimination; the field is exact so no pivoting strategy
 beyond "first nonzero" is needed.  The reduced row echelon form is unique,
 which is what makes it usable as a canonical form for code equality.
 
-The per-entry work lives in two row kernels that ``GF`` owns: every Gram
-entry is one ``dot`` of two rows, and every elimination step is one
-``sub_scaled`` row update.  One forward elimination (``_eliminate``) is
-the only Gauss loop: it gives pivot columns and the determinant together,
-and ``rref`` is that pass plus a back-substitution.  ``rref`` runs them
+The per-entry work lives in two row kernels that ``GF`` owns, each over
+a view of a row's nonzero entries built for the call: every elimination
+step is one ``_clear_column``, which clears a pivot's column from the
+rows below or above it in place, walking the pivot row's view once per
+row, and every Gram matrix is one ``_gram_rows``.  One forward
+elimination (``_eliminate``) is the only Gauss loop: it gives pivot
+columns and the determinant together, and ``rref`` is that pass plus a
+back-substitution.  ``rref`` runs them
 only on a matrix that ``rref_scan``, the package's one test of reduced
 row echelon form, turns down: the form is unique, so a matrix that passes
 is its own, and a systematic generator [I | A] costs one O(k * n) read.
@@ -128,7 +131,6 @@ def _eliminate(f: GF, rows: list[list[int]]) -> tuple[tuple[int, ...], int]:
     rows at all give ((), 1), the empty matrix's determinant.  This is the
     one Gauss loop of the package.
     """
-    sub_scaled, mul, inv = f.sub_scaled, f.mul, f.inv
     n = len(rows)
     ncols = len(rows[0]) if rows else 0
     pivots: list[int] = []
@@ -144,15 +146,8 @@ def _eliminate(f: GF, rows: list[list[int]]) -> tuple[tuple[int, ...], int]:
         if pr != r:
             rows[r], rows[pr] = rows[pr], rows[r]
             swaps += 1
-        # rows r.. are zero left of column c, so every update starts there
-        pivot = rows[r][c]
-        acc = mul(acc, pivot)
-        pivot_inv = inv(pivot)
-        tail = rows[r][c:]
-        for i in range(r + 1, n):
-            row = rows[i]
-            if row[c]:
-                row[c:] = sub_scaled(row[c:], mul(row[c], pivot_inv), tail)
+        acc = f.mul(acc, rows[r][c])
+        f._clear_column(rows[r], c, rows[r + 1:])
         pivots.append(c)
         r += 1
     if r < n or r < ncols:
@@ -204,7 +199,7 @@ def rref(m: Matrix) -> tuple[Matrix, int, tuple[int, ...]]:
     if bad is None:
         return m, len(pivots), pivots
     f = m.field
-    sub_scaled, mul, inv = f.sub_scaled, f.mul, f.inv
+    mul, inv = f.mul, f.inv
     rows = m.to_rows()
     pivots, _ = _eliminate(f, rows)
     for r in reversed(range(len(pivots))):
@@ -212,11 +207,7 @@ def rref(m: Matrix) -> tuple[Matrix, int, tuple[int, ...]]:
         pivot_inv = inv(rows[r][c])
         if pivot_inv != 1:
             rows[r][c:] = [mul(pivot_inv, v) for v in rows[r][c:]]
-        tail = rows[r][c:]
-        for i in range(r):
-            row = rows[i]
-            if row[c]:
-                row[c:] = sub_scaled(row[c:], row[c], tail)
+        f._clear_column(rows[r], c, rows[:r])
     return Matrix._derived(f, m.ncols, rows), len(pivots), pivots
 
 
@@ -241,11 +232,10 @@ def gram(g: Matrix, m: int) -> Matrix:
     products, and the rest are read from them.
     """
     f = g.field
-    twisted = [f.frobenius_row(row, m) for row in g.rows]
-    dot = f.dot
-    if 2 * m % f.e:
-        return Matrix._derived(f, g.nrows, [[dot(a, b) for b in twisted] for a in g.rows])
-    upper = [[dot(a, b) for b in twisted[i:]] for i, a in enumerate(g.rows)]
+    half = not 2 * m % f.e
+    upper = f._gram_rows(g.rows, m, half)
+    if not half:
+        return Matrix._derived(f, g.nrows, upper)
     lower = [f.frobenius_row(u, m) for u in upper]  # lower[j][i - j] is entry (i, j)
     return Matrix._derived(
         f, g.nrows, [[c[i - j] for j, c in enumerate(lower[:i])] + u for i, u in enumerate(upper)]

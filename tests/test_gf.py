@@ -403,7 +403,9 @@ def test_log_tables_match_the_textbook_primitive_under_random_moduli(f):
     assert all(f._log[f._exp[i]] == i for i in range(n))
     for i in range(0, n, max(1, n // 20)):
         assert f._exp[i] == _enc(f, _ppowmod(_poly(f, g), i, mod, p))
-    for k in range(n):
+    # characteristic 2 adds by XOR and builds no Zech table
+    assert len(f._zech) == (n if p > 2 else 0)
+    for k in range(len(f._zech)):
         one_more = [(c + (j == 0)) % p for j, c in enumerate(f.coeffs(f._exp[k]))]
         assert f._zech[k] == f._log[_enc(f, one_more)]
 
@@ -520,14 +522,28 @@ def _kernel_rows(draw):
     return f, xs, ys, draw(elem)
 
 
+def _dot(f, xs, ys):
+    """sum(x_i * y_i) through the Gram kernel: the entry of rows xs and ys at twist 0."""
+    return f._gram_rows([xs, ys], 0, False)[0][1]
+
+
+def _sub_scaled(f, xs, c, ys, pivot=1):
+    """xs - c*ys through the update kernel: column 0 of [c*pivot] + xs cleared by the row [pivot] + ys."""
+    pivot_row, row = [pivot, *ys], [f.mul(c, pivot), *xs]
+    f._clear_column(pivot_row, 0, [row])
+    assert row[0] == 0 and pivot_row == [pivot, *ys]
+    return row[1:]
+
+
 @settings(max_examples=600, deadline=None)
 @given(_kernel_rows())
 @example((_diff_field((3, 5)), [1, 1, 2], [5, _diff_field((3, 5)).neg(5), 7], 3))
 @example((_diff_field((2, 4)), [0, 0, 0], [0, 0, 0], 0))
 def test_row_kernels_match_scalar_arithmetic(case):
     f, xs, ys, c = case
-    assert f.dot(xs, ys) == _scalar_dot(f, xs, ys)
-    assert f.sub_scaled(xs, c, ys) == [f.sub(x, f.mul(c, y)) for x, y in zip(xs, ys)]
+    assert _dot(f, xs, ys) == _scalar_dot(f, xs, ys)
+    for pivot in (1, f.neg(1), f.q - 1):
+        assert _sub_scaled(f, xs, c, ys, pivot) == [f.sub(x, f.mul(c, y)) for x, y in zip(xs, ys)]
 
 
 @pytest.mark.parametrize("args", KERNEL_FIELDS, ids=str)
@@ -538,9 +554,91 @@ def test_row_kernels_reach_every_log_sum(args):
     units = list(f.units())
     for c in units:
         xs = [f.mul(c, y) for y in units]
-        assert f.sub_scaled(xs, c, units) == [0] * len(units)
-        assert f.sub_scaled([0] * len(units), c, units) == [f.neg(x) for x in xs]
-        assert f.dot([c] * len(units), units) == _scalar_dot(f, [c] * len(units), units)
+        assert _sub_scaled(f, xs, c, units) == [0] * len(units)
+        assert _sub_scaled(f, [0] * len(units), c, units) == [f.neg(x) for x in xs]
+        assert _dot(f, [c] * len(units), units) == _scalar_dot(f, [c] * len(units), units)
+
+
+def _kernel_elements(f):
+    """Field elements rich in 0, 1 and -1."""
+    return st.one_of(st.sampled_from([0, 1, f.neg(1)]), st.integers(0, f.q - 1))
+
+
+@st.composite
+def _column_clears(draw):
+    """(field, col, pivot_row, rows): a pivot row zero left of col and rows to clear, some zero at
+    col, some all zero, some multiples of the pivot row that cancel to 0 entry by entry."""
+    f = _diff_field(draw(st.sampled_from(KERNEL_FIELDS)))
+    elem = _kernel_elements(f)
+    width = draw(st.integers(1, 8))
+    col = draw(st.integers(0, width - 1))
+    unit = st.one_of(st.just(f.neg(1)), st.integers(1, f.q - 1))
+    pivot_row = [0] * col + [draw(unit)] + draw(st.lists(elem, min_size=width - col - 1, max_size=width - col - 1))
+    rows = []
+    for _ in range(draw(st.integers(0, 4))):
+        shape = draw(st.sampled_from(["random", "zero", "zero at col", "multiple", "multiple plus noise"]))
+        row = draw(st.lists(elem, min_size=width, max_size=width))
+        if shape == "zero":
+            row = [0] * width
+        elif shape == "zero at col":
+            row[col] = 0
+        elif shape.startswith("multiple"):
+            c = draw(unit)
+            noise = row if shape == "multiple plus noise" else [0] * width
+            row = [f.add(v, f.mul(c, y)) for v, y in zip(noise, pivot_row)]
+            row[col] = f.mul(c, pivot_row[col])
+        rows.append(row)
+    return f, col, pivot_row, rows
+
+
+@settings(max_examples=600, deadline=None)
+@given(_column_clears())
+def test_clear_column_matches_a_scalar_update(case):
+    f, col, pivot_row, rows = case
+    want = []
+    for row in rows:
+        factor = f.mul(row[col], f.inv(pivot_row[col]))
+        want.append([f.sub(x, f.mul(factor, y)) for x, y in zip(row, pivot_row)])
+    pivot_copy, got = list(pivot_row), [list(row) for row in rows]
+    f._clear_column(pivot_row, col, got)
+    assert got == want
+    assert all(row[col] == 0 for row in got)
+    assert pivot_row == pivot_copy
+
+
+@st.composite
+def _gram_cases(draw):
+    """(field, rows): up to 4 rows of width up to 6, rich in zeros and -1, some rows all zero."""
+    f = _diff_field(draw(st.sampled_from(KERNEL_FIELDS + [(2, 8), (3, 6), (5, 4)])))
+    width = draw(st.integers(0, 6))
+    elem = _kernel_elements(f)
+    rows = draw(st.lists(st.one_of(st.just([0] * width), st.lists(elem, min_size=width, max_size=width)), max_size=4))
+    return f, rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(_gram_cases())
+@example((_diff_field((3, 2)), [[1, 3], [3, 1]]))  # (1, x) times itself is 1 + x^2 = 0 at m = 0
+def test_gram_rows_match_scalar_products(case):
+    """Every twist m from 0 to 2e, full and half: row i holds sum_j a_ij * a_kj^(p^m) for k from 0,
+    or from i."""
+    f, rows = case
+    for m in range(2 * f.e + 1):
+        full = [[_scalar_dot(f, a, [f.frobenius(y, m) for y in b]) for b in rows] for a in rows]
+        assert f._gram_rows(rows, m, False) == full
+        assert f._gram_rows(rows, m, True) == [row[i:] for i, row in enumerate(full)]
+
+
+@pytest.mark.parametrize("args", [(2,), (2, 2), (2, 3), (2, 4), (2, 8), (2, 4, (1, 1, 1, 1, 1))], ids=str)
+def test_characteristic_two_adds_by_xor(args):
+    """Sums in characteristic 2 are the XOR of the encodings, digit by digit mod 2, and read no Zech table."""
+    f = _diff_field(args)
+    assert f._zech == []
+    xs = range(f.q) if f.q <= 16 else range(0, f.q, 7)
+    for x in xs:
+        for y in range(f.q):
+            digits = _enc(f, [(a + b) % 2 for a, b in zip(f.coeffs(x), f.coeffs(y))])
+            assert f.add(x, y) == f.sub(x, y) == x ^ y == digits
 
 
 @st.composite

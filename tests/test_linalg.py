@@ -275,6 +275,40 @@ def test_rref_matches_textbook_gauss_jordan(case):
     assert not any(v for row in echelon[rk:] for v in row)
 
 
+def scalar_eliminate(f, rows):
+    """(echelon rows, pivot columns, determinant): Gauss elimination entry by entry with add, mul,
+    sub and inv, taking the first nonzero entry of each column as its pivot."""
+    rows = [list(row) for row in rows]
+    n, ncols = len(rows), len(rows[0]) if rows else 0
+    pivots, d = [], 1
+    for c in range(ncols):
+        r = len(pivots)
+        below = [i for i in range(r, n) if rows[i][c]]
+        if not below:
+            continue
+        if below[0] != r:
+            rows[r], rows[below[0]] = rows[below[0]], rows[r]
+            d = f.neg(d)
+        d = f.mul(d, rows[r][c])
+        for i in range(r + 1, n):
+            factor = f.mul(rows[i][c], f.inv(rows[r][c]))
+            rows[i] = [f.sub(x, f.mul(factor, y)) for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+    if len(pivots) < max(n, ncols):
+        d = 0
+    return rows, tuple(pivots), d
+
+
+@settings(max_examples=300, deadline=None)
+@given(row_lists())
+def test_eliminate_matches_a_scalar_gauss_loop(case):
+    f, ncols, rows = case
+    want_rows, want_pivots, want_det = scalar_eliminate(f, rows)
+    got = [list(row) for row in rows]
+    assert _eliminate(f, got) == (want_pivots, want_det)
+    assert got == want_rows
+
+
 class TestRankDet:
     @pytest.mark.parametrize("field", [GF(2), GF(2, 3), F5, F9, GF(3, 3)], ids=lambda f: f"GF({f.q})")
     def test_one_elimination_matches_rref_and_leibniz(self, field):
