@@ -206,23 +206,18 @@ def _cmd_verify(args: SimpleNamespace) -> int:
             failures.append(name)
 
     params = code.params(budget)
+    gray_code = code.gray_image()
+    # every brute-force answer, or the budget refusal, before the first line
+    distance, distances, hulls, expansion = oracle.survey(code, gray_code, budget)
     if code.k > 0:
-        check(
-            "lee distance (enumeration vs component minimum)",
-            oracle.min_distance(code, budget) == params.d_lee,
-        )
+        check("lee distance (enumeration vs component minimum)", distance == params.d_lee)
     for i, comp in enumerate(code.comps):
         if comp.k > 0:
-            check(
-                f"component {i + 1} distance",
-                oracle.min_distance(comp, budget) == comp.min_dist(budget),
-            )
-    gray_code = code.gray_image()
-    check("expansion image matches enumerated expansion", oracle.is_expansion(code, gray_code, budget))
-    for l in range(code.field.e):
+            check(f"component {i + 1} distance", distances[i] == comp.min_dist(budget))
+    check("expansion image matches enumerated expansion", expansion)
+    for l, bf_hull in enumerate(hulls):
         dual = code.galois_dual(l)
         check(f"l={l} cardinality", code.k + dual.k == 4 * code.n)
-        bf_hull = oracle.hull_dim(code, l, budget)
         fast_hull = sum(c.hull_dim(l) for c in code.comps)
         check(f"l={l} hull dimension", bf_hull == fast_hull)
         check(f"l={l} lcd flag", code.is_lcd(l) == (bf_hull == 0))

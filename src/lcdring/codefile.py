@@ -84,9 +84,12 @@ def _load_field(doc: dict[str, Any]) -> GF:
 def _check_rows(rows: Any, n: int, what: str) -> None:
     _require(isinstance(rows, list), f"{what} must be a list of rows")
     _require(len(rows) <= MAX_LENGTH, f"{what} has {len(rows)} rows, more than {MAX_LENGTH}")
+    # per-row messages are formatted only for a row that fails
     for r, row in enumerate(rows):
-        _require(isinstance(row, list), f"{what} row {r} is not a list")
-        _require(len(row) == n, f"{what} row {r} has width {len(row)}, expected {n}")
+        if not isinstance(row, list):
+            raise ParseError(f"{what} row {r} is not a list")
+        if len(row) != n:
+            raise ParseError(f"{what} row {r} has width {len(row)}, expected {n}")
 
 
 def parse_code(text: str) -> RCode:
@@ -131,12 +134,12 @@ def parse_code(text: str) -> RCode:
     element = RingElement.from_u if basis == "u" else RingElement
     rows = []
     for r, row in enumerate(gens):
-        _require(isinstance(row, list) and len(row) == n,
-                 f"generator row {r} must list {n} ring elements")
+        if not (isinstance(row, list) and len(row) == n):
+            raise ParseError(f"generator row {r} must list {n} ring elements")
         entries = []
         for j, quad in enumerate(row):
-            _require(isinstance(quad, list) and len(quad) == 4,
-                     f"generator row {r} entry {j} must be a 4-list")
+            if not (isinstance(quad, list) and len(quad) == 4):
+                raise ParseError(f"generator row {r} entry {j} must be a 4-list")
             try:
                 entries.append(element(field, quad))
             except ValueError as exc:

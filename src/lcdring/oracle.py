@@ -32,6 +32,13 @@ slot's count of words orthogonal to its slot code's generators (linearity
 in the first argument makes that the whole slot code).  The lightest
 nonzero ring word has one nonzero slot, so the distance is the least
 nonzero slot weight.  The dual check counts with the same function.
+
+``survey`` makes one pass per slot code for all of ``verify``: each slot's
+words are drawn once, held as the set ``is_expansion`` holds, and read by
+the helpers the single calls use on their streams.  A pairing
+sum_j g_j * w_j^(p^l) is zero exactly when its F^(e-l) image
+sum_j F^(e-l)(g_j) * w_j is, so a generator row is twisted once per twist
+and no word entry is twisted.
 """
 
 from __future__ import annotations
@@ -148,6 +155,16 @@ def _slots(code: Code) -> tuple[FqCode, ...]:
     return (code,) if isinstance(code, FqCode) else code.comps
 
 
+def _least(weights: Iterable[int]) -> int:
+    """The least nonzero of ``weights``, 0 when none is."""
+    return min(filter(None, weights), default=0)
+
+
+def _weight(words: Iterable[Word]) -> int:
+    """The least nonzero Hamming weight of ``words``, 0 when only the zero word is among them."""
+    return _least(len(w) - w.count(0) for w in words)
+
+
 def min_distance(code: Code, budget: int = DEFAULT_ENUM_CAP) -> int:
     """Exact minimum Hamming (field) or Lee (ring) weight over nonzero words.
 
@@ -157,23 +174,22 @@ def min_distance(code: Code, budget: int = DEFAULT_ENUM_CAP) -> int:
     if code.k == 0:
         raise ZeroCodeError("the zero code has no minimum distance")
     _check_budget(code, budget)
-    weights = (len(w) - w.count(0) for c in _slots(code) for w in codewords(c, budget))
-    return min(filter(None, weights))  # only a slot's zero word weighs 0
+    return _least(_weight(codewords(c, budget)) for c in _slots(code))
 
 
 def _orthogonal_count(code: FqCode, words: Iterable[Word], l: int) -> int:
     """How many of ``words`` pair to zero, under twist l, with every generator of the field code ``code``.
 
-    A generator g pairs with a word w as sum_j g_j * w_j^(p^l), so each
-    word is twisted once; with no generators, none is twisted.
+    A generator g pairs with a word w as sum_j g_j * w_j^(p^l).  The field
+    automorphism F^(e-l) maps that sum to sum_j F^(e-l)(g_j) * w_j (F^e is
+    the identity), and only 0 to 0, so only generator entries are twisted.
     """
     f = code.field
-    frob, add, mul = f.frobenius, f.add, f.mul
-    rows = code.gen.rows
+    add, mul = f.add, f.mul
+    rows = [[f.frobenius(x, f.e - l) for x in g] for g in code.gen.rows]
 
     def orthogonal(w: Word) -> bool:
-        t = [frob(v, l) for v in w] if rows else w
-        return not any(reduce(add, [mul(x, y) for x, y in zip(g, t) if x and y], 0) for g in rows)
+        return not any(reduce(add, [mul(x, y) for x, y in zip(g, w) if x and y], 0) for g in rows)
 
     return sum(map(orthogonal, words))
 
@@ -196,6 +212,19 @@ def is_dual_pair(code: Code, dual: Code, l: int) -> bool:
     return all(_orthogonal_count(c, d.gen.rows, l) == d.k for c, d in slots)
 
 
+def _hull(i: int, code: FqCode, words: Iterable[Word], l: int) -> int:
+    """log_q of how many of slot code i's ``words`` are orthogonal to its generators under twist l."""
+    q = code.field.q
+    hits = rest = _orthogonal_count(code, words, l)
+    h = 0
+    while rest and rest % q == 0:
+        rest //= q
+        h += 1
+    if rest != 1:
+        raise ConsistencyError(f"slot {i}: hull count {hits} is not a power of q = {q}")
+    return h
+
+
 def hull_dim(code: Code, l: int, budget: int = DEFAULT_ENUM_CAP) -> int:
     """log_q of the number of codewords orthogonal to the whole code: the sum of each slot's.
 
@@ -204,18 +233,21 @@ def hull_dim(code: Code, l: int, budget: int = DEFAULT_ENUM_CAP) -> int:
     argument.  A slot count that is not a power of q means a bug somewhere
     and raises, naming the slot.
     """
-    f = code.field
-    f.check_twist(l)
+    code.field.check_twist(l)
     _check_budget(code, budget)
-    h = 0
-    for i, c in enumerate(_slots(code), 1):
-        hits = rest = _orthogonal_count(c, codewords(c, budget), l)
-        while rest and rest % f.q == 0:
-            rest //= f.q
-            h += 1
-        if rest != 1:
-            raise ConsistencyError(f"slot {i}: hull count {hits} is not a power of q = {f.q}")
-    return h
+    return sum(_hull(i, c, codewords(c, budget), l) for i, c in enumerate(_slots(code), 1))
+
+
+def _expansion(code: RCode, image: FqCode, slots: Iterable[set[Word]]) -> bool:
+    """``is_expansion`` on the sets of slot words, which are read only if ``image`` has the field and length."""
+    if image.field != code.field or image.n != 4 * code.n:
+        return False
+    slots = list(slots)
+    rows = image.gen.rows
+    if any(g[i::4] not in s for g in rows for i, s in enumerate(slots)):
+        return False
+    leads = {next(j for j, v in enumerate(g) if v) for g in rows if any(g)}
+    return code.field.q ** len(leads) >= prod(map(len, slots))
 
 
 def is_expansion(code: RCode, image: FqCode, budget: int = DEFAULT_ENUM_CAP) -> bool:
@@ -232,11 +264,27 @@ def is_expansion(code: RCode, image: FqCode, budget: int = DEFAULT_ENUM_CAP) -> 
     if len(_slots(code)) != 4 or len(_slots(image)) != 1:
         raise MismatchError("expansion check needs a ring code and a field code")
     _check_budget(code, budget)
-    if image.field != code.field or image.n != 4 * code.n:
-        return False
+    return _expansion(code, image, (set(codewords(c, budget)) for c in code.comps))
+
+
+def survey(
+    code: RCode, image: FqCode, budget: int = DEFAULT_ENUM_CAP
+) -> tuple[int, tuple[int, ...], tuple[int, ...], bool]:
+    """The oracle's answers about a ring code, from one pass per slot code.
+
+    In order: ``min_distance`` of the code and of each component (0 for a
+    zero code), ``hull_dim`` at each twist l = 0, ..., e - 1 and
+    ``is_expansion`` of ``image``.  The arguments and the budget are checked
+    before any word is drawn.  Each slot code's words are drawn once and held
+    as the set ``is_expansion`` holds, and the helpers of the single calls
+    read every answer off the four sets.
+    """
+    if len(_slots(code)) != 4 or len(_slots(image)) != 1:
+        raise MismatchError("survey needs a ring code and a field code")
+    _check_budget(code, budget)
     slots = [set(codewords(c, budget)) for c in code.comps]
-    rows = image.gen.rows
-    if any(g[i::4] not in s for g in rows for i, s in enumerate(slots)):
-        return False
-    leads = {next(j for j, v in enumerate(g) if v) for g in rows if any(g)}
-    return code.field.q ** len(leads) >= prod(map(len, slots))
+    weights = tuple(map(_weight, slots))
+    hulls = tuple(
+        sum(_hull(i, c, s, l) for i, (c, s) in enumerate(zip(code.comps, slots), 1)) for l in range(code.field.e)
+    )
+    return _least(weights), weights, hulls, _expansion(code, image, slots)

@@ -560,6 +560,39 @@ def test_verify_refuses_a_component_past_the_budget(tmp_path, capsys):
     assert "729 codewords exceed the budget of 100" in err
 
 
+def drawn_slot_codes(monkeypatch):
+    """The codes ``oracle.codewords`` is asked for, in order, while the list is live."""
+    drawn = []
+    real = oracle.codewords
+    monkeypatch.setattr(oracle, "codewords", lambda code, budget: (drawn.append(code), real(code, budget))[1])
+    return drawn
+
+
+def test_verify_refuses_the_third_component_before_drawing_a_word(tmp_path, capsys, monkeypatch):
+    """Components 1 and 2 (9 and 81 words) fit a budget of 100 that component 3 (9^3 words) is
+    past: verify exits 2 with nothing on stdout, names component 3's count, and draws no word."""
+    path = tmp_path / "third.json"
+    full = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    comps = [[[1, 4, 2]], [[1, 0, 3], [0, 1, 5]], full, []]
+    path.write_text(json.dumps({"field": {"p": 3, "e": 2}, "n": 3, "components": comps}))
+    drawn = drawn_slot_codes(monkeypatch)
+    assert main(["verify", str(path), "--max-enum", "100"]) == 2
+    assert capsys.readouterr() == ("", "error: 729 codewords exceed the budget of 100\n")
+    assert drawn == []
+
+
+def test_verify_draws_each_slot_code_once(tmp_path, capsys, monkeypatch):
+    """One verify run over GF(9), two twists, asks ``oracle.codewords`` for each slot code once,
+    the zero component included, in slot order."""
+    doc = {**GF9_RING_FILE, "components": [[[1, 4, 2]], [], [[1, 1, 1]], [[1, 0, 7], [0, 1, 2]]]}
+    path = tmp_path / "gf9.json"
+    path.write_text(json.dumps(doc))
+    drawn = drawn_slot_codes(monkeypatch)
+    assert main(["verify", str(path)]) == 0
+    assert capsys.readouterr().out.endswith("all checks agree\n")
+    assert drawn == list(parse_code(json.dumps(doc)).comps)
+
+
 @pytest.mark.parametrize("module", ["lcdring", "lcdring.cli"])
 def test_import_leaves_out_dataclasses_and_inspect(module, tmp_path):
     """A plain CLI call imports none of these: building dataclasses costs most of

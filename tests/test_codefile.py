@@ -1,5 +1,6 @@
 """The JSON code-file format."""
 
+import ast
 import json
 import pathlib
 import random
@@ -172,6 +173,36 @@ def test_constructor_refusals_name_their_place(change, message):
         parse_code(json.dumps(doc))
     assert str(info.value) == message
     assert isinstance(info.value.__cause__, ValueError)
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        ({"components": [[[1, 2]], [[1, 2]], [[1, 2], 3], [[1, 2]]]}, "component 3 row 1 is not a list"),
+        ({"components": [[[1, 2]], [[1, 2], [1]], [[1, 2]], [[1, 2]]]}, "component 2 row 1 has width 1, expected 2"),
+        ({"components": None, "generators": [[[1, 0, 0, 0], [0, 0, 1, 0]], [[1, 0, 0, 0]]]},
+         "generator row 1 must list 2 ring elements"),
+        ({"components": None, "generators": [[[1, 0, 0, 0], [0, 0, 1]]]}, "generator row 0 entry 1 must be a 4-list"),
+        ({"components": None, "generators": [[[1, 0, 0, 0], 3]]}, "generator row 0 entry 1 must be a 4-list"),
+    ],
+    ids=["component-row-type", "component-row-width", "generator-row", "generator-entry", "generator-entry-type"],
+)
+def test_shape_refusals_name_their_place(change, message):
+    doc = {k: v for k, v in {**MINIMAL, **change}.items() if v is not None}
+    with pytest.raises(ParseError) as info:
+        parse_code(json.dumps(doc))
+    assert str(info.value) == message
+    assert info.value.__cause__ is None
+
+
+def test_row_checks_format_messages_only_on_failure():
+    """Inside a loop, a check raises its own ``ParseError`` rather than calling ``_require``, whose
+    message argument is formatted whether or not the check fails."""
+    tree = ast.parse(pathlib.Path(sys.modules[parse_code.__module__].__file__).read_text(encoding="utf-8"))
+    eager = [node.lineno for loop in ast.walk(tree) if isinstance(loop, ast.For)
+             for node in ast.walk(loop) if isinstance(node, ast.Call)
+             and isinstance(node.func, ast.Name) and node.func.id == "_require"]
+    assert eager == []
 
 
 @pytest.mark.parametrize(

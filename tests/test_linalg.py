@@ -42,6 +42,22 @@ def test_list_rows_become_tuples():
     assert a.rows == ((1, 2), (3, 4)) and a == twin and hash(a) == hash(twin)
 
 
+def test_from_rows_copies_list_rows():
+    """``from_rows`` copies the rows into tuples once, and the copy does not follow later edits of the lists."""
+    rows = [[1, 2], [3, 4]]
+    a = m(F5, rows)
+    rows[0][0] = 0
+    rows.append([1, 1])
+    assert a.rows == ((1, 2), (3, 4)) and a == Matrix(F5, 2, ((1, 2), (3, 4)))
+
+
+def test_from_rows_reads_one_shot_rows():
+    """``from_rows`` takes its width from the first row after copying, so iterators of iterators work."""
+    a = m(F5, (iter(r) for r in [[1, 2, 3], [4, 0, 1]]))
+    assert a.ncols == 3 and a.rows == ((1, 2, 3), (4, 0, 1))
+    assert m(F5, iter([])).ncols == 0
+
+
 @pytest.mark.parametrize("ncols, rows", [(True, [[1]]), (2.0, [[1, 2]]), (-1, [])])
 def test_constructor_checks_the_column_count(ncols, rows):
     with pytest.raises(ValueError, match="column count"):

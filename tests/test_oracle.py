@@ -506,11 +506,12 @@ def tally(monkeypatch):
 
 
 def test_each_slot_word_is_decided_once(tally):
-    """Twists and weights scale with the slot codes' sizes, not with |C| = 9^4;
-    the dual check twists the dual's generator rows alone, slot by slot.
+    """Weights scale with the slot codes' sizes, not with |C| = 9^4, and twists with the slot
+    codes' generator entries: each call twists every entry of every slot code's generator rows
+    once, and no word entry.
 
-    Slot 2 has no rows, so its words are never twisted; the dual's slot 4
-    has dimension 0, so the dual check pairs nothing there.
+    Slot 2 has no rows, so nothing is twisted there; the dual's slot 4 has dimension 0, so the
+    dual check pairs no word there, but still twists slot code 4's rows.
     """
     comps = [
         FqCode.from_rows(F9, 2, [[1, 4]]),
@@ -522,10 +523,9 @@ def test_each_slot_word_is_decided_once(tally):
     dual = rc.galois_dual(1)
     assert [c.k for c in dual.comps] == [1, 2, 1, 0]
     hull = sum(c.hull_dim(1) for c in comps)
-    # twisted: slots 1, 3 and 4 of each word, 9 + 9 + 81 words of n = 2 entries
-    assert tally(oracle.hull_dim, rc, 1) == (hull, {"twists": 2 * 99, "weighed": 0})
-    # the dual's generator rows where the slot code has rows: 1 in slot 1, 1 in slot 3, none in slot 4
-    assert tally(oracle.is_dual_pair, rc, dual, 1) == (True, {"twists": 2 * 2, "weighed": 0})
+    # twisted: the generator entries of slots 1, 3 and 4, 1 + 1 + 2 rows of n = 2 entries
+    assert tally(oracle.hull_dim, rc, 1) == (hull, {"twists": 2 * 4, "weighed": 0})
+    assert tally(oracle.is_dual_pair, rc, dual, 1) == (True, {"twists": 2 * 4, "weighed": 0})
     d = rc.params().d_lee
     # weighed: 9 + 1 + 9 + 81 slot words
     assert tally(oracle.min_distance, rc) == (d, {"twists": 0, "weighed": 100})
@@ -535,11 +535,75 @@ def test_field_code_streams_through_one_slot(tally):
     c = FqCode.from_rows(F9, 3, [[1, 4, 0], [0, 1, 1]])
     dual = c.galois_dual(1)
     hull, d = c.hull_dim(1), c.min_dist()
-    assert tally(oracle.hull_dim, c, 1) == (hull, {"twists": 3 * 81, "weighed": 0})
-    assert tally(oracle.is_dual_pair, c, dual, 1) == (True, {"twists": 3 * 1, "weighed": 0})
+    # twisted: the 2 generator rows of n = 3 entries, whatever the number of words paired
+    assert tally(oracle.hull_dim, c, 1) == (hull, {"twists": 3 * 2, "weighed": 0})
+    assert tally(oracle.is_dual_pair, c, dual, 1) == (True, {"twists": 3 * 2, "weighed": 0})
     assert tally(oracle.min_distance, c) == (d, {"twists": 0, "weighed": 81})
     zero = FqCode.zero(F9, 3)
     assert tally(oracle.hull_dim, zero, 1) == (0, {"twists": 0, "weighed": 0})
+
+
+PAIRING_FIELDS = {4: GF(2, 2), 8: GF(2, 3), 9: F9, 25: GF(5, 2), 27: GF(3, 3)}
+
+
+def pairs_to_zero(f, g, w, l):
+    """The definition: sum_j g_j * w_j^(p^l) is zero, each word entry raised to the power."""
+    total = 0
+    for x, y in zip(g, w):
+        total = f.add(total, f.mul(x, f.pow(y, f.p**l)))
+    return total == 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_generator_side_pairing_matches_the_definition(data):
+    """Twisting each generator by F^(e-l) and pairing it with the untwisted word decides what
+    sum_j g_j * w_j^(p^l) decides, at every l: on arbitrary words, on every slot word, and so
+    for ``hull_dim`` and ``survey``, including the zero code and codes with empty slots."""
+    q = data.draw(st.sampled_from(sorted(PAIRING_FIELDS)), label="q")
+    f = PAIRING_FIELDS[q]
+    n = data.draw(st.integers(0, 3), label="n")
+    row = st.lists(st.integers(0, q - 1), min_size=n, max_size=n)
+    comps = [FqCode.from_rows(f, n, data.draw(st.lists(row, max_size=2), label=f"slot {i} rows")) for i in range(4)]
+    words = data.draw(st.lists(row.map(tuple), max_size=8), label="words")
+    codes = [RCode(comps), RCode([FqCode.zero(f, n)] * 4)]
+    for rc in codes:
+        hulls = []
+        for l in range(f.e):
+            h = 0
+            for c in rc.comps:
+                rows = c.gen.rows
+                for w in words:
+                    want = all(pairs_to_zero(f, g, w, l) for g in rows)
+                    assert oracle._orthogonal_count(c, [w], l) == want
+                hits = sum(all(pairs_to_zero(f, g, w, l) for g in rows) for w in oracle.codewords(c))
+                h += next(i for i in range(n + 1) if q**i == hits)
+            assert oracle.hull_dim(rc, l) == h
+            hulls.append(h)
+        image = rc.gray_image()
+        weights = tuple(oracle.min_distance(c) if c.k else 0 for c in rc.comps)
+        distance = oracle.min_distance(rc) if rc.k else 0
+        want = (distance, weights, tuple(hulls), oracle.is_expansion(rc, image))
+        assert oracle.survey(rc, image) == want
+
+
+def test_survey_checks_its_arguments_and_budget_before_drawing(monkeypatch):
+    """Codes of the wrong kinds, or a slot code past the budget, are refused before any word is drawn."""
+    rc = gf9_ring_code()
+    image = rc.gray_image()
+    monkeypatch.setattr(oracle, "_fq_words", None)
+    for code, img in ((rc.comps[0], image), (rc, rc), (image, image)):
+        with pytest.raises(MismatchError, match="^survey needs a ring code and a field code$"):
+            oracle.survey(code, img)
+    with pytest.raises(CapExceededError, match=r"^81 codewords exceed the budget of 80$"):
+        oracle.survey(rc, image, 80)
+
+
+def test_survey_reads_a_wrong_image_as_no_expansion():
+    rc = gf9_ring_code()
+    for image in (FqCode.zero(F9, 4 * rc.n), FqCode.zero(GF(3, 2, [2, 2, 1]), 4 * rc.n), FqCode.zero(F9, 3)):
+        assert oracle.survey(rc, image)[3] is False
+    assert oracle.survey(rc, rc.gray_image())[3] is True
 
 
 def gf9_ring_code():

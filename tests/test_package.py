@@ -258,6 +258,8 @@ KEPT = {
     "elements": "a public view of GF that tests use as a reference",
     "generator_rows": "a public view of RCode that tests use as a reference",
     "row": "perfbench's tracer reads Matrix.row (ROADMAP item 1)",
+    "min_distance": "a single oracle call the tests and perfbench compare against; verify reads it through survey",
+    "is_expansion": "a single oracle call the tests compare against; verify reads it through survey",
 }
 
 
@@ -291,6 +293,9 @@ def test_every_function_is_reached():
     assert sorted(f"{where}: {name}" for name, where in unreached.items() if name not in KEPT) == []
     # a kept name that became reachable, or was deleted, leaves KEPT too
     assert sorted(set(KEPT) - set(unreached)) == []
+    # the oracle's one pass per slot code and the helpers it shares with the single calls
+    shared = {"survey", "_least", "_weight", "_hull", "_expansion", "_orthogonal_count"}
+    assert shared <= set(functions) - set(unreached)
 
 
 def test_budgets_are_caught_only_where_documented():
