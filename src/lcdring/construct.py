@@ -257,7 +257,7 @@ def galois_lcd_scaling(
     fc = FieldScalingCertificate(
         l=l,
         beta=beta,
-        perm=pivots + tuple(c for c in range(code.n) if c not in pivots),
+        perm=pivots + code._free_columns(),
         minor=cert,
         alpha=tuple(alpha),
         gram_det=gram_det,

@@ -20,7 +20,8 @@ Each code object computes one kernel, its Euclidean dual, memoized: one
 row e_f - sum_i G[i][f] * e_(p_i) per free column f, written from the
 generator and its pivots p_i and reduced by ``from_rows``.  The l-dual is that dual's entrywise (p^(e-l))-power, since
 y lies in the l-dual iff F^l(y) lies in the Euclidean dual, and F maps
-RREF onto RREF.
+RREF onto RREF.  An RREF row reads 0 or 1 at every pivot and F fixes
+both, so the power is taken on the dual's free columns alone.
 Hull predicates never build the dual: they read the k-by-k twisted Gram
 matrix P = G * F^(e-l)(G)^T, since u*G lies in the l-dual iff u*P = 0.
 G is [I | A] on its pivot and free columns, so P = I + A * F^(e-l)(A)^T
@@ -113,17 +114,19 @@ class FqCode(Value):
     pivot columns, found by the constructor's ``rref_scan`` or handed over by
     the derivation that built the code (``_derived``).  ``_dist``
     caches the minimum distance, ``_dual`` the Euclidean dual and
-    ``_grams`` maps each twist l to (P, rank P, det P).  None of these
-    takes part in equality, hashing or the repr.
+    ``_grams`` maps each twist l to (P, rank P, det P).  ``_free``, the
+    columns that are not pivots, stays unset until ``_free_columns`` first
+    needs it.  None of these takes part in equality, hashing or the repr.
     """
 
-    __slots__ = ("gen", "pivots", "_dist", "_dual", "_grams")
+    __slots__ = ("gen", "pivots", "_dist", "_dual", "_grams", "_free")
     _key = attrgetter("gen")
     gen: Matrix
     pivots: tuple[int, ...]
     _dist: int | None
     _dual: "FqCode | None"
     _grams: dict[int, tuple[Matrix, int, int]]
+    _free: tuple[int, ...]
 
     def __init__(self, gen: Matrix) -> None:
         pivots, bad = rref_scan(gen)
@@ -187,6 +190,16 @@ class FqCode(Value):
 
     # -- duality ---------------------------------------------------------------
 
+    def _free_columns(self) -> tuple[int, ...]:
+        """The columns that are not pivots, ascending, computed on first use."""
+        try:
+            return self._free
+        except AttributeError:
+            pivots = set(self.pivots)
+            free = tuple(c for c in range(self.n) if c not in pivots)
+            object.__setattr__(self, "_free", free)
+            return free
+
     def _twist(self, l: int) -> int:
         """Frobenius power m = e - l: the l-pairing with G is the Euclidean one with F^m(G)."""
         return self.field.e - self.field.check_twist(l)
@@ -207,7 +220,7 @@ class FqCode(Value):
         if facts is None:
             mate = self._grams.get(m % f.e)
             if mate is None:
-                free = sorted(set(range(self.n)) - set(self.pivots))
+                free = self._free_columns()
                 a = Matrix._derived(f, len(free), [[row[c] for c in free] for row in self.gen.rows])
                 rows = gram(a, m).to_rows()
                 for i, row in enumerate(rows):
@@ -232,7 +245,7 @@ class FqCode(Value):
             pivots, neg = self.pivots, f.neg
             cols = list(zip(*self.gen.rows)) or [()] * n  # one transpose, not a col() per column
             rows = []
-            for c in sorted(set(range(n)) - set(pivots)):
+            for c in self._free_columns():
                 v = [0] * n
                 v[c] = 1
                 for p, x in zip(pivots, cols[c]):
@@ -245,7 +258,13 @@ class FqCode(Value):
             object.__setattr__(self, "_dual", dual)
         if m == f.e:
             return dual
-        return FqCode._derived(Matrix._derived(f, n, [f.frobenius_row(row, m) for row in dual.gen.rows]), dual.pivots)
+        free, rows = dual._free_columns(), dual.gen.rows
+        if free:
+            rows = [list(row) for row in rows]
+            for row in rows:
+                for c, v in zip(free, f.frobenius_row([row[c] for c in free], m)):
+                    row[c] = v
+        return FqCode._derived(Matrix._derived(f, n, rows), dual.pivots)
 
     def hull_dim(self, l: int = 0) -> int:
         """dim Hull_l = k - rank(P): the hull is {u*G : u*P = 0}."""

@@ -15,12 +15,14 @@ Frobenius images are one or two lookups in exp/log.  In characteristic 2
 a sum is the XOR of the encodings; for odd p it is one more lookup in a
 Zech table zech[k] = log(1 + g^k).
 
-Linear algebra runs on the row kernels ``_clear_column``, ``_gram_rows``
-and ``frobenius_row``.  The first two read a row through a view built
-per call and never stored: its nonzero entries as (column, value) pairs
-in a prime field and (column, log value) pairs in an extension field, so
-an elimination step or a product walks the nonzero entries only and
-reads logs without converting each entry again.
+Linear algebra runs on one elimination kernel and one Gram kernel,
+``_gauss`` and ``_gram_rows``, plus ``frobenius_row``.  ``_gauss`` runs
+a whole Gauss loop, forward and, when asked, back to the reduced form,
+with the field class chosen once per call.  Both kernels read a row
+through a view built in the kernel and never stored: its nonzero entries
+as (column, value) pairs in a prime field and (column, log value) pairs
+in an extension field, so an elimination step or a product walks the
+nonzero entries only and reads logs without converting each entry again.
 """
 
 from __future__ import annotations
@@ -368,63 +370,136 @@ class GF:
 
     # -- row kernels ----------------------------------------------------------
 
-    def _view(self, xs: Sequence[int], start: int = 0) -> list[tuple[int, int]]:
-        """The nonzero entries of xs from column start on: (column, value) pairs
-        in a prime field, (column, log value) in an extension field."""
-        if self.e == 1:
-            return [(j, x) for j, x in enumerate(xs[start:], start) if x]
-        log = self._log
-        return [(j, log[x]) for j, x in enumerate(xs[start:], start) if x]
+    def _gauss(self, rows: list[list[int]], reduce: bool = False) -> tuple[tuple[int, ...], int]:
+        """(pivot columns, determinant) of list rows, eliminated in place.
 
-    def _clear_column(self, pivot_row: Sequence[int], col: int, rows: Iterable[list[int]]) -> None:
-        """Subtract from each row of ``rows``, in place, the multiple of
-        ``pivot_row`` that makes it 0 in column ``col``.
+        The forward pass takes the first nonzero entry of each column at or
+        below the next pivot row, swaps its row up and clears the column
+        below it, so the rows end in a row echelon form: row r is zero left
+        of pivot column r and every row below it is zero in that column.
+        With ``reduce``, the back pass clears each pivot column above its
+        pivot, last pivot first, and scales every pivot row to a leading 1:
+        the unique reduced row echelon form.  The determinant is 0 unless
+        the rows form a square matrix of full rank; no rows at all give
+        ((), 1).
 
-        pivot_row is nonzero at col and zero left of it.  Its view past col
-        is built once for all the rows nonzero at col, and an update walks
-        only that view.
+        ``clear`` is chosen once per call by field class.  It reads the
+        pivot row through a view of its nonzero entries past the pivot,
+        (column, value) pairs in a prime field and (column, log value) in an
+        extension field, built once per pivot and only when some row needs
+        it.  The determinant is a product of the pivots mod p, or a sum of
+        their logs.
         """
-        rows = [row for row in rows if row[col]]
-        if not rows:
-            return
-        view = self._view(pivot_row, col + 1)
-        pivot = pivot_row[col]
-        if self.e == 1:
-            p = self.p
-            s = p - pow(pivot, p - 2, p)  # x - (x / pivot) * y = x + (x * s) * y
-            for row in rows:
-                c = row[col] * s % p
-                row[col] = 0
-                for j, y in view:
-                    row[j] = (row[j] + c * y) % p
-            return
-        log, exp, n = self._log, self._exp, self.q - 1
-        # -(x / pivot) * y = g^(lc + log y) with lc = log x + s mod (q - 1);
-        # both logs stay below q - 1, so their sum fits the doubled exp table
-        s = self._log_neg1 - log[pivot]
-        if self.p == 2:
-            for row in rows:
-                lc = (log[row[col]] + s) % n
-                row[col] = 0
-                for j, ly in view:
-                    row[j] ^= exp[lc + ly]
-            return
-        zech = self._zech
-        for row in rows:
-            lc = (log[row[col]] + s) % n
-            row[col] = 0
-            for j, ly in view:
-                t = lc + ly
-                v = row[j]
-                if v:
-                    # g^a + g^t = g^(a + zech[t - a]); a negative index wraps
-                    if t >= n:
-                        t -= n
-                    a = log[v]
-                    z = zech[t - a]
-                    row[j] = 0 if z is None else exp[a + z]
-                else:
-                    row[j] = exp[t]
+        n = len(rows)
+        ncols = len(rows[0]) if rows else 0
+        p, e = self.p, self.e
+        log, exp, nq = self._log, self._exp, self.q - 1
+        if e == 1:
+
+            def clear(row: list[int], c: int, lo: int, hi: int) -> None:
+                s = p - pow(row[c], p - 2, p)  # x - (x / pivot) * y = x + (x * s) * y
+                view = None
+                for i in range(lo, hi):
+                    other = rows[i]
+                    x = other[c]
+                    if x:
+                        if view is None:
+                            view = [(j, y) for j, y in enumerate(row[c + 1:], c + 1) if y]
+                        k = x * s % p
+                        other[c] = 0
+                        for j, y in view:
+                            other[j] = (other[j] + k * y) % p
+
+        elif p == 2:
+
+            def clear(row: list[int], c: int, lo: int, hi: int) -> None:
+                # -(x / pivot) * y = g^(lc + log y) with lc = log x - log pivot
+                # mod (q - 1); both logs stay below q - 1, so their sum fits
+                # the doubled exp table
+                s = nq - log[row[c]]
+                view = None
+                for i in range(lo, hi):
+                    other = rows[i]
+                    x = other[c]
+                    if x:
+                        if view is None:
+                            view = [(j, log[y]) for j, y in enumerate(row[c + 1:], c + 1) if y]
+                        lc = (log[x] + s) % nq
+                        other[c] = 0
+                        for j, ly in view:
+                            other[j] ^= exp[lc + ly]
+
+        else:
+            zech = self._zech
+
+            def clear(row: list[int], c: int, lo: int, hi: int) -> None:
+                s = self._log_neg1 - log[row[c]]  # -1 / pivot = g^s
+                view = None
+                for i in range(lo, hi):
+                    other = rows[i]
+                    x = other[c]
+                    if x:
+                        if view is None:
+                            view = [(j, log[y]) for j, y in enumerate(row[c + 1:], c + 1) if y]
+                        lc = (log[x] + s) % nq
+                        other[c] = 0
+                        for j, ly in view:
+                            t = lc + ly
+                            v = other[j]
+                            if v:
+                                # g^a + g^t = g^(a + zech[t - a]); a negative index wraps
+                                if t >= nq:
+                                    t -= nq
+                                a = log[v]
+                                z = zech[t - a]
+                                other[j] = 0 if z is None else exp[a + z]
+                            else:
+                                other[j] = exp[t]
+
+        pivots: list[int] = []
+        swaps = r = 0
+        for c in range(ncols):
+            if r == n:
+                break
+            i = r
+            while i < n and not rows[i][c]:
+                i += 1
+            if i == n:
+                continue
+            if i != r:
+                rows[r], rows[i] = rows[i], rows[r]
+                swaps += 1
+            pivots.append(c)
+            clear(rows[r], c, r + 1, n)
+            r += 1
+        if r < n or r < ncols:
+            det = 0
+        elif e == 1:
+            det = 1
+            for i, c in enumerate(pivots):
+                det = det * rows[i][c] % p
+            if swaps % 2:
+                det = p - det
+        else:
+            det = exp[(sum([log[rows[i][c]] for i, c in enumerate(pivots)]) + swaps % 2 * self._log_neg1) % nq]
+        if reduce:
+            # clearing with an unscaled pivot row and scaling it afterwards
+            # writes the same entries as scaling it first
+            for i in range(r - 1, 0, -1):
+                clear(rows[i], pivots[i], 0, i)
+            if e == 1:
+                for i, c in enumerate(pivots):
+                    row = rows[i]
+                    if row[c] != 1:
+                        s = pow(row[c], p - 2, p)
+                        row[c:] = [x * s % p for x in row[c:]]
+            else:
+                for i, c in enumerate(pivots):
+                    row = rows[i]
+                    if row[c] != 1:
+                        s = nq - log[row[c]]  # 1 / pivot = g^s
+                        row[c:] = [exp[log[x] + s] if x else 0 for x in row[c:]]
+        return tuple(pivots), det
 
     def _gram_rows(self, rows: Sequence[Sequence[int]], m: int, half: bool) -> list[list[int]]:
         """Row i is [sum(a_j * b_j^(p^m)) for each row b] for row a = rows[i];
@@ -438,7 +513,7 @@ class GF:
             return [[sum(map(_imul, a, b)) % p for b in rows[i if half else 0:]] for i, a in enumerate(rows)]
         log, exp, n = self._log, self._exp, self.q - 1
         k = pow(self.p, m, n)
-        views = [self._view(a) for a in rows]
+        views = [[(j, log[x]) for j, x in enumerate(a) if x] for a in rows]
         twisted = []
         for view in views:
             b = [None] * len(rows[0])

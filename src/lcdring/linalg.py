@@ -6,17 +6,16 @@ classical Gauss elimination; the field is exact so no pivoting strategy
 beyond "first nonzero" is needed.  The reduced row echelon form is unique,
 which is what makes it usable as a canonical form for code equality.
 
-The per-entry work lives in two row kernels that ``GF`` owns, each over
-a view of a row's nonzero entries built for the call: every elimination
-step is one ``_clear_column``, which clears a pivot's column from the
-rows below or above it in place, walking the pivot row's view once per
-row, and every Gram matrix is one ``_gram_rows``.  One forward
-elimination (``_eliminate``) is the only Gauss loop: it gives pivot
-columns and the determinant together, and ``rref`` is that pass plus a
-back-substitution.  ``rref`` runs them
-only on a matrix that ``rref_scan``, the package's one test of reduced
-row echelon form, turns down: the form is unique, so a matrix that passes
-is its own, and a systematic generator [I | A] costs one O(k * n) read.
+The per-entry work lives in one elimination kernel and one Gram kernel
+that ``GF`` owns, each reading rows through views of their nonzero
+entries built in the call.  ``GF._gauss`` is the package's one Gauss
+loop: forward elimination gives pivot columns and the determinant
+together (``_eliminate``), and ``rref`` asks the same call to go on back
+to the reduced form.  Every Gram matrix is one ``_gram_rows``.  ``rref``
+eliminates only a matrix that ``rref_scan``, the package's one test of
+reduced row echelon form, turns down: the form is unique, so a matrix
+that passes is its own, and a systematic generator [I | A] costs one
+O(k * n) read.
 
 A matrix built from outside data, through ``Matrix(...)``,
 ``Matrix.from_rows`` or ``Matrix.zero``, has its width and every entry
@@ -128,31 +127,9 @@ def _eliminate(f: GF, rows: list[list[int]]) -> tuple[tuple[int, ...], int]:
     The rows are overwritten with a row echelon form: row r is zero left
     of pivot column r and every row below it is zero in that column.  The
     determinant is 0 unless the rows form a square matrix of full rank; no
-    rows at all give ((), 1), the empty matrix's determinant.  This is the
-    one Gauss loop of the package.
+    rows at all give ((), 1), the empty matrix's determinant.
     """
-    n = len(rows)
-    ncols = len(rows[0]) if rows else 0
-    pivots: list[int] = []
-    r = 0
-    swaps = 0
-    acc = 1
-    for c in range(ncols):
-        if r == n:
-            break
-        pr = next((i for i in range(r, n) if rows[i][c]), None)
-        if pr is None:
-            continue
-        if pr != r:
-            rows[r], rows[pr] = rows[pr], rows[r]
-            swaps += 1
-        acc = f.mul(acc, rows[r][c])
-        f._clear_column(rows[r], c, rows[r + 1:])
-        pivots.append(c)
-        r += 1
-    if r < n or r < ncols:
-        return tuple(pivots), 0
-    return tuple(pivots), f.neg(acc) if swaps % 2 else acc
+    return f._gauss(rows)
 
 
 def rref_scan(m: Matrix) -> tuple[tuple[int, ...], int | None]:
@@ -191,23 +168,14 @@ def rref(m: Matrix) -> tuple[Matrix, int, tuple[int, ...]]:
 
     A matrix that ``rref_scan`` finds reduced is its own form, returned as
     it is with no elimination: the form is unique.  Any other goes through
-    forward elimination, then back-substitution from the last pivot up:
-    each pivot row, already clear in every later pivot column, is scaled
-    to a leading 1 and cleared from the rows above it.
+    one elimination kernel call, forward and back.
     """
     pivots, bad = rref_scan(m)
     if bad is None:
         return m, len(pivots), pivots
     f = m.field
-    mul, inv = f.mul, f.inv
     rows = m.to_rows()
-    pivots, _ = _eliminate(f, rows)
-    for r in reversed(range(len(pivots))):
-        c = pivots[r]
-        pivot_inv = inv(rows[r][c])
-        if pivot_inv != 1:
-            rows[r][c:] = [mul(pivot_inv, v) for v in rows[r][c:]]
-        f._clear_column(rows[r], c, rows[:r])
+    pivots, _ = f._gauss(rows, True)
     return Matrix._derived(f, m.ncols, rows), len(pivots), pivots
 
 

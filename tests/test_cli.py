@@ -814,7 +814,8 @@ def gram_work(monkeypatch):
     ``elsewhere`` the same for any other call of ``linalg.gram``;
     generators are kept so their ids stay unique.  ``code_eliminations``
     names the caller of each forward elimination FqCode runs itself, and
-    ``eliminations`` that of every other one, ``rref`` included.
+    ``eliminations`` that of every other one, and ``rref`` for each
+    elimination kernel call that goes on to the reduced form.
     ``rref`` holds each matrix ``FqCode.from_rows`` hands to ``rref``, and
     ``unreduced`` counts those that are not already their own RREF
     (``reduced_as_given``): exactly those are eliminated.
@@ -822,7 +823,7 @@ def gram_work(monkeypatch):
     from lcdring import construct
 
     work = {"codes": [], "elsewhere": [], "eliminations": [], "code_eliminations": [], "rref": []}
-    real_gram, real_elim, real_rref = linalg.gram, linalg._eliminate, fqcode.rref
+    real_gram, real_elim, real_rref, real_gauss = linalg.gram, linalg._eliminate, fqcode.rref, GF._gauss
 
     def recording_gram(key):
         return lambda g, m: work[key].append((g, m)) or real_gram(g, m)
@@ -830,12 +831,18 @@ def gram_work(monkeypatch):
     def counting_elim(key):
         return lambda f, rows: work[key].append(sys._getframe(1).f_code.co_name) or real_elim(f, rows)
 
+    def counting_gauss(f, rows, reduce=False):
+        if reduce:
+            work["eliminations"].append(sys._getframe(1).f_code.co_name)
+        return real_gauss(f, rows, reduce)
+
     monkeypatch.setattr(fqcode, "gram", recording_gram("codes"))
     monkeypatch.setattr(linalg, "gram", recording_gram("elsewhere"))
     monkeypatch.setattr(linalg, "_eliminate", counting_elim("eliminations"))
     monkeypatch.setattr(construct, "_eliminate", counting_elim("eliminations"))
     monkeypatch.setattr(fqcode, "_eliminate", counting_elim("code_eliminations"))
     monkeypatch.setattr(fqcode, "rref", lambda m: work["rref"].append(m) or real_rref(m))
+    monkeypatch.setattr(GF, "_gauss", counting_gauss)
     return work
 
 

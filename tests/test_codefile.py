@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lcdring import GF, FqCode, RCode, gamma_to_u, linalg
+from lcdring import GF, FqCode, RCode, gamma_to_u
 from lcdring.codefile import (
     MAX_LENGTH,
     code_document,
@@ -255,8 +255,8 @@ def test_rows_bounded_before_any_matrix(monkeypatch):
 def test_values_refused_before_any_elimination(monkeypatch, doc, message):
     """A bad value in the last component or generator row costs no reduction of the earlier ones."""
     eliminations = []
-    real = linalg._eliminate
-    monkeypatch.setattr(linalg, "_eliminate", lambda *a: eliminations.append(a) or real(*a))
+    real = GF._gauss
+    monkeypatch.setattr(GF, "_gauss", lambda *a: eliminations.append(a) or real(*a))
     doc = {"field": {"p": 5}, "n": 3, **doc}
     with pytest.raises(ParseError) as info:
         parse_code(json.dumps(doc))

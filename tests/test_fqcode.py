@@ -17,7 +17,7 @@ from lcdring.errors import (
     ZeroScaleError,
 )
 from lcdring.fqcode import _projective_steps, count_text
-from lcdring.linalg import _eliminate, gram, rank, rref
+from lcdring.linalg import gram, rank, rref
 
 from support import identity, matmul, nullspace_basis, random_fqcode
 
@@ -71,7 +71,8 @@ class TestConstruction:
         with pytest.raises(MismatchError, match="reduced row echelon"):
             FqCode(Matrix.from_rows(F5, rows))
         forward = []
-        monkeypatch.setattr(linalg, "_eliminate", lambda *a: forward.append(a) or _eliminate(*a))
+        real = GF._gauss
+        monkeypatch.setattr(GF, "_gauss", lambda *a: forward.append(a) or real(*a))
         # the constructor's near miss is one for rref too, which eliminates it ...
         c = code(F5, 2, rows)
         assert len(forward) == 1
@@ -84,6 +85,27 @@ class TestGaloisDual:
     def test_self_dual_line(self):
         c = code(F5, 2, [[1, 2]])
         assert c.galois_dual(0) == c
+
+    def test_twists_read_only_the_free_columns(self, monkeypatch):
+        """F fixes the 0s and 1s an RREF row holds at its pivots, so an l-dual twists only the
+        dual's free columns: one Frobenius row of k entries per dual row, and none at all for the
+        zero code, whose dual is an identity."""
+        f = GF(2, 4)
+        c = code(f, 6, [[1, 0, 3, 0, 5, 7], [0, 1, 6, 0, 7, 9], [0, 0, 0, 1, 2, 0]])
+        dual = c.galois_dual(0)
+        want = {l: code(f, 6, [[f.frobenius(x, f.e - l) for x in row] for row in dual.gen.rows]) for l in range(f.e)}
+        zero, eye = FqCode.zero(f, 6), FqCode(identity(f, 6))
+        seen = []
+        real_row, real_one = GF.frobenius_row, GF.frobenius
+        monkeypatch.setattr(GF, "frobenius_row", lambda self, xs, m: seen.append(len(xs)) or real_row(self, xs, m))
+        monkeypatch.setattr(GF, "frobenius", lambda self, x, l=1: seen.append(1) or real_one(self, x, l))
+        for l in range(f.e):
+            assert zero.galois_dual(l) == eye
+        assert seen == []
+        assert len(dual._free_columns()) == c.k == 3
+        for l in range(1, f.e):
+            assert c.galois_dual(l) == want[l]
+        assert seen == [c.k] * dual.k * (f.e - 1)
 
     def test_twisted_dual_pairs_to_zero(self):
         c = code(F9, 2, [[1, 4]])
@@ -526,7 +548,7 @@ class TestScale:
         f = GF(2, 3)
         c = code(f, 4, [[1, 0, 3, 5], [0, 1, 6, 7]])
         want = code(f, 4, [[f.mul(v, a) for v, a in zip(row, [2, 3, 4, 5])] for row in c.gen.to_rows()])
-        for owner, name in ((fqcode, "rref"), (fqcode, "_eliminate"), (linalg, "_eliminate")):
+        for owner, name in ((fqcode, "rref"), (fqcode, "_eliminate"), (linalg, "_eliminate"), (GF, "_gauss")):
             monkeypatch.setattr(owner, name, refuse)
         assert c.scale([2, 3, 4, 5]) == want
 

@@ -16,6 +16,8 @@ from support import gauss_jordan, identity, matmul
 
 F5 = GF(5)
 F9 = GF(3, 2, [1, 0, 1])
+F1021 = GF(1021)
+F243 = GF(3, 5)
 
 
 def m(field, rows, ncols=None):
@@ -206,7 +208,7 @@ def leibniz_det(field, rows):
 @st.composite
 def row_lists(draw):
     """(field, ncols, rows) up to 6 x 8, rows random, zero, repeated or combinations of earlier ones."""
-    f = draw(st.sampled_from([GF(2), GF(2, 2), F5, GF(2, 3), F9, GF(2, 4), GF(5, 2)]))
+    f = draw(st.sampled_from([GF(2), GF(2, 2), F5, GF(2, 3), F9, GF(2, 4), GF(5, 2), F1021, F243]))
     ncols = draw(st.integers(0, 8))
     elem = st.integers(0, f.q - 1)
     rows = []
@@ -274,13 +276,13 @@ def test_rref_matches_textbook_gauss_jordan(case):
     f, ncols, rows = case
     want, want_pivots = gauss_jordan(f, rows)
     given_m = m(f, rows, ncols=ncols)
-    with mock.patch.object(linalg, "_eliminate", wraps=_eliminate) as forward:
+    with mock.patch.object(GF, "_gauss", autospec=True, side_effect=GF._gauss) as kernel:
         reduced, rk, pivots = rref(given_m)
     assert reduced.to_rows() == want
     assert (rk, pivots) == (len(want_pivots), want_pivots)
     # rows Gauss-Jordan leaves as they are, none of them zero, are taken without an elimination
     already = want == rows and rk == len(rows)
-    assert forward.call_count == (0 if already else 1)
+    assert kernel.call_count == (0 if already else 1)
     assert (reduced is given_m) == already
     echelon = [list(row) for row in rows]
     assert _eliminate(f, echelon)[0] == pivots
@@ -315,14 +317,58 @@ def scalar_eliminate(f, rows):
     return rows, tuple(pivots), d
 
 
-@settings(max_examples=300, deadline=None)
+def scalar_reduce(f, rows, pivots):
+    """The reduced form of echelon rows with these pivots: Gauss-Jordan's back pass entry by entry,
+    each pivot row scaled to a leading 1 with inv and mul, then cleared from every row above it."""
+    rows = [list(row) for row in rows]
+    for r in reversed(range(len(pivots))):
+        c = pivots[r]
+        s = f.inv(rows[r][c])
+        rows[r] = [f.mul(s, y) for y in rows[r]]
+        for i in range(r):
+            factor = rows[i][c]
+            rows[i] = [f.sub(x, f.mul(factor, y)) for x, y in zip(rows[i], rows[r])]
+    return rows
+
+
+@settings(max_examples=400, deadline=None)
 @given(row_lists())
+@example((GF(2), 3, [[0, 1, 1], [1, 1, 0], [1, 0, 0]]))  # row swap, nonsingular
+@example((F5, 3, [[0, 1, 1], [0, 0, 2], [3, 1, 0]]))  # two swaps, nonsingular
+@example((F5, 3, [[0, 1, 2], [1, 2, 3], [1, 3, 0]]))  # a swap, then rank 2: singular
+@example((F1021, 3, [[0, 7, 1000], [5, 0, 3], [0, 0, 0]]))  # a zero row
+@example((GF(2, 2), 2, [[0, 2], [3, 1]]))  # row swap, nonsingular
+@example((GF(2, 3), 3, [[2, 4, 6], [4, 3, 7], [6, 7, 1]]))  # row 3 = row 1 + row 2: singular
+@example((F9, 3, [[0, 0, 5], [0, 4, 2], [7, 3, 8]]))  # row swap, nonsingular
+@example((F243, 3, [[0, 200, 17], [242, 0, 1], [0, 0, 0]]))  # row swap and a zero row
+@example((F243, 2, [[0, 0], [0, 0]]))  # no pivot at all
+@example((F5, 0, [[], []]))
+@example((F9, 3, []))
 def test_eliminate_matches_a_scalar_gauss_loop(case):
+    """The kernel's forward pass leaves the scalar loop's echelon rows, pivots and determinant, and
+    asked to reduce, the same pivots and determinant over the scalar Gauss-Jordan rows."""
     f, ncols, rows = case
     want_rows, want_pivots, want_det = scalar_eliminate(f, rows)
     got = [list(row) for row in rows]
     assert _eliminate(f, got) == (want_pivots, want_det)
     assert got == want_rows
+    reduced = [list(row) for row in rows]
+    assert f._gauss(reduced, True) == (want_pivots, want_det)
+    assert reduced == scalar_reduce(f, want_rows, want_pivots)
+
+
+@pytest.mark.parametrize("field", [GF(2), F5, GF(2, 3), F243], ids=str)
+def test_one_rref_is_one_kernel_call(field):
+    """rref of a matrix that is not in reduced form runs the whole Gauss loop, forward and back,
+    in one elimination kernel call, and no separate forward elimination."""
+    rows = [[0, 1, 1], [1, 1, 0], [1, 0, 1]]
+    calls = []
+    real = GF._gauss
+    with mock.patch.object(GF, "_gauss", lambda *a: calls.append(a[2:]) or real(*a)), \
+            mock.patch.object(linalg, "_eliminate", side_effect=AssertionError("forward pass alone")):
+        reduced, rk, pivots = rref(m(field, rows))
+    assert calls == [(True,)]
+    assert (reduced.to_rows(), pivots) == gauss_jordan(field, rows)
 
 
 class TestRankDet:

@@ -95,15 +95,15 @@ def test_only_from_rows_reduces_into_rref():
 
 
 def test_row_kernels_have_one_caller_each():
-    """The update kernel serves the one Gauss loop and rref's back-substitution, the Gram kernel
-    serves gram alone, and views are built inside those two kernels: no module reads a kernel
-    other than by calling it."""
-    sites = {kernel: _call_sites(kernel) for kernel in ("_clear_column", "_gram_rows", "_view")}
+    """The elimination kernel serves forward elimination and rref alone, the Gram kernel serves
+    gram alone, views are built inside those two kernels, and no module reads a kernel other than
+    by calling it."""
+    sites = {kernel: _call_sites(kernel) for kernel in ("_gauss", "_gram_rows")}
     assert sites == {
-        "_clear_column": ["linalg.py:_eliminate", "linalg.py:rref"],
+        "_gauss": ["linalg.py:_eliminate", "linalg.py:rref"],
         "_gram_rows": ["linalg.py:gram"],
-        "_view": ["gf.py:_clear_column", "gf.py:_gram_rows"],
     }
+    assert not {"_clear_column", "_view"} & set(vars(lcdring.GF))
     reads = 0
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
@@ -140,7 +140,7 @@ def test_oracle_walks_one_way():
 FAST_PATH_ATTRS = {
     "pivots", "galois_dual", "hull_dim", "lcd_status", "is_lcd", "is_self_orthogonal", "is_self_dual",
     "min_dist", "lee_min_dist", "params", "gray_image", "_gram_facts", "_grams",
-    "_dist", "_dual", "_check_cap", "_row_floor", "_view", "_clear_column", "_gram_rows", "frobenius_row",
+    "_dist", "_dual", "_free_columns", "_check_cap", "_row_floor", "_gauss", "_gram_rows", "frobenius_row",
 }
 
 
