@@ -398,5 +398,5 @@ class FqCode(Value):
         mul, rows = f.mul, []
         for row, c in zip(self.gen.rows, self.pivots):
             s = f.inv(factors[c])
-            rows.append([mul(mul(v, a), s) for v, a in zip(row, factors)])
+            rows.append([mul(mul(v, a), s) if v else 0 for v, a in zip(row, factors)])
         return FqCode._derived(Matrix._derived(f, self.n, rows), self.pivots)

@@ -4,8 +4,10 @@ An element is the integer c0 + c1*p + ... + c_{e-1}*p^{e-1} encoding the
 residue c0 + c1*x + ... + c_{e-1}*x^{e-1}, so elements are [0, q) with
 q = p^e; zero is 0 and one is 1.  ``GF`` caps q at ``MAX_FIELD_ORDER``,
 then checks that p is prime and the modulus (ascending coefficients) a
-monic irreducible of degree e.  Without a modulus it takes the monic
-irreducible of smallest encoding, so (p, e) alone fixes the field.
+monic irreducible of degree e; a prime field's one modulus is x, [0, 1].
+Without a modulus it takes the monic irreducible of smallest encoding, so
+(p, e) alone fixes the field.  A field is a frozen ``Value``, equal and
+hashed by (p, e, modulus).
 
 Prime fields compute with ints mod p.  An extension field builds, on
 construction, exp/log tables for its smallest primitive encoding g:
@@ -18,7 +20,9 @@ Zech table zech[k] = log(1 + g^k).
 Linear algebra runs on one elimination kernel and one Gram kernel,
 ``_gauss`` and ``_gram_rows``, plus ``frobenius_row``.  ``_gauss`` runs
 a whole Gauss loop, forward and, when asked, back to the reduced form,
-with the field class chosen once per call.  Both kernels read a row
+with the field class chosen once per call.  ``_gram_rows`` returns the
+whole Gram matrix, and when F^(2m) is the identity it reads the entries
+below the diagonal from those above.  Both kernels read a row
 through a view built in the kernel and never stored: its nonzero entries
 as (column, value) pairs in a prime field and (column, log value) pairs
 in an extension field, so an elimination step or a product walks the
@@ -28,10 +32,11 @@ nonzero entries only and reads logs without converting each entry again.
 from __future__ import annotations
 
 from math import gcd
-from operator import mul as _imul
+from operator import attrgetter, mul as _imul
 from typing import Iterable, Sequence
 
 from .errors import BadLError, BadModulusError, NotPrimeError
+from .value import Value
 
 # Largest field order GF accepts (the README's desk scale); every
 # extension field holds O(q) table entries.
@@ -105,9 +110,6 @@ def _pgcd(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
     b = _trim(list(b))
     while b:
         a, b = b, _pmod(a, b, p)
-    if a:
-        inv_lead = pow(a[-1], p - 2, p)
-        a = [(c * inv_lead) % p for c in a]
     return a
 
 
@@ -155,10 +157,11 @@ def _require_int(name: str, v: object) -> int:
     return v
 
 
-class GF:
-    """The finite field GF(p^e); elements are ints in [0, p^e)."""
+class GF(Value):
+    """The finite field GF(p^e), a frozen value keyed by (p, e, modulus); elements are ints in [0, p^e)."""
 
     __slots__ = ("p", "e", "q", "modulus", "_exp", "_log", "_zech", "_log_neg1")
+    _key = attrgetter("p", "e", "modulus")
 
     def __init__(self, p: int, e: int = 1, modulus: Iterable[int] | None = None):
         _require_int("p", p)
@@ -176,13 +179,15 @@ class GF:
                 raise ValueError(f"field order {p}^{e} exceeds {MAX_FIELD_ORDER}")
         if _prime_divisors(p) != [p]:
             raise NotPrimeError(f"{p} is not prime")
-        self.p = p
-        self.e = e
-        self.q = q
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "e", e)
+        object.__setattr__(self, "q", q)
         if modulus is None:
             mod = _smallest_irreducible(self)
         else:
             mod = tuple(_require_int("modulus entry", c) for c in modulus)
+            if e == 1 and mod != (0, 1):
+                raise BadModulusError(f"the modulus of a prime field is x = [0, 1], got {list(mod)}")
             if len(mod) != e + 1:
                 raise BadModulusError(f"modulus must have degree {e}, got {len(mod) - 1}")
             if any(not 0 <= c < p for c in mod):
@@ -191,10 +196,13 @@ class GF:
                 raise BadModulusError("modulus must be monic")
             if not _is_irreducible(mod, p):
                 raise BadModulusError(f"modulus {list(mod)} is reducible over GF({p})")
-        self.modulus = mod
+        object.__setattr__(self, "modulus", mod)
         # prime fields compute mod p and leave the tables empty
-        self._exp, self._log, self._zech = self._log_tables() if e > 1 else ([], [], [])
-        self._log_neg1 = self._log[p - 1] if e > 1 else 0
+        exp, log, zech = self._log_tables() if e > 1 else ([], [], [])
+        object.__setattr__(self, "_exp", exp)
+        object.__setattr__(self, "_log", log)
+        object.__setattr__(self, "_zech", zech)
+        object.__setattr__(self, "_log_neg1", log[p - 1] if e > 1 else 0)
 
     def _log_tables(self) -> tuple[list[int], list[int | None], list[int | None]]:
         """exp (doubled, so log sums need no reduction), log and zech (empty when p = 2).
@@ -262,17 +270,6 @@ class GF:
 
     # -- identity ---------------------------------------------------------
 
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, GF)
-            and self.p == other.p
-            and self.e == other.e
-            and self.modulus == other.modulus
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.p, self.e, self.modulus))
-
     def __repr__(self) -> str:
         if self.e == 1:
             return f"GF({self.p})"
@@ -320,8 +317,6 @@ class GF:
         return self._exp[self._log[x] + self._log_neg1] if x else 0
 
     def sub(self, x: int, y: int) -> int:
-        if self.p == 2:
-            return x ^ y
         if self.e == 1:
             return (x - y) % self.p
         return self.add(x, self.neg(y))
@@ -387,8 +382,8 @@ class GF:
         pivot row through a view of its nonzero entries past the pivot,
         (column, value) pairs in a prime field and (column, log value) in an
         extension field, built once per pivot and only when some row needs
-        it.  The determinant is a product of the pivots mod p, or a sum of
-        their logs.
+        it.  The determinant is the product of the pivots, negated when the
+        rows were swapped an odd number of times.
         """
         n = len(rows)
         ncols = len(rows[0]) if rows else 0
@@ -474,14 +469,12 @@ class GF:
             r += 1
         if r < n or r < ncols:
             det = 0
-        elif e == 1:
+        else:
             det = 1
             for i, c in enumerate(pivots):
-                det = det * rows[i][c] % p
+                det = self.mul(det, rows[i][c])
             if swaps % 2:
-                det = p - det
-        else:
-            det = exp[(sum([log[rows[i][c]] for i, c in enumerate(pivots)]) + swaps % 2 * self._log_neg1) % nq]
+                det = self.neg(det)
         if reduce:
             # clearing with an unscaled pivot row and scaling it afterwards
             # writes the same entries as scaling it first
@@ -501,72 +494,81 @@ class GF:
                         row[c:] = [exp[log[x] + s] if x else 0 for x in row[c:]]
         return tuple(pivots), det
 
-    def _gram_rows(self, rows: Sequence[Sequence[int]], m: int, half: bool) -> list[list[int]]:
-        """Row i is [sum(a_j * b_j^(p^m)) for each row b] for row a = rows[i];
-        with ``half``, only for b = rows[i], rows[i + 1], ...
+    def _gram_rows(self, rows: Sequence[Sequence[int]], m: int) -> list[list[int]]:
+        """The Gram matrix of rows at twist m: row i is [sum(a_j * b_j^(p^m)) for each row b]
+        for row a = rows[i].
 
-        An extension field reads each row's view against the twisted rows
-        as dense log rows, log b * p^m mod (q - 1) and None at a zero.
+        When e divides 2m, F^(2m) is the identity, so entry (j, i) is the
+        (p^m)-power of entry (i, j): only the entries with j >= i are dot
+        products, and the rest are read from them.  In a prime field that
+        always holds.  An extension field reads each row's view against the
+        twisted rows as dense log rows, log b * p^m mod (q - 1) and None at
+        a zero.
         """
+        p, half = self.p, not 2 * m % self.e
         if self.e == 1:
-            p = self.p
-            return [[sum(map(_imul, a, b)) % p for b in rows[i if half else 0:]] for i, a in enumerate(rows)]
-        log, exp, n = self._log, self._exp, self.q - 1
-        k = pow(self.p, m, n)
-        views = [[(j, log[x]) for j, x in enumerate(a) if x] for a in rows]
-        twisted = []
-        for view in views:
-            b = [None] * len(rows[0])
-            for j, la in view:
-                b[j] = la * k % n
-            twisted.append(b)
-        out = []
-        if self.p == 2:
-            for i, view in enumerate(views):
-                out_row = []
-                for b in twisted[i if half else 0:]:
-                    acc = 0
-                    for j, la in view:
-                        lb = b[j]
-                        if lb is not None:
-                            acc ^= exp[la + lb]
-                    out_row.append(acc)
-                out.append(out_row)
-            return out
-        zech = self._zech
-        for i, view in enumerate(views):
-            out_row = []
-            for b in twisted[i if half else 0:]:
-                # acc is the log of the running sum, -1 while that sum is 0;
-                # g^acc + g^t = g^(acc + zech[t - acc]), and a negative index wraps
-                acc = -1
+            out = [[0] * i + [sum(map(_imul, a, b)) % p for b in rows[i:]] for i, a in enumerate(rows)]
+        else:
+            log, exp, n = self._log, self._exp, self.q - 1
+            k = pow(p, m, n)
+            views = [[(j, log[x]) for j, x in enumerate(a) if x] for a in rows]
+            twisted = []
+            for view in views:
+                b = [None] * len(rows[0])
                 for j, la in view:
-                    lb = b[j]
-                    if lb is not None:
-                        t = la + lb
-                        if t >= n:
-                            t -= n
-                        if acc < 0:
-                            acc = t
-                        else:
-                            z = zech[t - acc]
-                            if z is None:
-                                acc = -1
-                            else:
-                                acc += z
-                                if acc >= n:
-                                    acc -= n
-                out_row.append(0 if acc < 0 else exp[acc])
-            out.append(out_row)
+                    b[j] = la * k % n
+                twisted.append(b)
+            out = []
+            if p == 2:
+                for i, view in enumerate(views):
+                    start = i if half else 0
+                    out_row = [0] * start
+                    for b in twisted[start:]:
+                        acc = 0
+                        for j, la in view:
+                            lb = b[j]
+                            if lb is not None:
+                                acc ^= exp[la + lb]
+                        out_row.append(acc)
+                    out.append(out_row)
+            else:
+                zech = self._zech
+                for i, view in enumerate(views):
+                    start = i if half else 0
+                    out_row = [0] * start
+                    for b in twisted[start:]:
+                        # acc is the log of the running sum, -1 while that sum is 0;
+                        # g^acc + g^t = g^(acc + zech[t - acc]), and a negative index wraps
+                        acc = -1
+                        for j, la in view:
+                            lb = b[j]
+                            if lb is not None:
+                                t = la + lb
+                                if t >= n:
+                                    t -= n
+                                if acc < 0:
+                                    acc = t
+                                else:
+                                    z = zech[t - acc]
+                                    if z is None:
+                                        acc = -1
+                                    else:
+                                        acc += z
+                                        if acc >= n:
+                                            acc -= n
+                        out_row.append(0 if acc < 0 else exp[acc])
+                    out.append(out_row)
+        if half:
+            for i, row in enumerate(out):
+                for j, v in enumerate(self.frobenius_row(row[i + 1:], m), i + 1):
+                    out[j][i] = v
         return out
 
     def frobenius_row(self, xs: Sequence[int], m: int) -> list[int]:
         """The row of x**(p**m) for each entry x of xs, for m >= 0."""
-        if self.e == 1:
+        if not m % self.e:  # p^m = 1 mod (q - 1) exactly when e divides m
             return list(xs)
         n = self.q - 1
         k = pow(self.p, m, n)  # x^(p^m) = g^(log x * k), as g^(q-1) = 1
-        if k == 1:
-            return list(xs)
         log, exp = self._log, self._exp
         return [exp[log[x] * k % n] if x else 0 for x in xs]

@@ -194,20 +194,11 @@ def gram(g: Matrix, m: int) -> Matrix:
     """g times the transpose of the entrywise (p^m)-power of g.
 
     Entry (i, j) is the dot product of row i of g with row j of the
-    twisted g, so neither a transpose nor a matrix product is built.
-    When 2m is a multiple of e, F^(2m) is the identity, so entry (j, i) is
-    the (p^m)-power of entry (i, j): only entries with j >= i are dot
-    products, and the rest are read from them.
+    twisted g, so neither a transpose nor a matrix product is built; the
+    Gram kernel reads the entries below the diagonal from those above it
+    when F^(2m) is the identity.
     """
-    f = g.field
-    half = not 2 * m % f.e
-    upper = f._gram_rows(g.rows, m, half)
-    if not half:
-        return Matrix._derived(f, g.nrows, upper)
-    lower = [f.frobenius_row(u, m) for u in upper]  # lower[j][i - j] is entry (i, j)
-    return Matrix._derived(
-        f, g.nrows, [[c[i - j] for j, c in enumerate(lower[:i])] + u for i, u in enumerate(upper)]
-    )
+    return Matrix._derived(g.field, g.nrows, g.field._gram_rows(g.rows, m))
 
 
 def minor_det(p: Matrix, drop: Iterable[int]) -> int:

@@ -1,7 +1,8 @@
-"""The one value protocol behind Matrix, RingElement, FqCode and RCode.
+"""The one value protocol behind GF, Matrix, RingElement, FqCode and RCode.
 
 A value is immutable once built and compares and hashes by its key
-fields, so equal objects describe the same mathematical object.
+fields, so equal objects describe the same mathematical object: a field
+by (p, e, modulus), with q and its tables left out.
 """
 
 from __future__ import annotations

@@ -284,6 +284,14 @@ def test_mindist_of_the_zero_code_exits_1(tmp_path, capsys):
     assert capsys.readouterr() == ("", "error: the zero code has no minimum distance\n")
 
 
+@pytest.mark.parametrize("command", ["analyze", "verify"])
+def test_prime_field_with_another_modulus_exits_1(command, tmp_path, capsys):
+    path = tmp_path / "mod.json"
+    path.write_text(json.dumps({**LINE_FILE, "field": {"p": 5, "e": 1, "modulus": [3, 1]}}))
+    assert main([command, str(path)]) == 1
+    assert capsys.readouterr() == ("", "error: the modulus of a prime field is x = [0, 1], got [3, 1]\n")
+
+
 def test_unknown_choice_is_left_to_argparse(capsys):
     argv = ["construct-lcd", "c.json", "--mode", "bogus"]
     assert cli._plain(argv) is None

@@ -75,6 +75,9 @@ def test_field_errors_surface():
     doc["field"] = {"p": 3, "e": 2, "modulus": [0, 0, 1]}
     with pytest.raises(BadModulusError):
         parse_code(json.dumps(doc))
+    doc["field"] = {"p": 5, "e": 1, "modulus": [3, 1]}
+    with pytest.raises(BadModulusError, match=r"prime field is x = \[0, 1\]"):
+        parse_code(json.dumps(doc))
 
 
 @pytest.mark.parametrize(

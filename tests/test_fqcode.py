@@ -552,6 +552,17 @@ class TestScale:
             monkeypatch.setattr(owner, name, refuse)
         assert c.scale([2, 3, 4, 5]) == want
 
+    @pytest.mark.parametrize("field", [F5, GF(2, 3), F9], ids=str)
+    def test_zero_entries_take_no_product(self, field, monkeypatch):
+        """A zero entry scales to zero with no field product; each nonzero entry takes two."""
+        c = code(field, 5, [[1, 0, 3, 0, 2], [0, 1, 0, 0, 4]])
+        factors = [2, 3, 4, 1, 3]
+        want = code(field, 5, [[field.mul(v, a) for v, a in zip(row, factors)] for row in c.gen.to_rows()])
+        calls, real = [], GF.mul
+        monkeypatch.setattr(GF, "mul", lambda self, x, y: calls.append(x) or real(self, x, y))
+        assert c.scale(factors) == want
+        assert len(calls) == 2 * 5 and 0 not in calls
+
     def test_preserves_parameters(self):
         rng = random.Random(24)
         for _ in range(20):

@@ -5,6 +5,7 @@ import functools
 import hashlib
 import itertools
 import math
+import re
 
 import pytest
 from hypothesis import example, given, settings
@@ -86,6 +87,15 @@ def test_not_prime():
 def test_bad_modulus(modulus):
     with pytest.raises(BadModulusError):
         GF(3, 2, modulus)
+
+
+@pytest.mark.parametrize("modulus", [[3, 1], [1, 1], [0, 2], [0, 0, 1], [], [0, 1, 0]])
+def test_a_prime_field_has_one_modulus(modulus):
+    """x = [0, 1] is the one modulus of a prime field: x + 3 would compute the same GF(5) under a
+    second key."""
+    assert GF(5, 1, [0, 1]) == GF(5) and repr(GF(5, 1, [0, 1])) == "GF(5)"
+    with pytest.raises(BadModulusError, match=rf"^the modulus of a prime field is x = \[0, 1\], got {re.escape(str(modulus))}$"):
+        GF(5, 1, modulus)
 
 
 @pytest.mark.parametrize(
@@ -524,7 +534,7 @@ def _kernel_rows(draw):
 
 def _dot(f, xs, ys):
     """sum(x_i * y_i) through the Gram kernel: the entry of rows xs and ys at twist 0."""
-    return f._gram_rows([xs, ys], 0, False)[0][1]
+    return f._gram_rows([xs, ys], 0)[0][1]
 
 
 def _sub_scaled(f, xs, c, ys, pivot=1):
@@ -626,13 +636,15 @@ def _gram_cases(draw):
 @given(_gram_cases())
 @example((_diff_field((3, 2)), [[1, 3], [3, 1]]))  # (1, x) times itself is 1 + x^2 = 0 at m = 0
 def test_gram_rows_match_scalar_products(case):
-    """Every twist m from 0 to 2e, full and half: row i holds sum_j a_ij * a_kj^(p^m) for k from 0,
-    or from i."""
+    """Every twist m from 0 to 2e: row i holds sum_j a_ij * a_kj^(p^m) for each k, and when e divides
+    2m, entry (k, i) is the (p^m)-power of entry (i, k), above the diagonal and below it."""
     f, rows = case
     for m in range(2 * f.e + 1):
         full = [[_scalar_dot(f, a, [f.frobenius(y, m) for y in b]) for b in rows] for a in rows]
-        assert f._gram_rows(rows, m, False) == full
-        assert f._gram_rows(rows, m, True) == [row[i:] for i, row in enumerate(full)]
+        got = f._gram_rows(rows, m)
+        assert got == full
+        if not 2 * m % f.e:
+            assert [[f.frobenius(x, m) for x in col] for col in zip(*got)] == got
 
 
 @pytest.mark.parametrize("args", [(2,), (2, 2), (2, 3), (2, 4), (2, 8), (2, 4, (1, 1, 1, 1, 1))], ids=str)

@@ -372,7 +372,8 @@ def test_one_rref_is_one_kernel_call(field):
 
 
 class TestRankDet:
-    @pytest.mark.parametrize("field", [GF(2), GF(2, 3), F5, F9, GF(3, 3)], ids=lambda f: f"GF({f.q})")
+    @pytest.mark.parametrize("field", [GF(2), GF(2, 2), GF(2, 3), F5, F9, GF(5, 2), GF(3, 3)],
+                             ids=lambda f: f"GF({f.q})")
     def test_one_elimination_matches_rref_and_leibniz(self, field):
         rng = random.Random(field.q + 17)
         singular = 0
@@ -389,6 +390,9 @@ class TestRankDet:
             assert d == leibniz_det(field, rows) == det(p)
             assert (d != 0) == (len(pivots) == k)
             singular += d == 0
+            if d and k >= 2:  # swapping two rows negates the determinant
+                rows[0], rows[1] = rows[1], rows[0]
+                assert _eliminate(field, rows)[1] == field.neg(d)
         assert 10 <= singular <= 110
 
     def test_wide_and_tall_rows_have_rank_and_no_determinant(self):

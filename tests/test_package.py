@@ -42,10 +42,11 @@ def test_sources_parse_at_the_declared_python_floor():
 
 
 def test_value_protocol_lives_in_one_class():
-    """Only value.Value refuses assignment; only Value and GF define equality and hashing."""
-    owners = {"__setattr__": {"value.Value"}, "__delattr__": {"value.Value"},
-              "__eq__": {"value.Value", "gf.GF"}, "__hash__": {"value.Value", "gf.GF"}}
-    classes, found = set(), []
+    """Only value.Value defines equality, hashing and the refusal to assign or delete, and every
+    class that declares fields in a non-empty ``__slots__`` is a Value, so no second protocol can
+    come back."""
+    protocol = {"__eq__", "__hash__", "__setattr__", "__delattr__"}
+    classes, found, slotted = set(), [], set()
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         for cls in ast.walk(tree):
@@ -58,12 +59,16 @@ def test_value_protocol_lives_in_one_class():
                     names = [node.name]
                 elif isinstance(node, ast.Assign):
                     names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+                    if "__slots__" in names and ast.literal_eval(node.value):
+                        slotted.add(owner)
+                        if not any(isinstance(b, ast.Name) and b.id == "Value" for b in cls.bases):
+                            found.append(f"{owner}: __slots__ outside Value")
                 else:
                     continue
-                found += [f"{owner}.{name}" for name in names
-                          if name in owners and owner not in owners[name]]
+                found += [f"{owner}.{name}" for name in names if name in protocol and owner != "value.Value"]
     assert found == []
-    assert {"value.Value", "gf.GF"} <= classes
+    assert "value.Value" in classes
+    assert slotted == {"gf.GF", "linalg.Matrix", "ring.RingElement", "fqcode.FqCode", "rcode.RCode"}
 
 
 def _call_sites(callee):

@@ -1,7 +1,7 @@
 """Value semantics of the package's value types and certificate records.
 
-Matrix, RingElement, FqCode and RCode are immutable ``__slots__`` classes
-that compare and hash by their fields.  The certificates and RCodeParams
+GF, Matrix, RingElement, FqCode and RCode are immutable ``__slots__``
+classes that compare and hash by their fields.  The certificates and RCodeParams
 are NamedTuples, so they also unpack and compare equal to plain tuples.
 """
 
@@ -23,6 +23,10 @@ from lcdring import (
 )
 
 F5 = GF(5)
+
+
+def field():
+    return GF(3, 2)
 
 
 def matrix():
@@ -58,6 +62,7 @@ def params():
 
 
 FIELDS = {
+    field: ("p", "e", "q", "modulus"),
     matrix: ("field", "ncols", "rows"),
     element: ("field", "g"),
     fqcode: ("gen", "_dist"),
@@ -93,6 +98,25 @@ def test_value_semantics(make):
         lookalike = SimpleNamespace(**{name: getattr(a, name) for name in names})
         assert a.__eq__(lookalike) is NotImplemented
         assert a != lookalike
+
+
+def test_a_field_is_equal_by_p_e_and_modulus():
+    """A field is the value (p, e, modulus), hashed as that tuple; the default modulus is named
+    or left out alike, and q and the tables take no part."""
+    default, named, other = GF(3, 2), GF(3, 2, [1, 0, 1]), GF(3, 2, [2, 2, 1])
+    assert default == named and hash(default) == hash(named) == hash((3, 2, (1, 0, 1)))
+    assert default != other and other.q == default.q
+    assert GF(5) != 5 and GF(5).__eq__(5) is NotImplemented
+    assert len({default, named, other}) == 2
+
+
+def test_a_field_is_frozen():
+    f = GF(3, 2)
+    with pytest.raises(AttributeError, match="^cannot assign to field 'p'$"):
+        f.p = 5
+    with pytest.raises(AttributeError, match="^cannot delete field 'q'$"):
+        del f.q
+    assert (f.p, f.q, f.mul(3, 3)) == (3, 9, 2)
 
 
 def test_cached_min_dist_is_invisible():
