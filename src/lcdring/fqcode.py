@@ -3,30 +3,32 @@
 A code is its unique reduced row echelon generator matrix, which also
 gives its field and length, so two objects describe the same code
 exactly when they compare equal.
-Only ``from_rows`` eliminates, and only rows not already reduced:
-``rref`` first runs ``linalg.rref_scan``, the one test of the form, and
-takes rows that pass it as they are, so a component of a code file or
-of ``RCode.from_generators`` that is already in RREF, or a kernel in
-``galois_dual`` whose rows happen to be reduced, costs no elimination.
+Every code spanned by rows (``from_rows`` after checking its matrix,
+the kernel in ``galois_dual``, ``RCode.from_generators``) goes through
+``_span``: ``linalg._reduced`` takes rows that pass ``linalg.rref_scan``,
+the one test of the form, as they are and eliminates the rest, and the
+generator is the one ``Matrix`` a span wraps.  So a component already in
+RREF, or a kernel whose rows happen to be reduced, costs no elimination.
 The public constructor ``FqCode(gen)`` runs the same scan, refuses a
-generator that fails it and records the pivot columns.  A code derived from an RREF
-generator is written straight into RREF and built by
-``FqCode._derived`` without the scan, from pivots the derivation already
-knows: ``rref``'s own pivots in ``from_rows``, the dual's pivots for its
-Frobenius images (F fixes 0 and 1), G's pivots for a column scaling
-whose rows are divided by their pivot factors, and 4c + i for a Gray
-image.
+generator that fails it and records the pivot columns.  A code derived from an RREF generator is written straight into
+RREF and built by ``FqCode._derived`` without the scan, from pivots the
+derivation already knows: ``_reduced``'s own pivots in ``_span``, the
+dual's pivots for its Frobenius images (F fixes 0 and 1), G's pivots for
+a column scaling whose rows are divided by their pivot factors, and
+4c + i for a Gray image.
 Each code object computes one kernel, its Euclidean dual, memoized: one
 row e_f - sum_i G[i][f] * e_(p_i) per free column f, written from the
-generator and its pivots p_i and reduced by ``from_rows``.  The l-dual is that dual's entrywise (p^(e-l))-power, since
-y lies in the l-dual iff F^l(y) lies in the Euclidean dual, and F maps
-RREF onto RREF.  An RREF row reads 0 or 1 at every pivot and F fixes
-both, so the power is taken on the dual's free columns alone.
+generator and its pivots p_i and reduced by ``_span``.  The l-dual is
+that dual's entrywise (p^(e-l))-power, since y lies in the l-dual iff
+F^l(y) lies in the Euclidean dual, and F maps RREF onto RREF.  An RREF
+row reads 0 or 1 at every pivot and F fixes both, so the power is taken
+on the dual's free columns alone.
 Hull predicates never build the dual: they read the k-by-k twisted Gram
 matrix P = G * F^(e-l)(G)^T, since u*G lies in the l-dual iff u*P = 0.
 G is [I | A] on its pivot and free columns, so P = I + A * F^(e-l)(A)^T
-is built from the free columns only, and only half of it when 2(e - l) is
-a multiple of e (``gram``).  The mate twist l' = (e - l) mod e has
+is built from the list rows of the free columns by one Gram kernel call,
+which takes only half of it as dot products when 2(e - l) is a multiple
+of e (``GF._gram_rows``).  The mate twist l' = (e - l) mod e has
 P = F^(l')(P')^T, so each code object builds one P and runs one
 elimination per twist orbit {l, e - l}, memoized, and reads the mate off
 it: rank P and det P answer every hull and LCD predicate.
@@ -46,7 +48,7 @@ from .errors import (
     ZeroScaleError,
 )
 from .gf import GF
-from .linalg import Matrix, _eliminate, gram, rref, rref_scan
+from .linalg import Matrix, _eliminate, _reduced, rref_scan
 from .value import Value
 
 DEFAULT_ENUM_CAP = 1_000_000
@@ -129,7 +131,7 @@ class FqCode(Value):
     _free: tuple[int, ...]
 
     def __init__(self, gen: Matrix) -> None:
-        pivots, bad = rref_scan(gen)
+        pivots, bad = rref_scan(gen.rows)
         if bad is not None:
             raise MismatchError(f"generator row {bad} breaks reduced row echelon form")
         self._fill(gen, pivots)
@@ -160,8 +162,14 @@ class FqCode(Value):
         m = rows if isinstance(rows, Matrix) else Matrix.from_rows(field, rows, ncols=n)
         if m.field != field or m.ncols != n:
             raise MismatchError(f"a {m.ncols}-column matrix over {m.field!r} for a length-{n} code over {field!r}")
-        reduced, rk, pivots = rref(m)
-        return FqCode._derived(Matrix._derived(field, n, reduced.rows[:rk]), pivots)
+        return FqCode._span(field, n, m.rows)
+
+    @classmethod
+    def _span(cls, field: GF, n: int, rows: Sequence[Sequence[int]]) -> "FqCode":
+        """The span of rows already known to be ``n`` wide over ``field``: one ``_reduced`` call and
+        one ``Matrix``, the generator."""
+        reduced, pivots = _reduced(field, rows)
+        return FqCode._derived(Matrix._derived(field, n, reduced[: len(pivots)]), pivots)
 
     @classmethod
     def zero(cls, field: GF, n: int) -> "FqCode":
@@ -208,8 +216,9 @@ class FqCode(Value):
         """(P, rank P, det P) for the twisted Gram matrix P = G * F^m(G)^T, m = e - l.
 
         G reads I on its pivot columns, so P = I + A * F^m(A)^T for the
-        block A of its free columns: one ``gram`` of A, half of it dot
-        products when 2m is a multiple of e, plus 1 on the diagonal.  The
+        block A of its free columns: one ``GF._gram_rows`` of A's list
+        rows, half of it dot products when 2m is a multiple of e, plus 1 on
+        the diagonal, stored as P and then eliminated in place.  The
         mate twist l' = m mod e has P = F^(l')(P')^T, so rank P = rank P'
         and det P = F^(l')(det P'): once the mate is memoized, l costs no
         product and no elimination.  l is checked before any memo read
@@ -221,8 +230,7 @@ class FqCode(Value):
             mate = self._grams.get(m % f.e)
             if mate is None:
                 free = self._free_columns()
-                a = Matrix._derived(f, len(free), [[row[c] for c in free] for row in self.gen.rows])
-                rows = gram(a, m).to_rows()
+                rows = f._gram_rows([[row[c] for c in free] for row in self.gen.rows], m)
                 for i, row in enumerate(rows):
                     row[i] = f.add(row[i], 1)
                 p = Matrix._derived(f, self.k, rows)
@@ -251,7 +259,7 @@ class FqCode(Value):
                 for p, x in zip(pivots, cols[c]):
                     v[p] = neg(x)
                 rows.append(v)
-            dual = FqCode.from_rows(f, n, Matrix._derived(f, n, rows))
+            dual = FqCode._span(f, n, rows)
             # free-column rows are independent, so no rank can be lost
             if dual.k != len(rows):
                 raise ConsistencyError(f"kernel basis of {len(rows)} vectors has rank {dual.k}")

@@ -10,17 +10,19 @@ The per-entry work lives in one elimination kernel and one Gram kernel
 that ``GF`` owns, each reading rows through views of their nonzero
 entries built in the call.  ``GF._gauss`` is the package's one Gauss
 loop: forward elimination gives pivot columns and the determinant
-together (``_eliminate``), and ``rref`` asks the same call to go on back
-to the reduced form.  Every Gram matrix is one ``_gram_rows``.  ``rref``
-eliminates only a matrix that ``rref_scan``, the package's one test of
-reduced row echelon form, turns down: the form is unique, so a matrix
-that passes is its own, and a systematic generator [I | A] costs one
-O(k * n) read.
+together (``_eliminate``), and ``_reduced`` asks the same call to go on
+back to the reduced form.  ``_reduced`` is the package's one route into
+reduced row echelon form, and it works on rows: it eliminates only rows
+that ``rref_scan``, the one test of the form, turns down.  The form is
+unique, so rows that pass are their own, and a systematic generator
+[I | A] costs one O(k * n) read.  Code objects call ``_reduced`` and the
+Gram kernel on list rows directly and wrap only the results they store;
+``rref`` and ``gram`` give the same results as matrices.
 
 A matrix built from outside data, through ``Matrix(...)``,
 ``Matrix.from_rows`` or ``Matrix.zero``, has its width and every entry
-checked.  A matrix computed here from valid ones (``rref``'s reduced
-form, ``gram``'s product) is stored by ``Matrix._derived`` without the
+checked.  A matrix computed from valid ones (a reduced form, a Gram
+product, a code's generator) is stored by ``Matrix._derived`` without the
 checks: field operations on field elements give field elements, and each
 derivation writes rows of the width it states.
 """
@@ -28,7 +30,7 @@ derivation writes rows of the width it states.
 from __future__ import annotations
 
 from operator import attrgetter, itemgetter
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .errors import MismatchError, NotSquareError
 from .gf import GF
@@ -132,8 +134,8 @@ def _eliminate(f: GF, rows: list[list[int]]) -> tuple[tuple[int, ...], int]:
     return f._gauss(rows)
 
 
-def rref_scan(m: Matrix) -> tuple[tuple[int, ...], int | None]:
-    """(pivot columns, None) when m is already in reduced row echelon form, else ((), r).
+def rref_scan(rows: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], int | None]:
+    """(pivot columns, None) when ``rows`` are already in reduced row echelon form, else ((), r).
 
     Reduced means: no row is zero, each row's first nonzero entry is a 1,
     these leading columns strictly increase, and every row reads 0 at the
@@ -141,10 +143,9 @@ def rref_scan(m: Matrix) -> tuple[tuple[int, ...], int | None]:
     right of the row above's, or if every row's is, the first row with a
     nonzero entry at another row's pivot.  The scan reads each row up to
     its leading 1 and then at the pivots, O(k * n) with no field
-    arithmetic.  It is the one test of the form, behind ``rref`` and
+    arithmetic.  It is the one test of the form, behind ``_reduced`` and
     ``FqCode(gen)``.
     """
-    rows = m.rows
     pivots, last = [], -1
     for r, row in enumerate(rows):
         try:
@@ -163,20 +164,32 @@ def rref_scan(m: Matrix) -> tuple[tuple[int, ...], int | None]:
     return tuple(pivots), None
 
 
+def _reduced(f: GF, rows: Sequence[Sequence[int]]) -> tuple[Sequence[Sequence[int]], tuple[int, ...]]:
+    """(reduced rows, pivot columns): the unique reduced row echelon form of ``rows`` over f.
+
+    The package's one route into the form.  Rows that ``rref_scan`` finds
+    reduced are their own form, returned as the same object with no
+    elimination: the form is unique.  Any others are copied into lists and
+    go through one elimination kernel call, forward and back; the zero
+    rows end up last, one per unit of rank lost.
+    """
+    pivots, bad = rref_scan(rows)
+    if bad is None:
+        return rows, pivots
+    rows = [list(row) for row in rows]
+    pivots, _ = f._gauss(rows, True)
+    return rows, pivots
+
+
 def rref(m: Matrix) -> tuple[Matrix, int, tuple[int, ...]]:
     """Unique reduced row echelon form, with rank and pivot columns.
 
-    A matrix that ``rref_scan`` finds reduced is its own form, returned as
-    it is with no elimination: the form is unique.  Any other goes through
-    one elimination kernel call, forward and back.
+    A matrix already in the form is returned as it is (``_reduced``).
     """
-    pivots, bad = rref_scan(m)
-    if bad is None:
-        return m, len(pivots), pivots
-    f = m.field
-    rows = m.to_rows()
-    pivots, _ = f._gauss(rows, True)
-    return Matrix._derived(f, m.ncols, rows), len(pivots), pivots
+    rows, pivots = _reduced(m.field, m.rows)
+    if rows is not m.rows:
+        m = Matrix._derived(m.field, m.ncols, rows)
+    return m, len(pivots), pivots
 
 
 def rank(m: Matrix) -> int:

@@ -52,8 +52,8 @@ class RCode(Value):
 
         R-scalars reach each idempotent slot independently, so the i-th
         component is simply the F_q-span of the slot-i coordinate rows.
-        Each ``RingElement`` checked its coordinates, so the slot matrices
-        are stored without checking them again.
+        Each ``RingElement`` checked its coordinates, so the slot rows go
+        to ``FqCode._span`` without checking them again.
         """
         if type(n) is not int or n < 0:
             raise ValueError(f"column count {n!r} is not a non-negative int")
@@ -64,8 +64,7 @@ class RCode(Value):
                 if x.field != field:
                     raise MismatchError("generator entry from a different field")
         return cls(
-            FqCode.from_rows(field, n, Matrix._derived(field, n, [[x.g[i] for x in row] for row in rows]))
-            for i in range(4)
+            FqCode._span(field, n, [[x.g[i] for x in row] for row in rows]) for i in range(4)
         )
 
     # -- basic data ---------------------------------------------------------

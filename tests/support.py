@@ -194,10 +194,10 @@ def gauss_jordan(field: GF, rows) -> tuple[list[list[int]], tuple[int, ...]]:
     return rows, tuple(pivots)
 
 
-def reduced_as_given(m: Matrix) -> bool:
-    """Whether ``m`` is already its own RREF: Gauss-Jordan leaves every row as it is, and none is zero."""
-    want, pivots = gauss_jordan(m.field, m.rows)
-    return want == m.to_rows() and len(pivots) == m.nrows
+def reduced_as_given(field: GF, rows) -> bool:
+    """Whether ``rows`` are already their own RREF: Gauss-Jordan leaves every row as it is, and none is zero."""
+    want, pivots = gauss_jordan(field, rows)
+    return want == [list(row) for row in rows] and len(pivots) == len(rows)
 
 
 # An independent kernel route (two rref passes, pivots found afresh); the

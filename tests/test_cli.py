@@ -408,16 +408,16 @@ def test_every_error_class_has_its_exit_code(monkeypatch, capsys):
 
 
 def test_kernel_invariant_failure_exits_3(line_path, monkeypatch, capsys):
-    real = fqcode.rref
+    real = fqcode._reduced
 
-    def kernel_rref_reporting_one_rank_too_few(m):
-        r, rk, pivots = real(m)
-        # frame 1 is FqCode.from_rows; parsing calls it too, and stays exact
+    def kernel_reduction_reporting_one_rank_too_few(f, rows):
+        reduced, pivots = real(f, rows)
+        # frame 1 is FqCode._span; parsing calls it too, and stays exact
         if sys._getframe(2).f_code.co_name == "galois_dual":
-            rk -= 1
-        return r, rk, pivots
+            pivots = pivots[:-1]
+        return reduced, pivots
 
-    monkeypatch.setattr(fqcode, "rref", kernel_rref_reporting_one_rank_too_few)
+    monkeypatch.setattr(fqcode, "_reduced", kernel_reduction_reporting_one_rank_too_few)
     assert main(["dual", line_path]) == 3
     assert "internal consistency failure: kernel basis" in capsys.readouterr().err
 
@@ -741,7 +741,7 @@ def test_analyze_report_matches_golden(sample, capsys):
 
 
 def _file_jobs():
-    """(argv, golden file, rref passes) for dual at every twist and gray, per sample."""
+    """(argv, golden file, reduction passes) for dual at every twist and gray, per sample."""
     for sample in SAMPLES:
         for l in range(parse_code(sample.read_text()).field.e):
             yield pytest.param(["dual", str(sample), "--l", str(l)], f"dual-{sample.stem}-l{l}.json", 8,
@@ -753,22 +753,22 @@ def _file_jobs():
 def test_dual_and_gray_files_match_golden(argv, golden, passes, gram_work, monkeypatch, capsys):
     """The written code, byte for byte, and the work behind it.
 
-    Parsing runs one rref pass per component.  dual adds one kernel per
-    component (one rref pass, through FqCode.from_rows) whatever the
+    Parsing runs one reduction pass per component.  dual adds one kernel
+    per component (one reduction pass, through FqCode._span) whatever the
     twist; gray adds nothing.  A pass eliminates exactly when its rows
     are not already reduced.
     """
-    real, callers = fqcode.FqCode.from_rows, []
+    real, callers = fqcode.FqCode._span, []
 
-    def recording_from_rows(cls, field, n, rows):
+    def recording_span(cls, field, n, rows):
         callers.append(sys._getframe(1).f_code.co_name)
         return real(field, n, rows)
 
-    monkeypatch.setattr(fqcode.FqCode, "from_rows", classmethod(recording_from_rows))
+    monkeypatch.setattr(fqcode.FqCode, "_span", classmethod(recording_span))
     assert main(argv) == 0
     assert capsys.readouterr().out.encode("utf-8") == (GOLDEN / golden).read_bytes()
-    assert len(gram_work["rref"]) == passes
-    assert gram_work["eliminations"] == ["rref"] * unreduced(gram_work)
+    assert len(gram_work["reductions"]) == passes
+    assert gram_work["eliminations"] == ["_reduced"] * unreduced(gram_work)
     assert callers.count("galois_dual") == (4 if argv[0] == "dual" else 0)
 
 
@@ -818,23 +818,33 @@ def test_construct_outputs_match_golden(argv, stem, tmp_path, capsys):
 def gram_work(monkeypatch):
     """Gram products and eliminations, recorded where lcdring calls them.
 
-    ``codes`` holds (generator, twist) for each P an FqCode builds and
-    ``elsewhere`` the same for any other call of ``linalg.gram``;
-    generators are kept so their ids stay unique.  ``code_eliminations``
-    names the caller of each forward elimination FqCode runs itself, and
-    ``eliminations`` that of every other one, and ``rref`` for each
-    elimination kernel call that goes on to the reduced form.
-    ``rref`` holds each matrix ``FqCode.from_rows`` hands to ``rref``, and
-    ``unreduced`` counts those that are not already their own RREF
+    ``codes`` holds (code, twist) for each P an FqCode builds, one
+    ``GF._gram_rows`` call from ``FqCode._gram_facts``, and ``elsewhere``
+    the caller of any other Gram kernel call; codes are kept so their ids
+    stay unique.  ``code_eliminations`` names the caller of each forward
+    elimination FqCode runs itself, and ``eliminations`` that of every
+    other one, and ``_reduced`` for each elimination kernel call that goes
+    on to the reduced form.  ``reductions`` holds (field, rows) for each
+    call of the one reduction route, ``linalg._reduced``, and ``unreduced``
+    counts those whose rows are not already their own RREF
     (``reduced_as_given``): exactly those are eliminated.
     """
     from lcdring import construct
 
-    work = {"codes": [], "elsewhere": [], "eliminations": [], "code_eliminations": [], "rref": []}
-    real_gram, real_elim, real_rref, real_gauss = linalg.gram, linalg._eliminate, fqcode.rref, GF._gauss
+    work = {"codes": [], "elsewhere": [], "eliminations": [], "code_eliminations": [], "reductions": []}
+    real_gram_rows, real_elim, real_reduced, real_gauss = GF._gram_rows, linalg._eliminate, linalg._reduced, GF._gauss
 
-    def recording_gram(key):
-        return lambda g, m: work[key].append((g, m)) or real_gram(g, m)
+    def recording_gram_rows(f, rows, m):
+        caller = sys._getframe(1)
+        if caller.f_code.co_name == "_gram_facts":
+            work["codes"].append((caller.f_locals["self"], m))
+        else:
+            work["elsewhere"].append(caller.f_code.co_name)
+        return real_gram_rows(f, rows, m)
+
+    def recording_reduced(f, rows):
+        work["reductions"].append((f, rows))
+        return real_reduced(f, rows)
 
     def counting_elim(key):
         return lambda f, rows: work[key].append(sys._getframe(1).f_code.co_name) or real_elim(f, rows)
@@ -844,19 +854,19 @@ def gram_work(monkeypatch):
             work["eliminations"].append(sys._getframe(1).f_code.co_name)
         return real_gauss(f, rows, reduce)
 
-    monkeypatch.setattr(fqcode, "gram", recording_gram("codes"))
-    monkeypatch.setattr(linalg, "gram", recording_gram("elsewhere"))
+    monkeypatch.setattr(GF, "_gram_rows", recording_gram_rows)
     monkeypatch.setattr(linalg, "_eliminate", counting_elim("eliminations"))
     monkeypatch.setattr(construct, "_eliminate", counting_elim("eliminations"))
     monkeypatch.setattr(fqcode, "_eliminate", counting_elim("code_eliminations"))
-    monkeypatch.setattr(fqcode, "rref", lambda m: work["rref"].append(m) or real_rref(m))
+    monkeypatch.setattr(linalg, "_reduced", recording_reduced)
+    monkeypatch.setattr(fqcode, "_reduced", recording_reduced)
     monkeypatch.setattr(GF, "_gauss", counting_gauss)
     return work
 
 
 def unreduced(work):
-    """How many of the matrices handed to rref it must eliminate."""
-    return sum(not reduced_as_given(m) for m in work["rref"])
+    """How many of the row lists handed to the reduction route it must eliminate."""
+    return sum(not reduced_as_given(f, rows) for f, rows in work["reductions"])
 
 
 @pytest.mark.parametrize("sample", [*SAMPLES, "gf16"], ids=lambda p: getattr(p, "name", p))
@@ -866,15 +876,15 @@ def test_analyze_builds_one_gram_and_one_elimination_per_component_and_twist(sam
         sample = tmp_path / "gf16.json"
         sample.write_text(json.dumps(GF16_FILE))
     assert main(["analyze", str(sample), "--json", "-"]) == 0
-    # the only eliminations outside FqCode are those of the four parse rref
-    # passes whose component rows are not already reduced
-    assert len(gram_work["rref"]) == 4
+    # the only eliminations outside FqCode are those of the four parse
+    # reduction passes whose component rows are not already reduced
+    assert len(gram_work["reductions"]) == 4
     doc = json.loads(sample.read_text())
     if "components" in doc:
-        assert [m.to_rows() for m in gram_work["rref"]] == doc["components"]
-    assert gram_work["eliminations"] == ["rref"] * unreduced(gram_work) and gram_work["elsewhere"] == []
+        assert [list(map(list, rows)) for _, rows in gram_work["reductions"]] == doc["components"]
+    assert gram_work["eliminations"] == ["_reduced"] * unreduced(gram_work) and gram_work["elsewhere"] == []
     e = parse_code(sample.read_text()).field.e
-    builds = [(id(g), m) for g, m in gram_work["codes"]]
+    builds = [(id(c), m) for c, m in gram_work["codes"]]
     assert len(set(builds)) == len(builds) == 4 * (e // 2 + 1)
     # each component builds twist l = e - m for one l of every orbit {l, e - l}
     assert sorted(min(e - m, m % e) for _, m in builds) == sorted([*range(e // 2 + 1)] * 4)
@@ -894,7 +904,7 @@ def test_construct_builds_one_gram_per_code_object_and_twist(name, mode, gram_wo
     scaled = sum(c is not None for c in json.loads(out[out.index("\n{") + 1 :])["components"])
     # the four input components and each scaled component's output; the
     # assembled code reuses those objects, and construct builds no P itself
-    builds = [(id(g), m) for g, m in gram_work["codes"]]
+    builds = [(id(c), m) for c, m in gram_work["codes"]]
     assert len(set(builds)) == len(builds) == 4 + scaled
     assert len(gram_work["code_eliminations"]) == len(builds)
     assert gram_work["elsewhere"] == []
@@ -909,8 +919,8 @@ def test_verify_eliminations_do_not_depend_on_e(sample, gram_work, tmp_path, cap
         sample = tmp_path / "gf16.json"
         sample.write_text(json.dumps(GF16_FILE))
     assert main(["verify", str(sample)]) == 0
-    # 4 parse passes, one kernel (1 rref pass) per component and one for the
-    # gray image; every twist reads the same kernels, and a pass eliminates
-    # exactly when its rows are not already reduced
-    assert len(gram_work["rref"]) == 9
-    assert gram_work["eliminations"] == ["rref"] * unreduced(gram_work)
+    # 4 parse passes, one kernel (1 reduction pass) per component and one for
+    # the gray image; every twist reads the same kernels, and a pass
+    # eliminates exactly when its rows are not already reduced
+    assert len(gram_work["reductions"]) == 9
+    assert gram_work["eliminations"] == ["_reduced"] * unreduced(gram_work)

@@ -49,7 +49,7 @@ def test_every_derivation_passes_the_checked_constructors(data):
     f = data.draw(st.sampled_from(FIELDS))
     n = data.draw(st.integers(1, 7))
     c = FqCode.from_rows(f, n, data.draw(rows(f, n)))
-    checked_code(c)  # from_rows: rref's pivots
+    checked_code(c)  # from_rows: _reduced's pivots
     reduced, rk, pivots = rref(c.gen)
     assert checked_matrix(reduced) == c.gen and pivots == c.pivots and rk == c.k
     # ascending l: over GF(8) and GF(16) the last twists read their mate's transposed P
@@ -75,14 +75,13 @@ PRIVATE_CONSTRUCTION_SITES = {
     ("linalg", "gram", "Matrix._derived"),
     ("fqcode", "FqCode.__init__", "self._fill"),
     ("fqcode", "FqCode._derived", "c._fill"),
-    ("fqcode", "FqCode.from_rows", "Matrix._derived"),
-    ("fqcode", "FqCode.from_rows", "FqCode._derived"),
+    ("fqcode", "FqCode._span", "Matrix._derived"),
+    ("fqcode", "FqCode._span", "FqCode._derived"),
     ("fqcode", "FqCode._gram_facts", "Matrix._derived"),
     ("fqcode", "FqCode.galois_dual", "Matrix._derived"),
     ("fqcode", "FqCode.galois_dual", "FqCode._derived"),
     ("fqcode", "FqCode.scale", "Matrix._derived"),
     ("fqcode", "FqCode.scale", "FqCode._derived"),
-    ("rcode", "RCode.from_generators", "Matrix._derived"),
     ("rcode", "RCode.gray_image", "Matrix._derived"),
     ("rcode", "RCode.gray_image", "FqCode._derived"),
 }

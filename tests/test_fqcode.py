@@ -53,7 +53,7 @@ class TestConstruction:
         ],
     )
     def test_built_matrix_of_another_space_is_refused(self, n, built, monkeypatch):
-        monkeypatch.setattr(fqcode, "rref", lambda m: pytest.fail("eliminated before the check"))
+        monkeypatch.setattr(fqcode, "_reduced", lambda f, rows: pytest.fail("reduced before the check"))
         with pytest.raises(MismatchError, match=f"for a length-{n} code over GF\\(5\\)"):
             code(F5, n, built)
 
@@ -137,12 +137,12 @@ class TestGaloisDual:
 
     def test_one_kernel_per_code_object(self, monkeypatch):
         c = code(GF(2, 4), 3, [[1, 7, 7]])
-        real, kernels = fqcode.rref, []
-        monkeypatch.setattr(fqcode, "rref", lambda m: kernels.append(m) or real(m))
+        real, kernels = fqcode._reduced, []
+        monkeypatch.setattr(fqcode, "_reduced", lambda f, rows: kernels.append(rows) or real(f, rows))
         duals = [c.galois_dual(l) for l in (0, 1, 2, 3, 3, 2, 1, 0)]
-        # one elimination, of the n - k kernel rows written from G and its pivots
-        assert [(m.nrows, m.ncols) for m in kernels] == [(c.n - c.k, c.n)]
-        assert not any(map(any, matmul(c.gen, Matrix.from_rows(c.field, zip(*kernels[0].rows))).rows))
+        # one reduction, of the n - k kernel rows written from G and its pivots
+        assert [(len(rows), len(rows[0])) for rows in kernels] == [(c.n - c.k, c.n)]
+        assert not any(map(any, matmul(c.gen, Matrix.from_rows(c.field, zip(*kernels[0]))).rows))
         assert duals[:4] == duals[:3:-1]
 
     def test_dimensions_complement(self):
@@ -465,6 +465,46 @@ def test_gram_facts_match_the_full_generator_in_any_twist_order(data):
         c._gram_facts(True)
 
 
+@pytest.mark.parametrize("field", [F5, GF(2, 2), F9], ids=str)
+def test_first_facts_wrap_only_what_they_store(field, monkeypatch):
+    """Work behind a fresh code's first facts, with Matrix constructions counted both ways.
+
+    from_rows on an unreduced matrix makes one Matrix, the generator; the
+    first hull_dim(l) makes one Gram kernel call, one elimination and one
+    Matrix, its P; the first Euclidean dual makes at most one reducing
+    kernel call and one Matrix, the dual's generator.
+    """
+    given = Matrix.from_rows(field, [[2, 1, 3, 1], [1, 3, 1, 2]])
+    work = {}
+    real_gram, real_gauss, real_elim = GF._gram_rows, GF._gauss, fqcode._eliminate
+    real_derived, real_init = Matrix._derived.__func__, Matrix.__init__
+
+    def counted(name, fn):
+        def call(*args):
+            work[name] = work.get(name, 0) + 1
+            return fn(*args)
+        return call
+
+    def gauss(f, rows, reduce=False):
+        return counted("reduce" if reduce else "forward", real_gauss)(f, rows, reduce)
+
+    monkeypatch.setattr(GF, "_gram_rows", counted("gram", real_gram))
+    monkeypatch.setattr(GF, "_gauss", gauss)
+    monkeypatch.setattr(fqcode, "_eliminate", counted("eliminate", real_elim))
+    monkeypatch.setattr(Matrix, "_derived", classmethod(counted("matrix", real_derived)))
+    monkeypatch.setattr(Matrix, "__init__", counted("matrix", real_init))
+    for l in range(field.e):
+        work.clear()
+        c = FqCode.from_rows(field, 4, given)
+        assert work == {"reduce": 1, "matrix": 1}
+        work.clear()
+        c.hull_dim(l)
+        assert work == {"gram": 1, "eliminate": 1, "forward": 1, "matrix": 1}
+        work.clear()
+        c.galois_dual(0)
+        assert work.pop("matrix") == 1 and work.pop("reduce", 0) <= 1 and work == {}
+
+
 @pytest.mark.parametrize(
     "c",
     [
@@ -548,7 +588,7 @@ class TestScale:
         f = GF(2, 3)
         c = code(f, 4, [[1, 0, 3, 5], [0, 1, 6, 7]])
         want = code(f, 4, [[f.mul(v, a) for v, a in zip(row, [2, 3, 4, 5])] for row in c.gen.to_rows()])
-        for owner, name in ((fqcode, "rref"), (fqcode, "_eliminate"), (linalg, "_eliminate"), (GF, "_gauss")):
+        for owner, name in ((fqcode, "_reduced"), (fqcode, "_eliminate"), (linalg, "_eliminate"), (GF, "_gauss")):
             monkeypatch.setattr(owner, name, refuse)
         assert c.scale([2, 3, 4, 5]) == want
 

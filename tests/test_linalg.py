@@ -181,14 +181,14 @@ class TestNullspace:
 
     def test_lost_rank_raises_consistency_error(self, monkeypatch):
         # raised, not asserted, so the check also runs under python -O
-        real = fqcode.rref
+        real = fqcode._reduced
 
-        def rref_reporting_one_rank_too_few(a):
-            r, rk, pivots = real(a)
-            return r, rk - 1, pivots
+        def reduction_reporting_one_rank_too_few(f, rows):
+            reduced, pivots = real(f, rows)
+            return reduced, pivots[:-1]
 
         line = FqCode(m(F5, [[1, 2]]))
-        monkeypatch.setattr(fqcode, "rref", rref_reporting_one_rank_too_few)
+        monkeypatch.setattr(fqcode, "_reduced", reduction_reporting_one_rank_too_few)
         with pytest.raises(ConsistencyError, match="kernel basis of 1 vectors has rank 0"):
             line.galois_dual(0)
 

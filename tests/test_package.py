@@ -90,23 +90,29 @@ def _call_sites(callee):
 
 
 def test_only_fqcode_builds_gram_matrices():
-    """One Gram route: linalg.gram has one call site, in FqCode._gram_facts, the memo every predicate reads."""
-    assert _call_sites("gram") == ["fqcode.py:_gram_facts"]
+    """One Gram route: the package builds every Gram matrix in FqCode._gram_facts, the memo every
+    predicate reads, straight from the Gram kernel; linalg.gram serves the public API alone."""
+    assert _call_sites("gram") == []
+    assert _call_sites("_gram_rows") == ["fqcode.py:_gram_facts", "linalg.py:gram"]
 
 
-def test_only_from_rows_reduces_into_rref():
-    """One route into RREF: rref has one call site, FqCode.from_rows; the kernel in galois_dual goes through it."""
-    assert _call_sites("rref") == ["fqcode.py:from_rows"]
+def test_one_route_into_reduced_form():
+    """One route into RREF: linalg._reduced, reached by a span of rows (FqCode._span, which serves
+    from_rows, the kernel in galois_dual and RCode.from_generators) and by the public rref, which
+    the package itself never calls."""
+    assert _call_sites("_reduced") == ["fqcode.py:_span", "linalg.py:rref"]
+    assert _call_sites("_span") == ["fqcode.py:from_rows", "fqcode.py:galois_dual", "rcode.py:from_generators"]
+    assert _call_sites("rref") == []
 
 
 def test_row_kernels_have_one_caller_each():
-    """The elimination kernel serves forward elimination and rref alone, the Gram kernel serves
-    gram alone, views are built inside those two kernels, and no module reads a kernel other than
-    by calling it."""
+    """The elimination kernel has one caller per pass, forward elimination and the reduction route,
+    the Gram kernel one per Gram matrix, a code's P and the public gram, views are built inside
+    those two kernels, and no module reads a kernel other than by calling it."""
     sites = {kernel: _call_sites(kernel) for kernel in ("_gauss", "_gram_rows")}
     assert sites == {
-        "_gauss": ["linalg.py:_eliminate", "linalg.py:rref"],
-        "_gram_rows": ["linalg.py:gram"],
+        "_gauss": ["linalg.py:_eliminate", "linalg.py:_reduced"],
+        "_gram_rows": ["fqcode.py:_gram_facts", "linalg.py:gram"],
     }
     assert not {"_clear_column", "_view"} & set(vars(lcdring.GF))
     reads = 0
@@ -118,13 +124,13 @@ def test_row_kernels_have_one_caller_each():
 
 def test_one_reduced_form_scan():
     """linalg.rref_scan is the one test of reduced row echelon form: defined once, in linalg, and
-    read only by rref, which takes a matrix that passes as it is, and by FqCode(gen), which refuses
-    one that fails."""
+    read only by _reduced, which takes rows that pass as they are, and by FqCode(gen), which refuses
+    a generator that fails."""
     defs = [path.name for path in sorted(PACKAGE.glob("*.py"))
             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name == "rref_scan"]
     assert defs == ["linalg.py"]
-    assert _call_sites("rref_scan") == ["fqcode.py:__init__", "linalg.py:rref"]
+    assert _call_sites("rref_scan") == ["fqcode.py:__init__", "linalg.py:_reduced"]
 
 
 def test_oracle_walks_one_way():
