@@ -160,7 +160,7 @@ def code_document(code: RCode) -> dict[str, Any]:
         "field": field_document(code.field),
         "n": code.n,
         "basis": "gamma",
-        "components": [c.gen.rows for c in code.comps],
+        "components": [c.rows for c in code.comps],
     }
 
 
@@ -169,7 +169,7 @@ def field_code_document(code: FqCode) -> dict[str, Any]:
         "kind": "field",
         "field": field_document(code.field),
         "n": code.n,
-        "rows": code.gen.rows,
+        "rows": code.rows,
     }
 
 

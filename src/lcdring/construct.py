@@ -228,9 +228,10 @@ def galois_lcd_scaling(
     if code.k == 0:
         raise ZeroCodeError("nothing to scale in the zero code")
     b_exp = f.p ** code._twist(l) + 1
-    # code.gen is the RREF generator: column pivots[j] is the unit vector e_j
+    # code.rows is the RREF generator: column pivots[j] is the unit vector e_j
     pivots = code.pivots
-    p = code._gram_facts(l)[0]
+    # the memo's P, wrapped once for the public minor_search and lemma_det_check
+    p = Matrix._derived(f, code.k, code._gram(l))
     cert = minor_search(p)
     alpha = [1] * code.n
     if cert.t >= 0:

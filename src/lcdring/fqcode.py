@@ -1,17 +1,20 @@
 """Linear codes over F_q.
 
-A code is its unique reduced row echelon generator matrix, which also
-gives its field and length, so two objects describe the same code
-exactly when they compare equal.
+A code is its field, its length and the rows of its unique reduced row
+echelon generator, a tuple of int tuples, so two objects describe the
+same code exactly when they compare equal.  No ``Matrix`` lives inside a
+code: one is built only at the boundary, where ``from_rows`` checks
+outside rows, where ``FqCode(gen)`` unpacks a checked generator, and in
+``gen``, a view built on each access for callers outside the package.
 Every code spanned by rows (``from_rows`` after checking its matrix,
 the kernel in ``galois_dual``, ``RCode.from_generators``) goes through
 ``_span``: ``linalg._reduced`` takes rows that pass ``linalg.rref_scan``,
-the one test of the form, as they are and eliminates the rest, and the
-generator is the one ``Matrix`` a span wraps.  So a component already in
-RREF, or a kernel whose rows happen to be reduced, costs no elimination.
-The public constructor ``FqCode(gen)`` runs the same scan, refuses a
-generator that fails it and records the pivot columns.  A code derived from an RREF generator is written straight into
-RREF and built by ``FqCode._derived`` without the scan, from pivots the
+the one test of the form, as they are and eliminates the rest.  So a
+component already in RREF, or a kernel whose rows happen to be reduced,
+costs no elimination.  The public constructor ``FqCode(gen)`` runs the
+same scan, refuses a generator that fails it and records the pivot
+columns.  A code derived from RREF rows is written straight into RREF
+and built by ``FqCode._derived`` without the scan, from pivots the
 derivation already knows: ``_reduced``'s own pivots in ``_span``, the
 dual's pivots for its Frobenius images (F fixes 0 and 1), G's pivots for
 a column scaling whose rows are divided by their pivot factors, and
@@ -30,8 +33,10 @@ is built from the list rows of the free columns by one Gram kernel call,
 which takes only half of it as dot products when 2(e - l) is a multiple
 of e (``GF._gram_rows``).  The mate twist l' = (e - l) mod e has
 P = F^(l')(P')^T, so each code object builds one P and runs one
-elimination per twist orbit {l, e - l}, memoized, and reads the mate off
-it: rank P and det P answer every hull and LCD predicate.
+elimination per twist orbit {l, e - l}, memoized, and reads the mate's
+rank and determinant off it: rank P and det P answer every hull and LCD
+predicate.  The mate's P itself is written only when the LCD
+construction asks for it (``_gram``).
 """
 
 from __future__ import annotations
@@ -110,49 +115,58 @@ def _projective_steps(p: int, e: int, k: int) -> Iterator[int]:
 
 
 class FqCode(Value):
-    """An [n, k] linear code over GF(q): its RREF generator ``gen``.
+    """An [n, k] linear code over GF(q): its field, its length n and its RREF generator ``rows``.
 
-    The field and the length n are the generator's.  ``pivots`` holds its
-    pivot columns, found by the constructor's ``rref_scan`` or handed over by
-    the derivation that built the code (``_derived``).  ``_dist``
-    caches the minimum distance, ``_dual`` the Euclidean dual and
-    ``_grams`` maps each twist l to (P, rank P, det P).  ``_free``, the
-    columns that are not pivots, stays unset until ``_free_columns`` first
-    needs it.  None of these takes part in equality, hashing or the repr.
+    ``rows`` is a tuple of int tuples, one per dimension, so k is their
+    count.  ``pivots`` holds their pivot columns, found by the
+    constructor's ``rref_scan`` or handed over by the derivation that built
+    the code (``_derived``).  ``_dist`` caches the minimum distance,
+    ``_dual`` the Euclidean dual and ``_grams`` maps each twist l to
+    (P, rank P, det P), P as rows or None (see ``_gram_facts``).
+    ``_free``, the columns that are not pivots, stays unset until
+    ``_free_columns`` first needs it.  None of these but the field, n and
+    the rows takes part in equality, hashing or the repr.
     """
 
-    __slots__ = ("gen", "pivots", "_dist", "_dual", "_grams", "_free")
-    _key = attrgetter("gen")
-    gen: Matrix
+    __slots__ = ("field", "n", "rows", "pivots", "_dist", "_dual", "_grams", "_free")
+    _key = attrgetter("field", "n", "rows")
+    field: GF
+    n: int
+    rows: tuple[tuple[int, ...], ...]
     pivots: tuple[int, ...]
     _dist: int | None
     _dual: "FqCode | None"
-    _grams: dict[int, tuple[Matrix, int, int]]
+    _grams: dict[int, tuple[tuple[tuple[int, ...], ...] | None, int, int]]
     _free: tuple[int, ...]
 
     def __init__(self, gen: Matrix) -> None:
         pivots, bad = rref_scan(gen.rows)
         if bad is not None:
             raise MismatchError(f"generator row {bad} breaks reduced row echelon form")
-        self._fill(gen, pivots)
+        self._fill(gen.field, gen.ncols, gen.rows, pivots)
 
-    def _fill(self, gen: Matrix, pivots: tuple[int, ...]) -> None:
-        object.__setattr__(self, "gen", gen)
+    def _fill(self, field: GF, n: int, rows: tuple[tuple[int, ...], ...], pivots: tuple[int, ...]) -> None:
+        object.__setattr__(self, "field", field)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "pivots", pivots)
         object.__setattr__(self, "_dist", None)
         object.__setattr__(self, "_dual", None)
         object.__setattr__(self, "_grams", {})
 
     @classmethod
-    def _derived(cls, gen: Matrix, pivots: tuple[int, ...]) -> "FqCode":
-        """The code of an RREF generator a derivation built, with the pivots it already knows.
+    def _derived(
+        cls, field: GF, n: int, rows: Sequence[Sequence[int]], pivots: tuple[int, ...]
+    ) -> "FqCode":
+        """The code of RREF rows a derivation built, with the pivots it already knows.
 
-        Only a derivation inside the package calls this, on a generator in
-        RREF whose row r leads at ``pivots[r]``; the constructor's scan
-        would find the same pivots.
+        Only a derivation inside the package calls this, on ``n``-wide rows
+        over ``field`` in RREF whose row r leads at ``pivots[r]``; the
+        constructor's scan would find the same pivots.  The rows are copied
+        into tuples, so the caller may go on to overwrite its lists.
         """
         c = object.__new__(cls)
-        c._fill(gen, pivots)
+        c._fill(field, n, tuple(map(tuple, rows)), pivots)
         return c
 
     @classmethod
@@ -166,10 +180,9 @@ class FqCode(Value):
 
     @classmethod
     def _span(cls, field: GF, n: int, rows: Sequence[Sequence[int]]) -> "FqCode":
-        """The span of rows already known to be ``n`` wide over ``field``: one ``_reduced`` call and
-        one ``Matrix``, the generator."""
+        """The span of rows already known to be ``n`` wide over ``field``: one ``_reduced`` call."""
         reduced, pivots = _reduced(field, rows)
-        return FqCode._derived(Matrix._derived(field, n, reduced[: len(pivots)]), pivots)
+        return FqCode._derived(field, n, reduced[: len(pivots)], pivots)
 
     @classmethod
     def zero(cls, field: GF, n: int) -> "FqCode":
@@ -178,16 +191,13 @@ class FqCode(Value):
     # -- basic data ---------------------------------------------------------
 
     @property
-    def field(self) -> GF:
-        return self.gen.field
-
-    @property
-    def n(self) -> int:
-        return self.gen.ncols
+    def gen(self) -> Matrix:
+        """The RREF generator as a ``Matrix``: a view built on each access, for callers outside the package."""
+        return Matrix._derived(self.field, self.n, self.rows)
 
     @property
     def k(self) -> int:
-        return self.gen.nrows
+        return len(self.rows)
 
     @property
     def size(self) -> int:
@@ -212,17 +222,18 @@ class FqCode(Value):
         """Frobenius power m = e - l: the l-pairing with G is the Euclidean one with F^m(G)."""
         return self.field.e - self.field.check_twist(l)
 
-    def _gram_facts(self, l: int) -> tuple[Matrix, int, int]:
+    def _gram_facts(self, l: int) -> tuple[tuple[tuple[int, ...], ...] | None, int, int]:
         """(P, rank P, det P) for the twisted Gram matrix P = G * F^m(G)^T, m = e - l.
 
         G reads I on its pivot columns, so P = I + A * F^m(A)^T for the
         block A of its free columns: one ``GF._gram_rows`` of A's list
         rows, half of it dot products when 2m is a multiple of e, plus 1 on
-        the diagonal, stored as P and then eliminated in place.  The
+        the diagonal, stored as rows and then eliminated in place.  The
         mate twist l' = m mod e has P = F^(l')(P')^T, so rank P = rank P'
         and det P = F^(l')(det P'): once the mate is memoized, l costs no
-        product and no elimination.  l is checked before any memo read
-        (True and 1.0 would find the entry of 1).
+        product and no elimination, and its entry holds None for P until
+        ``_gram`` asks for it.  l is checked before any memo read (True and
+        1.0 would find the entry of 1).
         """
         f, m = self.field, self._twist(l)
         facts = self._grams.get(l)
@@ -230,18 +241,29 @@ class FqCode(Value):
             mate = self._grams.get(m % f.e)
             if mate is None:
                 free = self._free_columns()
-                rows = f._gram_rows([[row[c] for c in free] for row in self.gen.rows], m)
+                rows = f._gram_rows([[row[c] for c in free] for row in self.rows], m)
                 for i, row in enumerate(rows):
                     row[i] = f.add(row[i], 1)
-                p = Matrix._derived(f, self.k, rows)
+                p = tuple(map(tuple, rows))
                 pivots, d = _eliminate(f, rows)
                 facts = (p, len(pivots), d)
             else:
-                p, r, d = mate
-                pt = Matrix._derived(f, p.nrows, [f.frobenius_row(c, m) for c in zip(*p.rows)])
-                facts = (pt, r, f.frobenius(d, m))
+                facts = (None, mate[1], f.frobenius(mate[2], m))
             self._grams[l] = facts
         return facts
+
+    def _gram(self, l: int) -> tuple[tuple[int, ...], ...]:
+        """P at twist l as rows: the memo's, or F^(l')(P')^T written from the mate l' = (e - l) mod e.
+
+        An entry read off its mate holds no P, and its mate, built first,
+        always holds one.
+        """
+        p, r, d = self._gram_facts(l)
+        if p is None:
+            f, m = self.field, self._twist(l)
+            p = tuple(tuple(f.frobenius_row(c, m)) for c in zip(*self._grams[m % f.e][0]))
+            self._grams[l] = (p, r, d)
+        return p
 
     def galois_dual(self, l: int = 0) -> "FqCode":
         """All words pairing to zero with the code under sum(t_i * s_i^(p^l))."""
@@ -251,7 +273,7 @@ class FqCode(Value):
         if dual is None:
             # one kernel row e_c - sum_i G[i][c] * e_(p_i) per free column c
             pivots, neg = self.pivots, f.neg
-            cols = list(zip(*self.gen.rows)) or [()] * n  # one transpose, not a col() per column
+            cols = list(zip(*self.rows)) or [()] * n  # one transpose, not a col() per column
             rows = []
             for c in self._free_columns():
                 v = [0] * n
@@ -266,13 +288,13 @@ class FqCode(Value):
             object.__setattr__(self, "_dual", dual)
         if m == f.e:
             return dual
-        free, rows = dual._free_columns(), dual.gen.rows
+        free, rows = dual._free_columns(), dual.rows
         if free:
             rows = [list(row) for row in rows]
             for row in rows:
                 for c, v in zip(free, f.frobenius_row([row[c] for c in free], m)):
                     row[c] = v
-        return FqCode._derived(Matrix._derived(f, n, rows), dual.pivots)
+        return FqCode._derived(f, n, rows, dual.pivots)
 
     def hull_dim(self, l: int = 0) -> int:
         """dim Hull_l = k - rank(P): the hull is {u*G : u*P = 0}."""
@@ -314,7 +336,7 @@ class FqCode(Value):
         Otherwise d >= 2, and any word of weight 2, a row among them, is minimal.
         """
         n = self.n
-        return min(n - row.count(0) for row in self.gen.rows)
+        return min(n - row.count(0) for row in self.rows)
 
     def min_dist(self, cap: int = DEFAULT_ENUM_CAP) -> int:
         """Exact minimum Hamming weight: the RREF rows' floor, else a projective Gray-order scan.
@@ -349,7 +371,7 @@ class FqCode(Value):
         best = self._row_floor()
         if best > 2 and self.k > 1:
             f, n = self.field, self.n
-            rows = self.gen.rows
+            rows = self.rows
             p, e = f.p, f.e
             b = p.bit_length() + 1
             msb = b - 1  # the top bit of a lane
@@ -397,14 +419,14 @@ class FqCode(Value):
         """
         if len(factors) != self.n:
             raise MismatchError("one scaling factor per coordinate required")
-        for j, a in enumerate(factors):
-            if a == 0:
-                raise ZeroScaleError(f"factor at position {j} is zero")
         f = self.field
         for a in factors:
             f.check(a)
+        for j, a in enumerate(factors):
+            if a == 0:
+                raise ZeroScaleError(f"factor at position {j} is zero")
         mul, rows = f.mul, []
-        for row, c in zip(self.gen.rows, self.pivots):
+        for row, c in zip(self.rows, self.pivots):
             s = f.inv(factors[c])
             rows.append([mul(mul(v, a), s) if v else 0 for v, a in zip(row, factors)])
-        return FqCode._derived(Matrix._derived(f, self.n, rows), self.pivots)
+        return FqCode._derived(f, self.n, rows, self.pivots)

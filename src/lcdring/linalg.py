@@ -16,15 +16,18 @@ reduced row echelon form, and it works on rows: it eliminates only rows
 that ``rref_scan``, the one test of the form, turns down.  The form is
 unique, so rows that pass are their own, and a systematic generator
 [I | A] costs one O(k * n) read.  Code objects call ``_reduced`` and the
-Gram kernel on list rows directly and wrap only the results they store;
-``rref`` and ``gram`` give the same results as matrices.
+Gram kernel on list rows directly and keep the results as rows, with no
+``Matrix`` around them; ``rref`` and ``gram`` give the same results as
+matrices.  So the package builds a ``Matrix`` only at its boundary: to
+check outside rows, for a code's ``gen`` view, and for the Gram matrix
+the LCD construction hands to ``minor_search`` and ``lemma_det_check``.
 
 A matrix built from outside data, through ``Matrix(...)``,
 ``Matrix.from_rows`` or ``Matrix.zero``, has its width and every entry
 checked.  A matrix computed from valid ones (a reduced form, a Gram
-product, a code's generator) is stored by ``Matrix._derived`` without the
-checks: field operations on field elements give field elements, and each
-derivation writes rows of the width it states.
+product, a code's generator rows) is stored by ``Matrix._derived`` without
+the checks: field operations on field elements give field elements, and
+each derivation writes rows of the width it states.
 """
 
 from __future__ import annotations

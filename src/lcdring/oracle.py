@@ -78,7 +78,7 @@ def _fq_words(code: FqCode) -> Iterator[Word]:
     With r = 0 the walk is the stream.
     """
     f = code.field
-    q, k, n, rows = f.q, code.k, code.n, code.gen.rows
+    q, k, n, rows = f.q, code.k, code.n, code.rows
     if q**k <= TABLE_ENTRIES:
         r = k
     else:
@@ -186,7 +186,7 @@ def _orthogonal_count(code: FqCode, words: Iterable[Word], l: int) -> int:
     """
     f = code.field
     add, mul = f.add, f.mul
-    rows = [[f.frobenius(x, f.e - l) for x in g] for g in code.gen.rows]
+    rows = [[f.frobenius(x, f.e - l) for x in g] for g in code.rows]
 
     def orthogonal(w: Word) -> bool:
         return not any(reduce(add, [mul(x, y) for x, y in zip(g, w) if x and y], 0) for g in rows)
@@ -209,7 +209,7 @@ def is_dual_pair(code: Code, dual: Code, l: int) -> bool:
     slots = list(zip(_slots(code), _slots(dual)))
     if code.k + dual.k != len(slots) * code.n:
         return False
-    return all(_orthogonal_count(c, d.gen.rows, l) == d.k for c, d in slots)
+    return all(_orthogonal_count(c, d.rows, l) == d.k for c, d in slots)
 
 
 def _hull(i: int, code: FqCode, words: Iterable[Word], l: int) -> int:
@@ -243,7 +243,7 @@ def _expansion(code: RCode, image: FqCode, slots: Iterable[set[Word]]) -> bool:
     if image.field != code.field or image.n != 4 * code.n:
         return False
     slots = list(slots)
-    rows = image.gen.rows
+    rows = image.rows
     if any(g[i::4] not in s for g in rows for i, s in enumerate(slots)):
         return False
     leads = {next(j for j, v in enumerate(g) if v) for g in rows if any(g)}

@@ -16,7 +16,6 @@ from typing import Iterable, NamedTuple, Sequence
 from .errors import CapExceededError, MismatchError, NotAUnitError, ZeroCodeError
 from .fqcode import DEFAULT_ENUM_CAP, FqCode
 from .gf import GF
-from .linalg import Matrix
 from .ring import RingElement
 from .value import Value
 
@@ -89,7 +88,7 @@ class RCode(Value):
         """Generators over R: each component row embedded in its slot."""
         f, out = self.field, []
         for i, comp in enumerate(self.comps):
-            for row in comp.gen.rows:
+            for row in comp.rows:
                 out.append(
                     tuple(RingElement(f, tuple(v if s == i else 0 for s in range(4))) for v in row)
                 )
@@ -191,13 +190,13 @@ class RCode(Value):
         """
         width, keyed = 4 * self.n, []
         for i, comp in enumerate(self.comps):
-            for c, gen_row in zip(comp.pivots, comp.gen.rows):
+            for c, gen_row in zip(comp.pivots, comp.rows):
                 row = [0] * width
                 row[i::4] = gen_row
                 keyed.append((4 * c + i, row))
         keyed.sort()
         pivots, rows = zip(*keyed) if keyed else ((), ())
-        return FqCode._derived(Matrix._derived(self.field, width, rows), pivots)
+        return FqCode._derived(self.field, width, rows, pivots)
 
     def scale(self, alpha: Sequence[RingElement]) -> "RCode":
         """Entrywise multiplication by a vector of units."""

@@ -48,6 +48,11 @@ def mat(field, rows):
     return Matrix.from_rows(field, rows)
 
 
+def gram_matrix(c, l):
+    """The code's twisted Gram matrix P at l, as the Matrix the LCD construction wraps."""
+    return Matrix(c.field, c.k, c._gram(l))
+
+
 class TestMinorSearch:
     def test_nonsingular_matrix(self):
         cert = minor_search(mat(F5, [[3]]))
@@ -123,13 +128,13 @@ def square_matrices(draw):
         r = draw(st.integers(0, m))
         return matmul(Matrix.from_rows(f, rows(m, r), ncols=r), Matrix.from_rows(f, rows(r, m), ncols=m))
     n = draw(st.integers(max(m, 1), 8))
-    return FqCode.from_rows(f, n, rows(m, n))._gram_facts(draw(st.integers(0, f.e - 1)))[0]
+    return gram_matrix(FqCode.from_rows(f, n, rows(m, n)), draw(st.integers(0, f.e - 1)))
 
 
 @settings(max_examples=300, deadline=None)
 @given(square_matrices())
 @example(mat(F5, [[0, 1], [0, 0]]))
-@example(FqCode.from_rows(F8, 4, [[1, 0, 7, 6], [0, 1, 6, 5]])._gram_facts(1)[0])  # P = [[2, 0], [1, 0]]
+@example(gram_matrix(FqCode.from_rows(F8, 4, [[1, 0, 7, 6], [0, 1, 6, 5]]), 1))  # P = [[2, 0], [1, 0]]
 def test_minor_search_matches_exhaustive_scan(p):
     cert = minor_search(p)
     assert (cert.t, cert.r_set, cert.det) == first_minor_by_scan(p)
@@ -145,7 +150,7 @@ def minor_det_calls(monkeypatch):
 
 def test_gf8_example_takes_the_fallback_scan(minor_det_calls):
     # greedy basis {1}, P[1, 1] = 0: the scan starts at size 1 and returns deletion set {1}
-    assert minor_search(FqCode.from_rows(F8, 4, [[1, 0, 7, 6], [0, 1, 6, 5]])._gram_facts(1)[0]).r_set == (1,)
+    assert minor_search(gram_matrix(FqCode.from_rows(F8, 4, [[1, 0, 7, 6], [0, 1, 6, 5]]), 1)).r_set == (1,)
     assert minor_det_calls == [(0,), (0,), (1,)]
 
 
@@ -172,7 +177,7 @@ class TestHermitianCertificate:
     def test_one_determinant_per_search(self, f, l, minor_det_calls):
         for c in planted_codes(random.Random(48), f, l, 8, 40):
             minor_det_calls.clear()
-            cert = minor_search(c._gram_facts(l)[0])
+            cert = minor_search(gram_matrix(c, l))
             assert minor_det_calls == [cert.r_set]
 
     @pytest.mark.parametrize("f,l", HERMITIAN, ids=repr)
@@ -338,12 +343,33 @@ class TestGaloisScaling:
         # deletion minors vanish: the certified set is both rows
         c = FqCode.from_rows(F8, 4, [[1, 0, 2, 7], [0, 1, 3, 4]])
         assert c.hull_dim(1) == oracle.hull_dim(c, 1) == 1
-        assert c._gram_facts(1)[0].to_rows() == [[0, 0], [3, 0]]
+        assert c._gram(1) == ((0, 0), (3, 0))
         alpha, out, cert = galois_lcd_scaling(c, 1)
         assert cert.minor == MinorCertificate(1, (0, 1), 1)
         assert cert.beta is None
         assert out == c.scale(alpha)
         assert oracle.hull_dim(out, 1) == 0
+
+    @pytest.mark.parametrize("facts_first", [False, True], ids=["mate-only", "facts-only"])
+    def test_twist_read_off_its_mate_gives_a_fresh_objects_certificate(self, facts_first):
+        # over GF(8) the twists 1 and 2 are mates: a code whose memo holds
+        # only l = 2 (and, with facts_first, l = 1's rank and determinant
+        # without its P, as ring_lcd_equivalent's is_lcd leaves it) writes
+        # P at l = 1 from its mate's
+        rng = random.Random(45)
+        codes = [FqCode.from_rows(F8, 4, [[1, 0, 2, 7], [0, 1, 3, 4]])]
+        codes += [random_fqcode(rng, F8, 5, rng.randint(1, 4)) for _ in range(20)]
+        for c in codes:
+            if c.k == 0:
+                continue
+            memo = FqCode(c.gen)
+            memo.hull_dim(2)
+            if facts_first:
+                memo.hull_dim(1)
+                assert memo._grams[1][0] is None
+            assert set(memo._grams) == ({1, 2} if facts_first else {2})
+            for seed in (None, 7):
+                assert galois_lcd_scaling(memo, 1, seed) == galois_lcd_scaling(FqCode(c.gen), 1, seed)
 
     def test_parameters_preserved(self):
         rng = random.Random(44)

@@ -4,8 +4,8 @@
 valid ones without checking it again.  Each derivation is rebuilt here
 through the checked public constructors, ``Matrix(...)`` and
 ``FqCode(gen)``: the rebuilt value must be equal, and a code must have
-the same pivots.  An AST guard names the only call sites of the private
-constructors.
+the same pivots.  AST guards name the only call sites of the private
+constructors and the only places a code module builds a ``Matrix``.
 """
 
 import ast
@@ -35,6 +35,7 @@ def checked_code(c: FqCode) -> FqCode:
     assert rebuilt == c
     assert rebuilt.pivots == c.pivots
     assert type(c.pivots) is tuple
+    assert type(c.rows) is tuple and all(type(row) is tuple for row in c.rows)
     return rebuilt
 
 
@@ -55,8 +56,9 @@ def test_every_derivation_passes_the_checked_constructors(data):
     # ascending l: over GF(8) and GF(16) the last twists read their mate's transposed P
     for l in range(f.e):
         checked_code(c.galois_dual(l))
-        p = checked_matrix(c._gram_facts(l)[0])
-        assert p.nrows == p.ncols == c.k
+        p = c._gram(l)
+        assert type(p) is tuple and all(type(row) is tuple for row in p)
+        assert Matrix(f, c.k, p).rows == p and len(p) == c.k
         checked_matrix(gram(c.gen, f.e - l))
     factors = data.draw(st.lists(st.integers(1, f.q - 1), min_size=n, max_size=n))
     checked_code(c.scale(factors))
@@ -75,15 +77,12 @@ PRIVATE_CONSTRUCTION_SITES = {
     ("linalg", "gram", "Matrix._derived"),
     ("fqcode", "FqCode.__init__", "self._fill"),
     ("fqcode", "FqCode._derived", "c._fill"),
-    ("fqcode", "FqCode._span", "Matrix._derived"),
     ("fqcode", "FqCode._span", "FqCode._derived"),
-    ("fqcode", "FqCode._gram_facts", "Matrix._derived"),
-    ("fqcode", "FqCode.galois_dual", "Matrix._derived"),
+    ("fqcode", "FqCode.gen", "Matrix._derived"),
     ("fqcode", "FqCode.galois_dual", "FqCode._derived"),
-    ("fqcode", "FqCode.scale", "Matrix._derived"),
     ("fqcode", "FqCode.scale", "FqCode._derived"),
-    ("rcode", "RCode.gray_image", "Matrix._derived"),
     ("rcode", "RCode.gray_image", "FqCode._derived"),
+    ("construct", "galois_lcd_scaling", "Matrix._derived"),
 }
 
 
@@ -110,6 +109,60 @@ def _private_construction_sites():
 
 def test_private_constructors_are_called_only_by_derivations():
     assert _private_construction_sites() == PRIVATE_CONSTRUCTION_SITES
+
+
+# (module, enclosing function, callee): a code is its rows, so the modules
+# that make and read codes build a Matrix only to check outside rows
+# (from_rows, zero, parse_code), for the public gen view, and for the one
+# P a scaled component hands to minor_search and lemma_det_check
+MATRIX_BOUNDARY = {
+    ("fqcode", "FqCode.from_rows", "Matrix.from_rows"),
+    ("fqcode", "FqCode.zero", "Matrix.zero"),
+    ("fqcode", "FqCode.gen", "Matrix._derived"),
+    ("codefile", "parse_code", "Matrix.from_rows"),
+    ("construct", "galois_lcd_scaling", "Matrix._derived"),
+}
+
+
+def _matrix_builds(module):
+    """(module, enclosing function, callee) for each call of Matrix or one of its class methods.
+
+    ``Matrix`` may otherwise appear only in annotations, in its import and
+    as the class an ``isinstance`` tests, so no alias can hide a build.
+    """
+    tree = ast.parse((SRC / f"{module}.py").read_text(encoding="utf-8"))
+    allowed, sites = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = node.args.posonlyargs + node.args.args + node.args.kwonlyargs
+            for ann in [node.returns, *(a.annotation for a in args)]:
+                allowed.update(map(id, ast.walk(ann)) if ann is not None else ())
+        elif isinstance(node, ast.AnnAssign):
+            allowed.update(map(id, ast.walk(node.annotation)))
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "isinstance":
+            allowed.update(map(id, ast.walk(node.args[1])))
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            scope = scope + (node.name,)
+        if isinstance(node, ast.Call):
+            func = node.func
+            target = func.value if isinstance(func, ast.Attribute) else func
+            if isinstance(target, ast.Name) and target.id == "Matrix":
+                sites.add((module, ".".join(scope), ast.unparse(func)))
+                allowed.add(id(target))
+        if isinstance(node, ast.Name) and node.id == "Matrix" and id(node) not in allowed:
+            raise AssertionError(f"{module}.py:{node.lineno} names Matrix outside a build, an annotation or isinstance")
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(tree, ())
+    return sites
+
+
+def test_code_modules_build_a_matrix_only_at_the_boundary():
+    modules = ("fqcode", "rcode", "oracle", "codefile", "construct")
+    assert set().union(*map(_matrix_builds, modules)) == MATRIX_BOUNDARY
 
 
 def test_generator_slots_are_checked_once(monkeypatch):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lcdring import GF, FqCode, Matrix, RCode, fqcode, linalg, oracle
+from lcdring import GF, FqCode, Matrix, RCode, RingElement, fqcode, linalg, oracle
 from lcdring.errors import (
     BadLError,
     CapExceededError,
@@ -131,7 +131,7 @@ class TestGaloisDual:
         c = code(F9, 2, [[1, 4]])
         for good in range(2):
             c.hull_dim(good)
-        for call in (c.galois_dual, c.hull_dim, c.lcd_status, c.is_lcd, c.is_self_orthogonal, c._gram_facts):
+        for call in (c.galois_dual, c.hull_dim, c.lcd_status, c.is_lcd, c.is_self_orthogonal, c._gram_facts, c._gram):
             with pytest.raises(BadLError, match=r"l must lie in \[0, 1\]"):
                 call(l)
 
@@ -445,7 +445,9 @@ GRAM_FIELDS = [GF(2, 2), GF(2, 3), F9, GF(2, 4), GF(3, 3), GF(2, 5), GF(2, 6)]
 @given(st.data())
 def test_gram_facts_match_the_full_generator_in_any_twist_order(data):
     # built from the free columns, half-filled, or read off the mate twist,
-    # each entry equals the full generator's Gram matrix and its elimination
+    # each entry's rank and determinant are the full generator's Gram
+    # matrix's, and so is its P: stored by a build, written from the mate
+    # on first request by a twist whose mate was built first
     f = data.draw(st.sampled_from(GRAM_FIELDS))
     e, n = f.e, data.draw(st.integers(0, 6))
     k = data.draw(st.integers(0, n))
@@ -457,7 +459,11 @@ def test_gram_facts_match_the_full_generator_in_any_twist_order(data):
     for l in data.draw(st.sampled_from([twists, twists[::-1], data.draw(st.permutations(twists))])):
         p = gram(c.gen, e - l)
         pivots, d = linalg._eliminate(f, p.to_rows())
-        assert c._gram_facts(l) == (p, len(pivots), d)
+        mate_first = l not in c._grams and (e - l) % e in c._grams
+        facts = c._gram_facts(l)
+        assert facts[1:] == (len(pivots), d)
+        assert (facts[0] is None) == mate_first
+        assert c._gram(l) == p.rows and c._grams[l] == (p.rows, len(pivots), d)
         if f.q**c.k <= 4096:
             assert c.hull_dim(l) == oracle.hull_dim(c, l)
     # the entries of 1 and its mate e - 1 are memoized, and True is still refused
@@ -469,10 +475,10 @@ def test_gram_facts_match_the_full_generator_in_any_twist_order(data):
 def test_first_facts_wrap_only_what_they_store(field, monkeypatch):
     """Work behind a fresh code's first facts, with Matrix constructions counted both ways.
 
-    from_rows on an unreduced matrix makes one Matrix, the generator; the
-    first hull_dim(l) makes one Gram kernel call, one elimination and one
-    Matrix, its P; the first Euclidean dual makes at most one reducing
-    kernel call and one Matrix, the dual's generator.
+    A code is its rows, so none of these builds a Matrix: from_rows on an
+    unreduced matrix makes one reducing kernel call, the first hull_dim(l)
+    one Gram kernel call and one elimination, and the first Euclidean dual
+    at most one reducing kernel call.
     """
     given = Matrix.from_rows(field, [[2, 1, 3, 1], [1, 3, 1, 2]])
     work = {}
@@ -496,13 +502,13 @@ def test_first_facts_wrap_only_what_they_store(field, monkeypatch):
     for l in range(field.e):
         work.clear()
         c = FqCode.from_rows(field, 4, given)
-        assert work == {"reduce": 1, "matrix": 1}
+        assert work == {"reduce": 1}
         work.clear()
         c.hull_dim(l)
-        assert work == {"gram": 1, "eliminate": 1, "forward": 1, "matrix": 1}
+        assert work == {"gram": 1, "eliminate": 1, "forward": 1}
         work.clear()
         c.galois_dual(0)
-        assert work.pop("matrix") == 1 and work.pop("reduce", 0) <= 1 and work == {}
+        assert work.pop("reduce", 0) <= 1 and work == {}
 
 
 @pytest.mark.parametrize(
@@ -574,8 +580,8 @@ class TestScale:
             code(F5, 2, [[1, 2]]).scale([1, 0])
 
     @pytest.mark.parametrize("factors, error", [
-        ([1, 7], ValueError), ([True, 1], ValueError), ([1, False], ZeroScaleError),
-        ([1, 1, 1], MismatchError),
+        ([1, 7], ValueError), ([True, 1], ValueError), ([1, False], ValueError),
+        ([1, 1, 1], MismatchError), ([0.0, 1], ValueError), ([1, 1.0], ValueError),
     ])
     def test_other_refusals(self, factors, error):
         with pytest.raises(error):
@@ -644,6 +650,35 @@ def test_pivots_are_the_rref_pivots(data):
     derived.append(RCode(comps).gray_image())
     for c in comps + derived:
         assert c.pivots == rref(c.gen)[2]
+
+
+F8 = GF(2, 3)
+ROUND_TRIP_ROWS = [[1, 0, 3, 5, 0], [0, 1, 6, 7, 2]]  # in RREF over GF(8)
+
+
+def _ring_generators():
+    rows = [[[1, 2, 0, 3], [4, 0, 5, 1], [0, 6, 7, 2]], [[2, 4, 0, 6], [0, 0, 1, 1], [3, 1, 2, 0]]]
+    return RCode.from_generators(F8, 3, [[RingElement(F8, g) for g in row] for row in rows]).comps
+
+
+DERIVATIONS = {
+    "from_rows-reduced": lambda: [code(F8, 5, ROUND_TRIP_ROWS)],
+    "from_rows-unreduced": lambda: [code(F8, 5, [[2, 3, 1, 0, 4], [5, 1, 0, 6, 7], [7, 2, 1, 6, 3]])],
+    "euclidean-dual": lambda: [code(F8, 5, ROUND_TRIP_ROWS).galois_dual(0)],
+    "twists": lambda: [code(F8, 5, ROUND_TRIP_ROWS).galois_dual(l) for l in range(1, F8.e)],
+    "scale": lambda: [code(F8, 5, ROUND_TRIP_ROWS).scale([2, 3, 4, 5, 6])],
+    "gray_image": lambda: [RCode(_ring_generators()).gray_image()],
+    "from_generators": _ring_generators,
+}
+
+
+@pytest.mark.parametrize("derive", DERIVATIONS.values(), ids=DERIVATIONS)
+def test_rows_round_trip_through_the_gen_view(derive):
+    """A code of every derivation equals the code of its gen view, which is the Matrix of its rows."""
+    for c in derive():
+        assert c.k > 0 and c.n - c.k > 0
+        assert FqCode(c.gen) == c and hash(FqCode(c.gen)) == hash(c)
+        assert c.gen == Matrix(c.field, c.n, c.rows)
 
 
 def test_count_text_is_decimal_while_printable():

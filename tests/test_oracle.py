@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from lcdring import GF, FqCode, Matrix, RCode, RingElement
+from lcdring import GF, FqCode, RCode, RingElement
 from lcdring import oracle
 from lcdring.errors import BadLError, CapExceededError, ConsistencyError, MismatchError, ZeroCodeError
 from lcdring.fqcode import DEFAULT_ENUM_CAP
@@ -762,7 +762,7 @@ def test_is_expansion_counts_each_word_once():
     zero = FqCode.zero(F5, 1)
 
     def repeated(rows):
-        return FqCode._derived(Matrix._derived(F5, 4, rows), (0,) * len(rows))
+        return FqCode._derived(F5, 4, rows, (0,) * len(rows))
 
     one, two = RCode([line, zero, zero, zero]), RCode([line, line, zero, zero])
     cases = [
@@ -783,7 +783,7 @@ def test_is_expansion_needs_distinct_leading_positions():
     line = FqCode.from_rows(F5, 1, [[1]])
     zero = FqCode.zero(F5, 1)
     two = RCode([line, line, zero, zero])
-    image = FqCode._derived(Matrix._derived(F5, 4, [(1, 1, 0, 0), (1, 0, 0, 0)]), (0, 0))
+    image = FqCode._derived(F5, 4, [(1, 1, 0, 0), (1, 0, 0, 0)], (0, 0))
     assert {gray(w) for w in ring_words(two)} == set(oracle.codewords(image))
     assert not oracle.is_expansion(two, image)
 

@@ -150,7 +150,7 @@ def test_oracle_walks_one_way():
 # What the fast paths compute, and the shared kernels behind them.
 FAST_PATH_ATTRS = {
     "pivots", "galois_dual", "hull_dim", "lcd_status", "is_lcd", "is_self_orthogonal", "is_self_dual",
-    "min_dist", "lee_min_dist", "params", "gray_image", "_gram_facts", "_grams",
+    "min_dist", "lee_min_dist", "params", "gray_image", "_gram_facts", "_gram", "_grams",
     "_dist", "_dual", "_free_columns", "_check_cap", "_row_floor", "_gauss", "_gram_rows", "frobenius_row",
 }
 
@@ -269,6 +269,7 @@ KEPT = {
     "elements": "a public view of GF that tests use as a reference",
     "generator_rows": "a public view of RCode that tests use as a reference",
     "row": "perfbench's tracer reads Matrix.row (ROADMAP item 1)",
+    "gen": "a public view of FqCode that README documents and perfbench's tracer reads",
     "min_distance": "a single oracle call the tests and perfbench compare against; verify reads it through survey",
     "is_expansion": "a single oracle call the tests compare against; verify reads it through survey",
 }
