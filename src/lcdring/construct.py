@@ -78,7 +78,7 @@ from .errors import (
 )
 from .fqcode import FqCode
 from .gf import GF
-from .linalg import Matrix, _eliminate, minor_det
+from .linalg import Matrix, minor_det
 from .rcode import RCode
 from .ring import RingElement
 
@@ -141,7 +141,7 @@ def minor_search(p: Matrix) -> MinorCertificate:
     m = p.nrows
     # entry (c, j) of these rows is P[m - 1 - j][c]: column j is row m - 1 - j
     # of P, so the pivot columns pick the greedy row basis from the last row up
-    pivots, _ = _eliminate(p.field, [list(col) for col in zip(*reversed(p.rows))])
+    pivots, _ = p.field._gauss([list(col) for col in zip(*reversed(p.rows))])
     basis = {m - 1 - j for j in pivots}
     drop = tuple(i for i in range(m) if i not in basis)
     d = minor_det(p, drop)
@@ -176,7 +176,7 @@ def lemma_det_check(p: Matrix, b: Sequence[int], cert: MinorCertificate) -> bool
     rows = p.to_rows()
     for j, row in enumerate(rows):
         row[j] = f.add(row[j], b[j])
-    lhs = _eliminate(f, rows)[1]
+    lhs = f._gauss(rows)[1]
     rhs = cert.det
     for j in support:
         rhs = f.mul(rhs, b[j])
@@ -200,18 +200,29 @@ def _beta(field: GF, l: int) -> int | None:
     return (field.q - 1) // base if (field.q - 1) % base == 0 else None
 
 
-def _factors(field: GF, b_exp: int) -> list[int]:
-    """Units a with a^b_exp != 1, in encoding order.
-
-    The b_exp-th roots of unity are the d = gcd(b_exp, q - 1) values x^((q - 1) / d).
-    """
+def _roots_of_unity(field: GF, b_exp: int) -> list[int]:
+    """The b_exp-th roots of unity, ascending: the d = gcd(b_exp, q - 1) values x^((q - 1) / d)."""
     d = math.gcd(b_exp, field.q - 1)
     roots: set[int] = set()
     for x in field.units():
         roots.add(field.pow(x, (field.q - 1) // d))
         if len(roots) == d:
             break
-    return [x for x in field.units() if x not in roots]
+    return sorted(roots)
+
+
+def _factor(roots: Sequence[int], i: int) -> int:
+    """The unit at index i, in encoding order, among the units outside ``roots`` (ascending).
+
+    No list of the units is built: unit i + 1 moves one further for each
+    root at or below it.
+    """
+    a = i + 1
+    for r in roots:
+        if r > a:
+            break
+        a += 1
+    return a
 
 
 def galois_lcd_scaling(
@@ -230,15 +241,17 @@ def galois_lcd_scaling(
     b_exp = f.p ** code._twist(l) + 1
     # code.rows is the RREF generator: column pivots[j] is the unit vector e_j
     pivots = code.pivots
-    # the memo's P, wrapped once for the public minor_search and lemma_det_check
-    p = Matrix._derived(f, code.k, code._gram(l))
+    # the memo's P, built and checked once for the public minor_search and lemma_det_check
+    p = Matrix(f, code.k, code._gram(l))
     cert = minor_search(p)
     alpha = [1] * code.n
     if cert.t >= 0:
-        factors = _factors(f, b_exp)
+        roots = _roots_of_unity(f, b_exp)
         rng = random.Random(seed) if seed is not None else None
         for j in cert.r_set:
-            alpha[pivots[j]] = rng.choice(factors) if rng is not None else factors[0]
+            # the smallest factor, or the one rng.choice would draw from the list of all of them
+            i = rng.randrange(f.q - 1 - len(roots)) if rng is not None else 0
+            alpha[pivots[j]] = _factor(roots, i)
     b = [f.sub(f.pow(alpha[c], b_exp), 1) for c in pivots]
     if not lemma_det_check(p, b, cert):
         raise ConsistencyError("minor determinant identity failed")

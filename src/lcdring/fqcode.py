@@ -5,7 +5,8 @@ echelon generator, a tuple of int tuples, so two objects describe the
 same code exactly when they compare equal.  No ``Matrix`` lives inside a
 code: one is built only at the boundary, where ``from_rows`` checks
 outside rows, where ``FqCode(gen)`` unpacks a checked generator, and in
-``gen``, a view built on each access for callers outside the package.
+``gen``, a view built and checked on each access for callers outside
+the package.
 Every code spanned by rows (``from_rows`` after checking its matrix,
 the kernel in ``galois_dual``, ``RCode.from_generators``) goes through
 ``_span``: ``linalg._reduced`` takes rows that pass ``linalg.rref_scan``,
@@ -53,7 +54,7 @@ from .errors import (
     ZeroScaleError,
 )
 from .gf import GF
-from .linalg import Matrix, _eliminate, _reduced, rref_scan
+from .linalg import Matrix, _reduced, rref_scan
 from .value import Value
 
 DEFAULT_ENUM_CAP = 1_000_000
@@ -192,8 +193,8 @@ class FqCode(Value):
 
     @property
     def gen(self) -> Matrix:
-        """The RREF generator as a ``Matrix``: a view built on each access, for callers outside the package."""
-        return Matrix._derived(self.field, self.n, self.rows)
+        """The RREF generator as a ``Matrix``: a checked view built on each access, for callers outside the package."""
+        return Matrix(self.field, self.n, self.rows)
 
     @property
     def k(self) -> int:
@@ -245,7 +246,7 @@ class FqCode(Value):
                 for i, row in enumerate(rows):
                     row[i] = f.add(row[i], 1)
                 p = tuple(map(tuple, rows))
-                pivots, d = _eliminate(f, rows)
+                pivots, d = f._gauss(rows)
                 facts = (p, len(pivots), d)
             else:
                 facts = (None, mate[1], f.frobenius(mate[2], m))

@@ -1,4 +1,4 @@
-"""Dense exact linear algebra over GF(q).
+"""Dense exact linear algebra over GF(q): the checked boundary type and the one RREF route.
 
 A matrix is an immutable tuple of rows, each a tuple of field
 encodings, and carries its field and width.  Everything here is
@@ -10,10 +10,11 @@ The per-entry work lives in one elimination kernel and one Gram kernel
 that ``GF`` owns, each reading rows through views of their nonzero
 entries built in the call.  ``GF._gauss`` is the package's one Gauss
 loop: forward elimination gives pivot columns and the determinant
-together (``_eliminate``), and ``_reduced`` asks the same call to go on
-back to the reduced form.  ``_reduced`` is the package's one route into
-reduced row echelon form, and it works on rows: it eliminates only rows
-that ``rref_scan``, the one test of the form, turns down.  The form is
+together, and ``_reduced`` asks the same call to go on back to the
+reduced form.  Every elimination here and in the code modules calls it
+directly.  ``_reduced`` is the package's one route into reduced row
+echelon form, and it works on rows: it eliminates only rows that
+``rref_scan``, the one test of the form, turns down.  The form is
 unique, so rows that pass are their own, and a systematic generator
 [I | A] costs one O(k * n) read.  Code objects call ``_reduced`` and the
 Gram kernel on list rows directly and keep the results as rows, with no
@@ -22,12 +23,9 @@ matrices.  So the package builds a ``Matrix`` only at its boundary: to
 check outside rows, for a code's ``gen`` view, and for the Gram matrix
 the LCD construction hands to ``minor_search`` and ``lemma_det_check``.
 
-A matrix built from outside data, through ``Matrix(...)``,
-``Matrix.from_rows`` or ``Matrix.zero``, has its width and every entry
-checked.  A matrix computed from valid ones (a reduced form, a Gram
-product, a code's generator rows) is stored by ``Matrix._derived`` without
-the checks: field operations on field elements give field elements, and
-each derivation writes rows of the width it states.
+There is one way to build a matrix, ``Matrix(...)`` (``from_rows`` and
+``zero`` go through it), and it checks the width and every entry, so a
+matrix a derivation computes is checked like one from outside data.
 """
 
 from __future__ import annotations
@@ -43,8 +41,9 @@ from .value import Value
 class Matrix(Value):
     """A matrix over a finite field: its width ``ncols`` and a tuple of rows, each ``ncols`` entries.
 
-    The constructor checks the width and each entry (``__post_init__``);
-    ``_derived`` stores a matrix computed from valid ones without them.
+    The constructor, the one way to build a matrix, copies the rows into
+    tuples, so a caller may go on to overwrite its lists, and checks the
+    width and each entry (``__post_init__``).
     """
 
     __slots__ = ("field", "ncols", "rows")
@@ -54,27 +53,10 @@ class Matrix(Value):
     rows: tuple[tuple[int, ...], ...]
 
     def __init__(self, field: GF, ncols: int, rows: Iterable[Iterable[int]]) -> None:
-        self._fill(field, ncols, rows)
-        self.__post_init__()
-
-    def _fill(self, field: GF, ncols: int, rows: Iterable[Iterable[int]]) -> None:
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "ncols", ncols)
         object.__setattr__(self, "rows", tuple(map(tuple, rows)))
-
-    @classmethod
-    def _derived(cls, field: GF, ncols: int, rows: Iterable[Iterable[int]]) -> "Matrix":
-        """The matrix of ``rows`` computed from valid matrices, stored without the entry checks.
-
-        Only a derivation inside the package calls this: its rows are
-        ``ncols`` wide and hold results of ``field``'s operations on its
-        elements, so they would pass every check.  The rows are copied into
-        tuples like the constructor's, so the caller may go on to overwrite
-        its lists.
-        """
-        m = object.__new__(cls)
-        m._fill(field, ncols, rows)
-        return m
+        self.__post_init__()
 
     def __repr__(self) -> str:
         return f"Matrix(field={self.field!r}, ncols={self.ncols!r}, rows={self.rows!r})"
@@ -124,17 +106,6 @@ class Matrix(Value):
     @property
     def is_square(self) -> bool:
         return self.nrows == self.ncols
-
-
-def _eliminate(f: GF, rows: list[list[int]]) -> tuple[tuple[int, ...], int]:
-    """(pivot columns, determinant) of a list of rows by forward elimination.
-
-    The rows are overwritten with a row echelon form: row r is zero left
-    of pivot column r and every row below it is zero in that column.  The
-    determinant is 0 unless the rows form a square matrix of full rank; no
-    rows at all give ((), 1), the empty matrix's determinant.
-    """
-    return f._gauss(rows)
 
 
 def rref_scan(rows: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], int | None]:
@@ -191,19 +162,19 @@ def rref(m: Matrix) -> tuple[Matrix, int, tuple[int, ...]]:
     """
     rows, pivots = _reduced(m.field, m.rows)
     if rows is not m.rows:
-        m = Matrix._derived(m.field, m.ncols, rows)
+        m = Matrix(m.field, m.ncols, rows)
     return m, len(pivots), pivots
 
 
 def rank(m: Matrix) -> int:
-    return len(_eliminate(m.field, m.to_rows())[0])
+    return len(m.field._gauss(m.to_rows())[0])
 
 
 def det(m: Matrix) -> int:
     """Determinant by exact elimination; the empty matrix has determinant 1."""
     if not m.is_square:
         raise NotSquareError(f"determinant of a {m.nrows}x{m.ncols} matrix")
-    return _eliminate(m.field, m.to_rows())[1]
+    return m.field._gauss(m.to_rows())[1]
 
 
 def gram(g: Matrix, m: int) -> Matrix:
@@ -214,7 +185,7 @@ def gram(g: Matrix, m: int) -> Matrix:
     Gram kernel reads the entries below the diagonal from those above it
     when F^(2m) is the identity.
     """
-    return Matrix._derived(g.field, g.nrows, g.field._gram_rows(g.rows, m))
+    return Matrix(g.field, g.nrows, g.field._gram_rows(g.rows, m))
 
 
 def minor_det(p: Matrix, drop: Iterable[int]) -> int:
@@ -237,4 +208,4 @@ def minor_det(p: Matrix, drop: Iterable[int]) -> int:
         raise MismatchError(f"deletion indices {sorted(dropset)} outside [0, {m})")
     keep = [i for i in range(m) if i not in dropset]
     rows = p.rows
-    return _eliminate(p.field, [[rows[r][c] for c in keep] for r in keep])[1]
+    return p.field._gauss([[rows[r][c] for c in keep] for r in keep])[1]

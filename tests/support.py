@@ -1,14 +1,17 @@
 """Shared test helpers: random codes, every code of a small space, every ring word as
 ``RingElement``s, an identity matrix, a reference matrix product, Gauss-Jordan and
 kernel, a reference ring in the (1, u, v, uv) basis with its Frobenius and Galois dual,
-a Gray-walk step counter, and CLI parser."""
+a Gray-walk step counter, the ``kernel_work`` fixture, and CLI parser."""
 
 from __future__ import annotations
 
 import argparse
 import itertools
 import random
+import sys
 from typing import Iterator, NoReturn
+
+import pytest
 
 from lcdring import GF, FqCode, Matrix, RCode, RingElement, fqcode, oracle
 from lcdring.cli import _cmd_analyze, _cmd_construct, _cmd_dual, _cmd_gray, _cmd_mindist, _cmd_verify
@@ -198,6 +201,53 @@ def reduced_as_given(field: GF, rows) -> bool:
     """Whether ``rows`` are already their own RREF: Gauss-Jordan leaves every row as it is, and none is zero."""
     want, pivots = gauss_jordan(field, rows)
     return want == [list(row) for row in rows] and len(pivots) == len(rows)
+
+
+class KernelWork:
+    """The work at the row kernels, recorded where lcdring calls them.
+
+    Three class attributes are wrapped, so every count reads one record
+    whichever module the call comes from: ``gauss`` holds (caller, reduce)
+    for each ``GF._gauss`` call, ``grams`` (caller, m, code) for each
+    ``GF._gram_rows`` call, the code being the ``FqCode`` whose P
+    ``_gram_facts`` builds (kept so its id stays unique) and None for any
+    other caller, and ``spans`` (caller, field, rows) for each
+    ``FqCode._span`` call, the one way a code module reaches the reduction
+    route.  The wrappers are undone with ``monkeypatch``.
+    """
+
+    def __init__(self, monkeypatch) -> None:
+        self.gauss: list = []
+        self.grams: list = []
+        self.spans: list = []
+        real_gauss, real_gram_rows, real_span = GF._gauss, GF._gram_rows, FqCode._span
+
+        def gauss(f, rows, reduce=False):
+            self.gauss.append((sys._getframe(1).f_code.co_name, reduce))
+            return real_gauss(f, rows, reduce)
+
+        def gram_rows(f, rows, m):
+            caller = sys._getframe(1)
+            name = caller.f_code.co_name
+            self.grams.append((name, m, caller.f_locals["self"] if name == "_gram_facts" else None))
+            return real_gram_rows(f, rows, m)
+
+        def span(cls, field, n, rows):
+            self.spans.append((sys._getframe(1).f_code.co_name, field, rows))
+            return real_span(field, n, rows)
+
+        monkeypatch.setattr(GF, "_gauss", gauss)
+        monkeypatch.setattr(GF, "_gram_rows", gram_rows)
+        monkeypatch.setattr(FqCode, "_span", classmethod(span))
+
+    def unreduced(self) -> int:
+        """How many of the row lists spanned are not already their own RREF: exactly those are eliminated."""
+        return sum(not reduced_as_given(f, rows) for _, f, rows in self.spans)
+
+
+@pytest.fixture
+def kernel_work(monkeypatch) -> KernelWork:
+    return KernelWork(monkeypatch)
 
 
 # An independent kernel route (two rref passes, pivots found afresh); the

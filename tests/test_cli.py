@@ -15,10 +15,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import lcdring
-from lcdring import GF, FqCode, RCode, cli, construct, errors, fqcode, linalg, oracle
+from lcdring import GF, FqCode, Matrix, RCode, cli, construct, errors, fqcode, oracle
 from lcdring.cli import COMMANDS, _analysis, main, parse_args
 from lcdring.codefile import parse_code
-from support import build_parser, random_fqcode, random_rcode, reduced_as_given
+from support import build_parser, kernel_work, random_fqcode, random_rcode
 
 SAMPLE_DIR = pathlib.Path(__file__).parent.parent / "sample_codes"
 SAMPLES = sorted(SAMPLE_DIR.glob("*.json"))
@@ -750,7 +750,7 @@ def _file_jobs():
 
 
 @pytest.mark.parametrize("argv, golden, passes", list(_file_jobs()))
-def test_dual_and_gray_files_match_golden(argv, golden, passes, gram_work, monkeypatch, capsys):
+def test_dual_and_gray_files_match_golden(argv, golden, passes, kernel_work, capsys):
     """The written code, byte for byte, and the work behind it.
 
     Parsing runs one reduction pass per component.  dual adds one kernel
@@ -758,17 +758,11 @@ def test_dual_and_gray_files_match_golden(argv, golden, passes, gram_work, monke
     twist; gray adds nothing.  A pass eliminates exactly when its rows
     are not already reduced.
     """
-    real, callers = fqcode.FqCode._span, []
-
-    def recording_span(cls, field, n, rows):
-        callers.append(sys._getframe(1).f_code.co_name)
-        return real(field, n, rows)
-
-    monkeypatch.setattr(fqcode.FqCode, "_span", classmethod(recording_span))
     assert main(argv) == 0
     assert capsys.readouterr().out.encode("utf-8") == (GOLDEN / golden).read_bytes()
-    assert len(gram_work["reductions"]) == passes
-    assert gram_work["eliminations"] == ["_reduced"] * unreduced(gram_work)
+    assert len(kernel_work.spans) == passes
+    assert split_eliminations(kernel_work)[1] == ["_reduced"] * kernel_work.unreduced()
+    callers = [caller for caller, _, _ in kernel_work.spans]
     assert callers.count("galois_dual") == (4 if argv[0] == "dual" else 0)
 
 
@@ -814,63 +808,19 @@ def test_construct_outputs_match_golden(argv, stem, tmp_path, capsys):
     assert report.read_bytes() == (GOLDEN / f"{stem}.report.json").read_bytes()
 
 
-@pytest.fixture
-def gram_work(monkeypatch):
-    """Gram products and eliminations, recorded where lcdring calls them.
-
-    ``codes`` holds (code, twist) for each P an FqCode builds, one
-    ``GF._gram_rows`` call from ``FqCode._gram_facts``, and ``elsewhere``
-    the caller of any other Gram kernel call; codes are kept so their ids
-    stay unique.  ``code_eliminations`` names the caller of each forward
-    elimination FqCode runs itself, and ``eliminations`` that of every
-    other one, and ``_reduced`` for each elimination kernel call that goes
-    on to the reduced form.  ``reductions`` holds (field, rows) for each
-    call of the one reduction route, ``linalg._reduced``, and ``unreduced``
-    counts those whose rows are not already their own RREF
-    (``reduced_as_given``): exactly those are eliminated.
-    """
-    from lcdring import construct
-
-    work = {"codes": [], "elsewhere": [], "eliminations": [], "code_eliminations": [], "reductions": []}
-    real_gram_rows, real_elim, real_reduced, real_gauss = GF._gram_rows, linalg._eliminate, linalg._reduced, GF._gauss
-
-    def recording_gram_rows(f, rows, m):
-        caller = sys._getframe(1)
-        if caller.f_code.co_name == "_gram_facts":
-            work["codes"].append((caller.f_locals["self"], m))
-        else:
-            work["elsewhere"].append(caller.f_code.co_name)
-        return real_gram_rows(f, rows, m)
-
-    def recording_reduced(f, rows):
-        work["reductions"].append((f, rows))
-        return real_reduced(f, rows)
-
-    def counting_elim(key):
-        return lambda f, rows: work[key].append(sys._getframe(1).f_code.co_name) or real_elim(f, rows)
-
-    def counting_gauss(f, rows, reduce=False):
-        if reduce:
-            work["eliminations"].append(sys._getframe(1).f_code.co_name)
-        return real_gauss(f, rows, reduce)
-
-    monkeypatch.setattr(GF, "_gram_rows", recording_gram_rows)
-    monkeypatch.setattr(linalg, "_eliminate", counting_elim("eliminations"))
-    monkeypatch.setattr(construct, "_eliminate", counting_elim("eliminations"))
-    monkeypatch.setattr(fqcode, "_eliminate", counting_elim("code_eliminations"))
-    monkeypatch.setattr(linalg, "_reduced", recording_reduced)
-    monkeypatch.setattr(fqcode, "_reduced", recording_reduced)
-    monkeypatch.setattr(GF, "_gauss", counting_gauss)
-    return work
+def code_builds(work):
+    """(id of the code, m) for each P an FqCode builds, one ``GF._gram_rows`` call from ``_gram_facts``."""
+    return [(id(code), m) for caller, m, code in work.grams if caller == "_gram_facts"]
 
 
-def unreduced(work):
-    """How many of the row lists handed to the reduction route it must eliminate."""
-    return sum(not reduced_as_given(f, rows) for f, rows in work["reductions"])
+def split_eliminations(work):
+    """(callers of the eliminations FqCode runs itself, callers of every other one)."""
+    callers = [caller for caller, _ in work.gauss]
+    return [c for c in callers if c == "_gram_facts"], [c for c in callers if c != "_gram_facts"]
 
 
 @pytest.mark.parametrize("sample", [*SAMPLES, "gf16"], ids=lambda p: getattr(p, "name", p))
-def test_analyze_builds_one_gram_and_one_elimination_per_component_and_twist(sample, gram_work, tmp_path, capsys):
+def test_analyze_builds_one_gram_and_one_elimination_per_component_and_twist(sample, kernel_work, tmp_path, capsys):
     """A twist l and its mate e - l share one build: analyze asks l = 0, 1, ..., e - 1."""
     if sample == "gf16":
         sample = tmp_path / "gf16.json"
@@ -878,17 +828,19 @@ def test_analyze_builds_one_gram_and_one_elimination_per_component_and_twist(sam
     assert main(["analyze", str(sample), "--json", "-"]) == 0
     # the only eliminations outside FqCode are those of the four parse
     # reduction passes whose component rows are not already reduced
-    assert len(gram_work["reductions"]) == 4
+    assert len(kernel_work.spans) == 4
     doc = json.loads(sample.read_text())
     if "components" in doc:
-        assert [list(map(list, rows)) for _, rows in gram_work["reductions"]] == doc["components"]
-    assert gram_work["eliminations"] == ["_reduced"] * unreduced(gram_work) and gram_work["elsewhere"] == []
+        assert [list(map(list, rows)) for _, _, rows in kernel_work.spans] == doc["components"]
+    code_eliminations, eliminations = split_eliminations(kernel_work)
+    assert eliminations == ["_reduced"] * kernel_work.unreduced()
+    builds = code_builds(kernel_work)
+    assert len(builds) == len(kernel_work.grams)  # no Gram product outside FqCode
     e = parse_code(sample.read_text()).field.e
-    builds = [(id(c), m) for c, m in gram_work["codes"]]
     assert len(set(builds)) == len(builds) == 4 * (e // 2 + 1)
     # each component builds twist l = e - m for one l of every orbit {l, e - l}
     assert sorted(min(e - m, m % e) for _, m in builds) == sorted([*range(e // 2 + 1)] * 4)
-    assert gram_work["code_eliminations"] == ["_gram_facts"] * (4 * (e // 2 + 1))
+    assert code_eliminations == ["_gram_facts"] * (4 * (e // 2 + 1))
 
 
 @pytest.mark.parametrize(
@@ -896,7 +848,7 @@ def test_analyze_builds_one_gram_and_one_elimination_per_component_and_twist(sam
     [("gf4_mixed_mds.json", "euclid"), ("gf5_self_dual_line.json", "euclid"),
      ("gf9_twisted_hull.json", "euclid"), ("gf9_twisted_hull.json", "galois")],
 )
-def test_construct_builds_one_gram_per_code_object_and_twist(name, mode, gram_work, tmp_path, capsys):
+def test_construct_builds_one_gram_per_code_object_and_twist(name, mode, kernel_work, tmp_path, capsys):
     argv = ["construct-lcd", str(SAMPLES[0].parent / name), "--mode", mode, "--json", "-"]
     argv += ["--l", "1"] if mode == "galois" else []
     assert main(argv + ["-o", str(tmp_path / "out.json")]) == 0
@@ -904,17 +856,44 @@ def test_construct_builds_one_gram_per_code_object_and_twist(name, mode, gram_wo
     scaled = sum(c is not None for c in json.loads(out[out.index("\n{") + 1 :])["components"])
     # the four input components and each scaled component's output; the
     # assembled code reuses those objects, and construct builds no P itself
-    builds = [(id(c), m) for c, m in gram_work["codes"]]
+    builds = code_builds(kernel_work)
     assert len(set(builds)) == len(builds) == 4 + scaled
-    assert len(gram_work["code_eliminations"]) == len(builds)
-    assert gram_work["elsewhere"] == []
+    assert len(split_eliminations(kernel_work)[0]) == len(builds)
+    assert len(builds) == len(kernel_work.grams)  # no Gram product outside FqCode
+
+
+@pytest.mark.parametrize(
+    "name,mode",
+    [("gf5_self_dual_line.json", "euclid"), ("gf9_twisted_hull.json", "galois")],
+)
+def test_construct_checks_every_matrix_it_builds(name, mode, monkeypatch, tmp_path, capsys):
+    """construct-lcd builds a Matrix for each parsed component and for each scaled component's k x k P,
+    and every one of them runs the constructor's checks."""
+    path = SAMPLES[0].parent / name
+    comps = parse_code(path.read_text()).comps
+    checked = []
+    real = Matrix.__post_init__
+
+    def counted(self):
+        checked.append(self.nrows)
+        real(self)
+
+    monkeypatch.setattr(Matrix, "__post_init__", counted)
+    argv = ["construct-lcd", str(path), "--mode", mode, "--json", "-"]
+    argv += ["--l", "1"] if mode == "galois" else []
+    assert main(argv + ["-o", str(tmp_path / "out.json")]) == 0
+    out = capsys.readouterr().out
+    certs = json.loads(out[out.index("\n{") + 1 :])["components"]
+    scaled = [c.k for c, cert in zip(comps, certs) if cert is not None]
+    assert scaled
+    assert checked == [len(rows) for rows in json.loads(path.read_text())["components"]] + scaled
 
 
 GF16_FILE = {"field": {"p": 2, "e": 4}, "n": 2, "components": [[[1, 7]], [], [[1, 1]], [[0, 1]]]}
 
 
 @pytest.mark.parametrize("sample", [*SAMPLES, "gf16"], ids=lambda p: getattr(p, "name", p))
-def test_verify_eliminations_do_not_depend_on_e(sample, gram_work, tmp_path, capsys):
+def test_verify_eliminations_do_not_depend_on_e(sample, kernel_work, tmp_path, capsys):
     if sample == "gf16":
         sample = tmp_path / "gf16.json"
         sample.write_text(json.dumps(GF16_FILE))
@@ -922,5 +901,5 @@ def test_verify_eliminations_do_not_depend_on_e(sample, gram_work, tmp_path, cap
     # 4 parse passes, one kernel (1 reduction pass) per component and one for
     # the gray image; every twist reads the same kernels, and a pass
     # eliminates exactly when its rows are not already reduced
-    assert len(gram_work["reductions"]) == 9
-    assert gram_work["eliminations"] == ["_reduced"] * unreduced(gram_work)
+    assert len(kernel_work.spans) == 9
+    assert split_eliminations(kernel_work)[1] == ["_reduced"] * kernel_work.unreduced()

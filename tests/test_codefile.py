@@ -20,7 +20,7 @@ from lcdring.codefile import (
 )
 from lcdring.errors import BadModulusError, NotPrimeError, ParseError
 
-from support import random_rcode
+from support import kernel_work, random_rcode
 
 F5 = GF(5)
 
@@ -255,11 +255,9 @@ def test_rows_bounded_before_any_matrix(monkeypatch):
     ],
     ids=["component", "generator"],
 )
-def test_values_refused_before_any_elimination(monkeypatch, doc, message):
+def test_values_refused_before_any_elimination(kernel_work, doc, message):
     """A bad value in the last component or generator row costs no reduction of the earlier ones."""
-    eliminations = []
-    real = GF._gauss
-    monkeypatch.setattr(GF, "_gauss", lambda *a: eliminations.append(a) or real(*a))
+    eliminations = kernel_work.gauss
     doc = {"field": {"p": 5}, "n": 3, **doc}
     with pytest.raises(ParseError) as info:
         parse_code(json.dumps(doc))

@@ -15,7 +15,8 @@ from lcdring.construct import (
     DEFAULT_DIM_CAP,
     MinorCertificate,
     _beta,
-    _factors,
+    _factor,
+    _roots_of_unity,
     euclid_lcd_scaling,
     galois_lcd_scaling,
     lemma_det_check,
@@ -31,6 +32,7 @@ from lcdring.errors import (
     SupportMismatchError,
     ZeroCodeError,
 )
+from lcdring.gf import _prime_divisors
 from lcdring.linalg import det, minor_det
 from lcdring.ring import gamma_to_u
 
@@ -570,16 +572,27 @@ FACTOR_FIELDS = {
 }
 
 
+def listed_factors(field, b_exp):
+    """Every unit a with a^b_exp != 1, in encoding order: _factor at each index off the roots of unity."""
+    roots = _roots_of_unity(field, b_exp)
+    return [_factor(roots, i) for i in range(field.q - 1 - len(roots))]
+
+
+# every field of order at most 64
+SMALL_FIELDS = [(p, e) for p in range(2, 65) if _prime_divisors(p) == [p] for e in range(1, 7) if p**e <= 64]
+
+
 class TestFactorRule:
     @pytest.mark.parametrize("pe", FACTOR_FIELDS, ids=lambda pe: f"GF({pe[0]}^{pe[1]})")
     def test_one_rule_matches_both_definitions(self, pe):
-        """A twist is admitted exactly when some unit a has a^(p^(e-l)+1) != 1; _factors lists those units."""
+        """A twist is admitted exactly when some unit a has a^(p^(e-l)+1) != 1; _factor at each index
+        off the roots of unity lists those units."""
         field = GF(*pe)
         admitted, paper = [], []
         for l in range(field.e):
             b_exp = field.p ** (field.e - l) + 1
             factors = [x for x in field.units() if field.pow(x, b_exp) != 1]
-            assert _factors(field, b_exp) == factors
+            assert listed_factors(field, b_exp) == factors
             try:
                 beta = _beta(field, l)
             except FieldTooSmallError:
@@ -594,7 +607,31 @@ class TestFactorRule:
         assert (tuple(admitted), tuple(paper)) == FACTOR_FIELDS[pe]
         if 0 in admitted:
             assert _beta(field, 0) is None
-            assert _factors(field, field.q + 1) == [x for x in field.units() if x not in (1, field.neg(1))]
+            assert listed_factors(field, field.q + 1) == [x for x in field.units() if x not in (1, field.neg(1))]
+
+    @pytest.mark.parametrize("pe", SMALL_FIELDS, ids=lambda pe: f"GF({pe[0]}^{pe[1]})")
+    def test_choices_match_the_list_form(self, pe):
+        """The factor a scaling draws, unseeded or seeded, is the one the list of all admissible
+        units gave: its first entry, or rng.choice of it."""
+        field = GF(*pe)
+        p = field.p
+        # k disjoint all-ones rows of length p: each pairs to p * 1 = 0 with itself at every
+        # twist, so P = 0 and every row is a deletion position
+        k = 3
+        code = FqCode.from_rows(field, k * p, [[int(c // p == r) for c in range(k * p)] for r in range(k)])
+        for l in range(field.e):
+            b_exp = field.p ** (field.e - l) + 1
+            factors = [x for x in field.units() if field.pow(x, b_exp) != 1]
+            if not factors:
+                with pytest.raises(FieldTooSmallError):
+                    galois_lcd_scaling(code, l)
+                continue
+            for seed in [None, *range(21)]:
+                rng = random.Random(seed)
+                want = [rng.choice(factors) if seed is not None else factors[0] for _ in range(k)]
+                alpha, _, cert = galois_lcd_scaling(code, l, seed)
+                assert cert.minor.r_set == tuple(range(k))
+                assert [alpha[c] for c in code.pivots] == want
 
     def test_refusals(self):
         for l in (True, 1.0, "1", -1, 2, None):

@@ -1,11 +1,13 @@
-"""Derived values: built without the constructors' checks, and equal to what the checks would build.
+"""Derived values: equal to what the checked constructors would build.
 
-``Matrix._derived`` and ``FqCode._derived`` store a value computed from
-valid ones without checking it again.  Each derivation is rebuilt here
-through the checked public constructors, ``Matrix(...)`` and
-``FqCode(gen)``: the rebuilt value must be equal, and a code must have
-the same pivots.  AST guards name the only call sites of the private
-constructors and the only places a code module builds a ``Matrix``.
+``FqCode._derived`` stores a code computed from valid ones without the
+constructor's scan; ``Matrix(...)``, which checks every entry, is the
+one way to build a matrix.  Each derivation is rebuilt here through the
+checked public constructors, ``Matrix(...)`` and ``FqCode(gen)``: the
+rebuilt value must be equal, and a code must have the same pivots.  AST
+guards name the only call sites of the private constructors, among them
+the only place a value is made without its class's ``__init__``, and the
+only places a code module builds a ``Matrix``.
 """
 
 import ast
@@ -67,22 +69,19 @@ def test_every_derivation_passes_the_checked_constructors(data):
 
 
 SRC = pathlib.Path(lcdring.__file__).parent
-PRIVATE = ("_derived", "_fill")
+# __new__ makes a value without its class's __init__, so it counts as a private constructor
+PRIVATE = ("_derived", "_fill", "__new__")
 
-# (module, enclosing function, callee): the only places a value skips its checks
+# (module, enclosing function, callee): the only places a value skips its checks; only
+# FqCode._derived makes a value without __init__, so every Matrix is checked
 PRIVATE_CONSTRUCTION_SITES = {
-    ("linalg", "Matrix.__init__", "self._fill"),
-    ("linalg", "Matrix._derived", "m._fill"),
-    ("linalg", "rref", "Matrix._derived"),
-    ("linalg", "gram", "Matrix._derived"),
     ("fqcode", "FqCode.__init__", "self._fill"),
+    ("fqcode", "FqCode._derived", "object.__new__"),
     ("fqcode", "FqCode._derived", "c._fill"),
     ("fqcode", "FqCode._span", "FqCode._derived"),
-    ("fqcode", "FqCode.gen", "Matrix._derived"),
     ("fqcode", "FqCode.galois_dual", "FqCode._derived"),
     ("fqcode", "FqCode.scale", "FqCode._derived"),
     ("rcode", "RCode.gray_image", "FqCode._derived"),
-    ("construct", "galois_lcd_scaling", "Matrix._derived"),
 }
 
 
@@ -118,9 +117,9 @@ def test_private_constructors_are_called_only_by_derivations():
 MATRIX_BOUNDARY = {
     ("fqcode", "FqCode.from_rows", "Matrix.from_rows"),
     ("fqcode", "FqCode.zero", "Matrix.zero"),
-    ("fqcode", "FqCode.gen", "Matrix._derived"),
+    ("fqcode", "FqCode.gen", "Matrix"),
     ("codefile", "parse_code", "Matrix.from_rows"),
-    ("construct", "galois_lcd_scaling", "Matrix._derived"),
+    ("construct", "galois_lcd_scaling", "Matrix"),
 }
 
 

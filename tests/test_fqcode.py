@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lcdring import GF, FqCode, Matrix, RCode, RingElement, fqcode, linalg, oracle
+from lcdring import GF, FqCode, Matrix, RCode, RingElement, fqcode, oracle
 from lcdring.errors import (
     BadLError,
     CapExceededError,
@@ -19,7 +19,7 @@ from lcdring.errors import (
 from lcdring.fqcode import _projective_steps, count_text
 from lcdring.linalg import gram, rank, rref
 
-from support import identity, matmul, nullspace_basis, random_fqcode
+from support import identity, kernel_work, matmul, nullspace_basis, random_fqcode
 
 F5 = GF(5)
 F9 = GF(3, 2, [1, 0, 1])
@@ -67,18 +67,15 @@ class TestConstruction:
             [[1, 2], [0, 0]],  # zero row
         ],
     )
-    def test_direct_generator_must_be_rref(self, rows, monkeypatch):
+    def test_direct_generator_must_be_rref(self, rows, kernel_work):
         with pytest.raises(MismatchError, match="reduced row echelon"):
             FqCode(Matrix.from_rows(F5, rows))
-        forward = []
-        real = GF._gauss
-        monkeypatch.setattr(GF, "_gauss", lambda *a: forward.append(a) or real(*a))
         # the constructor's near miss is one for rref too, which eliminates it ...
         c = code(F5, 2, rows)
-        assert len(forward) == 1
+        assert len(kernel_work.gauss) == 1
         assert FqCode(c.gen) == c
         # ... and takes the reduced generator as it is
-        assert rref(c.gen) == (c.gen, c.k, c.pivots) and len(forward) == 1
+        assert rref(c.gen) == (c.gen, c.k, c.pivots) and len(kernel_work.gauss) == 1
 
 
 class TestGaloisDual:
@@ -458,7 +455,7 @@ def test_gram_facts_match_the_full_generator_in_any_twist_order(data):
     twists = [*range(e)]
     for l in data.draw(st.sampled_from([twists, twists[::-1], data.draw(st.permutations(twists))])):
         p = gram(c.gen, e - l)
-        pivots, d = linalg._eliminate(f, p.to_rows())
+        pivots, d = f._gauss(p.to_rows())
         mate_first = l not in c._grams and (e - l) % e in c._grams
         facts = c._gram_facts(l)
         assert facts[1:] == (len(pivots), d)
@@ -472,8 +469,8 @@ def test_gram_facts_match_the_full_generator_in_any_twist_order(data):
 
 
 @pytest.mark.parametrize("field", [F5, GF(2, 2), F9], ids=str)
-def test_first_facts_wrap_only_what_they_store(field, monkeypatch):
-    """Work behind a fresh code's first facts, with Matrix constructions counted both ways.
+def test_first_facts_wrap_only_what_they_store(field, kernel_work, monkeypatch):
+    """Work behind a fresh code's first facts, with Matrix constructions counted.
 
     A code is its rows, so none of these builds a Matrix: from_rows on an
     unreduced matrix makes one reducing kernel call, the first hull_dim(l)
@@ -481,34 +478,21 @@ def test_first_facts_wrap_only_what_they_store(field, monkeypatch):
     at most one reducing kernel call.
     """
     given = Matrix.from_rows(field, [[2, 1, 3, 1], [1, 3, 1, 2]])
-    work = {}
-    real_gram, real_gauss, real_elim = GF._gram_rows, GF._gauss, fqcode._eliminate
-    real_derived, real_init = Matrix._derived.__func__, Matrix.__init__
-
-    def counted(name, fn):
-        def call(*args):
-            work[name] = work.get(name, 0) + 1
-            return fn(*args)
-        return call
-
-    def gauss(f, rows, reduce=False):
-        return counted("reduce" if reduce else "forward", real_gauss)(f, rows, reduce)
-
-    monkeypatch.setattr(GF, "_gram_rows", counted("gram", real_gram))
-    monkeypatch.setattr(GF, "_gauss", gauss)
-    monkeypatch.setattr(fqcode, "_eliminate", counted("eliminate", real_elim))
-    monkeypatch.setattr(Matrix, "_derived", classmethod(counted("matrix", real_derived)))
-    monkeypatch.setattr(Matrix, "__init__", counted("matrix", real_init))
+    matrices = []
+    real_init = Matrix.__init__
+    monkeypatch.setattr(Matrix, "__init__", lambda *args: matrices.append(args) or real_init(*args))
     for l in range(field.e):
-        work.clear()
+        kernel_work.gauss.clear()
         c = FqCode.from_rows(field, 4, given)
-        assert work == {"reduce": 1}
-        work.clear()
+        assert kernel_work.gauss == [("_reduced", True)] and kernel_work.grams == [] and matrices == []
+        kernel_work.gauss.clear()
         c.hull_dim(l)
-        assert work == {"gram": 1, "eliminate": 1, "forward": 1}
-        work.clear()
+        assert kernel_work.gauss == [("_gram_facts", False)] and matrices == []
+        assert [(caller, code) for caller, _, code in kernel_work.grams] == [("_gram_facts", c)]
+        kernel_work.gauss.clear()
+        kernel_work.grams.clear()
         c.galois_dual(0)
-        assert work.pop("reduce", 0) <= 1 and work == {}
+        assert kernel_work.gauss in ([], [("_reduced", True)]) and kernel_work.grams == [] and matrices == []
 
 
 @pytest.mark.parametrize(
@@ -594,7 +578,7 @@ class TestScale:
         f = GF(2, 3)
         c = code(f, 4, [[1, 0, 3, 5], [0, 1, 6, 7]])
         want = code(f, 4, [[f.mul(v, a) for v, a in zip(row, [2, 3, 4, 5])] for row in c.gen.to_rows()])
-        for owner, name in ((fqcode, "_reduced"), (fqcode, "_eliminate"), (linalg, "_eliminate"), (GF, "_gauss")):
+        for owner, name in ((fqcode, "_reduced"), (GF, "_gauss")):
             monkeypatch.setattr(owner, name, refuse)
         assert c.scale([2, 3, 4, 5]) == want
 

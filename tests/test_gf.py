@@ -604,7 +604,7 @@ def _column_clears(draw):
 
 @settings(max_examples=600, deadline=None)
 @given(_column_clears())
-def test_clear_column_matches_a_scalar_update(case):
+def test_gauss_row_update_matches_a_scalar_update(case):
     f, col, pivot_row, rows = case
     want = []
     for row in rows:

@@ -2,17 +2,16 @@
 
 import itertools
 import random
-from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lcdring import GF, FqCode, Matrix, fqcode, linalg
+from lcdring import GF, FqCode, Matrix, fqcode
 from lcdring.errors import ConsistencyError, MismatchError, NotSquareError
-from lcdring.linalg import _eliminate, det, gram, minor_det, rank, rref
+from lcdring.linalg import det, gram, minor_det, rank, rref
 
-from support import gauss_jordan, identity, matmul
+from support import KernelWork, gauss_jordan, identity, kernel_work, matmul
 
 F5 = GF(5)
 F9 = GF(3, 2, [1, 0, 1])
@@ -276,16 +275,17 @@ def test_rref_matches_textbook_gauss_jordan(case):
     f, ncols, rows = case
     want, want_pivots = gauss_jordan(f, rows)
     given_m = m(f, rows, ncols=ncols)
-    with mock.patch.object(GF, "_gauss", autospec=True, side_effect=GF._gauss) as kernel:
+    with pytest.MonkeyPatch.context() as patch:
+        work = KernelWork(patch)
         reduced, rk, pivots = rref(given_m)
     assert reduced.to_rows() == want
     assert (rk, pivots) == (len(want_pivots), want_pivots)
     # rows Gauss-Jordan leaves as they are, none of them zero, are taken without an elimination
     already = want == rows and rk == len(rows)
-    assert kernel.call_count == (0 if already else 1)
+    assert len(work.gauss) == (0 if already else 1)
     assert (reduced is given_m) == already
     echelon = [list(row) for row in rows]
-    assert _eliminate(f, echelon)[0] == pivots
+    assert f._gauss(echelon)[0] == pivots
     # the forward pass leaves true zeros left of each pivot, below it, and past the rank
     for r, c in enumerate(pivots):
         assert echelon[r][c] and not any(echelon[r][:c])
@@ -350,7 +350,7 @@ def test_eliminate_matches_a_scalar_gauss_loop(case):
     f, ncols, rows = case
     want_rows, want_pivots, want_det = scalar_eliminate(f, rows)
     got = [list(row) for row in rows]
-    assert _eliminate(f, got) == (want_pivots, want_det)
+    assert f._gauss(got) == (want_pivots, want_det)
     assert got == want_rows
     reduced = [list(row) for row in rows]
     assert f._gauss(reduced, True) == (want_pivots, want_det)
@@ -358,16 +358,12 @@ def test_eliminate_matches_a_scalar_gauss_loop(case):
 
 
 @pytest.mark.parametrize("field", [GF(2), F5, GF(2, 3), F243], ids=str)
-def test_one_rref_is_one_kernel_call(field):
+def test_one_rref_is_one_kernel_call(field, kernel_work):
     """rref of a matrix that is not in reduced form runs the whole Gauss loop, forward and back,
     in one elimination kernel call, and no separate forward elimination."""
     rows = [[0, 1, 1], [1, 1, 0], [1, 0, 1]]
-    calls = []
-    real = GF._gauss
-    with mock.patch.object(GF, "_gauss", lambda *a: calls.append(a[2:]) or real(*a)), \
-            mock.patch.object(linalg, "_eliminate", side_effect=AssertionError("forward pass alone")):
-        reduced, rk, pivots = rref(m(field, rows))
-    assert calls == [(True,)]
+    reduced, rk, pivots = rref(m(field, rows))
+    assert kernel_work.gauss == [("_reduced", True)]
     assert (reduced.to_rows(), pivots) == gauss_jordan(field, rows)
 
 
@@ -385,21 +381,21 @@ class TestRankDet:
             b = m(field, [[rng.randrange(field.q) for _ in range(k)] for _ in range(r)], ncols=k)
             p = matmul(a, b) if r < k else m(field, [[rng.randrange(field.q) for _ in range(k)] for _ in range(k)], ncols=k)
             rows = p.to_rows()
-            pivots, d = _eliminate(field, p.to_rows())
+            pivots, d = field._gauss(p.to_rows())
             assert pivots == rref(p)[2] and len(pivots) == rank(p)
             assert d == leibniz_det(field, rows) == det(p)
             assert (d != 0) == (len(pivots) == k)
             singular += d == 0
             if d and k >= 2:  # swapping two rows negates the determinant
                 rows[0], rows[1] = rows[1], rows[0]
-                assert _eliminate(field, rows)[1] == field.neg(d)
+                assert field._gauss(rows)[1] == field.neg(d)
         assert 10 <= singular <= 110
 
     def test_wide_and_tall_rows_have_rank_and_no_determinant(self):
-        assert _eliminate(F5, [[1, 2, 3], [2, 4, 2]]) == ((0, 2), 0)
-        assert _eliminate(F5, [[1, 2, 3], [2, 4, 1]]) == ((0,), 0)
-        assert _eliminate(F5, [[1], [2], [0]]) == ((0,), 0)
-        assert _eliminate(F5, []) == ((), 1)
+        assert F5._gauss([[1, 2, 3], [2, 4, 2]]) == ((0, 2), 0)
+        assert F5._gauss([[1, 2, 3], [2, 4, 1]]) == ((0,), 0)
+        assert F5._gauss([[1], [2], [0]]) == ((0,), 0)
+        assert F5._gauss([]) == ((), 1)
 
 
 class TestGram:

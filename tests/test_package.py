@@ -106,12 +106,17 @@ def test_one_route_into_reduced_form():
 
 
 def test_row_kernels_have_one_caller_each():
-    """The elimination kernel has one caller per pass, forward elimination and the reduction route,
-    the Gram kernel one per Gram matrix, a code's P and the public gram, views are built inside
-    those two kernels, and no module reads a kernel other than by calling it."""
+    """Every elimination calls the elimination kernel directly, with no pass-through between: a
+    code's P, the minor search and its determinant check, the reduction route and the public rank,
+    det and minor_det.  The Gram kernel has one caller per Gram matrix, a code's P and the public
+    gram, views are built inside those two kernels, and no module reads a kernel other than by
+    calling it."""
     sites = {kernel: _call_sites(kernel) for kernel in ("_gauss", "_gram_rows")}
     assert sites == {
-        "_gauss": ["linalg.py:_eliminate", "linalg.py:_reduced"],
+        "_gauss": [
+            "construct.py:minor_search", "construct.py:lemma_det_check", "fqcode.py:_gram_facts",
+            "linalg.py:_reduced", "linalg.py:det", "linalg.py:minor_det", "linalg.py:rank",
+        ],
         "_gram_rows": ["fqcode.py:_gram_facts", "linalg.py:gram"],
     }
     assert not {"_clear_column", "_view"} & set(vars(lcdring.GF))
