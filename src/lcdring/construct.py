@@ -191,7 +191,7 @@ def _beta(field: GF, l: int) -> int | None:
     beta = (q - 1) / (p^(e-l) + 1) where that division is exact (the
     paper's condition), else None.
     """
-    base = field.p ** (field.e - field.check_twist(l)) + 1
+    base = field._gram_power(l)[1]
     if base % (field.q - 1) == 0:
         raise FieldTooSmallError(
             f"q - 1 = {field.q - 1} divides p^(e-l) + 1 = {base}: at l = {l} "
@@ -238,7 +238,7 @@ def galois_lcd_scaling(
     beta = _beta(f, l)
     if code.k == 0:
         raise ZeroCodeError("nothing to scale in the zero code")
-    b_exp = f.p ** code._twist(l) + 1
+    b_exp = f._gram_power(l)[1]
     # code.rows is the RREF generator: column pivots[j] is the unit vector e_j
     pivots = code.pivots
     # the memo's P, built and checked once for the public minor_search and lemma_det_check

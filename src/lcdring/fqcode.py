@@ -36,8 +36,8 @@ of e (``GF._gram_rows``).  The mate twist l' = (e - l) mod e has
 P = F^(l')(P')^T, so each code object builds one P and runs one
 elimination per twist orbit {l, e - l}, memoized, and reads the mate's
 rank and determinant off it: rank P and det P answer every hull and LCD
-predicate.  The mate's P itself is written only when the LCD
-construction asks for it (``_gram``).
+predicate.  Every P comes from that one build (``_build_gram``); the
+mate's is built only when the LCD construction asks for it (``_gram``).
 """
 
 from __future__ import annotations
@@ -219,32 +219,31 @@ class FqCode(Value):
             object.__setattr__(self, "_free", free)
             return free
 
-    def _twist(self, l: int) -> int:
-        """Frobenius power m = e - l: the l-pairing with G is the Euclidean one with F^m(G)."""
-        return self.field.e - self.field.check_twist(l)
+    def _build_gram(self, m: int) -> list[list[int]]:
+        """P = I + A * F^m(A)^T as list rows, A the block of the free columns: one ``GF._gram_rows``
+        call, half of it dot products when 2m is a multiple of e, plus 1 on the diagonal."""
+        f, free = self.field, self._free_columns()
+        rows = f._gram_rows([[row[c] for c in free] for row in self.rows], m)
+        for i, row in enumerate(rows):
+            row[i] = f.add(row[i], 1)
+        return rows
 
     def _gram_facts(self, l: int) -> tuple[tuple[tuple[int, ...], ...] | None, int, int]:
         """(P, rank P, det P) for the twisted Gram matrix P = G * F^m(G)^T, m = e - l.
 
-        G reads I on its pivot columns, so P = I + A * F^m(A)^T for the
-        block A of its free columns: one ``GF._gram_rows`` of A's list
-        rows, half of it dot products when 2m is a multiple of e, plus 1 on
-        the diagonal, stored as rows and then eliminated in place.  The
-        mate twist l' = m mod e has P = F^(l')(P')^T, so rank P = rank P'
-        and det P = F^(l')(det P'): once the mate is memoized, l costs no
-        product and no elimination, and its entry holds None for P until
-        ``_gram`` asks for it.  l is checked before any memo read (True and
-        1.0 would find the entry of 1).
+        P comes from ``_build_gram``, stored as rows and then eliminated in
+        place.  The mate twist l' = m mod e has P = F^(l')(P')^T, so
+        rank P = rank P' and det P = F^(l')(det P'): once the mate is
+        memoized, l costs no product and no elimination, and its entry holds
+        None for P until ``_gram`` asks for it.  l is checked before any memo
+        read (True and 1.0 would find the entry of 1).
         """
-        f, m = self.field, self._twist(l)
+        f, m = self.field, self.field._gram_power(l)[0]
         facts = self._grams.get(l)
         if facts is None:
             mate = self._grams.get(m % f.e)
             if mate is None:
-                free = self._free_columns()
-                rows = f._gram_rows([[row[c] for c in free] for row in self.rows], m)
-                for i, row in enumerate(rows):
-                    row[i] = f.add(row[i], 1)
+                rows = self._build_gram(m)
                 p = tuple(map(tuple, rows))
                 pivots, d = f._gauss(rows)
                 facts = (p, len(pivots), d)
@@ -254,22 +253,17 @@ class FqCode(Value):
         return facts
 
     def _gram(self, l: int) -> tuple[tuple[int, ...], ...]:
-        """P at twist l as rows: the memo's, or F^(l')(P')^T written from the mate l' = (e - l) mod e.
-
-        An entry read off its mate holds no P, and its mate, built first,
-        always holds one.
-        """
+        """P at twist l as rows: the memo's, built by ``_build_gram`` and stored if the entry was read off its mate."""
         p, r, d = self._gram_facts(l)
         if p is None:
-            f, m = self.field, self._twist(l)
-            p = tuple(tuple(f.frobenius_row(c, m)) for c in zip(*self._grams[m % f.e][0]))
+            p = tuple(map(tuple, self._build_gram(self.field._gram_power(l)[0])))
             self._grams[l] = (p, r, d)
         return p
 
     def galois_dual(self, l: int = 0) -> "FqCode":
         """All words pairing to zero with the code under sum(t_i * s_i^(p^l))."""
         f, n = self.field, self.n
-        m = self._twist(l)
+        m = f._gram_power(l)[0]
         dual = self._dual
         if dual is None:
             # one kernel row e_c - sum_i G[i][c] * e_(p_i) per free column c

@@ -355,6 +355,12 @@ class GF(Value):
             raise BadLError(f"l must lie in [0, {self.e - 1}], got {l!r}")
         return l
 
+    def _gram_power(self, l: int) -> tuple[int, int]:
+        """(m, p^m + 1) for the checked twist l, m = e - l: the l-dual is F^m of the Euclidean dual,
+        P = G * F^m(G)^T, and scaling pivot column j of G by a adds a^(p^m + 1) - 1 to P[j][j]."""
+        m = self.e - self.check_twist(l)
+        return m, self.p**m + 1
+
     def frobenius(self, x: int, l: int = 1) -> int:
         """x**(p**l); the identity when l is a multiple of e."""
         if l < 0:

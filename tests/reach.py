@@ -16,8 +16,8 @@ It is reached when any of those lines runs.  Prints ``file:line: source``
 for each statement that never runs and exits 1 if there is any, else 0.
 
 pytest's exit status is reported on its own line and does not change
-this tool's: tracing slows every call, so a wall-clock bound such as the
-one in ``test_census_every_code_scales_to_lcd`` can fail under it.
+this tool's.  ``tests/traffic.py`` runs the benchmark's jobs under the
+same tracer and statement table.
 
 Standard library only; pytest and hypothesis are the suite's own needs.
 """
@@ -84,24 +84,46 @@ def _code_lines(code: CodeType) -> set[int]:
     return out
 
 
-def _statements(path: Path) -> list[tuple[int, set[int]]]:
-    """(first line, own executable lines) of each statement in the file that has any."""
+def _statements(path: Path) -> list[tuple[int, set[int], str]]:
+    """(first line, own executable lines, enclosing definition) of each statement in the file that has any.
+
+    The enclosing definition is the dotted name of the innermost class or
+    function whose body holds the statement, or ``<module>``.
+    """
     source = path.read_text()
-    tree = ast.parse(source)
     executable = _code_lines(compile(source, str(path), "exec"))
     out = []
-    for node in ast.walk(tree):
-        if not isinstance(node, (ast.stmt, ast.excepthandler)):
-            continue
-        first = min([node.lineno] + [d.lineno for d in getattr(node, "decorator_list", ())])
-        own = set(range(first, node.end_lineno + 1))
-        for field in ("body", "orelse", "finalbody", "handlers", "cases"):
-            for child in getattr(node, field, ()):
-                own -= set(range(child.lineno, child.end_lineno + 1))
-        own &= executable
-        if own:
-            out.append((first, own))
-    return out
+
+    def visit(node: ast.AST, owner: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.stmt, ast.excepthandler)):
+                first = min([child.lineno] + [d.lineno for d in getattr(child, "decorator_list", ())])
+                own = set(range(first, child.end_lineno + 1))
+                for field in ("body", "orelse", "finalbody", "handlers", "cases"):
+                    for grandchild in getattr(child, field, ()):
+                        own -= set(range(grandchild.lineno, grandchild.end_lineno + 1))
+                own &= executable
+                if own:
+                    out.append((first, own, owner))
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, child.name if owner == "<module>" else f"{owner}.{child.name}")
+            else:
+                visit(child, owner)
+
+    visit(ast.parse(source), "<module>")
+    return sorted(out, key=lambda s: s[0])
+
+
+def unreached(hit: set[tuple[str, int]]) -> list[tuple[str, int, str, str]]:
+    """(file relative to the repo, first line, enclosing definition, source line) of each
+    statement of ``PACKAGE`` none of whose lines is in ``hit``, in file and line order."""
+    missed = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        src = path.read_text().splitlines()
+        for first, own, owner in _statements(path):
+            if not any((str(path), line) in hit for line in own):
+                missed.append((str(path.relative_to(REPO)), first, owner, src[first - 1].strip()))
+    return missed
 
 
 def main() -> int:
@@ -125,14 +147,9 @@ def main() -> int:
             for entry in dump.read_text().splitlines():
                 name, line = entry.rsplit(":", 1)
                 hit.add((name, int(line)))
-    missed = []
-    for path in sorted(PACKAGE.glob("*.py")):
-        src = path.read_text().splitlines()
-        for first, own in sorted(_statements(path), key=lambda s: s[0]):
-            if not any((str(path), line) in hit for line in own):
-                missed.append(f"{path.relative_to(REPO)}:{first}: {src[first - 1].strip()}")
-    for line in missed:
-        print(line)
+    missed = unreached(hit)
+    for name, first, _, source in missed:
+        print(f"{name}:{first}: {source}")
     print(f"pytest exit status {int(status)}; {len(missed)} statement(s) never run", file=sys.stderr)
     return 1 if missed else 0
 

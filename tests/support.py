@@ -1,7 +1,7 @@
-"""Shared test helpers: random codes, every code of a small space, every ring word as
-``RingElement``s, an identity matrix, a reference matrix product, Gauss-Jordan and
-kernel, a reference ring in the (1, u, v, uv) basis with its Frobenius and Galois dual,
-a Gray-walk step counter, the ``kernel_work`` fixture, and CLI parser."""
+"""Shared test helpers: random codes, every code of a small space, cyclic codes by zero
+set, every ring word as ``RingElement``s, an identity matrix, a reference matrix product,
+Gauss-Jordan and kernel, a reference ring in the (1, u, v, uv) basis with its Frobenius
+and Galois dual, a Gray-walk step counter, the ``kernel_work`` fixture, and CLI parser."""
 
 from __future__ import annotations
 
@@ -54,6 +54,29 @@ def all_codes(field: GF, n: int) -> Iterator[FqCode]:
                 for (i, c), v in zip(free, values):
                     rows[i][c] = v
                 yield FqCode(Matrix.from_rows(field, rows, ncols=n))
+
+
+def cyclic(field: GF, n: int, zeros) -> FqCode:
+    """The cyclic code of length n | q - 1 with zero set ``zeros`` in Z_n, by scalar field operations.
+
+    Its generator polynomial is g(x) = prod over z of (x - beta^z), beta the first unit in
+    encoding order of multiplicative order n, and its rows are the n - |zeros| shifts of g.
+    """
+    assert (field.q - 1) % n == 0
+
+    def order(x: int) -> int:
+        d, y = 1, x
+        while y != 1:
+            d, y = d + 1, field.mul(y, x)
+        return d
+
+    beta = next(x for x in field.units() if order(x) == n)
+    g = [1]  # ascending coefficients
+    for z in zeros:
+        root = field.pow(beta, z)
+        g = [field.sub(a, field.mul(root, b)) for a, b in zip([0] + g, g + [0])]
+    k = n - len(g) + 1
+    return FqCode.from_rows(field, n, [[0] * i + g + [0] * (k - 1 - i) for i in range(k)])
 
 
 def ring_words(rc: RCode) -> Iterator[tuple[RingElement, ...]]:
@@ -210,7 +233,7 @@ class KernelWork:
     whichever module the call comes from: ``gauss`` holds (caller, reduce)
     for each ``GF._gauss`` call, ``grams`` (caller, m, code) for each
     ``GF._gram_rows`` call, the code being the ``FqCode`` whose P
-    ``_gram_facts`` builds (kept so its id stays unique) and None for any
+    ``_build_gram`` builds (kept so its id stays unique) and None for any
     other caller, and ``spans`` (caller, field, rows) for each
     ``FqCode._span`` call, the one way a code module reaches the reduction
     route.  The wrappers are undone with ``monkeypatch``.
@@ -229,7 +252,7 @@ class KernelWork:
         def gram_rows(f, rows, m):
             caller = sys._getframe(1)
             name = caller.f_code.co_name
-            self.grams.append((name, m, caller.f_locals["self"] if name == "_gram_facts" else None))
+            self.grams.append((name, m, caller.f_locals["self"] if name == "_build_gram" else None))
             return real_gram_rows(f, rows, m)
 
         def span(cls, field, n, rows):

@@ -809,8 +809,8 @@ def test_construct_outputs_match_golden(argv, stem, tmp_path, capsys):
 
 
 def code_builds(work):
-    """(id of the code, m) for each P an FqCode builds, one ``GF._gram_rows`` call from ``_gram_facts``."""
-    return [(id(code), m) for caller, m, code in work.grams if caller == "_gram_facts"]
+    """(id of the code, m) for each P an FqCode builds, one ``GF._gram_rows`` call from ``_build_gram``."""
+    return [(id(code), m) for caller, m, code in work.grams if caller == "_build_gram"]
 
 
 def split_eliminations(work):

@@ -3,7 +3,7 @@
 import functools
 import itertools
 import random
-import time
+from collections import Counter
 from types import SimpleNamespace
 
 import pytest
@@ -36,7 +36,7 @@ from lcdring.gf import _prime_divisors
 from lcdring.linalg import det, minor_det
 from lcdring.ring import gamma_to_u
 
-from support import all_codes, identity, matmul, random_fqcode, u_frobenius, u_mul, u_span
+from support import all_codes, identity, kernel_work, matmul, random_fqcode, u_frobenius, u_mul, u_span
 
 F4 = GF(2, 2)
 F5 = GF(5)
@@ -373,6 +373,20 @@ class TestGaloisScaling:
             for seed in (None, 7):
                 assert galois_lcd_scaling(memo, 1, seed) == galois_lcd_scaling(FqCode(c.gen), 1, seed)
 
+    @pytest.mark.parametrize("f,first", [(F8, 2), (F16, 3)], ids=["GF(8)", "GF(16)"])
+    def test_twist_asked_after_its_mate_builds_its_own_gram(self, f, first, kernel_work):
+        # twist 1's mate is e - 1: asked first, it leaves 1 a memo entry with
+        # no P, so _gram(1) builds P with one Gram product, as a fresh object does
+        rng = random.Random(46)
+        for _ in range(12):
+            c = random_fqcode(rng, f, 6, rng.randint(1, 4))
+            c.hull_dim(first)
+            kernel_work.grams.clear()
+            p = c._gram(1)
+            assert [(caller, m) for caller, m, _ in kernel_work.grams] == [("_build_gram", f.e - 1)]
+            assert kernel_work.grams[0][2] is c
+            assert p == c._grams[1][0] == FqCode(c.gen)._gram(1)
+
     def test_parameters_preserved(self):
         rng = random.Random(44)
         for _ in range(15):
@@ -651,15 +665,16 @@ class TestFactorRule:
 CENSUS = [(F4, 4), (F5, 4), (F8, 3), (F9, 3), (F16, 2), (GF(3, 3), 2), (GF(2, 5), 2)]
 
 
-def test_census_every_code_scales_to_lcd(minor_det_calls, monkeypatch):
+def test_census_every_code_scales_to_lcd(minor_det_calls, kernel_work, monkeypatch):
     """The scaled code is LCD by brute force; its deletion set is the hull for a Hermitian twist, at least it otherwise.
 
     Each scaling evaluates one minor and no scan, so every census code takes the greedy
     O(k^3) path, the non-Hermitian twists of GF(8), GF(16), GF(27) and GF(32) included.
+    The work is pinned at the row kernels: one Gram product per P built, one elimination per
+    memo entry not read off its mate, and the three eliminations of each scaling.
     """
     scans = []
     monkeypatch.setattr(construct, "itertools", SimpleNamespace(combinations=lambda *a: scans.append(a) or ()))
-    start = time.monotonic()
     scaled = 0
     for f, top in CENSUS:
         twists = [l for l in range(f.e) if (f.p ** (f.e - l) + 1) % (f.q - 1)]
@@ -676,7 +691,12 @@ def test_census_every_code_scales_to_lcd(minor_det_calls, monkeypatch):
                     scaled += 1
     assert scaled == 2973
     assert len(minor_det_calls) == 2973 and scans == []
-    assert time.monotonic() - start <= 3.0
+    # 277 of the P are asked at a twist whose entry was read off its mate (GF(8), GF(16),
+    # GF(27), GF(32)): each costs a Gram product and no elimination
+    assert Counter(caller for caller, _, _ in kernel_work.grams) == {"_build_gram": 5669 + 277}
+    assert Counter(caller for caller, _ in kernel_work.gauss) == {
+        "_gram_facts": 5669, "minor_search": 2973, "minor_det": 2973, "lemma_det_check": 2973,
+    }
 
 
 def test_census_covers_every_subspace():

@@ -19,7 +19,7 @@ from lcdring.errors import (
 from lcdring.fqcode import _projective_steps, count_text
 from lcdring.linalg import gram, rank, rref
 
-from support import identity, kernel_work, matmul, nullspace_basis, random_fqcode
+from support import cyclic, identity, kernel_work, matmul, nullspace_basis, random_fqcode
 
 F5 = GF(5)
 F9 = GF(3, 2, [1, 0, 1])
@@ -443,8 +443,8 @@ GRAM_FIELDS = [GF(2, 2), GF(2, 3), F9, GF(2, 4), GF(3, 3), GF(2, 5), GF(2, 6)]
 def test_gram_facts_match_the_full_generator_in_any_twist_order(data):
     # built from the free columns, half-filled, or read off the mate twist,
     # each entry's rank and determinant are the full generator's Gram
-    # matrix's, and so is its P: stored by a build, written from the mate
-    # on first request by a twist whose mate was built first
+    # matrix's, and so is its P: stored by a build, or built on first
+    # request by a twist whose mate was built first
     f = data.draw(st.sampled_from(GRAM_FIELDS))
     e, n = f.e, data.draw(st.integers(0, 6))
     k = data.draw(st.integers(0, n))
@@ -468,6 +468,28 @@ def test_gram_facts_match_the_full_generator_in_any_twist_order(data):
         c._gram_facts(True)
 
 
+# (field, n) with n | q - 1, so any zero set Z in Z_n gives a cyclic code
+CYCLIC = [(GF(2, 2), 3), (F5, 4), (GF(2, 3), 7), (F9, 4), (F9, 8), (GF(2, 4), 3), (GF(2, 4), 15),
+          (GF(5, 2), 3), (GF(5, 2), 4), (GF(5, 2), 8), (GF(5, 2), 24), (GF(3, 3), 13), (GF(3, 3), 26)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_cyclic_codes_give_their_known_answers_at_every_twist(data):
+    r"""With T = -p^(e-l) * Z mod n, the l-dual of the cyclic code with zeros Z has zeros Z_n \ T,
+    so its hull has dimension |T \ Z| and it is l-LCD exactly when T = Z; twists in random order."""
+    f, n = data.draw(st.sampled_from(CYCLIC))
+    zeros = data.draw(st.sets(st.integers(0, n - 1)))
+    c = cyclic(f, n, zeros)
+    assert c.k == n - len(zeros)
+    for l in data.draw(st.permutations(range(f.e))):
+        image = {-f.p ** (f.e - l) * z % n for z in zeros}
+        assert c.hull_dim(l) == len(image - zeros)
+        assert c.is_lcd(l) == (image == zeros)
+        assert c.is_self_orthogonal(l) == (set(range(n)) - image <= zeros)
+        assert c.galois_dual(l) == cyclic(f, n, set(range(n)) - image)
+
+
 @pytest.mark.parametrize("field", [F5, GF(2, 2), F9], ids=str)
 def test_first_facts_wrap_only_what_they_store(field, kernel_work, monkeypatch):
     """Work behind a fresh code's first facts, with Matrix constructions counted.
@@ -488,7 +510,7 @@ def test_first_facts_wrap_only_what_they_store(field, kernel_work, monkeypatch):
         kernel_work.gauss.clear()
         c.hull_dim(l)
         assert kernel_work.gauss == [("_gram_facts", False)] and matrices == []
-        assert [(caller, code) for caller, _, code in kernel_work.grams] == [("_gram_facts", c)]
+        assert [(caller, code) for caller, _, code in kernel_work.grams] == [("_build_gram", c)]
         kernel_work.gauss.clear()
         kernel_work.grams.clear()
         c.galois_dual(0)

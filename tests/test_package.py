@@ -90,10 +90,10 @@ def _call_sites(callee):
 
 
 def test_only_fqcode_builds_gram_matrices():
-    """One Gram route: the package builds every Gram matrix in FqCode._gram_facts, the memo every
+    """One Gram route: the package builds every Gram matrix in FqCode._build_gram, for the memo every
     predicate reads, straight from the Gram kernel; linalg.gram serves the public API alone."""
     assert _call_sites("gram") == []
-    assert _call_sites("_gram_rows") == ["fqcode.py:_gram_facts", "linalg.py:gram"]
+    assert _call_sites("_gram_rows") == ["fqcode.py:_build_gram", "linalg.py:gram"]
 
 
 def test_one_route_into_reduced_form():
@@ -117,7 +117,7 @@ def test_row_kernels_have_one_caller_each():
             "construct.py:minor_search", "construct.py:lemma_det_check", "fqcode.py:_gram_facts",
             "linalg.py:_reduced", "linalg.py:det", "linalg.py:minor_det", "linalg.py:rank",
         ],
-        "_gram_rows": ["fqcode.py:_gram_facts", "linalg.py:gram"],
+        "_gram_rows": ["fqcode.py:_build_gram", "linalg.py:gram"],
     }
     assert not {"_clear_column", "_view"} & set(vars(lcdring.GF))
     reads = 0
@@ -125,6 +125,18 @@ def test_row_kernels_have_one_caller_each():
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         reads += sum(isinstance(node, ast.Attribute) and node.attr in sites for node in ast.walk(tree))
     assert reads == sum(map(len, sites.values()))
+
+
+def test_one_route_to_each_twisted_gram_matrix():
+    """Every P comes from the Gram kernel, never from its mate's, so ``frobenius_row`` serves only the
+    Hermitian mirror inside the kernel and the Frobenius image of a dual; and the twist's power and
+    exponent come from ``GF._gram_power``, so construct reads no twist off a code."""
+    assert _call_sites("frobenius_row") == ["fqcode.py:galois_dual", "gf.py:_gram_rows"]
+    tree = ast.parse((PACKAGE / "construct.py").read_text(encoding="utf-8"))
+    names = {node.id if isinstance(node, ast.Name) else node.attr
+             for node in ast.walk(tree) if isinstance(node, (ast.Name, ast.Attribute))}
+    assert "_twist" not in names and "_gram_power" in names
+    assert not hasattr(lcdring.FqCode, "_twist")
 
 
 def test_one_reduced_form_scan():
@@ -155,8 +167,9 @@ def test_oracle_walks_one_way():
 # What the fast paths compute, and the shared kernels behind them.
 FAST_PATH_ATTRS = {
     "pivots", "galois_dual", "hull_dim", "lcd_status", "is_lcd", "is_self_orthogonal", "is_self_dual",
-    "min_dist", "lee_min_dist", "params", "gray_image", "_gram_facts", "_gram", "_grams",
-    "_dist", "_dual", "_free_columns", "_check_cap", "_row_floor", "_gauss", "_gram_rows", "frobenius_row",
+    "min_dist", "lee_min_dist", "params", "gray_image", "_gram_facts", "_gram", "_build_gram", "_grams",
+    "_gram_power", "_dist", "_dual", "_free_columns", "_check_cap", "_row_floor", "_gauss", "_gram_rows",
+    "frobenius_row",
 }
 
 
