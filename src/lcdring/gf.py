@@ -15,7 +15,9 @@ exp[i] = g^i and log[g^i] = i, O(q) entries, walking the cosets of <x>
 and deciding g in the quotient.  Products, inverses, powers and
 Frobenius images are one or two lookups in exp/log.  In characteristic 2
 a sum is the XOR of the encodings; for odd p it is one more lookup in a
-Zech table zech[k] = log(1 + g^k).
+Zech table zech[k] = log(1 + g^k).  exp and zech hold two periods, so
+sums and differences of logs index them unreduced; only a log times an
+int (a power, a Frobenius twist) or one fed on into a sum is reduced.
 
 Linear algebra runs on one elimination kernel and one Gram kernel,
 ``_gauss`` and ``_gram_rows``, plus ``frobenius_row``.  ``_gauss`` runs
@@ -205,7 +207,7 @@ class GF(Value):
         object.__setattr__(self, "_log_neg1", log[p - 1] if e > 1 else 0)
 
     def _log_tables(self) -> tuple[list[int], list[int | None], list[int | None]]:
-        """exp (doubled, so log sums need no reduction), log and zech (empty when p = 2).
+        """exp and zech in two periods, so log sums index them unreduced, and log; zech is [] for p = 2.
 
         Multiplying an encoding by x shifts its digits and folds the top
         digit t back in as t * x^e, touching only the digits where the
@@ -266,7 +268,9 @@ class GF(Value):
         # 1 + v bumps the constant digit; it is 0 exactly when v = -1.  In
         # characteristic 2 a sum is an XOR of encodings and reads no zech.
         zech = [log[v + 1 - p if v % p == p - 1 else v + 1] for v in exp] if p > 2 else []
-        return exp * 2, log, zech
+        exp *= 2  # in place, so the build never holds a table twice
+        zech *= 2
+        return exp, log, zech
 
     # -- identity ---------------------------------------------------------
 
@@ -307,7 +311,7 @@ class GF(Value):
             return x or y
         log = self._log
         a = log[x]
-        # x + y = g^a (1 + g^(log y - a)); a negative index wraps mod q - 1
+        # x + y = g^a (1 + g^(log y - a)); a difference of logs indexes zech unreduced
         z = self._zech[log[y] - a]
         return 0 if z is None else self._exp[a + z]
 
@@ -442,15 +446,14 @@ class GF(Value):
                     if x:
                         if view is None:
                             view = [(j, log[y]) for j, y in enumerate(row[c + 1:], c + 1) if y]
+                        # lc is reduced once per row, so t = lc + ly and t - a index as they are
                         lc = (log[x] + s) % nq
                         other[c] = 0
                         for j, ly in view:
                             t = lc + ly
                             v = other[j]
                             if v:
-                                # g^a + g^t = g^(a + zech[t - a]); a negative index wraps
-                                if t >= nq:
-                                    t -= nq
+                                # g^a + g^t = g^(a + zech[t - a])
                                 a = log[v]
                                 z = zech[t - a]
                                 other[j] = 0 if z is None else exp[a + z]
@@ -543,19 +546,16 @@ class GF(Value):
                     start = i if half else 0
                     out_row = [0] * start
                     for b in twisted[start:]:
-                        # acc is the log of the running sum, -1 while that sum is 0;
-                        # g^acc + g^t = g^(acc + zech[t - acc]), and a negative index wraps
+                        # acc is the log of the running sum, below 2(q - 1), or -1 while it
+                        # is 0; g^acc + g^t = g^(acc + zech[t - acc]), t = la + lb unreduced
                         acc = -1
                         for j, la in view:
                             lb = b[j]
                             if lb is not None:
-                                t = la + lb
-                                if t >= n:
-                                    t -= n
                                 if acc < 0:
-                                    acc = t
+                                    acc = la + lb
                                 else:
-                                    z = zech[t - acc]
+                                    z = zech[la + lb - acc]
                                     if z is None:
                                         acc = -1
                                     else:

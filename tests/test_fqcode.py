@@ -473,21 +473,40 @@ CYCLIC = [(GF(2, 2), 3), (F5, 4), (GF(2, 3), 7), (F9, 4), (F9, 8), (GF(2, 4), 3)
           (GF(5, 2), 3), (GF(5, 2), 4), (GF(5, 2), 8), (GF(5, 2), 24), (GF(3, 3), 13), (GF(3, 3), 26)]
 
 
-@settings(max_examples=150, deadline=None)
-@given(st.data())
-def test_cyclic_codes_give_their_known_answers_at_every_twist(data):
+# odd-p extension lengths past the oracle's reach (q^k far above its 10^6 words), where the
+# Gram and elimination kernels add by Zech logs
+LONG_CYCLIC = [(GF(3, 4), 40), (GF(3, 4), 80), (GF(7, 2), 48), (GF(3, 5), 121)]
+
+
+def _assert_cyclic_answers(f, n, zeros, twists):
     r"""With T = -p^(e-l) * Z mod n, the l-dual of the cyclic code with zeros Z has zeros Z_n \ T,
-    so its hull has dimension |T \ Z| and it is l-LCD exactly when T = Z; twists in random order."""
-    f, n = data.draw(st.sampled_from(CYCLIC))
-    zeros = data.draw(st.sets(st.integers(0, n - 1)))
+    so its hull has dimension |T \ Z| and it is l-LCD exactly when T = Z; checked at each twist in order."""
     c = cyclic(f, n, zeros)
     assert c.k == n - len(zeros)
-    for l in data.draw(st.permutations(range(f.e))):
+    for l in twists:
         image = {-f.p ** (f.e - l) * z % n for z in zeros}
         assert c.hull_dim(l) == len(image - zeros)
         assert c.is_lcd(l) == (image == zeros)
         assert c.is_self_orthogonal(l) == (set(range(n)) - image <= zeros)
         assert c.galois_dual(l) == cyclic(f, n, set(range(n)) - image)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_cyclic_codes_give_their_known_answers_at_every_twist(data):
+    """The closed forms for a drawn short length and zero set; twists in random order."""
+    f, n = data.draw(st.sampled_from(CYCLIC))
+    zeros = data.draw(st.sets(st.integers(0, n - 1)))
+    _assert_cyclic_answers(f, n, zeros, data.draw(st.permutations(range(f.e))))
+
+
+@pytest.mark.parametrize("f, n", LONG_CYCLIC, ids=str)
+@settings(max_examples=5, deadline=None)
+@given(st.data())
+def test_cyclic_codes_past_the_oracle_give_their_known_answers(f, n, data):
+    """The same closed forms at five drawn zero sets per length, of any size from 0 to n."""
+    zeros = set(data.draw(st.permutations(range(n)))[:data.draw(st.integers(0, n))])
+    _assert_cyclic_answers(f, n, zeros, data.draw(st.permutations(range(f.e))))
 
 
 @pytest.mark.parametrize("field", [F5, GF(2, 2), F9], ids=str)

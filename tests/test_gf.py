@@ -413,9 +413,10 @@ def test_log_tables_match_the_textbook_primitive_under_random_moduli(f):
     assert all(f._log[f._exp[i]] == i for i in range(n))
     for i in range(0, n, max(1, n // 20)):
         assert f._exp[i] == _enc(f, _ppowmod(_poly(f, g), i, mod, p))
-    # characteristic 2 adds by XOR and builds no Zech table
-    assert len(f._zech) == (n if p > 2 else 0)
-    for k in range(len(f._zech)):
+    # characteristic 2 adds by XOR and builds no Zech table; odd p stores two periods, like exp
+    assert len(f._zech) == (2 * n if p > 2 else 0)
+    assert f._zech[n:] == f._zech[:n]
+    for k in range(len(f._zech) // 2):
         one_more = [(c + (j == 0)) % p for j, c in enumerate(f.coeffs(f._exp[k]))]
         assert f._zech[k] == f._log[_enc(f, one_more)]
 
