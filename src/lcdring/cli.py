@@ -205,10 +205,10 @@ def _cmd_verify(args: SimpleNamespace) -> int:
         if not ok:
             failures.append(name)
 
-    params = code.params(budget)
     gray_code = code.gray_image()
-    # every brute-force answer, or the budget refusal, before the first line
+    # every brute-force answer, or the budget refusal, before any fast-path distance or line
     distance, distances, hulls, expansion = oracle.survey(code, gray_code, budget)
+    params = code.params(budget)
     if code.k > 0:
         check("lee distance (enumeration vs component minimum)", distance == params.d_lee)
     for i, comp in enumerate(code.comps):

@@ -38,6 +38,10 @@ elimination per twist orbit {l, e - l}, memoized, and reads the mate's
 rank and determinant off it: rank P and det P answer every hull and LCD
 predicate.  Every P comes from that one build (``_build_gram``); the
 mate's is built only when the LCD construction asks for it (``_gram``).
+Every distance has one route, ``least_distance`` over one or more codes:
+the cap, then the lightest RREF row, then ``_lane_walk``, the Gray walk
+of one code, which memoizes its d.  ``min_dist`` is that route on one
+code and ``RCode.lee_min_dist`` on the four components.
 """
 
 from __future__ import annotations
@@ -317,28 +321,18 @@ class FqCode(Value):
 
     # -- metrics ---------------------------------------------------------------
 
-    def _check_cap(self, cap: int) -> None:
-        """Refuse a distance whose q^k messages exceed ``cap``; the cap counts all of them."""
-        q, k = self.field.q, self.k
-        if q**k > cap:
-            raise CapExceededError(f"{count_text(q, k)} codewords exceed the cap of {cap}")
-
-    def _row_floor(self) -> int:
-        """The least weight of a generator row: the minimum distance when it is 1 or 2.
-
-        A word sum_i m_i * row_i reads m_i at pivot p_i, so a word of weight 1
-        is a multiple of one row: d = 1 exactly when some row has weight 1.
-        Otherwise d >= 2, and any word of weight 2, a row among them, is minimal.
-        """
-        n = self.n
-        return min(n - row.count(0) for row in self.rows)
-
     def min_dist(self, cap: int = DEFAULT_ENUM_CAP) -> int:
-        """Exact minimum Hamming weight: the RREF rows' floor, else a projective Gray-order scan.
+        """Exact minimum Hamming weight: ``least_distance`` of this code alone, memoized; a memoized d skips the cap."""
+        if self._dist is None:
+            object.__setattr__(self, "_dist", least_distance((self,), cap))
+        return self._dist
 
-        A generator row of weight 1 or 2 is the answer (``_row_floor``), read
-        without a walk.  Otherwise the scan runs and stops at the first word
-        of weight 2, since no word is lighter.
+    def _lane_walk(self) -> int:
+        """The minimum distance by a projective Gray-order scan from the lightest row, memoized.
+
+        ``least_distance`` calls this only when no row of any code it reads
+        weighs 1 or 2.  The scan stops at the first word of weight 2, since
+        no word is lighter, and a one-row code is its row's multiples.
 
         Scalar multiples share a weight, so only the (q^k - 1)/(q - 1)
         messages whose highest nonzero digit is 1 are visited.  Below that
@@ -353,20 +347,13 @@ class FqCode(Value):
         lane at once.  Digit w_i is nonzero exactly when bit b - 1 of
         w_i + 2^(b-1) - 1 is set; OR-ing these flags over the e planes onto
         plane 0 and counting its bits gives the weight.  No lane sum
-        reaches 2^b, so one kernel serves every field.  A memoized distance
-        is returned before the cap is read; otherwise the cap still counts
-        all q^k messages, even when the floor decides, so the same inputs
-        are refused as by a full scan.
+        reaches 2^b, so one kernel serves every field.
         """
-        if self.k == 0:
-            raise ZeroCodeError("the zero code has no minimum distance")
         if self._dist is not None:
             return self._dist
-        self._check_cap(cap)
-        best = self._row_floor()
-        if best > 2 and self.k > 1:
-            f, n = self.field, self.n
-            rows = self.rows
+        f, n, rows = self.field, self.n, self.rows
+        best = min(n - row.count(0) for row in rows)
+        if self.k > 1:
             p, e = f.p, f.e
             b = p.bit_length() + 1
             msb = b - 1  # the top bit of a lane
@@ -425,3 +412,32 @@ class FqCode(Value):
             s = f.inv(factors[c])
             rows.append([mul(mul(v, a), s) if v else 0 for v, a in zip(row, factors)])
         return FqCode._derived(f, self.n, rows, self.pivots)
+
+
+def least_distance(codes: Sequence[FqCode], cap: int) -> int:
+    """The least minimum distance over ``codes``, their zero codes skipped: the one distance rule.
+
+    One code gives its d (``FqCode.min_dist``), the four components of a
+    ring code give d_Lee (``RCode.lee_min_dist``).  First the cap: each
+    code without a memoized distance is checked in order, counting all its
+    q^k messages, so a code is refused whichever step would decide it.
+    Then the floor: a word sum_i m_i * row_i reads m_i at pivot p_i, so a
+    word of weight 1 is a multiple of one RREF row, and without such a row
+    every d >= 2, which any word of weight 2, a row among them, attains.
+    So the lightest row over all codes is the answer when it weighs 1 or
+    2.  Otherwise the codes are walked (``FqCode._lane_walk``) in ascending
+    k until the running minimum reaches 2.
+    """
+    live = [c for c in codes if c.k]
+    if not live:
+        raise ZeroCodeError("the zero code has no minimum distance")
+    for c in live:
+        q, k = c.field.q, c.k
+        if c._dist is None and q**k > cap:
+            raise CapExceededError(f"{count_text(q, k)} codewords exceed the cap of {cap}")
+    best = min(c.n - row.count(0) for c in live for row in c.rows)
+    for c in sorted(live, key=attrgetter("k")):
+        if best <= 2:
+            break
+        best = min(best, c._lane_walk())
+    return best

@@ -5,7 +5,8 @@ the C_i are linear codes over F_q; an ``RCode`` is that quadruple, and
 its field and length are the components'.  Duals, complementary-dual
 checks, self-orthogonality, the Singleton test and unit scaling all act
 componentwise, and the generator matrix over R is just a view rebuilt
-on demand.
+on demand.  d_Lee is ``fqcode.least_distance`` of the four components, so
+this module reads no distance internal of a component.
 """
 
 from __future__ import annotations
@@ -13,8 +14,8 @@ from __future__ import annotations
 from operator import attrgetter
 from typing import Iterable, NamedTuple, Sequence
 
-from .errors import CapExceededError, MismatchError, NotAUnitError, ZeroCodeError
-from .fqcode import DEFAULT_ENUM_CAP, FqCode
+from .errors import CapExceededError, MismatchError, NotAUnitError
+from .fqcode import DEFAULT_ENUM_CAP, FqCode, least_distance
 from .gf import GF
 from .ring import RingElement
 from .value import Value
@@ -120,29 +121,8 @@ class RCode(Value):
     # -- metrics ---------------------------------------------------------------
 
     def lee_min_dist(self, cap: int = DEFAULT_ENUM_CAP) -> int:
-        """Minimum Lee weight d_Lee = min_i d_i over the nonzero components.
-
-        First the cap: each component without a memoized distance is
-        checked in slot order, counting all its q^k messages, so the same
-        inputs are refused, with the same message, as by one ``min_dist``
-        per component.  Then the floor: the lightest generator row over all
-        components is d_Lee when it weighs 1 or 2, since a weight-1 word of
-        a component is a multiple of one of its RREF rows, so without such
-        a row every d_i >= 2.  Otherwise the components are walked in
-        ascending q^k until the running minimum reaches 2.
-        """
-        if self.k == 0:
-            raise ZeroCodeError("the zero code has no minimum distance")
-        live = [c for c in self.comps if c.k > 0]
-        for c in live:
-            if c._dist is None:
-                c._check_cap(cap)
-        best = min(c._row_floor() for c in live)
-        for c in sorted(live, key=attrgetter("k")):
-            if best <= 2:
-                break
-            best = min(best, c.min_dist(cap))
-        return best
+        """Minimum Lee weight d_Lee = min_i d_i over the nonzero components: ``least_distance`` of the four."""
+        return least_distance(self.comps, cap)
 
     def params(self, cap: int = DEFAULT_ENUM_CAP) -> RCodeParams:
         """Aggregate parameters; distances degrade to None past the cap."""
@@ -166,10 +146,9 @@ class RCode(Value):
 
         d_Lee <= n - max k_i + 1, which is below n - k/4 + 1 unless all
         four k_i are equal, so unequal dimensions decide "no" with no
-        distance computed.
+        distance computed.  The zero code's are equal, and ``lee_min_dist``
+        refuses it.
         """
-        if self.k == 0:
-            raise ZeroCodeError("the zero code has no minimum distance")
         if len({c.k for c in self.comps}) > 1:
             return False
         d = self.lee_min_dist(cap)

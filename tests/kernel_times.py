@@ -39,8 +39,8 @@ from lcdring.gf import GF  # noqa: E402
 FIELDS = [(5, 1), (2, 8), (3, 4), (3, 5), (23, 2)]
 SHAPES = [(10, 20), (16, 32), (64, 128)]
 KERNELS = ("gauss", "rref", "gram-h", "gram")
-SECONDS = 0.25
-ROUNDS = 5
+SECONDS = 1.0
+ROUNDS = 10
 SEED = 48
 
 

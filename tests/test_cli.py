@@ -18,7 +18,7 @@ import lcdring
 from lcdring import GF, FqCode, Matrix, RCode, cli, construct, errors, fqcode, oracle
 from lcdring.cli import COMMANDS, _analysis, main, parse_args
 from lcdring.codefile import parse_code
-from support import build_parser, kernel_work, random_fqcode, random_rcode
+from support import WalkSteps, build_parser, kernel_work, random_fqcode, random_rcode
 
 SAMPLE_DIR = pathlib.Path(__file__).parent.parent / "sample_codes"
 SAMPLES = sorted(SAMPLE_DIR.glob("*.json"))
@@ -566,6 +566,19 @@ def test_verify_refuses_a_component_past_the_budget(tmp_path, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert "729 codewords exceed the budget of 100" in err
+
+
+def test_verify_refuses_before_any_distance_walk(tmp_path, capsys, monkeypatch):
+    """Three GF(5) [14, 8] components (5^8 words, rows of weight 7) fit the default budget and the
+    fourth, [14, 9], is past it: verify exits 2 with the budget message and walks no component."""
+    comps = [[[int(i == j) for j in range(k)] + [(i * c + s) % 4 + 1 for c in range(14 - k)] for i in range(k)]
+             for s, k in enumerate((8, 8, 8, 9))]
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps({"field": {"p": 5}, "n": 14, "components": comps}))
+    steps = WalkSteps(monkeypatch)
+    assert main(["verify", str(path)]) == 2
+    assert capsys.readouterr() == ("", "error: 1953125 codewords exceed the budget of 1000000\n")
+    assert steps.walks == 0
 
 
 def drawn_slot_codes(monkeypatch):

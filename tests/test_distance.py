@@ -51,19 +51,41 @@ def test_min_dist_matches_oracle_with_planted_light_rows(data):
 def test_lee_min_dist_matches_oracle_with_planted_light_rows(data):
     f = data.draw(st.sampled_from(FIELDS))
     n = data.draw(st.integers(1, 6))
-    comps, used = [], 0
+    rows, used = [], 0
     for _ in range(4):
         k_max = 0
         while k_max < 3 and f.q ** (used + k_max + 1) <= RING_WORDS:
             k_max += 1
         k = data.draw(st.integers(0, k_max))
         used += k
-        comps.append(FqCode.from_rows(f, n, _rows(data, f, n, k)))
-    comps = [comps[i] for i in data.draw(st.permutations(range(4)))]
-    rc = RCode(comps)
+        rows.append(_rows(data, f, n, k))
+    rows = [rows[i] for i in data.draw(st.permutations(range(4)))]
+    rc = RCode(FqCode.from_rows(f, n, r) for r in rows)
     if rc.k == 0:
         return
-    assert rc.lee_min_dist() == oracle.min_distance(rc)
+    d_lee = oracle.min_distance(rc)
+    assert rc.lee_min_dist() == d_lee
+    # fresh components, a drawn subset memoized, at a drawn cap: only an
+    # unmemoized component past the cap is refused, the first in slot order
+    rc = RCode(FqCode.from_rows(f, n, r) for r in rows)
+    memo = {i for i in data.draw(st.sets(st.integers(0, 3))) if rc.comps[i].k}
+    for i in memo:
+        rc.comps[i].min_dist()
+    cap = data.draw(st.integers(0, max(c.size for c in rc.comps)))
+    past = [i for i, c in enumerate(rc.comps) if c.k and i not in memo and c.size > cap]
+    refused = f"{rc.comps[past[0]].size} codewords exceed the cap of {cap}" if past else None
+
+    def answer(method):
+        try:
+            return method(cap)
+        except CapExceededError as exc:
+            return str(exc)
+
+    assert answer(rc.lee_min_dist) == (refused or d_lee)
+    equal_k = len({c.k for c in rc.comps}) == 1
+    assert answer(rc.is_mds) == (equal_k and (refused or 4 * d_lee == 4 * n - rc.k + 4))
+    want = tuple((n, c.k, None if not c.k or i in past else oracle.min_distance(c)) for i, c in enumerate(rc.comps))
+    assert rc.params(cap) == (n, rc.k, None if past else d_lee, want)
 
 
 def test_light_row_decides_without_a_walk(monkeypatch):
@@ -98,8 +120,10 @@ def test_lee_walks_the_cheapest_component_first_and_stops_at_two(monkeypatch):
     steps = WalkSteps(monkeypatch)
     assert rc.lee_min_dist() == 2
     assert steps.walks == 1 and steps.steps <= (7**2 - 1) // (7 - 1)
-    assert big._dist is None
+    assert big._dist is None and small._dist == 2
+    # a walk memoizes its d, so one code object in four slots is walked once
     assert RCode([big] * 4).lee_min_dist() == 4
+    assert steps.walks == 2 and big._dist == 4
 
 
 def test_lee_cap_refuses_the_first_component_in_slot_order_unless_memoized():

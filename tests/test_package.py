@@ -164,12 +164,27 @@ def test_oracle_walks_one_way():
     assert subs == []
 
 
+def test_one_distance_rule():
+    """One route to a distance: ``fqcode.least_distance`` checks the cap, reads the row floor and
+    orders the walks for ``FqCode.min_dist`` and ``RCode.lee_min_dist`` alike.  So rcode.py reads no
+    distance internal of a component, and the cap test ``q**k > cap`` is written once, in fqcode.py."""
+    rcode = ast.parse((PACKAGE / "rcode.py").read_text(encoding="utf-8"))
+    attrs = {node.attr for node in ast.walk(rcode) if isinstance(node, ast.Attribute)}
+    assert not {"_dist", "_check_cap", "_row_floor", "_lane_walk"} & attrs
+    caps = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        caps += [path.name for node in ast.walk(tree) if isinstance(node, ast.Compare)
+                 and ast.unparse(node) == "q ** k > cap"]
+    assert caps == ["fqcode.py"]
+    assert _call_sites("least_distance") == ["fqcode.py:min_dist", "rcode.py:lee_min_dist"]
+
+
 # What the fast paths compute, and the shared kernels behind them.
 FAST_PATH_ATTRS = {
     "pivots", "galois_dual", "hull_dim", "lcd_status", "is_lcd", "is_self_orthogonal", "is_self_dual",
     "min_dist", "lee_min_dist", "params", "gray_image", "_gram_facts", "_gram", "_build_gram", "_grams",
-    "_gram_power", "_dist", "_dual", "_free_columns", "_check_cap", "_row_floor", "_gauss", "_gram_rows",
-    "frobenius_row",
+    "_gram_power", "_dist", "_dual", "_free_columns", "_lane_walk", "_gauss", "_gram_rows", "frobenius_row",
 }
 
 
