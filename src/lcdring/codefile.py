@@ -22,12 +22,11 @@ The reader checks the document's shape: JSON types and keys, the length
 and row caps, row widths and the 4-lists of generator entries.  The values
 are checked once, by the constructors it calls: ``GF`` for the field,
 ``Matrix`` for component entries and ``RingElement`` for generator
-entries, whose ``ValueError`` it re-raises as ``ParseError``;
-``RCode.from_generators`` does not check the generators' slot rows
-again.  All four
-component matrices are built, so every entry is checked, before any is
-reduced.  The writer emits the one form the CLI needs: components, in the
-gamma basis.
+entries, both through ``GF.check_row``, whose ``ValueError`` it re-raises
+as ``ParseError`` after the entry's place; ``RCode.from_generators`` does
+not check the generators' slot rows again.  All four component matrices
+are built, so every entry is checked, before any is reduced.  The writer
+emits the one form the CLI needs: components, in the gamma basis.
 
 ``dumps`` writes every document the CLI writes, byte for byte as
 ``json.dumps(doc, indent=2)`` plus a newline.  With an indent, json's

@@ -166,8 +166,7 @@ def lemma_det_check(p: Matrix, b: Sequence[int], cert: MinorCertificate) -> bool
     if not p.is_square or len(b) != p.nrows:
         raise NotSquareError("perturbation must match a square matrix")
     f = p.field
-    for v in b:
-        f.check(v)
+    b = f.check_row(b)
     support = tuple(j for j, v in enumerate(b) if v)
     if set(support) != set(cert.r_set):
         raise SupportMismatchError(

@@ -48,7 +48,7 @@ from __future__ import annotations
 
 from itertools import chain
 from operator import attrgetter
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import (
     CapExceededError,
@@ -394,19 +394,17 @@ class FqCode(Value):
 
     # -- equivalence ---------------------------------------------------------
 
-    def scale(self, factors: Sequence[int]) -> "FqCode":
+    def scale(self, factors: Iterable[int]) -> "FqCode":
         """The monomially equivalent code with column j scaled by factors[j].
 
         Each row of G * diag(factors), divided by its pivot's factor, is an RREF row.
         """
+        f = self.field
+        factors = f.check_row(factors)
         if len(factors) != self.n:
             raise MismatchError("one scaling factor per coordinate required")
-        f = self.field
-        for a in factors:
-            f.check(a)
-        for j, a in enumerate(factors):
-            if a == 0:
-                raise ZeroScaleError(f"factor at position {j} is zero")
+        if 0 in factors:
+            raise ZeroScaleError(f"factor at position {factors.index(0)} is zero")
         mul, rows = f.mul, []
         for row, c in zip(self.rows, self.pivots):
             s = f.inv(factors[c])

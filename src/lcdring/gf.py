@@ -282,9 +282,15 @@ class GF(Value):
     # -- element encoding ---------------------------------------------------
 
     def check(self, x: int) -> int:
-        if type(x) is not int or not 0 <= x < self.q:
-            raise ValueError(f"{x!r} is not an element encoding of {self!r}")
-        return x
+        return self.check_row((x,))[0]
+
+    def check_row(self, xs: Iterable[int]) -> tuple[int, ...]:
+        """xs as a tuple, if each entry is a plain int in [0, q): the one rule for a field value."""
+        xs, q = tuple(xs), self.q
+        for x in xs:
+            if type(x) is not int or not 0 <= x < q:
+                raise ValueError(f"{x!r} is not an element encoding of {self!r}")
+        return xs
 
     def coeffs(self, x: int) -> tuple[int, ...]:
         """Ascending-degree coefficient tuple of length e."""

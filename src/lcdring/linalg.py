@@ -62,15 +62,13 @@ class Matrix(Value):
         return f"Matrix(field={self.field!r}, ncols={self.ncols!r}, rows={self.rows!r})"
 
     def __post_init__(self) -> None:
-        ncols, q = self.ncols, self.field.q
+        ncols, field = self.ncols, self.field
         if type(ncols) is not int or ncols < 0:
             raise ValueError(f"column count {ncols!r} is not a non-negative int")
         for r, row in enumerate(self.rows):
             if len(row) != ncols:
                 raise MismatchError(f"row {r} has width {len(row)}, expected {ncols}")
-            for v in row:
-                if type(v) is not int or not 0 <= v < q:
-                    raise ValueError(f"entry {v!r} is not an element of {self.field!r}")
+            field.check_row(row)
 
     # -- construction -------------------------------------------------------
 

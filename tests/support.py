@@ -56,6 +56,12 @@ def all_codes(field: GF, n: int) -> Iterator[FqCode]:
                 yield FqCode(Matrix.from_rows(field, rows, ncols=n))
 
 
+# (field, n) with n | q - 1, so any zero set Z in Z_n gives a cyclic code: n <= 26 over GF(4) to GF(27)
+CYCLIC = [(GF(2, 2), 3), (GF(5), 4), (GF(2, 3), 7), (GF(3, 2), 4), (GF(3, 2), 8), (GF(2, 4), 3),
+          (GF(2, 4), 15), (GF(5, 2), 3), (GF(5, 2), 4), (GF(5, 2), 8), (GF(5, 2), 24), (GF(3, 3), 13),
+          (GF(3, 3), 26)]
+
+
 def cyclic(field: GF, n: int, zeros) -> FqCode:
     """The cyclic code of length n | q - 1 with zero set ``zeros`` in Z_n, by scalar field operations.
 

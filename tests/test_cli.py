@@ -292,6 +292,21 @@ def test_prime_field_with_another_modulus_exits_1(command, tmp_path, capsys):
     assert capsys.readouterr() == ("", "error: the modulus of a prime field is x = [0, 1], got [3, 1]\n")
 
 
+@pytest.mark.parametrize("doc, message", [
+    ({"components": [[[1, 2]], [[1, 2]], [[1, 2]], [[1, 7]]]}, "component 4: 7 is not an element encoding of GF(5)"),
+    ({"generators": [[[1, 0, 0, 0], [0, 0, True, 0]]]},
+     "generator row 0 entry 1: True is not an element encoding of GF(5)"),
+    ({"basis": "u", "generators": [[[1, 0, 0, 0], [0, 0, -1, 0]]]},
+     "generator row 0 entry 1: -1 is not an element encoding of GF(5)"),
+], ids=["components", "gamma-generators", "u-generators"])
+def test_a_bad_field_value_exits_1_after_its_place(doc, message, tmp_path, capsys):
+    """Each file form reports the one field-value message after the value's place, and exits 1."""
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"field": {"p": 5}, "n": 2, **doc}))
+    assert main(["analyze", str(path)]) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 def test_unknown_choice_is_left_to_argparse(capsys):
     argv = ["construct-lcd", "c.json", "--mode", "bogus"]
     assert cli._plain(argv) is None

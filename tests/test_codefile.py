@@ -161,9 +161,9 @@ def test_number_past_the_int_str_limit_is_not_json():
     [
         ({"field": {"p": 2, "e": 21}}, "bad 'field': field order 2^21 exceeds 1048576"),
         ({"components": [[[1, 2]], [[1, 2]], [[1, 2]], [[1, 7]]]},
-         "component 4: entry 7 is not an element of GF(5)"),
+         "component 4: 7 is not an element encoding of GF(5)"),
         ({"components": None, "generators": [[[1, 0, 0, 0], [0, 0, 5, 0]]]},
-         "generator row 0 entry 1: coordinate 5 is not an element of GF(5)"),
+         "generator row 0 entry 1: 5 is not an element encoding of GF(5)"),
         ({"components": None, "basis": "u", "generators": [[[1, 0, 0, 0], [0, 0, 5, 0]]]},
          "generator row 0 entry 1: 5 is not an element encoding of GF(5)"),
     ],
@@ -249,9 +249,9 @@ def test_rows_bounded_before_any_matrix(monkeypatch):
     "doc, message",
     [
         ({"components": [[[1, 2, 3]] * 3] * 3 + [[[1, 2, 7]]]},
-         "component 4: entry 7 is not an element of GF(5)"),
+         "component 4: 7 is not an element encoding of GF(5)"),
         ({"generators": [[[1, 0, 0, 0]] * 3] * 3 + [[[1, 0, 0, 0]] * 2 + [[0, 0, 0, 7]]]},
-         "generator row 3 entry 2: coordinate 7 is not an element of GF(5)"),
+         "generator row 3 entry 2: 7 is not an element encoding of GF(5)"),
     ],
     ids=["component", "generator"],
 )

@@ -19,7 +19,7 @@ from lcdring.errors import (
 from lcdring.fqcode import _projective_steps, count_text
 from lcdring.linalg import gram, rank, rref
 
-from support import cyclic, identity, kernel_work, matmul, nullspace_basis, random_fqcode
+from support import CYCLIC, cyclic, identity, kernel_work, matmul, nullspace_basis, random_fqcode
 
 F5 = GF(5)
 F9 = GF(3, 2, [1, 0, 1])
@@ -468,11 +468,6 @@ def test_gram_facts_match_the_full_generator_in_any_twist_order(data):
         c._gram_facts(True)
 
 
-# (field, n) with n | q - 1, so any zero set Z in Z_n gives a cyclic code
-CYCLIC = [(GF(2, 2), 3), (F5, 4), (GF(2, 3), 7), (F9, 4), (F9, 8), (GF(2, 4), 3), (GF(2, 4), 15),
-          (GF(5, 2), 3), (GF(5, 2), 4), (GF(5, 2), 8), (GF(5, 2), 24), (GF(3, 3), 13), (GF(3, 3), 26)]
-
-
 # odd-p extension lengths past the oracle's reach (q^k far above its 10^6 words), where the
 # Gram and elimination kernels add by Zech logs
 LONG_CYCLIC = [(GF(3, 4), 40), (GF(3, 4), 80), (GF(7, 2), 48), (GF(3, 5), 121)]
@@ -507,6 +502,15 @@ def test_cyclic_codes_past_the_oracle_give_their_known_answers(f, n, data):
     """The same closed forms at five drawn zero sets per length, of any size from 0 to n."""
     zeros = set(data.draw(st.permutations(range(n)))[:data.draw(st.integers(0, n))])
     _assert_cyclic_answers(f, n, zeros, data.draw(st.permutations(range(f.e))))
+
+
+@pytest.mark.parametrize("f, n", [(GF(257), 64), (GF(17, 2), 72)], ids=str)
+def test_planted_hulls_at_full_length(f, n):
+    """A zero set closed under negation, {0, n/2, 5, -5}, plus 1, 2 and 3, whose negatives it leaves out,
+    plants a Euclidean hull of dimension 3 (p^e = 1 mod n); each twist is checked against the closed form."""
+    zeros = {0, n // 2, 5, n - 5, 1, 2, 3}
+    assert len({-z % n for z in zeros} - zeros) == 3
+    _assert_cyclic_answers(f, n, zeros, range(f.e))
 
 
 @pytest.mark.parametrize("field", [F5, GF(2, 2), F9], ids=str)

@@ -4,6 +4,7 @@ import enum
 import functools
 import hashlib
 import itertools
+import json
 import math
 import re
 
@@ -14,7 +15,8 @@ from hypothesis import strategies as st
 from lcdring import GF, FqCode, Matrix, RingElement, gamma_to_u, lemma_det_check, minor_search, u_to_gamma
 import lcdring.gf as gf_module
 from lcdring.gf import _is_irreducible, _pmod, _pmul, _ppowmod, _prime_divisors, _psub, _trim
-from lcdring.errors import BadLError, BadModulusError, NotPrimeError
+from lcdring.codefile import parse_code
+from lcdring.errors import BadLError, BadModulusError, NotPrimeError, ParseError
 
 
 @pytest.fixture(scope="module")
@@ -126,25 +128,60 @@ def _lemma_det_check(f, x):
 
 
 # every entry point that takes field values, and what it gives for the plain int 2 over GF(5)
-ENCODING_ENTRY_POINTS = [
-    (lambda f, x: f.check(x), 2),
-    (lambda f, x: u_to_gamma(f, (x, 0, 0, 0)), (2, 2, 2, 2)),
-    (lambda f, x: gamma_to_u(f, (x, 0, 0, 0)), (2, 3, 3, 2)),
-    (lambda f, x: RingElement.from_u(f, (x, 0, 0, 0)).g, (2, 2, 2, 2)),
-    (lambda f, x: RingElement(f, (x, 0, 0, 0)).g, (2, 0, 0, 0)),
-    (lambda f, x: FqCode.from_rows(f, 2, [[1, 1]]).scale([1, x]).gen.rows, ((1, 2),)),
-    (lambda f, x: Matrix.from_rows(f, [[x]]).rows, ((2,),)),
-    (_lemma_det_check, True),  # det [[0 + 2]] = 2 = the empty minor's 1 times b_0
-]
+ENCODING_ENTRY_POINTS = {
+    "check": (lambda f, x: f.check(x), 2),
+    "u_to_gamma": (lambda f, x: u_to_gamma(f, (x, 0, 0, 0)), (2, 2, 2, 2)),
+    "gamma_to_u": (lambda f, x: gamma_to_u(f, (x, 0, 0, 0)), (2, 3, 3, 2)),
+    "from_u": (lambda f, x: RingElement.from_u(f, (x, 0, 0, 0)).g, (2, 2, 2, 2)),
+    "RingElement": (lambda f, x: RingElement(f, (x, 0, 0, 0)).g, (2, 0, 0, 0)),
+    "scale": (lambda f, x: FqCode.from_rows(f, 2, [[1, 1]]).scale(iter([1, x])).gen.rows, ((1, 2),)),
+    "from_rows": (lambda f, x: Matrix.from_rows(f, [[x]]).rows, ((2,),)),
+    "lemma_det_check": (_lemma_det_check, True),  # det [[0 + 2]] = 2 = the empty minor's 1 times b_0
+    "check_row": (lambda f, x: f.check_row(iter([1, x])), (1, 2)),
+    "Matrix": (lambda f, x: Matrix(f, 2, [(x, 2)]).rows, ((2, 2),)),
+    "scalar": (lambda f, x: RingElement.scalar(f, x).g, (2, 2, 2, 2)),
+}
 
 
-@pytest.mark.parametrize("call, value", ENCODING_ENTRY_POINTS, ids=[
-    "check", "u_to_gamma", "gamma_to_u", "from_u", "RingElement", "scale", "from_rows", "lemma_det_check"])
+@pytest.mark.parametrize("call, value", ENCODING_ENTRY_POINTS.values(), ids=ENCODING_ENTRY_POINTS)
 def test_an_int_subclass_is_not_an_encoding(f5, call, value):
     """One definition of an encoding: an int of exactly type int, so an IntEnum member never leaks into a value."""
     assert call(f5, 2) == value
     with pytest.raises(ValueError, match="is not an element"):
         call(f5, Digit.TWO)
+
+
+def _code_file(place, doc):
+    """An entry point that reads x from a GF(5) code file, and the place its reader names before the message."""
+    return (lambda f, x: parse_code(json.dumps({"field": {"p": 5}, "n": 2, **doc(x)}))), place
+
+
+# the library entry points raise the message alone; the code-file forms wrap it after the value's place
+REFUSALS = {name: (call, "") for name, (call, _) in ENCODING_ENTRY_POINTS.items()} | {
+    "components": _code_file("component 4: ", lambda x: {"components": [[[1, 2]]] * 3 + [[[1, x]]]}),
+    "gamma-generators": _code_file(
+        "generator row 0 entry 1: ", lambda x: {"generators": [[[1, 0, 0, 0], [0, 0, x, 0]]]}),
+    "u-generators": _code_file(
+        "generator row 0 entry 1: ", lambda x: {"basis": "u", "generators": [[[1, 0, 0, 0], [0, 0, x, 0]]]}),
+}
+NOT_ENCODINGS = {
+    "True": True, "False": False, "0.0": 0.0, "-1": -1, "q": 5, "2**70": 2**70, "str": "1", "None": None,
+    "IntEnum": Digit.TWO,
+}
+
+
+@pytest.mark.parametrize("call, place, x", [
+    pytest.param(call, place, x, id=f"{name}-{xid}")
+    for name, (call, place) in REFUSALS.items() for xid, x in NOT_ENCODINGS.items()
+    if not (place and xid == "IntEnum")  # JSON reads no int subclass
+])
+def test_one_rule_and_one_message_for_a_field_value(f5, call, place, x):
+    """Every entry point refuses a non-encoding with ``GF.check_row``'s one message: a library call
+    raises it as ``ValueError``, and the code-file reader as ``ParseError`` after the value's place."""
+    with pytest.raises((ValueError, ParseError)) as info:
+        call(f5, x)
+    assert str(info.value) == f"{place}{x!r} is not an element encoding of GF(5)"
+    assert type(info.value) is (ParseError if place else ValueError)
 
 
 @pytest.mark.parametrize("args, name", [

@@ -25,13 +25,13 @@ def m(field, rows, ncols=None):
 
 @pytest.mark.parametrize("entry", [True, 2.0, 5])
 def test_from_rows_checks_entries(entry):
-    with pytest.raises(ValueError, match="is not an element of"):
+    with pytest.raises(ValueError, match="is not an element encoding of"):
         m(F5, [[entry, 2]])
 
 
 @pytest.mark.parametrize("entry", [True, False, 2.0, 0.0, -1, 5])
 def test_constructor_checks_entries(entry):
-    with pytest.raises(ValueError, match="is not an element of"):
+    with pytest.raises(ValueError, match="is not an element encoding of"):
         Matrix(F5, 2, [(entry, 2)])
 
 

@@ -278,6 +278,27 @@ def test_codefile_checks_only_the_shape():
     assert "MAX_FIELD_ORDER" not in names
 
 
+def test_one_rule_for_a_field_value():
+    """``GF.check_row`` is the one place that tests a field value against q, and every entry point that
+    takes field values calls it: a matrix once per row, a ring element, the two basis conversions,
+    a scaling and a perturbation; ``GF.check`` is its one-entry case."""
+    sites = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        owner = {}  # node -> innermost enclosing def; ast.walk is breadth-first
+        for fn in ast.walk(tree):
+            if isinstance(fn, ast.FunctionDef):
+                owner.update(dict.fromkeys(ast.walk(fn), fn.name))
+        sites += [f"{path.name}:{owner.get(node, '<module>')}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Compare) and node.ops and isinstance(node.ops[-1], ast.Lt)
+                  and ast.unparse(node.comparators[-1]).split(".")[-1] == "q"]
+    assert sites == ["gf.py:check_row"]
+    assert _call_sites("check_row") == [
+        "construct.py:lemma_det_check", "fqcode.py:scale", "gf.py:check", "linalg.py:__post_init__",
+        "ring.py:u_to_gamma", "ring.py:gamma_to_u", "ring.py:__init__",
+    ]
+
+
 def test_matrix_rows_are_read_directly():
     """No module reads a flat ``entries`` or calls a ``col`` accessor: columns come from one
     ``zip(*rows)`` transpose, where a call per column would walk every row once per column."""
@@ -300,6 +321,7 @@ KEPT = {
     "inverse": "ring arithmetic, documented in README's Public API",
     "is_zero": "ring arithmetic, documented in README's Public API",
     "elements": "a public view of GF that tests use as a reference",
+    "check": "GF.check_row of one entry, a public check of one field value",
     "generator_rows": "a public view of RCode that tests use as a reference",
     "row": "perfbench's tracer reads Matrix.row (ROADMAP item 1)",
     "gen": "a public view of FqCode that README documents and perfbench's tracer reads",

@@ -6,11 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lcdring import GF, FqCode, RCode, RingElement
+from lcdring import GF, FqCode, RCode, RingElement, ring_lcd_equivalent
 from lcdring.ring import gamma_to_u, gray
-from lcdring.errors import CapExceededError, MismatchError, NotAUnitError, ZeroCodeError
+from lcdring.errors import CapExceededError, FieldTooSmallError, MismatchError, NotAUnitError, ZeroCodeError
 
-from support import identity, random_rcode, ring_words, u_dual, u_mul, u_span
+from support import CYCLIC, cyclic, identity, random_rcode, ring_words, u_dual, u_mul, u_span
 
 F5 = GF(5)
 F9 = GF(3, 2, [1, 0, 1])
@@ -286,3 +286,27 @@ class TestScale:
             scaled = rc.scale(alpha)
             assert scaled.k == rc.k
             assert scaled.lee_min_dist() == rc.lee_min_dist()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_ring_codes_of_four_cyclic_components_give_their_known_answers(data):
+    r"""Four zero sets Z_i in Z_n give a ring code whose l-LCD facts have closed forms: with
+    T_i = -p^(e-l) * Z_i mod n, the component hulls sum to the sum of |T_i \ Z_i|, the code is l-LCD
+    exactly when every T_i = Z_i, and its l-dual is the ring code of zero sets Z_n \ T_i.  Where the
+    field admits the twist, ``ring_lcd_equivalent`` makes a non-LCD code l-LCD with the same length and
+    component dimensions; where q - 1 divides p^(e-l) + 1 it refuses."""
+    f, n = data.draw(st.sampled_from(CYCLIC))
+    zeros = [data.draw(st.sets(st.integers(0, n - 1))) for _ in range(4)]
+    rc = RCode(cyclic(f, n, z) for z in zeros)
+    for l in data.draw(st.permutations(range(f.e))):
+        images = [{-f.p ** (f.e - l) * z % n for z in z_i} for z_i in zeros]
+        assert sum(c.hull_dim(l) for c in rc.comps) == sum(len(t - z) for t, z in zip(images, zeros))
+        assert rc.is_lcd(l) == (images == zeros)
+        assert rc.galois_dual(l) == RCode(cyclic(f, n, set(range(n)) - t) for t in images)
+        if (f.p ** (f.e - l) + 1) % (f.q - 1) == 0:
+            with pytest.raises(FieldTooSmallError):
+                ring_lcd_equivalent(rc, l)
+        elif images != zeros:
+            out = ring_lcd_equivalent(rc, l)[1]
+            assert out.is_lcd(l) and out.n == n and [c.k for c in out.comps] == [c.k for c in rc.comps]

@@ -17,7 +17,7 @@ F9 = GF(3, 2, [1, 0, 1])
 
 @pytest.mark.parametrize("coord", [True, False, 1.0, 0.0, -1, 5])
 def test_constructor_checks_coordinates(coord):
-    with pytest.raises(ValueError, match="is not an element of"):
+    with pytest.raises(ValueError, match="is not an element encoding of"):
         RingElement(F5, (coord, 0, 0, 0))
 
 
