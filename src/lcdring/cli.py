@@ -19,7 +19,7 @@ from . import codefile, construct, oracle
 from .errors import BadLError, CapExceededError, ConsistencyError, LcdringError
 from .fqcode import DEFAULT_ENUM_CAP
 from .rcode import RCode
-from .ring import gamma_to_u
+from .ring import SLOTS, gamma_to_u
 
 
 def _load(path: str) -> RCode:
@@ -71,7 +71,7 @@ def _analysis(code: RCode, ls: list[int], cap: int) -> dict[str, Any]:
         "k": code.k,
         "components": [list(t) for t in params.components],
         "d_lee": params.d_lee,
-        "singleton_bound_x4": 4 * code.n - code.k + 4,
+        "singleton_bound_x4": SLOTS * code.n - code.k + SLOTS,
         "mds": mds,
         "predicates": _predicate_block(code, ls),
     }
@@ -87,7 +87,7 @@ def _print_analysis(report: dict[str, Any]) -> None:
         print(f"  C{i + 1} = {_fmt_params(t)}")
     d = report["d_lee"]
     print(f"lee distance: {d if d is not None else 'unknown'}")
-    print(f"singleton bound: {report['singleton_bound_x4'] / 4:g}")
+    print(f"singleton bound: {report['singleton_bound_x4'] / SLOTS:g}")
     mds = report["mds"]
     print(f"mds: {'unknown' if mds is None else ('yes' if mds else 'no')}")
     for pred in report["predicates"]:
@@ -217,7 +217,7 @@ def _cmd_verify(args: SimpleNamespace) -> int:
     check("expansion image matches enumerated expansion", expansion)
     for l, bf_hull in enumerate(hulls):
         dual = code.galois_dual(l)
-        check(f"l={l} cardinality", code.k + dual.k == 4 * code.n)
+        check(f"l={l} cardinality", code.k + dual.k == SLOTS * code.n)
         fast_hull = sum(c.hull_dim(l) for c in code.comps)
         check(f"l={l} hull dimension", bf_hull == fast_hull)
         check(f"l={l} lcd flag", code.is_lcd(l) == (bf_hull == 0))

@@ -49,13 +49,13 @@ from .fqcode import FqCode
 from .gf import GF
 from .linalg import Matrix
 from .rcode import RCode
-from .ring import RingElement
+from .ring import SLOTS, RingElement
 
 FORMAT_VERSION = 1
 
 # Largest code length a file may declare, checked before any matrix is
 # built: the zero code's dual at this length is four n-by-n identities.
-# It also bounds the rows of each component, and 4 * MAX_LENGTH bounds the
+# It also bounds the rows of each component, and SLOTS * MAX_LENGTH the
 # generator rows (a full code written as generators has 4n), since parse
 # time grows with the number of rows.
 MAX_LENGTH = 512
@@ -113,7 +113,7 @@ def parse_code(text: str) -> RCode:
     if has_comp:
         _require(basis == "gamma", "component matrices are only meaningful in the gamma basis")
         comps = doc["components"]
-        _require(isinstance(comps, list) and len(comps) == 4,
+        _require(isinstance(comps, list) and len(comps) == SLOTS,
                  "'components' must list exactly four generator matrices")
         # all four shapes are checked before any matrix is built, and all
         # four matrices (so every entry) before any is reduced
@@ -128,8 +128,8 @@ def parse_code(text: str) -> RCode:
         return RCode(FqCode.from_rows(field, n, m) for m in mats)
     gens = doc["generators"]
     _require(isinstance(gens, list), "'generators' must be a list of rows")
-    _require(len(gens) <= 4 * MAX_LENGTH,
-             f"'generators' has {len(gens)} rows, more than {4 * MAX_LENGTH}")
+    _require(len(gens) <= SLOTS * MAX_LENGTH,
+             f"'generators' has {len(gens)} rows, more than {SLOTS * MAX_LENGTH}")
     element = RingElement.from_u if basis == "u" else RingElement
     rows = []
     for r, row in enumerate(gens):
@@ -137,7 +137,7 @@ def parse_code(text: str) -> RCode:
             raise ParseError(f"generator row {r} must list {n} ring elements")
         entries = []
         for j, quad in enumerate(row):
-            if not (isinstance(quad, list) and len(quad) == 4):
+            if not (isinstance(quad, list) and len(quad) == SLOTS):
                 raise ParseError(f"generator row {r} entry {j} must be a 4-list")
             try:
                 entries.append(element(field, quad))

@@ -240,11 +240,11 @@ def hull_dim(code: Code, l: int, budget: int = DEFAULT_ENUM_CAP) -> int:
 
 def _expansion(code: RCode, image: FqCode, slots: Iterable[set[Word]]) -> bool:
     """``is_expansion`` on the sets of slot words, which are read only if ``image`` has the field and length."""
-    if image.field != code.field or image.n != 4 * code.n:
+    if image.field != code.field or image.n != len(_slots(code)) * code.n:
         return False
     slots = list(slots)
-    rows = image.rows
-    if any(g[i::4] not in s for g in rows for i, s in enumerate(slots)):
+    rows, count = image.rows, len(slots)
+    if any(g[i::count] not in s for g in rows for i, s in enumerate(slots)):
         return False
     leads = {next(j for j, v in enumerate(g) if v) for g in rows if any(g)}
     return code.field.q ** len(leads) >= prod(map(len, slots))
@@ -261,7 +261,7 @@ def is_expansion(code: RCode, image: FqCode, budget: int = DEFAULT_ENUM_CAP) -> 
     equal.  That is exact for rows in echelon form; rows sharing a
     leading position may read False on equal sets.  No image word is drawn.
     """
-    if len(_slots(code)) != 4 or len(_slots(image)) != 1:
+    if len(_slots(code)) == 1 or len(_slots(image)) != 1:
         raise MismatchError("expansion check needs a ring code and a field code")
     _check_budget(code, budget)
     return _expansion(code, image, (set(codewords(c, budget)) for c in code.comps))
@@ -279,7 +279,7 @@ def survey(
     as the set ``is_expansion`` holds, and the helpers of the single calls
     read every answer off the four sets.
     """
-    if len(_slots(code)) != 4 or len(_slots(image)) != 1:
+    if len(_slots(code)) == 1 or len(_slots(image)) != 1:
         raise MismatchError("survey needs a ring code and a field code")
     _check_budget(code, budget)
     slots = [set(codewords(c, budget)) for c in code.comps]

@@ -17,7 +17,7 @@ from typing import Iterable, NamedTuple, Sequence
 from .errors import CapExceededError, MismatchError, NotAUnitError
 from .fqcode import DEFAULT_ENUM_CAP, FqCode, least_distance
 from .gf import GF
-from .ring import RingElement
+from .ring import SLOTS, RingElement
 from .value import Value
 
 
@@ -33,11 +33,11 @@ class RCode(Value):
 
     __slots__ = ("comps",)
     _key = attrgetter("comps")
-    comps: tuple[FqCode, FqCode, FqCode, FqCode]
+    comps: tuple[FqCode, ...]
 
     def __init__(self, comps: Iterable[FqCode]) -> None:
         object.__setattr__(self, "comps", tuple(comps))
-        if len(self.comps) != 4:
+        if len(self.comps) != SLOTS:
             raise MismatchError("exactly four component codes required")
         field, n = self.field, self.n
         for c in self.comps:
@@ -64,7 +64,7 @@ class RCode(Value):
                 if x.field != field:
                     raise MismatchError("generator entry from a different field")
         return cls(
-            FqCode._span(field, n, [[x.g[i] for x in row] for row in rows]) for i in range(4)
+            FqCode._span(field, n, [[x.g[i] for x in row] for row in rows]) for i in range(SLOTS)
         )
 
     # -- basic data ---------------------------------------------------------
@@ -87,13 +87,9 @@ class RCode(Value):
 
     def generator_rows(self) -> list[tuple[RingElement, ...]]:
         """Generators over R: each component row embedded in its slot."""
-        f, out = self.field, []
-        for i, comp in enumerate(self.comps):
-            for row in comp.rows:
-                out.append(
-                    tuple(RingElement(f, tuple(v if s == i else 0 for s in range(4))) for v in row)
-                )
-        return out
+        f = self.field
+        return [tuple(RingElement(f, tuple(v if s == i else 0 for s in range(SLOTS))) for v in row)
+                for i, comp in enumerate(self.comps) for row in comp.rows]
 
     def __repr__(self) -> str:
         ks = ",".join(str(c.k) for c in self.comps)
@@ -104,7 +100,7 @@ class RCode(Value):
     def galois_dual(self, l: int = 0) -> "RCode":
         return RCode(c.galois_dual(l) for c in self.comps)
 
-    def lcd_status(self, l: int = 0) -> tuple[bool, tuple[int, int, int, int]]:
+    def lcd_status(self, l: int = 0) -> tuple[bool, tuple[int, ...]]:
         """(flag, per-component twisted Gram determinants)."""
         pairs = [c.lcd_status(l) for c in self.comps]
         return (all(flag for flag, _ in pairs), tuple(d for _, d in pairs))
@@ -152,7 +148,7 @@ class RCode(Value):
         if len({c.k for c in self.comps}) > 1:
             return False
         d = self.lee_min_dist(cap)
-        return 4 * d == 4 * self.n - self.k + 4
+        return SLOTS * d == SLOTS * self.n - self.k + SLOTS
 
     # -- maps ---------------------------------------------------------------
 
@@ -167,12 +163,12 @@ class RCode(Value):
         share no position, so sorted by pivot (4c + i) the rows are in RREF,
         and those keys are the image's pivots.
         """
-        width, keyed = 4 * self.n, []
+        width, keyed = SLOTS * self.n, []
         for i, comp in enumerate(self.comps):
             for c, gen_row in zip(comp.pivots, comp.rows):
                 row = [0] * width
-                row[i::4] = gen_row
-                keyed.append((4 * c + i, row))
+                row[i::SLOTS] = gen_row
+                keyed.append((SLOTS * c + i, row))
         keyed.sort()
         pivots, rows = zip(*keyed) if keyed else ((), ())
         return FqCode._derived(self.field, width, rows, pivots)

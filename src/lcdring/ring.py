@@ -1,52 +1,63 @@
 """Arithmetic in R = F_q + uF_q + vF_q + uvF_q.
 
-With u^2 = u, v^2 = v and uv = vu the ring splits through the orthogonal
-idempotents
-
-    g1 = 1 - u - v + uv,   g2 = uv,   g3 = u - uv,   g4 = v - uv,
-
-which sum to 1, square to themselves and annihilate each other.  Every
-element is g1*r1 + g2*r2 + g3*r3 + g4*r4 for a unique quadruple of field
-elements, and all ring operations act coordinatewise on that quadruple.
-The quadruple is the canonical representation here; the (1, u, v, uv)
-basis appears only at serialization boundaries.
+With u^2 = u, v^2 = v and uv = vu an element is a function on the points
+(u, v) in {0, 1}^2, so R splits into one copy of F_q per point.  Slot i
+holds the value at ``POINTS[i]``, and the orthogonal idempotent that is 1
+there alone is g1 = 1 - u - v + uv, g2 = uv, g3 = u - uv or g4 = v - uv.
+Every element is g1*r1 + ... + g4*r4 for a unique tuple of slot values,
+and ring operations act slotwise on it.  ``POINTS`` is the one description
+of the split and ``SLOTS`` the slot count every module reads.  The slot
+tuple is the canonical representation; the (1, u, v, uv) basis appears
+only at serialization boundaries, through ``u_to_gamma`` and ``gamma_to_u``.
 
 The expansion map sends a length-n vector to the length-4n field vector
-obtained by writing out each entry's quadruple in place, so position
-4*j + i holds coordinate i of entry j.  It is an F_q-linear bijection and
-turns Lee distance into Hamming distance.
+obtained by writing out each entry's slots in place, so position 4*j + i
+holds slot i of entry j.  It is an F_q-linear bijection and turns Lee
+distance into Hamming distance.
 """
 
 from __future__ import annotations
 
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from typing import Sequence
 
 from .errors import MismatchError, NotAUnitError
 from .gf import GF
 from .value import Value
 
+POINTS = ((0, 0), (1, 1), (1, 0), (0, 1))  # (u, v) at the slots of g1..g4
+SLOTS = len(POINTS)
+_MONOMIALS = ((0, 0), (1, 0), (0, 1), (1, 1))  # 1, u, v, uv as (i, j) of u^i v^j
+_AT_POINTS = itemgetter(*map(_MONOMIALS.index, POINTS))
+_AT_MONOMIALS = itemgetter(*map(POINTS.index, _MONOMIALS))
 
-def u_to_gamma(field: GF, quad: Sequence[int]) -> tuple[int, int, int, int]:
-    """Convert (a1, a2, a3, a4) of a1 + a2*u + a3*v + a4*uv to idempotent coordinates."""
-    a1, a2, a3, a4 = field.check_row(quad)
+
+def _coords(field: GF, g: Sequence[int]) -> tuple[int, ...]:
+    """g as a tuple, if it holds ``SLOTS`` field values: the one check of a ring element's coordinates."""
+    g = field.check_row(g)
+    if len(g) != SLOTS:
+        raise ValueError(f"ring elements carry exactly {SLOTS} coordinates")
+    return g
+
+
+def u_to_gamma(field: GF, quad: Sequence[int]) -> tuple[int, ...]:
+    """The slots of a1 + a2*u + a3*v + a4*uv, its values at ``POINTS``: each sums the coefficients of
+    the monomials u^i v^j that do not vanish there (i <= u, j <= v), which a subset-sum transform
+    forms with one addition per step up in u, then in v."""
+    one, u, v, uv = _coords(field, quad)
     add = field.add
-    r1 = a1
-    r3 = add(a1, a2)
-    r4 = add(a1, a3)
-    r2 = add(add(a1, a2), add(a3, a4))
-    return (r1, r2, r3, r4)
+    u, uv = add(one, u), add(v, uv)
+    v, uv = add(one, v), add(u, uv)
+    return _AT_POINTS((one, u, v, uv))
 
 
-def gamma_to_u(field: GF, quad: Sequence[int]) -> tuple[int, int, int, int]:
-    """Inverse of :func:`u_to_gamma`."""
-    r1, r2, r3, r4 = field.check_row(quad)
-    add, sub = field.add, field.sub
-    a1 = r1
-    a2 = sub(r3, r1)
-    a3 = sub(r4, r1)
-    a4 = sub(add(r1, r2), add(r3, r4))
-    return (a1, a2, a3, a4)
+def gamma_to_u(field: GF, quad: Sequence[int]) -> tuple[int, ...]:
+    """Inverse of :func:`u_to_gamma`: the Moebius transform, one subtraction per step down in v, then in u."""
+    one, u, v, uv = _AT_MONOMIALS(_coords(field, quad))
+    sub = field.sub
+    v, uv = sub(v, one), sub(uv, u)
+    u, uv = sub(u, one), sub(uv, v)
+    return (one, u, v, uv)
 
 
 class RingElement(Value):
@@ -55,37 +66,33 @@ class RingElement(Value):
     __slots__ = ("field", "g")
     _key = attrgetter("field", "g")
     field: GF
-    g: tuple[int, int, int, int]
+    g: tuple[int, ...]
 
     def __init__(self, field: GF, g: Sequence[int]) -> None:
         object.__setattr__(self, "field", field)
-        object.__setattr__(self, "g", field.check_row(g))
-        if len(self.g) != 4:
-            raise ValueError("ring elements carry exactly 4 coordinates")
+        object.__setattr__(self, "g", _coords(field, g))
 
     # -- constructors ---------------------------------------------------------
 
     @classmethod
     def zero(cls, field: GF) -> "RingElement":
-        return cls(field, (0, 0, 0, 0))
+        return cls(field, (0,) * SLOTS)
 
     @classmethod
     def one(cls, field: GF) -> "RingElement":
-        return cls(field, (1, 1, 1, 1))
+        return cls(field, (1,) * SLOTS)
 
     @classmethod
     def scalar(cls, field: GF, c: int) -> "RingElement":
         """The field element c embedded as c * (g1 + g2 + g3 + g4)."""
-        return cls(field, (c, c, c, c))
+        return cls(field, (c,) * SLOTS)
 
     @classmethod
     def idempotent(cls, field: GF, i: int) -> "RingElement":
         """g1..g4 for i in 0..3."""
-        if type(i) is not int or not 0 <= i <= 3:
-            raise MismatchError(f"idempotent slot {i!r} outside 0..3")
-        coords = [0, 0, 0, 0]
-        coords[i] = 1
-        return cls(field, tuple(coords))
+        if type(i) is not int or not 0 <= i < SLOTS:
+            raise MismatchError(f"idempotent slot {i!r} outside 0..{SLOTS - 1}")
+        return cls(field, tuple(int(s == i) for s in range(SLOTS)))
 
     @classmethod
     def from_u(cls, field: GF, quad: Sequence[int]) -> "RingElement":
@@ -95,7 +102,7 @@ class RingElement(Value):
 
     @property
     def is_zero(self) -> bool:
-        return self.g == (0, 0, 0, 0)
+        return not any(self.g)
 
     @property
     def is_unit(self) -> bool:
@@ -146,10 +153,7 @@ class RingElement(Value):
 
 def gray(entries: Sequence[RingElement]) -> tuple[int, ...]:
     """Flatten a ring vector into its length-4n coordinate expansion."""
-    out: list[int] = []
-    for x in entries:
-        out.extend(x.g)
-    return tuple(out)
+    return tuple(v for x in entries for v in x.g)
 
 
 def lee_weight(entries: Sequence[RingElement]) -> int:
@@ -172,10 +176,9 @@ def galois_inner(s: Sequence[RingElement], t: Sequence[RingElement], l: int) -> 
     field = s[0].field
     field.check_twist(l)
     add, mul, frob = field.add, field.mul, field.frobenius
-    acc = [0, 0, 0, 0]
+    acc = [0] * SLOTS
     for a, b in zip(s, t):
         if a.field != field or b.field != field:
             raise MismatchError("mixed fields in inner product")
-        for i in range(4):
-            acc[i] = add(acc[i], mul(a.g[i], frob(b.g[i], l)))
+        acc = [add(c, mul(x, frob(y, l))) for c, x, y in zip(acc, a.g, b.g)]
     return RingElement(field, tuple(acc))

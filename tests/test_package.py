@@ -6,6 +6,7 @@ import re
 import sys
 
 import lcdring
+from lcdring import ring
 from lcdring.errors import CapExceededError
 
 PACKAGE = pathlib.Path(lcdring.__file__).parent
@@ -280,8 +281,9 @@ def test_codefile_checks_only_the_shape():
 
 def test_one_rule_for_a_field_value():
     """``GF.check_row`` is the one place that tests a field value against q, and every entry point that
-    takes field values calls it: a matrix once per row, a ring element, the two basis conversions,
-    a scaling and a perturbation; ``GF.check`` is its one-entry case."""
+    takes field values calls it: a matrix once per row, a scaling, a perturbation and ``ring._coords``,
+    the one check of a ring element's coordinates, which a ring element and the two basis conversions
+    share; ``GF.check`` is its one-entry case."""
     sites = []
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
@@ -294,9 +296,22 @@ def test_one_rule_for_a_field_value():
                   and ast.unparse(node.comparators[-1]).split(".")[-1] == "q"]
     assert sites == ["gf.py:check_row"]
     assert _call_sites("check_row") == [
-        "construct.py:lemma_det_check", "fqcode.py:scale", "gf.py:check", "linalg.py:__post_init__",
-        "ring.py:u_to_gamma", "ring.py:gamma_to_u", "ring.py:__init__",
+        "construct.py:lemma_det_check", "fqcode.py:scale", "gf.py:check", "linalg.py:__post_init__", "ring.py:_coords",
     ]
+    assert _call_sites("_coords") == ["ring.py:u_to_gamma", "ring.py:gamma_to_u", "ring.py:__init__"]
+
+
+def test_one_slot_count():
+    """R's split into slots is described once, by ``ring.POINTS``: the int 4 is written in ring.py alone,
+    so every other module reads the slot count as ``ring.SLOTS`` (oracle.py, which imports nothing
+    from ring, off the code it checks)."""
+    fours = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        fours += [f"{path.name}:{node.lineno}" for node in ast.walk(tree) if path.name != "ring.py"
+                  and isinstance(node, ast.Constant) and type(node.value) is int and node.value == 4]
+    assert fours == []
+    assert ring.SLOTS == len(ring.POINTS) == 4
 
 
 def test_matrix_rows_are_read_directly():

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from lcdring import GF, RingElement
 from lcdring.errors import BadLError, MismatchError, NotAUnitError
 from lcdring.ring import galois_inner, gamma_to_u, gray, lee_distance, lee_weight, u_to_gamma
+from support import u_mul
 
 F5 = GF(5)
 F9 = GF(3, 2, [1, 0, 1])
@@ -23,8 +24,10 @@ def test_constructor_checks_coordinates(coord):
 
 @pytest.mark.parametrize("g", [(1, 2, 3), (1, 2, 3, 4, 0)], ids=["3", "5"])
 def test_constructor_takes_four_coordinates(g):
-    with pytest.raises(ValueError, match="exactly 4 coordinates"):
-        RingElement(F5, g)
+    """A ring element and both basis conversions refuse a wrong-length tuple with one message."""
+    for convert in (RingElement, RingElement.from_u, u_to_gamma, gamma_to_u):
+        with pytest.raises(ValueError, match="^ring elements carry exactly 4 coordinates$"):
+            convert(F5, g)
 
 
 @pytest.mark.parametrize(
@@ -47,6 +50,27 @@ class TestBasisConversion:
 
     def test_u_splits_into_two_idempotents(self):
         assert u_to_gamma(F5, (0, 1, 0, 0)) == (0, 1, 1, 0)
+
+    def test_idempotents_are_the_papers(self):
+        """Slot i is g_i: g1 = 1 - u - v + uv, g2 = uv, g3 = u - uv and g4 = v - uv, in the u basis."""
+        papers = [(1, -1, -1, 1), (0, 0, 0, 1), (0, 1, 0, -1), (0, 0, 1, -1)]
+        for i, quad in enumerate(papers):
+            assert gamma_to_u(F5, RingElement.idempotent(F5, i).g) == tuple(c % 5 for c in quad)
+
+    @pytest.mark.parametrize("field, pairs", [(GF(2, 2), None), (F5, 2000), (F9, 2000)], ids=["GF(4)", "GF(5)", "GF(9)"])
+    def test_the_split_is_a_ring_isomorphism(self, field, pairs):
+        """u_to_gamma sends 1 to the all-ones slots and a product by the paper's table (``support.u_mul``
+        reads ``U_TABLE``) to the slotwise product: every pair of quads over GF(4), random pairs else."""
+        assert u_to_gamma(field, (1, 0, 0, 0)) == (1, 1, 1, 1)
+        quads = list(itertools.product(range(field.q), repeat=4))
+        if pairs is None:
+            drawn = itertools.product(quads, repeat=2)
+        else:
+            rng = random.Random(51)
+            drawn = [(rng.choice(quads), rng.choice(quads)) for _ in range(pairs)]
+        for x, y in drawn:
+            slotwise = tuple(map(field.mul, u_to_gamma(field, x), u_to_gamma(field, y)))
+            assert u_to_gamma(field, u_mul(field, x, y)) == slotwise
 
     def test_roundtrip_exhaustive_gf4(self):
         f = GF(2, 2)
