@@ -322,11 +322,15 @@ class GF(Value):
         return 0 if z is None else self._exp[a + z]
 
     def neg(self, x: int) -> int:
+        if self.p == 2:  # -x = x
+            return x
         if self.e == 1:
             return -x % self.p
         return self._exp[self._log[x] + self._log_neg1] if x else 0
 
     def sub(self, x: int, y: int) -> int:
+        if self.p == 2:  # x - y = x + y
+            return x ^ y
         if self.e == 1:
             return (x - y) % self.p
         return self.add(x, self.neg(y))

@@ -19,7 +19,7 @@ distance into Hamming distance.
 from __future__ import annotations
 
 from operator import attrgetter, itemgetter
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .errors import MismatchError, NotAUnitError
 from .gf import GF
@@ -114,38 +114,33 @@ class RingElement(Value):
 
     # -- arithmetic ---------------------------------------------------------
 
-    def _same(self, other: "RingElement") -> None:
-        if not isinstance(other, RingElement) or other.field != self.field:
-            raise MismatchError("ring operands live in different rings")
+    def _slotwise(self, op: Callable[..., int], *others: "RingElement") -> "RingElement":
+        """The field operation ``op`` applied slot by slot to this element and ``others``, all of one ring."""
+        for other in others:
+            if not isinstance(other, RingElement) or other.field != self.field:
+                raise MismatchError("ring operands live in different rings")
+        return RingElement(self.field, tuple(map(op, self.g, *[other.g for other in others])))
 
     def __add__(self, other: "RingElement") -> "RingElement":
-        self._same(other)
-        add = self.field.add
-        return RingElement(self.field, tuple(add(a, b) for a, b in zip(self.g, other.g)))
+        return self._slotwise(self.field.add, other)
 
     def __sub__(self, other: "RingElement") -> "RingElement":
-        self._same(other)
-        sub = self.field.sub
-        return RingElement(self.field, tuple(sub(a, b) for a, b in zip(self.g, other.g)))
+        return self._slotwise(self.field.sub, other)
 
     def __mul__(self, other: "RingElement") -> "RingElement":
-        self._same(other)
-        mul = self.field.mul
-        return RingElement(self.field, tuple(mul(a, b) for a, b in zip(self.g, other.g)))
+        return self._slotwise(self.field.mul, other)
 
     def __neg__(self) -> "RingElement":
-        neg = self.field.neg
-        return RingElement(self.field, tuple(neg(a) for a in self.g))
+        return self._slotwise(self.field.neg)
 
     def inverse(self) -> "RingElement":
         if not self.is_unit:
             raise NotAUnitError(f"{self} has a zero coordinate")
-        inv = self.field.inv
-        return RingElement(self.field, tuple(inv(a) for a in self.g))
+        return self._slotwise(self.field.inv)
 
     def frobenius(self, l: int = 1) -> "RingElement":
         frob = self.field.frobenius
-        return RingElement(self.field, tuple(frob(a, l) for a in self.g))
+        return self._slotwise(lambda x: frob(x, l))
 
     def __repr__(self) -> str:
         return f"RingElement({self.field!r}, {self.g})"

@@ -931,3 +931,68 @@ def test_verify_eliminations_do_not_depend_on_e(sample, kernel_work, tmp_path, c
     # eliminates exactly when its rows are not already reduced
     assert len(kernel_work.spans) == 9
     assert split_eliminations(kernel_work)[1] == ["_reduced"] * kernel_work.unreduced()
+
+
+def _sample_path(sample, tmp_path):
+    """A sample file's path; "gf16" writes ``GF16_FILE`` (e = 4) under ``tmp_path``."""
+    if sample != "gf16":
+        return sample
+    path = tmp_path / "gf16.json"
+    path.write_text(json.dumps(GF16_FILE))
+    return path
+
+
+@pytest.mark.parametrize("sample", [*SAMPLES, "gf16"], ids=lambda p: getattr(p, "name", p))
+def test_verify_builds_the_wide_dual_once(sample, monkeypatch, tmp_path, capsys):
+    """One l = 0 comparison decides every ``l=… expansion of dual`` line: verify expands the code and
+    its Euclidean dual, and takes the 4n-wide image's dual once."""
+    sample = _sample_path(sample, tmp_path)
+    n = parse_code(sample.read_text()).n
+    images, wide_duals = [], []
+    real_image, real_dual = RCode.gray_image, FqCode.galois_dual
+
+    def image(self):
+        images.append(self.k)
+        return real_image(self)
+
+    def dual(self, l=0):
+        if self.n == 4 * n:
+            wide_duals.append(l)
+        return real_dual(self, l)
+
+    monkeypatch.setattr(RCode, "gray_image", image)
+    monkeypatch.setattr(FqCode, "galois_dual", dual)
+    assert main(["verify", str(sample)]) == 0
+    assert "all checks agree" in capsys.readouterr().out
+    assert len(images) == 2
+    assert wide_duals == [0]
+
+
+@pytest.mark.parametrize(
+    "sample", [SAMPLE_DIR / "gf5_self_dual_line.json", SAMPLE_DIR / "gf9_twisted_hull.json", "gf16"],
+    ids=lambda p: getattr(p, "name", p),
+)
+def test_verify_reports_a_wrong_expansion_of_the_dual(sample, monkeypatch, tmp_path, capsys):
+    """A wide dual with two columns swapped fails the expansion-of-dual line at every twist, and no other.
+
+    gf4_mixed_mds is left out: its duals read the same with columns 0 and 4 swapped."""
+    sample = _sample_path(sample, tmp_path)
+    code = parse_code(sample.read_text())
+    real = FqCode.galois_dual
+
+    def swapped(self, l=0):
+        if self.n != 4 * code.n:
+            return real(self, l)
+        rows = [list(r) for r in real(self, l).rows]
+        for r in rows:
+            r[0], r[4] = r[4], r[0]
+        return FqCode.from_rows(self.field, self.n, rows)
+
+    monkeypatch.setattr(FqCode, "galois_dual", swapped)
+    assert main(["verify", str(sample)]) == 3
+    out = capsys.readouterr().out
+    e = code.field.e
+    assert [line for line in out.splitlines() if "MISMATCH" in line] == [
+        f"l={l} expansion of dual: MISMATCH" for l in range(e)
+    ]
+    assert f"{e} check(s) failed" in out

@@ -710,3 +710,14 @@ def test_frobenius_row_matches_frobenius(case):
     f, xs = case
     for m in range(2 * f.e + 1):
         assert f.frobenius_row(xs, m) == [f.frobenius(x, m) for x in xs]
+
+
+def test_characteristic_two_negates_and_subtracts_without_tables():
+    """-x = x and x - y = x + y in characteristic 2, so neither reads the log or exp table."""
+    f = GF(2, 4)
+    object.__setattr__(f, "_log", None)
+    object.__setattr__(f, "_exp", None)
+    for x in f.elements():
+        assert f.add(x, f.neg(x)) == 0
+        for y in f.elements():
+            assert f.sub(x, y) == f.add(x, y)
